@@ -203,7 +203,7 @@ def _scan_rows(cfg):
     for v in values:
         local = dict(cfg)
         local[axis] = v
-        if axis in ("R", "d") and "epsilon" in local and axis == "d":
+        if axis == "d" and "epsilon" in local:
             local.pop("epsilon")
         geom = _geometry(local)
         T = _temperature(local, 0.0)

@@ -207,6 +207,18 @@ def _grid(m, l_min, l_max):
     return l_start, np.arange(l_start, l_max + 1)
 
 
+def _rows_at_top(U, l_start, n):
+    """The shift-table rows of a block, ``W[a, b] = U[l + l']`` with
+    l = l_start + a, l' = l_start + b, as a strided view.
+
+    Equals the gather ``U[ls[:, None] + ls[None, :]]`` but copies nothing:
+    along a block row the rows l + l' of U are consecutive.  U must be
+    C-contiguous; the view is read-only when U is.
+    """
+    rs, cs = U.strides
+    return np.ndarray((n, n, U.shape[1]), U.dtype, U, 2 * l_start * rs, (rs, rs, cs))
+
+
 @lru_cache(maxsize=1024)
 def _k_shift_table(y, l_max):
     """Exponent table U[s, k] = exp(logK[k] - logK[s]) for the l'' sums.
@@ -228,7 +240,9 @@ def _h2_shift_table(y, l_max, branch):
     """Complex analog of :func:`_k_shift_table` built on H2 magnitudes.
 
     |H2| grows towards high order up to O(1) oscillatory wiggles, so the
-    l'' = l+l' reference keeps valid shifts near or below zero.
+    l'' = l+l' reference keeps valid shifts near or below zero.  Returns
+    the real and imaginary parts of the table as separate arrays, then
+    the log magnitudes.
     """
     hy_mag, hy_ph = specfun.log_hankel2_arrays(2 * l_max, y,
                                                conjugate=(branch < 0))
@@ -236,8 +250,11 @@ def _h2_shift_table(y, l_max, branch):
     ph = hy_ph[: 2 * l_max + 1]
     U = np.exp(np.minimum(mag[None, :] - mag[:, None], 50.0)
                + 1j * ph[None, :])
-    U.flags.writeable = False
-    return U, mag
+    # real and imaginary parts apart, so the l'' sums run as real sums
+    U_re, U_im = np.ascontiguousarray(U.real), np.ascontiguousarray(U.imag)
+    U_re.flags.writeable = False
+    U_im.flags.writeable = False
+    return U_re, U_im, mag
 
 
 def scalar_matrix(m, xi, geom, spec, l_max):
@@ -277,7 +294,7 @@ def scalar_matrix(m, xi, geom, spec, l_max):
     ktop = ls[:, None] + ls[None, :]
     U, logk_y = _k_shift_table(y, l_max)
     logk_top = logk_y[ktop]
-    S = np.einsum("abk,abk->ab", U[ktop], H)
+    S = np.einsum("abk,abk->ab", _rows_at_top(U, l_start, n), H)
     log_pref = 0.5 * math.log(math.pi / (4.0 * xi * geom.L))
     with np.errstate(divide="ignore"):
         logS = np.where(S != 0.0, np.log(np.abs(np.where(S != 0.0, S, 1.0))), _NEG_INF)
@@ -310,9 +327,10 @@ def rotated_matrix(m, xi, geom, spec, l_max, branch=1):
         spec.sphere_bc, x, l_max, branch)
     H = wigner.h_tensor(abs(m), l_start, l_max, alternating=True)
     ktop = ls[:, None] + ls[None, :]
-    U, hy_mag = _h2_shift_table(y, l_max, 1 if branch >= 0 else -1)
+    U_re, U_im, hy_mag = _h2_shift_table(y, l_max, 1 if branch >= 0 else -1)
     top = hy_mag[ktop]
-    S = np.einsum("abk,abk->ab", U[ktop], H.astype(complex))
+    S = np.einsum("abk,abk->ab", _rows_at_top(U_re, l_start, n), H) \
+        + 1j * np.einsum("abk,abk->ab", _rows_at_top(U_im, l_start, n), H)
     log_pref = 0.5 * math.log(math.pi / (4.0 * xi * geom.L))
     mag = np.exp(log_num[ls][None, :] - den_mag[ls][:, None] + log_pref + top)
     phase = np.exp(-1j * den_ph[ls][:, None])
@@ -349,7 +367,7 @@ def em_matrix(m, xi, geom, l_max):
     ktop = ls[:, None] + ls[None, :]
     U, logk_y = _k_shift_table(y, l_max)
     logk_top = logk_y[ktop]
-    W = U[ktop]
+    W = _rows_at_top(U, l_start, n)
     S = np.einsum("abk,abk->ab", W, H)
     S_lam = np.einsum("abk,abk,abk->ab", W, H, LAM)
     log_pref = 0.5 * math.log(math.pi / (4.0 * xi * geom.L))

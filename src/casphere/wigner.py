@@ -9,15 +9,21 @@ The sphere-plane translation matrices need two 3j patterns only,
         \begin{pmatrix} l & l' & l''\\ 0&0&0\end{pmatrix}
         \begin{pmatrix} l & l' & l''\\ m&-m&0\end{pmatrix}.
 
-For moderate momenta the Racah single sum with log-factorials and compensated
-summation is accurate; the alternating sum cancels catastrophically at large
-l, so beyond ``RACAH_L_MAX`` the whole l'' slice is generated by the
-three-term recurrence in l'' (two-sided, matched, normalized by the sum
-rule).  The parity pattern ``(0 0 0)`` has a cancellation-free closed form
-used at every l.
+The parity pattern ``(0 0 0)`` has a cancellation-free closed form used at
+every l.  The ``(m -m 0)`` pattern comes, at every l, from the three-term
+recurrence in l'' (Schulten and Gordon, J. Math. Phys. 16, 1961 (1975);
+Luscombe and Luban, Phys. Rev. E 57, 7274 (1998)): two-sided, matched in
+the classical region, normalized by the sum rule and signed at the
+stretched top.  It runs as numpy operations over many (l, l') pairs at
+once; the only interpreted loop is over the l'' index.  Each pair's
+slice is computed by elementwise operations only, so it does not depend on
+which other pairs share its batch.  The Racah sum serves only the general
+m patterns of :func:`three_j`, up to ``RACAH_L_MAX``, where its
+alternating sum is still accurate.
 
-The kernel sweeps l'' densely for every (l, l', m), so H slices are cached
-as dense tensors.
+The kernel sweeps l'' densely for every (l, l', m).  :func:`h_tensor`
+keeps one dense tensor per (m, l_start, sign pattern), grown when a larger
+cut-off is requested, and serves smaller cut-offs as prefix views.
 """
 
 import math
@@ -26,11 +32,17 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
-#: largest momentum for which the float Racah sum is trusted; measured
-#: against exact rational arithmetic the alternating sum holds 1e-10
-#: relative accuracy only up to l ~ 20, so the crossover to the l''
-#: recurrence sits safely below that
+#: largest momentum for which the float Racah sum of the general m
+#: patterns is trusted; measured against exact rational arithmetic the
+#: alternating sum holds 1e-10 relative accuracy only up to l ~ 20
 RACAH_L_MAX = 16
+
+#: the recurrences rescale a slice once a value passes this magnitude
+_RESCALE = 1e250
+
+#: largest (l'' count) x (pair count) computed in one batch, which bounds
+#: the work arrays of a tensor build to a few MB each
+_BATCH_ENTRIES = 1 << 18
 
 _lf = math.lgamma  # log factorial via lgamma(n+1)
 
@@ -41,21 +53,6 @@ def _logfac(n):
 
 def _triangle_ok(j1, j2, j3):
     return abs(j1 - j2) <= j3 <= j1 + j2
-
-
-def _three_j_000(j1, j2, j3):
-    """Closed form for (j1 j2 j3; 0 0 0); zero for odd j1+j2+j3.
-
-    Single product of factorials, no alternating sum, accurate at any l.
-    """
-    J = j1 + j2 + j3
-    if J % 2 == 1:
-        return 0.0
-    g = J // 2
-    log_delta = 0.5 * (_logfac(J - 2 * j1) + _logfac(J - 2 * j2)
-                       + _logfac(J - 2 * j3) - _logfac(J + 1))
-    log_ratio = _logfac(g) - _logfac(g - j1) - _logfac(g - j2) - _logfac(g - j3)
-    return (-1.0) ** g * math.exp(log_delta + log_ratio)
 
 
 def _three_j_racah(j1, j2, j3, m1, m2, m3):
@@ -89,96 +86,140 @@ def _log_three_j_top(j1, j2, m):
                   - _logfac(j2 - m) - _logfac(j2 + m))
 
 
-def _recurrence_slice(j1, j2, m):
-    """All 3j(j1 j2 j; m -m 0) for j in [|j1-j2| .. j1+j2] by l''-recurrence.
+def _parity_sign(k):
+    """(-1)^k for an integer array."""
+    return 1.0 - 2.0 * (k % 2)
 
-    Two-sided: forward from j_min and backward from j_max while the
-    respective minimal solutions grow, matched in the classical region,
-    normalized with sum_j (2j+1) f(j)^2 = 1 and the stretched-top sign.
-    Requires m != 0 (the m = 0 pattern has a closed form).
+
+def _three_j_000_slices(j1, j2):
+    """(j1 j2 j; 0 0 0) for arrays of pairs, by the closed form.
+
+    Returns a (W, P) array whose row t holds j = |j1-j2| + t; entries past
+    j1 + j2 and those with odd j1 + j2 + j are zero.
     """
-    jmin = abs(j1 - j2)
-    jmax = j1 + j2
-    n = jmax - jmin + 1
-    if n == 1:
-        val = 1.0 / math.sqrt(2.0 * jmax + 1.0)
-        return np.array([(-1.0) ** (j1 - j2) * val])
+    jmin = np.abs(j1 - j2)
+    t = np.arange(np.max(j1 + j2 - jmin) + 1)[:, None]
+    j = jmin + t
+    J = j1 + j2 + j
+    keep = (j <= j1 + j2) & (J % 2 == 0)
+    j = np.where(keep, j, jmin)
+    J = j1 + j2 + j
+    g = J // 2
+    log_delta = 0.5 * (gammaln(J - 2 * j1 + 1) + gammaln(J - 2 * j2 + 1)
+                       + gammaln(J - 2 * j + 1) - gammaln(J + 2))
+    log_ratio = gammaln(g + 1) - gammaln(g - j1 + 1) - gammaln(g - j2 + 1) \
+        - gammaln(g - j + 1)
+    return np.where(keep, _parity_sign(g) * np.exp(log_delta + log_ratio), 0.0)
 
-    def A(j):
-        return j * math.sqrt(float(j * j - (j1 - j2) ** 2)
-                             * float((j1 + j2 + 1) ** 2 - j * j))
 
-    def B(j):
-        return -(2.0 * j + 1.0) * (2.0 * m) * j * (j + 1.0)
+def _three_j_m_slices(j1, j2, m):
+    """(j1 j2 j; m -m 0) for arrays of pairs, by the l''-recurrence.
 
-    f = np.zeros(n)
-    if jmin == 0:
-        # j1 == j2: the j = 0 relation is empty, seed two exact elements
-        f[0] = (-1.0) ** (j1 - m) / math.sqrt(2.0 * j1 + 1.0)
-        f[1] = (-1.0) ** (j1 - m) * m / math.sqrt(
-            j1 * (j1 + 1.0) * (2.0 * j1 + 1.0))
-        istart = 1
-    else:
-        f[0] = 1.0  # A(jmin) = 0, so f(jmin) seeds alone
-        istart = 0
-    ifwd = istart
-    falling = 0
-    for i in range(istart, n - 1):
-        j = jmin + i
-        prev = f[i - 1] if i > 0 else 0.0
-        f[i + 1] = -(B(j) * f[i] + (j + 1.0) * A(j) * prev) / (j * A(j + 1))
-        ifwd = i + 1
-        if abs(f[i + 1]) > _RESCALE:
-            f[: i + 2] /= abs(f[i + 1])
-        # three consecutive decreases mark the classical region (a single
-        # dip can be an accidental zero of the growing solution)
-        falling = falling + 1 if abs(f[i + 1]) < abs(f[i]) else 0
-        if i > istart and falling >= 3:
-            break
-    g = np.zeros(n)
-    # backward sweep from jmax (A(jmax+1) = 0)
-    g[n - 1] = 1.0
-    ibwd = n - 1
-    for i in range(n - 1, 0, -1):
-        j = jmin + i
-        nxt2 = g[i + 1] if i < n - 1 else 0.0
-        g[i - 1] = -(j * A(j + 1) * nxt2 + B(j) * g[i]) / ((j + 1.0) * A(j))
-        ibwd = i - 1
-        if abs(g[i - 1]) > _RESCALE:
-            g[i - 1:] /= abs(g[i - 1])
-        if ibwd <= ifwd:
-            break
+    ``j A(j+1) f(j+1) + B(j) f(j) + (j+1) A(j) f(j-1) = 0`` runs forward
+    from j_min while the minimal solution grows and backward from j_max
+    (where A(j_max+1) = 0); the two are matched in the classical region,
+    normalized with ``sum_j (2j+1) f(j)^2 = 1`` and signed at the
+    stretched top.  Every pair has its own start and stop points, held in
+    masks.  Requires ``1 <= |m| <= min(j1, j2)``, so each slice has at
+    least three entries.
+
+    Returns a (W, P) array laid out as in :func:`_three_j_000_slices`.
+    """
+    jmin = np.abs(j1 - j2)
+    n = j1 + j2 - jmin + 1
+    W = int(np.max(n))
+    P = len(j1)
+    # coefficients on the rows i = 0..W-1, j = jmin + i
+    j = jmin + np.arange(W + 1)[:, None]
+    A2 = (j * j - (j1 - j2) ** 2) * ((j1 + j2 + 1) ** 2 - j * j)
+    jf = j.astype(float)
+    A = jf * np.sqrt(np.maximum(A2, 0).astype(float))
+    B = -(2.0 * jf + 1.0) * (2.0 * m) * jf * (jf + 1.0)
+    C = (jf[:-1] + 1.0) * A[:-1]   # (j+1) A(j)
+    D = jf[:-1] * A[1:]            # j A(j+1)
+    B = B[:-1]
+    rows = np.arange(W)[:, None]
+    cols = np.arange(P)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fa, fb = -B / D, -C / D    # f(j+1) = fa f(j) + fb f(j-1)
+        ga, gb = -B / C, -D / C    # g(j-1) = ga g(j) + gb g(j+1)
+
+    f = np.zeros((W, P))
+    seeded = jmin == 0  # j1 == j2: the j = 0 relation is empty
+    s = _parity_sign(j1 - m)
+    f[0] = np.where(seeded, s / np.sqrt(2.0 * j1 + 1.0), 1.0)
+    f[1] = np.where(seeded, s * m / np.sqrt(j1 * (j1 + 1.0) * (2.0 * j1 + 1.0)), 0.0)
+    istart = seeded.astype(int)
+    ifwd = istart.copy()
+    falling = np.zeros(P, dtype=int)
+    running = istart <= n - 2
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i in range(W - 1):
+            act = running & (i >= istart)
+            if not act.any():
+                continue
+            prev = f[i - 1] if i > 0 else 0.0
+            np.copyto(f[i + 1], fa[i] * f[i] + fb[i] * prev, where=act)
+            ifwd[act] = i + 1
+            big = act & (np.abs(f[i + 1]) > _RESCALE)
+            if big.any():
+                f[:, big] /= np.abs(f[i + 1, big])
+            # three consecutive decreases mark the classical region (a
+            # single dip can be an accidental zero of the growing solution)
+            dec = np.abs(f[i + 1]) < np.abs(f[i])
+            falling = np.where(act, np.where(dec, falling + 1, 0), falling)
+            running &= (i + 1 <= n - 2) & ~((i > istart) & (falling >= 3))
+
+        g = np.zeros((W, P))
+        g[n - 1, cols] = 1.0
+        # the backward sweep overlaps the last four forward values, all
+        # past the forward peak, so that the match never rests on a single
+        # point next to a zero crossing
+        ibwd = np.maximum(np.minimum(ifwd, n - 2) - 3, 0)
+        for i in range(W - 1, 0, -1):
+            act = (i <= n - 1) & (i > ibwd)
+            if not act.any():
+                continue
+            nxt = g[i + 1] if i < W - 1 else 0.0
+            np.copyto(g[i - 1], ga[i] * g[i] + gb[i] * nxt, where=act)
+            big = act & (np.abs(g[i - 1]) > _RESCALE)
+            if big.any():
+                g[:, big] /= np.abs(g[i - 1, big])
+
     # match where both sweeps are farthest from an accidental zero
-    k, best = ibwd, -1.0
-    for i in range(ibwd, ifwd + 1):
-        q = min(abs(f[i]), abs(g[i]))
-        if q > best:
-            best, k = q, i
-    if best <= 0.0:
-        out = g.copy()  # degenerate overlap; the backward sweep covers it
-    else:
-        out = np.concatenate((f[:k] * (g[k] / f[k]), g[k:]))
-    js = np.arange(jmin, jmax + 1, dtype=float)
-    out /= math.sqrt(float(np.sum((2.0 * js + 1.0) * out * out)))
-    if out[-1] * (-1.0) ** (j1 - j2) < 0.0:
-        out = -out
+    q = np.where((rows >= ibwd) & (rows <= ifwd), np.minimum(np.abs(f), np.abs(g)), -1.0)
+    k = np.argmax(q, axis=0)
+    ok = q[k, cols] > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(ok, g[k, cols] / f[k, cols], 0.0)
+    out = np.where(ok & (rows < k), f * ratio, g)
+    # row by row, so that zero padding past a pair's j_max changes nothing
+    norm = np.zeros(P)
+    for i in range(W):
+        norm += (2.0 * j[i] + 1.0) * out[i] * out[i]
+    out /= np.sqrt(norm)
+    out *= np.where(out[n - 1, cols] * _parity_sign(j1 - j2) < 0.0, -1.0, 1.0)
     return out
 
 
-_RESCALE = 1e250
+def _h_slices(l, lp, m):
+    """H_{l l'}^{l''} for arrays of pairs, as a (W, P) array whose row t
+    holds l'' = |l-l'| + t (zero past l + l')."""
+    l = np.asarray(l, dtype=np.int64)
+    lp = np.asarray(lp, dtype=np.int64)
+    w0 = _three_j_000_slices(l, lp)
+    wm = w0 if m == 0 else _three_j_m_slices(l, lp, m)
+    js = np.abs(l - lp) + np.arange(w0.shape[0])[:, None]
+    pref = np.sqrt((2.0 * l + 1.0) * (2.0 * lp + 1.0))
+    return pref * (2.0 * js + 1.0) * w0 * wm
 
 
 @lru_cache(maxsize=200000)
 def _slice_m(j1, j2, m):
     """Cached l'' slice of 3j(j1 j2 .; m -m 0), as a read-only array."""
-    if m == 0:
-        vals = np.array([_three_j_000(j1, j2, j)
-                         for j in range(abs(j1 - j2), j1 + j2 + 1)])
-    elif max(j1, j2) <= RACAH_L_MAX:
-        vals = np.array([_three_j_racah(j1, j2, j, m, -m, 0)
-                         for j in range(abs(j1 - j2), j1 + j2 + 1)])
-    else:
-        vals = _recurrence_slice(j1, j2, m)
+    j1s, j2s = np.array([j1]), np.array([j2])
+    vals = _three_j_000_slices(j1s, j2s) if m == 0 else _three_j_m_slices(j1s, j2s, m)
+    vals = vals[: j1 + j2 - abs(j1 - j2) + 1, 0]
     vals.flags.writeable = False
     return vals
 
@@ -196,8 +237,6 @@ def three_j(j1, j2, j3, m1, m2, m3):
         return 0.0
     if abs(m1) > j1 or abs(m2) > j2 or abs(m3) > j3:
         return 0.0
-    if m1 == 0 and m2 == 0 and m3 == 0:
-        return _three_j_000(j1, j2, j3)
     if m3 == 0 and m1 == -m2:
         return float(_slice_m(j1, j2, m1)[j3 - abs(j1 - j2)])
     if max(j1, j2, j3) <= RACAH_L_MAX:
@@ -219,17 +258,48 @@ def h_factor(l, lp, lpp, m):
 
 
 def h_slice(l, lp, m):
-    """H_{l l'}^{l''} over l'' = |l-l'| .. l+l' as an array."""
-    jmin = abs(l - lp)
-    w0 = _slice_m(l, lp, 0)
-    wm = w0 if m == 0 else _slice_m(l, lp, abs(m))
-    pref = math.sqrt((2.0 * l + 1.0) * (2.0 * lp + 1.0))
-    js = np.arange(jmin, l + lp + 1, dtype=float)
-    return pref * (2.0 * js + 1.0) * w0 * wm
+    """H_{l l'}^{l''} over l'' = |l-l'| .. l+l' as an array.
+
+    |m| <= min(l, l'); the values equal the entries of :func:`h_tensor`
+    exactly.
+    """
+    return _h_slices([l], [lp], abs(m))[: l + lp - abs(l - lp) + 1, 0]
 
 
-_H_TENSOR_CACHE = {}
+_H_TENSORS = {}  # (m, l_start, alternating) -> tensor at the largest l_max seen
+_H_VIEWS = {}    # (m, l_start, l_max, alternating) -> prefix view of it
 _LAMBDA_TENSOR_CACHE = {}
+
+
+def _grow_h_tensor(old, m, l_start, l_max, alternating):
+    """The tensor of :func:`h_tensor` at l_max, keeping the entries of the
+    smaller tensor ``old`` (or None) and computing only the new pairs."""
+    n = l_max - l_start + 1
+    H = np.zeros((n, n, 2 * l_max + 1))
+    n_old = 0
+    if old is not None:
+        n_old = old.shape[0]
+        H[:n_old, :n_old, : old.shape[2]] = old
+    # new pairs a <= b with b >= n_old; H is symmetric in (l, l') for both
+    # sign patterns
+    b, a = np.nonzero(np.tri(n, dtype=bool)[n_old:])
+    b += n_old
+    step = max(1, _BATCH_ENTRIES // (2 * l_max + 1))
+    for lo in range(0, len(a), step):
+        aa, bb = a[lo: lo + step], b[lo: lo + step]
+        l, lp = l_start + aa, l_start + bb
+        vals = _h_slices(l, lp, m)
+        t = np.arange(vals.shape[0])[:, None]
+        k = (lp - l) + t
+        keep = k <= l + lp
+        if alternating:
+            vals = vals * _parity_sign((l + lp - k) // 2)
+        ia = np.broadcast_to(aa, vals.shape)[keep]
+        ib = np.broadcast_to(bb, vals.shape)[keep]
+        H[ia, ib, k[keep]] = vals[keep]
+        H[ib, ia, k[keep]] = vals[keep]
+    H.flags.writeable = False
+    return H
 
 
 def h_tensor(m, l_start, l_max, alternating=False):
@@ -238,29 +308,33 @@ def h_tensor(m, l_start, l_max, alternating=False):
 
     With ``alternating=True`` the entries carry the extra factor
     ``(-1)^((l+l'-l'')/2)`` of the rotated representation.  Entries outside
-    the triangle domain are zero.  Results are cached; population is
+    the triangle domain are zero.
+
+    One tensor per (m, l_start, alternating) is kept, at the largest l_max
+    requested so far.  A larger l_max grows it: the old entries are copied
+    and only the new (l, l') pairs are computed.  A smaller l_max is served
+    as the prefix view ``H[:n, :n, :2*l_max+1]``, an exact sub-block since
+    l'' <= l + l' <= 2*l_max.  Each view is memoized under its full key, so
+    a repeated request returns the same read-only object.  Population is
     idempotent, so concurrent first use is safe.
     """
     key = (m, l_start, l_max, alternating)
-    out = _H_TENSOR_CACHE.get(key)
+    out = _H_VIEWS.get(key)
     if out is not None:
         return out
-    ls = range(l_start, l_max + 1)
+    family = (m, l_start, alternating)
+    H = _H_TENSORS.get(family)
     n = l_max - l_start + 1
-    H = np.zeros((n, n, 2 * l_max + 1))
-    for a, l in enumerate(ls):
-        for b, lp in enumerate(ls):
-            if b < a:
-                continue
-            sl = h_slice(l, lp, m)
-            ks = np.arange(abs(l - lp), l + lp + 1)
-            if alternating:
-                sl = sl * (-1.0) ** ((l + lp - ks) // 2)
-            H[a, b, ks] = sl
-            H[b, a, ks] = sl  # H is symmetric in (l, l') for both patterns
-    H.flags.writeable = False
-    _H_TENSOR_CACHE[key] = H
-    return H
+    if H is None or H.shape[0] < n:
+        if H is not None:
+            # views of the replaced tensor would keep it alive
+            for lm in range(l_start, l_start + H.shape[0]):
+                _H_VIEWS.pop((m, l_start, lm, alternating), None)
+        H = _grow_h_tensor(H, m, l_start, l_max, alternating)
+        _H_TENSORS[family] = H
+    out = H[:n, :n, : 2 * l_max + 1]
+    _H_VIEWS[key] = out
+    return out
 
 
 def lambda_tensor(m, l_start, l_max):
@@ -302,6 +376,7 @@ def log_h_top_matrix(l_start, l_max, m):
 
 def clear_caches():
     """Drop all cached tensors and slices (mainly for tests)."""
-    _H_TENSOR_CACHE.clear()
+    _H_TENSORS.clear()
+    _H_VIEWS.clear()
     _LAMBDA_TENSOR_CACHE.clear()
     _slice_m.cache_clear()

@@ -73,18 +73,24 @@ def test_config_file_merge(tmp_path):
 
 
 def test_scan_monotone_and_deterministic(tmp_path):
-    args = ["--command", "scan", "--scan-axis", "R", "--scan-grid", "0.2:1.2:3",
-            "--epsilon", "0.0", "--T", "1.0", "--scan-quantity", "thermal-part",
-            "--rel-tol", "1e-2"]
-    out1 = tmp_path / "s1.csv"
-    out2 = tmp_path / "s2.csv"
-    assert run_cli(args + ["--out", str(out1)]) == 0
-    assert run_cli(args + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()  # bit-identical rerun
-    rows = read_csv(out1)
-    vals = [float(r["value"]) for r in rows]
-    assert all(v < 0 for v in vals)
-    assert all(b < a for a, b in zip(vals, vals[1:]))  # deeper with larger R
+    for axis, fixed, deeper in [
+        ("R", ["--epsilon", "0.0"], True),                # deeper with larger R
+        ("d", ["--R", "1.0", "--epsilon", "0.1"], False),  # shallower with larger d
+    ]:
+        args = ["--command", "scan", "--scan-axis", axis, "--scan-grid", "0.2:1.2:3",
+                *fixed, "--T", "1.0", "--scan-quantity", "thermal-part",
+                "--rel-tol", "1e-2"]
+        out1 = tmp_path / f"{axis}1.csv"
+        out2 = tmp_path / f"{axis}2.csv"
+        assert run_cli(args + ["--out", str(out1)]) == 0
+        assert run_cli(args + ["--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()  # bit-identical rerun
+        rows = read_csv(out1)
+        # a d scan replaces --epsilon: the separation is the grid value
+        assert [float(r[axis]) for r in rows] == [0.2, 0.7, 1.2]
+        vals = [float(r["value"]) for r in rows]
+        assert all(v < 0 for v in vals)
+        assert all((b < a) == deeper for a, b in zip(vals, vals[1:]))
 
 
 def test_scan_grid_validation():

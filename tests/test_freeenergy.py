@@ -74,6 +74,33 @@ def test_high_t_factorization():
     assert res.diagnostics["n_max_used"] <= 2
 
 
+def test_matsubara_nodes_start_from_the_previous_cutoff(monkeypatch):
+    # before the l_max hint every node regrew l_max from l_min + 4: 518
+    # blocks here, 394 of them at the nodes n >= 2 (the zero mode and the
+    # n = 1 node, which start afresh either way, took 124)
+    from casphere import trlog
+    counts = {"all": 0, "hinted": 0}
+    assemble = trlog.assemble_block
+    T = 1.0
+
+    def counting(m, evaluation, geom, spec, l_max, xi=None):
+        counts["all"] += 1
+        if xi is not None and xi > 3.0 * math.pi * T:
+            counts["hinted"] += 1
+        return assemble(m, evaluation, geom, spec, l_max, xi=xi)
+
+    monkeypatch.setattr(trlog, "assemble_block", counting)
+    geom = Geometry(1.0, 0.2)
+    res = fe.matsubara_free_energy(geom, DD, T)
+    monkeypatch.setattr(trlog, "assemble_block", assemble)
+    assert res.converged
+    assert counts["hinted"] <= 0.40 * 394
+    assert counts["all"] <= 0.55 * 518
+    l_used = res.diagnostics["l_max_used"]
+    ref = fe.matsubara_free_energy(geom, DD, T, Truncation(l_max=l_used + 8))
+    assert res.value == pytest.approx(ref.value, rel=Truncation().rel_tol)
+
+
 def test_vacuum_energy_beyond_pfa_form():
     # eps = 0.1: within 5 percent of -(zeta(4)/16 pi R) eps^-2 (1 + eps/3)
     geom = Geometry(1.0, 0.1)

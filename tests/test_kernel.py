@@ -144,6 +144,16 @@ def test_rotated_against_direct_continuation():
         assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_shift_rows_view_equals_gather():
+    # the strided view of the shift-table rows l + l' equals the gather
+    from casphere.kernel import _rows_at_top
+    U = np.arange(21 * 21, dtype=float).reshape(21, 21)  # l_max = 10
+    for l_start in (0, 3, 10):
+        ls = np.arange(l_start, 11)
+        W = _rows_at_top(U, l_start, len(ls))
+        assert np.array_equal(W, U[ls[:, None] + ls[None, :]])
+
+
 def test_rotated_conjugation():
     geom = Geometry(1.0, 2.0)  # L = 3
     a = m_rotated(2, 2, 1, 1.3, geom, DD, branch=1)

@@ -1,5 +1,6 @@
 """3j symbols and coupling factors against the exact-rational oracle."""
 
+import functools
 import math
 
 import numpy as np
@@ -117,3 +118,189 @@ def test_log_h_top_matrix():
         for b, lp in enumerate(range(1, 6)):
             want = oracles.h_factor_exact(l, lp, l + lp, 1)
             assert math.exp(logH[a, b]) == pytest.approx(want, rel=1e-12)
+
+
+# -- vectorized l''-recurrence ------------------------------------------------
+
+@pytest.mark.parametrize("l,lp,m", [
+    (12, 12, 5), (30, 30, 29), (44, 44, 1),      # j1 = j2: the j = 0 seed
+    (8, 28, 8), (20, 47, 20), (33, 33, 33),      # m = min(l, l')
+    (1, 1, 1), (3, 16, 2), (16, 16, 16), (5, 12, 4),  # l <= 16
+    (7, 21, 6), (8, 28, 7), (11, 28, 10), (31, 41, 21),  # match near a zero
+])
+def test_three_j_edge_cases_against_exact_oracle(l, lp, m):
+    want = [oracles.three_j_exact(l, lp, lpp, m, -m, 0)
+            for lpp in range(abs(l - lp), l + lp + 1)]
+    top = max(abs(w) for w in want)
+    for lpp, w in zip(range(abs(l - lp), l + lp + 1), want):
+        got = three_j(l, lp, lpp, m, -m, 0)
+        if abs(w) > 1e-30:
+            assert got == pytest.approx(w, rel=1e-10), (l, lp, lpp, m)
+        else:
+            # an exact zero inside a slice is met by the recurrence to rounding
+            assert abs(got) < 1e-14 * top
+
+
+@pytest.mark.parametrize("l", [0, 1, 7, 60])
+def test_single_entry_slices(l):
+    # (0 l l; 0 0 0) = (-1)^l / sqrt(2l+1): one l'' per slice
+    want = oracles.three_j_exact(0, l, l, 0, 0, 0)
+    assert three_j(0, l, l, 0, 0, 0) == pytest.approx(want, rel=1e-14)
+    assert three_j(l, 0, l, 0, 0, 0) == pytest.approx(want, rel=1e-14)
+    assert h_slice(0, l, 0) == pytest.approx([oracles.h_factor_exact(0, l, l, 0)], rel=1e-13)
+
+
+@pytest.mark.parametrize("m", [1, 17, 40])
+def test_sum_rule_and_orthogonality_over_a_block(m):
+    # every pair (l, l') of the block m at l_max = 60, in one batch
+    a, b = np.nonzero(np.triu(np.ones((61 - m, 61 - m), dtype=bool)))
+    l, lp = a + m, b + m
+    wm = wigner._three_j_m_slices(l, lp, m)
+    w0 = wigner._three_j_000_slices(l, lp)
+    js = np.abs(l - lp) + np.arange(wm.shape[0])[:, None]
+    assert np.all(np.isfinite(wm))
+    np.testing.assert_allclose(np.sum((2 * js + 1) * wm * wm, axis=0), 1.0, rtol=1e-12)
+    # the m = 0 slices come from the closed form, not from the recurrence
+    np.testing.assert_allclose(np.sum((2 * js + 1) * wm * w0, axis=0), 0.0, atol=1e-12)
+    if m > 1:
+        w1 = wigner._three_j_m_slices(l, lp, 1)
+        np.testing.assert_allclose(np.sum((2 * js + 1) * wm * w1, axis=0), 0.0, atol=1e-12)
+
+
+def _three_j_000_loop(j1, j2, j3):
+    """(j1 j2 j3; 0 0 0) by the closed form, one entry at a time."""
+    J = j1 + j2 + j3
+    if J % 2 == 1:
+        return 0.0
+    g = J // 2
+
+    def lf(k):
+        return math.lgamma(k + 1)
+
+    log_delta = 0.5 * (lf(J - 2 * j1) + lf(J - 2 * j2) + lf(J - 2 * j3) - lf(J + 1))
+    log_ratio = lf(g) - lf(g - j1) - lf(g - j2) - lf(g - j3)
+    return (-1.0) ** g * math.exp(log_delta + log_ratio)
+
+
+def _three_j_slice_loop(j1, j2, m):
+    """3j(j1 j2 j; m -m 0) over j = |j1-j2| .. j1+j2 by the two-sided
+    l''-recurrence, one slice and one l'' at a time: the reference for the
+    vectorized form in the package (same recurrence, stopping rule and
+    four-point match, so it agrees to rounding)."""
+    jmin, jmax = abs(j1 - j2), j1 + j2
+    n = jmax - jmin + 1
+
+    def A(j):
+        return j * math.sqrt(float(j * j - (j1 - j2) ** 2)
+                             * float((j1 + j2 + 1) ** 2 - j * j))
+
+    def B(j):
+        return -(2.0 * j + 1.0) * (2.0 * m) * j * (j + 1.0)
+
+    f = np.zeros(n)
+    istart = 0
+    f[0] = 1.0
+    if jmin == 0:
+        f[0] = (-1.0) ** (j1 - m) / math.sqrt(2.0 * j1 + 1.0)
+        f[1] = (-1.0) ** (j1 - m) * m / math.sqrt(j1 * (j1 + 1.0) * (2.0 * j1 + 1.0))
+        istart = 1
+    ifwd, falling = istart, 0
+    for i in range(istart, n - 1):
+        j = jmin + i
+        prev = f[i - 1] if i > 0 else 0.0
+        f[i + 1] = -(B(j) * f[i] + (j + 1.0) * A(j) * prev) / (j * A(j + 1))
+        ifwd = i + 1
+        if abs(f[i + 1]) > 1e250:
+            f[: i + 2] /= abs(f[i + 1])
+        falling = falling + 1 if abs(f[i + 1]) < abs(f[i]) else 0
+        if i > istart and falling >= 3:
+            break
+    g = np.zeros(n)
+    g[n - 1] = 1.0
+    ibwd = max(min(ifwd, n - 2) - 3, 0)
+    for i in range(n - 1, ibwd, -1):
+        j = jmin + i
+        nxt = g[i + 1] if i < n - 1 else 0.0
+        g[i - 1] = -(j * A(j + 1) * nxt + B(j) * g[i]) / ((j + 1.0) * A(j))
+        if abs(g[i - 1]) > 1e250:
+            g[i - 1:] /= abs(g[i - 1])
+    k = max(range(ibwd, ifwd + 1), key=lambda i: min(abs(f[i]), abs(g[i])))
+    out = np.concatenate((f[:k] * (g[k] / f[k]), g[k:]))
+    js = np.arange(jmin, jmax + 1)
+    out /= math.sqrt(float(np.sum((2.0 * js + 1.0) * out * out)))
+    return out if out[-1] * (-1.0) ** (j1 - j2) > 0.0 else -out
+
+
+@pytest.mark.parametrize("m", [1, 7, 30])
+def test_h_tensor_block_against_loop_reference(m):
+    H = h_tensor(m, m, 44)
+    for l in range(m, 45):
+        for lp in range(l, 45):
+            ks = range(lp - l, l + lp + 1)
+            w0 = np.array([_three_j_000_loop(l, lp, k) for k in ks])
+            ref = math.sqrt((2 * l + 1) * (2 * lp + 1)) * (2 * np.array(ks) + 1.0) \
+                * w0 * _three_j_slice_loop(l, lp, m)
+            got = H[l - m, lp - m, lp - l: l + lp + 1]
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (l, lp, m)
+
+
+def test_hot_path_avoids_racah(monkeypatch):
+    def racah(*args):
+        raise AssertionError("Racah sum on the hot path")
+
+    monkeypatch.setattr(wigner, "_three_j_racah", racah)
+    wigner.clear_caches()
+    h_tensor(3, 3, 20)
+    h_tensor(2, 2, 12, alternating=True)
+    h_slice(5, 9, 4)
+    assert three_j(4, 6, 6, 2, -2, 0) != 0.0
+    wigner.clear_caches()
+
+
+# -- grown H-tensor cache -----------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _h_slice_once(l, lp, m):
+    return h_slice(l, lp, m)
+
+
+def _h_tensor_reference(m, l_start, l_max, alternating):
+    """The dense tensor built pair by pair from h_slice."""
+    n = l_max - l_start + 1
+    H = np.zeros((n, n, 2 * l_max + 1))
+    for a in range(n):
+        for b in range(a, n):
+            l, lp = l_start + a, l_start + b
+            sl = _h_slice_once(l, lp, m)
+            ks = np.arange(abs(l - lp), l + lp + 1)
+            if alternating:
+                sl = sl * (-1.0) ** ((l + lp - ks) // 2)
+            H[a, b, ks] = sl
+            H[b, a, ks] = sl
+    return H
+
+
+@pytest.mark.parametrize("order", [
+    [(4, False), (12, False), (20, False), (28, True), (36, True)],    # ascending
+    [(36, True), (28, False), (20, True), (12, False), (4, True)],     # descending
+    [(20, False), (8, True), (28, False), (12, True), (36, False),
+     (4, False), (24, True)],                                          # interleaved
+])
+def test_grown_cache_serves_exact_prefixes(order):
+    wigner.clear_caches()
+    m, l_start = 3, 3
+    seen = {}
+    for l_max, alt in order:
+        H = h_tensor(m, l_start, l_max, alternating=alt)
+        assert not H.flags.writeable
+        assert np.array_equal(H, _h_tensor_reference(m, l_start, l_max, alt))
+        assert h_tensor(m, l_start, l_max, alternating=alt) is H
+        seen[(l_max, alt)] = H
+    # earlier views stay valid after later growth
+    for (l_max, alt), H in seen.items():
+        assert np.array_equal(H, _h_tensor_reference(m, l_start, l_max, alt))
+    assert len(wigner._H_TENSORS) == len({alt for _, alt in order})
+    wigner.clear_caches()
+    assert not wigner._H_TENSORS and not wigner._H_VIEWS
+    assert not wigner._LAMBDA_TENSOR_CACHE
+    assert wigner._slice_m.cache_info().currsize == 0
