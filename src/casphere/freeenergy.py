@@ -14,12 +14,13 @@ Three equivalent representations are implemented (units hbar = c = k_B = 1):
 
 connected by ``F = E_0 + F_T``.  Real-frequency integrands oscillate on the
 scale pi/(2 L T) in the Boltzmann variable, so panels never exceed half
-that scale; panels are refined adaptively, with a pole signal from the
-special-function layer splitting the offending panel.
+that scale; panels are refined adaptively, and a vanishing pivot of
+1 - M at a node splits the panel that holds it.
 
-The force is the negative derivative of the requested energy with respect
-to the surface separation, computed by Richardson-extrapolated central
-differences (no analytic dM/dd trace formula is used).
+The force is the negative derivative of the Matsubara sum or of the
+thermal part with respect to the surface separation, from one sweep of
+the trace formula ``d/dd Tr ln(1 - M) = -Tr[(1 - M)^{-1} dM/dd]`` over the
+same nodes, blocks and cut-off tests as the energy.
 """
 
 import math
@@ -28,9 +29,8 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from . import trlog
-from .kernel import Geometry, SCALAR
-from .specfun import PoleError
-from .trlog import Truncation
+from .kernel import SCALAR
+from .trlog import SingularBlockError, Truncation
 
 
 class ConvergenceError(ArithmeticError):
@@ -88,31 +88,46 @@ def _cc_rule(n):
 
 
 def _integrate_panel(f, a, b, npts):
-    """One panel with the nested rule; returns (value, error estimate)."""
+    """One panel with the nested rule.
+
+    f returns a pair at each node: the integrand and an estimate of its
+    truncation error.  Returns the panel's value, its embedded quadrature
+    error estimate and the integral of the truncation errors.
+    """
     nodes, weights, sub_weights = _cc_rule(npts)
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     vals = np.array([f(mid + half * x) for x in nodes])
-    full = half * float(np.dot(weights, vals))
-    coarse = half * float(np.dot(sub_weights, vals[::2]))
-    return full, abs(full - coarse)
+    full, trunc = (half * float(v) for v in weights @ vals)
+    coarse = half * float(np.dot(sub_weights, vals[::2, 0]))
+    return full, abs(full - coarse), abs(trunc)
+
+
+#: splits a vanishing pivot may cause in one adaptive pass before it
+#: propagates; a singularity that persists at every node would otherwise
+#: double the panels at every level
+_SINGULAR_SPLITS = 8
 
 
 def _adaptive_panels(f, a, b, npts, tol_abs, max_depth=28):
     """Bisect [a, b] until the embedded estimate is below tol_abs.
 
-    A PoleError raised by the integrand splits the panel as well (shifting
-    the nodes off the resonance); panels below width 1e-12 give up and
-    propagate the error.
+    A SingularBlockError raised by the integrand (a vanishing pivot of
+    1 - M at a node) splits the panel as well, which moves every interior
+    node off the resonance; after ``_SINGULAR_SPLITS`` such splits, or
+    below width 1e-12, the error propagates.  Returns the three sums of
+    :func:`_integrate_panel` over the accepted panels.
     """
     stack = [(a, b, 0)]
-    total, err = 0.0, 0.0
+    total, err, trunc = 0.0, 0.0, 0.0
+    splits = 0
     while stack:
         lo, hi, depth = stack.pop()
         try:
-            v, e = _integrate_panel(f, lo, hi, npts)
-        except PoleError:
-            if hi - lo < 1e-12:
+            v, e, t = _integrate_panel(f, lo, hi, npts)
+        except SingularBlockError:
+            splits += 1
+            if splits > _SINGULAR_SPLITS or hi - lo < 1e-12:
                 raise
             mid = 0.5 * (lo + hi)
             stack.append((mid, hi, depth + 1))
@@ -125,7 +140,8 @@ def _adaptive_panels(f, a, b, npts, tol_abs, max_depth=28):
         else:
             total += v
             err += e
-    return total, err
+            trunc += t
+    return total, err, trunc
 
 
 def _panel_sweep(f, width, xi_max, npts, rel_tol):
@@ -133,7 +149,9 @@ def _panel_sweep(f, width, xi_max, npts, rel_tol):
 
     The sweep stops early once three consecutive panels contribute less
     than rel_tol * 1e-3 of the running total (the integrands here decay
-    exponentially).
+    exponentially).  Returns the value and an error estimate: the
+    quadrature estimate plus the integrated truncation errors of the
+    nodes (see :func:`_integrate_panel`).
     """
     panels = []
     a = 0.0
@@ -141,13 +159,18 @@ def _panel_sweep(f, width, xi_max, npts, rel_tol):
         b = min(a + width, xi_max)
         panels.append((a, b))
         a = b
-    # first pass for the overall scale
+    # first pass for the overall scale; a panel whose nodes hit a singular
+    # block is left to the adaptive pass, which splits it
     scale = 0.0
     rough = []
     small_run = 0
     for lo, hi in panels:
-        v, e = _integrate_panel(f, lo, hi, npts)
-        rough.append((lo, hi, v, e))
+        try:
+            v, e, t = _integrate_panel(f, lo, hi, npts)
+        except SingularBlockError:
+            rough.append((lo, hi, 0.0, math.inf, 0.0))
+            continue
+        rough.append((lo, hi, v, e, t))
         scale += v
         if abs(v) < rel_tol * 1e-3 * max(abs(scale), 1e-300):
             small_run += 1
@@ -157,11 +180,11 @@ def _panel_sweep(f, width, xi_max, npts, rel_tol):
             small_run = 0
     tol_abs = rel_tol * 1e-2 * max(abs(scale), 1e-300)
     total, err = 0.0, 0.0
-    for lo, hi, v, e in rough:
+    for lo, hi, v, e, t in rough:
         if e > tol_abs * (hi - lo) / max(xi_max, hi - lo):
-            v, e = _adaptive_panels(f, lo, hi, npts, tol_abs)
+            v, e, t = _adaptive_panels(f, lo, hi, npts, tol_abs)
         total += v
-        err += e
+        err += e + t
     return total, err
 
 
@@ -173,23 +196,27 @@ class _SweepState:
     between, the last sufficient cutoff (plus one growth step) is used
     directly.  The running magnitude scale feeds the growth test's
     absolute floor, which keeps oscillatory zero crossings from triggering
-    runaway growth.
+    runaway growth.  With ``derivative`` every node is the separation
+    derivative of the trace (see :func:`trlog.trace_over_m`).
     """
 
     VERIFY_EVERY = 6
 
-    def __init__(self, geom, spec, trunc, evaluation, part=None):
+    def __init__(self, geom, spec, trunc, evaluation, part=None, derivative=False):
         self.geom = geom
         self.spec = spec
         self.trunc = trunc
         self.evaluation = evaluation
         self.part = part
+        self.derivative = derivative
         self.l_used = None
         self.m_used = 0
         self.converged = True
         self.hint = None
         self.scale = 0.0
         self.count = 0
+        self.rel_change = 0.0
+        self.node_error = 0.0
 
     def evaluate(self, xi):
         self.count += 1
@@ -199,12 +226,12 @@ class _SweepState:
             trunc = replace(self.trunc, l_max=self.hint + 4)
             val, diag = trlog.trace_over_m(
                 self.evaluation, self.geom, self.spec, trunc, xi=xi,
-                part=self.part)
+                part=self.part, derivative=self.derivative)
         else:
             val, diag = trlog.trace_over_m(
                 self.evaluation, self.geom, self.spec, self.trunc, xi=xi,
                 part=self.part, l_max_start=self.hint,
-                scale_floor=1e-3 * self.scale)
+                scale_floor=1e-3 * self.scale, derivative=self.derivative)
             if self.trunc.l_max is None:
                 # the converged value was computed one growth step above
                 # the sufficient cutoff; seeding one step below stops the
@@ -213,12 +240,79 @@ class _SweepState:
         self.l_used = max(self.l_used or 0, diag["l_max_used"])
         self.m_used = max(self.m_used, diag["m_max_used"])
         self.converged = self.converged and diag["converged"]
-        proj = self.part(val) if self.part else abs(val)
-        self.scale = max(self.scale, abs(proj))
+        proj = abs(self.part(val) if self.part else val)
+        if "change" in diag:
+            # a verified node: its last growth step is its truncation error
+            # estimate, and the nodes run at its cut-off inherit it relatively
+            self.node_error = diag["change"]
+            self.rel_change = self.node_error / max(proj, 1e-3 * self.scale, 1e-300)
+        else:
+            self.node_error = self.rel_change * proj
+        self.scale = max(self.scale, proj)
         return val
+
+    def sweep(self, integrand, width, xi_max):
+        """:func:`_panel_sweep` of ``integrand`` over (0, xi_max).
+
+        The first node is the midpoint of the first panel, not its xi -> 0
+        endpoint: there the integrands vanish or sit at their static
+        value, and a growth test verified on rounding noise would set the
+        cut-off (and, through the never-falling hint, every later one).
+        """
+        integrand(0.5 * min(width, xi_max))
+        return _panel_sweep(integrand, width, xi_max, self.trunc.quad_points,
+                            self.trunc.rel_tol)
+
+    def diagnostics(self, **extra):
+        return {"l_max_used": self.l_used, "m_max_used": self.m_used,
+                **extra, "converged": self.converged}
 
 
 # -- observables --------------------------------------------------------------
+
+def _matsubara_sum(geom, spec, T, trunc, derivative=False):
+    """``(T/2) trace(0) + T sum_{n>=1} trace(2 pi T n)`` of Tr ln(1 - M), or
+    of its separation derivative; see :func:`matsubara_free_energy`.
+
+    The error estimate adds the last term, the stopping tolerance and, at
+    every node, the change of its last l_max growth step.
+    """
+    if not T > 0.0:
+        raise ValueError("matsubara_free_energy needs T > 0; use vacuum_energy")
+    geom.require_gap()
+    trunc = trunc or Truncation()
+    tot0, diag0 = trlog.trace_over_m(trlog.STATIC, geom, spec, trunc,
+                                     derivative=derivative)
+    F = 0.5 * T * tot0.real
+    trunc_err = 0.5 * T * diag0.get("change", 0.0)
+    l_used = diag0["l_max_used"]
+    m_used = diag0["m_max_used"]
+    converged = diag0["converged"]
+    n = 1
+    last = math.inf
+    hint = None
+    while True:
+        xi = 2.0 * math.pi * T * n
+        term, diag = trlog.trace_over_m(trlog.IMAG_AXIS, geom, spec, trunc, xi=xi,
+                                        l_max_start=hint, derivative=derivative)
+        hint = diag["l_max_used"] - 4
+        F += T * term.real
+        trunc_err += T * diag.get("change", 0.0)
+        l_used = max(l_used, diag["l_max_used"])
+        m_used = max(m_used, diag["m_max_used"])
+        converged = converged and diag["converged"]
+        last = abs(T * term.real)
+        if last < trunc.rel_tol * 1e-2 * max(abs(F), 1e-300):
+            break
+        n += 1
+        if n > trunc.n_max:
+            raise ConvergenceError(
+                f"Matsubara sum needs more than n_max={trunc.n_max} terms; "
+                "T*d is too small for this representation")
+    return EnergyResult(F, last + trunc.rel_tol * 1e-2 * abs(F) + trunc_err,
+                        {"l_max_used": l_used, "m_max_used": m_used,
+                         "n_max_used": n, "converged": converged})
+
 
 def matsubara_free_energy(geom, spec, T, trunc=None):
     """Free energy from the Matsubara representation.
@@ -236,38 +330,7 @@ def matsubara_free_energy(geom, spec, T, trunc=None):
     at l_max 24 and the nodes need 44; at R = 0.5, d = 0.005 the zero
     mode runs unconverged to the l_max cap).
     """
-    if not T > 0.0:
-        raise ValueError("matsubara_free_energy needs T > 0; use vacuum_energy")
-    geom.require_gap()
-    trunc = trunc or Truncation()
-    tot0, diag0 = trlog.trace_over_m(trlog.STATIC, geom, spec, trunc)
-    F = 0.5 * T * tot0.real
-    l_used = diag0["l_max_used"]
-    m_used = diag0["m_max_used"]
-    converged = diag0["converged"]
-    n = 1
-    last = math.inf
-    hint = None
-    while True:
-        xi = 2.0 * math.pi * T * n
-        term, diag = trlog.trace_over_m(trlog.IMAG_AXIS, geom, spec, trunc, xi=xi,
-                                        l_max_start=hint)
-        hint = diag["l_max_used"] - 4
-        F += T * term.real
-        l_used = max(l_used, diag["l_max_used"])
-        m_used = max(m_used, diag["m_max_used"])
-        converged = converged and diag["converged"]
-        last = abs(T * term.real)
-        if last < trunc.rel_tol * 1e-2 * max(abs(F), 1e-300):
-            break
-        n += 1
-        if n > trunc.n_max:
-            raise ConvergenceError(
-                f"Matsubara sum needs more than n_max={trunc.n_max} terms; "
-                "T*d is too small for this representation")
-    return EnergyResult(F, last + trunc.rel_tol * 1e-2 * abs(F),
-                        {"l_max_used": l_used, "m_max_used": m_used,
-                         "n_max_used": n, "converged": converged})
+    return _matsubara_sum(geom, spec, T, trunc)
 
 
 def vacuum_energy(geom, spec, trunc=None):
@@ -283,16 +346,39 @@ def vacuum_energy(geom, spec, trunc=None):
     def integrand(xi):
         xi = max(xi, 1e-10)  # panel endpoints touch 0; the integrand is continuous there
         val = state.evaluate(xi)
-        return val.real
+        return val.real, state.node_error
 
     xi_cut = 19.0 / geom.d + 5.0 / geom.L
     width = min(2.0 / geom.d, 2.0 / geom.R, xi_cut / 8.0)
-    total, err = _panel_sweep(integrand, width, xi_cut, trunc.quad_points,
-                              trunc.rel_tol)
-    value = total / (2.0 * math.pi)
-    return EnergyResult(value, err / (2.0 * math.pi),
-                        {"l_max_used": state.l_used, "m_max_used": state.m_used,
-                         "xi_max_used": xi_cut, "converged": state.converged})
+    total, err = state.sweep(integrand, width, xi_cut)
+    return EnergyResult(total / (2.0 * math.pi), err / (2.0 * math.pi),
+                        state.diagnostics(xi_max_used=xi_cut))
+
+
+def _thermal_sweep(geom, spec, T, trunc, derivative=False):
+    """``(T/2pi) int_0^inf dxi n_1(xi) (-2) Im`` of Tr ln(1 - M(i xi T)), or
+    of its separation derivative; see :func:`thermal_part`."""
+    if spec.kind != SCALAR:
+        raise NotImplementedError(
+            "thermal_part is available for scalar fields only")
+    if not T > 0.0:
+        raise ValueError("thermal_part needs T > 0")
+    trunc = trunc or Truncation()
+    state = _SweepState(geom, spec, trunc, trlog.ROTATED, part=np.imag,
+                        derivative=derivative)
+
+    def integrand(xi):
+        # endpoints touch 0 where n_1 diverges but the product is finite
+        xi = max(xi, 1e-8)
+        n1 = 1.0 / math.expm1(xi)
+        tr = state.evaluate(xi * T)
+        return n1 * (-2.0) * tr.imag, 2.0 * n1 * state.node_error
+
+    xi_max = math.log(1.0 / trunc.rel_tol) + 20.0
+    width = min(math.pi / (2.0 * geom.L * T), 3.0)
+    total, err = state.sweep(integrand, width, xi_max)
+    return EnergyResult(T / (2.0 * math.pi) * total, T / (2.0 * math.pi) * err,
+                        state.diagnostics(xi_max_used=xi_max))
 
 
 def thermal_part(geom, spec, T, trunc=None):
@@ -306,62 +392,27 @@ def thermal_part(geom, spec, T, trunc=None):
     ``ln(1/rel_tol) + 20``.  The orbital sums converge at a rate set by
     the J/Y ratio, independent of the separation, so d = 0 is allowed.
     """
-    if spec.kind != SCALAR:
-        raise NotImplementedError(
-            "thermal_part is available for scalar fields only")
-    if not T > 0.0:
-        raise ValueError("thermal_part needs T > 0")
-    trunc = trunc or Truncation()
-    state = _SweepState(geom, spec, trunc, trlog.ROTATED, part=np.imag)
-
-    def integrand(xi):
-        # endpoints touch 0 where n_1 diverges but the product is finite
-        xi = max(xi, 1e-8)
-        n1 = 1.0 / math.expm1(xi)
-        tr = state.evaluate(xi * T)
-        return n1 * (-2.0) * tr.imag
-
-    xi_max = math.log(1.0 / trunc.rel_tol) + 20.0
-    width = min(math.pi / (2.0 * geom.L * T), 3.0)
-    total, err = _panel_sweep(integrand, width, xi_max, trunc.quad_points,
-                              trunc.rel_tol)
-    value = T / (2.0 * math.pi) * total
-    return EnergyResult(value, T / (2.0 * math.pi) * err,
-                        {"l_max_used": state.l_used, "m_max_used": state.m_used,
-                         "xi_max_used": xi_max, "converged": state.converged})
-
-
-_TARGETS = {"total": lambda geom, spec, T, trunc:
-            matsubara_free_energy(geom, spec, T, trunc),
-            "thermal_part": lambda geom, spec, T, trunc:
-            thermal_part(geom, spec, T, trunc)}
+    return _thermal_sweep(geom, spec, T, trunc)
 
 
 def force(geom, spec, T, trunc=None, target="total"):
-    """Force -dF/dd on the chosen energy target by central differences.
+    """Force -dF/dd on the chosen energy target; negative means attraction.
 
-    Step ``h = max(1e-3 d, 1e-4 R)`` (clamped to d/2), Richardson
-    extrapolated once; the error estimate combines the two stencil widths.
-    Negative values mean attraction.
+    ``target`` is ``"total"`` (the Matsubara free energy, static mode plus
+    imaginary-axis nodes) or ``"thermal_part"`` (F_T on the rotated axis).
+    One sweep over the target's nodes evaluates
+    ``d/dd Tr ln(1 - M) = -Tr[(1 - M)^{-1} dM/dd]`` in place of the
+    log-determinant, with the same m cut, l_max growth and quadrature
+    tests, which now run on the force integrand.  The error estimate is
+    that sweep's own: quadrature or Matsubara tail, plus the last l_max
+    growth step of each node.  d must be positive.
     """
-    if target not in _TARGETS:
+    if target == "total":
+        sweep = _matsubara_sum
+    elif target == "thermal_part":
+        sweep = _thermal_sweep
+    else:
         raise ValueError(f"unknown force target {target!r}")
     geom.require_gap()
-    if geom.d < 10 * np.finfo(float).eps:
-        raise ValueError("separation too small for a finite-difference step")
-    trunc = trunc or Truncation()
-    evaluate = _TARGETS[target]
-    h = max(1e-3 * geom.d, 1e-4 * geom.R)
-    h = min(h, 0.5 * geom.d)
-    results = {}
-    for dd in (geom.d + h, geom.d - h, geom.d + 0.5 * h, geom.d - 0.5 * h):
-        results[dd] = evaluate(Geometry(geom.R, dd), spec, T, trunc)
-    f_h = -(results[geom.d + h].value - results[geom.d - h].value) / (2.0 * h)
-    f_h2 = -(results[geom.d + 0.5 * h].value - results[geom.d - 0.5 * h].value) / h
-    value = (4.0 * f_h2 - f_h) / 3.0
-    stencil_err = abs(f_h2 - f_h) / 3.0
-    quad_err = max(r.error_estimate for r in results.values()) / h
-    diag = dict(results[geom.d + h].diagnostics)
-    diag["converged"] = all(r.converged for r in results.values())
-    diag["step"] = h
-    return EnergyResult(value, stencil_err + quad_err, diag)
+    res = sweep(geom, spec, T, trunc, derivative=True)
+    return EnergyResult(-res.value, res.error_estimate, res.diagnostics)

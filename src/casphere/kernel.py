@@ -22,6 +22,13 @@ one-index form).  This module provides
   (the generic formula is 0/0 at xi = 0, so the Matsubara zero mode always
   uses the closed form).
 
+Each block builder also gives dM/dd (``derivative=True``) for the force.
+At fixed R and xi, M depends on the separation only through L, in the
+factor ``y^{-1/2} K_{l''+1/2}(y)`` with ``y = 2 xi L`` (H2 on the rotated
+axis), in ``(R/2L)^(l+l'+1)`` for the static blocks and in the
+polarization mixing of the electromagnetic blocks; the derivative blocks
+reuse the Bessel tables and H tensors of M.
+
 All assembly happens in log space with one exponent factored out of the
 l'' sum (the largest K term, which sits at l'' = l + l'); contributions
 below ~1e-300 of that maximum underflow to zero, a bounded truncation.
@@ -220,36 +227,52 @@ def _rows_at_top(U, l_start, n):
 
 
 @lru_cache(maxsize=1024)
-def _k_shift_table(y, l_max):
+def _k_shift_table(y, l_max, derivative=False):
     """Exponent table U[s, k] = exp(logK[k] - logK[s]) for the l'' sums.
 
     K grows with order, so the l'' = l+l' term dominates each sum and the
     valid shifts sit at or below zero; entries beyond the triangle bound
     (where the coupling vanishes) are clamped to keep exp finite.  Shared
     across all azimuthal blocks at one frequency.
+
+    With ``derivative`` the table holds, in the same units of K_{s+1/2},
+    ``(k/y) K_{k+1/2} - K_{k+3/2}``: y^{1/2} d/dy [y^{-1/2} K_{k+1/2}(y)],
+    the l'' weight of dM/dy.
     """
-    _, logk_y = specfun.log_ik_arrays(2 * l_max, y)
+    _, logk_y = specfun.log_ik_arrays(2 * l_max, y)  # orders 0 .. 2 l_max + 1
     lk = logk_y[: 2 * l_max + 1]
-    U = np.exp(np.minimum(lk[None, :] - lk[:, None], 50.0))
+
+    def shift(lo):
+        return np.exp(np.minimum(logk_y[None, lo: lo + 2 * l_max + 1] - lk[:, None], 50.0))
+
+    U = shift(0)
+    if derivative:
+        U = (np.arange(2 * l_max + 1) / y) * U - shift(1)
     U.flags.writeable = False
     return U, lk
 
 
 @lru_cache(maxsize=1024)
-def _h2_shift_table(y, l_max, branch):
+def _h2_shift_table(y, l_max, branch, derivative=False):
     """Complex analog of :func:`_k_shift_table` built on H2 magnitudes.
 
     |H2| grows towards high order up to O(1) oscillatory wiggles, so the
     l'' = l+l' reference keeps valid shifts near or below zero.  Returns
     the real and imaginary parts of the table as separate arrays, then
-    the log magnitudes.
+    the log magnitudes.  ``derivative`` gives the weights
+    ``(k/y) H_{k+1/2} - H_{k+3/2}`` as in :func:`_k_shift_table`.
     """
     hy_mag, hy_ph = specfun.log_hankel2_arrays(2 * l_max, y,
                                                conjugate=(branch < 0))
     mag = hy_mag[: 2 * l_max + 1]
-    ph = hy_ph[: 2 * l_max + 1]
-    U = np.exp(np.minimum(mag[None, :] - mag[:, None], 50.0)
-               + 1j * ph[None, :])
+
+    def shift(lo):
+        return np.exp(np.minimum(hy_mag[None, lo: lo + 2 * l_max + 1] - mag[:, None], 50.0)
+                      + 1j * hy_ph[None, lo: lo + 2 * l_max + 1])
+
+    U = shift(0)
+    if derivative:
+        U = (np.arange(2 * l_max + 1) / y) * U - shift(1)
     # real and imaginary parts apart, so the l'' sums run as real sums
     U_re, U_im = np.ascontiguousarray(U.real), np.ascontiguousarray(U.imag)
     U_re.flags.writeable = False
@@ -257,7 +280,7 @@ def _h2_shift_table(y, l_max, branch):
     return U_re, U_im, mag
 
 
-def scalar_matrix(m, xi, geom, spec, l_max):
+def scalar_matrix(m, xi, geom, spec, l_max, derivative=False):
     """Dense M_{l,l'}(xi) for one azimuthal index m (imaginary axis, scalar).
 
     Parameters
@@ -271,6 +294,10 @@ def scalar_matrix(m, xi, geom, spec, l_max):
         must be scalar
     l_max : int
         highest orbital momentum retained
+    derivative : bool
+        return dM/dL (at fixed R and xi, so dM/dd) instead of M.  M depends
+        on L only through y = 2 xi L in ``y^{-1/2} K_{l''+1/2}(y)``, so
+        dM/dL = 2 xi dM/dy changes only the l'' weights.
 
     Returns
     -------
@@ -292,9 +319,11 @@ def scalar_matrix(m, xi, geom, spec, l_max):
     s_num, log_num, s_den, log_den = _sphere_factors_imag(spec.sphere_bc, x, l_max)
     H = wigner.h_tensor(abs(m), l_start, l_max)
     ktop = ls[:, None] + ls[None, :]
-    U, logk_y = _k_shift_table(y, l_max)
+    U, logk_y = _k_shift_table(y, l_max, derivative)
     logk_top = logk_y[ktop]
     S = np.einsum("abk,abk->ab", _rows_at_top(U, l_start, n), H)
+    if derivative:
+        S *= 2.0 * xi
     log_pref = 0.5 * math.log(math.pi / (4.0 * xi * geom.L))
     with np.errstate(divide="ignore"):
         logS = np.where(S != 0.0, np.log(np.abs(np.where(S != 0.0, S, 1.0))), _NEG_INF)
@@ -304,13 +333,14 @@ def scalar_matrix(m, xi, geom, spec, l_max):
     return signM * np.exp(logM)
 
 
-def rotated_matrix(m, xi, geom, spec, l_max, branch=1):
+def rotated_matrix(m, xi, geom, spec, l_max, branch=1, derivative=False):
     """Dense complex M_{l,l'}(i xi) for one m (rotated to real frequency).
 
     branch +1 evaluates M(+i xi), branch -1 evaluates M(-i xi) through an
     independent assembly from H1 = J + iY; the two must be complex
     conjugates.  Scalar fields only (the electromagnetic continuation is
-    not validated).
+    not validated).  ``derivative`` returns dM/dL as in
+    :func:`scalar_matrix`, with the l'' weights of ``y^{-1/2} H_{l''+1/2}(y)``.
     """
     if spec.kind != SCALAR:
         raise NotImplementedError(
@@ -327,26 +357,34 @@ def rotated_matrix(m, xi, geom, spec, l_max, branch=1):
         spec.sphere_bc, x, l_max, branch)
     H = wigner.h_tensor(abs(m), l_start, l_max, alternating=True)
     ktop = ls[:, None] + ls[None, :]
-    U_re, U_im, hy_mag = _h2_shift_table(y, l_max, 1 if branch >= 0 else -1)
+    U_re, U_im, hy_mag = _h2_shift_table(y, l_max, 1 if branch >= 0 else -1,
+                                         derivative)
     top = hy_mag[ktop]
     S = np.einsum("abk,abk->ab", _rows_at_top(U_re, l_start, n), H) \
         + 1j * np.einsum("abk,abk->ab", _rows_at_top(U_im, l_start, n), H)
+    if derivative:
+        S *= 2.0 * xi
     log_pref = 0.5 * math.log(math.pi / (4.0 * xi * geom.L))
     mag = np.exp(log_num[ls][None, :] - den_mag[ls][:, None] + log_pref + top)
     phase = np.exp(-1j * den_ph[ls][:, None])
     return (s_num[ls][None, :] * mag) * phase * S
 
 
-def em_matrix(m, xi, geom, l_max):
+def em_matrix(m, xi, geom, l_max, derivative=False):
     """Dense electromagnetic round-trip matrix for one m (imaginary axis).
 
     Polarization-major layout: the first n rows/columns are the TE channel,
     the last n the TM channel, with n orbital momenta from max(1, |m|).
-    The sphere factor is attached per column as the local T-matrix ratio
-    (numerator and denominator at the column momentum), which leaves the
-    determinant invariant; the entrywise two-index convention of
-    :func:`m_em_block` differs off the diagonal but shares every spectral
-    quantity at m = 0 and in the static limit.
+    As in :func:`scalar_matrix`, the sphere factor carries the column
+    momentum and polarization in the numerator and the row momentum and
+    polarization (with its sign) in the denominator.  This keeps the
+    entries of the order of the eigenvalues; it is a diagonal similarity
+    of the per-column T-matrix form, so the determinant is the same.  The
+    entrywise two-index convention of :func:`m_em_block` differs off the
+    diagonal but shares every spectral quantity at m = 0 and in the static
+    limit.  ``derivative`` returns dM/dL as in :func:`scalar_matrix`; the
+    polarization mixing factor 2 |m| xi L / (lambda lambda') adds its own
+    L dependence.
     """
     geom.require_gap()
     if not xi > 0.0:
@@ -359,9 +397,6 @@ def em_matrix(m, xi, geom, l_max):
     y = 2.0 * xi * geom.L
     _, log_num_te, _, log_den_te = _sphere_factors_imag(DIRICHLET, x, l_max)
     _, log_num_tm, s_den_tm, log_den_tm = _sphere_factors_imag("tm", x, l_max)
-    log_t_te = log_num_te[ls] - log_den_te[ls]
-    log_t_tm = log_num_tm[ls] - log_den_tm[ls]
-    s_t_tm = s_den_tm[ls]  # numerator is positive
     H = wigner.h_tensor(abs(m), l_start, l_max)
     LAM = wigner.lambda_tensor(abs(m), l_start, l_max)
     ktop = ls[:, None] + ls[None, :]
@@ -369,24 +404,31 @@ def em_matrix(m, xi, geom, l_max):
     logk_top = logk_y[ktop]
     W = _rows_at_top(U, l_start, n)
     S = np.einsum("abk,abk->ab", W, H)
-    S_lam = np.einsum("abk,abk,abk->ab", W, H, LAM)
+    if derivative:
+        W = _rows_at_top(_k_shift_table(y, l_max, True)[0], l_start, n)
+        # d/dL of tilde * S, with tilde proportional to L
+        S = 2.0 * xi * np.einsum("abk,abk->ab", W, H) + S / geom.L
+        S_lam = 2.0 * xi * np.einsum("abk,abk,abk->ab", W, H, LAM)
+    else:
+        S_lam = np.einsum("abk,abk,abk->ab", W, H, LAM)
     log_pref = 0.5 * math.log(math.pi / (4.0 * xi * geom.L))
 
     lf = ls.astype(float)
     lam_norm = np.sqrt(lf * (lf + 1.0))
     tilde = 2.0 * abs(m) * xi * geom.L / (lam_norm[:, None] * lam_norm[None, :])
 
-    def assemble(Sm, extra, log_t, sign_t):
+    def assemble(Sm, extra, log_num, log_den, sign_den):
         with np.errstate(divide="ignore"):
             logSm = np.where(Sm != 0.0, np.log(np.abs(np.where(Sm != 0.0, Sm, 1.0))), _NEG_INF)
-        mag = np.exp(logSm + log_pref + logk_top + log_t[None, :])
-        return np.sign(Sm) * mag * extra * sign_t[None, :]
+        mag = np.exp(logSm + log_pref + logk_top
+                     + log_num[ls][None, :] - log_den[ls][:, None])
+        return np.sign(Sm) * mag * extra * sign_den[ls][:, None]
 
-    ones = np.ones(n)
-    B11 = assemble(S_lam, 1.0, log_t_te, ones)
-    B21 = assemble(S, tilde, log_t_te, ones)
-    B12 = -assemble(S, tilde, log_t_tm, s_t_tm)
-    B22 = -assemble(S_lam, 1.0, log_t_tm, s_t_tm)
+    ones = np.ones(l_max + 1)
+    B11 = assemble(S_lam, 1.0, log_num_te, log_den_te, ones)
+    B21 = assemble(S, tilde, log_num_te, log_den_tm, s_den_tm)
+    B12 = -assemble(S, tilde, log_num_tm, log_den_te, ones)
+    B22 = -assemble(S_lam, 1.0, log_num_tm, log_den_tm, s_den_tm)
     return np.block([[B11, B12], [B21, B22]])
 
 
@@ -444,18 +486,19 @@ def m_static(l, lp, m, geom, pol):
     raise ValueError(f"unknown polarization {pol!r}")
 
 
-def static_matrix(m, geom, spec_or_pol, l_max):
+def static_matrix(m, geom, spec_or_pol, l_max, derivative=False):
     """Dense zero-frequency matrix for one m.
 
     For a scalar FieldSpec (or 'dirichlet'/'neumann'/'te'/'tm') a single
     block is returned; for an electromagnetic FieldSpec the TE and TM
     blocks are stacked block-diagonally (the polarization mixing vanishes
-    at zero frequency).
+    at zero frequency).  Every entry is proportional to (R/2L)^(l+l'+1),
+    so ``derivative`` returns dM/dL = -(l+l'+1)/L M.
     """
     geom.require_gap()
     if isinstance(spec_or_pol, FieldSpec) and spec_or_pol.kind == ELECTROMAGNETIC:
-        te = static_matrix(m, geom, "te", l_max)
-        tm = static_matrix(m, geom, "tm", l_max)
+        te = static_matrix(m, geom, "te", l_max, derivative)
+        tm = static_matrix(m, geom, "tm", l_max, derivative)
         out = np.zeros((2 * te.shape[0], 2 * te.shape[0]))
         nb = te.shape[0]
         out[:nb, :nb] = te
@@ -474,6 +517,8 @@ def static_matrix(m, geom, spec_or_pol, l_max):
             + 0.5 * math.log(math.pi) - math.log(2.0)
             + gammaln(l + lp + 0.5) - gammaln(l + 0.5) - gammaln(lp + 1.5) + logH)
     M = np.exp(logM)
+    if derivative:
+        M *= -(l + lp + 1.0) / geom.L
     if pol == DIRICHLET:
         return M
     if pol == NEUMANN:

@@ -17,6 +17,15 @@ below one -- is the primary evaluator, because the imaginary part of a raw
 log-determinant is only defined modulo 2 pi; the determinant path serves as
 fallback and cross-check.
 
+The force needs the separation derivative of the same trace,
+
+.. math::
+    \partial_d \ln\det(1 - sM) = -s \operatorname{Tr}\left[(1 - sM)^{-1}
+        \partial_d M\right],
+
+which one LU factorization and solve gives for every block type, with no
+eigenvalues and no branch of the logarithm to choose.
+
 Blocks for distinct m are independent; the reduction always runs in
 ascending m for bit-reproducible results.
 """
@@ -53,6 +62,7 @@ class MBlockMatrix:
     l_max: int
     entries: np.ndarray
     polarization_blocks: bool = False
+    derivative: np.ndarray | None = None  # dM/dd, when the force asks for it
 
     def __post_init__(self):
         e = self.entries
@@ -64,6 +74,9 @@ class MBlockMatrix:
             raise ValueError(f"block dimension {e.shape[0]} != expected {expect}")
         if e.size and not np.all(np.isfinite(e)):
             raise ValueError("block contains non-finite entries")
+        dm = self.derivative
+        if dm is not None and (dm.shape != e.shape or not np.all(np.isfinite(dm))):
+            raise ValueError("derivative block must be finite and shaped like the block")
 
     @property
     def dimension(self):
@@ -90,29 +103,33 @@ class Truncation:
             raise ValueError("rel_tol must be positive")
 
 
-def assemble_block(m, evaluation, geom, spec, l_max, xi=None):
+def assemble_block(m, evaluation, geom, spec, l_max, xi=None, derivative=False):
     """Fill one MBlockMatrix from the matching kernel operation.
 
     evaluation is one of 'imag' (imaginary axis, needs xi), 'rotated'
-    (real frequency, needs xi) or 'static'.  The plane boundary sign is not
-    applied here; it enters the logarithm downstream.
+    (real frequency, needs xi) or 'static'.  With ``derivative`` the block
+    also carries dM/dd from the same kernel.  The plane boundary sign is
+    not applied here; it enters the logarithm downstream.
     """
     l_start = max(spec.l_min, abs(m))
     em = spec.kind == kernel.ELECTROMAGNETIC
     if l_start > l_max:
-        return MBlockMatrix(m, l_start, l_max, np.zeros((0, 0)), em)
+        empty = np.zeros((0, 0))
+        return MBlockMatrix(m, l_start, l_max, empty, em,
+                            empty if derivative else None)
     if evaluation == IMAG_AXIS:
         if em:
-            entries = kernel.em_matrix(m, xi, geom, l_max)
+            build, args = kernel.em_matrix, (m, xi, geom, l_max)
         else:
-            entries = kernel.scalar_matrix(m, xi, geom, spec, l_max)
+            build, args = kernel.scalar_matrix, (m, xi, geom, spec, l_max)
     elif evaluation == ROTATED:
-        entries = kernel.rotated_matrix(m, xi, geom, spec, l_max)
+        build, args = kernel.rotated_matrix, (m, xi, geom, spec, l_max)
     elif evaluation == STATIC:
-        entries = kernel.static_matrix(m, geom, spec, l_max)
+        build, args = kernel.static_matrix, (m, geom, spec, l_max)
     else:
         raise ValueError(f"unknown evaluation {evaluation!r}")
-    return MBlockMatrix(m, l_start, l_max, entries, em)
+    return MBlockMatrix(m, l_start, l_max, build(*args), em,
+                        build(*args, derivative=True) if derivative else None)
 
 
 def _entries(block):
@@ -221,13 +238,44 @@ def block_trace_log(block, plane_sign=1, evaluation=IMAG_AXIS):
     return log_det_one_minus(block, plane_sign)
 
 
+def trace_derivative(block, plane_sign=1):
+    """d/dd ln det(1 - s M) = -s Tr[(1 - s M)^{-1} dM/dd] for a block that
+    carries its derivative, by one LU factorization and solve.
+
+    Raises
+    ------
+    SingularBlockError
+        when a pivot of 1 - s M vanishes (below 1e-12 of the largest): a
+        frequency node on a resonance, or an l_max too small
+    """
+    M = _entries(block)
+    if M.size == 0:
+        return 0.0 + 0.0j
+    getrf, getrs = _LU[M.dtype.char]
+    lu, piv, _ = getrf(np.eye(M.shape[0], dtype=M.dtype) - plane_sign * M)
+    pivots = np.abs(np.diag(lu))
+    if not pivots.min() > 1e-12 * pivots.max():
+        raise SingularBlockError("vanishing pivot in 1 - M")
+    X, _ = getrs(lu, piv, block.derivative)
+    return complex(-plane_sign * np.trace(X))
+
+
+# the LAPACK LU routines themselves: the blocks are small, and the checks
+# of scipy.linalg.lu_factor / lu_solve cost as much as the factorization
+_LU = {"d": (scipy.linalg.lapack.dgetrf, scipy.linalg.lapack.dgetrs),
+       "D": (scipy.linalg.lapack.zgetrf, scipy.linalg.lapack.zgetrs)}
+
+
 def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
-                 l_max_start=None, scale_floor=0.0):
+                 l_max_start=None, scale_floor=0.0, derivative=False):
     """Tr ln(1 - M) folded over m: block(0) + 2 sum_{m>=1} block(m).
 
     The m sum stops once a block contributes less than
     ``rel_tol * 1e-2`` of the running total; with l_max = None the orbital
     cutoff grows by 4 until the folded total changes by less than rel_tol.
+    With ``derivative`` every block contributes its
+    :func:`trace_derivative` instead, so the sum is d/dd Tr ln(1 - M), and
+    the m and l tests run on that.
 
     Parameters
     ----------
@@ -243,12 +291,16 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
         external magnitude scale for the growth test; values whose change
         falls below ``rel_tol * scale_floor`` count as converged (needed
         where an oscillatory projection crosses zero)
+    derivative : bool
+        fold the separation derivative of the trace instead of the trace
 
     Returns
     -------
     (complex, dict)
-        folded trace and diagnostics {'l_max_used', 'm_max_used',
-        'converged'}
+        folded trace (or its derivative) and diagnostics {'l_max_used',
+        'm_max_used', 'converged'}; with automatic growth also 'change',
+        the projected change of the last growth step, which estimates the
+        truncation error from above
     """
     trunc = trunc or Truncation()
     sign = spec.plane_sign
@@ -260,8 +312,13 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
         for m in range(0, l_max + 1):
             if max(spec.l_min, m) > l_max:
                 break
-            blk = assemble_block(m, evaluation, geom, spec, l_max, xi=xi)
-            val = block_trace_log(blk, sign, evaluation)
+            if derivative:
+                blk = assemble_block(m, evaluation, geom, spec, l_max, xi=xi,
+                                     derivative=True)
+                val = trace_derivative(blk, sign)
+            else:
+                blk = assemble_block(m, evaluation, geom, spec, l_max, xi=xi)
+                val = block_trace_log(blk, sign, evaluation)
             contrib = val if m == 0 else 2.0 * val
             tot += contrib
             m_used = m
@@ -277,14 +334,15 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
     l_max = max(spec.l_min + 4, l_max_start or 0)
     tot, m_used = total_at(l_max)
     converged = False
+    change = math.inf
     while l_max < L_CAP:
         nxt, m_used = total_at(l_max + 4)
         ref = max(abs(meas(nxt)), scale_floor, 1e-300)
-        if abs(meas(nxt) - meas(tot)) <= trunc.rel_tol * ref:
-            tot = nxt
-            l_max += 4
-            converged = True
-            break
+        change = abs(meas(nxt) - meas(tot))
         tot = nxt
         l_max += 4
-    return tot, {"l_max_used": l_max, "m_max_used": m_used, "converged": converged}
+        if change <= trunc.rel_tol * ref:
+            converged = True
+            break
+    return tot, {"l_max_used": l_max, "m_max_used": m_used, "converged": converged,
+                 "change": change}

@@ -2,13 +2,17 @@
 
 Everything here is deliberately built from different algorithms than the
 package: exact rational arithmetic for 3j symbols, ascending series and
-finite closed sums for Bessel functions, and mpmath reference evaluations.
+finite closed sums for Bessel functions, mpmath reference evaluations,
+finite differences of energies for the force, and eigenvalue sums for
+log-determinants.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 30
 
@@ -165,3 +169,42 @@ def mp_h(x, tol=mp.mpf("1e-35")):
             break
         m += 1
     return 90 * z3 * x / mp.pi ** 3 - 1 + 90 * x ** 4 * s
+
+
+def fd_force(energy, geom, spec, T, trunc=None):
+    """-dE/dd by Richardson-extrapolated central differences of an energy
+    function ``energy(geom, spec, T, trunc)`` with ``.value`` and
+    ``.error_estimate`` (``matsubara_free_energy`` or ``thermal_part``).
+
+    Four evaluations at d +- h and d +- h/2 with ``h = max(1e-3 d, 1e-4 R)``
+    (at most d/2), extrapolated once.  Returns ``(value, error estimate)``;
+    the estimate adds the gap between the two stencils and the energies'
+    own estimates divided by h.
+    """
+    h = min(max(1e-3 * geom.d, 1e-4 * geom.R), 0.5 * geom.d)
+    res = {dd: energy(replace(geom, d=geom.d + dd), spec, T, trunc)
+           for dd in (h, -h, 0.5 * h, -0.5 * h)}
+    f_h = -(res[h].value - res[-h].value) / (2.0 * h)
+    f_h2 = -(res[0.5 * h].value - res[-0.5 * h].value) / h
+    quad_err = max(r.error_estimate for r in res.values()) / h
+    return (4.0 * f_h2 - f_h) / 3.0, abs(f_h2 - f_h) / 3.0 + quad_err
+
+
+def em_free_energy_eigenvalues(kernel, geom, T, l_max, n_max):
+    """``(T/2) ln det(1 - M(0)) + T sum_{n=1}^{n_max} ln det(1 - M(2 pi T n))``
+    for the electromagnetic field, every log-determinant summed as
+    ``ln(1 - lambda)`` over the eigenvalues of the package's blocks
+    (``kernel`` is ``casphere.kernel``), over every m <= l_max, instead of
+    the package's LU log-determinants and m cut."""
+    spec = kernel.FieldSpec.em()
+    total = 0.0
+    for n in range(n_max + 1):
+        for m in range(l_max + 1):
+            if n == 0:
+                M = kernel.static_matrix(m, geom, spec, l_max)
+            else:
+                M = kernel.em_matrix(m, 2.0 * math.pi * T * n, geom, l_max)
+            lam = np.linalg.eigvals(M).astype(complex)
+            weight = (1.0 if m == 0 else 2.0) * (0.5 if n == 0 else 1.0)
+            total += weight * float(np.sum(np.log(1.0 - lam)).real)
+    return T * total

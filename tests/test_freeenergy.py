@@ -13,6 +13,8 @@ from casphere.trlog import Truncation
 from casphere import freeenergy as fe
 from casphere.asympt import ZETA2, ZETA4
 
+import oracles
+
 DD = FieldSpec()
 G12 = Geometry(1.0, 1.0)
 
@@ -99,6 +101,23 @@ def test_matsubara_nodes_start_from_the_previous_cutoff(monkeypatch):
     l_used = res.diagnostics["l_max_used"]
     ref = fe.matsubara_free_energy(geom, DD, T, Truncation(l_max=l_used + 8))
     assert res.value == pytest.approx(ref.value, rel=Truncation().rel_tol)
+
+
+@pytest.mark.slow
+def test_em_matsubara_near_contact():
+    # with the sphere factor wholly on the columns, the blocks reached
+    # 5.6e19 here and the LU log-det of 1 - M came out negative
+    res = fe.matsubara_free_energy(Geometry(1.0, 0.1), FieldSpec.em(), 1.0)
+    assert res.converged and res.value < 0
+
+
+def test_em_matsubara_pinned_cutoff_matches_eigenvalues():
+    from casphere import kernel
+    geom, T = Geometry(1.0, 0.3), 1.0
+    res = fe.matsubara_free_energy(geom, FieldSpec.em(), T, Truncation(l_max=40))
+    want = oracles.em_free_energy_eigenvalues(kernel, geom, T, 40,
+                                              res.diagnostics["n_max_used"])
+    assert res.value == pytest.approx(want, rel=1e-4)
 
 
 def test_vacuum_energy_beyond_pfa_form():

@@ -68,6 +68,17 @@ def test_em_block_m0_offdiagonal_zero():
     assert np.all(M[:n, n:] == 0.0) and np.all(M[n:, :n] == 0.0)
 
 
+def test_em_matrix_entries_stay_at_the_eigenvalue_scale():
+    # eps = 0.1, xi = 2 pi, m = 1, l_max = 40: every eigenvalue is below
+    # 0.15; with the sphere factor wholly on the columns max |M| was 5.6e19
+    M = em_matrix(1, 2.0 * math.pi, Geometry(1.0, 0.1), 40)
+    lam = np.linalg.eigvals(M)
+    assert np.max(np.abs(M)) < 0.1
+    sign, logdet = np.linalg.slogdet(np.eye(len(M)) - M)
+    assert sign > 0
+    assert logdet == pytest.approx(np.sum(np.log(1.0 - lam)).real, rel=1e-12)
+
+
 def test_static_values():
     assert m_static(0, 0, 0, G12, "dirichlet") == pytest.approx(0.25, rel=1e-13)
     # m-summed l = 1 diagonals: N -> -2 (R/2L)^3, TE -> 2 (R/2L)^3, TM -> 4 (R/2L)^3
