@@ -198,6 +198,11 @@ class _SweepState:
     absolute floor, which keeps oscillatory zero crossings from triggering
     runaway growth.  With ``derivative`` every node is the separation
     derivative of the trace (see :func:`trlog.trace_over_m`).
+
+    The diagnostics count the blocks assembled over the sweep, the rotated
+    ones among them whose log-determinant took eigenvalues
+    (``eig_blocks``), and the nodes run at the last verified cut-off
+    without a growth test of their own (``nodes_assumed``).
     """
 
     VERIFY_EVERY = 6
@@ -217,6 +222,9 @@ class _SweepState:
         self.count = 0
         self.rel_change = 0.0
         self.node_error = 0.0
+        self.blocks = 0
+        self.eig_blocks = 0
+        self.nodes_assumed = 0
 
     def evaluate(self, xi):
         self.count += 1
@@ -240,6 +248,9 @@ class _SweepState:
         self.l_used = max(self.l_used or 0, diag["l_max_used"])
         self.m_used = max(self.m_used, diag["m_max_used"])
         self.converged = self.converged and diag["converged"]
+        self.blocks += diag["blocks"]
+        self.eig_blocks += diag["eig_blocks"]
+        self.nodes_assumed += fixed
         proj = abs(self.part(val) if self.part else val)
         if "change" in diag:
             # a verified node: its last growth step is its truncation error
@@ -265,6 +276,8 @@ class _SweepState:
 
     def diagnostics(self, **extra):
         return {"l_max_used": self.l_used, "m_max_used": self.m_used,
+                "blocks": self.blocks, "eig_blocks": self.eig_blocks,
+                "nodes_assumed": self.nodes_assumed,
                 **extra, "converged": self.converged}
 
 

@@ -8,14 +8,17 @@ good quantum number, so the trace decomposes into independent blocks,
     \operatorname{Tr}\ln(1 - \mathbf{M}) =
     \sum_m \ln\det\left(1 - M^{(m)}\right),
 
-with the m-sum folded onto ``m = 0`` plus twice the positive m's.  The
-log-determinant is evaluated two ways: a pivoted factorization (LAPACK) and
-the expanded-logarithm power series ``-sum_s Tr M^{s+1}/(s+1)``.  For the
-rotated (real-frequency) blocks the series value -- computed through the
-eigenvalues, whose partial sums it equals whenever the spectral radius is
-below one -- is the primary evaluator, because the imaginary part of a raw
-log-determinant is only defined modulo 2 pi; the determinant path serves as
-fallback and cross-check.
+with the m-sum folded onto ``m = 0`` plus twice the positive m's.  Real
+blocks (imaginary axis, static) have a positive determinant, and a pivoted
+factorization (LAPACK) gives their logarithm.  For the rotated
+(real-frequency) blocks the imaginary part of a log-determinant is only
+defined modulo 2 pi, and the thermal integrand needs the branch of the
+expanded logarithm, ``sum_i Log(1 - lambda_i)``.  An LU factorization gives
+the value modulo 2 pi; the first four terms of the expanded-logarithm
+series, ``-sum_{k<=4} Tr M^k / k``, with a bound on the remainder from the
+Frobenius norms of M^2 and M^4, fix the branch whenever that bound is below
+one radian.  Blocks the bound does not certify take the eigenvalues, and
+those with spectral radius >= 1 the per-pivot determinant.
 
 The force needs the separation derivative of the same trace,
 
@@ -47,10 +50,6 @@ STATIC = "static"
 class SingularBlockError(ArithmeticError):
     """A pivot of 1 - M (nearly) vanished: l_max too small or a quadrature
     node accidentally on a resonance."""
-
-
-class SeriesDivergenceError(ArithmeticError):
-    """The expanded-logarithm series does not converge (spectral radius >= 1)."""
 
 
 @dataclass
@@ -93,7 +92,6 @@ class Truncation:
     """
 
     l_max: int | None = None
-    s_max: int = 80
     rel_tol: float = 1e-3
     n_max: int = 100000
     quad_points: int = 17  # nodes per quadrature panel (nested Clenshaw-Curtis)
@@ -167,72 +165,58 @@ def log_det_one_minus(block, plane_sign=1):
     return complex(val)
 
 
-def trace_log_series(block, plane_sign=1, s_max=80):
-    """-sum_{s=0}^{s_max} plane_sign^{s+1} Tr(M^{s+1})/(s+1) by explicit
-    matrix powers.
+def trace_log_eig(block, plane_sign=1, counts=None):
+    """sum_i Log(1 - plane_sign*lambda_i) over the block eigenvalues, and
+    whether the spectral radius is below one.
 
-    Returns
-    -------
-    (complex, float)
-        the partial sum and the magnitude of the last retained term, which
-        serves as the convergence estimate
-
-    Raises
-    ------
-    SeriesDivergenceError
-        when the term ratio exceeds one (spectral radius >= 1)
-    """
-    M = _entries(block)
-    if M.size == 0:
-        return 0.0 + 0.0j, 0.0
-    P = M.copy()
-    total = 0.0 + 0.0j
-    last = prev = math.inf
-    growing = 0
-    for s in range(s_max + 1):
-        term = -(plane_sign ** (s + 1)) * np.trace(P) / (s + 1)
-        total += term
-        last = abs(term)
-        growing = growing + 1 if last > prev else 0
-        if growing >= 3:
-            raise SeriesDivergenceError(
-                f"term magnitudes grow at s={s}; spectral radius >= 1")
-        prev = last
-        if last < 1e-16 * max(abs(total), 1e-300):
-            break
-        if s < s_max:
-            P = P @ M
-    return total, last
-
-
-def trace_log_eig(block, plane_sign=1):
-    """sum_i Log(1 - plane_sign*lambda_i) over the block eigenvalues.
-
-    Equals the expanded-logarithm series whenever the spectral radius is
-    below one (each eigenvalue then has Re(1 - lambda) > 0 and the
-    principal branch applies); O(n^3) instead of O(n^3 * s_terms).
+    With A = plane_sign * M and rho <= ||A^4||_F^(1/4) (a bound on the
+    spectral radius), the first four terms of the expanded logarithm,
+    ``-(Tr A + Tr A^2/2 + Tr A^3/3 + Tr A^4/4)``, differ from the sum by at
+    most ``rho * q2 / (5 (1 - rho))``, where ``q2 = ||A^2||_F^2`` bounds
+    ``sum |lambda|^4`` (Schur's inequality for A^2).  When that bound is
+    below one radian, ``slogdet(1 - A)`` gives the real part and the phase
+    modulo 2 pi, and the one phase within pi of the four-term estimate is
+    the imaginary part.  Otherwise the eigenvalues give the sum, which is
+    the principal branch of each Log(1 - lambda_i) and equals the series
+    whenever the spectral radius is below one.  Each such block adds 1 to
+    ``counts["eig_blocks"]`` when a ``counts`` dict is given.
     """
     M = _entries(block)
     if M.size == 0:
         return 0.0 + 0.0j, True
+    A = plane_sign * M
+    A2 = A @ A
+    A4 = A2 @ A2
+    rho = np.vdot(A4, A4).real ** 0.125
+    if rho < 1.0 and rho * np.vdot(A2, A2).real < 5.0 * (1.0 - rho):
+        estimate = -(np.trace(A) + np.trace(A2) / 2.0
+                     + np.einsum("ij,ji->", A2, A) / 3.0 + np.trace(A4) / 4.0)
+        sign, logabs = np.linalg.slogdet(np.eye(A.shape[0]) - A)
+        phase = math.atan2(sign.imag, sign.real)
+        turns = round((estimate.imag - phase) / (2.0 * math.pi))
+        return complex(logabs, phase + 2.0 * math.pi * turns), True
+    if counts is not None:
+        counts["eig_blocks"] += 1
     lam = np.linalg.eigvals(M) * plane_sign
     converged = bool(np.max(np.abs(lam)) < 1.0)
     return complex(np.sum(np.log(1.0 - lam.astype(complex)))), converged
 
 
-def block_trace_log(block, plane_sign=1, evaluation=IMAG_AXIS):
+def block_trace_log(block, plane_sign=1, evaluation=IMAG_AXIS, counts=None):
     """Dispatch to the evaluator appropriate for the block type.
 
-    Real blocks go through the determinant; rotated blocks use the
-    series/eigenvalue path first and fall back to the per-pivot
-    determinant when the series does not converge.
+    Real blocks go through the determinant.  Rotated blocks go through
+    :func:`trace_log_eig`: an LU log-determinant whose branch four traces
+    certify, or the eigenvalues where they do not; a block whose spectral
+    radius is not below one falls back to the per-pivot determinant.
+    ``counts`` is passed on to :func:`trace_log_eig`.
     """
     M = _entries(block)
     if M.size == 0:
         return 0.0 + 0.0j
     if evaluation != ROTATED:
         return log_det_one_minus(block, plane_sign)
-    val, ok = trace_log_eig(block, plane_sign)
+    val, ok = trace_log_eig(block, plane_sign, counts=counts)
     if ok:
         return val
     return log_det_one_minus(block, plane_sign)
@@ -298,13 +282,17 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
     -------
     (complex, dict)
         folded trace (or its derivative) and diagnostics {'l_max_used',
-        'm_max_used', 'converged'}; with automatic growth also 'change',
-        the projected change of the last growth step, which estimates the
+        'm_max_used', 'converged', 'blocks', 'eig_blocks'}: 'blocks' counts
+        the blocks assembled over every l_max tried, 'eig_blocks' those of
+        them whose rotated log-determinant took eigenvalues (see
+        :func:`trace_log_eig`); with automatic growth also 'change', the
+        projected change of the last growth step, which estimates the
         truncation error from above
     """
     trunc = trunc or Truncation()
     sign = spec.plane_sign
     meas = part or (lambda z: z)
+    counts = {"blocks": 0, "eig_blocks": 0}
 
     def total_at(l_max):
         tot = 0.0 + 0.0j
@@ -318,7 +306,8 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
                 val = trace_derivative(blk, sign)
             else:
                 blk = assemble_block(m, evaluation, geom, spec, l_max, xi=xi)
-                val = block_trace_log(blk, sign, evaluation)
+                val = block_trace_log(blk, sign, evaluation, counts=counts)
+            counts["blocks"] += 1
             contrib = val if m == 0 else 2.0 * val
             tot += contrib
             m_used = m
@@ -329,7 +318,7 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
     if trunc.l_max is not None:
         tot, m_used = total_at(trunc.l_max)
         return tot, {"l_max_used": trunc.l_max, "m_max_used": m_used,
-                     "converged": True}
+                     "converged": True, **counts}
 
     l_max = max(spec.l_min + 4, l_max_start or 0)
     tot, m_used = total_at(l_max)
@@ -345,4 +334,4 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
             converged = True
             break
     return tot, {"l_max_used": l_max, "m_max_used": m_used, "converged": converged,
-                 "change": change}
+                 "change": change, **counts}

@@ -3,8 +3,8 @@
 Everything here is deliberately built from different algorithms than the
 package: exact rational arithmetic for 3j symbols, ascending series and
 finite closed sums for Bessel functions, mpmath reference evaluations,
-finite differences of energies for the force, and eigenvalue sums for
-log-determinants.
+finite differences of energies for the force, and eigenvalue sums and the
+expanded-logarithm series for log-determinants.
 """
 
 import math
@@ -208,3 +208,46 @@ def em_free_energy_eigenvalues(kernel, geom, T, l_max, n_max):
             weight = (1.0 if m == 0 else 2.0) * (0.5 if n == 0 else 1.0)
             total += weight * float(np.sum(np.log(1.0 - lam)).real)
     return T * total
+
+
+class SeriesDivergenceError(ArithmeticError):
+    """The expanded-logarithm series does not converge (spectral radius >= 1)."""
+
+
+def trace_log_series(M, plane_sign=1, s_max=80):
+    """-sum_{s=0}^{s_max} plane_sign^{s+1} Tr(M^{s+1})/(s+1) by explicit
+    matrix powers: the expanded logarithm of det(1 - plane_sign M).
+
+    Returns the partial sum and the magnitude of the last retained term,
+    which serves as the convergence estimate; raises SeriesDivergenceError
+    when the term magnitudes grow three times in a row (spectral radius
+    >= 1).
+    """
+    M = np.asarray(M)
+    if M.size == 0:
+        return 0.0 + 0.0j, 0.0
+    P = M.copy()
+    total = 0.0 + 0.0j
+    last = prev = math.inf
+    growing = 0
+    for s in range(s_max + 1):
+        term = -(plane_sign ** (s + 1)) * np.trace(P) / (s + 1)
+        total += term
+        last = abs(term)
+        growing = growing + 1 if last > prev else 0
+        if growing >= 3:
+            raise SeriesDivergenceError(
+                f"term magnitudes grow at s={s}; spectral radius >= 1")
+        prev = last
+        if last < 1e-16 * max(abs(total), 1e-300):
+            break
+        if s < s_max:
+            P = P @ M
+    return total, last
+
+
+def trace_log_eigenvalues(M, plane_sign=1):
+    """sum_i Log(1 - plane_sign lambda_i) over the eigenvalues of M, each
+    on the principal branch."""
+    lam = plane_sign * np.linalg.eigvals(np.asarray(M)).astype(complex)
+    return complex(np.sum(np.log(1.0 - lam)))

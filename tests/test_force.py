@@ -151,6 +151,9 @@ def test_force_makes_one_sweep(monkeypatch):
 
     monkeypatch.setattr(fe, "_panel_sweep", counting_sweep)
     monkeypatch.setattr(trlog, "trace_over_m", counting_trace)
+    # the force never takes a log-determinant of a rotated block
+    monkeypatch.setattr(trlog, "trace_log_eig",
+                        lambda *a, **k: calls.append("trace_log_eig"))
     fe.force(Geometry(1.0, 1.0), DD, 1.0, target="thermal_part")
     assert calls.count("sweep") == 1 and set(calls) == {"sweep", trlog.ROTATED}
     calls.clear()

@@ -103,6 +103,39 @@ def test_matsubara_nodes_start_from_the_previous_cutoff(monkeypatch):
     assert res.value == pytest.approx(ref.value, rel=Truncation().rel_tol)
 
 
+def test_thermal_sweep_counts_its_work(monkeypatch):
+    # the diagnostics count what the sweep did: every assembled block, the
+    # rotated ones whose log-determinant took eigenvalues (80 of 4370 here;
+    # the rest are certified LU log-determinants) and the nodes run at the
+    # last verified cut-off without a growth test
+    import numpy as np
+    from casphere import trlog
+    seen = {"blocks": 0, "eigvals": 0, "assumed": 0}
+    assemble, trace, eigvals = trlog.assemble_block, trlog.trace_over_m, np.linalg.eigvals
+
+    def counting_assemble(*args, **kwargs):
+        seen["blocks"] += 1
+        return assemble(*args, **kwargs)
+
+    def counting_trace(evaluation, geom, spec, trunc=None, **kwargs):
+        seen["assumed"] += trunc.l_max is not None
+        return trace(evaluation, geom, spec, trunc, **kwargs)
+
+    def counting_eigvals(a):
+        seen["eigvals"] += 1
+        return eigvals(a)
+
+    monkeypatch.setattr(trlog, "assemble_block", counting_assemble)
+    monkeypatch.setattr(trlog, "trace_over_m", counting_trace)
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    res = fe.thermal_part(Geometry(1.5, 0.45), DD, 1.0)
+    diag = res.diagnostics
+    assert (diag["blocks"], diag["eig_blocks"], diag["nodes_assumed"]) == \
+        (seen["blocks"], seen["eigvals"], seen["assumed"])
+    assert diag["eig_blocks"] <= 0.05 * diag["blocks"]
+    assert diag["nodes_assumed"] > 0
+
+
 @pytest.mark.slow
 def test_em_matsubara_near_contact():
     # with the sphere factor wholly on the columns, the blocks reached
