@@ -15,7 +15,10 @@ Three equivalent representations are implemented (units hbar = c = k_B = 1):
 connected by ``F = E_0 + F_T``.  Real-frequency integrands oscillate on the
 scale pi/(2 L T) in the Boltzmann variable, so panels never exceed half
 that scale; panels are refined adaptively, and a vanishing pivot of
-1 - M at a node splits the panel that holds it.
+1 - M at a node splits the panel that holds it.  Each panel hands all its
+nodes to the sweep at once; on the real-frequency axis each run of
+consecutive nodes at one fixed cut-off is then evaluated as one stack of
+blocks.
 
 The force is the negative derivative of the Matsubara sum or of the
 thermal part with respect to the surface separation, from one sweep of
@@ -90,14 +93,15 @@ def _cc_rule(n):
 def _integrate_panel(f, a, b, npts):
     """One panel with the nested rule.
 
-    f returns a pair at each node: the integrand and an estimate of its
-    truncation error.  Returns the panel's value, its embedded quadrature
-    error estimate and the integral of the truncation errors.
+    f takes the array of the panel's nodes and returns, per node, a pair:
+    the integrand and an estimate of its truncation error.  Returns the
+    panel's value, its embedded quadrature error estimate and the integral
+    of the truncation errors.
     """
     nodes, weights, sub_weights = _cc_rule(npts)
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    vals = np.array([f(mid + half * x) for x in nodes])
+    vals = np.asarray(f(mid + half * nodes))
     full, trunc = (half * float(v) for v in weights @ vals)
     coarse = half * float(np.dot(sub_weights, vals[::2, 0]))
     return full, abs(full - coarse), abs(trunc)
@@ -199,10 +203,20 @@ class _SweepState:
     runaway growth.  With ``derivative`` every node is the separation
     derivative of the trace (see :func:`trlog.trace_over_m`).
 
+    On the rotated axis each run of consecutive nodes at the last verified
+    cutoff goes through :func:`trlog.trace_over_m` as one stack, and each
+    verified node as a stack of one.  A run is evaluated before the next
+    verified node, which alone reads the state the run leaves, so the
+    scale, hint and error bookkeeping advance node by node as if every
+    node were evaluated alone.  A run that meets a vanishing pivot is
+    evaluated again one node at a time, so that the error and the state
+    are those of the node that raised it.
+
     The diagnostics count the blocks assembled over the sweep, the rotated
     ones among them whose log-determinant took eigenvalues
-    (``eig_blocks``), and the nodes run at the last verified cut-off
-    without a growth test of their own (``nodes_assumed``).
+    (``eig_blocks``) or the per-pivot determinant (``fallbacks``), and the
+    nodes run at the last verified cut-off without a growth test of their
+    own (``nodes_assumed``).
     """
 
     VERIFY_EVERY = 6
@@ -221,46 +235,78 @@ class _SweepState:
         self.scale = 0.0
         self.count = 0
         self.rel_change = 0.0
-        self.node_error = 0.0
         self.blocks = 0
         self.eig_blocks = 0
+        self.fallbacks = 0
         self.nodes_assumed = 0
 
-    def evaluate(self, xi):
-        self.count += 1
-        fixed = (self.hint is not None and self.trunc.l_max is None
-                 and self.count % self.VERIFY_EVERY != 1)
+    def _fixed(self, count):
+        """Whether the count-th node of the sweep runs at the last verified
+        cutoff instead of verifying its own."""
+        return (self.hint is not None and self.trunc.l_max is None
+                and count % self.VERIFY_EVERY != 1)
+
+    def evaluate(self, xis):
+        """The trace (or its derivative) at each of the nodes ``xis``, in
+        order, and an estimate of each one's truncation error."""
+        vals = np.empty(len(xis), dtype=complex)
+        errs = np.empty(len(xis))
+        i = 0
+        while i < len(xis):
+            fixed = self._fixed(self.count + 1)
+            j = i + 1
+            if fixed and self.evaluation == trlog.ROTATED:
+                while j < len(xis) and self._fixed(self.count + 1 + j - i):
+                    j += 1
+            vals[i:j], errs[i:j] = self._run(xis[i:j], fixed)
+            i = j
+        return vals, errs
+
+    def _run(self, xis, fixed):
+        """Evaluate one run of nodes: at the last verified cutoff when
+        ``fixed``, else one node with its own growth test."""
         if fixed:
-            trunc = replace(self.trunc, l_max=self.hint + 4)
-            val, diag = trlog.trace_over_m(
-                self.evaluation, self.geom, self.spec, trunc, xi=xi,
-                part=self.part, derivative=self.derivative)
+            trunc, growth = replace(self.trunc, l_max=self.hint + 4), {}
         else:
+            trunc = self.trunc
+            growth = {"l_max_start": self.hint, "scale_floor": 1e-3 * self.scale}
+        try:
             val, diag = trlog.trace_over_m(
-                self.evaluation, self.geom, self.spec, self.trunc, xi=xi,
-                part=self.part, l_max_start=self.hint,
-                scale_floor=1e-3 * self.scale, derivative=self.derivative)
-            if self.trunc.l_max is None:
-                # the converged value was computed one growth step above
-                # the sufficient cutoff; seeding one step below stops the
-                # cutoff from ratcheting up at every node
-                self.hint = max(self.spec.l_min + 4, diag["l_max_used"] - 4)
+                self.evaluation, self.geom, self.spec, trunc,
+                xi=xis if self.evaluation == trlog.ROTATED else xis[0],
+                part=self.part, derivative=self.derivative, **growth)
+        except SingularBlockError:
+            if len(xis) == 1:
+                self.count += 1
+                raise
+            runs = [self._run(xis[i: i + 1], fixed) for i in range(len(xis))]
+            return np.concatenate([v for v, _ in runs]), np.concatenate([e for _, e in runs])
+        self.count += len(xis)
+        if not fixed and self.trunc.l_max is None:
+            # the converged value was computed one growth step above the
+            # sufficient cutoff; seeding one step below stops the cutoff
+            # from ratcheting up at every node
+            self.hint = max(self.spec.l_min + 4, diag["l_max_used"] - 4)
         self.l_used = max(self.l_used or 0, diag["l_max_used"])
         self.m_used = max(self.m_used, diag["m_max_used"])
         self.converged = self.converged and diag["converged"]
         self.blocks += diag["blocks"]
         self.eig_blocks += diag["eig_blocks"]
-        self.nodes_assumed += fixed
-        proj = abs(self.part(val) if self.part else val)
-        if "change" in diag:
-            # a verified node: its last growth step is its truncation error
-            # estimate, and the nodes run at its cut-off inherit it relatively
-            self.node_error = diag["change"]
-            self.rel_change = self.node_error / max(proj, 1e-3 * self.scale, 1e-300)
-        else:
-            self.node_error = self.rel_change * proj
-        self.scale = max(self.scale, proj)
-        return val
+        self.fallbacks += diag["fallbacks"]
+        self.nodes_assumed += len(xis) if fixed else 0
+        vals = np.atleast_1d(val)
+        errs = np.empty(len(vals))
+        for i, proj in enumerate(np.abs(self.part(vals) if self.part else vals)):
+            if "change" in diag:
+                # a verified node: its last growth step is its truncation
+                # error estimate, and the nodes run at its cut-off inherit
+                # it relatively
+                errs[i] = diag["change"]
+                self.rel_change = errs[i] / max(proj, 1e-3 * self.scale, 1e-300)
+            else:
+                errs[i] = self.rel_change * proj
+            self.scale = max(self.scale, proj)
+        return vals, errs
 
     def sweep(self, integrand, width, xi_max):
         """:func:`_panel_sweep` of ``integrand`` over (0, xi_max).
@@ -270,14 +316,14 @@ class _SweepState:
         value, and a growth test verified on rounding noise would set the
         cut-off (and, through the never-falling hint, every later one).
         """
-        integrand(0.5 * min(width, xi_max))
+        integrand(np.array([0.5 * min(width, xi_max)]))
         return _panel_sweep(integrand, width, xi_max, self.trunc.quad_points,
                             self.trunc.rel_tol)
 
     def diagnostics(self, **extra):
         return {"l_max_used": self.l_used, "m_max_used": self.m_used,
                 "blocks": self.blocks, "eig_blocks": self.eig_blocks,
-                "nodes_assumed": self.nodes_assumed,
+                "fallbacks": self.fallbacks, "nodes_assumed": self.nodes_assumed,
                 **extra, "converged": self.converged}
 
 
@@ -357,9 +403,9 @@ def vacuum_energy(geom, spec, trunc=None):
     state = _SweepState(geom, spec, trunc, trlog.IMAG_AXIS)
 
     def integrand(xi):
-        xi = max(xi, 1e-10)  # panel endpoints touch 0; the integrand is continuous there
-        val = state.evaluate(xi)
-        return val.real, state.node_error
+        xi = np.maximum(xi, 1e-10)  # panel endpoints touch 0; the integrand is continuous there
+        val, err = state.evaluate(xi)
+        return np.stack([val.real, err], axis=1)
 
     xi_cut = 19.0 / geom.d + 5.0 / geom.L
     width = min(2.0 / geom.d, 2.0 / geom.R, xi_cut / 8.0)
@@ -382,10 +428,10 @@ def _thermal_sweep(geom, spec, T, trunc, derivative=False):
 
     def integrand(xi):
         # endpoints touch 0 where n_1 diverges but the product is finite
-        xi = max(xi, 1e-8)
-        n1 = 1.0 / math.expm1(xi)
-        tr = state.evaluate(xi * T)
-        return n1 * (-2.0) * tr.imag, 2.0 * n1 * state.node_error
+        xi = np.maximum(xi, 1e-8)
+        n1 = 1.0 / np.expm1(xi)
+        tr, err = state.evaluate(xi * T)
+        return np.stack([n1 * (-2.0) * tr.imag, 2.0 * n1 * err], axis=1)
 
     xi_max = math.log(1.0 / trunc.rel_tol) + 20.0
     width = min(math.pi / (2.0 * geom.L * T), 3.0)

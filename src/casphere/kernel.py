@@ -16,8 +16,9 @@ one-index form).  This module provides
 * ``m_scalar`` / ``scalar_matrix``   -- imaginary frequency axis, scalar field
   with Dirichlet or Neumann conditions on the sphere,
 * ``m_em_block`` / ``em_matrix``     -- electromagnetic 2x2 polarization blocks,
-* ``m_rotated`` / ``rotated_matrix`` -- analytic continuation to real
-  frequencies via J, Y and the Hankel function H2 = J - iY,
+* ``m_rotated`` / ``rotated_matrix`` / ``RotatedNodes`` -- analytic
+  continuation to real frequencies via J, Y and the Hankel function
+  H2 = J - iY, for one node or a stack of nodes,
 * ``m_static`` / ``static_matrix``   -- closed-form zero-frequency limit
   (the generic formula is 0/0 at xi = 0, so the Matsubara zero mode always
   uses the closed form).
@@ -32,8 +33,18 @@ reuse the Bessel tables and H tensors of M.
 All assembly happens in log space with one exponent factored out of the
 l'' sum (the largest K term, which sits at l'' = l + l'); contributions
 below ~1e-300 of that maximum underflow to zero, a bounded truncation.
+
+The imaginary-axis and static builders make one block per call, each
+l'' sum an einsum over the dense H tensor.  The rotated blocks of a
+stack of frequency nodes at one l_max share their m-independent part, a
+node prefactor and the shift-table rows of each node; a
+:class:`RotatedNodes` assembles it once and then makes the stacks of
+every m, with the l'' sums of all nodes as one matrix product per
+anti-diagonal l + l' against the anti-diagonal coupling store of
+:func:`wigner.g_tensor`.  No dense alternating H is kept.
+
 Everything is pure and reentrant; the only shared state is the idempotent
-H-tensor cache.
+coupling-store caches of :mod:`wigner`.
 """
 
 import math
@@ -185,28 +196,24 @@ def _sphere_factors_rotated(bc, x, l_max, branch=1):
                 h2m[: l_max + 1].copy(), h2p[: l_max + 1].copy())
     if bc != NEUMANN:
         raise ValueError("rotated kernels support Dirichlet and Neumann spheres only")
-    sign_num = np.empty(l_max + 1)
-    log_num = np.empty(l_max + 1)
-    den_mag = np.empty(l_max + 1)
-    den_ph = np.empty(l_max + 1)
-    for l in range(l_max + 1):
-        c = l / x
-        # numerator (l/x) J_nu - J_{nu+1}
-        scale = max(lj[l] + (math.log(c) if c > 0 else _NEG_INF), lj[l + 1])
-        if scale == _NEG_INF:
-            sign_num[l], log_num[l] = 0.0, _NEG_INF
-        else:
-            val = (c * sj[l] * math.exp(lj[l] - scale)
-                   - sj[l + 1] * math.exp(lj[l + 1] - scale))
-            sign_num[l] = math.copysign(1.0, val) if val != 0.0 else 0.0
-            log_num[l] = math.log(abs(val)) + scale if val != 0.0 else _NEG_INF
-        # denominator (l/x) H_nu - H_{nu+1}, complex
-        scale = max((h2m[l] + math.log(c)) if c > 0 else _NEG_INF, h2m[l + 1])
-        z = (c * math.exp(h2m[l] - scale) * complex(math.cos(h2p[l]), math.sin(h2p[l]))
-             - math.exp(h2m[l + 1] - scale) * complex(math.cos(h2p[l + 1]), math.sin(h2p[l + 1])))
-        den_mag[l] = math.log(abs(z)) + scale
-        den_ph[l] = math.atan2(z.imag, z.real)
-    return sign_num, log_num, den_mag, den_ph
+    c = np.arange(l_max + 1) / x
+    with np.errstate(divide="ignore"):
+        log_c = np.log(c)  # -inf at l = 0, where only the second term is left
+    # numerator (l/x) J_nu - J_{nu+1}
+    lo, hi = lj[: l_max + 1], lj[1: l_max + 2]
+    scale = np.maximum(lo + log_c, hi)
+    finite = scale > _NEG_INF
+    scale = np.where(finite, scale, 0.0)
+    val = c * sj[: l_max + 1] * np.exp(lo - scale) - sj[1: l_max + 2] * np.exp(hi - scale)
+    sign_num = np.where(finite, np.sign(val), 0.0)
+    with np.errstate(divide="ignore"):
+        log_num = np.where(finite & (val != 0.0), np.log(np.abs(val)) + scale, _NEG_INF)
+    # denominator (l/x) H_nu - H_{nu+1}, complex
+    lo, hi = h2m[: l_max + 1], h2m[1: l_max + 2]
+    scale = np.maximum(lo + log_c, hi)
+    z = (c * np.exp(lo - scale) * np.exp(1j * h2p[: l_max + 1])
+         - np.exp(hi - scale) * np.exp(1j * h2p[1: l_max + 2]))
+    return sign_num, log_num, np.log(np.abs(z)) + scale, np.angle(z)
 
 
 def _grid(m, l_min, l_max):
@@ -250,34 +257,6 @@ def _k_shift_table(y, l_max, derivative=False):
         U = (np.arange(2 * l_max + 1) / y) * U - shift(1)
     U.flags.writeable = False
     return U, lk
-
-
-@lru_cache(maxsize=1024)
-def _h2_shift_table(y, l_max, branch, derivative=False):
-    """Complex analog of :func:`_k_shift_table` built on H2 magnitudes.
-
-    |H2| grows towards high order up to O(1) oscillatory wiggles, so the
-    l'' = l+l' reference keeps valid shifts near or below zero.  Returns
-    the real and imaginary parts of the table as separate arrays, then
-    the log magnitudes.  ``derivative`` gives the weights
-    ``(k/y) H_{k+1/2} - H_{k+3/2}`` as in :func:`_k_shift_table`.
-    """
-    hy_mag, hy_ph = specfun.log_hankel2_arrays(2 * l_max, y,
-                                               conjugate=(branch < 0))
-    mag = hy_mag[: 2 * l_max + 1]
-
-    def shift(lo):
-        return np.exp(np.minimum(hy_mag[None, lo: lo + 2 * l_max + 1] - mag[:, None], 50.0)
-                      + 1j * hy_ph[None, lo: lo + 2 * l_max + 1])
-
-    U = shift(0)
-    if derivative:
-        U = (np.arange(2 * l_max + 1) / y) * U - shift(1)
-    # real and imaginary parts apart, so the l'' sums run as real sums
-    U_re, U_im = np.ascontiguousarray(U.real), np.ascontiguousarray(U.imag)
-    U_re.flags.writeable = False
-    U_im.flags.writeable = False
-    return U_re, U_im, mag
 
 
 def scalar_matrix(m, xi, geom, spec, l_max, derivative=False):
@@ -333,6 +312,116 @@ def scalar_matrix(m, xi, geom, spec, l_max, derivative=False):
     return signM * np.exp(logM)
 
 
+@lru_cache(maxsize=64)
+def _antidiagonal_rows(l_max):
+    """Index ``s - 2t`` of the shift-table entry that the anti-diagonal store
+    pairs with ``G[., ., t]`` on row s, over s = 0..2 l_max and
+    t = 0..l_max, clipped at 0, and where it is valid (s - 2t >= 0)."""
+    k = np.arange(2 * l_max + 1)[:, None] - 2 * np.arange(l_max + 1)[None, :]
+    valid = k >= 0
+    k = np.maximum(k, 0)
+    k.flags.writeable = False
+    valid.flags.writeable = False
+    return k, valid
+
+
+@lru_cache(maxsize=256)
+def _antidiagonal_index(n, width):
+    """Flat index ``(a + b) * width + |a - b| // 2`` of the block entry
+    (a, b) in the (s, j) rows of an anti-diagonal store ``width`` wide."""
+    a = np.arange(n)
+    idx = (a[:, None] + a[None, :]) * width + np.abs(a[:, None] - a[None, :]) // 2
+    idx.flags.writeable = False
+    return idx
+
+
+class RotatedNodes:
+    """The rotated blocks M_m(i xi) of a stack of nodes at one l_max.
+
+    Entry (l, l') of block m factors as ``P[l, l'] * S_m[l, l']``.  The
+    prefactor P depends on the node and l_max, not on m: the sphere factor
+    (numerator of l', denominator of l and its phase), ``sqrt(pi/4 xi L)``
+    and the |H2| top term ``|H2_{l+l'+1/2}(y)|`` that the l'' sum is
+    measured in; block m reads ``P[m:, m:]``.  The l'' sum S_m reads the
+    shift table ``U[s, k] = H2_{k+1/2}(y) / |H2_{s+1/2}(y)|`` (exponents
+    clamped as in the imaginary-axis tables) only at k = s - 2t, so the
+    rows ``V[s, t] = U[s, s - 2t]`` of every node are gathered once.  For
+    block m, one batched matrix product of the coupling store
+    :func:`wigner.g_tensor` with the rows s = 2m... of V gives the l'' sums
+    of every anti-diagonal of every node at once.
+
+    With ``derivative`` the shift-table rows of dM/dL (the l'' weights of
+    ``y^{-1/2} H_{l''+1/2}(y)`` differentiated, see :func:`scalar_matrix`)
+    ride in the same product, so M and dM/dL come from one assembly.
+    branch +1 evaluates M(+i xi), branch -1 M(-i xi) from H1 = J + iY.
+    Scalar fields only.
+    """
+
+    def __init__(self, xi, geom, spec, l_max, branch=1, derivative=False):
+        if spec.kind != SCALAR:
+            raise NotImplementedError(
+                "the rotated (real-frequency) kernel is implemented for scalar fields only")
+        xi = np.asarray(xi, dtype=float)
+        if xi.ndim != 1 or not np.all(xi > 0.0):
+            raise ValueError("xi must be a 1-d array of positive frequencies")
+        self.l_max = l_max
+        self.derivative = derivative
+        self.two_xi = 2.0 * xi
+        k = len(xi)
+        ls = np.arange(l_max + 1)
+        ktop = ls[:, None] + ls[None, :]
+        rows, valid = _antidiagonal_rows(l_max)
+        self.P = np.empty((k, l_max + 1, l_max + 1), dtype=complex)
+        self.V = np.zeros((2 * l_max + 1, l_max + 1, 2 * k if derivative else k),
+                          dtype=complex)
+        for i, x in enumerate(xi):
+            s_num, log_num, den_mag, den_ph = _sphere_factors_rotated(
+                spec.sphere_bc, x * geom.R, l_max, branch)
+            y = 2.0 * x * geom.L
+            hy_mag, hy_ph = specfun.log_hankel2_arrays(2 * l_max, y,
+                                                       conjugate=(branch < 0))
+            top = hy_mag[: 2 * l_max + 1]
+            log_pref = 0.5 * math.log(math.pi / (4.0 * x * geom.L))
+            mag = np.exp(log_num[None, :] - den_mag[:, None] + log_pref + top[ktop])
+            self.P[i] = (s_num[None, :] * mag) * np.exp(-1j * den_ph[:, None])
+
+            def shift(lo):
+                return np.where(valid, np.exp(np.minimum(hy_mag[rows + lo] - top[:, None], 50.0)
+                                              + 1j * hy_ph[rows + lo]), 0.0)
+
+            self.V[:, :, i] = shift(0)
+            if derivative:
+                self.V[:, :, k + i] = (rows / y) * self.V[:, :, i] - shift(1)
+
+    def keep(self, idx):
+        """Keep only the nodes ``idx`` (indices into the current stack)."""
+        k = len(self.P)
+        self.P = self.P[idx]
+        self.two_xi = self.two_xi[idx]
+        cols = np.concatenate([idx, k + idx]) if self.derivative else idx
+        self.V = np.take(self.V, cols, axis=2)
+
+    def blocks(self, m):
+        """The stacks of block m: M and, with ``derivative``, dM/dL (else
+        None), each (nodes, n, n) with n = l_max - m + 1."""
+        m = abs(m)
+        k = len(self.P)
+        n = self.l_max - m + 1
+        if n <= 0:
+            empty = np.zeros((k, 0, 0), dtype=complex)
+            return empty, (empty if self.derivative else None)
+        G = wigner.g_tensor(m, self.l_max)
+        # real store times the (re, im) pairs of the complex rows
+        sums = np.matmul(G, self.V[2 * m:].view(np.float64)).view(complex)
+        S = sums.reshape(-1, sums.shape[2])[_antidiagonal_index(n, G.shape[1])]
+        S = S.transpose(2, 0, 1)
+        P = self.P[:, m:, m:]
+        M = P * S[:k]
+        if not self.derivative:
+            return M, None
+        return M, P * (self.two_xi[:, None, None] * S[k:])
+
+
 def rotated_matrix(m, xi, geom, spec, l_max, branch=1, derivative=False):
     """Dense complex M_{l,l'}(i xi) for one m (rotated to real frequency).
 
@@ -341,33 +430,10 @@ def rotated_matrix(m, xi, geom, spec, l_max, branch=1, derivative=False):
     conjugates.  Scalar fields only (the electromagnetic continuation is
     not validated).  ``derivative`` returns dM/dL as in
     :func:`scalar_matrix`, with the l'' weights of ``y^{-1/2} H_{l''+1/2}(y)``.
+    The block is built as a stack of one by :class:`RotatedNodes`.
     """
-    if spec.kind != SCALAR:
-        raise NotImplementedError(
-            "the rotated (real-frequency) kernel is implemented for scalar fields only")
-    if not xi > 0.0:
-        raise ValueError("xi must be positive")
-    l_start, ls = _grid(m, 0, l_max)
-    n = len(ls)
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex)
-    x = xi * geom.R
-    y = 2.0 * xi * geom.L
-    s_num, log_num, den_mag, den_ph = _sphere_factors_rotated(
-        spec.sphere_bc, x, l_max, branch)
-    H = wigner.h_tensor(abs(m), l_start, l_max, alternating=True)
-    ktop = ls[:, None] + ls[None, :]
-    U_re, U_im, hy_mag = _h2_shift_table(y, l_max, 1 if branch >= 0 else -1,
-                                         derivative)
-    top = hy_mag[ktop]
-    S = np.einsum("abk,abk->ab", _rows_at_top(U_re, l_start, n), H) \
-        + 1j * np.einsum("abk,abk->ab", _rows_at_top(U_im, l_start, n), H)
-    if derivative:
-        S *= 2.0 * xi
-    log_pref = 0.5 * math.log(math.pi / (4.0 * xi * geom.L))
-    mag = np.exp(log_num[ls][None, :] - den_mag[ls][:, None] + log_pref + top)
-    phase = np.exp(-1j * den_ph[ls][:, None])
-    return (s_num[ls][None, :] * mag) * phase * S
+    M, dM = RotatedNodes([xi], geom, spec, l_max, branch, derivative).blocks(m)
+    return (dM if derivative else M)[0]
 
 
 def em_matrix(m, xi, geom, l_max, derivative=False):

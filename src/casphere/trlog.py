@@ -29,6 +29,13 @@ The force needs the separation derivative of the same trace,
 which one LU factorization and solve gives for every block type, with no
 eigenvalues and no branch of the logarithm to choose.
 
+On the rotated axis, several frequency nodes at one l_max run as one
+stack: every block m of the stack comes from one assembly
+(:class:`kernel.RotatedNodes`), and the evaluators above take the whole
+stack at once, with batched matrix products and one stacked ``slogdet``;
+refused blocks take their eigenvalues one by one.  The nodes step through
+m together, and each leaves the stack at its own m cut.
+
 Blocks for distinct m are independent; the reduction always runs in
 ascending m for bit-reproducible results.
 """
@@ -54,7 +61,8 @@ class SingularBlockError(ArithmeticError):
 
 @dataclass
 class MBlockMatrix:
-    """One azimuthal block of the round-trip operator."""
+    """One azimuthal block of the round-trip operator, or a stack of the
+    blocks of several frequency nodes along a leading axis."""
 
     m: int
     l_start: int
@@ -65,21 +73,21 @@ class MBlockMatrix:
 
     def __post_init__(self):
         e = self.entries
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
+        if e.ndim not in (2, 3) or e.shape[-1] != e.shape[-2]:
             raise ValueError("block must be square")
         width = self.l_max - self.l_start + 1 if self.l_max >= self.l_start else 0
         expect = width * (2 if self.polarization_blocks else 1)
-        if e.shape[0] != expect:
-            raise ValueError(f"block dimension {e.shape[0]} != expected {expect}")
-        if e.size and not np.all(np.isfinite(e)):
+        if e.shape[-1] != expect:
+            raise ValueError(f"block dimension {e.shape[-1]} != expected {expect}")
+        if e.size and not np.isfinite(e).all():
             raise ValueError("block contains non-finite entries")
         dm = self.derivative
-        if dm is not None and (dm.shape != e.shape or not np.all(np.isfinite(dm))):
+        if dm is not None and (dm.shape != e.shape or not np.isfinite(dm).all()):
             raise ValueError("derivative block must be finite and shaped like the block")
 
     @property
     def dimension(self):
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
 
 @dataclass
@@ -104,13 +112,22 @@ class Truncation:
 def assemble_block(m, evaluation, geom, spec, l_max, xi=None, derivative=False):
     """Fill one MBlockMatrix from the matching kernel operation.
 
-    evaluation is one of 'imag' (imaginary axis, needs xi), 'rotated'
-    (real frequency, needs xi) or 'static'.  With ``derivative`` the block
-    also carries dM/dd from the same kernel.  The plane boundary sign is
-    not applied here; it enters the logarithm downstream.
+    evaluation is one of 'imag' (imaginary axis, needs the frequency xi),
+    'rotated' (real frequency) or 'static'.  For 'rotated', xi is a
+    :class:`kernel.RotatedNodes` at this l_max, and the block is the stack
+    of block m of each of its nodes.  With ``derivative`` the block also
+    carries dM/dd from the same kernel.  The plane boundary sign is not
+    applied here; it enters the logarithm downstream.
     """
     l_start = max(spec.l_min, abs(m))
     em = spec.kind == kernel.ELECTROMAGNETIC
+    if evaluation == ROTATED:
+        if not (isinstance(xi, kernel.RotatedNodes) and xi.l_max == l_max
+                and xi.derivative == derivative):
+            raise ValueError("rotated blocks need a kernel.RotatedNodes at their "
+                             "l_max, with the derivative when one is asked for")
+        M, dM = xi.blocks(m)
+        return MBlockMatrix(m, l_start, l_max, M, em, dM)
     if l_start > l_max:
         empty = np.zeros((0, 0))
         return MBlockMatrix(m, l_start, l_max, empty, em,
@@ -120,8 +137,6 @@ def assemble_block(m, evaluation, geom, spec, l_max, xi=None, derivative=False):
             build, args = kernel.em_matrix, (m, xi, geom, l_max)
         else:
             build, args = kernel.scalar_matrix, (m, xi, geom, spec, l_max)
-    elif evaluation == ROTATED:
-        build, args = kernel.rotated_matrix, (m, xi, geom, spec, l_max)
     elif evaluation == STATIC:
         build, args = kernel.static_matrix, (m, geom, spec, l_max)
     else:
@@ -165,6 +180,23 @@ def log_det_one_minus(block, plane_sign=1):
     return complex(val)
 
 
+def _squared_norms(X):
+    """Squared Frobenius norm of each block of the C-contiguous stack X."""
+    flat = X.view(np.float64).reshape(len(X), -1)
+    return np.einsum("ki,ki->k", flat, flat)
+
+
+def _traces(X):
+    return X.diagonal(0, 1, 2).sum(axis=1)
+
+
+def _one_minus(A):
+    """1 - A for a stack A."""
+    out = np.negative(A)
+    out.reshape(len(A), -1)[:, :: A.shape[-1] + 1] += 1.0
+    return out
+
+
 def trace_log_eig(block, plane_sign=1, counts=None):
     """sum_i Log(1 - plane_sign*lambda_i) over the block eigenvalues, and
     whether the spectral radius is below one.
@@ -180,51 +212,71 @@ def trace_log_eig(block, plane_sign=1, counts=None):
     the principal branch of each Log(1 - lambda_i) and equals the series
     whenever the spectral radius is below one.  Each such block adds 1 to
     ``counts["eig_blocks"]`` when a ``counts`` dict is given.
+
+    A stack of blocks (nodes, n, n) runs the bound, the traces and
+    ``slogdet`` as batched operations and gives arrays of both results.
     """
     M = _entries(block)
-    if M.size == 0:
-        return 0.0 + 0.0j, True
-    A = plane_sign * M
-    A2 = A @ A
-    A4 = A2 @ A2
-    rho = np.vdot(A4, A4).real ** 0.125
-    if rho < 1.0 and rho * np.vdot(A2, A2).real < 5.0 * (1.0 - rho):
-        estimate = -(np.trace(A) + np.trace(A2) / 2.0
-                     + np.einsum("ij,ji->", A2, A) / 3.0 + np.trace(A4) / 4.0)
-        sign, logabs = np.linalg.slogdet(np.eye(A.shape[0]) - A)
-        phase = math.atan2(sign.imag, sign.real)
-        turns = round((estimate.imag - phase) / (2.0 * math.pi))
-        return complex(logabs, phase + 2.0 * math.pi * turns), True
-    if counts is not None:
-        counts["eig_blocks"] += 1
-    lam = np.linalg.eigvals(M) * plane_sign
-    converged = bool(np.max(np.abs(lam)) < 1.0)
-    return complex(np.sum(np.log(1.0 - lam.astype(complex)))), converged
+    stack = M if M.ndim == 3 else M[None]
+    k, n = stack.shape[0], stack.shape[-1]
+    vals = np.zeros(k, dtype=complex)
+    ok = np.ones(k, dtype=bool)
+    if n:
+        A = stack if plane_sign == 1 else -stack
+        A2 = A @ A
+        A4 = A2 @ A2
+        rho = _squared_norms(A4) ** 0.125
+        certified = (rho < 1.0) & (rho * _squared_norms(A2) < 5.0 * (1.0 - rho))
+        refused = () if certified.all() else np.flatnonzero(~certified)
+        if len(refused):
+            A, A2, A4 = A[certified], A2[certified], A4[certified]
+        if len(A):
+            estimate = -(_traces(A) + _traces(A2) / 2.0
+                         + np.einsum("kij,kji->k", A2, A) / 3.0 + _traces(A4) / 4.0)
+            sign, logabs = np.linalg.slogdet(_one_minus(A))
+            phase = np.arctan2(sign.imag, sign.real)
+            turns = np.rint((estimate.imag - phase) / (2.0 * math.pi))
+            vals[certified] = logabs + 1j * (phase + 2.0 * math.pi * turns)
+        for i in refused:
+            if counts is not None:
+                counts["eig_blocks"] += 1
+            lam = np.linalg.eigvals(stack[i]) * plane_sign
+            ok[i] = np.max(np.abs(lam)) < 1.0
+            vals[i] = np.sum(np.log(1.0 - lam.astype(complex)))
+    if M.ndim == 3:
+        return vals, ok
+    return complex(vals[0]), bool(ok[0])
 
 
 def block_trace_log(block, plane_sign=1, evaluation=IMAG_AXIS, counts=None):
     """Dispatch to the evaluator appropriate for the block type.
 
-    Real blocks go through the determinant.  Rotated blocks go through
-    :func:`trace_log_eig`: an LU log-determinant whose branch four traces
-    certify, or the eigenvalues where they do not; a block whose spectral
-    radius is not below one falls back to the per-pivot determinant.
+    Real blocks go through the determinant.  Rotated blocks, single or
+    stacked, go through :func:`trace_log_eig`: an LU log-determinant whose
+    branch four traces certify, or the eigenvalues where they do not; a
+    block whose spectral radius is not below one falls back to the
+    per-pivot determinant and adds 1 to ``counts["fallbacks"]``.
     ``counts`` is passed on to :func:`trace_log_eig`.
     """
-    M = _entries(block)
-    if M.size == 0:
-        return 0.0 + 0.0j
     if evaluation != ROTATED:
         return log_det_one_minus(block, plane_sign)
-    val, ok = trace_log_eig(block, plane_sign, counts=counts)
-    if ok:
-        return val
-    return log_det_one_minus(block, plane_sign)
+    M = _entries(block)
+    vals, ok = trace_log_eig(block, plane_sign, counts=counts)
+    if np.all(ok):
+        return vals
+    vals, ok = np.atleast_1d(vals), np.atleast_1d(ok)
+    stack = M.reshape(-1, *M.shape[-2:])
+    for i in np.flatnonzero(~ok):
+        if counts is not None:
+            counts["fallbacks"] += 1
+        vals[i] = log_det_one_minus(stack[i], plane_sign)
+    return vals if M.ndim == 3 else complex(vals[0])
 
 
 def trace_derivative(block, plane_sign=1):
     """d/dd ln det(1 - s M) = -s Tr[(1 - s M)^{-1} dM/dd] for a block that
-    carries its derivative, by one LU factorization and solve.
+    carries its derivative, by one LU factorization and solve; a stack of
+    blocks gives the array of their values.
 
     Raises
     ------
@@ -233,15 +285,21 @@ def trace_derivative(block, plane_sign=1):
         frequency node on a resonance, or an l_max too small
     """
     M = _entries(block)
-    if M.size == 0:
-        return 0.0 + 0.0j
-    getrf, getrs = _LU[M.dtype.char]
-    lu, piv, _ = getrf(np.eye(M.shape[0], dtype=M.dtype) - plane_sign * M)
-    pivots = np.abs(np.diag(lu))
-    if not pivots.min() > 1e-12 * pivots.max():
-        raise SingularBlockError("vanishing pivot in 1 - M")
-    X, _ = getrs(lu, piv, block.derivative)
-    return complex(-plane_sign * np.trace(X))
+    stack = M if M.ndim == 3 else M[None]
+    dstack = block.derivative.reshape(stack.shape)
+    out = np.zeros(len(stack), dtype=complex)
+    n = stack.shape[-1]
+    if n:
+        getrf, getrs = _LU[M.dtype.char]
+        A = _one_minus(stack if plane_sign == 1 else -stack)
+        for i in range(len(stack)):
+            lu, piv, _ = getrf(A[i])
+            pivots = np.abs(np.diag(lu))
+            if not pivots.min() > 1e-12 * pivots.max():
+                raise SingularBlockError("vanishing pivot in 1 - M")
+            X, _ = getrs(lu, piv, dstack[i])
+            out[i] = -plane_sign * np.trace(X)
+    return out if M.ndim == 3 else complex(out[0])
 
 
 # the LAPACK LU routines themselves: the blocks are small, and the checks
@@ -260,6 +318,12 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
     With ``derivative`` every block contributes its
     :func:`trace_derivative` instead, so the sum is d/dd Tr ln(1 - M), and
     the m and l tests run on that.
+
+    On the rotated axis xi may be a 1-d array of nodes, evaluated as one
+    stack (a single node is a stack of one): each l_max tried assembles
+    one :class:`kernel.RotatedNodes`, the nodes step through m together,
+    each stops at its own m cut, and the growth test must pass at every
+    node.
 
     Parameters
     ----------
@@ -281,44 +345,64 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
     Returns
     -------
     (complex, dict)
-        folded trace (or its derivative) and diagnostics {'l_max_used',
-        'm_max_used', 'converged', 'blocks', 'eig_blocks'}: 'blocks' counts
-        the blocks assembled over every l_max tried, 'eig_blocks' those of
-        them whose rotated log-determinant took eigenvalues (see
-        :func:`trace_log_eig`); with automatic growth also 'change', the
-        projected change of the last growth step, which estimates the
-        truncation error from above
+        folded trace (or its derivative; an array for an array of nodes)
+        and diagnostics {'l_max_used', 'm_max_used', 'converged', 'blocks',
+        'eig_blocks', 'fallbacks'}: 'blocks' counts the blocks of every
+        node assembled over every l_max tried, 'eig_blocks' those of them
+        whose rotated log-determinant took eigenvalues (see
+        :func:`trace_log_eig`) and 'fallbacks' those that took the
+        per-pivot determinant (see :func:`block_trace_log`);
+        'm_max_used' is the largest m cut over the nodes; with automatic
+        growth also 'change', the largest projected change of the last
+        growth step over the nodes, which estimates the truncation error
+        from above
     """
     trunc = trunc or Truncation()
     sign = spec.plane_sign
     meas = part or (lambda z: z)
-    counts = {"blocks": 0, "eig_blocks": 0}
+    counts = {"blocks": 0, "eig_blocks": 0, "fallbacks": 0}
+    k = np.size(xi) if evaluation == ROTATED else 1
 
     def total_at(l_max):
-        tot = 0.0 + 0.0j
+        tot = [0j] * k
+        active = list(range(k))  # the nodes still in the stack
+        src = xi
+        if evaluation == ROTATED:
+            src = kernel.RotatedNodes(np.atleast_1d(xi), geom, spec, l_max,
+                                      derivative=derivative)
         m_used = 0
         for m in range(0, l_max + 1):
             if max(spec.l_min, m) > l_max:
                 break
             if derivative:
-                blk = assemble_block(m, evaluation, geom, spec, l_max, xi=xi,
+                blk = assemble_block(m, evaluation, geom, spec, l_max, xi=src,
                                      derivative=True)
                 val = trace_derivative(blk, sign)
             else:
-                blk = assemble_block(m, evaluation, geom, spec, l_max, xi=xi)
+                blk = assemble_block(m, evaluation, geom, spec, l_max, xi=src)
                 val = block_trace_log(blk, sign, evaluation, counts=counts)
-            counts["blocks"] += 1
-            contrib = val if m == 0 else 2.0 * val
-            tot += contrib
+            counts["blocks"] += len(active)
             m_used = m
-            if m > 0 and abs(contrib) < trunc.rel_tol * 1e-2 * max(abs(tot), 1e-300):
+            going = []  # positions in the stack of the nodes that go on
+            for pos, (i, v) in enumerate(zip(active, val if np.ndim(val) else (val,))):
+                contrib = v if m == 0 else 2.0 * v
+                tot[i] += contrib
+                if m == 0 or not abs(contrib) < trunc.rel_tol * 1e-2 * max(abs(tot[i]), 1e-300):
+                    going.append(pos)
+            if not going:
                 break
-        return tot, m_used
+            if len(going) < len(active):
+                active = [active[pos] for pos in going]
+                src.keep(np.array(going))
+        return np.array(tot), m_used
+
+    def result(tot, diag):
+        return (tot if np.ndim(xi) else complex(tot[0])), {**diag, **counts}
 
     if trunc.l_max is not None:
         tot, m_used = total_at(trunc.l_max)
-        return tot, {"l_max_used": trunc.l_max, "m_max_used": m_used,
-                     "converged": True, **counts}
+        return result(tot, {"l_max_used": trunc.l_max, "m_max_used": m_used,
+                            "converged": True})
 
     l_max = max(spec.l_min + 4, l_max_start or 0)
     tot, m_used = total_at(l_max)
@@ -326,12 +410,13 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
     change = math.inf
     while l_max < L_CAP:
         nxt, m_used = total_at(l_max + 4)
-        ref = max(abs(meas(nxt)), scale_floor, 1e-300)
-        change = abs(meas(nxt) - meas(tot))
+        ref = np.maximum(np.abs(meas(nxt)), max(scale_floor, 1e-300))
+        delta = np.abs(meas(nxt) - meas(tot))
+        change = float(np.max(delta))
         tot = nxt
         l_max += 4
-        if change <= trunc.rel_tol * ref:
+        if np.all(delta <= trunc.rel_tol * ref):
             converged = True
             break
-    return tot, {"l_max_used": l_max, "m_max_used": m_used, "converged": converged,
-                 "change": change, **counts}
+    return result(tot, {"l_max_used": l_max, "m_max_used": m_used,
+                        "converged": converged, "change": change})

@@ -21,9 +21,13 @@ which other pairs share its batch.  The Racah sum serves only the general
 m patterns of :func:`three_j`, up to ``RACAH_L_MAX``, where its
 alternating sum is still accurate.
 
-The kernel sweeps l'' densely for every (l, l', m).  :func:`h_tensor`
-keeps one dense tensor per (m, l_start, sign pattern), grown when a larger
-cut-off is requested, and serves smaller cut-offs as prefix views.
+Two coupling stores serve the kernels, each grown when a larger cut-off
+is requested and read by smaller cut-offs as prefix views.  The
+imaginary-axis kernels sweep l'' densely for every (l, l', m), from the
+dense tensor of :func:`h_tensor`, one per (m, l_start).  The rotated
+kernel contracts by anti-diagonal l + l' = const, from the store of
+:func:`g_tensor`, one per m, which holds only the parity-allowed l'' and
+one of each (l, l') pair and its mirror (l', l).
 """
 
 import math
@@ -266,12 +270,24 @@ def h_slice(l, lp, m):
     return _h_slices([l], [lp], abs(m))[: l + lp - abs(l - lp) + 1, 0]
 
 
-_H_TENSORS = {}  # (m, l_start, alternating) -> tensor at the largest l_max seen
-_H_VIEWS = {}    # (m, l_start, l_max, alternating) -> prefix view of it
+_H_TENSORS = {}  # (m, l_start) -> tensor at the largest l_max seen
+_H_VIEWS = {}    # (m, l_start, l_max) -> prefix view of it
+_G_TENSORS = {}  # m -> anti-diagonal store at the largest l_max seen
+_G_VIEWS = {}    # (m, l_max) -> prefix view of it
 _LAMBDA_TENSOR_CACHE = {}
 
 
-def _grow_h_tensor(old, m, l_start, l_max, alternating):
+def _new_pairs(n, n_old, l_max):
+    """The pairs a <= b < n with b >= n_old, in batches of at most
+    ``_BATCH_ENTRIES`` slice entries."""
+    b, a = np.nonzero(np.tri(n, dtype=bool)[n_old:])
+    b += n_old
+    step = max(1, _BATCH_ENTRIES // (2 * l_max + 1))
+    for lo in range(0, len(a), step):
+        yield a[lo: lo + step], b[lo: lo + step]
+
+
+def _grow_h_tensor(old, m, l_start, l_max):
     """The tensor of :func:`h_tensor` at l_max, keeping the entries of the
     smaller tensor ``old`` (or None) and computing only the new pairs."""
     n = l_max - l_start + 1
@@ -280,20 +296,13 @@ def _grow_h_tensor(old, m, l_start, l_max, alternating):
     if old is not None:
         n_old = old.shape[0]
         H[:n_old, :n_old, : old.shape[2]] = old
-    # new pairs a <= b with b >= n_old; H is symmetric in (l, l') for both
-    # sign patterns
-    b, a = np.nonzero(np.tri(n, dtype=bool)[n_old:])
-    b += n_old
-    step = max(1, _BATCH_ENTRIES // (2 * l_max + 1))
-    for lo in range(0, len(a), step):
-        aa, bb = a[lo: lo + step], b[lo: lo + step]
+    # H is symmetric in (l, l'): fill both from the pairs a <= b
+    for aa, bb in _new_pairs(n, n_old, l_max):
         l, lp = l_start + aa, l_start + bb
         vals = _h_slices(l, lp, m)
         t = np.arange(vals.shape[0])[:, None]
         k = (lp - l) + t
         keep = k <= l + lp
-        if alternating:
-            vals = vals * _parity_sign((l + lp - k) // 2)
         ia = np.broadcast_to(aa, vals.shape)[keep]
         ib = np.broadcast_to(bb, vals.shape)[keep]
         H[ia, ib, k[keep]] = vals[keep]
@@ -302,38 +311,95 @@ def _grow_h_tensor(old, m, l_start, l_max, alternating):
     return H
 
 
-def h_tensor(m, l_start, l_max, alternating=False):
+def h_tensor(m, l_start, l_max):
     """Dense tensor ``H[a, b, k]`` with l = l_start+a, l' = l_start+b,
-    l'' = k in 0..2*l_max.
+    l'' = k in 0..2*l_max.  Entries outside the triangle domain are zero.
 
-    With ``alternating=True`` the entries carry the extra factor
-    ``(-1)^((l+l'-l'')/2)`` of the rotated representation.  Entries outside
-    the triangle domain are zero.
-
-    One tensor per (m, l_start, alternating) is kept, at the largest l_max
-    requested so far.  A larger l_max grows it: the old entries are copied
-    and only the new (l, l') pairs are computed.  A smaller l_max is served
-    as the prefix view ``H[:n, :n, :2*l_max+1]``, an exact sub-block since
+    One tensor per (m, l_start) is kept, at the largest l_max requested so
+    far.  A larger l_max grows it: the old entries are copied and only the
+    new (l, l') pairs are computed.  A smaller l_max is served as the
+    prefix view ``H[:n, :n, :2*l_max+1]``, an exact sub-block since
     l'' <= l + l' <= 2*l_max.  Each view is memoized under its full key, so
     a repeated request returns the same read-only object.  Population is
     idempotent, so concurrent first use is safe.
     """
-    key = (m, l_start, l_max, alternating)
+    key = (m, l_start, l_max)
     out = _H_VIEWS.get(key)
     if out is not None:
         return out
-    family = (m, l_start, alternating)
+    family = (m, l_start)
     H = _H_TENSORS.get(family)
     n = l_max - l_start + 1
     if H is None or H.shape[0] < n:
         if H is not None:
             # views of the replaced tensor would keep it alive
             for lm in range(l_start, l_start + H.shape[0]):
-                _H_VIEWS.pop((m, l_start, lm, alternating), None)
-        H = _grow_h_tensor(H, m, l_start, l_max, alternating)
+                _H_VIEWS.pop((m, l_start, lm), None)
+        H = _grow_h_tensor(H, m, l_start, l_max)
         _H_TENSORS[family] = H
     out = H[:n, :n, : 2 * l_max + 1]
     _H_VIEWS[key] = out
+    return out
+
+
+def _grow_g_tensor(old, m, l_max):
+    """The store of :func:`g_tensor` at l_max, keeping the entries of the
+    smaller store ``old`` (or None) and computing only the new pairs."""
+    n = l_max - m + 1
+    G = np.zeros((2 * n - 1, (n - 1) // 2 + 1, l_max + 1))
+    n_old = 0
+    if old is not None:
+        n_old = (old.shape[0] + 1) // 2
+        G[: old.shape[0], : old.shape[1], : old.shape[2]] = old
+    for aa, bb in _new_pairs(n, n_old, l_max):
+        l, lp = m + aa, m + bb
+        vals = _h_slices(l, lp, m)  # row r holds l'' = l' - l + r
+        # l'' = l + l' - 2t sits in row r = 2 (l - t), for t = 0..l
+        t = np.arange(vals.shape[0] // 2 + 1)[:, None]
+        keep = t <= l
+        r = np.where(keep, 2 * (l - t), 0)
+        signed = vals[r, np.arange(len(aa))] * _parity_sign(t)
+        G[np.broadcast_to(aa + bb, keep.shape)[keep],
+          np.broadcast_to((bb - aa) // 2, keep.shape)[keep],
+          np.broadcast_to(t, keep.shape)[keep]] = signed[keep]
+    G.flags.writeable = False
+    return G
+
+
+def g_tensor(m, l_max):
+    """Anti-diagonal coupling store ``G[s, j, t]`` of the rotated kernel for
+    l, l' in m..l_max.
+
+    With a = l - m <= b = l' - m, the pair (a, b) sits on the anti-diagonal
+    s = a + b at j = (b - a) // 2, and ``G[s, j, t] = (-1)^t H_{l l'}^{l''}``
+    with l'' = l + l' - 2t, the rotated representation's sign of
+    ``(-1)^((l+l'-l'')/2)``; t runs over 0..l_max, and entries past t = l
+    or with b > l_max - m are zero.  H is symmetric in (l, l'), so (b, a)
+    reads the entry of (a, b), and the odd l + l' + l'' the parity rule
+    zeroes are not stored.  The rows of one s share their shift-table row
+    ``U[s + 2m, s + 2m - 2t]``, so the l'' sums of a whole anti-diagonal
+    are one matrix product.
+
+    One store per m is kept, at the largest l_max requested so far, and
+    grown as :func:`h_tensor` is.  A smaller l_max is served as the prefix
+    view ``G[:2n-1, :(n-1)//2+1, :l_max+1]`` with n = l_max - m + 1, whose
+    entries for the pairs of the smaller block are those of the full store.
+    """
+    key = (m, l_max)
+    out = _G_VIEWS.get(key)
+    if out is not None:
+        return out
+    G = _G_TENSORS.get(m)
+    n = l_max - m + 1
+    if G is None or G.shape[0] < 2 * n - 1:
+        if G is not None:
+            # views of the replaced store would keep it alive
+            for lm in range(m, m + (G.shape[0] + 1) // 2):
+                _G_VIEWS.pop((m, lm), None)
+        G = _grow_g_tensor(G, m, l_max)
+        _G_TENSORS[m] = G
+    out = G[: 2 * n - 1, : (n - 1) // 2 + 1, : l_max + 1]
+    _G_VIEWS[key] = out
     return out
 
 
@@ -378,5 +444,7 @@ def clear_caches():
     """Drop all cached tensors and slices (mainly for tests)."""
     _H_TENSORS.clear()
     _H_VIEWS.clear()
+    _G_TENSORS.clear()
+    _G_VIEWS.clear()
     _LAMBDA_TENSOR_CACHE.clear()
     _slice_m.cache_clear()

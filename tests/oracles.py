@@ -3,8 +3,10 @@
 Everything here is deliberately built from different algorithms than the
 package: exact rational arithmetic for 3j symbols, ascending series and
 finite closed sums for Bessel functions, mpmath reference evaluations,
-finite differences of energies for the force, and eigenvalue sums and the
-expanded-logarithm series for log-determinants.
+finite differences of energies for the force, eigenvalue sums and the
+expanded-logarithm series for log-determinants, per-element loops for
+vectorized assemblies, and frequency sweeps that evaluate one node at a
+time.
 """
 
 import math
@@ -251,3 +253,86 @@ def trace_log_eigenvalues(M, plane_sign=1):
     on the principal branch."""
     lam = plane_sign * np.linalg.eigvals(np.asarray(M)).astype(complex)
     return complex(np.sum(np.log(1.0 - lam)))
+
+
+def sphere_factors_rotated_loop(bc, x, l_max, branch=1):
+    """The rotated sphere factors of ``kernel._sphere_factors_rotated``,
+    one l at a time in scalar arithmetic: signed-log numerator
+    ``(l/x) J_nu - J_{nu+1}`` (J for a Dirichlet sphere) and complex-log
+    denominator ``(l/x) H_nu - H_{nu+1}`` (H), with H = H2 for branch +1
+    and H1 for branch -1."""
+    from casphere import specfun
+    sj, lj, _, _ = specfun.log_jy_arrays(l_max, x)
+    h2m, h2p = specfun.log_hankel2_arrays(l_max, x, conjugate=(branch < 0))
+    if bc == "dirichlet":
+        return sj[: l_max + 1], lj[: l_max + 1], h2m[: l_max + 1], h2p[: l_max + 1]
+    sign_num = np.empty(l_max + 1)
+    log_num = np.empty(l_max + 1)
+    den_mag = np.empty(l_max + 1)
+    den_ph = np.empty(l_max + 1)
+    for l in range(l_max + 1):
+        c = l / x
+        scale = max(lj[l] + (math.log(c) if c > 0 else -math.inf), lj[l + 1])
+        if scale == -math.inf:
+            sign_num[l], log_num[l] = 0.0, -math.inf
+        else:
+            val = (c * sj[l] * math.exp(lj[l] - scale)
+                   - sj[l + 1] * math.exp(lj[l + 1] - scale))
+            sign_num[l] = math.copysign(1.0, val) if val != 0.0 else 0.0
+            log_num[l] = math.log(abs(val)) + scale if val != 0.0 else -math.inf
+        scale = max((h2m[l] + math.log(c)) if c > 0 else -math.inf, h2m[l + 1])
+        z = (c * math.exp(h2m[l] - scale) * complex(math.cos(h2p[l]), math.sin(h2p[l]))
+             - math.exp(h2m[l + 1] - scale)
+             * complex(math.cos(h2p[l + 1]), math.sin(h2p[l + 1])))
+        den_mag[l] = math.log(abs(z)) + scale
+        den_ph[l] = math.atan2(z.imag, z.real)
+    return sign_num, log_num, den_mag, den_ph
+
+
+def rotated_matrix_dense(m, xi, geom, spec, l_max, branch=1, derivative=False):
+    """One rotated block from the dense alternating coupling tensor: the
+    l'' sum of every entry as an einsum over the full shift table
+    ``U[s, k] = H_{k+1/2}(y) / |H_{s+1/2}(y)|``, instead of the package's
+    anti-diagonal store and matrix products."""
+    from casphere import kernel, specfun, wigner
+    m = abs(m)
+    ls = np.arange(m, l_max + 1)
+    n = len(ls)
+    x, y = xi * geom.R, 2.0 * xi * geom.L
+    s_num, log_num, den_mag, den_ph = sphere_factors_rotated_loop(
+        spec.sphere_bc, x, l_max, branch)
+    H = wigner.h_tensor(m, m, l_max)
+    kk = np.arange(2 * l_max + 1)
+    top = ls[:, None] + ls[None, :]
+    H = H * (-1.0) ** ((top[:, :, None] - kk[None, None, :]) // 2)
+    hy_mag, hy_ph = specfun.log_hankel2_arrays(2 * l_max, y, conjugate=(branch < 0))
+    mag = hy_mag[: 2 * l_max + 1]
+
+    def shift(lo):
+        return np.exp(np.minimum(hy_mag[None, lo: lo + 2 * l_max + 1] - mag[:, None], 50.0)
+                      + 1j * hy_ph[None, lo: lo + 2 * l_max + 1])
+
+    U = shift(0)
+    if derivative:
+        U = (kk / y) * U - shift(1)
+    S = np.einsum("abk,abk->ab", U[top], H)
+    if derivative:
+        S *= 2.0 * xi
+    log_pref = 0.5 * math.log(math.pi / (4.0 * xi * geom.L))
+    P = np.exp(log_num[ls][None, :] - den_mag[ls][:, None] + log_pref + mag[top])
+    return (s_num[ls][None, :] * P) * np.exp(-1j * den_ph[ls][:, None]) * S
+
+
+def node_by_node_sweep_state(fe):
+    """A subclass of ``fe._SweepState`` (``fe`` is
+    ``casphere.freeenergy``) that evaluates one node per call of the
+    package's own node evaluation, so that no two nodes share a stack."""
+
+    class NodeByNode(fe._SweepState):
+        def evaluate(self, xis):
+            runs = [super(NodeByNode, self).evaluate(xis[i: i + 1])
+                    for i in range(len(xis))]
+            return (np.concatenate([v for v, _ in runs]),
+                    np.concatenate([e for _, e in runs]))
+
+    return NodeByNode

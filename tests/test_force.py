@@ -163,6 +163,39 @@ def test_force_makes_one_sweep(monkeypatch):
     assert set(calls) == {trlog.STATIC, trlog.IMAG_AXIS}
 
 
+def test_force_assembles_each_prefactor_once(monkeypatch):
+    # M and dM of every block come from one node assembly per stack and
+    # l_max, never from the single-block builder
+    built, per_call = [], []
+    Nodes, trace, assemble = kernel.RotatedNodes, trlog.trace_over_m, trlog.assemble_block
+
+    class CountingNodes(Nodes):
+        def __init__(self, xi, geom, spec, l_max, branch=1, derivative=False):
+            built.append((tuple(xi), l_max, derivative))
+            super().__init__(xi, geom, spec, l_max, branch, derivative)
+
+    def counting_trace(*args, **kwargs):
+        per_call.append(set())
+        return trace(*args, **kwargs)
+
+    def counting_assemble(m, evaluation, geom, spec, l_max, **kwargs):
+        per_call[-1].add(l_max)
+        return assemble(m, evaluation, geom, spec, l_max, **kwargs)
+
+    def single_block(*args, **kwargs):
+        raise AssertionError("the sweep built a block by itself")
+
+    monkeypatch.setattr(kernel, "RotatedNodes", CountingNodes)
+    monkeypatch.setattr(kernel, "rotated_matrix", single_block)
+    monkeypatch.setattr(trlog, "trace_over_m", counting_trace)
+    monkeypatch.setattr(trlog, "assemble_block", counting_assemble)
+    res = fe.force(Geometry(0.5, 0.05), DD, 1.0, target="thermal_part")
+    assert res.converged
+    assert len(built) == sum(len(l_maxes) for l_maxes in per_call)
+    assert all(derivative for _, _, derivative in built)
+    assert max(len(xi) for xi, _, _ in built) == fe._SweepState.VERIFY_EVERY - 1
+
+
 def test_singular_node_splits_the_panel(monkeypatch):
     # a vanishing pivot at one interior node of the first panel: the
     # panel is tried whole twice (first pass, adaptive pass), then split,
@@ -175,9 +208,14 @@ def test_singular_node_splits_the_panel(monkeypatch):
     hits = []
     trace = trlog.trace_over_m
 
+    # the node sits in a run of nodes evaluated as one stack; a run that
+    # raises is evaluated again node by node, so a panel attempt ends at
+    # the node itself, evaluated alone
     def singular_at_resonance(*args, **kwargs):
-        if kwargs.get("xi") == resonance * T:
-            hits.append(resonance)
+        xi = np.atleast_1d(kwargs.get("xi"))
+        if np.any(xi == resonance * T):
+            if len(xi) == 1:
+                hits.append(resonance)
             raise SingularBlockError("vanishing pivot in 1 - M")
         return trace(*args, **kwargs)
 
@@ -186,6 +224,30 @@ def test_singular_node_splits_the_panel(monkeypatch):
     assert len(hits) == 2
     assert res.converged
     assert res.value == pytest.approx(ref.value, abs=ref.error_estimate + res.error_estimate)
+
+
+def test_singular_run_leaves_the_node_by_node_state(monkeypatch):
+    # the same resonance as above, met by a stack of nodes and by the
+    # sweep that evaluates one node per call: after the re-run node by
+    # node, the verification schedule, the hint and every count go on as
+    # if the nodes had been evaluated alone
+    geom, T = Geometry(1.0, 1.0), 1.0
+    nodes, _, _ = fe._cc_rule(Truncation().quad_points)
+    width = min(math.pi / (2.0 * geom.L * T), 3.0)
+    resonance = 0.5 * width + 0.5 * width * nodes[3]
+    trace = trlog.trace_over_m
+
+    def singular_at_resonance(*args, **kwargs):
+        if np.any(np.atleast_1d(kwargs.get("xi")) == resonance * T):
+            raise SingularBlockError("vanishing pivot in 1 - M")
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(trlog, "trace_over_m", singular_at_resonance)
+    stacked = fe.force(geom, DD, T, target="thermal_part")
+    monkeypatch.setattr(fe, "_SweepState", oracles.node_by_node_sweep_state(fe))
+    alone = fe.force(geom, DD, T, target="thermal_part")
+    assert stacked.value == pytest.approx(alone.value, rel=1e-12)
+    assert stacked.diagnostics == alone.diagnostics
 
 
 def test_persistent_singularity_propagates():

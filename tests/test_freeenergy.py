@@ -113,12 +113,16 @@ def test_thermal_sweep_counts_its_work(monkeypatch):
     seen = {"blocks": 0, "eigvals": 0, "assumed": 0}
     assemble, trace, eigvals = trlog.assemble_block, trlog.trace_over_m, np.linalg.eigvals
 
+    # a rotated block is a stack of the blocks of a run of nodes, and one
+    # trace_over_m call evaluates the whole run
     def counting_assemble(*args, **kwargs):
-        seen["blocks"] += 1
-        return assemble(*args, **kwargs)
+        blk = assemble(*args, **kwargs)
+        seen["blocks"] += len(blk.entries)
+        return blk
 
     def counting_trace(evaluation, geom, spec, trunc=None, **kwargs):
-        seen["assumed"] += trunc.l_max is not None
+        if trunc.l_max is not None:
+            seen["assumed"] += np.size(kwargs["xi"])
         return trace(evaluation, geom, spec, trunc, **kwargs)
 
     def counting_eigvals(a):
@@ -134,6 +138,31 @@ def test_thermal_sweep_counts_its_work(monkeypatch):
         (seen["blocks"], seen["eigvals"], seen["assumed"])
     assert diag["eig_blocks"] <= 0.05 * diag["blocks"]
     assert diag["nodes_assumed"] > 0
+
+
+@pytest.mark.parametrize("target", ["FT DD", "FT DN", "FT ND", "force DD"])
+def test_stacked_runs_match_the_node_by_node_sweep(monkeypatch, target):
+    from casphere.kernel import NEUMANN
+    name, field = target.split()
+    spec = {"DD": DD, "DN": FieldSpec(plane_bc=NEUMANN),
+            "ND": FieldSpec(sphere_bc=NEUMANN)}[field]
+    geom, T = Geometry(1.0, 0.3), 0.7
+
+    def run():
+        if name == "force":
+            return fe.force(geom, spec, T, target="thermal_part")
+        return fe.thermal_part(geom, spec, T)
+
+    stacked = run()
+    monkeypatch.setattr(fe, "_SweepState", oracles.node_by_node_sweep_state(fe))
+    alone = run()
+    assert stacked.value == pytest.approx(alone.value, rel=1e-12)
+    assert stacked.error_estimate == pytest.approx(alone.error_estimate, rel=1e-9)
+    keys = ("l_max_used", "m_max_used", "blocks", "eig_blocks", "fallbacks",
+            "nodes_assumed", "converged")
+    assert {k: stacked.diagnostics[k] for k in keys} == \
+        {k: alone.diagnostics[k] for k in keys}
+    assert stacked.diagnostics["nodes_assumed"] > 0
 
 
 @pytest.mark.slow

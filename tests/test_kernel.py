@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from casphere import kernel, wigner
 from casphere.kernel import (Geometry, FieldSpec, m_scalar, m_em_block,
                              m_rotated, m_static, scalar_matrix, em_matrix)
 
@@ -222,3 +223,57 @@ def test_geometry_validation():
         FieldSpec("vector")
     assert FieldSpec.em().l_min == 1
     assert FieldSpec("scalar", "dirichlet", "neumann").plane_sign == -1
+
+
+@pytest.mark.parametrize("branch", [1, -1])
+@pytest.mark.parametrize("x", [1e-3, 0.37, 2.5, 11.0, 40.0])
+def test_rotated_neumann_factors_match_the_loop(x, branch):
+    kernel._sphere_factors_rotated.cache_clear()
+    got = kernel._sphere_factors_rotated("neumann", x, 30, branch)
+    want = oracles.sphere_factors_rotated_loop("neumann", x, 30, branch)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        np.testing.assert_allclose(g, w, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("branch", [1, -1])
+@pytest.mark.parametrize("spec", [DD, ND], ids=["D sphere", "N sphere"])
+def test_stacked_rotated_blocks_match_single_blocks(spec, branch):
+    geom = Geometry(1.0, 0.3)
+    xs = np.array([0.05, 0.7, 2.3, 6.5])
+    l_max = 14
+    nodes = kernel.RotatedNodes(xs, geom, spec, l_max, branch, derivative=True)
+    scale = [np.max(np.abs(kernel.rotated_matrix(0, x, geom, spec, l_max, branch)))
+             for x in xs]
+    for m in (0, 1, 5, l_max):
+        M, dM = nodes.blocks(m)
+        assert M.shape == dM.shape == (len(xs), l_max - m + 1, l_max - m + 1)
+        for i, x in enumerate(xs):
+            single = kernel.rotated_matrix(m, x, geom, spec, l_max, branch)
+            d_single = kernel.rotated_matrix(m, x, geom, spec, l_max, branch,
+                                             derivative=True)
+            assert np.max(np.abs(M[i] - single)) <= 1e-13 * scale[i]
+            assert np.max(np.abs(dM[i] - d_single)) <= 1e-13 * np.max(np.abs(d_single))
+            # the dense alternating tensor and full shift table of old
+            dense = oracles.rotated_matrix_dense(m, x, geom, spec, l_max, branch)
+            d_dense = oracles.rotated_matrix_dense(m, x, geom, spec, l_max, branch,
+                                                   derivative=True)
+            assert np.max(np.abs(M[i] - dense)) <= 1e-13 * scale[i]
+            assert np.max(np.abs(dM[i] - d_dense)) <= 1e-13 * np.max(np.abs(d_dense))
+    # nodes that leave the stack leave the others' blocks as they were
+    M, dM = nodes.blocks(3)
+    nodes.keep(np.array([1, 3]))
+    M2, dM2 = nodes.blocks(3)
+    assert np.max(np.abs(M2 - M[[1, 3]])) <= 1e-13 * max(scale)
+    assert np.max(np.abs(dM2 - dM[[1, 3]])) <= 1e-13 * np.max(np.abs(dM))
+
+
+def test_rotated_blocks_from_a_grown_store_are_bit_equal():
+    geom = Geometry(1.0, 0.3)
+    wigner.clear_caches()
+    fresh = [kernel.rotated_matrix(m, 1.7, geom, DD, 10) for m in range(11)]
+    kernel.rotated_matrix(0, 1.7, geom, DD, 22)
+    for m in range(11):
+        kernel.rotated_matrix(m, 1.7, geom, DD, 17 + m % 3)
+        assert np.array_equal(kernel.rotated_matrix(m, 1.7, geom, DD, 10), fresh[m])
+    wigner.clear_caches()

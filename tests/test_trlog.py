@@ -212,3 +212,49 @@ def test_m_fold_symmetry():
         blk = assemble_block(abs(m), trlog.IMAG_AXIS, geom, DD, 6, xi=1.0)
         total += log_det_one_minus(blk).real
     assert folded.real == pytest.approx(total, rel=1e-14)
+
+
+def test_rotated_block_past_unit_radius_counts_a_fallback(monkeypatch):
+    rng = np.random.default_rng(5)
+
+    def contraction(n, rho):
+        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return M * rho / max(abs(np.linalg.eigvals(M)))
+
+    big = np.diag([1.5 + 0.1j, 0.2, 0.1j, -0.3])
+    stack = np.stack([contraction(4, 0.5), big, contraction(4, 0.7)])
+    counts = {"eig_blocks": 0, "fallbacks": 0}
+    vals = block_trace_log(stack, evaluation=trlog.ROTATED, counts=counts)
+    assert counts == {"eig_blocks": 1, "fallbacks": 1}
+    # the value of the block on its own: the per-pivot determinant
+    assert vals[1] == log_det_one_minus(big)
+    assert block_trace_log(big, evaluation=trlog.ROTATED) == vals[1]
+    for i in (0, 2):
+        assert vals[i] == pytest.approx(trace_log_eig(stack[i])[0], abs=1e-14)
+
+    # the count reaches the diagnostics of the m sum
+    geom = Geometry(1.0, 0.3)
+    xs = np.array([0.4, 0.9, 1.6])
+    trunc = Truncation(l_max=6)
+    plain, plain_diag = trace_over_m(trlog.ROTATED, geom, DD, trunc, xi=xs)
+    assert plain_diag["fallbacks"] == 0
+    assemble = trlog.assemble_block
+    shift = np.zeros(7)
+    shift[0] = 3.0
+
+    def inflated(m, evaluation, geom, spec, l_max, xi=None, derivative=False):
+        blk = assemble(m, evaluation, geom, spec, l_max, xi=xi, derivative=derivative)
+        if m == 0:
+            entries = blk.entries.copy()
+            entries[1] += np.diag(shift)
+            blk = MBlockMatrix(m, blk.l_start, l_max, entries)
+        return blk
+
+    monkeypatch.setattr(trlog, "assemble_block", inflated)
+    vals, diag = trace_over_m(trlog.ROTATED, geom, DD, trunc, xi=xs)
+    assert diag["fallbacks"] == 1
+    M0 = assemble(0, trlog.ROTATED, geom, DD, 6,
+                  xi=trlog.kernel.RotatedNodes(xs[1:2], geom, DD, 6)).entries[0]
+    change = log_det_one_minus(M0 + np.diag(shift)) - trace_log_eig(M0)[0]
+    assert vals[1] == pytest.approx(plain[1] + change, abs=1e-12)
+    assert vals[[0, 2]] == pytest.approx(plain[[0, 2]], abs=1e-14)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from casphere import wigner
-from casphere.wigner import three_j, h_factor, h_slice, h_tensor, lambda_tensor
+from casphere.wigner import three_j, h_factor, h_slice, h_tensor, g_tensor, lambda_tensor
 
 import oracles
 
@@ -94,16 +94,20 @@ def test_h_slice_matches_elements():
 
 def test_h_tensor_layout_and_phase():
     H = h_tensor(1, 1, 4)
-    Ha = h_tensor(1, 1, 4, alternating=True)
+    G = g_tensor(1, 4)
     for a, l in enumerate(range(1, 5)):
         for b, lp in enumerate(range(1, 5)):
             for k in range(0, 9):
                 want = h_factor(l, lp, k, 1) if abs(l - lp) <= k <= l + lp else 0.0
                 assert H[a, b, k] == pytest.approx(want, rel=1e-13, abs=1e-14)
-                phase = (-1.0) ** ((l + lp - k) // 2)
-                assert Ha[a, b, k] == pytest.approx(phase * want, rel=1e-13, abs=1e-14)
+                # the rotated store: anti-diagonal a + b, l'' = l + l' - 2t
+                t, odd = divmod(l + lp - k, 2)
+                if not odd and t <= 4:
+                    assert G[a + b, abs(a - b) // 2, t] == pytest.approx(
+                        (-1.0) ** t * want, rel=1e-13, abs=1e-14)
     # cache is idempotent
     assert h_tensor(1, 1, 4) is H
+    assert g_tensor(1, 4) is G
 
 
 def test_lambda_tensor_values():
@@ -251,7 +255,7 @@ def test_hot_path_avoids_racah(monkeypatch):
     monkeypatch.setattr(wigner, "_three_j_racah", racah)
     wigner.clear_caches()
     h_tensor(3, 3, 20)
-    h_tensor(2, 2, 12, alternating=True)
+    g_tensor(2, 12)
     h_slice(5, 9, 4)
     assert three_j(4, 6, 6, 2, -2, 0) != 0.0
     wigner.clear_caches()
@@ -280,6 +284,27 @@ def _h_tensor_reference(m, l_start, l_max, alternating):
     return H
 
 
+def _g_rows(G, m, l_max):
+    """The rows of an anti-diagonal store that the blocks of cut-off l_max
+    read: one per pair a <= b, over t = 0..l_max.  A prefix view also
+    holds rows of pairs past the cut-off, which no block of it reads."""
+    n = l_max - m + 1
+    a, b = np.triu_indices(n)
+    return G[a + b, (b - a) // 2, : l_max + 1]
+
+
+def _g_rows_from_dense(H_alt, m, l_max):
+    """The same rows read off a dense alternating tensor with l_start = m."""
+    n = l_max - m + 1
+    a, b = np.triu_indices(n)
+    t = np.arange(l_max + 1)
+    k = (2 * m + a + b)[:, None] - 2 * t
+    ok = t <= (m + a)[:, None]
+    return np.where(ok, H_alt[a[:, None], b[:, None], np.where(ok, k, 0)], 0.0)
+
+
+# (l_max, store): False is the dense tensor of h_tensor, True the
+# anti-diagonal store of g_tensor, checked against the dense alternating one
 @pytest.mark.parametrize("order", [
     [(4, False), (12, False), (20, False), (28, True), (36, True)],    # ascending
     [(36, True), (28, False), (20, True), (12, False), (4, True)],     # descending
@@ -288,19 +313,62 @@ def _h_tensor_reference(m, l_start, l_max, alternating):
 ])
 def test_grown_cache_serves_exact_prefixes(order):
     wigner.clear_caches()
-    m, l_start = 3, 3
+    m = l_start = 3
     seen = {}
-    for l_max, alt in order:
-        H = h_tensor(m, l_start, l_max, alternating=alt)
+
+    def reference(l_max, rotated):
+        if rotated:
+            return _g_rows_from_dense(_h_tensor_reference(m, m, l_max, True), m, l_max)
+        return _h_tensor_reference(m, l_start, l_max, False)
+
+    def read(H, l_max, rotated):
+        return _g_rows(H, m, l_max) if rotated else H
+
+    def get(l_max, rotated):
+        return g_tensor(m, l_max) if rotated else h_tensor(m, l_start, l_max)
+
+    for l_max, rotated in order:
+        H = get(l_max, rotated)
         assert not H.flags.writeable
-        assert np.array_equal(H, _h_tensor_reference(m, l_start, l_max, alt))
-        assert h_tensor(m, l_start, l_max, alternating=alt) is H
-        seen[(l_max, alt)] = H
+        assert np.array_equal(read(H, l_max, rotated), reference(l_max, rotated))
+        assert get(l_max, rotated) is H
+        seen[(l_max, rotated)] = H
     # earlier views stay valid after later growth
-    for (l_max, alt), H in seen.items():
-        assert np.array_equal(H, _h_tensor_reference(m, l_start, l_max, alt))
-    assert len(wigner._H_TENSORS) == len({alt for _, alt in order})
+    for (l_max, rotated), H in seen.items():
+        assert np.array_equal(read(H, l_max, rotated), reference(l_max, rotated))
+    assert len(wigner._H_TENSORS) == (not all(r for _, r in order))
+    assert len(wigner._G_TENSORS) == any(r for _, r in order)
     wigner.clear_caches()
     assert not wigner._H_TENSORS and not wigner._H_VIEWS
+    assert not wigner._G_TENSORS and not wigner._G_VIEWS
     assert not wigner._LAMBDA_TENSOR_CACHE
     assert wigner._slice_m.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("m", [0, 2, 5])
+def test_g_store_matches_the_dense_alternating_tensor(m):
+    wigner.clear_caches()
+    l_max = m + 14
+    G = g_tensor(m, l_max)
+    dense = _h_tensor_reference(m, m, l_max, True)
+    # every entry of every pair, mirrored pairs read the same row
+    n = l_max - m + 1
+    for a in range(n):
+        for b in range(n):
+            l, lp = m + a, m + b
+            for t in range(l_max + 1):
+                k = l + lp - 2 * t
+                want = dense[a, b, k] if t <= min(l, lp) else 0.0
+                assert G[a + b, abs(a - b) // 2, t] == want
+    # only the parity-allowed half of l'' and one of each mirrored pair
+    assert G.nbytes <= h_tensor(m, m, l_max).nbytes
+    # a prefix view holds the rows of a store built at the smaller cut-off,
+    # and growing keeps the old entries
+    small = g_tensor(m, l_max - 5)
+    assert small.shape == (2 * n - 11, (n - 6) // 2 + 1, l_max - 4)
+    wigner.clear_caches()
+    fresh_small = g_tensor(m, l_max - 5).copy()
+    grown = g_tensor(m, l_max + 6)
+    assert np.array_equal(_g_rows(small, m, l_max - 5), _g_rows(fresh_small, m, l_max - 5))
+    assert np.array_equal(_g_rows(grown, m, l_max), _g_rows(G, m, l_max))
+    wigner.clear_caches()
