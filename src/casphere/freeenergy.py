@@ -336,8 +336,9 @@ def _matsubara_sum(geom, spec, T, trunc, derivative=False):
     The error estimate adds the last term, the stopping tolerance and, at
     every node, the change of its last l_max growth step.
     """
-    if not T > 0.0:
-        raise ValueError("matsubara_free_energy needs T > 0; use vacuum_energy")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"matsubara_free_energy needs a finite T > 0, got T={T}; "
+                         "use vacuum_energy for T = 0")
     geom.require_gap()
     trunc = trunc or Truncation()
     tot0, diag0 = trlog.trace_over_m(trlog.STATIC, geom, spec, trunc,
@@ -420,8 +421,8 @@ def _thermal_sweep(geom, spec, T, trunc, derivative=False):
     if spec.kind != SCALAR:
         raise NotImplementedError(
             "thermal_part is available for scalar fields only")
-    if not T > 0.0:
-        raise ValueError("thermal_part needs T > 0")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"thermal_part needs a finite T > 0, got T={T}")
     trunc = trunc or Truncation()
     state = _SweepState(geom, spec, trunc, trlog.ROTATED, part=np.imag,
                         derivative=derivative)

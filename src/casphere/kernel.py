@@ -28,20 +28,22 @@ At fixed R and xi, M depends on the separation only through L, in the
 factor ``y^{-1/2} K_{l''+1/2}(y)`` with ``y = 2 xi L`` (H2 on the rotated
 axis), in ``(R/2L)^(l+l'+1)`` for the static blocks and in the
 polarization mixing of the electromagnetic blocks; the derivative blocks
-reuse the Bessel tables and H tensors of M.
+reuse the Bessel tables and coupling store of M.
 
 All assembly happens in log space with one exponent factored out of the
 l'' sum (the largest K term, which sits at l'' = l + l'); contributions
 below ~1e-300 of that maximum underflow to zero, a bounded truncation.
 
-The imaginary-axis and static builders make one block per call, each
-l'' sum an einsum over the dense H tensor.  The rotated blocks of a
-stack of frequency nodes at one l_max share their m-independent part, a
-node prefactor and the shift-table rows of each node; a
-:class:`RotatedNodes` assembles it once and then makes the stacks of
-every m, with the l'' sums of all nodes as one matrix product per
-anti-diagonal l + l' against the anti-diagonal coupling store of
-:func:`wigner.g_tensor`.  No dense alternating H is kept.
+Every l'' sum reads one table of Bessel weights only at the orders
+l'' = l + l' - 2t, so each frequency node has weight rows V[l + l', t]
+(K on the imaginary axis, H2 with the sign (-1)^t on the rotated axis,
+from one builder) that every block m shares, and the l'' sums of a block
+are one matrix product of the coupling store with them
+(:func:`wigner.couple`).  The imaginary-axis and static builders make one
+block per call.  The rotated blocks of a stack of frequency nodes at one
+l_max also share a node prefactor; a :class:`RotatedNodes` assembles the
+prefactors and rows once and then makes the stacks of every m, with the
+l'' sums of all nodes in one product.
 
 Everything is pure and reentrant; the only shared state is the idempotent
 coupling-store caches of :mod:`wigner`.
@@ -77,6 +79,8 @@ class Geometry:
     d: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.R) and math.isfinite(self.d)):
+            raise ValueError(f"R and d must be finite, got R={self.R}, d={self.d}")
         if not self.R > 0.0:
             raise ValueError(f"sphere radius must be positive, got R={self.R}")
         if self.d < 0.0:
@@ -132,10 +136,6 @@ class FieldSpec:
         return cls(kind=ELECTROMAGNETIC)
 
 
-def _logaddexp(a, b):
-    return np.logaddexp(a, b)
-
-
 def _signed_diff(coef_log_a, log_a, log_b):
     """sign/log of  exp(coef_log_a + log_a) - exp(log_b)  (both terms > 0)."""
     a = coef_log_a + log_a
@@ -174,7 +174,7 @@ def _sphere_factors_imag(bc, x, l_max):
                            np.log(np.where(coef > 0, coef, 1.0)) - math.log(x),
                            _NEG_INF)
     # numerator (c/x) I_nu + I_{nu+1}: both positive
-    log_num = _logaddexp(logcoef + logi[: l_max + 1], logi[1: l_max + 2])
+    log_num = np.logaddexp(logcoef + logi[: l_max + 1], logi[1: l_max + 2])
     sign_num = np.ones(l_max + 1)
     # denominator (c/x) K_nu - K_{nu+1}: negative for every l on these branches
     sign_den, log_den = _signed_diff(logcoef, logk[: l_max + 1], logk[1: l_max + 2])
@@ -221,42 +221,56 @@ def _grid(m, l_min, l_max):
     return l_start, np.arange(l_start, l_max + 1)
 
 
-def _rows_at_top(U, l_start, n):
-    """The shift-table rows of a block, ``W[a, b] = U[l + l']`` with
-    l = l_start + a, l' = l_start + b, as a strided view.
+def _shift_rows(y, l_max, log_mag, phase=None, derivative=False):
+    """The weight rows of the l'' sums at y = 2 xi L.
 
-    Equals the gather ``U[ls[:, None] + ls[None, :]]`` but copies nothing:
-    along a block row the rows l + l' of U are consecutive.  U must be
-    C-contiguous; the view is read-only when U is.
+    ``V[s, t] = B_{k+1/2}(y) / |B_{s+1/2}(y)|`` at the order k = s - 2t
+    of the l'' that the coupling store pairs with row s (see
+    :func:`wigner.shift_index`), zero where k < 0, over s = 0..2 l_max and
+    t = 0..l_max.  B is K (real rows) when ``phase`` is None, else the
+    Hankel function with log modulus ``log_mag`` and phase ``phase``, and
+    the complex rows carry the sign (-1)^t = (-1)^((l+l'-l'')/2) of the
+    rotated representation.  The tables hold orders 0..2 l_max + 1.  |B|
+    grows with order, so the l'' = l + l' term dominates each sum and the
+    exponents sit at or below zero; they are clamped at 50 all the same.
+
+    Returns V and, with ``derivative`` (else None), the rows of
+    ``y^{1/2} d/dy [y^{-1/2} B_{k+1/2}(y)] = (k/y) B_{k+1/2} - B_{k+3/2}``,
+    the l'' weights of dM/dy, in the same units.
     """
-    rs, cs = U.strides
-    return np.ndarray((n, n, U.shape[1]), U.dtype, U, 2 * l_start * rs, (rs, rs, cs))
-
-
-@lru_cache(maxsize=1024)
-def _k_shift_table(y, l_max, derivative=False):
-    """Exponent table U[s, k] = exp(logK[k] - logK[s]) for the l'' sums.
-
-    K grows with order, so the l'' = l+l' term dominates each sum and the
-    valid shifts sit at or below zero; entries beyond the triangle bound
-    (where the coupling vanishes) are clamped to keep exp finite.  Shared
-    across all azimuthal blocks at one frequency.
-
-    With ``derivative`` the table holds, in the same units of K_{s+1/2},
-    ``(k/y) K_{k+1/2} - K_{k+3/2}``: y^{1/2} d/dy [y^{-1/2} K_{k+1/2}(y)],
-    the l'' weight of dM/dy.
-    """
-    _, logk_y = specfun.log_ik_arrays(2 * l_max, y)  # orders 0 .. 2 l_max + 1
-    lk = logk_y[: 2 * l_max + 1]
+    k, weight = wigner.shift_index(l_max)
+    top = log_mag[: 2 * l_max + 1, None]
+    if phase is not None:
+        weight = weight * (1.0 - 2.0 * (np.arange(l_max + 1) % 2))
 
     def shift(lo):
-        return np.exp(np.minimum(logk_y[None, lo: lo + 2 * l_max + 1] - lk[:, None], 50.0))
+        e = np.minimum(log_mag[k + lo] - top, 50.0)
+        if phase is not None:
+            e = e + 1j * phase[k + lo]
+        return np.exp(e) * weight
 
-    U = shift(0)
+    V = shift(0)
+    return V, ((k / y) * V - shift(1) if derivative else None)
+
+
+@lru_cache(maxsize=64)
+def _k_rows(y, l_max, derivative=False, weighted=False):
+    """The imaginary-axis weight rows at y = 2 xi L, shared by every block
+    m of one frequency and l_max.
+
+    Returns the (2 l_max + 1, l_max + 1, columns) rows for
+    :func:`wigner.couple` (columns: V, or with ``derivative`` the rows of
+    dM/dy, and with ``weighted`` also those rows times the weights of
+    :func:`wigner.lambda_tensor`) and log K_{s+1/2}(y) over s = 0..2 l_max,
+    the units of row s.  Cached per frequency; do not mutate.
+    """
+    _, logk = specfun.log_ik_arrays(2 * l_max, y)  # orders 0 .. 2 l_max + 1
+    V, dV = _shift_rows(y, l_max, logk, derivative=derivative)
     if derivative:
-        U = (np.arange(2 * l_max + 1) / y) * U - shift(1)
-    U.flags.writeable = False
-    return U, lk
+        V = dV
+    rows = np.stack([V, V * wigner.lambda_tensor(l_max)] if weighted else [V], axis=-1)
+    rows.flags.writeable = False
+    return rows, logk[: 2 * l_max + 1]
 
 
 def scalar_matrix(m, xi, geom, spec, l_max, derivative=False):
@@ -296,11 +310,9 @@ def scalar_matrix(m, xi, geom, spec, l_max, derivative=False):
     x = xi * geom.R
     y = 2.0 * xi * geom.L
     s_num, log_num, s_den, log_den = _sphere_factors_imag(spec.sphere_bc, x, l_max)
-    H = wigner.h_tensor(abs(m), l_start, l_max)
-    ktop = ls[:, None] + ls[None, :]
-    U, logk_y = _k_shift_table(y, l_max, derivative)
-    logk_top = logk_y[ktop]
-    S = np.einsum("abk,abk->ab", _rows_at_top(U, l_start, n), H)
+    rows, logk_y = _k_rows(y, l_max, derivative)
+    logk_top = logk_y[ls[:, None] + ls[None, :]]
+    S = wigner.couple(abs(m), l_start, l_max, rows)[:, :, 0]
     if derivative:
         S *= 2.0 * xi
     log_pref = 0.5 * math.log(math.pi / (4.0 * xi * geom.L))
@@ -312,29 +324,6 @@ def scalar_matrix(m, xi, geom, spec, l_max, derivative=False):
     return signM * np.exp(logM)
 
 
-@lru_cache(maxsize=64)
-def _antidiagonal_rows(l_max):
-    """Index ``s - 2t`` of the shift-table entry that the anti-diagonal store
-    pairs with ``G[., ., t]`` on row s, over s = 0..2 l_max and
-    t = 0..l_max, clipped at 0, and where it is valid (s - 2t >= 0)."""
-    k = np.arange(2 * l_max + 1)[:, None] - 2 * np.arange(l_max + 1)[None, :]
-    valid = k >= 0
-    k = np.maximum(k, 0)
-    k.flags.writeable = False
-    valid.flags.writeable = False
-    return k, valid
-
-
-@lru_cache(maxsize=256)
-def _antidiagonal_index(n, width):
-    """Flat index ``(a + b) * width + |a - b| // 2`` of the block entry
-    (a, b) in the (s, j) rows of an anti-diagonal store ``width`` wide."""
-    a = np.arange(n)
-    idx = (a[:, None] + a[None, :]) * width + np.abs(a[:, None] - a[None, :]) // 2
-    idx.flags.writeable = False
-    return idx
-
-
 class RotatedNodes:
     """The rotated blocks M_m(i xi) of a stack of nodes at one l_max.
 
@@ -343,12 +332,9 @@ class RotatedNodes:
     (numerator of l', denominator of l and its phase), ``sqrt(pi/4 xi L)``
     and the |H2| top term ``|H2_{l+l'+1/2}(y)|`` that the l'' sum is
     measured in; block m reads ``P[m:, m:]``.  The l'' sum S_m reads the
-    shift table ``U[s, k] = H2_{k+1/2}(y) / |H2_{s+1/2}(y)|`` (exponents
-    clamped as in the imaginary-axis tables) only at k = s - 2t, so the
-    rows ``V[s, t] = U[s, s - 2t]`` of every node are gathered once.  For
-    block m, one batched matrix product of the coupling store
-    :func:`wigner.g_tensor` with the rows s = 2m... of V gives the l'' sums
-    of every anti-diagonal of every node at once.
+    weight rows of :func:`_shift_rows` from H2, built once per node; for
+    block m, one :func:`wigner.couple` of every node's rows gives the l''
+    sums of every node at once.
 
     With ``derivative`` the shift-table rows of dM/dL (the l'' weights of
     ``y^{-1/2} H_{l''+1/2}(y)`` differentiated, see :func:`scalar_matrix`)
@@ -370,7 +356,6 @@ class RotatedNodes:
         k = len(xi)
         ls = np.arange(l_max + 1)
         ktop = ls[:, None] + ls[None, :]
-        rows, valid = _antidiagonal_rows(l_max)
         self.P = np.empty((k, l_max + 1, l_max + 1), dtype=complex)
         self.V = np.zeros((2 * l_max + 1, l_max + 1, 2 * k if derivative else k),
                           dtype=complex)
@@ -384,14 +369,10 @@ class RotatedNodes:
             log_pref = 0.5 * math.log(math.pi / (4.0 * x * geom.L))
             mag = np.exp(log_num[None, :] - den_mag[:, None] + log_pref + top[ktop])
             self.P[i] = (s_num[None, :] * mag) * np.exp(-1j * den_ph[:, None])
-
-            def shift(lo):
-                return np.where(valid, np.exp(np.minimum(hy_mag[rows + lo] - top[:, None], 50.0)
-                                              + 1j * hy_ph[rows + lo]), 0.0)
-
-            self.V[:, :, i] = shift(0)
+            V, dV = _shift_rows(y, l_max, hy_mag, hy_ph, derivative)
+            self.V[:, :, i] = V
             if derivative:
-                self.V[:, :, k + i] = (rows / y) * self.V[:, :, i] - shift(1)
+                self.V[:, :, k + i] = dV
 
     def keep(self, idx):
         """Keep only the nodes ``idx`` (indices into the current stack)."""
@@ -410,10 +391,8 @@ class RotatedNodes:
         if n <= 0:
             empty = np.zeros((k, 0, 0), dtype=complex)
             return empty, (empty if self.derivative else None)
-        G = wigner.g_tensor(m, self.l_max)
         # real store times the (re, im) pairs of the complex rows
-        sums = np.matmul(G, self.V[2 * m:].view(np.float64)).view(complex)
-        S = sums.reshape(-1, sums.shape[2])[_antidiagonal_index(n, G.shape[1])]
+        S = wigner.couple(m, m, self.l_max, self.V.view(np.float64)).view(complex)
         S = S.transpose(2, 0, 1)
         P = self.P[:, m:, m:]
         M = P * S[:k]
@@ -463,25 +442,24 @@ def em_matrix(m, xi, geom, l_max, derivative=False):
     y = 2.0 * xi * geom.L
     _, log_num_te, _, log_den_te = _sphere_factors_imag(DIRICHLET, x, l_max)
     _, log_num_tm, s_den_tm, log_den_tm = _sphere_factors_imag("tm", x, l_max)
-    H = wigner.h_tensor(abs(m), l_start, l_max)
-    LAM = wigner.lambda_tensor(abs(m), l_start, l_max)
-    ktop = ls[:, None] + ls[None, :]
-    U, logk_y = _k_shift_table(y, l_max)
-    logk_top = logk_y[ktop]
-    W = _rows_at_top(U, l_start, n)
-    S = np.einsum("abk,abk->ab", W, H)
-    if derivative:
-        W = _rows_at_top(_k_shift_table(y, l_max, True)[0], l_start, n)
-        # d/dL of tilde * S, with tilde proportional to L
-        S = 2.0 * xi * np.einsum("abk,abk->ab", W, H) + S / geom.L
-        S_lam = 2.0 * xi * np.einsum("abk,abk,abk->ab", W, H, LAM)
-    else:
-        S_lam = np.einsum("abk,abk,abk->ab", W, H, LAM)
-    log_pref = 0.5 * math.log(math.pi / (4.0 * xi * geom.L))
-
     lf = ls.astype(float)
     lam_norm = np.sqrt(lf * (lf + 1.0))
-    tilde = 2.0 * abs(m) * xi * geom.L / (lam_norm[:, None] * lam_norm[None, :])
+    norm = lam_norm[:, None] * lam_norm[None, :]
+    llp = lf[:, None] * lf[None, :]
+    # the Lambda-weighted sum is (l l' S - S_w) / norm, see wigner.lambda_tensor
+    rows, logk_y = _k_rows(y, l_max, weighted=True)
+    logk_top = logk_y[ls[:, None] + ls[None, :]]
+    S, S_w = np.moveaxis(wigner.couple(abs(m), l_start, l_max, rows), 2, 0)
+    if derivative:
+        dS, dS_w = np.moveaxis(
+            wigner.couple(abs(m), l_start, l_max, _k_rows(y, l_max, True, True)[0]), 2, 0)
+        # d/dL of tilde * S, with tilde proportional to L
+        S = 2.0 * xi * dS + S / geom.L
+        S_lam = 2.0 * xi * (llp * dS - dS_w) / norm
+    else:
+        S_lam = (llp * S - S_w) / norm
+    log_pref = 0.5 * math.log(math.pi / (4.0 * xi * geom.L))
+    tilde = 2.0 * abs(m) * xi * geom.L / norm
 
     def assemble(Sm, extra, log_num, log_den, sign_den):
         with np.errstate(divide="ignore"):

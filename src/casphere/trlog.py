@@ -105,8 +105,12 @@ class Truncation:
     quad_points: int = 17  # nodes per quadrature panel (nested Clenshaw-Curtis)
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0:
-            raise ValueError("rel_tol must be positive")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol}")
+        if self.quad_points < 3 or self.quad_points % 2 == 0:
+            raise ValueError(f"quad_points must be odd and at least 3, got {self.quad_points}")
+        if self.n_max < 1:
+            raise ValueError(f"n_max must be at least 1, got {self.n_max}")
 
 
 def assemble_block(m, evaluation, geom, spec, l_max, xi=None, derivative=False):
@@ -358,6 +362,8 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
         from above
     """
     trunc = trunc or Truncation()
+    if trunc.l_max is not None and trunc.l_max < spec.l_min:
+        raise ValueError(f"l_max={trunc.l_max} is below this field's l_min={spec.l_min}")
     sign = spec.plane_sign
     meas = part or (lambda z: z)
     counts = {"blocks": 0, "eig_blocks": 0, "fallbacks": 0}

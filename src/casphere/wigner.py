@@ -21,13 +21,15 @@ which other pairs share its batch.  The Racah sum serves only the general
 m patterns of :func:`three_j`, up to ``RACAH_L_MAX``, where its
 alternating sum is still accurate.
 
-Two coupling stores serve the kernels, each grown when a larger cut-off
-is requested and read by smaller cut-offs as prefix views.  The
-imaginary-axis kernels sweep l'' densely for every (l, l', m), from the
-dense tensor of :func:`h_tensor`, one per (m, l_start).  The rotated
-kernel contracts by anti-diagonal l + l' = const, from the store of
-:func:`g_tensor`, one per m, which holds only the parity-allowed l'' and
-one of each (l, l') pair and its mirror (l', l).
+One coupling store per m serves every kernel, the imaginary-axis,
+electromagnetic and rotated blocks alike: :func:`h_tensor` keeps H by
+anti-diagonal l + l' = const, with only the parity-allowed l'' and one of
+each (l, l') pair and its mirror (l', l).  It is grown when a larger
+cut-off is requested and read by smaller cut-offs as prefix views.  Every
+l'' sum of a block, ``sum_l'' H_{ll'}^{l''} B_{l''}``, depends on the
+frequency only through rows of weights indexed by l + l' and l'', so the
+sums of a whole block are one matrix product of the store with those rows
+(:func:`couple`).
 """
 
 import math
@@ -270,11 +272,9 @@ def h_slice(l, lp, m):
     return _h_slices([l], [lp], abs(m))[: l + lp - abs(l - lp) + 1, 0]
 
 
-_H_TENSORS = {}  # (m, l_start) -> tensor at the largest l_max seen
-_H_VIEWS = {}    # (m, l_start, l_max) -> prefix view of it
-_G_TENSORS = {}  # m -> anti-diagonal store at the largest l_max seen
-_G_VIEWS = {}    # (m, l_max) -> prefix view of it
-_LAMBDA_TENSOR_CACHE = {}
+_STORES = {}       # m -> anti-diagonal store at the largest l_max seen
+_STORE_VIEWS = {}  # (m, l_max) -> prefix view of it
+_LAMBDA = {}       # the weight table of lambda_tensor at the largest l_max seen
 
 
 def _new_pairs(n, n_old, l_max):
@@ -287,70 +287,15 @@ def _new_pairs(n, n_old, l_max):
         yield a[lo: lo + step], b[lo: lo + step]
 
 
-def _grow_h_tensor(old, m, l_start, l_max):
-    """The tensor of :func:`h_tensor` at l_max, keeping the entries of the
-    smaller tensor ``old`` (or None) and computing only the new pairs."""
-    n = l_max - l_start + 1
-    H = np.zeros((n, n, 2 * l_max + 1))
-    n_old = 0
-    if old is not None:
-        n_old = old.shape[0]
-        H[:n_old, :n_old, : old.shape[2]] = old
-    # H is symmetric in (l, l'): fill both from the pairs a <= b
-    for aa, bb in _new_pairs(n, n_old, l_max):
-        l, lp = l_start + aa, l_start + bb
-        vals = _h_slices(l, lp, m)
-        t = np.arange(vals.shape[0])[:, None]
-        k = (lp - l) + t
-        keep = k <= l + lp
-        ia = np.broadcast_to(aa, vals.shape)[keep]
-        ib = np.broadcast_to(bb, vals.shape)[keep]
-        H[ia, ib, k[keep]] = vals[keep]
-        H[ib, ia, k[keep]] = vals[keep]
-    H.flags.writeable = False
-    return H
-
-
-def h_tensor(m, l_start, l_max):
-    """Dense tensor ``H[a, b, k]`` with l = l_start+a, l' = l_start+b,
-    l'' = k in 0..2*l_max.  Entries outside the triangle domain are zero.
-
-    One tensor per (m, l_start) is kept, at the largest l_max requested so
-    far.  A larger l_max grows it: the old entries are copied and only the
-    new (l, l') pairs are computed.  A smaller l_max is served as the
-    prefix view ``H[:n, :n, :2*l_max+1]``, an exact sub-block since
-    l'' <= l + l' <= 2*l_max.  Each view is memoized under its full key, so
-    a repeated request returns the same read-only object.  Population is
-    idempotent, so concurrent first use is safe.
-    """
-    key = (m, l_start, l_max)
-    out = _H_VIEWS.get(key)
-    if out is not None:
-        return out
-    family = (m, l_start)
-    H = _H_TENSORS.get(family)
-    n = l_max - l_start + 1
-    if H is None or H.shape[0] < n:
-        if H is not None:
-            # views of the replaced tensor would keep it alive
-            for lm in range(l_start, l_start + H.shape[0]):
-                _H_VIEWS.pop((m, l_start, lm), None)
-        H = _grow_h_tensor(H, m, l_start, l_max)
-        _H_TENSORS[family] = H
-    out = H[:n, :n, : 2 * l_max + 1]
-    _H_VIEWS[key] = out
-    return out
-
-
-def _grow_g_tensor(old, m, l_max):
-    """The store of :func:`g_tensor` at l_max, keeping the entries of the
+def _grow_store(old, m, l_max):
+    """The store of :func:`h_tensor` at l_max, keeping the entries of the
     smaller store ``old`` (or None) and computing only the new pairs."""
     n = l_max - m + 1
-    G = np.zeros((2 * n - 1, (n - 1) // 2 + 1, l_max + 1))
+    H = np.zeros((2 * n - 1, (n - 1) // 2 + 1, l_max + 1))
     n_old = 0
     if old is not None:
         n_old = (old.shape[0] + 1) // 2
-        G[: old.shape[0], : old.shape[1], : old.shape[2]] = old
+        H[: old.shape[0], : old.shape[1], : old.shape[2]] = old
     for aa, bb in _new_pairs(n, n_old, l_max):
         l, lp = m + aa, m + bb
         vals = _h_slices(l, lp, m)  # row r holds l'' = l' - l + r
@@ -358,67 +303,112 @@ def _grow_g_tensor(old, m, l_max):
         t = np.arange(vals.shape[0] // 2 + 1)[:, None]
         keep = t <= l
         r = np.where(keep, 2 * (l - t), 0)
-        signed = vals[r, np.arange(len(aa))] * _parity_sign(t)
-        G[np.broadcast_to(aa + bb, keep.shape)[keep],
+        H[np.broadcast_to(aa + bb, keep.shape)[keep],
           np.broadcast_to((bb - aa) // 2, keep.shape)[keep],
-          np.broadcast_to(t, keep.shape)[keep]] = signed[keep]
-    G.flags.writeable = False
-    return G
+          np.broadcast_to(t, keep.shape)[keep]] = vals[r, np.arange(len(aa))][keep]
+    H.flags.writeable = False
+    return H
 
 
-def g_tensor(m, l_max):
-    """Anti-diagonal coupling store ``G[s, j, t]`` of the rotated kernel for
-    l, l' in m..l_max.
+def h_tensor(m, l_max):
+    """Anti-diagonal coupling store ``H[s, j, t]`` for l, l' in m..l_max.
 
     With a = l - m <= b = l' - m, the pair (a, b) sits on the anti-diagonal
-    s = a + b at j = (b - a) // 2, and ``G[s, j, t] = (-1)^t H_{l l'}^{l''}``
-    with l'' = l + l' - 2t, the rotated representation's sign of
-    ``(-1)^((l+l'-l'')/2)``; t runs over 0..l_max, and entries past t = l
-    or with b > l_max - m are zero.  H is symmetric in (l, l'), so (b, a)
-    reads the entry of (a, b), and the odd l + l' + l'' the parity rule
-    zeroes are not stored.  The rows of one s share their shift-table row
-    ``U[s + 2m, s + 2m - 2t]``, so the l'' sums of a whole anti-diagonal
-    are one matrix product.
+    s = a + b at j = (b - a) // 2, and ``H[s, j, t] = H_{l l'}^{l''}`` with
+    l'' = l + l' - 2t; t runs over 0..l_max, and entries past t = l or with
+    b > l_max - m are zero.  H is symmetric in (l, l'), so (b, a) reads the
+    entry of (a, b), and the odd l + l' + l'' the parity rule zeroes are
+    not stored.  The blocks read the store through :func:`couple`.
 
-    One store per m is kept, at the largest l_max requested so far, and
-    grown as :func:`h_tensor` is.  A smaller l_max is served as the prefix
-    view ``G[:2n-1, :(n-1)//2+1, :l_max+1]`` with n = l_max - m + 1, whose
-    entries for the pairs of the smaller block are those of the full store.
+    One store per m is kept, at the largest l_max requested so far.  A
+    larger l_max grows it: the old entries are copied and only the new
+    (l, l') pairs are computed.  A smaller l_max is served as the prefix
+    view ``H[:2n-1, :(n-1)//2+1, :l_max+1]`` with n = l_max - m + 1, whose
+    entries for the pairs of the smaller block are those of the full
+    store (it also holds rows of pairs past its cut-off, which no block of
+    it reads).  Each view is memoized, so a repeated request returns the
+    same read-only object.  Population is idempotent, so concurrent first
+    use is safe.
     """
     key = (m, l_max)
-    out = _G_VIEWS.get(key)
+    out = _STORE_VIEWS.get(key)
     if out is not None:
         return out
-    G = _G_TENSORS.get(m)
+    H = _STORES.get(m)
     n = l_max - m + 1
-    if G is None or G.shape[0] < 2 * n - 1:
-        if G is not None:
+    if H is None or H.shape[0] < 2 * n - 1:
+        if H is not None:
             # views of the replaced store would keep it alive
-            for lm in range(m, m + (G.shape[0] + 1) // 2):
-                _G_VIEWS.pop((m, lm), None)
-        G = _grow_g_tensor(G, m, l_max)
-        _G_TENSORS[m] = G
-    out = G[: 2 * n - 1, : (n - 1) // 2 + 1, : l_max + 1]
-    _G_VIEWS[key] = out
+            for lm in range(m, m + (H.shape[0] + 1) // 2):
+                _STORE_VIEWS.pop((m, lm), None)
+        H = _grow_store(H, m, l_max)
+        _STORES[m] = H
+    out = H[: 2 * n - 1, : (n - 1) // 2 + 1, : l_max + 1]
+    _STORE_VIEWS[key] = out
     return out
 
 
-def lambda_tensor(m, l_start, l_max):
-    """Polarization-diagonal factor Lambda_{ll'}^{l''} on the h_tensor grid."""
-    key = (m, l_start, l_max)
-    out = _LAMBDA_TENSOR_CACHE.get(key)
-    if out is not None:
-        return out
-    ls = np.arange(l_start, l_max + 1, dtype=float)
-    k = np.arange(0, 2 * l_max + 1, dtype=float)
-    l = ls[:, None, None]
-    lp = ls[None, :, None]
-    kk = k[None, None, :]
-    lam = 0.5 * (kk * (kk + 1.0) - l * (l + 1.0) - lp * (lp + 1.0)) \
-        / np.sqrt(l * (l + 1.0) * lp * (lp + 1.0))
-    lam.flags.writeable = False
-    _LAMBDA_TENSOR_CACHE[key] = lam
-    return lam
+@lru_cache(maxsize=64)
+def shift_index(l_max):
+    """Order ``s - 2t`` of the l'' that the store pairs with ``H[., ., t]``
+    on the anti-diagonal of l + l' = s, over s = 0..2 l_max and
+    t = 0..l_max, clipped at 0, and where it is valid (s - 2t >= 0).
+
+    A block's weight rows ``V[s, t] = w_{s-2t}`` are gathered with it."""
+    k = np.arange(2 * l_max + 1)[:, None] - 2 * np.arange(l_max + 1)[None, :]
+    valid = k >= 0
+    k = np.maximum(k, 0)
+    k.flags.writeable = False
+    valid.flags.writeable = False
+    return k, valid
+
+
+@lru_cache(maxsize=256)
+def _entry_index(a0, n, width):
+    """Flat index ``(a + b) * width + |a - b| // 2`` of the block entry
+    (a, b), a, b = a0..a0+n-1, in the (s, j) rows of a store ``width``
+    wide."""
+    a = np.arange(a0, a0 + n)
+    idx = (a[:, None] + a[None, :]) * width + np.abs(a[:, None] - a[None, :]) // 2
+    idx.flags.writeable = False
+    return idx
+
+
+def couple(m, l_start, l_max, rows):
+    """The l'' sums of one block, ``S[a, b, c] = sum_t H_{l l'}^{l+l'-2t}
+    rows[l + l', t, c]`` for l = l_start + a, l' = l_start + b <= l_max
+    and azimuthal index m <= l_start, as one batched matrix product of the
+    store of :func:`h_tensor` with the rows.
+
+    ``rows`` is a real (2 l_max + 1, l_max + 1, columns) array whose row s
+    holds the weights of l'' = s - 2t (see :func:`shift_index`), one
+    column per table; a complex table enters as the (re, im) column pairs
+    of its float view.  Returns a (n, n, columns) array.
+    """
+    H = h_tensor(m, l_max)
+    sums = np.matmul(H, rows[2 * m:])
+    idx = _entry_index(l_start - m, l_max - l_start + 1, H.shape[1])
+    return sums.reshape(-1, sums.shape[2])[idx]
+
+
+def lambda_tensor(l_max):
+    """The weights ``t (2s + 1 - 2t)`` over s = 0..2 l_max, t = 0..l_max.
+
+    With s = l + l' and l'' = s - 2t, the polarization-diagonal factor is
+    ``Lambda_{ll'}^{l''} = (l l' - t (2s + 1 - 2t)) / sqrt(l(l+1) l'(l'+1))``,
+    so the Lambda-weighted l'' sum of an electromagnetic block is
+    ``(l l' S - S_w) / sqrt(l(l+1) l'(l'+1))``, with S_w the sum over
+    weight rows multiplied by these.  One table is kept, at the largest
+    l_max requested so far, and read as prefix views.
+    """
+    W = _LAMBDA.get("table")
+    if W is None or W.shape[1] <= l_max:
+        s = np.arange(2 * l_max + 1, dtype=float)[:, None]
+        t = np.arange(l_max + 1, dtype=float)[None, :]
+        W = t * (2.0 * s + 1.0 - 2.0 * t)
+        W.flags.writeable = False
+        _LAMBDA["table"] = W
+    return W[: 2 * l_max + 1, : l_max + 1]
 
 
 def log_h_top_matrix(l_start, l_max, m):
@@ -442,9 +432,7 @@ def log_h_top_matrix(l_start, l_max, m):
 
 def clear_caches():
     """Drop all cached tensors and slices (mainly for tests)."""
-    _H_TENSORS.clear()
-    _H_VIEWS.clear()
-    _G_TENSORS.clear()
-    _G_VIEWS.clear()
-    _LAMBDA_TENSOR_CACHE.clear()
+    _STORES.clear()
+    _STORE_VIEWS.clear()
+    _LAMBDA.clear()
     _slice_m.cache_clear()

@@ -9,6 +9,7 @@ vectorized assemblies, and frequency sweeps that evaluate one node at a
 time.
 """
 
+import functools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -289,19 +290,115 @@ def sphere_factors_rotated_loop(bc, x, l_max, branch=1):
     return sign_num, log_num, den_mag, den_ph
 
 
+@functools.lru_cache(maxsize=16)
+def h_tensor_dense(m, l_start, l_max):
+    """Dense ``H[a, b, k]`` with l = l_start + a, l' = l_start + b and
+    l'' = k in 0..2 l_max, built pair by pair from ``wigner.h_slice``
+    instead of the package's anti-diagonal store; zero outside the
+    triangle.  Cached; read-only."""
+    from casphere import wigner
+    n = l_max - l_start + 1
+    H = np.zeros((n, n, 2 * l_max + 1))
+    for a in range(n):
+        for b in range(a, n):
+            l, lp = l_start + a, l_start + b
+            ks = np.arange(abs(l - lp), l + lp + 1)
+            H[a, b, ks] = H[b, a, ks] = wigner.h_slice(l, lp, m)
+    H.flags.writeable = False
+    return H
+
+
+def _k_shift_table_dense(y, l_max, derivative=False):
+    """The full imaginary-axis shift table ``U[s, k] = K_{k+1/2}(y) /
+    K_{s+1/2}(y)`` over s, k = 0..2 l_max (the l'' weights of dM/dy with
+    ``derivative``), and log K_{s+1/2}(y)."""
+    from casphere import specfun
+    _, logk = specfun.log_ik_arrays(2 * l_max, y)
+    top = logk[: 2 * l_max + 1]
+
+    def shift(lo):
+        return np.exp(np.minimum(logk[None, lo: lo + 2 * l_max + 1] - top[:, None], 50.0))
+
+    U = shift(0)
+    if derivative:
+        U = (np.arange(2 * l_max + 1) / y) * U - shift(1)
+    return U, top
+
+
+def scalar_matrix_dense(m, xi, geom, spec, l_max, derivative=False):
+    """``kernel.scalar_matrix`` with every l'' sum an einsum of the dense
+    H tensor of :func:`h_tensor_dense` against the full shift table, in
+    place of the package's coupling store and matrix product."""
+    from casphere import kernel
+    m = abs(m)
+    ls = np.arange(m, l_max + 1)
+    top = ls[:, None] + ls[None, :]
+    s_num, log_num, s_den, log_den = kernel._sphere_factors_imag(
+        spec.sphere_bc, xi * geom.R, l_max)
+    U, logk = _k_shift_table_dense(2.0 * xi * geom.L, l_max, derivative)
+    S = np.einsum("abk,abk->ab", U[top], h_tensor_dense(m, m, l_max))
+    if derivative:
+        S *= 2.0 * xi
+    log_pref = 0.5 * math.log(math.pi / (4.0 * xi * geom.L))
+    mag = np.exp(log_num[ls][None, :] - log_den[ls][:, None] + log_pref + logk[top])
+    return S * mag * s_num[ls][None, :] * s_den[ls][:, None]
+
+
+def em_matrix_dense(m, xi, geom, l_max, derivative=False):
+    """``kernel.em_matrix`` with the l'' sums S and S_Lambda as einsums of
+    the dense H tensor of :func:`h_tensor_dense` and a dense Lambda tensor
+    ``(l''(l''+1) - l(l+1) - l'(l'+1)) / (2 sqrt(l(l+1) l'(l'+1)))``
+    against the full shift table, in place of the package's coupling store
+    and weight rows."""
+    from casphere import kernel
+    m = abs(m)
+    ls = np.arange(max(1, m), l_max + 1)
+    top = ls[:, None] + ls[None, :]
+    x, y = xi * geom.R, 2.0 * xi * geom.L
+    _, log_num_te, _, log_den_te = kernel._sphere_factors_imag("dirichlet", x, l_max)
+    _, log_num_tm, s_den_tm, log_den_tm = kernel._sphere_factors_imag("tm", x, l_max)
+    H = h_tensor_dense(m, ls[0], l_max)
+    lf = ls.astype(float)
+    k = np.arange(2 * l_max + 1, dtype=float)
+    norm = np.sqrt(np.outer(lf * (lf + 1.0), lf * (lf + 1.0)))
+    lam = 0.5 * (k * (k + 1.0) - (lf * (lf + 1.0))[:, None, None]
+                 - (lf * (lf + 1.0))[None, :, None]) / norm[:, :, None]
+    U, logk = _k_shift_table_dense(y, l_max)
+    S = np.einsum("abk,abk->ab", U[top], H)
+    if derivative:
+        W = _k_shift_table_dense(y, l_max, True)[0][top]
+        S = 2.0 * xi * np.einsum("abk,abk->ab", W, H) + S / geom.L
+        S_lam = 2.0 * xi * np.einsum("abk,abk,abk->ab", W, H, lam)
+    else:
+        S_lam = np.einsum("abk,abk,abk->ab", U[top], H, lam)
+    log_pref = 0.5 * math.log(math.pi / (4.0 * xi * geom.L))
+    tilde = 2.0 * m * xi * geom.L / norm
+
+    def part(Sm, log_num, log_den, sign_den):
+        return Sm * np.exp(log_pref + logk[top] + log_num[ls][None, :]
+                           - log_den[ls][:, None]) * sign_den[ls][:, None]
+
+    ones = np.ones(l_max + 1)
+    return np.block([
+        [part(S_lam, log_num_te, log_den_te, ones),
+         -part(S * tilde, log_num_tm, log_den_te, ones)],
+        [part(S * tilde, log_num_te, log_den_tm, s_den_tm),
+         -part(S_lam, log_num_tm, log_den_tm, s_den_tm)]])
+
+
 def rotated_matrix_dense(m, xi, geom, spec, l_max, branch=1, derivative=False):
     """One rotated block from the dense alternating coupling tensor: the
     l'' sum of every entry as an einsum over the full shift table
-    ``U[s, k] = H_{k+1/2}(y) / |H_{s+1/2}(y)|``, instead of the package's
-    anti-diagonal store and matrix products."""
-    from casphere import kernel, specfun, wigner
+    ``U[s, k] = H_{k+1/2}(y) / |H_{s+1/2}(y)|``, with H from
+    :func:`h_tensor_dense`, instead of the package's anti-diagonal store
+    and matrix products."""
+    from casphere import specfun
     m = abs(m)
     ls = np.arange(m, l_max + 1)
-    n = len(ls)
     x, y = xi * geom.R, 2.0 * xi * geom.L
     s_num, log_num, den_mag, den_ph = sphere_factors_rotated_loop(
         spec.sphere_bc, x, l_max, branch)
-    H = wigner.h_tensor(m, m, l_max)
+    H = h_tensor_dense(m, m, l_max)
     kk = np.arange(2 * l_max + 1)
     top = ls[:, None] + ls[None, :]
     H = H * (-1.0) ** ((top[:, :, None] - kk[None, None, :]) // 2)

@@ -65,6 +65,30 @@ def test_matsubara_needs_positive_t():
         fe.matsubara_free_energy(G12, DD, 0.0)
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda: Geometry(1.0, math.nan), "finite"),
+    (lambda: Geometry(math.inf, 0.1), "finite"),
+    (lambda: Truncation(rel_tol=math.nan), "rel_tol"),
+    (lambda: Truncation(rel_tol=math.inf), "rel_tol"),
+    (lambda: Truncation(quad_points=4), "quad_points"),
+    (lambda: Truncation(quad_points=1), "quad_points"),
+    (lambda: Truncation(n_max=0), "n_max"),
+    (lambda: fe.matsubara_free_energy(Geometry(1.0, 0.5), DD, 1.0, Truncation(l_max=-3)),
+     "l_max"),
+    (lambda: fe.matsubara_free_energy(Geometry(1.0, 0.5), FieldSpec.em(), 1.0,
+                                      Truncation(l_max=0)), "l_max"),
+    (lambda: fe.thermal_part(Geometry(1.0, 0.5), DD, 1.0, Truncation(l_max=-1)), "l_max"),
+    (lambda: fe.thermal_part(G12, DD, math.inf), "finite T"),
+    (lambda: fe.matsubara_free_energy(G12, DD, math.inf), "finite T"),
+    (lambda: fe.force(G12, DD, math.nan, target="thermal_part"), "finite T"),
+], ids=["d nan", "R inf", "rel_tol nan", "rel_tol inf", "quad_points even",
+        "quad_points 1", "n_max 0", "l_max negative", "EM l_max 0",
+        "thermal l_max negative", "thermal T inf", "matsubara T inf", "force T nan"])
+def test_bad_inputs_fail_loudly(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_high_t_factorization():
     # T = 20/d: every non-zero mode is exponentially dead, F -> T F_0
     geom = Geometry(1.0, 0.5)

@@ -156,16 +156,6 @@ def test_rotated_against_direct_continuation():
         assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_shift_rows_view_equals_gather():
-    # the strided view of the shift-table rows l + l' equals the gather
-    from casphere.kernel import _rows_at_top
-    U = np.arange(21 * 21, dtype=float).reshape(21, 21)  # l_max = 10
-    for l_start in (0, 3, 10):
-        ls = np.arange(l_start, 11)
-        W = _rows_at_top(U, l_start, len(ls))
-        assert np.array_equal(W, U[ls[:, None] + ls[None, :]])
-
-
 def test_rotated_conjugation():
     geom = Geometry(1.0, 2.0)  # L = 3
     a = m_rotated(2, 2, 1, 1.3, geom, DD, branch=1)
@@ -276,4 +266,40 @@ def test_rotated_blocks_from_a_grown_store_are_bit_equal():
     for m in range(11):
         kernel.rotated_matrix(m, 1.7, geom, DD, 17 + m % 3)
         assert np.array_equal(kernel.rotated_matrix(m, 1.7, geom, DD, 10), fresh[m])
+    wigner.clear_caches()
+
+
+@pytest.mark.parametrize("l_max", [12, 40])
+@pytest.mark.parametrize("kind", ["D sphere", "N sphere", "EM"])
+def test_imaginary_axis_blocks_match_the_dense_oracles(kind, l_max):
+    # the coupling store and weight rows against the dense H (and Lambda)
+    # tensors and full shift tables, M and dM, at m = 0, 1 and 4
+    geom = Geometry(1.0, 0.3)
+    for m in (0, 1, 4):
+        for xi in (0.2, 2.5):
+            for derivative in (False, True):
+                if kind == "EM":
+                    got = em_matrix(m, xi, geom, l_max, derivative)
+                    want = oracles.em_matrix_dense(m, xi, geom, l_max, derivative)
+                else:
+                    spec = DD if kind == "D sphere" else ND
+                    got = scalar_matrix(m, xi, geom, spec, l_max, derivative)
+                    want = oracles.scalar_matrix_dense(m, xi, geom, spec, l_max, derivative)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_one_store_serves_every_kernel():
+    geom = Geometry(1.0, 0.3)
+    wigner.clear_caches()
+    # the electromagnetic block at m = 0 starts at l = 1 and reads the
+    # m = 0 store at an offset
+    em_matrix(0, 0.9, geom, 10)
+    assert sorted(wigner._STORES) == [0]
+    for m in range(5):
+        scalar_matrix(m, 0.9, geom, DD, 10, derivative=True)
+        em_matrix(m, 0.9, geom, 10, derivative=True)
+        kernel.rotated_matrix(m, 0.9, geom, ND, 10, derivative=True)
+    assert sorted(wigner._STORES) == [0, 1, 2, 3, 4]
+    assert set(wigner._STORE_VIEWS) == {(m, 10) for m in range(5)}
     wigner.clear_caches()

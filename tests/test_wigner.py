@@ -1,13 +1,12 @@
 """3j symbols and coupling factors against the exact-rational oracle."""
 
-import functools
 import math
 
 import numpy as np
 import pytest
 
-from casphere import wigner
-from casphere.wigner import three_j, h_factor, h_slice, h_tensor, g_tensor, lambda_tensor
+from casphere import kernel, wigner
+from casphere.wigner import three_j, h_factor, h_slice, h_tensor, lambda_tensor
 
 import oracles
 
@@ -93,27 +92,41 @@ def test_h_slice_matches_elements():
 
 
 def test_h_tensor_layout_and_phase():
-    H = h_tensor(1, 1, 4)
-    G = g_tensor(1, 4)
+    H = h_tensor(1, 4)
     for a, l in enumerate(range(1, 5)):
         for b, lp in enumerate(range(1, 5)):
             for k in range(0, 9):
                 want = h_factor(l, lp, k, 1) if abs(l - lp) <= k <= l + lp else 0.0
-                assert H[a, b, k] == pytest.approx(want, rel=1e-13, abs=1e-14)
-                # the rotated store: anti-diagonal a + b, l'' = l + l' - 2t
+                # anti-diagonal a + b, l'' = l + l' - 2t, no sign
                 t, odd = divmod(l + lp - k, 2)
                 if not odd and t <= 4:
-                    assert G[a + b, abs(a - b) // 2, t] == pytest.approx(
-                        (-1.0) ** t * want, rel=1e-13, abs=1e-14)
+                    assert H[a + b, abs(a - b) // 2, t] == pytest.approx(
+                        want, rel=1e-13, abs=1e-14)
     # cache is idempotent
-    assert h_tensor(1, 1, 4) is H
-    assert g_tensor(1, 4) is G
+    assert h_tensor(1, 4) is H
+    # the rotated representation's (-1)^t = (-1)^((l+l'-l'')/2) rides on the
+    # complex weight rows, not on the store
+    log_mag = np.linspace(-3.0, 5.0, 10)
+    real, _ = kernel._shift_rows(1.0, 4, log_mag)
+    rotated, _ = kernel._shift_rows(1.0, 4, log_mag, np.zeros(10))
+    assert np.array_equal(rotated, real * (-1.0) ** np.arange(5))
 
 
 def test_lambda_tensor_values():
-    lam = lambda_tensor(0, 1, 3)
+    W = lambda_tensor(3)
+    assert W.shape == (7, 4)
+    # Lambda = (l l' - t (2s + 1 - 2t)) / sqrt(l(l+1) l'(l'+1)), l'' = s - 2t
+    for l in range(1, 4):
+        for lp in range(1, 4):
+            for t in range(min(l, lp) + 1):
+                k = l + lp - 2 * t
+                norm = math.sqrt(l * (l + 1) * lp * (lp + 1))
+                want = 0.5 * (k * (k + 1) - l * (l + 1) - lp * (lp + 1)) / norm
+                assert (l * lp - W[l + lp, t]) / norm == pytest.approx(want, rel=1e-14)
     # l = l' = 1, l'' = 2: (6 - 2 - 2)/(2 * 2) = 1/2
-    assert lam[0, 0, 2] == pytest.approx(0.5)
+    assert (1 - W[2, 0]) / 2.0 == pytest.approx(0.5)
+    # a larger table serves the smaller one as its prefix
+    assert np.array_equal(lambda_tensor(9)[:7, :4], W)
 
 
 def test_log_h_top_matrix():
@@ -237,15 +250,17 @@ def _three_j_slice_loop(j1, j2, m):
 
 @pytest.mark.parametrize("m", [1, 7, 30])
 def test_h_tensor_block_against_loop_reference(m):
-    H = h_tensor(m, m, 44)
+    H = h_tensor(m, 44)
     for l in range(m, 45):
         for lp in range(l, 45):
             ks = range(lp - l, l + lp + 1)
             w0 = np.array([_three_j_000_loop(l, lp, k) for k in ks])
             ref = math.sqrt((2 * l + 1) * (2 * lp + 1)) * (2 * np.array(ks) + 1.0) \
                 * w0 * _three_j_slice_loop(l, lp, m)
-            got = H[l - m, lp - m, lp - l: l + lp + 1]
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (l, lp, m)
+            # the store holds l'' = l + l' - 2t at t; the odd l'' are zero
+            got = H[l + lp - 2 * m, (lp - l) // 2, l::-1]
+            assert not np.any(ref[1::2])
+            assert np.max(np.abs(got - ref[::2])) <= 1e-12 * np.max(np.abs(ref)), (l, lp, m)
 
 
 def test_hot_path_avoids_racah(monkeypatch):
@@ -254,8 +269,7 @@ def test_hot_path_avoids_racah(monkeypatch):
 
     monkeypatch.setattr(wigner, "_three_j_racah", racah)
     wigner.clear_caches()
-    h_tensor(3, 3, 20)
-    g_tensor(2, 12)
+    h_tensor(3, 20)
     h_slice(5, 9, 4)
     assert three_j(4, 6, 6, 2, -2, 0) != 0.0
     wigner.clear_caches()
@@ -263,28 +277,7 @@ def test_hot_path_avoids_racah(monkeypatch):
 
 # -- grown H-tensor cache -----------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _h_slice_once(l, lp, m):
-    return h_slice(l, lp, m)
-
-
-def _h_tensor_reference(m, l_start, l_max, alternating):
-    """The dense tensor built pair by pair from h_slice."""
-    n = l_max - l_start + 1
-    H = np.zeros((n, n, 2 * l_max + 1))
-    for a in range(n):
-        for b in range(a, n):
-            l, lp = l_start + a, l_start + b
-            sl = _h_slice_once(l, lp, m)
-            ks = np.arange(abs(l - lp), l + lp + 1)
-            if alternating:
-                sl = sl * (-1.0) ** ((l + lp - ks) // 2)
-            H[a, b, ks] = sl
-            H[b, a, ks] = sl
-    return H
-
-
-def _g_rows(G, m, l_max):
+def _store_rows(G, m, l_max):
     """The rows of an anti-diagonal store that the blocks of cut-off l_max
     read: one per pair a <= b, over t = 0..l_max.  A prefix view also
     holds rows of pairs past the cut-off, which no block of it reads."""
@@ -293,55 +286,41 @@ def _g_rows(G, m, l_max):
     return G[a + b, (b - a) // 2, : l_max + 1]
 
 
-def _g_rows_from_dense(H_alt, m, l_max):
-    """The same rows read off a dense alternating tensor with l_start = m."""
+def _store_rows_from_dense(H, m, l_max):
+    """The same rows read off a dense tensor with l_start = m."""
     n = l_max - m + 1
     a, b = np.triu_indices(n)
     t = np.arange(l_max + 1)
     k = (2 * m + a + b)[:, None] - 2 * t
     ok = t <= (m + a)[:, None]
-    return np.where(ok, H_alt[a[:, None], b[:, None], np.where(ok, k, 0)], 0.0)
+    return np.where(ok, H[a[:, None], b[:, None], np.where(ok, k, 0)], 0.0)
 
 
-# (l_max, store): False is the dense tensor of h_tensor, True the
-# anti-diagonal store of g_tensor, checked against the dense alternating one
 @pytest.mark.parametrize("order", [
-    [(4, False), (12, False), (20, False), (28, True), (36, True)],    # ascending
-    [(36, True), (28, False), (20, True), (12, False), (4, True)],     # descending
-    [(20, False), (8, True), (28, False), (12, True), (36, False),
-     (4, False), (24, True)],                                          # interleaved
+    [4, 12, 20, 28, 36],            # ascending
+    [36, 28, 20, 12, 4],            # descending
+    [20, 8, 28, 12, 36, 4, 24],     # interleaved
 ])
 def test_grown_cache_serves_exact_prefixes(order):
     wigner.clear_caches()
-    m = l_start = 3
+    m = 3
     seen = {}
 
-    def reference(l_max, rotated):
-        if rotated:
-            return _g_rows_from_dense(_h_tensor_reference(m, m, l_max, True), m, l_max)
-        return _h_tensor_reference(m, l_start, l_max, False)
+    def reference(l_max):
+        return _store_rows_from_dense(oracles.h_tensor_dense(m, m, l_max), m, l_max)
 
-    def read(H, l_max, rotated):
-        return _g_rows(H, m, l_max) if rotated else H
-
-    def get(l_max, rotated):
-        return g_tensor(m, l_max) if rotated else h_tensor(m, l_start, l_max)
-
-    for l_max, rotated in order:
-        H = get(l_max, rotated)
+    for l_max in order:
+        H = h_tensor(m, l_max)
         assert not H.flags.writeable
-        assert np.array_equal(read(H, l_max, rotated), reference(l_max, rotated))
-        assert get(l_max, rotated) is H
-        seen[(l_max, rotated)] = H
+        assert np.array_equal(_store_rows(H, m, l_max), reference(l_max))
+        assert h_tensor(m, l_max) is H
+        seen[l_max] = H
     # earlier views stay valid after later growth
-    for (l_max, rotated), H in seen.items():
-        assert np.array_equal(read(H, l_max, rotated), reference(l_max, rotated))
-    assert len(wigner._H_TENSORS) == (not all(r for _, r in order))
-    assert len(wigner._G_TENSORS) == any(r for _, r in order)
+    for l_max, H in seen.items():
+        assert np.array_equal(_store_rows(H, m, l_max), reference(l_max))
+    assert len(wigner._STORES) == 1
     wigner.clear_caches()
-    assert not wigner._H_TENSORS and not wigner._H_VIEWS
-    assert not wigner._G_TENSORS and not wigner._G_VIEWS
-    assert not wigner._LAMBDA_TENSOR_CACHE
+    assert not wigner._STORES and not wigner._STORE_VIEWS and not wigner._LAMBDA
     assert wigner._slice_m.cache_info().currsize == 0
 
 
@@ -349,26 +328,32 @@ def test_grown_cache_serves_exact_prefixes(order):
 def test_g_store_matches_the_dense_alternating_tensor(m):
     wigner.clear_caches()
     l_max = m + 14
-    G = g_tensor(m, l_max)
-    dense = _h_tensor_reference(m, m, l_max, True)
-    # every entry of every pair, mirrored pairs read the same row
+    H = h_tensor(m, l_max)
+    dense = oracles.h_tensor_dense(m, m, l_max)
+    ls = np.arange(m, l_max + 1)
+    k = np.arange(2 * l_max + 1)
+    alternating = dense * (-1.0) ** ((ls[:, None, None] + ls[None, :, None] - k) // 2)
+    # every entry of every pair, mirrored pairs read the same row; with the
+    # (-1)^t of the rotated weight rows it is the dense alternating tensor
     n = l_max - m + 1
     for a in range(n):
         for b in range(n):
             l, lp = m + a, m + b
             for t in range(l_max + 1):
                 k = l + lp - 2 * t
-                want = dense[a, b, k] if t <= min(l, lp) else 0.0
-                assert G[a + b, abs(a - b) // 2, t] == want
+                on = t <= min(l, lp)
+                assert H[a + b, abs(a - b) // 2, t] == (dense[a, b, k] if on else 0.0)
+                assert (-1.0) ** t * H[a + b, abs(a - b) // 2, t] == (
+                    alternating[a, b, k] if on else 0.0)
     # only the parity-allowed half of l'' and one of each mirrored pair
-    assert G.nbytes <= h_tensor(m, m, l_max).nbytes
+    assert H.nbytes <= dense.nbytes
     # a prefix view holds the rows of a store built at the smaller cut-off,
     # and growing keeps the old entries
-    small = g_tensor(m, l_max - 5)
+    small = h_tensor(m, l_max - 5)
     assert small.shape == (2 * n - 11, (n - 6) // 2 + 1, l_max - 4)
     wigner.clear_caches()
-    fresh_small = g_tensor(m, l_max - 5).copy()
-    grown = g_tensor(m, l_max + 6)
-    assert np.array_equal(_g_rows(small, m, l_max - 5), _g_rows(fresh_small, m, l_max - 5))
-    assert np.array_equal(_g_rows(grown, m, l_max), _g_rows(G, m, l_max))
+    fresh_small = h_tensor(m, l_max - 5).copy()
+    grown = h_tensor(m, l_max + 6)
+    assert np.array_equal(_store_rows(small, m, l_max - 5), _store_rows(fresh_small, m, l_max - 5))
+    assert np.array_equal(_store_rows(grown, m, l_max), _store_rows(H, m, l_max))
     wigner.clear_caches()
