@@ -5,7 +5,11 @@ The command is selected with ``--command``; geometry takes ``--R`` plus
 either ``--d`` or ``--epsilon``.  A flat JSON config file may supply any
 flag value (command-line flags win).  Exit status: 0 on success, 1 on an
 invalid configuration, 2 when a computation did not converge (partial
-results are still written).
+results are still written).  ``--diagnostics PATH`` also writes, as JSON, a
+list with one object per row that holds the row's inputs and the
+``diagnostics`` of its ``EnergyResult`` (the work done: cut-offs, blocks,
+fallbacks, convergence); the closed-form commands ``pfa`` and
+``asymptotic`` write an empty list.
 
 The ``table1`` / ``table2`` commands reproduce the reference grids for the
 temperature part of the force at T = 1 (eps = 0.01 with R in {0.5, 1, 3},
@@ -57,6 +61,8 @@ def build_parser():
     p.add_argument("--mode-count", dest="mode_count", type=int, choices=(1, 2),
                    help="parallel-plate mode count for PFA quantities")
     p.add_argument("--out", help="CSV output path (default stdout)")
+    p.add_argument("--diagnostics",
+                   help="JSON output path for the diagnostics of each row")
     p.add_argument("--scan-axis", dest="scan_axis", choices=("R", "d", "T"))
     p.add_argument("--scan-grid", dest="scan_grid",
                    help="a:b:n  (n values from a to b inclusive)")
@@ -158,7 +164,7 @@ def _table_rows(eps, r_values, cfg):
     trunc = _truncation(cfg)
     spec = FIELD_CHOICES["scalar-d-d"]
     mode_count = cfg.get("mode_count", 1)
-    rows = []
+    rows, records = [], []
     ok = True
     for R in r_values:
         geom = Geometry(R, eps * R)
@@ -178,8 +184,9 @@ def _table_rows(eps, r_values, cfg):
             "l_max_used": res.diagnostics.get("l_max_used", ""),
             "converged": res.converged,
         })
+        records.append({"epsilon": eps, "R": R, "T": 1.0, "diagnostics": res.diagnostics})
         ok = ok and res.converged
-    return rows, ok
+    return rows, records, ok
 
 
 def _scan_rows(cfg):
@@ -198,7 +205,7 @@ def _scan_rows(cfg):
     quantity = cfg.get("scan_quantity", "thermal-part")
     trunc = _truncation(cfg)
     spec = _field(cfg)
-    rows = []
+    rows, records = [], []
     ok = True
     for v in values:
         local = dict(cfg)
@@ -219,10 +226,11 @@ def _scan_rows(cfg):
         else:
             val = pfa.pfa_free_energy(geom, T, cfg.get("mode_count", 2))
             res = freeenergy.EnergyResult(val, 0.0, {"converged": True})
-        rows.append(_result_row(
-            {"scan_axis": axis, axis: v, "R": geom.R, "d": geom.d, "T": T}, res))
+        inputs = {"scan_axis": axis, axis: v, "R": geom.R, "d": geom.d, "T": T}
+        rows.append(_result_row(inputs, res))
+        records.append(dict(inputs, diagnostics=res.diagnostics))
         ok = ok and res.converged
-    return rows, ok
+    return rows, records, ok
 
 
 def run(cfg):
@@ -232,13 +240,14 @@ def run(cfg):
         raise ConfigError("--command is required")
     out = cfg.get("out")
     ok = True
+    records = []  # rows with no EnergyResult have no diagnostics
 
     if command == "table1":
-        rows, ok = _table_rows(0.01, (0.5, 1.0, 3.0), cfg)
+        rows, records, ok = _table_rows(0.01, (0.5, 1.0, 3.0), cfg)
     elif command == "table2":
-        rows, ok = _table_rows(0.1, (0.5, 1.0, 6.0), cfg)
+        rows, records, ok = _table_rows(0.1, (0.5, 1.0, 6.0), cfg)
     elif command == "scan":
-        rows, ok = _scan_rows(cfg)
+        rows, records, ok = _scan_rows(cfg)
     elif command == "pfa":
         geom = _geometry(cfg)
         T = _temperature(cfg, 0.0)
@@ -272,11 +281,15 @@ def run(cfg):
         else:
             res = freeenergy.force(geom, spec, _temperature(cfg), trunc,
                                    target=cfg.get("force_target", "total"))
-        rows = [_result_row({"command": command, "R": geom.R, "d": geom.d,
-                             "T": cfg.get("T", "")}, res)]
+        inputs = {"command": command, "R": geom.R, "d": geom.d, "T": cfg.get("T", "")}
+        rows = [_result_row(inputs, res)]
+        records = [dict(inputs, diagnostics=res.diagnostics)]
         ok = res.converged
 
     _write_csv(rows, out)
+    if cfg.get("diagnostics"):
+        with open(cfg["diagnostics"], "w") as fh:
+            json.dump(records, fh, indent=1)
     return 0 if ok else 2
 
 

@@ -9,24 +9,28 @@ The sphere-plane translation matrices need two 3j patterns only,
         \begin{pmatrix} l & l' & l''\\ 0&0&0\end{pmatrix}
         \begin{pmatrix} l & l' & l''\\ m&-m&0\end{pmatrix}.
 
-The parity pattern ``(0 0 0)`` has a cancellation-free closed form used at
-every l.  The ``(m -m 0)`` pattern comes, at every l, from the three-term
-recurrence in l'' (Schulten and Gordon, J. Math. Phys. 16, 1961 (1975);
-Luscombe and Luban, Phys. Rev. E 57, 7274 (1998)): two-sided, matched in
-the classical region, normalized by the sum rule and signed at the
-stretched top.  It runs as numpy operations over many (l, l') pairs at
-once; the only interpreted loop is over the l'' index.  Each pair's
-slice is computed by elementwise operations only, so it does not depend on
-which other pairs share its batch.  The Racah sum serves only the general
-m patterns of :func:`three_j`, up to ``RACAH_L_MAX``, where its
-alternating sum is still accurate.
+Two 3j routes remain, both vectorized over many (l, l') pairs.  The
+parity pattern ``(0 0 0)`` has a cancellation-free closed form, whose
+log-factorials are read from one cached table of ``gammaln(k)``.  The
+``(m -m 0)`` pattern comes, at every l, from the three-term recurrence in
+l'' (Schulten and Gordon, J. Math. Phys. 16, 1961 (1975); Luscombe and
+Luban, Phys. Rev. E 57, 7274 (1998)): two-sided, matched in the classical
+region, normalized by the sum rule and signed at the stretched top.  Each
+pair carries its own m; the only interpreted loop is over the l'' index.
+Each pair's slice is computed by elementwise operations only, so it does
+not depend on which other pairs share its batch.  The stretched top
+``l'' = l + l'`` of the static kernel has its own closed form
+(:func:`log_h_top_matrix`).
 
 One coupling store per m serves every kernel, the imaginary-axis,
 electromagnetic and rotated blocks alike: :func:`h_tensor` keeps H by
 anti-diagonal l + l' = const, with only the parity-allowed l'' and one of
-each (l, l') pair and its mirror (l', l).  It is grown when a larger
-cut-off is requested and read by smaller cut-offs as prefix views.  Every
-l'' sum of a block, ``sum_l'' H_{ll'}^{l''} B_{l''}``, depends on the
+each (l, l') pair and its mirror (l', l).  A request past a store's
+cut-off grows that store and every other held store below the new cut-off
+in one batched pass of the recurrence; smaller cut-offs are read as
+prefix views.  The stores together may not pass ``_STORE_BUDGET`` bytes; a
+growth that would raises ``MemoryError`` before it allocates anything.
+Every l'' sum of a block, ``sum_l'' H_{ll'}^{l''} B_{l''}``, depends on the
 frequency only through rows of weights indexed by l + l' and l'', so the
 sums of a whole block are one matrix product of the store with those rows
 (:func:`couple`).
@@ -38,50 +42,22 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
-#: largest momentum for which the float Racah sum of the general m
-#: patterns is trusted; measured against exact rational arithmetic the
-#: alternating sum holds 1e-10 relative accuracy only up to l ~ 20
-RACAH_L_MAX = 16
-
 #: the recurrences rescale a slice once a value passes this magnitude
 _RESCALE = 1e250
 
 #: largest (l'' count) x (pair count) computed in one batch, which bounds
-#: the work arrays of a tensor build to a few MB each
-_BATCH_ENTRIES = 1 << 18
+#: the work arrays of a growth pass to a few hundred kB each
+_BATCH_ENTRIES = 1 << 15
+
+#: largest number of bytes the coupling stores may hold together (all m
+#: at l_max 104 take 314 MiB, all m at l_max 200 take 4.2 GiB)
+_STORE_BUDGET = 2 << 30
 
 _lf = math.lgamma  # log factorial via lgamma(n+1)
 
 
 def _logfac(n):
     return _lf(n + 1)
-
-
-def _triangle_ok(j1, j2, j3):
-    return abs(j1 - j2) <= j3 <= j1 + j2
-
-
-def _three_j_racah(j1, j2, j3, m1, m2, m3):
-    """Racah single-sum formula with log-factorials and compensated sum."""
-    t1 = j2 - m1 - j3
-    t2 = j1 + m2 - j3
-    t3 = j1 + j2 - j3
-    t4 = j1 - m1
-    t5 = j2 + m2
-    tmin = max(0, t1, t2)
-    tmax = min(t3, t4, t5)
-    terms = []
-    for t in range(tmin, tmax + 1):
-        lg = (_logfac(t) + _logfac(t - t1) + _logfac(t - t2)
-              + _logfac(t3 - t) + _logfac(t4 - t) + _logfac(t5 - t))
-        terms.append((-1.0) ** t * math.exp(-lg))
-    s = math.fsum(terms)
-    log_pref = 0.5 * (_logfac(j1 + j2 - j3) + _logfac(j1 - j2 + j3)
-                      + _logfac(-j1 + j2 + j3) - _logfac(j1 + j2 + j3 + 1)
-                      + _logfac(j1 + m1) + _logfac(j1 - m1)
-                      + _logfac(j2 + m2) + _logfac(j2 - m2)
-                      + _logfac(j3 + m3) + _logfac(j3 - m3))
-    return (-1.0) ** (j1 - j2 - m3) * math.exp(log_pref) * s
 
 
 def _log_three_j_top(j1, j2, m):
@@ -95,6 +71,23 @@ def _log_three_j_top(j1, j2, m):
 def _parity_sign(k):
     """(-1)^k for an integer array."""
     return 1.0 - 2.0 * (k % 2)
+
+
+_GAMMALN = {}  # the table of _gammaln_table at the largest size seen
+
+
+def _gammaln_table(size):
+    """``gammaln(k)`` for k = 0..size-1 at least, as a read-only array.
+
+    The closed forms only take gammaln of integers, so reading them here
+    gives the values of ``gammaln`` itself.  One table is kept, at the
+    largest size requested so far."""
+    table = _GAMMALN.get("table")
+    if table is None or len(table) < size:
+        table = gammaln(np.arange(size))
+        table.flags.writeable = False
+        _GAMMALN["table"] = table
+    return table
 
 
 def _three_j_000_slices(j1, j2):
@@ -111,10 +104,10 @@ def _three_j_000_slices(j1, j2):
     j = np.where(keep, j, jmin)
     J = j1 + j2 + j
     g = J // 2
-    log_delta = 0.5 * (gammaln(J - 2 * j1 + 1) + gammaln(J - 2 * j2 + 1)
-                       + gammaln(J - 2 * j + 1) - gammaln(J + 2))
-    log_ratio = gammaln(g + 1) - gammaln(g - j1 + 1) - gammaln(g - j2 + 1) \
-        - gammaln(g - j + 1)
+    lg = _gammaln_table(int(np.max(J)) + 3)
+    log_delta = 0.5 * (lg[J - 2 * j1 + 1] + lg[J - 2 * j2 + 1]
+                       + lg[J - 2 * j + 1] - lg[J + 2])
+    log_ratio = lg[g + 1] - lg[g - j1 + 1] - lg[g - j2 + 1] - lg[g - j + 1]
     return np.where(keep, _parity_sign(g) * np.exp(log_delta + log_ratio), 0.0)
 
 
@@ -125,9 +118,9 @@ def _three_j_m_slices(j1, j2, m):
     from j_min while the minimal solution grows and backward from j_max
     (where A(j_max+1) = 0); the two are matched in the classical region,
     normalized with ``sum_j (2j+1) f(j)^2 = 1`` and signed at the
-    stretched top.  Every pair has its own start and stop points, held in
-    masks.  Requires ``1 <= |m| <= min(j1, j2)``, so each slice has at
-    least three entries.
+    stretched top.  Every pair has its own m, start and stop points, held
+    in arrays and masks.  Requires ``1 <= |m| <= min(j1, j2)``, so each
+    slice has at least three entries.
 
     Returns a (W, P) array laid out as in :func:`_three_j_000_slices`.
     """
@@ -135,21 +128,43 @@ def _three_j_m_slices(j1, j2, m):
     n = j1 + j2 - jmin + 1
     W = int(np.max(n))
     P = len(j1)
-    # coefficients on the rows i = 0..W-1, j = jmin + i
+    # coefficients on the rows i = 0..W-1, j = jmin + i; every work array
+    # is updated in place and dropped after its last use
     j = jmin + np.arange(W + 1)[:, None]
-    A2 = (j * j - (j1 - j2) ** 2) * ((j1 + j2 + 1) ** 2 - j * j)
     jf = j.astype(float)
-    A = jf * np.sqrt(np.maximum(A2, 0).astype(float))
-    B = -(2.0 * jf + 1.0) * (2.0 * m) * jf * (jf + 1.0)
-    C = (jf[:-1] + 1.0) * A[:-1]   # (j+1) A(j)
-    D = jf[:-1] * A[1:]            # j A(j+1)
-    B = B[:-1]
-    rows = np.arange(W)[:, None]
-    cols = np.arange(P)
+    A = j * j
+    np.subtract(A, (j1 - j2) ** 2, out=A)
+    np.multiply(j, j, out=j)
+    np.subtract((j1 + j2 + 1) ** 2, j, out=j)
+    A *= j
+    del j
+    np.maximum(A, 0, out=A)
+    A = np.sqrt(A.astype(float))
+    A *= jf                        # A(j) = j sqrt(...)
+    jf = jf[:-1]
+    C = jf + 1.0
+    C *= A[:-1]                    # (j+1) A(j)
+    D = A[1:]
+    D *= jf                        # j A(j+1)
+    del A
+    B = 2.0 * jf
+    B += 1.0
+    np.negative(B, out=B)
+    B *= 2.0 * m
+    B *= jf
+    jf += 1.0
+    B *= jf                        # B(j) = -(2j+1) 2m j (j+1)
+    del jf
+    np.negative(B, out=B)
     with np.errstate(divide="ignore", invalid="ignore"):
-        fa, fb = -B / D, -C / D    # f(j+1) = fa f(j) + fb f(j-1)
-        ga, gb = -B / C, -D / C    # g(j-1) = ga g(j) + gb g(j+1)
+        fa = B / D                 # f(j+1) = fa f(j) + fb f(j-1)
+        ga = np.divide(B, C, out=B)  # g(j-1) = ga g(j) + gb g(j+1)
+        fb = np.negative(C) / D
+        gb = np.negative(D, out=D)
+        gb /= C
+    del B, C, D
 
+    cols = np.arange(P)
     f = np.zeros((W, P))
     seeded = jmin == 0  # j1 == j2: the j = 0 relation is empty
     s = _parity_sign(j1 - m)
@@ -159,22 +174,36 @@ def _three_j_m_slices(j1, j2, m):
     ifwd = istart.copy()
     falling = np.zeros(P, dtype=int)
     running = istart <= n - 2
+    mag = np.abs(f[0])  # |f[i]| at the top of step i
     with np.errstate(invalid="ignore", over="ignore"):
         for i in range(W - 1):
-            act = running & (i >= istart)
+            # istart is 0 or 1: only the first step leaves seeded pairs out
+            act = running & ~seeded if i == 0 else running
             if not act.any():
+                if i:
+                    break  # a pair that stops running never restarts
+                mag = np.abs(f[1])
                 continue
             prev = f[i - 1] if i > 0 else 0.0
             np.copyto(f[i + 1], fa[i] * f[i] + fb[i] * prev, where=act)
-            ifwd[act] = i + 1
-            big = act & (np.abs(f[i + 1]) > _RESCALE)
+            np.copyto(ifwd, i + 1, where=act)
+            nxt = np.abs(f[i + 1])
+            big = act & (nxt > _RESCALE)
             if big.any():
-                f[:, big] /= np.abs(f[i + 1, big])
+                f[:, big] /= nxt[big]
+                mag, nxt = np.abs(f[i]), np.abs(f[i + 1])
             # three consecutive decreases mark the classical region (a
-            # single dip can be an accidental zero of the growing solution)
-            dec = np.abs(f[i + 1]) < np.abs(f[i])
-            falling = np.where(act, np.where(dec, falling + 1, 0), falling)
-            running &= (i + 1 <= n - 2) & ~((i > istart) & (falling >= 3))
+            # single dip can be an accidental zero of the growing solution);
+            # the count of a pair that is not running is never read again
+            falling += 1
+            falling *= nxt < mag
+            stopped = falling >= 3
+            if i <= 1:
+                falling *= act
+                stopped &= i > istart
+            running &= (i + 1 <= n - 2) & ~stopped
+            mag = nxt
+        del fa, fb
 
         g = np.zeros((W, P))
         g[n - 1, cols] = 1.0
@@ -182,85 +211,71 @@ def _three_j_m_slices(j1, j2, m):
         # past the forward peak, so that the match never rests on a single
         # point next to a zero crossing
         ibwd = np.maximum(np.minimum(ifwd, n - 2) - 3, 0)
-        for i in range(W - 1, 0, -1):
-            act = (i <= n - 1) & (i > ibwd)
+        rows = np.arange(W)[:, None]
+        sweep = (rows <= n - 1) & (rows > ibwd)
+        for i in range(W - 1, int(ibwd.min()), -1):
+            act = sweep[i]
             if not act.any():
                 continue
             nxt = g[i + 1] if i < W - 1 else 0.0
             np.copyto(g[i - 1], ga[i] * g[i] + gb[i] * nxt, where=act)
-            big = act & (np.abs(g[i - 1]) > _RESCALE)
+            mag = np.abs(g[i - 1])
+            big = act & (mag > _RESCALE)
             if big.any():
-                g[:, big] /= np.abs(g[i - 1, big])
+                g[:, big] /= mag[big]
+        del ga, gb, sweep
 
     # match where both sweeps are farthest from an accidental zero
-    q = np.where((rows >= ibwd) & (rows <= ifwd), np.minimum(np.abs(f), np.abs(g)), -1.0)
+    q = np.minimum(np.abs(f), np.abs(g))
+    q[(rows < ibwd) | (rows > ifwd)] = -1.0
     k = np.argmax(q, axis=0)
     ok = q[k, cols] > 0.0
+    del q
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(ok, g[k, cols] / f[k, cols], 0.0)
-    out = np.where(ok & (rows < k), f * ratio, g)
+    f *= ratio
+    out = g
+    np.copyto(out, f, where=ok & (rows < k))
+    del f
     # row by row, so that zero padding past a pair's j_max changes nothing
+    sq = 2.0 * (jmin + rows) + 1.0
+    sq *= out
+    sq *= out
     norm = np.zeros(P)
     for i in range(W):
-        norm += (2.0 * j[i] + 1.0) * out[i] * out[i]
+        norm += sq[i]
+    del sq
     out /= np.sqrt(norm)
     out *= np.where(out[n - 1, cols] * _parity_sign(j1 - j2) < 0.0, -1.0, 1.0)
     return out
 
 
 def _h_slices(l, lp, m):
-    """H_{l l'}^{l''} for arrays of pairs, as a (W, P) array whose row t
-    holds l'' = |l-l'| + t (zero past l + l')."""
+    """H_{l l'}^{l''} for arrays of pairs and their m (an array or one
+    value), as a (W, P) array whose row t holds l'' = |l-l'| + t (zero past
+    l + l')."""
     l = np.asarray(l, dtype=np.int64)
     lp = np.asarray(lp, dtype=np.int64)
-    w0 = _three_j_000_slices(l, lp)
-    wm = w0 if m == 0 else _three_j_m_slices(l, lp, m)
-    js = np.abs(l - lp) + np.arange(w0.shape[0])[:, None]
-    pref = np.sqrt((2.0 * l + 1.0) * (2.0 * lp + 1.0))
-    return pref * (2.0 * js + 1.0) * w0 * wm
-
-
-@lru_cache(maxsize=200000)
-def _slice_m(j1, j2, m):
-    """Cached l'' slice of 3j(j1 j2 .; m -m 0), as a read-only array."""
-    j1s, j2s = np.array([j1]), np.array([j2])
-    vals = _three_j_000_slices(j1s, j2s) if m == 0 else _three_j_m_slices(j1s, j2s, m)
-    vals = vals[: j1 + j2 - abs(j1 - j2) + 1, 0]
-    vals.flags.writeable = False
-    return vals
-
-
-def three_j(j1, j2, j3, m1, m2, m3):
-    """Wigner 3j symbol for the patterns (0,0,0) and (m,-m,0).
-
-    Out-of-domain inputs (triangle violation, |m| > j, m1+m2+m3 != 0)
-    return 0 by convention.  Other m patterns are supported through the
-    Racah sum up to ``RACAH_L_MAX`` and rejected beyond.
-    """
-    if m1 + m2 + m3 != 0:
-        return 0.0
-    if not _triangle_ok(j1, j2, j3):
-        return 0.0
-    if abs(m1) > j1 or abs(m2) > j2 or abs(m3) > j3:
-        return 0.0
-    if m3 == 0 and m1 == -m2:
-        return float(_slice_m(j1, j2, m1)[j3 - abs(j1 - j2)])
-    if max(j1, j2, j3) <= RACAH_L_MAX:
-        return _three_j_racah(j1, j2, j3, m1, m2, m3)
-    raise NotImplementedError(
-        "general m patterns are only available up to l = RACAH_L_MAX")
-
-
-def h_factor(l, lp, lpp, m):
-    """Geometric coupling H_{l l'}^{l''} for azimuthal index m.
-
-    Zero outside the triangle domain and for odd l+l'+l''.
-    """
-    w0 = three_j(l, lp, lpp, 0, 0, 0)
-    if w0 == 0.0:
-        return 0.0
-    wm = three_j(l, lp, lpp, m, -m, 0)
-    return math.sqrt((2.0 * l + 1.0) * (2.0 * lp + 1.0)) * (2.0 * lpp + 1.0) * w0 * wm
+    m = np.broadcast_to(np.asarray(m, dtype=np.int64), l.shape)
+    # the (0 0 0) factors depend on the pair only: once per distinct pair
+    _, first, pair = np.unique(l * (np.max(lp, initial=0) + 1) + lp,
+                               return_index=True, return_inverse=True)
+    l0, lp0 = l[first], lp[first]
+    w0 = _three_j_000_slices(l0, lp0)
+    js = np.abs(l0 - lp0) + np.arange(w0.shape[0])[:, None]
+    pref = np.sqrt((2.0 * l0 + 1.0) * (2.0 * lp0 + 1.0))
+    out = (pref * (2.0 * js + 1.0) * w0)[:, pair]
+    del js
+    # the m = 0 slices take (0 0 0) twice; the others the recurrence, whose
+    # rows past the widest slice among them are zero in w0 already
+    zero = m == 0
+    out[:, zero] *= w0[:, pair[zero]]
+    del w0
+    rest = np.flatnonzero(~zero)
+    if len(rest):
+        wm = _three_j_m_slices(l[rest], lp[rest], m[rest])
+        out[: wm.shape[0], rest] *= wm
+    return out
 
 
 def h_slice(l, lp, m):
@@ -277,37 +292,94 @@ _STORE_VIEWS = {}  # (m, l_max) -> prefix view of it
 _LAMBDA = {}       # the weight table of lambda_tensor at the largest l_max seen
 
 
-def _new_pairs(n, n_old, l_max):
-    """The pairs a <= b < n with b >= n_old, in batches of at most
-    ``_BATCH_ENTRIES`` slice entries."""
-    b, a = np.nonzero(np.tri(n, dtype=bool)[n_old:])
-    b += n_old
-    step = max(1, _BATCH_ENTRIES // (2 * l_max + 1))
-    for lo in range(0, len(a), step):
-        yield a[lo: lo + step], b[lo: lo + step]
-
-
-def _grow_store(old, m, l_max):
-    """The store of :func:`h_tensor` at l_max, keeping the entries of the
-    smaller store ``old`` (or None) and computing only the new pairs."""
+def _store_shape(m, l_max):
     n = l_max - m + 1
-    H = np.zeros((2 * n - 1, (n - 1) // 2 + 1, l_max + 1))
-    n_old = 0
-    if old is not None:
-        n_old = (old.shape[0] + 1) // 2
-        H[: old.shape[0], : old.shape[1], : old.shape[2]] = old
-    for aa, bb in _new_pairs(n, n_old, l_max):
-        l, lp = m + aa, m + bb
-        vals = _h_slices(l, lp, m)  # row r holds l'' = l' - l + r
-        # l'' = l + l' - 2t sits in row r = 2 (l - t), for t = 0..l
-        t = np.arange(vals.shape[0] // 2 + 1)[:, None]
-        keep = t <= l
-        r = np.where(keep, 2 * (l - t), 0)
-        H[np.broadcast_to(aa + bb, keep.shape)[keep],
-          np.broadcast_to((bb - aa) // 2, keep.shape)[keep],
-          np.broadcast_to(t, keep.shape)[keep]] = vals[r, np.arange(len(aa))][keep]
-    H.flags.writeable = False
-    return H
+    return (2 * n - 1, (n - 1) // 2 + 1, l_max + 1)
+
+
+def _store_l_max(m, H):
+    return m + (H.shape[0] + 1) // 2 - 1
+
+
+def _grow_stores(m, l_max):
+    """Grow the store of m, and every held store of m' <= l_max whose
+    cut-off is below l_max, to l_max in one batched pass; return the store
+    of m.
+
+    Each grown store keeps the entries of the old one; the new (l, l')
+    pairs of all of them, each with its own m, are computed in batches of
+    at most ``_BATCH_ENTRIES`` slice entries, narrowest slices first.
+    """
+    held = dict(_STORES)  # a racing growth may change the cache meanwhile
+    if m in held and _store_l_max(m, held[m]) >= l_max:
+        return held[m]
+    targets = sorted({m}.union(k for k, H in held.items()
+                               if k <= l_max and _store_l_max(k, H) < l_max))
+    shapes = {k: _store_shape(k, l_max) for k in targets}
+    total = sum(H.nbytes for k, H in held.items() if k not in shapes) \
+        + sum(8 * math.prod(shape) for shape in shapes.values())
+    if total > _STORE_BUDGET:
+        raise MemoryError(
+            f"coupling stores at m = {m}, l_max = {l_max} would hold {total} "
+            f"bytes, more than the budget of {_STORE_BUDGET}")
+    grown = {}
+    pair_m, pair_a, pair_b = [], [], []
+    for k in targets:
+        H = np.zeros(shapes[k])
+        old = held.pop(k, None)
+        _STORES.pop(k, None)
+        n_old = 0
+        if old is not None:
+            n_old = (old.shape[0] + 1) // 2
+            H[: old.shape[0], : old.shape[1], : old.shape[2]] = old
+            # views of the replaced store would keep it alive
+            for lm in range(k, k + n_old):
+                _STORE_VIEWS.pop((k, lm), None)
+            del old
+        grown[k] = H
+        # the pairs a <= b < n with b >= n_old
+        b, a = np.nonzero(np.tri(l_max - k + 1, dtype=bool)[n_old:])
+        pair_m.append(np.full(len(a), k))
+        pair_a.append(a)
+        pair_b.append(b + n_old)
+    pm = np.concatenate(pair_m)
+    pa = np.concatenate(pair_a)
+    pb = np.concatenate(pair_b)
+    pl = pm + pa  # l <= l', and the slice is 2 l + 1 wide
+    order = np.argsort(pl, kind="stable")
+    span = 2 * pl[order] + 1
+    lo = 0
+    while lo < len(order):
+        # as many pairs as fit the cap at the width of the widest of them
+        fits = span[lo:] * np.arange(1, len(order) - lo + 1) <= _BATCH_ENTRIES
+        hi = lo + max(1, int(np.count_nonzero(fits)))
+        batch = order[lo:hi]
+        batch = batch[np.argsort(pm[batch], kind="stable")]
+        _fill(grown, l_max, pm[batch], pa[batch], pb[batch])
+        lo = hi
+    for k, H in grown.items():
+        H.flags.writeable = False
+        _STORES[k] = H
+    return grown[m]
+
+
+def _fill(stores, l_max, m, a, b):
+    """Compute the pairs (l, l') = (m + a, m + b), a <= b, sorted by m,
+    and write them into the stores ``stores[m]`` grown to l_max."""
+    l = m + a
+    vals = _h_slices(l, m + b, m)  # row r holds l'' = l' - l + r
+    # l'' = l + l' - 2t sits in row r = 2 (l - t), for t = 0..l, and at
+    # the flat place ((a + b) width + (b - a) // 2) (l_max + 1) + t of a
+    # store (a + b, width, l_max + 1), pair by pair
+    pair, t = np.nonzero(np.arange(np.max(l) + 1) <= l[:, None])
+    v = vals[2 * (l[pair] - t), pair]
+    width = (l_max - m) // 2 + 1
+    at = ((a + b) * width + (b - a) // 2) * (l_max + 1)
+    at = at[pair] + t
+    start = np.concatenate(([0], np.cumsum(l + 1)))  # first entry of each pair
+    for k in np.unique(m):
+        lo, hi = start[np.searchsorted(m, [k, k + 1])]
+        stores[k].reshape(-1)[at[lo:hi]] = v[lo:hi]
 
 
 def h_tensor(m, l_max):
@@ -321,14 +393,21 @@ def h_tensor(m, l_max):
     not stored.  The blocks read the store through :func:`couple`.
 
     One store per m is kept, at the largest l_max requested so far.  A
-    larger l_max grows it: the old entries are copied and only the new
-    (l, l') pairs are computed.  A smaller l_max is served as the prefix
-    view ``H[:2n-1, :(n-1)//2+1, :l_max+1]`` with n = l_max - m + 1, whose
-    entries for the pairs of the smaller block are those of the full
+    larger l_max grows it, and in the same batched pass every other held
+    store of m' <= l_max whose cut-off is below l_max: the old entries are
+    copied and only the new (l, l') pairs are computed.  No store is made
+    for an m that was never requested.  A smaller l_max is served as the
+    prefix view ``H[:2n-1, :(n-1)//2+1, :l_max+1]`` with n = l_max - m + 1,
+    whose entries for the pairs of the smaller block are those of the full
     store (it also holds rows of pairs past its cut-off, which no block of
     it reads).  Each view is memoized, so a repeated request returns the
-    same read-only object.  Population is idempotent, so concurrent first
-    use is safe.
+    same read-only object.
+
+    A growth that would leave the stores holding more than
+    ``_STORE_BUDGET`` bytes raises ``MemoryError`` and changes nothing.
+    Every entry depends on its pair and m only, and a store enters the
+    cache only once it is complete, so concurrent use is safe: racing
+    growths compute the same values, at worst twice.
     """
     key = (m, l_max)
     out = _STORE_VIEWS.get(key)
@@ -337,12 +416,7 @@ def h_tensor(m, l_max):
     H = _STORES.get(m)
     n = l_max - m + 1
     if H is None or H.shape[0] < 2 * n - 1:
-        if H is not None:
-            # views of the replaced store would keep it alive
-            for lm in range(m, m + (H.shape[0] + 1) // 2):
-                _STORE_VIEWS.pop((m, lm), None)
-        H = _grow_store(H, m, l_max)
-        _STORES[m] = H
+        H = _grow_stores(m, l_max)
     out = H[: 2 * n - 1, : (n - 1) // 2 + 1, : l_max + 1]
     _STORE_VIEWS[key] = out
     return out
@@ -435,4 +509,4 @@ def clear_caches():
     _STORES.clear()
     _STORE_VIEWS.clear()
     _LAMBDA.clear()
-    _slice_m.cache_clear()
+    _GAMMALN.clear()

@@ -6,7 +6,10 @@ finite closed sums for Bessel functions, mpmath reference evaluations,
 finite differences of energies for the force, eigenvalue sums and the
 expanded-logarithm series for log-determinants, per-element loops for
 vectorized assemblies, and frequency sweeps that evaluate one node at a
-time.
+time.  The float 3j symbol :func:`three_j` and :func:`h_factor` are the
+exception: they read the package's own vectorized slices one entry at a
+time, so that the exact rational oracle can check them, and add the float
+Racah sum for the general m patterns.
 """
 
 import functools
@@ -45,6 +48,88 @@ def three_j_exact(j1, j2, j3, m1, m2, m3):
 def h_factor_exact(l, lp, lpp, m):
     return math.sqrt((2 * l + 1) * (2 * lp + 1)) * (2 * lpp + 1) \
         * three_j_exact(l, lp, lpp, 0, 0, 0) * three_j_exact(l, lp, lpp, m, -m, 0)
+
+
+#: largest momentum for which the float Racah sum of the general m
+#: patterns is trusted; measured against exact rational arithmetic the
+#: alternating sum holds 1e-10 relative accuracy only up to l ~ 20
+RACAH_L_MAX = 16
+
+
+def _logfac(n):
+    return math.lgamma(n + 1)
+
+
+def _three_j_racah(j1, j2, j3, m1, m2, m3):
+    """Racah single-sum formula with log-factorials and compensated sum."""
+    t1 = j2 - m1 - j3
+    t2 = j1 + m2 - j3
+    t3 = j1 + j2 - j3
+    t4 = j1 - m1
+    t5 = j2 + m2
+    tmin = max(0, t1, t2)
+    tmax = min(t3, t4, t5)
+    terms = []
+    for t in range(tmin, tmax + 1):
+        lg = (_logfac(t) + _logfac(t - t1) + _logfac(t - t2)
+              + _logfac(t3 - t) + _logfac(t4 - t) + _logfac(t5 - t))
+        terms.append((-1.0) ** t * math.exp(-lg))
+    s = math.fsum(terms)
+    log_pref = 0.5 * (_logfac(j1 + j2 - j3) + _logfac(j1 - j2 + j3)
+                      + _logfac(-j1 + j2 + j3) - _logfac(j1 + j2 + j3 + 1)
+                      + _logfac(j1 + m1) + _logfac(j1 - m1)
+                      + _logfac(j2 + m2) + _logfac(j2 - m2)
+                      + _logfac(j3 + m3) + _logfac(j3 - m3))
+    return (-1.0) ** (j1 - j2 - m3) * math.exp(log_pref) * s
+
+
+@functools.lru_cache(maxsize=200000)
+def _slice_m(j1, j2, m):
+    """The l'' slice of 3j(j1 j2 .; m -m 0) from the package's vectorized
+    routes (closed form at m = 0, recurrence otherwise), as a read-only
+    array."""
+    from casphere import wigner
+    j1s, j2s = np.array([j1]), np.array([j2])
+    if m == 0:
+        vals = wigner._three_j_000_slices(j1s, j2s)
+    else:
+        vals = wigner._three_j_m_slices(j1s, j2s, np.array([m]))
+    vals = vals[: j1 + j2 - abs(j1 - j2) + 1, 0]
+    vals.flags.writeable = False
+    return vals
+
+
+def three_j(j1, j2, j3, m1, m2, m3):
+    """Float Wigner 3j symbol: the package's routes for the patterns
+    (0,0,0) and (m,-m,0), one entry at a time, which the exact oracle
+    checks; other m patterns by the Racah sum, up to ``RACAH_L_MAX``.
+
+    Out-of-domain inputs (triangle violation, |m| > j, m1+m2+m3 != 0)
+    return 0 by convention.  General m patterns past ``RACAH_L_MAX`` raise
+    ``NotImplementedError``.
+    """
+    if m1 + m2 + m3 != 0:
+        return 0.0
+    if not abs(j1 - j2) <= j3 <= j1 + j2:
+        return 0.0
+    if abs(m1) > j1 or abs(m2) > j2 or abs(m3) > j3:
+        return 0.0
+    if m3 == 0 and m1 == -m2:
+        return float(_slice_m(j1, j2, m1)[j3 - abs(j1 - j2)])
+    if max(j1, j2, j3) <= RACAH_L_MAX:
+        return _three_j_racah(j1, j2, j3, m1, m2, m3)
+    raise NotImplementedError(
+        "general m patterns are only available up to l = RACAH_L_MAX")
+
+
+def h_factor(l, lp, lpp, m):
+    """Geometric coupling H_{l l'}^{l''} from :func:`three_j`, one entry at
+    a time; zero outside the triangle domain and for odd l+l'+l''."""
+    w0 = three_j(l, lp, lpp, 0, 0, 0)
+    if w0 == 0.0:
+        return 0.0
+    wm = three_j(l, lp, lpp, m, -m, 0)
+    return math.sqrt((2.0 * l + 1.0) * (2.0 * lp + 1.0)) * (2.0 * lpp + 1.0) * w0 * wm
 
 
 def bessel_i_series(l, x, terms=30):

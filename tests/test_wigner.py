@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import gammaln
 
 from casphere import kernel, wigner
-from casphere.wigner import three_j, h_factor, h_slice, h_tensor, lambda_tensor
+from casphere.wigner import h_slice, h_tensor, lambda_tensor
 
 import oracles
+from oracles import h_factor, three_j
 
 
 def test_trivial_values():
@@ -264,10 +267,14 @@ def test_h_tensor_block_against_loop_reference(m):
 
 
 def test_hot_path_avoids_racah(monkeypatch):
-    def racah(*args):
-        raise AssertionError("Racah sum on the hot path")
+    # the package holds no Racah route at all; only the oracle's float
+    # three_j keeps one, for the general m patterns
+    assert not [name for name in vars(wigner) if "racah" in name.lower()]
 
-    monkeypatch.setattr(wigner, "_three_j_racah", racah)
+    def racah(*args):
+        raise AssertionError("Racah sum on the (m -m 0) path")
+
+    monkeypatch.setattr(oracles, "_three_j_racah", racah)
     wigner.clear_caches()
     h_tensor(3, 20)
     h_slice(5, 9, 4)
@@ -321,7 +328,7 @@ def test_grown_cache_serves_exact_prefixes(order):
     assert len(wigner._STORES) == 1
     wigner.clear_caches()
     assert not wigner._STORES and not wigner._STORE_VIEWS and not wigner._LAMBDA
-    assert wigner._slice_m.cache_info().currsize == 0
+    assert not wigner._GAMMALN
 
 
 @pytest.mark.parametrize("m", [0, 2, 5])
@@ -356,4 +363,111 @@ def test_g_store_matches_the_dense_alternating_tensor(m):
     grown = h_tensor(m, l_max + 6)
     assert np.array_equal(_store_rows(small, m, l_max - 5), _store_rows(fresh_small, m, l_max - 5))
     assert np.array_equal(_store_rows(grown, m, l_max), _store_rows(H, m, l_max))
+    wigner.clear_caches()
+
+
+# -- batched growth of every held store ----------------------------------------
+
+_ALONE = {}
+
+
+def _grown_alone(m, l_max):
+    """The store of m at l_max grown alone in a fresh cache; the cache of
+    the caller is put back afterwards."""
+    key = (m, l_max)
+    if key not in _ALONE:
+        held = dict(wigner._STORES), dict(wigner._STORE_VIEWS)
+        wigner._STORES.clear()
+        wigner._STORE_VIEWS.clear()
+        try:
+            _ALONE[key] = h_tensor(m, l_max).copy()
+        finally:
+            wigner._STORES.clear()
+            wigner._STORE_VIEWS.clear()
+            wigner._STORES.update(held[0])
+            wigner._STORE_VIEWS.update(held[1])
+    return _ALONE[key]
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 44)), min_size=1, max_size=8))
+def test_batched_growth_in_any_order_matches_stores_grown_alone(requests):
+    wigner.clear_caches()
+    requests = [(m, max(m, l_max)) for m, l_max in requests]
+    views = {}
+    for m, l_max in requests:
+        views[m, l_max] = h_tensor(m, l_max)
+    # growth makes no store for an m that was never requested
+    assert set(wigner._STORES) == {m for m, _ in requests}
+    for (m, l_max), H in views.items():
+        assert np.array_equal(_store_rows(H, m, l_max),
+                              _store_rows(_grown_alone(m, l_max), m, l_max))
+    for m, H in wigner._STORES.items():
+        alone = _grown_alone(m, wigner._store_l_max(m, H))
+        assert H.shape == alone.shape and np.array_equal(H, alone)
+    wigner.clear_caches()
+
+
+def _three_j_000_gammaln(j1, j2):
+    """The closed form of (j1 j2 j; 0 0 0) with gammaln called on every
+    entry, the evaluation the table replaces."""
+    jmin = np.abs(j1 - j2)
+    j = jmin + np.arange(np.max(j1 + j2 - jmin) + 1)[:, None]
+    J = j1 + j2 + j
+    keep = (j <= j1 + j2) & (J % 2 == 0)
+    j = np.where(keep, j, jmin)
+    J = j1 + j2 + j
+    g = J // 2
+    log_delta = 0.5 * (gammaln(J - 2 * j1 + 1) + gammaln(J - 2 * j2 + 1)
+                       + gammaln(J - 2 * j + 1) - gammaln(J + 2))
+    log_ratio = gammaln(g + 1) - gammaln(g - j1 + 1) - gammaln(g - j2 + 1) \
+        - gammaln(g - j + 1)
+    return np.where(keep, (1.0 - 2.0 * (g % 2)) * np.exp(log_delta + log_ratio), 0.0)
+
+
+@pytest.mark.parametrize("l_max", [5, 44, 130])
+def test_three_j_000_table_is_bit_equal_to_gammaln(l_max):
+    wigner.clear_caches()
+    a, b = np.triu_indices(l_max + 1)
+    got = wigner._three_j_000_slices(a, b)
+    want = _three_j_000_gammaln(a, b)
+    assert got.tobytes() == want.tobytes()
+    wigner.clear_caches()
+
+
+def test_one_growth_pass_per_cut_off(monkeypatch):
+    # the request pattern of a Matsubara sweep: every m block up to m = 12
+    # at each l_max step; the per-m growth made 131 passes for it
+    calls = []
+    grow = wigner._grow_stores
+
+    def counted(m, l_max):
+        calls.append((m, l_max))
+        return grow(m, l_max)
+
+    monkeypatch.setattr(wigner, "_grow_stores", counted)
+    wigner.clear_caches()
+    for l_max in range(4, 45, 4):
+        for m in range(min(12, l_max) + 1):
+            h_tensor(m, l_max)
+    assert len(calls) <= 25
+    assert sorted(wigner._STORES) == list(range(13))
+    assert all(wigner._store_l_max(m, H) == 44 for m, H in wigner._STORES.items())
+    wigner.clear_caches()
+
+
+def test_store_budget_refuses_growth_without_changing_the_cache(monkeypatch):
+    wigner.clear_caches()
+    views = {(m, 10): h_tensor(m, 10) for m in range(4)}
+    stores = dict(wigner._STORES)
+    held = sum(H.nbytes for H in stores.values())
+    monkeypatch.setattr(wigner, "_STORE_BUDGET", held + 1000)
+    with pytest.raises(MemoryError, match=r"m = 2, l_max = 20 .* \d+ bytes"):
+        h_tensor(2, 20)
+    assert wigner._STORES.keys() == stores.keys()
+    assert all(wigner._STORES[m] is H for m, H in stores.items())
+    assert wigner._STORE_VIEWS == views
+    assert all(wigner._STORE_VIEWS[key] is H for key, H in views.items())
+    # a request inside the held cut-offs needs no growth and is served
+    assert np.array_equal(h_tensor(1, 7), _grown_alone(1, 10)[: 13, : 4, : 8])
     wigner.clear_caches()
