@@ -39,7 +39,12 @@ def low_t_thermal(geom, spec, T):
 
     Scalar Dirichlet sphere: order T^2 (sign set by the plane condition);
     Neumann sphere and electromagnetic field: order T^4.  Valid for
-    T*R << 1 and T*d << 1 (not enforced; see validity_note).
+    T*R << 1 and T*d << 1 (not enforced; see validity_note).  The Neumann
+    sphere coefficient, -+zeta(4) R^3/pi, is its large-L limit and holds
+    to leading order in R/L (it lies 0.5 % above the computed coefficient
+    at L = 4R and 3 % above at L = 2R); the Dirichlet sphere facing a
+    Neumann plane carries the factor (2L - R)/(2L + R), also leading order
+    in R/L.
     """
     R, L = geom.R, geom.L
     note = f"assumes T*R << 1 and T*L << 1 (here T*R={T * R:.3g}, T*L={T * L:.3g})"
@@ -53,9 +58,12 @@ def low_t_thermal(geom, spec, T):
             return ExpansionResult(-ZETA2 / math.pi * R * T * T, 2, note)
         factor = (2.0 * L - R) / (2.0 * L + R)
         return ExpansionResult(ZETA2 / math.pi * factor * R * T * T, 2, note)
-    # Neumann sphere: the s-wave contribution is absent, T^4 leads
+    # Neumann sphere: the s-wave contribution is absent and T^4 leads.  The
+    # s-wave channel alone gives twice this; at L >> R the higher channels
+    # cancel half of it, and the finite-L corrections are not included
     sign = -1.0 if spec.plane_bc == DIRICHLET else 1.0
-    return ExpansionResult(sign * 2.0 * ZETA4 / math.pi * R ** 3 * T ** 4, 4, note)
+    note += "; leading order in R/L"
+    return ExpansionResult(sign * ZETA4 / math.pi * R ** 3 * T ** 4, 4, note)
 
 
 def em_contact_coefficient():

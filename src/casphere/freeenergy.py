@@ -16,9 +16,11 @@ connected by ``F = E_0 + F_T``.  Real-frequency integrands oscillate on the
 scale pi/(2 L T) in the Boltzmann variable, so panels never exceed half
 that scale; panels are refined adaptively, and a vanishing pivot of
 1 - M at a node splits the panel that holds it.  Each panel hands all its
-nodes to the sweep at once; on the real-frequency axis each run of
-consecutive nodes at one fixed cut-off is then evaluated as one stack of
-blocks.
+nodes to the sweep at once; each run of consecutive nodes at one fixed
+cut-off is then evaluated as one stack of blocks.  The Matsubara sum
+evaluates its nodes n >= 2 in chunks of up to ``MATSUBARA_CHUNK``, each
+one stack with a growth test per node, and accepts a node only where its
+cut-off is the one it would get evaluated alone.
 
 The force is the negative derivative of the Matsubara sum or of the
 thermal part with respect to the surface separation, from one sweep of
@@ -203,7 +205,7 @@ class _SweepState:
     runaway growth.  With ``derivative`` every node is the separation
     derivative of the trace (see :func:`trlog.trace_over_m`).
 
-    On the rotated axis each run of consecutive nodes at the last verified
+    On both frequency axes each run of consecutive nodes at the last verified
     cutoff goes through :func:`trlog.trace_over_m` as one stack, and each
     verified node as a stack of one.  A run is evaluated before the next
     verified node, which alone reads the state the run leaves, so the
@@ -255,7 +257,7 @@ class _SweepState:
         while i < len(xis):
             fixed = self._fixed(self.count + 1)
             j = i + 1
-            if fixed and self.evaluation == trlog.ROTATED:
+            if fixed:
                 while j < len(xis) and self._fixed(self.count + 1 + j - i):
                     j += 1
             vals[i:j], errs[i:j] = self._run(xis[i:j], fixed)
@@ -273,8 +275,7 @@ class _SweepState:
         try:
             val, diag = trlog.trace_over_m(
                 self.evaluation, self.geom, self.spec, trunc,
-                xi=xis if self.evaluation == trlog.ROTATED else xis[0],
-                part=self.part, derivative=self.derivative, **growth)
+                xi=xis, part=self.part, derivative=self.derivative, **growth)
         except SingularBlockError:
             if len(xis) == 1:
                 self.count += 1
@@ -294,19 +295,18 @@ class _SweepState:
         self.eig_blocks += diag["eig_blocks"]
         self.fallbacks += diag["fallbacks"]
         self.nodes_assumed += len(xis) if fixed else 0
-        vals = np.atleast_1d(val)
-        errs = np.empty(len(vals))
-        for i, proj in enumerate(np.abs(self.part(vals) if self.part else vals)):
+        errs = np.empty(len(val))
+        for i, proj in enumerate(np.abs(self.part(val) if self.part else val)):
             if "change" in diag:
                 # a verified node: its last growth step is its truncation
                 # error estimate, and the nodes run at its cut-off inherit
                 # it relatively
-                errs[i] = diag["change"]
+                errs[i] = diag["nodes"]["change"][i]
                 self.rel_change = errs[i] / max(proj, 1e-3 * self.scale, 1e-300)
             else:
                 errs[i] = self.rel_change * proj
             self.scale = max(self.scale, proj)
-        return vals, errs
+        return val, errs
 
     def sweep(self, integrand, width, xi_max):
         """:func:`_panel_sweep` of ``integrand`` over (0, xi_max).
@@ -329,9 +329,29 @@ class _SweepState:
 
 # -- observables --------------------------------------------------------------
 
+#: the most imaginary-axis nodes of the Matsubara sum evaluated as one stack
+MATSUBARA_CHUNK = 8
+
+
 def _matsubara_sum(geom, spec, T, trunc, derivative=False):
     """``(T/2) trace(0) + T sum_{n>=1} trace(2 pi T n)`` of Tr ln(1 - M), or
     of its separation derivative; see :func:`matsubara_free_energy`.
+
+    The nodes n >= 2 run in chunks of 2, 4, then ``MATSUBARA_CHUNK`` nodes,
+    each chunk one stack whose nodes all start their growth at the current
+    hint h, and no longer than the geometric decay of the last two terms
+    says the stop test needs.  The nodes are accepted in order, with the
+    stop test after each.  Each growth step (l, l + 4) of a node gives the
+    same totals whatever cut-off the node started from (up to the rounding
+    of the stack it shares), so a node that
+    grew to L from h stops at L from any hint between h and L - 4 as well:
+    node j + 1 is accepted while its cut-off is at least node j's, which
+    set its hint.  A node whose cut-off falls below that is discarded with
+    the rest of its chunk, which is evaluated again from the new hint, as
+    are the nodes past the stop.  So every accepted node gets the cut-off,
+    value and change it gets alone.  A chunk that meets a vanishing pivot
+    is evaluated again one node at a time, so that only a node the sum
+    reaches can raise.
 
     The error estimate adds the last term, the stopping tolerance and, at
     every node, the change of its last l_max growth step.
@@ -348,30 +368,56 @@ def _matsubara_sum(geom, spec, T, trunc, derivative=False):
     l_used = diag0["l_max_used"]
     m_used = diag0["m_max_used"]
     converged = diag0["converged"]
-    n = 1
-    last = math.inf
+    blocks = diag0["blocks"]
+    discarded = 0
+    tol = trunc.rel_tol * 1e-2
+    n = 0  # the last node accepted
     hint = None
+    last = prev = math.inf  # the magnitudes of the last two terms
+    size = 1  # the n = 1 node starts afresh, alone
     while True:
-        xi = 2.0 * math.pi * T * n
-        term, diag = trlog.trace_over_m(trlog.IMAG_AXIS, geom, spec, trunc, xi=xi,
-                                        l_max_start=hint, derivative=derivative)
-        hint = diag["l_max_used"] - 4
-        F += T * term.real
-        trunc_err += T * diag.get("change", 0.0)
-        l_used = max(l_used, diag["l_max_used"])
-        m_used = max(m_used, diag["m_max_used"])
-        converged = converged and diag["converged"]
-        last = abs(T * term.real)
-        if last < trunc.rel_tol * 1e-2 * max(abs(F), 1e-300):
+        count = min(size, trunc.n_max - n)
+        if last < prev < math.inf:
+            # no more nodes than the decay of the last two terms needs
+            # to reach the stop
+            need = math.log(tol * max(abs(F), 1e-300) / last) / math.log(last / prev)
+            count = min(count, max(1, math.ceil(need)))
+        xi = 2.0 * math.pi * T * np.arange(n + 1, n + 1 + count)
+        try:
+            terms, diag = trlog.trace_over_m(trlog.IMAG_AXIS, geom, spec, trunc, xi=xi,
+                                             l_max_start=hint, derivative=derivative)
+        except SingularBlockError:
+            if count == 1:
+                raise
+            size = 1
+            continue
+        blocks += diag["blocks"]
+        node = diag["nodes"]
+        change = node.get("change", np.zeros(count))
+        for j in range(count):
+            n += 1
+            F += T * terms[j].real
+            trunc_err += T * change[j]
+            l_used = max(l_used, int(node["l_max_used"][j]))
+            m_used = max(m_used, int(node["m_max_used"][j]))
+            converged = converged and bool(node["converged"][j])
+            prev, last = last, abs(T * terms[j].real)
+            stop = last < tol * max(abs(F), 1e-300)
+            hint = int(node["l_max_used"][j]) - 4
+            if stop or (j + 1 < count and node["l_max_used"][j + 1] < hint + 4):
+                break
+        discarded += count - 1 - j
+        if stop:
             break
-        n += 1
-        if n > trunc.n_max:
+        if n >= trunc.n_max:
             raise ConvergenceError(
                 f"Matsubara sum needs more than n_max={trunc.n_max} terms; "
                 "T*d is too small for this representation")
-    return EnergyResult(F, last + trunc.rel_tol * 1e-2 * abs(F) + trunc_err,
+        size = min(2 * size, MATSUBARA_CHUNK)
+    return EnergyResult(F, last + tol * abs(F) + trunc_err,
                         {"l_max_used": l_used, "m_max_used": m_used,
-                         "n_max_used": n, "converged": converged})
+                         "n_max_used": n, "blocks": blocks,
+                         "nodes_discarded": discarded, "converged": converged})
 
 
 def matsubara_free_energy(geom, spec, T, trunc=None):
@@ -389,6 +435,12 @@ def matsubara_free_energy(geom, spec, T, trunc=None):
     (for a Dirichlet sphere at R = 1, d = 0.2, T = 1 the zero mode stops
     at l_max 24 and the nodes need 44; at R = 0.5, d = 0.005 the zero
     mode runs unconverged to the l_max cap).
+
+    The nodes n >= 2 run in stacked chunks (see :func:`_matsubara_sum`)
+    with the same cut-offs, values and error estimates as node by node.
+    The diagnostics give the cut-offs used (``l_max_used``,
+    ``m_max_used``, ``n_max_used``), the blocks assembled (``blocks``) and
+    the chunk nodes evaluated and then thrown away (``nodes_discarded``).
     """
     return _matsubara_sum(geom, spec, T, trunc)
 

@@ -13,12 +13,12 @@ the column index in the numerator and the row index in the denominator; the
 trace of any power, and hence the determinant, equals that of the symmetric
 one-index form).  This module provides
 
-* ``m_scalar`` / ``scalar_matrix``   -- imaginary frequency axis, scalar field
-  with Dirichlet or Neumann conditions on the sphere,
-* ``m_em_block`` / ``em_matrix``     -- electromagnetic 2x2 polarization blocks,
-* ``m_rotated`` / ``rotated_matrix`` / ``RotatedNodes`` -- analytic
-  continuation to real frequencies via J, Y and the Hankel function
-  H2 = J - iY, for one node or a stack of nodes,
+* ``ImagNodes`` / ``scalar_matrix`` -- imaginary frequency axis, scalar
+  field with Dirichlet or Neumann conditions on the sphere,
+* ``ImagNodes`` / ``em_matrix`` / ``m_em_block`` -- electromagnetic 2x2
+  polarization blocks,
+* ``RotatedNodes`` / ``rotated_matrix`` -- analytic continuation to real
+  frequencies via J, Y and the Hankel function H2 = J - iY,
 * ``m_static`` / ``static_matrix``   -- closed-form zero-frequency limit
   (the generic formula is 0/0 at xi = 0, so the Matsubara zero mode always
   uses the closed form).
@@ -30,20 +30,20 @@ axis), in ``(R/2L)^(l+l'+1)`` for the static blocks and in the
 polarization mixing of the electromagnetic blocks; the derivative blocks
 reuse the Bessel tables and coupling store of M.
 
-All assembly happens in log space with one exponent factored out of the
-l'' sum (the largest K term, which sits at l'' = l + l'); contributions
-below ~1e-300 of that maximum underflow to zero, a bounded truncation.
-
 Every l'' sum reads one table of Bessel weights only at the orders
 l'' = l + l' - 2t, so each frequency node has weight rows V[l + l', t]
 (K on the imaginary axis, H2 with the sign (-1)^t on the rotated axis,
-from one builder) that every block m shares, and the l'' sums of a block
-are one matrix product of the coupling store with them
-(:func:`wigner.couple`).  The imaginary-axis and static builders make one
-block per call.  The rotated blocks of a stack of frequency nodes at one
-l_max also share a node prefactor; a :class:`RotatedNodes` assembles the
+from one builder) that every block m shares, measured in units of the
+l'' = l + l' term, which dominates each sum.  The l'' sums of a block are
+one matrix product of the coupling store with the rows
+(:func:`wigner.couple`).  The frequency blocks of a stack of nodes at one
+l_max also share a node prefactor (the sphere factor, the top Bessel term
+and the geometric factor, all formed in log space once per node and
+l_max); an :class:`ImagNodes` or :class:`RotatedNodes` assembles the
 prefactors and rows once and then makes the stacks of every m, with the
-l'' sums of all nodes in one product.
+l'' sums of all nodes in one product.  ``scalar_matrix``, ``em_matrix``
+and ``rotated_matrix`` build one block as a stack of one; the static
+builder makes one block per call.
 
 Everything is pure and reentrant; the only shared state is the idempotent
 coupling-store caches of :mod:`wigner`.
@@ -273,6 +273,122 @@ def _k_rows(y, l_max, derivative=False, weighted=False):
     return rows, logk[: 2 * l_max + 1]
 
 
+class ImagNodes:
+    """The imaginary-axis blocks M_m(xi) of a stack of nodes at one l_max.
+
+    Entry (l, l') of block m factors as ``P[l, l'] * S_m[l, l']``, as in
+    :class:`RotatedNodes`.  The prefactor P depends on the node and l_max,
+    not on m: the sphere factor (numerator of l', denominator of l),
+    ``sqrt(pi/4 xi L)`` and the top term ``K_{l+l'+1/2}(y)`` that the
+    weight rows of :func:`_k_rows` are measured in; block m reads its
+    trailing square.  For block m, one :func:`wigner.couple` of every
+    node's rows gives the l'' sums of every node at once.  P is M without
+    its l'' sum and stays of the order of its entries, so each entry of P
+    is one exponential of a sum of logs, and no block of any m needs an
+    assembly in log space.
+
+    Electromagnetic blocks have the polarization-major layout of
+    :func:`em_matrix`: four prefactors per node (the TE and TM sphere
+    factors of column and row, with the signs of the off-diagonal and TM
+    quadrants) and, next to the rows, the rows times the weights of
+    :func:`wigner.lambda_tensor`.  With ``derivative`` the rows of dM/dL
+    ride in the same product, so M and dM/dL come from one assembly.
+    """
+
+    def __init__(self, xi, geom, spec, l_max, derivative=False):
+        geom.require_gap()
+        xi = np.asarray(xi, dtype=float)
+        if xi.ndim != 1 or not np.all(xi > 0.0):
+            raise ValueError("xi must be positive; use static_matrix for xi = 0")
+        self.xi = xi
+        self.L = geom.L
+        self.l_max = l_max
+        self.derivative = derivative
+        self.em = spec.kind == ELECTROMAGNETIC
+        self.l0 = spec.l_min
+        ls = np.arange(self.l0, l_max + 1)
+        ktop = ls[:, None] + ls[None, :]
+        if self.em:
+            lf = ls.astype(float)
+            lam_norm = np.sqrt(lf * (lf + 1.0))
+            self.norm = lam_norm[:, None] * lam_norm[None, :]
+            self.llp = lf[:, None] * lf[None, :]
+        self.P = np.empty((len(xi), 4 if self.em else 1, len(ls), len(ls)))
+        rows = []
+        for i, x in enumerate(xi):
+            y = 2.0 * x * geom.L
+            V, logk_y = _k_rows(y, l_max, False, self.em)
+            rows.append(V)
+            if derivative:
+                rows.append(_k_rows(y, l_max, True, self.em)[0])
+            base = 0.5 * math.log(math.pi / (4.0 * x * geom.L)) + logk_y[ktop]
+            if not self.em:
+                s_num, log_num, s_den, log_den = _sphere_factors_imag(
+                    spec.sphere_bc, x * geom.R, l_max)
+                self.P[i, 0] = (s_num[ls][None, :] * s_den[ls][:, None]) * np.exp(
+                    log_num[ls][None, :] - log_den[ls][:, None] + base)
+                continue
+            _, num_te, _, den_te = _sphere_factors_imag(DIRICHLET, x * geom.R, l_max)
+            _, num_tm, s_den_tm, den_tm = _sphere_factors_imag("tm", x * geom.R, l_max)
+            num_te, den_te, num_tm, den_tm = (a[ls] for a in (num_te, den_te, num_tm, den_tm))
+            s_tm = s_den_tm[ls][:, None]
+            self.P[i, 0] = np.exp(num_te[None, :] - den_te[:, None] + base)
+            self.P[i, 1] = -np.exp(num_tm[None, :] - den_te[:, None] + base)
+            self.P[i, 2] = s_tm * np.exp(num_te[None, :] - den_tm[:, None] + base)
+            self.P[i, 3] = -s_tm * np.exp(num_tm[None, :] - den_tm[:, None] + base)
+        self.columns = (2 if self.em else 1) * (2 if derivative else 1)
+        self.V = np.concatenate(rows, axis=2)
+
+    def keep(self, idx):
+        """Keep only the nodes ``idx`` (indices into the current stack)."""
+        c = self.columns
+        self.xi = self.xi[idx]
+        self.P = self.P[idx]
+        self.V = np.take(self.V, (idx[:, None] * c + np.arange(c)).ravel(), axis=2)
+
+    def blocks(self, m):
+        """The stacks of block m: M and, with ``derivative``, dM/dL (else
+        None), each (nodes, n, n) with n the orbital momenta from
+        max(l_min, m) to l_max, twice that for the electromagnetic field."""
+        m = abs(m)
+        k = len(self.xi)
+        l_start = max(self.l0, m)
+        n = self.l_max - l_start + 1
+        if n <= 0:
+            empty = np.zeros((k, 0, 0))
+            return empty, (empty if self.derivative else None)
+        a = l_start - self.l0
+        S = wigner.couple(m, l_start, self.l_max, self.V)
+        S = np.ascontiguousarray(S.transpose(2, 0, 1)).reshape(k, self.columns, n, n)
+        P = self.P[:, :, a:, a:]
+        two_xi = 2.0 * self.xi[:, None, None]
+        if not self.em:
+            M = P[:, 0] * S[:, 0]
+            return M, (P[:, 0] * (two_xi * S[:, 1]) if self.derivative else None)
+        # the Lambda-weighted sum is (l l' S - S_w) / norm, see
+        # wigner.lambda_tensor; the polarization mixing factor is
+        # 2 |m| xi L / norm
+        llp, norm = self.llp[a:, a:], self.norm[a:, a:]
+        tilde = (2.0 * m * self.L) * self.xi[:, None, None] / norm
+        M = self._em_block(P, tilde * S[:, 0], (llp * S[:, 0] - S[:, 1]) / norm)
+        if not self.derivative:
+            return M, None
+        dS, dS_w = S[:, 2], S[:, 3]
+        # d/dL of tilde * S, with tilde proportional to L
+        return M, self._em_block(P, tilde * (two_xi * dS + S[:, 0] / self.L),
+                                 two_xi * (llp * dS - dS_w) / norm)
+
+    @staticmethod
+    def _em_block(P, mixed, diagonal):
+        k, n = len(P), P.shape[-1]
+        out = np.empty((k, 2 * n, 2 * n))
+        out[:, :n, :n] = P[:, 0] * diagonal
+        out[:, :n, n:] = P[:, 1] * mixed
+        out[:, n:, :n] = P[:, 2] * mixed
+        out[:, n:, n:] = P[:, 3] * diagonal
+        return out
+
+
 def scalar_matrix(m, xi, geom, spec, l_max, derivative=False):
     """Dense M_{l,l'}(xi) for one azimuthal index m (imaginary axis, scalar).
 
@@ -296,32 +412,13 @@ def scalar_matrix(m, xi, geom, spec, l_max, derivative=False):
     -------
     ndarray
         (n, n) real matrix with n = l_max - max(0, |m|) + 1; empty when the
-        l range is empty.
+        l range is empty.  The block is built as a stack of one by
+        :class:`ImagNodes`.
     """
     if spec.kind != SCALAR:
         raise ValueError("scalar_matrix needs a scalar FieldSpec")
-    geom.require_gap()
-    if not xi > 0.0:
-        raise ValueError("xi must be positive; use static_matrix for xi = 0")
-    l_start, ls = _grid(m, 0, l_max)
-    n = len(ls)
-    if n == 0:
-        return np.zeros((0, 0))
-    x = xi * geom.R
-    y = 2.0 * xi * geom.L
-    s_num, log_num, s_den, log_den = _sphere_factors_imag(spec.sphere_bc, x, l_max)
-    rows, logk_y = _k_rows(y, l_max, derivative)
-    logk_top = logk_y[ls[:, None] + ls[None, :]]
-    S = wigner.couple(abs(m), l_start, l_max, rows)[:, :, 0]
-    if derivative:
-        S *= 2.0 * xi
-    log_pref = 0.5 * math.log(math.pi / (4.0 * xi * geom.L))
-    with np.errstate(divide="ignore"):
-        logS = np.where(S != 0.0, np.log(np.abs(np.where(S != 0.0, S, 1.0))), _NEG_INF)
-    logM = (log_num[ls][None, :] - log_den[ls][:, None]
-            + log_pref + logS + logk_top)
-    signM = np.sign(S) * s_num[ls][None, :] * s_den[ls][:, None]
-    return signM * np.exp(logM)
+    M, dM = ImagNodes([xi], geom, spec, l_max, derivative).blocks(m)
+    return (dM if derivative else M)[0]
 
 
 class RotatedNodes:
@@ -429,51 +526,11 @@ def em_matrix(m, xi, geom, l_max, derivative=False):
     diagonal but shares every spectral quantity at m = 0 and in the static
     limit.  ``derivative`` returns dM/dL as in :func:`scalar_matrix`; the
     polarization mixing factor 2 |m| xi L / (lambda lambda') adds its own
-    L dependence.
+    L dependence.  The block is built as a stack of one by
+    :class:`ImagNodes`.
     """
-    geom.require_gap()
-    if not xi > 0.0:
-        raise ValueError("xi must be positive; use static_matrix for xi = 0")
-    l_start, ls = _grid(m, 1, l_max)
-    n = len(ls)
-    if n == 0:
-        return np.zeros((0, 0))
-    x = xi * geom.R
-    y = 2.0 * xi * geom.L
-    _, log_num_te, _, log_den_te = _sphere_factors_imag(DIRICHLET, x, l_max)
-    _, log_num_tm, s_den_tm, log_den_tm = _sphere_factors_imag("tm", x, l_max)
-    lf = ls.astype(float)
-    lam_norm = np.sqrt(lf * (lf + 1.0))
-    norm = lam_norm[:, None] * lam_norm[None, :]
-    llp = lf[:, None] * lf[None, :]
-    # the Lambda-weighted sum is (l l' S - S_w) / norm, see wigner.lambda_tensor
-    rows, logk_y = _k_rows(y, l_max, weighted=True)
-    logk_top = logk_y[ls[:, None] + ls[None, :]]
-    S, S_w = np.moveaxis(wigner.couple(abs(m), l_start, l_max, rows), 2, 0)
-    if derivative:
-        dS, dS_w = np.moveaxis(
-            wigner.couple(abs(m), l_start, l_max, _k_rows(y, l_max, True, True)[0]), 2, 0)
-        # d/dL of tilde * S, with tilde proportional to L
-        S = 2.0 * xi * dS + S / geom.L
-        S_lam = 2.0 * xi * (llp * dS - dS_w) / norm
-    else:
-        S_lam = (llp * S - S_w) / norm
-    log_pref = 0.5 * math.log(math.pi / (4.0 * xi * geom.L))
-    tilde = 2.0 * abs(m) * xi * geom.L / norm
-
-    def assemble(Sm, extra, log_num, log_den, sign_den):
-        with np.errstate(divide="ignore"):
-            logSm = np.where(Sm != 0.0, np.log(np.abs(np.where(Sm != 0.0, Sm, 1.0))), _NEG_INF)
-        mag = np.exp(logSm + log_pref + logk_top
-                     + log_num[ls][None, :] - log_den[ls][:, None])
-        return np.sign(Sm) * mag * extra * sign_den[ls][:, None]
-
-    ones = np.ones(l_max + 1)
-    B11 = assemble(S_lam, 1.0, log_num_te, log_den_te, ones)
-    B21 = assemble(S, tilde, log_num_te, log_den_tm, s_den_tm)
-    B12 = -assemble(S, tilde, log_num_tm, log_den_te, ones)
-    B22 = -assemble(S_lam, 1.0, log_num_tm, log_den_tm, s_den_tm)
-    return np.block([[B11, B12], [B21, B22]])
+    M, dM = ImagNodes([xi], geom, FieldSpec.em(), l_max, derivative).blocks(m)
+    return (dM if derivative else M)[0]
 
 
 def _h_top_value(l, lp, m):
@@ -573,24 +630,6 @@ def static_matrix(m, geom, spec_or_pol, l_max, derivative=False):
     if pol == "tm":
         return M * lam_top * (lp + 1.0) / l
     raise ValueError(f"unknown polarization {pol!r}")
-
-
-def m_scalar(l, lp, m, xi, geom, spec):
-    """Single scalar matrix element M_{l,l'}(xi) on the imaginary axis."""
-    if l < abs(m) or lp < abs(m):
-        raise ValueError("l, l' must be >= |m|")
-    l_start = abs(m)
-    M = scalar_matrix(m, xi, geom, spec, max(l, lp))
-    return float(M[l - l_start, lp - l_start])
-
-
-def m_rotated(l, lp, m, xi, geom, spec, branch=1):
-    """Single rotated matrix element M_{l,l'}(i xi) (scalar field)."""
-    if l < abs(m) or lp < abs(m):
-        raise ValueError("l, l' must be >= |m|")
-    l_start = abs(m)
-    M = rotated_matrix(m, xi, geom, spec, max(l, lp), branch)
-    return complex(M[l - l_start, lp - l_start])
 
 
 def m_em_block(l, lp, m, xi, geom):

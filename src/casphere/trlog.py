@@ -29,12 +29,21 @@ The force needs the separation derivative of the same trace,
 which one LU factorization and solve gives for every block type, with no
 eigenvalues and no branch of the logarithm to choose.
 
-On the rotated axis, several frequency nodes at one l_max run as one
-stack: every block m of the stack comes from one assembly
-(:class:`kernel.RotatedNodes`), and the evaluators above take the whole
-stack at once, with batched matrix products and one stacked ``slogdet``;
-refused blocks take their eigenvalues one by one.  The nodes step through
-m together, and each leaves the stack at its own m cut.
+On both frequency axes, several nodes at one l_max run as one stack:
+every block m of the stack comes from one assembly
+(:class:`kernel.ImagNodes`, :class:`kernel.RotatedNodes`), and the
+evaluators above take the whole stack at once, with batched matrix
+products and one stacked ``slogdet``; refused blocks take their
+eigenvalues one by one.  The nodes step through m together, each leaves
+the stack at its own m cut, and with automatic growth each runs its own
+l_max test and leaves the stack once it passes.
+
+A growth step compares the totals at l_max and l_max + 4.  It assembles
+its blocks once, at l_max + 4; the leading sub-blocks of those blocks,
+zero-padded in M (the identity in 1 - M, which changes neither the
+determinant, nor the traces of the powers, nor the LU solve), give the
+total at l_max, and each sub-block joins its full block in the same
+stacked evaluation.
 
 Blocks for distinct m are independent; the reduction always runs in
 ascending m for bit-reproducible results.
@@ -117,18 +126,21 @@ def assemble_block(m, evaluation, geom, spec, l_max, xi=None, derivative=False):
     """Fill one MBlockMatrix from the matching kernel operation.
 
     evaluation is one of 'imag' (imaginary axis, needs the frequency xi),
-    'rotated' (real frequency) or 'static'.  For 'rotated', xi is a
-    :class:`kernel.RotatedNodes` at this l_max, and the block is the stack
-    of block m of each of its nodes.  With ``derivative`` the block also
-    carries dM/dd from the same kernel.  The plane boundary sign is not
-    applied here; it enters the logarithm downstream.
+    'rotated' (real frequency) or 'static'.  On the imaginary axis xi is a
+    frequency or a :class:`kernel.ImagNodes`, on the rotated axis a
+    :class:`kernel.RotatedNodes`; a node stack must be at this l_max, and
+    the block is then the stack of block m of each of its nodes.  With
+    ``derivative`` the block also carries dM/dd from the same kernel.  The
+    plane boundary sign is not applied here; it enters the logarithm
+    downstream.
     """
     l_start = max(spec.l_min, abs(m))
     em = spec.kind == kernel.ELECTROMAGNETIC
-    if evaluation == ROTATED:
-        if not (isinstance(xi, kernel.RotatedNodes) and xi.l_max == l_max
+    stack = {ROTATED: kernel.RotatedNodes, IMAG_AXIS: kernel.ImagNodes}.get(evaluation)
+    if evaluation == ROTATED or (stack is not None and isinstance(xi, stack)):
+        if not (isinstance(xi, stack) and xi.l_max == l_max
                 and xi.derivative == derivative):
-            raise ValueError("rotated blocks need a kernel.RotatedNodes at their "
+            raise ValueError(f"{evaluation} block stacks need a node stack at their "
                              "l_max, with the derivative when one is asked for")
         M, dM = xi.blocks(m)
         return MBlockMatrix(m, l_start, l_max, M, em, dM)
@@ -158,19 +170,23 @@ def log_det_one_minus(block, plane_sign=1):
 
     Real blocks (imaginary axis, static) must give a real, negative-free
     logarithm of a positive determinant; the result is returned as a complex
-    number with zero imaginary part.  Complex (rotated) blocks take the
-    principal branch of each pivot's logarithm.
+    number with zero imaginary part, and a stack of real blocks (nodes, n,
+    n) runs as one stacked ``slogdet`` and gives the array of their values.
+    Complex (rotated) blocks take the principal branch of each pivot's
+    logarithm.
     """
     M = _entries(block)
     if M.size == 0:
-        return 0.0 + 0.0j
-    A = np.eye(M.shape[0], dtype=M.dtype) - plane_sign * M
+        return np.zeros(len(M), dtype=complex) if M.ndim == 3 else 0.0 + 0.0j
     if not np.iscomplexobj(M):
-        sign, logabs = np.linalg.slogdet(A)
-        if sign <= 0.0:
+        stack = M if M.ndim == 3 else M[None]
+        sign, logabs = np.linalg.slogdet(_one_minus(stack if plane_sign == 1 else -stack))
+        if np.any(sign <= 0.0):
             raise SingularBlockError(
                 "det(1 - M) <= 0 on the real axis; increase l_max")
-        return complex(logabs)
+        vals = logabs.astype(complex)
+        return vals if M.ndim == 3 else complex(vals[0])
+    A = np.eye(M.shape[0], dtype=M.dtype) - plane_sign * M
     lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
     diag = np.diag(lu)
     if np.any(np.abs(diag) < 1e-300):
@@ -195,8 +211,8 @@ def _traces(X):
 
 
 def _one_minus(A):
-    """1 - A for a stack A."""
-    out = np.negative(A)
+    """1 - A for a stack A, C-contiguous."""
+    out = np.negative(A, order="C")
     out.reshape(len(A), -1)[:, :: A.shape[-1] + 1] += 1.0
     return out
 
@@ -290,11 +306,15 @@ def trace_derivative(block, plane_sign=1):
     """
     M = _entries(block)
     stack = M if M.ndim == 3 else M[None]
-    dstack = block.derivative.reshape(stack.shape)
+    out = _trace_derivatives(stack, block.derivative.reshape(stack.shape), plane_sign)
+    return out if M.ndim == 3 else complex(out[0])
+
+
+def _trace_derivatives(stack, dstack, plane_sign):
+    """:func:`trace_derivative` of each block of the stack of M and dM/dd."""
     out = np.zeros(len(stack), dtype=complex)
-    n = stack.shape[-1]
-    if n:
-        getrf, getrs = _LU[M.dtype.char]
+    if stack.shape[-1]:
+        getrf, getrs = _LU[stack.dtype.char]
         A = _one_minus(stack if plane_sign == 1 else -stack)
         for i in range(len(stack)):
             lu, piv, _ = getrf(A[i])
@@ -303,13 +323,30 @@ def trace_derivative(block, plane_sign=1):
                 raise SingularBlockError("vanishing pivot in 1 - M")
             X, _ = getrs(lu, piv, dstack[i])
             out[i] = -plane_sign * np.trace(X)
-    return out if M.ndim == 3 else complex(out[0])
+    return out
 
 
 # the LAPACK LU routines themselves: the blocks are small, and the checks
 # of scipy.linalg.lu_factor / lu_solve cost as much as the factorization
 _LU = {"d": (scipy.linalg.lapack.dgetrf, scipy.linalg.lapack.dgetrs),
        "D": (scipy.linalg.lapack.zgetrf, scipy.linalg.lapack.zgetrs)}
+
+
+def _with_sub_blocks(X, hi, lo, cut, em):
+    """The blocks X[hi] stacked with the blocks X[lo] cut to their leading
+    sub-blocks (``hi`` and ``lo`` are lists of positions in the stack X):
+    in each polarization half, the rows and columns from ``cut`` on are
+    zero, so ``1 - M`` is the identity there."""
+    X = X.reshape(-1, *X.shape[-2:])
+    if not lo:
+        return X if len(hi) == len(X) else X[hi]
+    out = X[hi + lo]
+    sub = out[len(hi):]
+    n = X.shape[-1] // 2 if em else X.shape[-1]
+    for a in ((cut, n + cut) if em else (cut,)):
+        sub[:, a: a + n - cut] = 0.0
+        sub[:, :, a: a + n - cut] = 0.0
+    return out
 
 
 def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
@@ -323,11 +360,20 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
     :func:`trace_derivative` instead, so the sum is d/dd Tr ln(1 - M), and
     the m and l tests run on that.
 
-    On the rotated axis xi may be a 1-d array of nodes, evaluated as one
-    stack (a single node is a stack of one): each l_max tried assembles
-    one :class:`kernel.RotatedNodes`, the nodes step through m together,
-    each stops at its own m cut, and the growth test must pass at every
-    node.
+    On the imaginary and rotated axes xi may be a 1-d array of nodes,
+    evaluated as one stack (a single node is a stack of one): each l_max
+    assembles one :class:`kernel.ImagNodes` or :class:`kernel.RotatedNodes`,
+    the nodes step through m together and each stops at its own m cut.
+    With automatic growth every node starts at the same cutoff, runs its
+    own growth test and leaves the stack once it passes, so each node gets
+    the cutoff, value and change it would get alone.
+
+    A growth step from l to l + 4 assembles its blocks once, at l + 4.  The
+    total at l comes from the leading sub-blocks of the same blocks, zero
+    padded in M (the identity in 1 - M), which leaves the determinant, the
+    four traces and the LU solve unchanged; each sub-block joins its full
+    block in one stacked evaluation, and the m loop runs while either total
+    of a node still needs m.
 
     Parameters
     ----------
@@ -351,15 +397,17 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
     (complex, dict)
         folded trace (or its derivative; an array for an array of nodes)
         and diagnostics {'l_max_used', 'm_max_used', 'converged', 'blocks',
-        'eig_blocks', 'fallbacks'}: 'blocks' counts the blocks of every
-        node assembled over every l_max tried, 'eig_blocks' those of them
+        'eig_blocks', 'fallbacks'}, with automatic growth also 'change',
+        the projected change of the last growth step, which estimates the
+        truncation error from above.  For an array of nodes these are the
+        largest cut-offs and change over the nodes and whether all
+        converged, and 'nodes' holds the per-node arrays of 'l_max_used',
+        'm_max_used', 'converged' and (with automatic growth) 'change'.
+        'blocks' counts the blocks of every node assembled over every
+        growth step, 'eig_blocks' the evaluated blocks and sub-blocks
         whose rotated log-determinant took eigenvalues (see
         :func:`trace_log_eig`) and 'fallbacks' those that took the
-        per-pivot determinant (see :func:`block_trace_log`);
-        'm_max_used' is the largest m cut over the nodes; with automatic
-        growth also 'change', the largest projected change of the last
-        growth step over the nodes, which estimates the truncation error
-        from above
+        per-pivot determinant (see :func:`block_trace_log`).
     """
     trunc = trunc or Truncation()
     if trunc.l_max is not None and trunc.l_max < spec.l_min:
@@ -367,62 +415,92 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
     sign = spec.plane_sign
     meas = part or (lambda z: z)
     counts = {"blocks": 0, "eig_blocks": 0, "fallbacks": 0}
-    k = np.size(xi) if evaluation == ROTATED else 1
+    stack = {ROTATED: kernel.RotatedNodes, IMAG_AXIS: kernel.ImagNodes}.get(evaluation)
+    nodes = np.atleast_1d(np.asarray(xi, dtype=float)) if stack else np.zeros(1)
+    k = len(nodes)
+    em = spec.kind == kernel.ELECTROMAGNETIC
 
-    def total_at(l_max):
-        tot = [0j] * k
-        active = list(range(k))  # the nodes still in the stack
-        src = xi
-        if evaluation == ROTATED:
-            src = kernel.RotatedNodes(np.atleast_1d(xi), geom, spec, l_max,
-                                      derivative=derivative)
-        m_used = 0
-        for m in range(0, l_max + 1):
-            if max(spec.l_min, m) > l_max:
+    def totals(idx, l_hi, l_lo=None):
+        """Folded totals of the nodes ``idx`` at l_hi and their m cuts, and
+        from the leading sub-blocks their folded totals at l_lo."""
+        src = stack(nodes[idx], geom, spec, l_hi, derivative=derivative) if stack else None
+        tot = [[0j] * len(idx), [0j] * len(idx)]  # at l_hi, at l_lo
+        going = [[True] * len(idx), [l_lo is not None] * len(idx)]
+        m_cut = [0] * len(idx)
+        active = list(range(len(idx)))  # the nodes in the stack
+        for m in range(l_hi + 1):
+            l_start = max(spec.l_min, m)
+            if l_start > l_hi:
                 break
+            if l_lo is not None and l_start > l_lo:
+                going[1] = [False] * len(idx)
+            live = [pos for pos, i in enumerate(active) if going[0][i] or going[1][i]]
+            if not live:
+                break
+            if len(live) < len(active):
+                active = [active[pos] for pos in live]
+                src.keep(np.array(live))
             if derivative:
-                blk = assemble_block(m, evaluation, geom, spec, l_max, xi=src,
+                blk = assemble_block(m, evaluation, geom, spec, l_hi, xi=src,
                                      derivative=True)
-                val = trace_derivative(blk, sign)
             else:
-                blk = assemble_block(m, evaluation, geom, spec, l_max, xi=src)
-                val = block_trace_log(blk, sign, evaluation, counts=counts)
+                blk = assemble_block(m, evaluation, geom, spec, l_hi, xi=src)
             counts["blocks"] += len(active)
-            m_used = m
-            going = []  # positions in the stack of the nodes that go on
-            for pos, (i, v) in enumerate(zip(active, val if np.ndim(val) else (val,))):
+            # the stack evaluated: the full blocks of the nodes whose total
+            # at l_hi goes on, then the sub-blocks of those whose total at
+            # l_lo does
+            hi = [pos for pos, i in enumerate(active) if going[0][i]]
+            lo = [pos for pos, i in enumerate(active) if going[1][i]]
+            cut = l_lo - l_start + 1 if lo else 0
+            both = _with_sub_blocks(blk.entries, hi, lo, cut, em)
+            if derivative:
+                vals = _trace_derivatives(
+                    both, _with_sub_blocks(blk.derivative, hi, lo, cut, em), sign)
+            else:
+                vals = block_trace_log(both, sign, evaluation, counts=counts)
+            slots = [(0, active[pos]) for pos in hi] + [(1, active[pos]) for pos in lo]
+            for (row, i), v in zip(slots, vals):
                 contrib = v if m == 0 else 2.0 * v
-                tot[i] += contrib
-                if m == 0 or not abs(contrib) < trunc.rel_tol * 1e-2 * max(abs(tot[i]), 1e-300):
-                    going.append(pos)
-            if not going:
-                break
-            if len(going) < len(active):
-                active = [active[pos] for pos in going]
-                src.keep(np.array(going))
-        return np.array(tot), m_used
+                tot[row][i] += contrib
+                if m and abs(contrib) < trunc.rel_tol * 1e-2 * max(abs(tot[row][i]), 1e-300):
+                    going[row][i] = False
+            for pos in hi:
+                m_cut[active[pos]] = m
+        return np.array(tot[0]), np.array(tot[1]), np.array(m_cut)
 
-    def result(tot, diag):
-        return (tot if np.ndim(xi) else complex(tot[0])), {**diag, **counts}
+    def result(tot, nodes_diag):
+        agg = {"l_max_used": int(np.max(nodes_diag["l_max_used"])),
+               "m_max_used": int(np.max(nodes_diag["m_max_used"])),
+               "converged": bool(np.all(nodes_diag["converged"]))}
+        if "change" in nodes_diag:
+            agg["change"] = float(np.max(nodes_diag["change"]))
+        if np.ndim(xi):
+            return tot, {**agg, **counts, "nodes": nodes_diag}
+        return complex(tot[0]), {**agg, **counts}
 
     if trunc.l_max is not None:
-        tot, m_used = total_at(trunc.l_max)
-        return result(tot, {"l_max_used": trunc.l_max, "m_max_used": m_used,
-                            "converged": True})
+        tot, _, m_cut = totals(np.arange(k), trunc.l_max)
+        return result(tot, {"l_max_used": np.full(k, trunc.l_max), "m_max_used": m_cut,
+                            "converged": np.ones(k, dtype=bool)})
 
     l_max = max(spec.l_min + 4, l_max_start or 0)
-    tot, m_used = total_at(l_max)
-    converged = False
-    change = math.inf
-    while l_max < L_CAP:
-        nxt, m_used = total_at(l_max + 4)
-        ref = np.maximum(np.abs(meas(nxt)), max(scale_floor, 1e-300))
-        delta = np.abs(meas(nxt) - meas(tot))
-        change = float(np.max(delta))
-        tot = nxt
+    value = np.zeros(k, dtype=complex)
+    l_used = np.full(k, l_max)
+    m_used = np.zeros(k, dtype=int)
+    converged = np.zeros(k, dtype=bool)
+    change = np.full(k, math.inf)
+    pending = np.arange(k)  # the nodes whose growth test has not passed
+    if l_max >= L_CAP:
+        value, _, m_used = totals(pending, l_max)
+    while l_max < L_CAP and len(pending):
+        hi, lo, m_cut = totals(pending, l_max + 4, l_max)
         l_max += 4
-        if np.all(delta <= trunc.rel_tol * ref):
-            converged = True
-            break
-    return result(tot, {"l_max_used": l_max, "m_max_used": m_used,
-                        "converged": converged, "change": change})
+        ref = np.maximum(np.abs(meas(hi)), max(scale_floor, 1e-300))
+        delta = np.abs(meas(hi) - meas(lo))
+        value[pending], m_used[pending], l_used[pending], change[pending] = \
+            hi, m_cut, l_max, delta
+        passed = delta <= trunc.rel_tol * ref
+        converged[pending[passed]] = True
+        pending = pending[~passed]
+    return result(value, {"l_max_used": l_used, "m_max_used": m_used,
+                          "converged": converged, "change": change})

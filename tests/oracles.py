@@ -161,6 +161,26 @@ def mp_log_bessel(kind, l, x):
     return int(mp.sign(v)), float(mp.log(abs(v)))
 
 
+def m_scalar(l, lp, m, xi, geom, spec):
+    """Single scalar matrix element M_{l,l'}(xi) on the imaginary axis, read
+    from the package's block ``kernel.scalar_matrix``."""
+    from casphere import kernel
+    if l < abs(m) or lp < abs(m):
+        raise ValueError("l, l' must be >= |m|")
+    M = kernel.scalar_matrix(m, xi, geom, spec, max(l, lp))
+    return float(M[l - abs(m), lp - abs(m)])
+
+
+def m_rotated(l, lp, m, xi, geom, spec, branch=1):
+    """Single rotated matrix element M_{l,l'}(i xi) (scalar field), read
+    from the package's block ``kernel.rotated_matrix``."""
+    from casphere import kernel
+    if l < abs(m) or lp < abs(m):
+        raise ValueError("l, l' must be >= |m|")
+    M = kernel.rotated_matrix(m, xi, geom, spec, max(l, lp), branch)
+    return complex(M[l - abs(m), lp - abs(m)])
+
+
 def m_scalar_direct(l, lp, m, xi, R, L, sphere_bc="dirichlet"):
     """Scalar matrix element straight from modified Bessel functions in
     mpmath, with the l'' sum over exact-rational couplings."""
@@ -518,3 +538,43 @@ def node_by_node_sweep_state(fe):
                     np.concatenate([e for _, e in runs]))
 
     return NodeByNode
+
+
+def node_by_node_matsubara(geom, spec, T, trunc=None, derivative=False):
+    """The Matsubara sum of ``freeenergy.matsubara_free_energy`` (or, with
+    ``derivative``, of its separation derivative) as a sequential loop:
+    one ``trlog.trace_over_m`` call per node, each node n >= 2 starting
+    its l_max growth one step below the cut-off of the node before it.
+    Returns an ``EnergyResult`` with the package's error estimate and the
+    diagnostics ``l_max_used``, ``m_max_used``, ``n_max_used`` and
+    ``converged``."""
+    from casphere import trlog
+    from casphere.freeenergy import EnergyResult
+    trunc = trunc or trlog.Truncation()
+    tot0, diag0 = trlog.trace_over_m(trlog.STATIC, geom, spec, trunc,
+                                     derivative=derivative)
+    F = 0.5 * T * tot0.real
+    trunc_err = 0.5 * T * diag0.get("change", 0.0)
+    l_used, m_used = diag0["l_max_used"], diag0["m_max_used"]
+    converged = diag0["converged"]
+    tol = trunc.rel_tol * 1e-2
+    n, hint = 1, None
+    while True:
+        term, diag = trlog.trace_over_m(trlog.IMAG_AXIS, geom, spec, trunc,
+                                        xi=2.0 * math.pi * T * n, l_max_start=hint,
+                                        derivative=derivative)
+        hint = diag["l_max_used"] - 4
+        F += T * term.real
+        trunc_err += T * diag.get("change", 0.0)
+        l_used = max(l_used, diag["l_max_used"])
+        m_used = max(m_used, diag["m_max_used"])
+        converged = converged and diag["converged"]
+        last = abs(T * term.real)
+        if last < tol * max(abs(F), 1e-300):
+            break
+        n += 1
+        if n > trunc.n_max:
+            raise ArithmeticError(f"more than n_max={trunc.n_max} terms")
+    return EnergyResult(F, last + tol * abs(F) + trunc_err,
+                        {"l_max_used": l_used, "m_max_used": m_used,
+                         "n_max_used": n, "converged": converged})

@@ -3,6 +3,7 @@ evaluators."""
 
 import math
 
+import numpy as np
 import pytest
 
 from casphere.kernel import Geometry, FieldSpec
@@ -31,12 +32,29 @@ def test_low_t_dirichlet_neumann_plane():
 
 
 def test_low_t_neumann_sphere_signs():
+    # the large-L coefficient zeta(4) R^3/pi, half the s-wave channel's
     a = low_t_thermal(G12, FieldSpec("scalar", "neumann", "dirichlet"), 0.1)
     b = low_t_thermal(G12, FieldSpec("scalar", "neumann", "neumann"), 0.1)
-    want = 2.0 * ZETA4 / math.pi * 1e-4
+    want = ZETA4 / math.pi * 1e-4
     assert a.value == pytest.approx(-want, rel=1e-14)
     assert b.value == pytest.approx(want, rel=1e-14)
     assert a.leading_power == 4
+    assert "leading order in R/L" in a.validity_note
+
+
+@pytest.mark.parametrize("plane_bc", ["dirichlet", "neumann"])
+def test_low_t_neumann_sphere_coefficient_matches_thermal_part(plane_bc):
+    # F_T/T^4 = a + b T^2 + c T^4 through three low temperatures gives the
+    # coefficient a; at R = 1, d = 3 (L = 4R) the closed form is its
+    # leading order in R/L (measured: ND -0.34296, NN +0.34287 against
+    # -+0.34451)
+    geom = Geometry(1.0, 3.0)
+    spec = FieldSpec("scalar", "neumann", plane_bc)
+    Ts = np.array([0.04, 0.02, 0.01])
+    ratios = [thermal_part(geom, spec, T, Truncation(rel_tol=1e-6)).value / T ** 4
+              for T in Ts]
+    a = np.linalg.solve(np.stack([np.ones(3), Ts ** 2, Ts ** 4], axis=1), ratios)[0]
+    assert a == pytest.approx(low_t_thermal(geom, spec, 1.0).value, rel=0.01)
 
 
 def test_low_t_em_coefficients():

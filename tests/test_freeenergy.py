@@ -41,9 +41,10 @@ def test_thermal_low_t_neumann_sphere_t4():
     b = fe.thermal_part(G12, spec, 2e-2)
     exponent = math.log(b.value / a.value) / math.log(2.0)
     assert exponent == pytest.approx(4.0, abs=0.1)
-    # the closed form -2 zeta(4) R^3 T^4/pi is the s-wave channel alone;
-    # for a Neumann sphere every l enters at the same xi^3 order, and at
-    # L = 2R the higher channels cancel about half of it
+    # -2 zeta(4) R^3 T^4/pi is the s-wave channel alone; for a Neumann
+    # sphere every l enters at the same xi^3 order, and at L = 2R the
+    # higher channels cancel about half of it (asympt.low_t_thermal gives
+    # the large-L limit, one half)
     s_wave = fe.thermal_part(G12, spec, 1e-2, Truncation(l_max=0))
     assert s_wave.value == pytest.approx(-2.0 * ZETA4 / math.pi * 1e-8, rel=0.01)
     assert a.value == pytest.approx(0.4772 * (-2.0 * ZETA4 / math.pi * 1e-8), rel=0.01)
@@ -104,15 +105,19 @@ def test_matsubara_nodes_start_from_the_previous_cutoff(monkeypatch):
     # before the l_max hint every node regrew l_max from l_min + 4: 518
     # blocks here, 394 of them at the nodes n >= 2 (the zero mode and the
     # n = 1 node, which start afresh either way, took 124)
+    import numpy as np
     from casphere import trlog
     counts = {"all": 0, "hinted": 0}
     assemble = trlog.assemble_block
     T = 1.0
 
+    # an imaginary-axis block is the stack of block m of a chunk of nodes
     def counting(m, evaluation, geom, spec, l_max, xi=None):
-        counts["all"] += 1
-        if xi is not None and xi > 3.0 * math.pi * T:
-            counts["hinted"] += 1
+        if xi is None:
+            counts["all"] += 1
+        else:
+            counts["all"] += len(xi.xi)
+            counts["hinted"] += np.count_nonzero(xi.xi > 3.0 * math.pi * T)
         return assemble(m, evaluation, geom, spec, l_max, xi=xi)
 
     monkeypatch.setattr(trlog, "assemble_block", counting)
@@ -164,7 +169,7 @@ def test_thermal_sweep_counts_its_work(monkeypatch):
     assert diag["nodes_assumed"] > 0
 
 
-@pytest.mark.parametrize("target", ["FT DD", "FT DN", "FT ND", "force DD"])
+@pytest.mark.parametrize("target", ["FT DD", "FT DN", "FT ND", "force DD", "E0 DD"])
 def test_stacked_runs_match_the_node_by_node_sweep(monkeypatch, target):
     from casphere.kernel import NEUMANN
     name, field = target.split()
@@ -175,6 +180,8 @@ def test_stacked_runs_match_the_node_by_node_sweep(monkeypatch, target):
     def run():
         if name == "force":
             return fe.force(geom, spec, T, target="thermal_part")
+        if name == "E0":  # the imaginary axis
+            return fe.vacuum_energy(geom, spec)
         return fe.thermal_part(geom, spec, T)
 
     stacked = run()
@@ -187,6 +194,98 @@ def test_stacked_runs_match_the_node_by_node_sweep(monkeypatch, target):
     assert {k: stacked.diagnostics[k] for k in keys} == \
         {k: alone.diagnostics[k] for k in keys}
     assert stacked.diagnostics["nodes_assumed"] > 0
+
+
+# (label, observable, field, R, d, T, what the chunks must show): at T = 1
+# every node of (1, 0.2) needs a larger cut-off than the one before, and at
+# (1, 1) the sum stops at n = 2 inside the first chunk of two
+CHUNK_POINTS = [
+    ("F DD grows", "F", "DD", 1.0, 0.2, 1.0, "grows"),
+    ("F DN long", "F", "DN", 1.0, 0.2, 0.1, "grows"),
+    ("F EM stops", "F", "EM", 1.0, 1.0, 1.0, "stops"),
+    ("force DD", "force", "DD", 1.0, 0.5, 1.0, None),
+]
+
+
+@pytest.mark.parametrize("label, obs, field, R, d, T, shows", CHUNK_POINTS,
+                         ids=[p[0] for p in CHUNK_POINTS])
+def test_chunked_matsubara_sum_matches_the_node_by_node_loop(
+        monkeypatch, label, obs, field, R, d, T, shows):
+    import numpy as np
+    from casphere import trlog
+    from casphere.kernel import NEUMANN
+    spec = {"DD": DD, "DN": FieldSpec(plane_bc=NEUMANN), "EM": FieldSpec.em()}[field]
+    geom = Geometry(R, d)
+    chunks, seen = [], {"blocks": 0}
+    trace, assemble = trlog.trace_over_m, trlog.assemble_block
+
+    def recording_trace(evaluation, *args, **kwargs):
+        val, diag = trace(evaluation, *args, **kwargs)
+        if evaluation == trlog.IMAG_AXIS:
+            chunks.append(diag["nodes"]["l_max_used"])
+        return val, diag
+
+    def counting_assemble(*args, **kwargs):
+        blk = assemble(*args, **kwargs)
+        seen["blocks"] += len(blk.entries) if blk.entries.ndim == 3 else 1
+        return blk
+
+    monkeypatch.setattr(trlog, "trace_over_m", recording_trace)
+    monkeypatch.setattr(trlog, "assemble_block", counting_assemble)
+    if obs == "force":
+        res = fe.force(geom, spec, T, target="total")
+    else:
+        res = fe.matsubara_free_energy(geom, spec, T)
+    monkeypatch.undo()
+    want = oracles.node_by_node_matsubara(geom, spec, T, derivative=obs == "force")
+    sign = -1.0 if obs == "force" else 1.0
+    assert res.value == pytest.approx(sign * want.value, rel=1e-12)
+    assert res.error_estimate == pytest.approx(want.error_estimate, rel=1e-9)
+    keys = ("l_max_used", "m_max_used", "n_max_used", "converged")
+    assert {k: res.diagnostics[k] for k in keys} == {k: want.diagnostics[k] for k in keys}
+    assert res.diagnostics["blocks"] == seen["blocks"]
+    assert sum(len(c) for c in chunks) == (res.diagnostics["n_max_used"]
+                                           + res.diagnostics["nodes_discarded"])
+    assert max(len(c) for c in chunks) <= fe.MATSUBARA_CHUNK
+    if shows == "grows":
+        assert any(len(c) > 1 and c[-1] > c[0] for c in chunks)
+    if shows == "stops":
+        assert res.diagnostics["nodes_discarded"] > 0
+
+
+def test_chunk_discards_the_nodes_after_a_falling_cutoff(monkeypatch):
+    # a synthetic trace whose node n needs the cut-off NEED[n]: from a start
+    # s it stops at the first s + 4j >= NEED[n], j >= 1.  Node 3 needs less
+    # than node 2, so in a chunk from one hint it stops below node 2 and
+    # must be evaluated again from node 2's cut-off
+    import numpy as np
+    from casphere import trlog
+    NEED = {1: 28, 2: 36, 3: 20, 4: 44, 7: 52, 8: 40}
+    T = 1.0
+
+    def fake(evaluation, geom, spec, trunc=None, xi=None, l_max_start=None,
+             derivative=False, **kwargs):
+        n = np.rint(np.atleast_1d(0.0 if xi is None else xi) / (2.0 * math.pi * T))
+        need = np.array([NEED.get(int(k), 12) for k in n])
+        start = max(4, l_max_start or 0)
+        l_used = start + 4 * np.maximum(1, -((start - need) // 4))
+        nodes = {"l_max_used": l_used, "m_max_used": l_used // 4,
+                 "converged": np.ones(len(n), dtype=bool), "change": 1e-7 * l_used}
+        vals = (-np.exp(-0.5 * n) * (1.0 + 1e-3 * l_used)).astype(complex)
+        diag = {k: v.max() for k, v in nodes.items()}
+        diag.update(blocks=len(n), eig_blocks=0, fallbacks=0)
+        if np.ndim(xi):
+            return vals, {**diag, "nodes": nodes}
+        return complex(vals[0]), {k: v.item() if isinstance(v, np.generic) else v
+                                  for k, v in diag.items()}
+
+    monkeypatch.setattr(trlog, "trace_over_m", fake)
+    res = fe.matsubara_free_energy(G12, DD, T)
+    want = oracles.node_by_node_matsubara(G12, DD, T)
+    assert res.value == want.value and res.error_estimate == want.error_estimate
+    keys = ("l_max_used", "m_max_used", "n_max_used", "converged")
+    assert {k: res.diagnostics[k] for k in keys} == {k: want.diagnostics[k] for k in keys}
+    assert res.diagnostics["nodes_discarded"] > 0
 
 
 @pytest.mark.slow

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from casphere import kernel, wigner
-from casphere.kernel import (Geometry, FieldSpec, m_scalar, m_em_block,
-                             m_rotated, m_static, scalar_matrix, em_matrix)
+from casphere.kernel import (Geometry, FieldSpec, m_em_block, m_static,
+                             scalar_matrix, em_matrix)
 
 import oracles
+from oracles import m_rotated, m_scalar
 
 G12 = Geometry(1.0, 1.0)   # R = 1, L = 2
 DD = FieldSpec("scalar", "dirichlet", "dirichlet")
@@ -256,6 +257,37 @@ def test_stacked_rotated_blocks_match_single_blocks(spec, branch):
     M2, dM2 = nodes.blocks(3)
     assert np.max(np.abs(M2 - M[[1, 3]])) <= 1e-13 * max(scale)
     assert np.max(np.abs(dM2 - dM[[1, 3]])) <= 1e-13 * np.max(np.abs(dM))
+
+
+@pytest.mark.parametrize("kind", ["D sphere", "N sphere", "EM"])
+def test_stacked_imaginary_axis_blocks_match_single_blocks(kind):
+    # one ImagNodes for four nodes against the dense oracles node by node,
+    # M and dM from one assembly, and nodes leaving the stack
+    geom = Geometry(1.0, 0.3)
+    xs = np.array([0.05, 0.7, 2.3, 6.5])
+    l_max = 14
+    spec = {"D sphere": DD, "N sphere": ND, "EM": FieldSpec.em()}[kind]
+
+    def dense(m, x, derivative):
+        if kind == "EM":
+            return oracles.em_matrix_dense(m, x, geom, l_max, derivative)
+        return oracles.scalar_matrix_dense(m, x, geom, spec, l_max, derivative)
+
+    nodes = kernel.ImagNodes(xs, geom, spec, l_max, derivative=True)
+    for m in (0, 1, 5, l_max):
+        M, dM = nodes.blocks(m)
+        n = l_max - max(spec.l_min, m) + 1
+        assert M.shape == dM.shape == (len(xs),) + (2 * n if kind == "EM" else n,) * 2
+        for i, x in enumerate(xs):
+            want, d_want = dense(m, x, False), dense(m, x, True)
+            assert np.max(np.abs(M[i] - want)) <= 1e-13 * np.max(np.abs(want))
+            assert np.max(np.abs(dM[i] - d_want)) <= 1e-13 * np.max(np.abs(d_want))
+    M, dM = nodes.blocks(3)
+    nodes.keep(np.array([1, 3]))
+    M2, dM2 = nodes.blocks(3)
+    assert np.max(np.abs(M2 - M[[1, 3]])) <= 1e-13 * np.max(np.abs(M))
+    assert np.max(np.abs(dM2 - dM[[1, 3]])) <= 1e-13 * np.max(np.abs(dM))
+    assert kernel.ImagNodes(xs, geom, spec, l_max).blocks(2)[1] is None
 
 
 def test_rotated_blocks_from_a_grown_store_are_bit_equal():

@@ -258,3 +258,129 @@ def test_rotated_block_past_unit_radius_counts_a_fallback(monkeypatch):
     change = log_det_one_minus(M0 + np.diag(shift)) - trace_log_eig(M0)[0]
     assert vals[1] == pytest.approx(plain[1] + change, abs=1e-12)
     assert vals[[0, 2]] == pytest.approx(plain[[0, 2]], abs=1e-14)
+
+
+# (evaluation, field, xi, derivative): every block type on the growth path
+GROWTH_CASES = {
+    "static DD": (trlog.STATIC, "DD", None, False),
+    "static EM": (trlog.STATIC, "EM", None, False),
+    "imag DN": (trlog.IMAG_AXIS, "DN", 1.3, False),
+    "imag EM": (trlog.IMAG_AXIS, "EM", 1.3, False),
+    "imag ND force": (trlog.IMAG_AXIS, "ND", 1.3, True),
+    "imag EM force": (trlog.IMAG_AXIS, "EM", 1.3, True),
+    "rotated ND": (trlog.ROTATED, "ND", 8.0, False),
+    "rotated DD force": (trlog.ROTATED, "DD", 8.0, True),
+}
+
+
+@pytest.mark.parametrize("case", list(GROWTH_CASES))
+def test_each_growth_step_assembles_its_blocks_once(monkeypatch, case):
+    evaluation, field, xi, derivative = GROWTH_CASES[case]
+    spec = {"DD": DD, "DN": FieldSpec(plane_bc="neumann"),
+            "ND": FieldSpec(sphere_bc="neumann"), "EM": FieldSpec.em()}[field]
+    part = np.imag if evaluation == trlog.ROTATED else None
+    geom = Geometry(1.0, 0.2)
+    seen = []
+    assemble = trlog.assemble_block
+
+    def recording(m, evaluation, geom, spec, l_max, **kwargs):
+        seen.append((m, l_max))
+        return assemble(m, evaluation, geom, spec, l_max, **kwargs)
+
+    monkeypatch.setattr(trlog, "assemble_block", recording)
+    val, diag = trace_over_m(evaluation, geom, spec, Truncation(), xi=xi, part=part,
+                             derivative=derivative)
+    monkeypatch.undo()
+    start = spec.l_min + 4
+    steps = (diag["l_max_used"] - start) // 4
+    assert steps >= 2 and diag["converged"]
+    # one assembly per step, at its upper cut-off, each block m once
+    assert sorted({l for _, l in seen}) == [start + 4 * (i + 1) for i in range(steps)]
+    assert len(seen) == len(set(seen)) == diag["blocks"]
+    # the lower total of the last step, from the leading sub-blocks, is the
+    # total of a separate evaluation at that cut-off
+    lower, _ = trace_over_m(evaluation, geom, spec,
+                            Truncation(l_max=diag["l_max_used"] - 4), xi=xi,
+                            derivative=derivative)
+    meas = part or (lambda z: z)
+    assert diag["change"] == pytest.approx(abs(meas(val) - meas(lower)),
+                                           abs=1e-12 * abs(val))
+
+
+def _padded(M, pad, em):
+    """M zero-padded by ``pad`` rows and columns after each polarization
+    half (both halves for the electromagnetic layout)."""
+    if not em:
+        return np.pad(M, ((0, pad), (0, pad)))
+    n = M.shape[0] // 2
+    out = np.zeros((2 * (n + pad), 2 * (n + pad)), dtype=M.dtype)
+    for a in (0, 1):
+        for b in (0, 1):
+            out[a * (n + pad): a * (n + pad) + n, b * (n + pad): b * (n + pad) + n] = \
+                M[a * n: (a + 1) * n, b * n: (b + 1) * n]
+    return out
+
+
+@pytest.mark.parametrize("em", [False, True], ids=["scalar", "EM"])
+def test_zero_padding_leaves_the_evaluators_unchanged(em):
+    rng = np.random.default_rng(23)
+    n, pad = 6, 4
+    size = 2 * n if em else n
+
+    def contraction(rho, dtype):
+        M = rng.standard_normal((size, size))
+        if dtype is complex:
+            M = M + 1j * rng.standard_normal((size, size))
+        return M * rho / max(abs(np.linalg.eigvals(M)))
+
+    for sign in (1, -1):
+        real, dM = contraction(0.6, float), rng.standard_normal((size, size))
+        want = log_det_one_minus(real, sign)
+        assert log_det_one_minus(_padded(real, pad, em), sign) == pytest.approx(want, abs=1e-13)
+        # a certified block and one the bound refuses
+        for rho in (0.3, 0.95):
+            M = contraction(rho, complex)
+            got, ok = trace_log_eig(_padded(M, pad, em), sign)
+            assert ok and got == pytest.approx(trace_log_eig(M, sign)[0], abs=1e-12)
+        for M in (real, contraction(0.6, complex)):
+            blk = MBlockMatrix(0, 0, n - 1, M, em, dM.astype(M.dtype))
+            big = MBlockMatrix(0, 0, n + pad - 1, _padded(M, pad, em), em,
+                               _padded(dM.astype(M.dtype), pad, em))
+            assert trlog.trace_derivative(big, sign) == pytest.approx(
+                trlog.trace_derivative(blk, sign), abs=1e-13)
+    # the stacked form that trace_over_m evaluates: full blocks, then the
+    # padded leading sub-blocks of the same blocks
+    full = np.stack([contraction(0.6, float) for _ in range(3)])
+    N = full.shape[-1] // 2 if em else full.shape[-1]
+    cut = N - pad
+    hi, lo = [0, 2], [0, 1]
+    both = trlog._with_sub_blocks(full, hi, lo, cut, em)
+    assert np.array_equal(both[:2], full[hi])
+    keep = np.r_[0:cut, N:N + cut] if em else np.arange(cut)
+    for got, B in zip(both[2:], full[lo]):
+        assert np.array_equal(got, _padded(B[np.ix_(keep, keep)], pad, em))
+
+
+@pytest.mark.parametrize("evaluation, field", [(trlog.IMAG_AXIS, "DD"),
+                                               (trlog.IMAG_AXIS, "EM"),
+                                               (trlog.ROTATED, "ND")])
+def test_stack_with_growth_gives_each_node_its_own_cutoff(evaluation, field):
+    # nodes that need different cut-offs share one stack from one start;
+    # each leaves it once its own growth test passes
+    spec = {"DD": DD, "ND": FieldSpec(sphere_bc="neumann"), "EM": FieldSpec.em()}[field]
+    part = np.imag if evaluation == trlog.ROTATED else None
+    geom, start = Geometry(1.0, 0.2), 12
+    xs = np.array([0.3, 2.0, 9.0]) if evaluation == trlog.ROTATED else np.array([1.0, 6.0, 14.0])
+    vals, diag = trace_over_m(evaluation, geom, spec, Truncation(), xi=xs, part=part,
+                              l_max_start=start)
+    alone = [trace_over_m(evaluation, geom, spec, Truncation(), xi=x, part=part,
+                          l_max_start=start) for x in xs]
+    nodes = diag["nodes"]
+    assert len(set(nodes["l_max_used"])) > 1
+    for i, (v, d) in enumerate(alone):
+        assert vals[i] == pytest.approx(v, rel=1e-12)
+        assert (nodes["l_max_used"][i], nodes["m_max_used"][i], nodes["converged"][i]) == \
+            (d["l_max_used"], d["m_max_used"], d["converged"])
+        assert nodes["change"][i] == pytest.approx(d["change"], rel=1e-6, abs=1e-14 * abs(v))
+    assert diag["l_max_used"] == max(nodes["l_max_used"])
+    assert diag["blocks"] <= sum(d["blocks"] for _, d in alone)
