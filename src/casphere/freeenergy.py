@@ -15,9 +15,12 @@ Three equivalent representations are implemented (units hbar = c = k_B = 1):
 connected by ``F = E_0 + F_T``.  Real-frequency integrands oscillate on the
 scale pi/(2 L T) in the Boltzmann variable, so panels never exceed half
 that scale; panels are refined adaptively, and a vanishing pivot of
-1 - M at a node splits the panel that holds it.  Each panel hands all its
-nodes to the sweep at once; each run of consecutive nodes at one fixed
-cut-off is then evaluated as one stack of blocks.  The Matsubara sum
+1 - M at a node splits the panel that holds it.  A panel is a nested
+Clenshaw-Curtis rule of ``Truncation.quad_points`` nodes (9 by default;
+3 or 1 mod 4, so that its every other node is the embedded rule of the
+error estimate), and its nodes are evaluated as one stack of blocks, with
+the nodes accepted in order up to the first whose cut-off moves (see
+:class:`_SweepState`).  The Matsubara sum
 evaluates its nodes n >= 2 in chunks of up to ``MATSUBARA_CHUNK``, each
 one stack with a growth test per node, and accepts a node only where its
 cut-off is the one it would get evaluated alone.
@@ -63,8 +66,9 @@ class EnergyResult:
 def _cc_weights(n):
     """Clenshaw-Curtis nodes/weights on [-1, 1], endpoints included.
 
-    n must be odd so the (n+1)/2-point subrule is nested at every other
-    node and provides the embedded error estimate.
+    n must be 3 or 1 mod 4 so that the (n+1)/2-point subrule, nested at
+    every other node, is itself a Clenshaw-Curtis rule and provides the
+    embedded error estimate.
     """
     N = n - 1
     k = np.arange(N // 2 + 1)
@@ -199,26 +203,38 @@ class _SweepState:
 
     The orbital cutoff required varies slowly along the frequency axis, so
     the automatic growth is re-verified only on every sixth node; in
-    between, the last sufficient cutoff (plus one growth step) is used
-    directly.  The running magnitude scale feeds the growth test's
-    absolute floor, which keeps oscillatory zero crossings from triggering
-    runaway growth.  With ``derivative`` every node is the separation
-    derivative of the trace (see :func:`trlog.trace_over_m`).
+    between, the nodes run at the last sufficient cutoff h plus one growth
+    step, h + 4, without a test of their own.  The running magnitude scale
+    feeds the growth test's absolute floor, which keeps oscillatory zero
+    crossings from triggering runaway growth.  With ``derivative`` every
+    node is the separation derivative of the trace (see
+    :func:`trlog.trace_over_m`).
 
-    On both frequency axes each run of consecutive nodes at the last verified
-    cutoff goes through :func:`trlog.trace_over_m` as one stack, and each
-    verified node as a stack of one.  A run is evaluated before the next
-    verified node, which alone reads the state the run leaves, so the
-    scale, hint and error bookkeeping advance node by node as if every
-    node were evaluated alone.  A run that meets a vanishing pivot is
-    evaluated again one node at a time, so that the error and the state
-    are those of the node that raised it.
+    The nodes handed to :meth:`evaluate` (a quadrature panel) go through
+    :func:`trlog.trace_over_m` as one stack at h + 4, in which each
+    verified node also carries its leading sub-blocks at h: the first step
+    of its growth test.  The nodes are then accepted in order, each with
+    the scale, hint and error bookkeeping that the nodes before it leave,
+    so every state advances node by node as if every node were evaluated
+    alone.  A verified node whose test passes keeps the hint and its
+    cut-off h + 4.  At the first verified node whose cut-off must pass
+    h + 4 the acceptance stops: that node is evaluated again alone, with
+    its own growth from h, and the nodes after it are stacked again from
+    the hint it leaves (``nodes_discarded`` counts the nodes thrown away).
+    So every node gets the cut-off, m cut and value it gets alone, and a
+    single node is a stack of one through the same code.  The first node
+    of a sweep, with no hint yet, grows alone; with a pinned
+    ``Truncation(l_max=...)`` the whole panel is one stack at that cut-off.
+    A stack that meets a vanishing pivot is evaluated again one node at a
+    time, so that the error and the state are those of the node that
+    raised it.
 
     The diagnostics count the blocks assembled over the sweep, the rotated
     ones among them whose log-determinant took eigenvalues
-    (``eig_blocks``) or the per-pivot determinant (``fallbacks``), and the
-    nodes run at the last verified cut-off without a growth test of their
-    own (``nodes_assumed``).
+    (``eig_blocks``) or the per-pivot determinant (``fallbacks``), the
+    discarded nodes' blocks included, the nodes run at the last verified
+    cut-off without a growth test of their own (``nodes_assumed``) and the
+    nodes evaluated in a stack and then thrown away (``nodes_discarded``).
     """
 
     VERIFY_EVERY = 6
@@ -241,72 +257,80 @@ class _SweepState:
         self.eig_blocks = 0
         self.fallbacks = 0
         self.nodes_assumed = 0
-
-    def _fixed(self, count):
-        """Whether the count-th node of the sweep runs at the last verified
-        cutoff instead of verifying its own."""
-        return (self.hint is not None and self.trunc.l_max is None
-                and count % self.VERIFY_EVERY != 1)
+        self.nodes_discarded = 0
 
     def evaluate(self, xis):
         """The trace (or its derivative) at each of the nodes ``xis``, in
         order, and an estimate of each one's truncation error."""
         vals = np.empty(len(xis), dtype=complex)
         errs = np.empty(len(xis))
-        i = 0
+        i, grow = 0, False
         while i < len(xis):
-            fixed = self._fixed(self.count + 1)
-            j = i + 1
-            if fixed:
-                while j < len(xis) and self._fixed(self.count + 1 + j - i):
-                    j += 1
-            vals[i:j], errs[i:j] = self._run(xis[i:j], fixed)
-            i = j
+            done, grow = self._stack(xis[i:], vals[i:], errs[i:], grow)
+            i += done
         return vals, errs
 
-    def _run(self, xis, fixed):
-        """Evaluate one run of nodes: at the last verified cutoff when
-        ``fixed``, else one node with its own growth test."""
-        if fixed:
-            trunc, growth = replace(self.trunc, l_max=self.hint + 4), {}
-        else:
+    def _stack(self, xis, vals, errs, grow):
+        """Evaluate the nodes ``xis`` as one stack and accept them in order
+        into ``vals`` and ``errs``.  Returns how many were accepted and
+        whether the next node must grow its cut-off alone: the head node
+        does when ``grow`` is set or there is no hint yet."""
+        auto = self.trunc.l_max is None
+        if auto and (grow or self.hint is None):
+            xis, verify = xis[:1], np.ones(1, dtype=bool)
             trunc = self.trunc
-            growth = {"l_max_start": self.hint, "scale_floor": 1e-3 * self.scale}
+            extra = {"l_max_start": self.hint, "scale_floor": 1e-3 * self.scale}
+        elif auto:
+            verify = (self.count + 1 + np.arange(len(xis))) % self.VERIFY_EVERY == 1
+            trunc, extra = replace(self.trunc, l_max=self.hint + 4), {"lower": verify}
+        else:
+            verify, trunc, extra = np.zeros(len(xis), dtype=bool), self.trunc, {}
         try:
             val, diag = trlog.trace_over_m(
                 self.evaluation, self.geom, self.spec, trunc,
-                xi=xis, part=self.part, derivative=self.derivative, **growth)
+                xi=xis, part=self.part, derivative=self.derivative, **extra)
         except SingularBlockError:
             if len(xis) == 1:
                 self.count += 1
                 raise
-            runs = [self._run(xis[i: i + 1], fixed) for i in range(len(xis))]
-            return np.concatenate([v for v, _ in runs]), np.concatenate([e for _, e in runs])
-        self.count += len(xis)
-        if not fixed and self.trunc.l_max is None:
-            # the converged value was computed one growth step above the
-            # sufficient cutoff; seeding one step below stops the cutoff
-            # from ratcheting up at every node
-            self.hint = max(self.spec.l_min + 4, diag["l_max_used"] - 4)
-        self.l_used = max(self.l_used or 0, diag["l_max_used"])
-        self.m_used = max(self.m_used, diag["m_max_used"])
-        self.converged = self.converged and diag["converged"]
+            done = 0
+            while done < len(xis):
+                n, grow = self._stack(xis[done: done + 1], vals[done:], errs[done:], grow)
+                done += n
+            return done, grow
         self.blocks += diag["blocks"]
         self.eig_blocks += diag["eig_blocks"]
         self.fallbacks += diag["fallbacks"]
-        self.nodes_assumed += len(xis) if fixed else 0
-        errs = np.empty(len(val))
-        for i, proj in enumerate(np.abs(self.part(val) if self.part else val)):
-            if "change" in diag:
+        nodes = diag["nodes"]
+        for j, v in enumerate(val):
+            proj = abs(self.part(v) if self.part else v)
+            if "change" in nodes:
+                err = nodes["change"][j]
+            elif verify[j]:
+                err, passed = trlog.growth_step(v, nodes["lower"][j], self.trunc.rel_tol,
+                                                1e-3 * self.scale, self.part)
+                if not passed:
+                    self.nodes_discarded += len(xis) - j
+                    return j, True
+            else:
+                err = self.rel_change * proj  # zero at a pinned cut-off
+                if auto:
+                    self.nodes_assumed += 1
+            if verify[j]:
                 # a verified node: its last growth step is its truncation
                 # error estimate, and the nodes run at its cut-off inherit
-                # it relatively
-                errs[i] = diag["nodes"]["change"][i]
-                self.rel_change = errs[i] / max(proj, 1e-3 * self.scale, 1e-300)
-            else:
-                errs[i] = self.rel_change * proj
+                # it relatively.  The converged value was computed one
+                # growth step above the sufficient cutoff; seeding one step
+                # below stops the cutoff from ratcheting up at every node
+                self.hint = max(self.spec.l_min + 4, int(nodes["l_max_used"][j]) - 4)
+                self.rel_change = err / max(proj, 1e-3 * self.scale, 1e-300)
             self.scale = max(self.scale, proj)
-        return val, errs
+            self.count += 1
+            self.l_used = max(self.l_used or 0, int(nodes["l_max_used"][j]))
+            self.m_used = max(self.m_used, int(nodes["m_max_used"][j]))
+            self.converged = self.converged and bool(nodes["converged"][j])
+            vals[j], errs[j] = v, err
+        return len(xis), False
 
     def sweep(self, integrand, width, xi_max):
         """:func:`_panel_sweep` of ``integrand`` over (0, xi_max).
@@ -324,6 +348,7 @@ class _SweepState:
         return {"l_max_used": self.l_used, "m_max_used": self.m_used,
                 "blocks": self.blocks, "eig_blocks": self.eig_blocks,
                 "fallbacks": self.fallbacks, "nodes_assumed": self.nodes_assumed,
+                "nodes_discarded": self.nodes_discarded,
                 **extra, "converged": self.converged}
 
 

@@ -330,16 +330,12 @@ def log_hankel2_arrays(l_max, x, conjugate=False):
     the opposite frequency branch independently).  Cached; do not mutate.
     """
     sj, lj, sy, ly = log_jy_arrays(l_max, x)
-    n = len(sj)
-    logmag = np.empty(n)
-    phase = np.empty(n)
     s = 1.0 if conjugate else -1.0
-    for l in range(n):
-        scale = max(lj[l], ly[l])
-        re = sj[l] * math.exp(lj[l] - scale)
-        im = s * sy[l] * math.exp(ly[l] - scale)
-        logmag[l] = scale + 0.5 * math.log(re * re + im * im)
-        phase[l] = math.atan2(im, re)
+    scale = np.maximum(lj, ly)
+    re = sj * np.exp(lj - scale)
+    im = s * sy * np.exp(ly - scale)
+    logmag = scale + 0.5 * np.log(re * re + im * im)
+    phase = np.arctan2(im, re)
     logmag.flags.writeable = False
     phase.flags.writeable = False
     return logmag, phase

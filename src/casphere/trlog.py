@@ -16,9 +16,10 @@ defined modulo 2 pi, and the thermal integrand needs the branch of the
 expanded logarithm, ``sum_i Log(1 - lambda_i)``.  An LU factorization gives
 the value modulo 2 pi; the first four terms of the expanded-logarithm
 series, ``-sum_{k<=4} Tr M^k / k``, with a bound on the remainder from the
-Frobenius norms of M^2 and M^4, fix the branch whenever that bound is below
-one radian.  Blocks the bound does not certify take the eigenvalues, and
-those with spectral radius >= 1 the per-pivot determinant.
+Frobenius norms of M^2 and, where that is not enough, M^4, fix the branch
+whenever that bound is below one radian.  Blocks the bound does not
+certify take the eigenvalues, and those with spectral radius >= 1 the
+per-pivot determinant.
 
 The force needs the separation derivative of the same trace,
 
@@ -33,8 +34,8 @@ On both frequency axes, several nodes at one l_max run as one stack:
 every block m of the stack comes from one assembly
 (:class:`kernel.ImagNodes`, :class:`kernel.RotatedNodes`), and the
 evaluators above take the whole stack at once, with batched matrix
-products and one stacked ``slogdet``; refused blocks take their
-eigenvalues one by one.  The nodes step through m together, each leaves
+products, one stacked ``slogdet`` and, for the refused blocks, one
+stacked ``eigvals``.  The nodes step through m together, each leaves
 the stack at its own m cut, and with automatic growth each runs its own
 l_max test and leaves the stack once it passes.
 
@@ -111,13 +112,19 @@ class Truncation:
     l_max: int | None = None
     rel_tol: float = 1e-3
     n_max: int = 100000
-    quad_points: int = 17  # nodes per quadrature panel (nested Clenshaw-Curtis)
+    # nodes per quadrature panel: a Clenshaw-Curtis rule whose every other
+    # node carries the embedded rule of the error estimate, itself
+    # Clenshaw-Curtis only for 3 or 1 mod 4 points (5, 9, 13, 17, ...).
+    # Each panel is one stack of nodes; panels whose embedded estimate is
+    # too large are refined
+    quad_points: int = 9
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol < math.inf:
             raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol}")
-        if self.quad_points < 3 or self.quad_points % 2 == 0:
-            raise ValueError(f"quad_points must be odd and at least 3, got {self.quad_points}")
+        if not (self.quad_points == 3 or (self.quad_points >= 5 and self.quad_points % 4 == 1)):
+            raise ValueError("quad_points must be 3 or 1 mod 4 (5, 9, 13, ...) for the "
+                             f"embedded rule to be Clenshaw-Curtis, got {self.quad_points}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be at least 1, got {self.n_max}")
 
@@ -217,24 +224,37 @@ def _one_minus(A):
     return out
 
 
+def _certified(rho, q2):
+    """Whether the four-term remainder bound rho q2 / (5 (1 - rho)), from a
+    bound rho on the spectral radius and q2 = ||A^2||_F^2, is below one
+    radian."""
+    return (rho < 1.0) & (rho * q2 < 5.0 * (1.0 - rho))
+
+
 def trace_log_eig(block, plane_sign=1, counts=None):
     """sum_i Log(1 - plane_sign*lambda_i) over the block eigenvalues, and
     whether the spectral radius is below one.
 
-    With A = plane_sign * M and rho <= ||A^4||_F^(1/4) (a bound on the
-    spectral radius), the first four terms of the expanded logarithm,
+    With A = plane_sign * M and rho a bound on the spectral radius, the
+    first four terms of the expanded logarithm,
     ``-(Tr A + Tr A^2/2 + Tr A^3/3 + Tr A^4/4)``, differ from the sum by at
     most ``rho * q2 / (5 (1 - rho))``, where ``q2 = ||A^2||_F^2`` bounds
-    ``sum |lambda|^4`` (Schur's inequality for A^2).  When that bound is
-    below one radian, ``slogdet(1 - A)`` gives the real part and the phase
-    modulo 2 pi, and the one phase within pi of the four-term estimate is
-    the imaginary part.  Otherwise the eigenvalues give the sum, which is
-    the principal branch of each Log(1 - lambda_i) and equals the series
-    whenever the spectral radius is below one.  Each such block adds 1 to
+    ``sum |lambda|^4`` (Schur's inequality for A^2).  The bound is tried in
+    two stages: first with rho = ||A^2||_F^(1/2), which needs only A^2,
+    and, for the blocks that leaves open, with the sharper
+    rho = ||A^4||_F^(1/4), which needs A^4; a block the first stage
+    certifies the second certifies as well, so the two stages certify the
+    blocks the second alone would.  When the bound is below one radian,
+    ``slogdet(1 - A)`` gives the real part and the phase modulo 2 pi, and
+    the one phase within pi of the four-term estimate is the imaginary
+    part.  Otherwise the eigenvalues give the sum, which is the principal
+    branch of each Log(1 - lambda_i) and equals the series whenever the
+    spectral radius is below one.  Each such block adds 1 to
     ``counts["eig_blocks"]`` when a ``counts`` dict is given.
 
     A stack of blocks (nodes, n, n) runs the bound, the traces and
-    ``slogdet`` as batched operations and gives arrays of both results.
+    ``slogdet`` as batched operations, and the refused blocks as one
+    stacked ``eigvals``, and gives arrays of both results.
     """
     M = _entries(block)
     stack = M if M.ndim == 3 else M[None]
@@ -244,25 +264,29 @@ def trace_log_eig(block, plane_sign=1, counts=None):
     if n:
         A = stack if plane_sign == 1 else -stack
         A2 = A @ A
-        A4 = A2 @ A2
-        rho = _squared_norms(A4) ** 0.125
-        certified = (rho < 1.0) & (rho * _squared_norms(A2) < 5.0 * (1.0 - rho))
-        refused = () if certified.all() else np.flatnonzero(~certified)
+        q2 = _squared_norms(A2)
+        certified = _certified(q2 ** 0.25, q2)
+        open_ = np.flatnonzero(~certified)
+        if len(open_):
+            A4 = A2[open_] @ A2[open_]
+            certified[open_] = _certified(_squared_norms(A4) ** 0.125, q2[open_])
+        refused = np.flatnonzero(~certified)
         if len(refused):
-            A, A2, A4 = A[certified], A2[certified], A4[certified]
+            A, A2 = A[certified], A2[certified]
         if len(A):
             estimate = -(_traces(A) + _traces(A2) / 2.0
-                         + np.einsum("kij,kji->k", A2, A) / 3.0 + _traces(A4) / 4.0)
+                         + np.einsum("kij,kji->k", A2, A) / 3.0
+                         + np.einsum("kij,kji->k", A2, A2) / 4.0)
             sign, logabs = np.linalg.slogdet(_one_minus(A))
             phase = np.arctan2(sign.imag, sign.real)
             turns = np.rint((estimate.imag - phase) / (2.0 * math.pi))
             vals[certified] = logabs + 1j * (phase + 2.0 * math.pi * turns)
-        for i in refused:
+        if len(refused):
             if counts is not None:
-                counts["eig_blocks"] += 1
-            lam = np.linalg.eigvals(stack[i]) * plane_sign
-            ok[i] = np.max(np.abs(lam)) < 1.0
-            vals[i] = np.sum(np.log(1.0 - lam.astype(complex)))
+                counts["eig_blocks"] += len(refused)
+            lam = np.linalg.eigvals(stack[refused]) * plane_sign
+            ok[refused] = np.max(np.abs(lam), axis=1) < 1.0
+            vals[refused] = np.sum(np.log(1.0 - lam.astype(complex)), axis=1)
     if M.ndim == 3:
         return vals, ok
     return complex(vals[0]), bool(ok[0])
@@ -349,8 +373,18 @@ def _with_sub_blocks(X, hi, lo, cut, em):
     return out
 
 
+def growth_step(hi, lo, rel_tol, scale_floor=0.0, part=None):
+    """The change of a growth step whose totals are ``lo`` at l and ``hi``
+    at l + 4, projected by ``part``, and whether the step passes the growth
+    test: a change of at most rel_tol times the larger of the projected
+    ``|hi|`` and ``scale_floor``.  Scalars or arrays of nodes."""
+    meas = part or (lambda z: z)
+    delta = np.abs(meas(hi) - meas(lo))
+    return delta, delta <= rel_tol * np.maximum(np.abs(meas(hi)), max(scale_floor, 1e-300))
+
+
 def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
-                 l_max_start=None, scale_floor=0.0, derivative=False):
+                 l_max_start=None, scale_floor=0.0, derivative=False, lower=None):
     """Tr ln(1 - M) folded over m: block(0) + 2 sum_{m>=1} block(m).
 
     The m sum stops once a block contributes less than
@@ -391,6 +425,11 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
         where an oscillatory projection crosses zero)
     derivative : bool
         fold the separation derivative of the trace instead of the trace
+    lower : boolean array or None
+        with a fixed l_max and an array of nodes, the nodes whose total at
+        l_max - 4 is wanted as well, from the leading sub-blocks of the
+        same blocks, as in a growth step; the caller then runs the step's
+        test itself (see :func:`growth_step`)
 
     Returns
     -------
@@ -402,7 +441,9 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
         truncation error from above.  For an array of nodes these are the
         largest cut-offs and change over the nodes and whether all
         converged, and 'nodes' holds the per-node arrays of 'l_max_used',
-        'm_max_used', 'converged' and (with automatic growth) 'change'.
+        'm_max_used', 'converged', with automatic growth 'change', and
+        with ``lower`` 'lower', the totals at l_max - 4 (zero for the
+        nodes not asked for).
         'blocks' counts the blocks of every node assembled over every
         growth step, 'eig_blocks' the evaluated blocks and sub-blocks
         whose rotated log-determinant took eigenvalues (see
@@ -413,19 +454,20 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
     if trunc.l_max is not None and trunc.l_max < spec.l_min:
         raise ValueError(f"l_max={trunc.l_max} is below this field's l_min={spec.l_min}")
     sign = spec.plane_sign
-    meas = part or (lambda z: z)
     counts = {"blocks": 0, "eig_blocks": 0, "fallbacks": 0}
     stack = {ROTATED: kernel.RotatedNodes, IMAG_AXIS: kernel.ImagNodes}.get(evaluation)
     nodes = np.atleast_1d(np.asarray(xi, dtype=float)) if stack else np.zeros(1)
     k = len(nodes)
     em = spec.kind == kernel.ELECTROMAGNETIC
 
-    def totals(idx, l_hi, l_lo=None):
+    def totals(idx, l_hi, l_lo=None, sub=None):
         """Folded totals of the nodes ``idx`` at l_hi and their m cuts, and
-        from the leading sub-blocks their folded totals at l_lo."""
+        from the leading sub-blocks their folded totals at l_lo (of the
+        nodes ``sub`` marks, or of all)."""
         src = stack(nodes[idx], geom, spec, l_hi, derivative=derivative) if stack else None
         tot = [[0j] * len(idx), [0j] * len(idx)]  # at l_hi, at l_lo
-        going = [[True] * len(idx), [l_lo is not None] * len(idx)]
+        going = [[True] * len(idx),
+                 [l_lo is not None and (sub is None or bool(sub[i])) for i in range(len(idx))]]
         m_cut = [0] * len(idx)
         active = list(range(len(idx)))  # the nodes in the stack
         for m in range(l_hi + 1):
@@ -479,9 +521,13 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
         return complex(tot[0]), {**agg, **counts}
 
     if trunc.l_max is not None:
-        tot, _, m_cut = totals(np.arange(k), trunc.l_max)
-        return result(tot, {"l_max_used": np.full(k, trunc.l_max), "m_max_used": m_cut,
-                            "converged": np.ones(k, dtype=bool)})
+        l_lo = None if lower is None else trunc.l_max - 4
+        tot, low, m_cut = totals(np.arange(k), trunc.l_max, l_lo, lower)
+        nodes_diag = {"l_max_used": np.full(k, trunc.l_max), "m_max_used": m_cut,
+                      "converged": np.ones(k, dtype=bool)}
+        if lower is not None:
+            nodes_diag["lower"] = low
+        return result(tot, nodes_diag)
 
     l_max = max(spec.l_min + 4, l_max_start or 0)
     value = np.zeros(k, dtype=complex)
@@ -495,11 +541,9 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
     while l_max < L_CAP and len(pending):
         hi, lo, m_cut = totals(pending, l_max + 4, l_max)
         l_max += 4
-        ref = np.maximum(np.abs(meas(hi)), max(scale_floor, 1e-300))
-        delta = np.abs(meas(hi) - meas(lo))
+        delta, passed = growth_step(hi, lo, trunc.rel_tol, scale_floor, part)
         value[pending], m_used[pending], l_used[pending], change[pending] = \
             hi, m_cut, l_max, delta
-        passed = delta <= trunc.rel_tol * ref
         converged[pending[passed]] = True
         pending = pending[~passed]
     return result(value, {"l_max_used": l_used, "m_max_used": m_used,

@@ -578,3 +578,31 @@ def node_by_node_matsubara(geom, spec, T, trunc=None, derivative=False):
     return EnergyResult(F, last + tol * abs(F) + trunc_err,
                         {"l_max_used": l_used, "m_max_used": m_used,
                          "n_max_used": n, "converged": converged})
+
+
+def trace_log_eig_one_stage(stack, plane_sign=1):
+    """``trlog.trace_log_eig`` of a stack of rotated blocks with the
+    certificate from rho = ||A^4||_F^(1/4) alone, and the eigenvalues of
+    each refused block taken on their own.  Returns the values and whether
+    each block was certified."""
+    A = plane_sign * np.asarray(stack)
+    A2 = A @ A
+    A4 = A2 @ A2
+    q2 = np.sum(np.abs(A2) ** 2, axis=(1, 2))
+    rho = np.sum(np.abs(A4) ** 2, axis=(1, 2)) ** 0.125
+    certified = (rho < 1.0) & (rho * q2 < 5.0 * (1.0 - rho))
+    vals = np.zeros(len(A), dtype=complex)
+    C = A[certified]
+    if len(C):
+        C2, C4 = A2[certified], A4[certified]
+        estimate = -(np.trace(C, axis1=1, axis2=2) + np.trace(C2, axis1=1, axis2=2) / 2.0
+                     + np.trace(C2 @ C, axis1=1, axis2=2) / 3.0
+                     + np.trace(C4, axis1=1, axis2=2) / 4.0)
+        sign, logabs = np.linalg.slogdet(np.eye(A.shape[-1]) - C)
+        phase = np.arctan2(sign.imag, sign.real)
+        turns = np.rint((estimate.imag - phase) / (2.0 * math.pi))
+        vals[certified] = logabs + 1j * (phase + 2.0 * math.pi * turns)
+    for i in np.flatnonzero(~certified):
+        lam = np.linalg.eigvals(stack[i]) * plane_sign
+        vals[i] = np.sum(np.log(1.0 - lam.astype(complex)))
+    return vals, certified

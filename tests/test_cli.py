@@ -149,6 +149,18 @@ def test_console_entry_point():
     assert "--command" in proc.stdout
 
 
+def test_thermal_row_diagnostics_count_the_discarded_nodes(tmp_path):
+    out, diag = tmp_path / "ft.csv", tmp_path / "ft.json"
+    rc = run_cli(["--command", "thermal-part", "--R", "1.0", "--d", "0.3", "--T", "0.7",
+                  "--out", str(out), "--diagnostics", str(diag)])
+    assert rc == 0
+    (rec,) = json.loads(diag.read_text())
+    assert rec["command"] == "thermal-part"
+    # a verified node at (1, 0.3), T = 0.7 moves the hint inside a panel
+    assert rec["diagnostics"]["nodes_discarded"] > 0
+    assert rec["diagnostics"]["nodes_assumed"] > 0
+
+
 def test_diagnostics_json_next_to_the_csv(tmp_path, monkeypatch):
     out, diag = tmp_path / "fe.csv", tmp_path / "fe.json"
     rc = run_cli(["--command", "free-energy", "--R", "1.0", "--d", "1.0", "--T", "1.0",

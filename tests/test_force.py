@@ -197,7 +197,8 @@ def test_force_assembles_each_prefactor_once(monkeypatch):
     assert res.converged
     assert len(built) == sum(len(l_maxes) for l_maxes in per_call)
     assert all(derivative for _, _, derivative in built)
-    assert max(len(xi) for xi, _, _ in built) == fe._SweepState.VERIFY_EVERY - 1
+    # the largest stack is a whole quadrature panel
+    assert max(len(xi) for xi, _, _ in built) == Truncation().quad_points
 
 
 def test_singular_node_splits_the_panel(monkeypatch):
@@ -239,19 +240,35 @@ def test_singular_run_leaves_the_node_by_node_state(monkeypatch):
     nodes, _, _ = fe._cc_rule(Truncation().quad_points)
     width = min(math.pi / (2.0 * geom.L * T), 3.0)
     resonance = 0.5 * width + 0.5 * width * nodes[3]
-    trace = trlog.trace_over_m
+    trace, assemble = trlog.trace_over_m, trlog.assemble_block
+    seen = {"blocks": 0}
+    # the resonance raises before any block of its stack is assembled
 
     def singular_at_resonance(*args, **kwargs):
         if np.any(np.atleast_1d(kwargs.get("xi")) == resonance * T):
             raise SingularBlockError("vanishing pivot in 1 - M")
         return trace(*args, **kwargs)
 
+    def counting_assemble(*args, **kwargs):
+        blk = assemble(*args, **kwargs)
+        seen["blocks"] += len(blk.entries)
+        return blk
+
     monkeypatch.setattr(trlog, "trace_over_m", singular_at_resonance)
+    monkeypatch.setattr(trlog, "assemble_block", counting_assemble)
     stacked = fe.force(geom, DD, T, target="thermal_part")
+    monkeypatch.setattr(trlog, "assemble_block", assemble)
     monkeypatch.setattr(fe, "_SweepState", oracles.node_by_node_sweep_state(fe))
     alone = fe.force(geom, DD, T, target="thermal_part")
     assert stacked.value == pytest.approx(alone.value, rel=1e-12)
-    assert stacked.diagnostics == alone.diagnostics
+    # the work counts include the nodes a panel stack discards, and a
+    # panel discards all its nodes after a verified node that moves the
+    # hint, so only they differ
+    work = ("blocks", "eig_blocks", "nodes_discarded")
+    assert {k: v for k, v in stacked.diagnostics.items() if k not in work} == \
+        {k: v for k, v in alone.diagnostics.items() if k not in work}
+    assert stacked.diagnostics["blocks"] == seen["blocks"]
+    assert stacked.diagnostics["nodes_discarded"] >= alone.diagnostics["nodes_discarded"]
 
 
 def test_persistent_singularity_propagates():

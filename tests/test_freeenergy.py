@@ -73,6 +73,9 @@ def test_matsubara_needs_positive_t():
     (lambda: Truncation(rel_tol=math.inf), "rel_tol"),
     (lambda: Truncation(quad_points=4), "quad_points"),
     (lambda: Truncation(quad_points=1), "quad_points"),
+    (lambda: Truncation(quad_points=7), "quad_points"),
+    (lambda: Truncation(quad_points=11), "quad_points"),
+    (lambda: Truncation(quad_points=15), "quad_points"),
     (lambda: Truncation(n_max=0), "n_max"),
     (lambda: fe.matsubara_free_energy(Geometry(1.0, 0.5), DD, 1.0, Truncation(l_max=-3)),
      "l_max"),
@@ -83,11 +86,29 @@ def test_matsubara_needs_positive_t():
     (lambda: fe.matsubara_free_energy(G12, DD, math.inf), "finite T"),
     (lambda: fe.force(G12, DD, math.nan, target="thermal_part"), "finite T"),
 ], ids=["d nan", "R inf", "rel_tol nan", "rel_tol inf", "quad_points even",
-        "quad_points 1", "n_max 0", "l_max negative", "EM l_max 0",
+        "quad_points 1", "quad_points 7", "quad_points 11", "quad_points 15", "n_max 0", "l_max negative", "EM l_max 0",
         "thermal l_max negative", "thermal T inf", "matsubara T inf", "force T nan"])
 def test_bad_inputs_fail_loudly(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 13, 17, 33])
+def test_panel_rules_integrate_low_powers_exactly(n):
+    # the full rule on [-1, 1] and the embedded rule on its every other
+    # node integrate 1 and x^2; the embedded rule of 3 points is the
+    # 2-point trapezoid, exact for 1 and x only
+    Truncation(quad_points=n)
+    nodes, weights, sub_weights = fe._cc_rule(n)
+    sub = nodes[::2]
+    assert len(sub_weights) == len(sub) == (n + 1) // 2
+    assert weights.sum() == pytest.approx(2.0, abs=1e-14)
+    assert weights @ nodes ** 2 == pytest.approx(2.0 / 3.0, abs=1e-14)
+    assert sub_weights.sum() == pytest.approx(2.0, abs=1e-14)
+    if n == 3:
+        assert sub_weights @ sub == pytest.approx(0.0, abs=1e-14)
+    else:
+        assert sub_weights @ sub ** 2 == pytest.approx(2.0 / 3.0, abs=1e-14)
 
 
 def test_high_t_factorization():
@@ -134,16 +155,18 @@ def test_matsubara_nodes_start_from_the_previous_cutoff(monkeypatch):
 
 def test_thermal_sweep_counts_its_work(monkeypatch):
     # the diagnostics count what the sweep did: every assembled block, the
-    # rotated ones whose log-determinant took eigenvalues (80 of 4370 here;
-    # the rest are certified LU log-determinants) and the nodes run at the
-    # last verified cut-off without a growth test
+    # rotated ones whose log-determinant took eigenvalues (the rest are
+    # certified LU log-determinants), the discarded nodes' blocks included,
+    # and the nodes run at the last verified cut-off without a growth test
     import numpy as np
     from casphere import trlog
-    seen = {"blocks": 0, "eigvals": 0, "assumed": 0}
+    seen = {"blocks": 0, "eigvals": 0, "assumed": 0, "nodes": 0}
     assemble, trace, eigvals = trlog.assemble_block, trlog.trace_over_m, np.linalg.eigvals
+    evaluate = fe._SweepState.evaluate
 
-    # a rotated block is a stack of the blocks of a run of nodes, and one
-    # trace_over_m call evaluates the whole run
+    # a rotated block is a stack of the blocks of a panel's nodes, and one
+    # trace_over_m call evaluates the whole panel at the hint + 4, with the
+    # growth test's lower totals for its verified nodes
     def counting_assemble(*args, **kwargs):
         blk = assemble(*args, **kwargs)
         seen["blocks"] += len(blk.entries)
@@ -151,49 +174,104 @@ def test_thermal_sweep_counts_its_work(monkeypatch):
 
     def counting_trace(evaluation, geom, spec, trunc=None, **kwargs):
         if trunc.l_max is not None:
-            seen["assumed"] += np.size(kwargs["xi"])
+            seen["assumed"] += np.count_nonzero(~kwargs["lower"])
         return trace(evaluation, geom, spec, trunc, **kwargs)
 
     def counting_eigvals(a):
-        seen["eigvals"] += 1
+        seen["eigvals"] += len(a) if a.ndim == 3 else 1
         return eigvals(a)
+
+    def counting_evaluate(self, xis):
+        seen["nodes"] += len(xis)
+        return evaluate(self, xis)
 
     monkeypatch.setattr(trlog, "assemble_block", counting_assemble)
     monkeypatch.setattr(trlog, "trace_over_m", counting_trace)
     monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    monkeypatch.setattr(fe._SweepState, "evaluate", counting_evaluate)
     res = fe.thermal_part(Geometry(1.5, 0.45), DD, 1.0)
     diag = res.diagnostics
-    assert (diag["blocks"], diag["eig_blocks"], diag["nodes_assumed"]) == \
-        (seen["blocks"], seen["eigvals"], seen["assumed"])
+    assert (diag["blocks"], diag["eig_blocks"]) == (seen["blocks"], seen["eigvals"])
     assert diag["eig_blocks"] <= 0.05 * diag["blocks"]
+    # every node but each sixth one is assumed; a discarded assumed node is
+    # evaluated again at the cut-off of the new hint
+    n, every = seen["nodes"], fe._SweepState.VERIFY_EVERY
+    assert diag["nodes_assumed"] == n - (n + every - 1) // every
+    assert 0 <= seen["assumed"] - diag["nodes_assumed"] <= diag["nodes_discarded"]
     assert diag["nodes_assumed"] > 0
 
 
-@pytest.mark.parametrize("target", ["FT DD", "FT DN", "FT ND", "force DD", "E0 DD"])
-def test_stacked_runs_match_the_node_by_node_sweep(monkeypatch, target):
+# (label, observable, field, T, quad_points): at (1, 0.3) and T = 0.7 a
+# verified node moves the hint inside some panel at both rules; the cold
+# sweeps at T = 0.1 and 0.05 have one such node and none
+SWEEP_POINTS = [
+    ("FT DD", "FT", "DD", 0.7, 9),
+    ("FT DN", "FT", "DN", 0.7, 9),
+    ("FT ND", "FT", "ND", 0.7, 9),
+    ("force DD", "force", "DD", 0.7, 9),
+    ("E0 DD", "E0", "DD", None, 9),
+    ("FT DD 17", "FT", "DD", 0.7, 17),
+    ("FT DN 17", "FT", "DN", 0.7, 17),
+    ("FT ND 17", "FT", "ND", 0.7, 17),
+    ("force DD 17", "force", "DD", 0.7, 17),
+    ("E0 DD 17", "E0", "DD", None, 17),
+    ("FT DD cold", "FT", "DD", 0.1, 9),
+    ("FT DD colder", "FT", "DD", 0.05, 9),
+]
+
+
+@pytest.mark.parametrize("target, name, field, T, quad_points", SWEEP_POINTS,
+                         ids=[p[0] for p in SWEEP_POINTS])
+def test_stacked_runs_match_the_node_by_node_sweep(monkeypatch, target, name, field,
+                                                   T, quad_points):
+    import numpy as np
+    from casphere import trlog
     from casphere.kernel import NEUMANN
-    name, field = target.split()
     spec = {"DD": DD, "DN": FieldSpec(plane_bc=NEUMANN),
             "ND": FieldSpec(sphere_bc=NEUMANN)}[field]
-    geom, T = Geometry(1.0, 0.3), 0.7
+    geom, trunc = Geometry(1.0, 0.3), Truncation(quad_points=quad_points)
+    seen = {"blocks": 0, "eigvals": 0}
+    assemble, eigvals = trlog.assemble_block, np.linalg.eigvals
 
     def run():
         if name == "force":
-            return fe.force(geom, spec, T, target="thermal_part")
+            return fe.force(geom, spec, T, trunc, target="thermal_part")
         if name == "E0":  # the imaginary axis
-            return fe.vacuum_energy(geom, spec)
-        return fe.thermal_part(geom, spec, T)
+            return fe.vacuum_energy(geom, spec, trunc)
+        return fe.thermal_part(geom, spec, T, trunc)
 
+    def counting_assemble(*args, **kwargs):
+        blk = assemble(*args, **kwargs)
+        seen["blocks"] += len(blk.entries)
+        return blk
+
+    def counting_eigvals(a):
+        seen["eigvals"] += len(a) if a.ndim == 3 else 1
+        return eigvals(a)
+
+    monkeypatch.setattr(trlog, "assemble_block", counting_assemble)
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
     stacked = run()
+    monkeypatch.undo()
     monkeypatch.setattr(fe, "_SweepState", oracles.node_by_node_sweep_state(fe))
     alone = run()
     assert stacked.value == pytest.approx(alone.value, rel=1e-12)
     assert stacked.error_estimate == pytest.approx(alone.error_estimate, rel=1e-9)
-    keys = ("l_max_used", "m_max_used", "blocks", "eig_blocks", "fallbacks",
-            "nodes_assumed", "converged")
+    keys = ("l_max_used", "m_max_used", "nodes_assumed", "converged")
     assert {k: stacked.diagnostics[k] for k in keys} == \
         {k: alone.diagnostics[k] for k in keys}
     assert stacked.diagnostics["nodes_assumed"] > 0
+    # the discarded nodes' work is counted too, so the work equals the
+    # node-by-node sweep's only where no node was discarded
+    assert (stacked.diagnostics["blocks"], stacked.diagnostics["eig_blocks"]) == \
+        (seen["blocks"], seen["eigvals"])
+    if target == "FT DD colder":
+        assert stacked.diagnostics["nodes_discarded"] == 0
+        work = ("blocks", "eig_blocks", "fallbacks")
+        assert {k: stacked.diagnostics[k] for k in work} == \
+            {k: alone.diagnostics[k] for k in work}
+    else:
+        assert stacked.diagnostics["nodes_discarded"] > 0
 
 
 # (label, observable, field, R, d, T, what the chunks must show): at T = 1
@@ -356,6 +434,39 @@ def test_thermal_monotone_in_radius(eps):
             for R in (0.2, 0.8, 1.6, 2.4, 3.0)]
     assert all(v < 0 for v in vals)
     assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+# (observable, field, R, d, T) of the error-bar audit of the default panel
+# rule; each default error estimate bounds the distance to the rel_tol 1e-6
+# value by a factor of 8 or more
+AUDIT_POINTS = [
+    ("FT", "DD", 1.5, 0.45, 1.0),
+    ("FT", "DD", 0.5, 0.005, 1.0),
+    ("FT", "DD", 1.0, 0.1, 0.3),
+    ("FT", "DD", 1.0, 1.0, 3.0),
+    ("force", "DD", 0.5, 0.005, 1.0),
+    ("force", "DD", 0.5, 0.05, 1.0),
+    ("E0", "DD", 1.0, 0.5, None),
+    ("E0", "EM", 1.0, 0.5, None),
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("obs, field, R, d, T", AUDIT_POINTS,
+                         ids=[f"{p[0]} {p[1]} {p[2]:g}-{p[3]:g}-{p[4]}" for p in AUDIT_POINTS])
+def test_error_bar_audit(obs, field, R, d, T):
+    geom, spec = Geometry(R, d), {"DD": DD, "EM": FieldSpec.em()}[field]
+
+    def run(trunc=None):
+        if obs == "force":
+            return fe.force(geom, spec, T, trunc, target="thermal_part")
+        if obs == "E0":
+            return fe.vacuum_energy(geom, spec, trunc)
+        return fe.thermal_part(geom, spec, T, trunc)
+
+    res, ref = run(), run(Truncation(rel_tol=1e-6))
+    assert res.converged and ref.converged
+    assert res.error_estimate >= abs(res.value - ref.value)
 
 
 def test_total_force_attractive():

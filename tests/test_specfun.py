@@ -144,6 +144,21 @@ def test_hankel2_consistency_with_jy():
     assert h == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("l_max", [20, 72, 200])
+def test_hankel_tables_match_the_per_entry_formula(l_max):
+    # the array assembly of log|H| and its phase against
+    # hankel2_from_jy entry by entry; H1 = J + iY is H2 with Y negated
+    for x in np.geomspace(1e-3, 300.0, 60):
+        sj, lj, sy, ly = log_jy_arrays(l_max, float(x))
+        for conjugate in (False, True):
+            mag, ph = specfun.log_hankel2_arrays(l_max, float(x), conjugate)
+            s = -1.0 if conjugate else 1.0
+            want = np.array([specfun.hankel2_from_jy(sj[l], lj[l], s * sy[l], ly[l])
+                             for l in range(len(sj))])
+            assert mag == pytest.approx(want[:, 0], rel=1e-15, abs=1e-15)
+            assert ph == pytest.approx(want[:, 1], rel=1e-15, abs=1e-15)
+
+
 @pytest.mark.parametrize("x", [0.1, 1.0, 10.0])
 def test_wronskian_jy(x):
     sj, lj, sy, ly = log_jy_arrays(51, x)

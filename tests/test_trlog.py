@@ -142,6 +142,37 @@ def test_refused_block_takes_the_eigenvalue_path():
         log_det_one_minus(_block(big))
 
 
+@pytest.mark.parametrize("plane_sign", [1, -1])
+def test_two_stage_certificate_matches_the_fourth_power_alone(plane_sign):
+    # rotated blocks at (1.5, 0.45), l_max 24, over the thermal range of
+    # xi: the ||A^2|| stage certifies most, the ||A^4|| stage some of the
+    # rest, and the eigenvalues take the others, all in one stack per m
+    geom = Geometry(1.5, 0.45)
+    nodes = trlog.kernel.RotatedNodes(np.linspace(0.05, 27.0, 60), geom, DD, 24)
+    stages = {"A2": 0, "A4": 0, "eig": 0}
+    refused = []
+    for m in range(12):
+        stack = assemble_block(m, trlog.ROTATED, geom, DD, 24, xi=nodes).entries
+        counts = {"eig_blocks": 0}
+        vals, ok = trace_log_eig(stack, plane_sign, counts=counts)
+        want, certified = oracles.trace_log_eig_one_stage(stack, plane_sign)
+        assert np.array_equal(vals, want)
+        assert ok.all()
+        assert counts["eig_blocks"] == np.count_nonzero(~certified)
+        refused.extend(stack[~certified])
+        for M, c in zip(stack, certified):
+            q2 = np.sum(np.abs(M @ M) ** 2)
+            if q2 ** 0.25 < 1.0 and q2 ** 1.25 < 5.0 * (1.0 - q2 ** 0.25):
+                stages["A2"] += 1
+                assert c
+            else:
+                stages["A4" if c else "eig"] += 1
+    assert min(stages.values()) > 0
+    # the refused blocks' eigenvalues come from one stacked call
+    assert np.array_equal(np.linalg.eigvals(np.stack(refused)),
+                          [np.linalg.eigvals(M) for M in refused])
+
+
 def test_plane_sign_equals_negated_matrix():
     rng = np.random.default_rng(7)
     M = 0.3 * rng.standard_normal((4, 4))
