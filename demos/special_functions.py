@@ -7,9 +7,18 @@ high-temperature regimes.
 """
 
 import numpy as np
+from scipy.integrate import quad
 
 from casphere import g_function, h_function
-from casphere.pfa import g_asymptotic, g_third_moment
+from casphere.pfa import PI3, ZETA3, g_asymptotic
+
+
+def g_third_moment(cut=40.0):
+    """int_0^inf dt g(t)/t^3: quad up to ``cut``, beyond it the linear
+    regime g(t) = 45 zeta(3) t/pi^3 - 1 integrated in closed form."""
+    v, _ = quad(lambda t: g_function(t) / t ** 3 if t > 0 else 45.0 * ZETA3 / PI3,
+                0.0, cut, limit=400, epsabs=1e-12, epsrel=1e-12)
+    return v + 45.0 * ZETA3 / (PI3 * cut) - 0.5 / cut ** 2
 
 
 def main():

@@ -281,7 +281,8 @@ class _SweepState:
             trunc = self.trunc
             extra = {"l_max_start": self.hint, "scale_floor": 1e-3 * self.scale}
         elif auto:
-            verify = (self.count + 1 + np.arange(len(xis))) % self.VERIFY_EVERY == 1
+            every = self.VERIFY_EVERY  # every node when 1
+            verify = (self.count + 1 + np.arange(len(xis))) % every == 1 % every
             trunc, extra = replace(self.trunc, l_max=self.hint + 4), {"lower": verify}
         else:
             verify, trunc, extra = np.zeros(len(xis), dtype=bool), self.trunc, {}

@@ -43,10 +43,11 @@ l_max); an :class:`ImagNodes` or :class:`RotatedNodes` assembles the
 prefactors and rows once and then makes the stacks of every m, with the
 l'' sums of all nodes in one product.  ``scalar_matrix``, ``em_matrix``
 and ``rotated_matrix`` build one block as a stack of one; the static
-builder makes one block per call.
+builder makes one block per call, with its half-integer log-gamma factors
+read from the table of :func:`wigner.log_gamma_halves`.
 
 Everything is pure and reentrant; the only shared state is the idempotent
-coupling-store caches of :mod:`wigner`.
+coupling-store and log-gamma caches of :mod:`wigner`.
 """
 
 import math
@@ -54,7 +55,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import specfun, wigner
 from .specfun import _NEG_INF
@@ -612,11 +612,12 @@ def static_matrix(m, geom, spec_or_pol, l_max, derivative=False):
     if n == 0:
         return np.zeros((0, 0))
     logH = wigner.log_h_top_matrix(l_start, l_max, abs(m))
-    l = ls[:, None].astype(float)
-    lp = ls[None, :].astype(float)
+    l = ls[:, None]
+    lp = ls[None, :]
+    lgh = wigner.log_gamma_halves(4 * l_max + 4)
     logM = ((l + lp + 1.0) * math.log(geom.R / (2.0 * geom.L))
             + 0.5 * math.log(math.pi) - math.log(2.0)
-            + gammaln(l + lp + 0.5) - gammaln(l + 0.5) - gammaln(lp + 1.5) + logH)
+            + lgh[2 * (l + lp) + 1] - lgh[2 * l + 1] - lgh[2 * lp + 3] + logH)
     M = np.exp(logM)
     if derivative:
         M *= -(l + lp + 1.0) / geom.L

@@ -26,14 +26,14 @@ only exponentially small errors.
 PFA itself integrates the plate result over the sphere profile,
 ``F_pfa = 2 pi R^2 int_0^1 dt (1-t) F_par(d + R t, T)``, and the force is
 the negative d derivative, written with one partial integration as
-``f_pfa = 2 pi R (F_par(d,T) - int_0^1 dt F_par(d + R t, T))``.
+``f_pfa = 2 pi R (F_par(d,T) - int_0^1 dt F_par(d + R t, T))``.  The
+functions that integrate import ``scipy.integrate`` in their own bodies, so
+``import casphere`` does not load it.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
-
-from scipy.integrate import quad
 
 ZETA3 = 1.2020569031595942854
 PI3 = math.pi ** 3
@@ -96,25 +96,6 @@ def g_asymptotic(x):
     return 45.0 * ZETA3 * x / PI3 - 1.0
 
 
-def g_from_momentum_integral(x, n_terms=40):
-    """g(x) from the transverse-momentum integral representation
-    (slow; validation path for the mode sum)."""
-    if x <= 0.0:
-        raise ValueError("the integral representation needs x > 0")
-    s = 0.0
-    for n in range(1, n_terms + 1):
-        a = 2.0 * math.pi * n * x
-
-        def integrand(k, a=a):
-            return k * math.log1p(-math.exp(-math.hypot(a, k)))
-
-        v, _ = quad(integrand, 0.0, a + 60.0, limit=200)
-        s += v
-        if abs(v) < 1e-18 * abs(s):
-            break
-    return -1.0 + 45.0 * ZETA3 * x / PI3 - 90.0 * x / PI3 * s
-
-
 def h_function(x):
     """Temperature function h(x) of the sphere at small separation.
 
@@ -143,30 +124,6 @@ def h_function(x):
     return 90.0 * ZETA3 * x / PI3 - 1.0 + 90.0 * x ** 4 * s
 
 
-def h_from_g_integral(x):
-    """h(x) = 2 int_1^inf dt g(t x)/t^3 (validation path, adaptive)."""
-    if x <= 0.0:
-        raise ValueError("the integral representation needs x > 0")
-    # split where g switches to its linear regime for a smooth quad
-    split = max(2.0, 4.0 / x)
-    v1, _ = quad(lambda t: g_function(t * x) / t ** 3, 1.0, split,
-                 limit=400, epsabs=1e-14, epsrel=1e-13)
-    # beyond the split g(tx) = 45 z3 t x/pi^3 - 1 up to exp-small terms
-    v2, _ = quad(lambda t: g_function(t * x) / t ** 3, split, split * 40.0,
-                 limit=400, epsabs=1e-14, epsrel=1e-13)
-    hi = split * 40.0
-    tail = 45.0 * ZETA3 * x / (PI3 * hi) - 0.5 / hi ** 2
-    return 2.0 * (v1 + v2 + tail)
-
-
-def g_third_moment(cut=40.0):
-    """int_0^inf dt g(t)/t^3 with the analytic linear-regime tail; equals 5/2."""
-    v, _ = quad(lambda t: g_function(t) / t ** 3 if t > 0 else 45.0 * ZETA3 / PI3,
-                0.0, cut, limit=400, epsabs=1e-12, epsrel=1e-12)
-    tail = 45.0 * ZETA3 / (PI3 * cut) - 0.5 / cut ** 2
-    return v + tail
-
-
 def parallel_plates_free_energy(p):
     """Free energy per unit area of parallel plates, (mode_count/2) *
     (-pi^2/720 d^3) * (1 + g(2dT))."""
@@ -184,6 +141,8 @@ def pfa_free_energy(geom, T, mode_count=2):
     The 1/(d+Rt)^3 spike at t = 0 is resolved by substituting
     u = ln(d + R t).
     """
+    from scipy.integrate import quad
+
     geom.require_gap()
     R, d = geom.R, geom.d
 
@@ -199,6 +158,8 @@ def pfa_free_energy(geom, T, mode_count=2):
 
 def pfa_force(geom, T, mode_count=2):
     """PFA force 2 pi R (F_par(d,T) - int_0^1 dt F_par(d + R t, T))."""
+    from scipy.integrate import quad
+
     geom.require_gap()
     R, d = geom.R, geom.d
 
@@ -220,6 +181,8 @@ def pfa_thermal_force(geom, T, mode_count=2):
 
 def _g_profile_integral(rt, weight_one_minus_t):
     """int_0^1 dt [(1-t)] g(2 t RT)/t^3, the eps->0 profile integrals."""
+    from scipy.integrate import quad
+
     if rt == 0.0:
         return 0.0
 

@@ -11,7 +11,9 @@ The sphere-plane translation matrices need two 3j patterns only,
 
 Two 3j routes remain, both vectorized over many (l, l') pairs.  The
 parity pattern ``(0 0 0)`` has a cancellation-free closed form, whose
-log-factorials are read from one cached table of ``gammaln(k)``.  The
+log-factorials are read from one cached table of ``log Gamma(k/2)``
+(:func:`log_gamma_halves`), which also serves the stretched top and the
+static kernel.  The
 ``(m -m 0)`` pattern comes, at every l, from the three-term recurrence in
 l'' (Schulten and Gordon, J. Math. Phys. 16, 1961 (1975); Luscombe and
 Luban, Phys. Rev. E 57, 7274 (1998)): two-sided, matched in the classical
@@ -40,7 +42,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 #: the recurrences rescale a slice once a value passes this magnitude
 _RESCALE = 1e250
@@ -73,20 +74,40 @@ def _parity_sign(k):
     return 1.0 - 2.0 * (k % 2)
 
 
-_GAMMALN = {}  # the table of _gammaln_table at the largest size seen
+#: log Gamma(1/2) = log(pi)/2 as the unevaluated sum of two doubles
+_LOG_SQRT_PI = (0.5723649429247001, 5.132975581353913e-18)
+
+_LGAMMA = {}  # the table of log_gamma_halves at the largest size seen
 
 
-def _gammaln_table(size):
-    """``gammaln(k)`` for k = 0..size-1 at least, as a read-only array.
+def log_gamma_halves(size):
+    """``log Gamma(k/2)`` for k = 0..size-1 at least, as a read-only array.
 
-    The closed forms only take gammaln of integers, so reading them here
-    gives the values of ``gammaln`` itself.  One table is kept, at the
-    largest size requested so far."""
-    table = _GAMMALN.get("table")
+    Every log-gamma argument of the closed forms is an integer or a
+    half-integer x, read as ``table[2x]``; ``table[::2]`` reads integers
+    directly.  Entry 0 (the pole) is +inf.  The entries run up the
+    recurrence ``log Gamma(x+1) = log Gamma(x) + log x`` from x = 1/2 and
+    x = 1, each running sum carried in two doubles (Knuth's TwoSum), so
+    every entry is the exactly rounded sum of its ``math.log`` terms: within
+    one unit in the last place of log Gamma up to k = 1616, where libm's
+    ``lgamma`` is off by up to three.  One table is kept; a larger request
+    at least doubles it."""
+    table = _LGAMMA.get("table")
     if table is None or len(table) < size:
-        table = gammaln(np.arange(size))
+        size = max(size, 3, 2 * len(table) if table is not None else 0)
+        table = np.empty(size)
+        table[0] = math.inf
+        for k, (hi, lo) in ((1, _LOG_SQRT_PI), (2, (0.0, 0.0))):
+            table[k] = hi + lo
+            for j in range(k + 2, size, 2):
+                x = math.log(0.5 * (j - 2))
+                s = hi + x
+                t = s - hi
+                lo += (hi - (s - t)) + (x - t)
+                hi = s
+                table[j] = hi + lo
         table.flags.writeable = False
-        _GAMMALN["table"] = table
+        _LGAMMA["table"] = table
     return table
 
 
@@ -104,7 +125,7 @@ def _three_j_000_slices(j1, j2):
     j = np.where(keep, j, jmin)
     J = j1 + j2 + j
     g = J // 2
-    lg = _gammaln_table(int(np.max(J)) + 3)
+    lg = log_gamma_halves(2 * int(np.max(J)) + 5)[::2]
     log_delta = 0.5 * (lg[J - 2 * j1 + 1] + lg[J - 2 * j2 + 1]
                        + lg[J - 2 * j + 1] - lg[J + 2])
     log_ratio = lg[g + 1] - lg[g - j1 + 1] - lg[g - j2 + 1] - lg[g - j + 1]
@@ -492,14 +513,15 @@ def log_h_top_matrix(l_start, l_max, m):
     matrix suffices.  Used by the static (zero-frequency) kernel where only
     l'' = l+l' survives.
     """
-    ls = np.arange(l_start, l_max + 1, dtype=float)
+    ls = np.arange(l_start, l_max + 1)
     l = ls[:, None]
     lp = ls[None, :]
-    common = 0.5 * (gammaln(2 * l + 1) + gammaln(2 * lp + 1)
-                    + 2.0 * gammaln(l + lp + 1) - gammaln(2 * l + 2 * lp + 2))
-    log3j0 = common - gammaln(l + 1) - gammaln(lp + 1)
-    log3jm = common - 0.5 * (gammaln(l - m + 1) + gammaln(l + m + 1)
-                             + gammaln(lp - m + 1) + gammaln(lp + m + 1))
+    lg = log_gamma_halves(8 * l_max + 5)[::2]
+    common = 0.5 * (lg[2 * l + 1] + lg[2 * lp + 1]
+                    + 2.0 * lg[l + lp + 1] - lg[2 * l + 2 * lp + 2])
+    log3j0 = common - lg[l + 1] - lg[lp + 1]
+    log3jm = common - 0.5 * (lg[l - m + 1] + lg[l + m + 1]
+                             + lg[lp - m + 1] + lg[lp + m + 1])
     return 0.5 * (np.log(2 * l + 1) + np.log(2 * lp + 1)) \
         + np.log(2 * (l + lp) + 1) + log3j0 + log3jm
 
@@ -509,4 +531,4 @@ def clear_caches():
     _STORES.clear()
     _STORE_VIEWS.clear()
     _LAMBDA.clear()
-    _GAMMALN.clear()
+    _LGAMMA.clear()

@@ -4,7 +4,8 @@ Everything here is deliberately built from different algorithms than the
 package: exact rational arithmetic for 3j symbols, ascending series and
 finite closed sums for Bessel functions, mpmath reference evaluations,
 finite differences of energies for the force, eigenvalue sums and the
-expanded-logarithm series for log-determinants, per-element loops for
+expanded-logarithm series for log-determinants, adaptive quadratures of
+the integral representations of g and h, per-element loops for
 vectorized assemblies, and frequency sweeps that evaluate one node at a
 time.  The float 3j symbol :func:`three_j` and :func:`h_factor` are the
 exception: they read the package's own vectorized slices one entry at a
@@ -19,6 +20,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+from scipy.integrate import quad
 
 mp.mp.dps = 30
 
@@ -277,6 +279,53 @@ def mp_h(x, tol=mp.mpf("1e-35")):
             break
         m += 1
     return 90 * z3 * x / mp.pi ** 3 - 1 + 90 * x ** 4 * s
+
+
+def g_from_momentum_integral(x, n_terms=40):
+    """g(x) from the transverse-momentum integral representation (slow; an
+    independent check of the mode sum in ``pfa.g_function``)."""
+    from casphere.pfa import PI3, ZETA3
+    if x <= 0.0:
+        raise ValueError("the integral representation needs x > 0")
+    s = 0.0
+    for n in range(1, n_terms + 1):
+        a = 2.0 * math.pi * n * x
+
+        def integrand(k, a=a):
+            return k * math.log1p(-math.exp(-math.hypot(a, k)))
+
+        v, _ = quad(integrand, 0.0, a + 60.0, limit=200)
+        s += v
+        if abs(v) < 1e-18 * abs(s):
+            break
+    return -1.0 + 45.0 * ZETA3 * x / PI3 - 90.0 * x / PI3 * s
+
+
+def h_from_g_integral(x):
+    """h(x) = 2 int_1^inf dt g(t x)/t^3 by adaptive quadrature of
+    ``pfa.g_function``."""
+    from casphere.pfa import PI3, ZETA3, g_function
+    if x <= 0.0:
+        raise ValueError("the integral representation needs x > 0")
+    # split where g switches to its linear regime for a smooth quad
+    split = max(2.0, 4.0 / x)
+    v1, _ = quad(lambda t: g_function(t * x) / t ** 3, 1.0, split,
+                 limit=400, epsabs=1e-14, epsrel=1e-13)
+    # beyond the split g(tx) = 45 z3 t x/pi^3 - 1 up to exp-small terms
+    v2, _ = quad(lambda t: g_function(t * x) / t ** 3, split, split * 40.0,
+                 limit=400, epsabs=1e-14, epsrel=1e-13)
+    hi = split * 40.0
+    tail = 45.0 * ZETA3 * x / (PI3 * hi) - 0.5 / hi ** 2
+    return 2.0 * (v1 + v2 + tail)
+
+
+def g_third_moment(cut=40.0):
+    """int_0^inf dt g(t)/t^3 with the analytic linear-regime tail; equals 5/2."""
+    from casphere.pfa import PI3, ZETA3, g_function
+    v, _ = quad(lambda t: g_function(t) / t ** 3 if t > 0 else 45.0 * ZETA3 / PI3,
+                0.0, cut, limit=400, epsabs=1e-12, epsrel=1e-12)
+    tail = 45.0 * ZETA3 / (PI3 * cut) - 0.5 / cut ** 2
+    return v + tail
 
 
 def fd_force(energy, geom, spec, T, trunc=None):

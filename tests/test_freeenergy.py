@@ -201,6 +201,18 @@ def test_thermal_sweep_counts_its_work(monkeypatch):
     assert diag["nodes_assumed"] > 0
 
 
+def test_verify_every_one_verifies_every_node(monkeypatch):
+    # at VERIFY_EVERY = 1 every node of a stack carries its growth test
+    geom = Geometry(1.5, 0.45)
+    sixth = fe.thermal_part(geom, DD, 1.0)
+    monkeypatch.setattr(fe._SweepState, "VERIFY_EVERY", 1)
+    every = fe.thermal_part(geom, DD, 1.0)
+    assert sixth.diagnostics["nodes_assumed"] > 0
+    assert every.diagnostics["nodes_assumed"] == 0
+    assert every.converged
+    assert every.value == pytest.approx(sixth.value, rel=1e-3)
+
+
 # (label, observable, field, T, quad_points): at (1, 0.3) and T = 0.7 a
 # verified node moves the hint inside some panel at both rules; the cold
 # sweeps at T = 0.1 and 0.05 have one such node and none

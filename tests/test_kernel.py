@@ -5,6 +5,7 @@ continuation oracle."""
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -92,6 +93,24 @@ def test_static_values():
 def test_static_tm_l0_raises():
     with pytest.raises(ValueError):
         m_static(0, 0, 0, G12, "tm")
+
+
+@pytest.mark.parametrize("m", [0, 7])
+def test_static_matrix_against_factorial_closed_form(m):
+    # M^m_{ll'} = sqrt((2l+1)/(2l'+1)) x^(l+l'+1) (l+l')!
+    #            / sqrt((l+m)!(l-m)!(l'+m)!(l'-m)!),  x = R/2L
+    # (the one-index form of oracles.f0_dirichlet_static, carried into the
+    # kernel's row/column convention), at a cut-off where the log-gamma
+    # table reads arguments far past those of the small blocks
+    l_max = 60
+    M = kernel.static_matrix(m, G12, "dirichlet", l_max)
+    x = mp.mpf(G12.R) / (2 * mp.mpf(G12.L))
+    f = mp.factorial
+    for l in range(m, l_max + 1, 9):
+        for lp in range(m, l_max + 1, 7):
+            want = mp.sqrt(mp.mpf(2 * l + 1) / (2 * lp + 1)) * x ** (l + lp + 1) \
+                * f(l + lp) / mp.sqrt(f(l + m) * f(l - m) * f(lp + m) * f(lp - m))
+            assert M[l - m, lp - m] == pytest.approx(float(want), rel=1e-12)
 
 
 def test_static_limit_scalar_entrywise():

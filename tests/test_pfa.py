@@ -7,16 +7,15 @@ exponentially convergent rearrangements (tests/oracles.py).
 import math
 
 import pytest
-from scipy.integrate import quad
 
 from casphere.kernel import Geometry
 from casphere import pfa
 from casphere.pfa import (PlatePoint, parallel_plates_free_energy, g_function,
-                          g_asymptotic, g_from_momentum_integral, h_function,
-                          h_from_g_integral, g_third_moment, pfa_free_energy,
-                          pfa_force, pfa_thermal_force, pfa_regime, ZETA3, PI3)
+                          g_asymptotic, h_function, pfa_free_energy, pfa_force,
+                          pfa_thermal_force, pfa_regime, ZETA3, PI3)
 
 import oracles
+from oracles import g_from_momentum_integral, g_third_moment, h_from_g_integral
 
 
 def test_g_frozen_values():

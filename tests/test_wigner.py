@@ -2,12 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln
 
 from casphere import kernel, wigner
+from casphere.specfun import L_CAP
 from casphere.wigner import h_slice, h_tensor, lambda_tensor
 
 import oracles
@@ -328,7 +330,7 @@ def test_grown_cache_serves_exact_prefixes(order):
     assert len(wigner._STORES) == 1
     wigner.clear_caches()
     assert not wigner._STORES and not wigner._STORE_VIEWS and not wigner._LAMBDA
-    assert not wigner._GAMMALN
+    assert not wigner._LGAMMA
 
 
 @pytest.mark.parametrize("m", [0, 2, 5])
@@ -408,9 +410,18 @@ def test_batched_growth_in_any_order_matches_stores_grown_alone(requests):
     wigner.clear_caches()
 
 
-def _three_j_000_gammaln(j1, j2):
-    """The closed form of (j1 j2 j; 0 0 0) with gammaln called on every
-    entry, the evaluation the table replaces."""
+def _log_gamma_fsum(x):
+    """log Gamma(x) for an integer or half-integer x > 0, by one exactly
+    rounded sum of the logarithms of the recurrence from 1 or 1/2."""
+    if x == int(x):
+        return math.fsum(math.log(y) for y in range(1, int(x)))
+    return math.fsum(list(wigner._LOG_SQRT_PI)
+                     + [math.log(y - 0.5) for y in range(1, int(x + 0.5))])
+
+
+def _three_j_000_lgamma(j1, j2):
+    """The closed form of (j1 j2 j; 0 0 0) with each log-gamma value summed
+    on its own, the evaluation the table replaces."""
     jmin = np.abs(j1 - j2)
     j = jmin + np.arange(np.max(j1 + j2 - jmin) + 1)[:, None]
     J = j1 + j2 + j
@@ -418,10 +429,10 @@ def _three_j_000_gammaln(j1, j2):
     j = np.where(keep, j, jmin)
     J = j1 + j2 + j
     g = J // 2
-    log_delta = 0.5 * (gammaln(J - 2 * j1 + 1) + gammaln(J - 2 * j2 + 1)
-                       + gammaln(J - 2 * j + 1) - gammaln(J + 2))
-    log_ratio = gammaln(g + 1) - gammaln(g - j1 + 1) - gammaln(g - j2 + 1) \
-        - gammaln(g - j + 1)
+    lg = np.array([math.inf] + [_log_gamma_fsum(n) for n in range(1, int(np.max(J)) + 3)])
+    log_delta = 0.5 * (lg[J - 2 * j1 + 1] + lg[J - 2 * j2 + 1]
+                       + lg[J - 2 * j + 1] - lg[J + 2])
+    log_ratio = lg[g + 1] - lg[g - j1 + 1] - lg[g - j2 + 1] - lg[g - j + 1]
     return np.where(keep, (1.0 - 2.0 * (g % 2)) * np.exp(log_delta + log_ratio), 0.0)
 
 
@@ -430,8 +441,49 @@ def test_three_j_000_table_is_bit_equal_to_gammaln(l_max):
     wigner.clear_caches()
     a, b = np.triu_indices(l_max + 1)
     got = wigner._three_j_000_slices(a, b)
-    want = _three_j_000_gammaln(a, b)
+    want = _three_j_000_lgamma(a, b)
     assert got.tobytes() == want.tobytes()
+    wigner.clear_caches()
+
+
+def test_log_gamma_table_matches_gammaln():
+    # every k/2 the closed forms read, at every cut-off up to L_CAP: the
+    # stretched top reads integers up to 4 l_max + 2 and the static kernel
+    # half-integers up to 2 l_max + 1/2
+    wigner.clear_caches()
+    k = np.arange(1, 8 * L_CAP + 17)
+    got = wigner.log_gamma_halves(len(k) + 1)[k]
+    want = gammaln(0.5 * k)
+    zero = want == 0.0  # x = 1 and x = 2
+    assert np.array_equal(np.flatnonzero(zero), [1, 3])
+    assert np.all(got[zero] == 0.0)
+    rel = np.abs(got - want)[~zero] / np.abs(want[~zero])
+    assert rel.max() <= 2e-15
+    assert wigner.log_gamma_halves(1)[0] == math.inf
+    wigner.clear_caches()
+
+
+def test_log_gamma_table_is_within_one_ulp():
+    wigner.clear_caches()
+    k = np.arange(1, 8 * L_CAP + 17)
+    got = wigner.log_gamma_halves(len(k) + 1)[k]
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.loggamma(mpmath.mpf(int(i)) / 2)) for i in k])
+    assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+    # the fsum reference of the bit-equality test, one entry at a time
+    assert all(got[i] == _log_gamma_fsum(x) for i, x in enumerate(0.5 * k))
+    wigner.clear_caches()
+
+
+def test_log_gamma_table_is_one_growing_array():
+    wigner.clear_caches()
+    small = wigner.log_gamma_halves(10)
+    assert not small.flags.writeable
+    assert wigner.log_gamma_halves(5) is small
+    big = wigner.log_gamma_halves(len(small) + 1)
+    assert len(big) >= 2 * len(small)
+    assert np.array_equal(big[:len(small)], small)
+    assert wigner.log_gamma_halves(len(small)) is big
     wigner.clear_caches()
 
 
