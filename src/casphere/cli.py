@@ -4,8 +4,10 @@ thermal-force reference tables, all emitted as CSV.
 The command is selected with ``--command``; geometry takes ``--R`` plus
 either ``--d`` or ``--epsilon``.  A flat JSON config file may supply any
 flag value (command-line flags win).  Exit status: 0 on success, 1 on an
-invalid configuration, 2 when a computation did not converge (partial
-results are still written).  ``--diagnostics PATH`` also writes, as JSON, a
+invalid configuration or when a computation would pass the memory budget of
+the coupling stores (the ``MemoryError`` of :mod:`wigner`, printed as
+``error: ...``), 2 when a computation did not converge (partial results are
+still written).  ``--diagnostics PATH`` also writes, as JSON, a
 list with one object per row that holds the row's inputs and the
 ``diagnostics`` of its ``EnergyResult`` (the work done: cut-offs, blocks,
 fallbacks, convergence); the closed-form commands ``pfa`` and
@@ -302,7 +304,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

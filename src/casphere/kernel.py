@@ -18,7 +18,8 @@ one-index form).  This module provides
 * ``ImagNodes`` / ``em_matrix`` / ``m_em_block`` -- electromagnetic 2x2
   polarization blocks,
 * ``RotatedNodes`` / ``rotated_matrix`` -- analytic continuation to real
-  frequencies via J, Y and the Hankel function H2 = J - iY,
+  frequencies via J (the sphere numerator) and the Hankel function
+  H2 = J - iY, whose tables come from their own upward recurrence,
 * ``m_static`` / ``static_matrix``   -- closed-form zero-frequency limit
   (the generic formula is 0/0 at xi = 0, so the Matsubara zero mode always
   uses the closed form).
@@ -34,8 +35,11 @@ Every l'' sum reads one table of Bessel weights only at the orders
 l'' = l + l' - 2t, so each frequency node has weight rows V[l + l', t]
 (K on the imaginary axis, H2 with the sign (-1)^t on the rotated axis,
 from one builder) that every block m shares, measured in units of the
-l'' = l + l' term, which dominates each sum.  The l'' sums of a block are
-one matrix product of the coupling store with the rows
+l'' = l + l' term, which dominates each sum.  A rotated row is a real
+ratio of moduli times the phase factor of its order, read from one table of
+``exp(i phase)`` over the node's 2 l_max + 2 orders, so a node costs
+2 l_max + 2 complex exponentials, not one per entry.  The l'' sums of a
+block are one matrix product of the coupling store with the rows
 (:func:`wigner.couple`).  The frequency blocks of a stack of nodes at one
 l_max also share a node prefactor (the sphere factor, the top Bessel term
 and the geometric factor, all formed in log space once per node and
@@ -189,7 +193,7 @@ def _sphere_factors_rotated(bc, x, l_max, branch=1):
     branch +1 uses H2 = J - iY (frequency +i xi), branch -1 uses H1.
     Cached per frequency; do not mutate the returned arrays.
     """
-    sj, lj, sy, ly = specfun.log_jy_arrays(l_max, x)  # orders 0 .. l_max+1
+    sj, lj, _, _ = specfun.log_jy_arrays(l_max, x)  # orders 0 .. l_max+1
     h2m, h2p = specfun.log_hankel2_arrays(l_max, x, conjugate=(branch < 0))
     if bc == DIRICHLET:
         return (sj[: l_max + 1].copy(), lj[: l_max + 1].copy(),
@@ -233,6 +237,9 @@ def _shift_rows(y, l_max, log_mag, phase=None, derivative=False):
     rotated representation.  The tables hold orders 0..2 l_max + 1.  |B|
     grows with order, so the l'' = l + l' term dominates each sum and the
     exponents sit at or below zero; they are clamped at 50 all the same.
+    A complex row is its real modulus ratio times the phase factor of its
+    order, read from one table ``exp(1j * phase)`` of the 2 l_max + 2
+    orders, so a node needs no complex exponential per entry.
 
     Returns V and, with ``derivative`` (else None), the rows of
     ``y^{1/2} d/dy [y^{-1/2} B_{k+1/2}(y)] = (k/y) B_{k+1/2} - B_{k+3/2}``,
@@ -242,12 +249,13 @@ def _shift_rows(y, l_max, log_mag, phase=None, derivative=False):
     top = log_mag[: 2 * l_max + 1, None]
     if phase is not None:
         weight = weight * (1.0 - 2.0 * (np.arange(l_max + 1) % 2))
+        turn = np.exp(1j * phase)
 
     def shift(lo):
-        e = np.minimum(log_mag[k + lo] - top, 50.0)
+        e = np.exp(np.minimum(log_mag[k + lo] - top, 50.0))
         if phase is not None:
-            e = e + 1j * phase[k + lo]
-        return np.exp(e) * weight
+            e = e * turn[k + lo]
+        return e * weight
 
     V = shift(0)
     return V, ((k / y) * V - shift(1) if derivative else None)

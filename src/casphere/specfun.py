@@ -2,23 +2,26 @@ r"""Log-scaled Bessel functions of half-integer order.
 
 The scattering and translation matrices of the sphere-plane problem are built
 from modified Bessel functions :math:`I_\nu, K_\nu` on the imaginary frequency
-axis and from :math:`J_\nu, Y_\nu` (or the Hankel function
-:math:`H^{(2)}_\nu = J_\nu - iY_\nu`) after rotation to real frequencies, with
+axis and from :math:`J_\nu` and the Hankel function
+:math:`H^{(2)}_\nu = J_\nu - iY_\nu` after rotation to real frequencies, with
 :math:`\nu = l + 1/2`.  At large orbital momentum and small argument these
-span hundreds of orders of magnitude, so every function here is evaluated in
-sign/log form.
+span hundreds of orders of magnitude, so every table here is in sign/log
+form: one array per family over the orders l = 0..l_max + 1.
 
 Algorithms
 ----------
-K and Y are computed by upward recurrence (the stable direction for both),
-I and J by Miller's downward recurrence started above the turning point
-:math:`\nu \approx x` and normalized against the closed forms of order 1/2
-and 3/2.  All recurrences carry a running exponent so no intermediate value
-can overflow or underflow.
+K, Y and H are computed by upward recurrence (the stable direction for
+each: K and Y are the dominant solutions, and H, dominated by Y past the
+turning point, grows in modulus with the order), I and J by Miller's
+downward recurrence started above the turning point :math:`\nu \approx x`
+and normalized against the closed forms of order 1/2 and 3/2.  H runs its
+own complex recurrence from the closed forms at orders 1/2 and 3/2, so the
+rotated kernels need J only for the sphere numerator, at xi R.  All
+recurrences carry a running exponent so no intermediate value can overflow
+or underflow; they run on Python floats and lists, converted to arrays once.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -27,68 +30,7 @@ import numpy as np
 L_CAP = 200
 
 _BIG = 1e250
-_LOG_BIG = math.log(_BIG)
 _NEG_INF = float("-inf")
-
-
-class PoleError(ValueError):
-    """Raised when an evaluation point sits on (or within 1e-12 of) a zero
-    of Y_nu, where the J/Y ratio has a pole."""
-
-
-@dataclass(frozen=True)
-class LogValue:
-    """A real number stored as sign and natural log of the magnitude.
-
-    Multiplication adds log magnitudes, so products never overflow for
-    ``|log_magnitude| <= 1e6``.  ``sign == 0`` encodes an exact zero (the
-    log payload is then meaningless).
-    """
-
-    sign: int
-    log_magnitude: float
-
-    def __mul__(self, other):
-        if self.sign == 0 or other.sign == 0:
-            return LogValue(0, _NEG_INF)
-        return LogValue(self.sign * other.sign,
-                        self.log_magnitude + other.log_magnitude)
-
-    def value(self):
-        """Reconstruct the plain float (may over/underflow for large logs)."""
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_magnitude)
-
-    @classmethod
-    def from_value(cls, x):
-        if x == 0.0:
-            return cls(0, _NEG_INF)
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
-
-
-def _wrap_phase(phi):
-    """Wrap into (-pi, pi]."""
-    w = math.fmod(phi + math.pi, 2.0 * math.pi)
-    if w <= 0.0:
-        w += 2.0 * math.pi
-    return w - math.pi
-
-
-@dataclass(frozen=True)
-class ComplexLogValue:
-    """A complex number stored as log magnitude and phase in (-pi, pi]."""
-
-    log_magnitude: float
-    phase: float
-
-    def __mul__(self, other):
-        return ComplexLogValue(self.log_magnitude + other.log_magnitude,
-                               _wrap_phase(self.phase + other.phase))
-
-    def value(self):
-        return math.exp(self.log_magnitude) * complex(math.cos(self.phase),
-                                                      math.sin(self.phase))
 
 
 def _check_domain(l, x, l_cap=L_CAP):
@@ -104,6 +46,12 @@ def _miller_start(l_max, x):
     # downward recurrences must begin in the regime nu > x where the
     # minimal solution decays; the sqrt pad covers the Airy transition zone
     return max(l_max, int(x) + 1) + 16 + int(2.0 * math.sqrt(max(x, l_max + 1.0)))
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @lru_cache(maxsize=4096)
@@ -130,12 +78,9 @@ def log_ik_arrays(l_max, x):
     n = l_max + 2  # one spare order for derivative recurrences
 
     # K upward from the exact half-integer seeds
-    logk = np.empty(n)
     base = 0.5 * math.log(math.pi / (2.0 * x)) - x  # log K_{1/2}
-    logk[0] = base
     k0, k1, shift = 1.0, 1.0 + 1.0 / x, 0.0
-    if n > 1:
-        logk[1] = base + math.log(k1)
+    logk = [base, base + math.log(k1)]
     for l in range(1, n - 1):
         nu = l + 0.5
         k2 = k0 + (2.0 * nu / x) * k1
@@ -144,16 +89,14 @@ def log_ik_arrays(l_max, x):
             k1 /= k2
             shift += math.log(k2)
             k2 = 1.0
-        logk[l + 1] = base + shift + math.log(k2)
+        logk.append(base + shift + math.log(k2))
         k0, k1 = k1, k2
 
     # I downward (Miller), normalized to I_{1/2} = sqrt(2/pi x) sinh x
     start = _miller_start(l_max + 1, x)
-    v = np.zeros(start + 2)
-    ex = np.zeros(start + 2)
-    v[start + 1] = 0.0
+    v = [0.0] * (start + 2)
+    ex = [-600.0] * (start + 2)
     v[start] = 1.0
-    ex[start + 1] = ex[start] = -600.0
     for l in range(start, 0, -1):
         nu = l + 0.5
         w = v[l + 1] * math.exp(ex[l + 1] - ex[l]) + (2.0 * nu / x) * v[l]
@@ -162,19 +105,17 @@ def log_ik_arrays(l_max, x):
             ex[l - 1] += math.log(w)
             w = 1.0
         v[l - 1] = w
-    logi = np.log(v[:n]) + ex[:n]
+    logi = np.log(v[:n]) + np.array(ex[:n])
     # log sinh x = x + log1p(-exp(-2x)) - log 2, stable for every x > 0
     log_i_half = x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0) \
         + 0.5 * math.log(2.0 / (math.pi * x))
     logi += log_i_half - logi[0]
-    logi.flags.writeable = False
-    logk.flags.writeable = False
-    return logi, logk
+    return _frozen(logi, np.array(logk))
 
 
 @lru_cache(maxsize=4096)
 def log_jy_arrays(l_max, x):
-    """Signed-log J_{l+1/2}(x) and Y_{l+1/2}(x) for l = 0..l_max.
+    """Signed-log J_{l+1/2}(x) and Y_{l+1/2}(x) for l = 0..l_max (+1 spare).
 
     Results are cached and must not be mutated by callers.
 
@@ -186,10 +127,10 @@ def log_jy_arrays(l_max, x):
     """
     _check_domain(0, x)
     n = l_max + 2
-    sj = np.zeros(n)
-    lj = np.full(n, _NEG_INF)
-    sy = np.zeros(n)
-    ly = np.full(n, _NEG_INF)
+    sj = [0.0] * n
+    lj = [_NEG_INF] * n
+    sy = [0.0] * n
+    ly = [_NEG_INF] * n
     c = math.sqrt(2.0 / (math.pi * x))
 
     # Y upward
@@ -198,7 +139,7 @@ def log_jy_arrays(l_max, x):
     shift = 0.0
     if y0 != 0.0:
         sy[0], ly[0] = math.copysign(1.0, y0), math.log(abs(y0))
-    if n > 1 and y1 != 0.0:
+    if y1 != 0.0:
         sy[1], ly[1] = math.copysign(1.0, y1), math.log(abs(y1))
     for l in range(1, n - 1):
         nu = l + 0.5
@@ -215,11 +156,9 @@ def log_jy_arrays(l_max, x):
 
     # J downward (Miller)
     start = _miller_start(l_max + 1, x)
-    v = np.zeros(start + 2)
-    ex = np.zeros(start + 2)
-    v[start + 1] = 0.0
+    v = [0.0] * (start + 2)
+    ex = [-600.0] * (start + 2)
     v[start] = 1.0
-    ex[start + 1] = ex[start] = -600.0
     for l in range(start, 0, -1):
         nu = l + 0.5
         w = (2.0 * nu / x) * v[l] - v[l + 1] * math.exp(ex[l + 1] - ex[l])
@@ -241,101 +180,39 @@ def log_jy_arrays(l_max, x):
         if v[l] != 0.0:
             sj[l] = math.copysign(1.0, v[l]) * c_sign
             lj[l] = math.log(abs(v[l])) + ex[l] + c_log
-    for arr in (sj, lj, sy, ly):
-        arr.flags.writeable = False
-    return sj, lj, sy, ly
-
-
-def log_bessel_i_half(l, x):
-    """I_{l+1/2}(x) as a :class:`LogValue` (relative accuracy ~1e-13)."""
-    _check_domain(l, x)
-    logi, _ = log_ik_arrays(l, x)
-    return LogValue(1, float(logi[l]))
-
-
-def log_bessel_k_half(l, x):
-    """K_{l+1/2}(x) as a :class:`LogValue`; the sign is always +1."""
-    _check_domain(l, x)
-    _, logk = log_ik_arrays(l, x)
-    return LogValue(1, float(logk[l]))
-
-
-def bessel_j_half(l, x):
-    """J_{l+1/2}(x) as a :class:`LogValue` (downward recurrence).
-
-    Relative accuracy is ~1e-12 away from the zeros of J; at a zero only
-    absolute accuracy (of order 1e-15 times the neighbour magnitude) is
-    meaningful.
-    """
-    _check_domain(l, x)
-    sj, lj, _, _ = log_jy_arrays(l, x)
-    return LogValue(int(sj[l]), float(lj[l]))
-
-
-def bessel_y_half(l, x):
-    """Y_{l+1/2}(x) as a :class:`LogValue` (upward recurrence)."""
-    _check_domain(l, x)
-    _, _, sy, ly = log_jy_arrays(l, x)
-    return LogValue(int(sy[l]), float(ly[l]))
-
-
-def ratio_jy(l, x):
-    """The ratio r_nu = J_{l+1/2}(x) / Y_{l+1/2}(x), formed in log space.
-
-    Raises
-    ------
-    PoleError
-        when x lies within ~1e-12 of a zero of Y_{l+1/2} (estimated from
-        the Newton step ``|Y/Y'|``).
-    """
-    _check_domain(l, x)
-    sj, lj, sy, ly = log_jy_arrays(l + 1, x)
-    if sy[l] == 0:
-        raise PoleError(f"Y_{l}+1/2 vanishes at x={x}")
-    # Y' = (nu/x) Y - Y_{nu+1}; distance-to-zero estimate |Y/Y'|
-    nu = l + 0.5
-    scale = max(ly[l], ly[l + 1])
-    yv = sy[l] * math.exp(ly[l] - scale)
-    yd = (nu / x) * yv - sy[l + 1] * math.exp(ly[l + 1] - scale)
-    if yd != 0.0 and abs(yv / yd) < 1e-12:
-        raise PoleError(f"x={x} is within 1e-12 of a zero of Y_{{{l}+1/2}}")
-    if sj[l] == 0:
-        return 0.0
-    return sj[l] * sy[l] * math.exp(lj[l] - ly[l])
-
-
-def hankel2_from_jy(sign_j, log_j, sign_y, log_y):
-    """Assemble H2 = J - iY from signed logs; returns (log magnitude, phase)."""
-    scale = max(log_j, log_y)
-    if scale == _NEG_INF:
-        raise ValueError("H2 of an exact zero pair")
-    re = sign_j * math.exp(log_j - scale)
-    im = -sign_y * math.exp(log_y - scale)
-    return scale + 0.5 * math.log(re * re + im * im), math.atan2(im, re)
-
-
-def hankel2_half(l, x):
-    """H^(2)_{l+1/2}(x) = J - iY as a :class:`ComplexLogValue`."""
-    _check_domain(l, x)
-    sj, lj, sy, ly = log_jy_arrays(l, x)
-    lm, ph = hankel2_from_jy(sj[l], lj[l], sy[l], ly[l])
-    return ComplexLogValue(lm, ph)
+    return _frozen(*(np.array(a) for a in (sj, lj, sy, ly)))
 
 
 @lru_cache(maxsize=4096)
 def log_hankel2_arrays(l_max, x, conjugate=False):
     """Log magnitude and phase of H^(2)_{l+1/2}(x) for l = 0..l_max (+1 spare).
 
-    With ``conjugate=True`` returns H^(1) = J + iY instead (used to build
-    the opposite frequency branch independently).  Cached; do not mutate.
+    One upward recurrence ``h_{l+1} = (2l+1)/x h_l - h_{l-1}`` on the
+    complex values of ``H / sqrt(2/pi x)``, from the closed forms
+    ``sin x + i cos x`` and ``(sin x/x - cos x) + i (cos x/x + sin x)`` at
+    orders 1/2 and 3/2, with the running exponent of the Y recurrence.
+    With ``conjugate=True`` returns H^(1) = J + iY instead, by its own
+    recurrence from the conjugate seeds (used to build the opposite
+    frequency branch independently); the phases lie in [-pi, pi].  Cached;
+    do not mutate.
     """
-    sj, lj, sy, ly = log_jy_arrays(l_max, x)
-    s = 1.0 if conjugate else -1.0
-    scale = np.maximum(lj, ly)
-    re = sj * np.exp(lj - scale)
-    im = s * sy * np.exp(ly - scale)
-    logmag = scale + 0.5 * np.log(re * re + im * im)
-    phase = np.arctan2(im, re)
-    logmag.flags.writeable = False
-    phase.flags.writeable = False
-    return logmag, phase
+    _check_domain(0, x)
+    n = l_max + 2
+    sin, cos = math.sin(x), math.cos(x)
+    im = -1.0 if conjugate else 1.0
+    h0 = complex(sin, im * cos)
+    h1 = complex(sin / x - cos, im * (cos / x + sin))
+    h, shifts, shift = [h0, h1], [0.0, 0.0], 0.0
+    for l in range(1, n - 1):
+        h2 = ((2.0 * l + 1.0) / x) * h1 - h0
+        a = abs(h2)
+        if a > _BIG:
+            h1 /= a
+            h2 /= a
+            shift += math.log(a)
+        h.append(h2)
+        shifts.append(shift)
+        h0, h1 = h1, h2
+    z = np.array(h)
+    logmag = 0.5 * math.log(2.0 / (math.pi * x)) + np.array(shifts) + np.log(np.abs(z))
+    return _frozen(logmag, np.angle(z))

@@ -340,13 +340,15 @@ def _trace_derivatives(stack, dstack, plane_sign):
     if stack.shape[-1]:
         getrf, getrs = _LU[stack.dtype.char]
         A = _one_minus(stack if plane_sign == 1 else -stack)
+        pivots = np.empty(A.shape[:2], dtype=A.dtype)
         for i in range(len(stack)):
             lu, piv, _ = getrf(A[i])
-            pivots = np.abs(np.diag(lu))
-            if not pivots.min() > 1e-12 * pivots.max():
-                raise SingularBlockError("vanishing pivot in 1 - M")
+            pivots[i] = lu.diagonal()
             X, _ = getrs(lu, piv, dstack[i])
-            out[i] = -plane_sign * np.trace(X)
+            out[i] = -plane_sign * X.trace()
+        pivots = np.abs(pivots)
+        if not np.all(pivots.min(axis=1) > 1e-12 * pivots.max(axis=1)):
+            raise SingularBlockError("vanishing pivot in 1 - M")
     return out
 
 

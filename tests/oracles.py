@@ -10,12 +10,15 @@ vectorized assemblies, and frequency sweeps that evaluate one node at a
 time.  The float 3j symbol :func:`three_j` and :func:`h_factor` are the
 exception: they read the package's own vectorized slices one entry at a
 time, so that the exact rational oracle can check them, and add the float
-Racah sum for the general m patterns.
+Racah sum for the general m patterns.  Likewise the scalar Bessel values
+(:class:`LogValue` and its readers) read the package's tables one entry at
+a time, and :func:`hankel2_half` assembles H2 from the J and Y tables, a
+different route from the package's Hankel recurrence.
 """
 
 import functools
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -161,6 +164,161 @@ def mp_log_bessel(kind, l, x):
     if v == 0:
         return 0, mp.mpf("-inf")
     return int(mp.sign(v)), float(mp.log(abs(v)))
+
+
+def mp_log_hankel(l, x):
+    """log |H2_{l+1/2}(x)| and its phase in (-pi, pi] by mpmath, with
+    H2 = J - iY (H1 = J + iY is its conjugate)."""
+    nu = mp.mpf(2 * l + 1) / 2
+    x = mp.mpf(x)
+    h = mp.besselj(nu, x) - 1j * mp.bessely(nu, x)
+    return float(mp.log(abs(h))), float(mp.arg(h))
+
+
+class PoleError(ValueError):
+    """Raised when an evaluation point sits on (or within 1e-12 of) a zero
+    of Y_nu, where the J/Y ratio has a pole."""
+
+
+@dataclass(frozen=True)
+class LogValue:
+    """A real number stored as sign and natural log of the magnitude.
+
+    Multiplication adds log magnitudes, so products never overflow for
+    ``|log_magnitude| <= 1e6``.  ``sign == 0`` encodes an exact zero (the
+    log payload is then meaningless).
+    """
+
+    sign: int
+    log_magnitude: float
+
+    def __mul__(self, other):
+        if self.sign == 0 or other.sign == 0:
+            return LogValue(0, -math.inf)
+        return LogValue(self.sign * other.sign,
+                        self.log_magnitude + other.log_magnitude)
+
+    def value(self):
+        """Reconstruct the plain float (may over/underflow for large logs)."""
+        if self.sign == 0:
+            return 0.0
+        return self.sign * math.exp(self.log_magnitude)
+
+    @classmethod
+    def from_value(cls, x):
+        if x == 0.0:
+            return cls(0, -math.inf)
+        return cls(1 if x > 0 else -1, math.log(abs(x)))
+
+
+def _wrap_phase(phi):
+    """Wrap into (-pi, pi]."""
+    w = math.fmod(phi + math.pi, 2.0 * math.pi)
+    if w <= 0.0:
+        w += 2.0 * math.pi
+    return w - math.pi
+
+
+@dataclass(frozen=True)
+class ComplexLogValue:
+    """A complex number stored as log magnitude and phase in (-pi, pi]."""
+
+    log_magnitude: float
+    phase: float
+
+    def __mul__(self, other):
+        return ComplexLogValue(self.log_magnitude + other.log_magnitude,
+                               _wrap_phase(self.phase + other.phase))
+
+    def value(self):
+        return math.exp(self.log_magnitude) * complex(math.cos(self.phase),
+                                                      math.sin(self.phase))
+
+
+# Single values read from the package's tables, checked for the order cap
+# of ``specfun.L_CAP`` one entry at a time.
+
+def log_bessel_i_half(l, x):
+    """I_{l+1/2}(x) as a :class:`LogValue` (relative accuracy ~1e-13)."""
+    from casphere import specfun
+    specfun._check_domain(l, x)
+    logi, _ = specfun.log_ik_arrays(l, x)
+    return LogValue(1, float(logi[l]))
+
+
+def log_bessel_k_half(l, x):
+    """K_{l+1/2}(x) as a :class:`LogValue`; the sign is always +1."""
+    from casphere import specfun
+    specfun._check_domain(l, x)
+    _, logk = specfun.log_ik_arrays(l, x)
+    return LogValue(1, float(logk[l]))
+
+
+def bessel_j_half(l, x):
+    """J_{l+1/2}(x) as a :class:`LogValue` (downward recurrence).
+
+    Relative accuracy is ~1e-12 away from the zeros of J; at a zero only
+    absolute accuracy (of order 1e-15 times the neighbour magnitude) is
+    meaningful.
+    """
+    from casphere import specfun
+    specfun._check_domain(l, x)
+    sj, lj, _, _ = specfun.log_jy_arrays(l, x)
+    return LogValue(int(sj[l]), float(lj[l]))
+
+
+def bessel_y_half(l, x):
+    """Y_{l+1/2}(x) as a :class:`LogValue` (upward recurrence)."""
+    from casphere import specfun
+    specfun._check_domain(l, x)
+    _, _, sy, ly = specfun.log_jy_arrays(l, x)
+    return LogValue(int(sy[l]), float(ly[l]))
+
+
+def ratio_jy(l, x):
+    """The ratio r_nu = J_{l+1/2}(x) / Y_{l+1/2}(x), formed in log space.
+
+    Raises
+    ------
+    PoleError
+        when x lies within ~1e-12 of a zero of Y_{l+1/2} (estimated from
+        the Newton step ``|Y/Y'|``).
+    """
+    from casphere import specfun
+    specfun._check_domain(l, x)
+    sj, lj, sy, ly = specfun.log_jy_arrays(l + 1, x)
+    if sy[l] == 0:
+        raise PoleError(f"Y_{l}+1/2 vanishes at x={x}")
+    # Y' = (nu/x) Y - Y_{nu+1}; distance-to-zero estimate |Y/Y'|
+    nu = l + 0.5
+    scale = max(ly[l], ly[l + 1])
+    yv = sy[l] * math.exp(ly[l] - scale)
+    yd = (nu / x) * yv - sy[l + 1] * math.exp(ly[l + 1] - scale)
+    if yd != 0.0 and abs(yv / yd) < 1e-12:
+        raise PoleError(f"x={x} is within 1e-12 of a zero of Y_{{{l}+1/2}}")
+    if sj[l] == 0:
+        return 0.0
+    return sj[l] * sy[l] * math.exp(lj[l] - ly[l])
+
+
+def hankel2_from_jy(sign_j, log_j, sign_y, log_y):
+    """Assemble H2 = J - iY from signed logs; returns (log magnitude, phase)."""
+    scale = max(log_j, log_y)
+    if scale == -math.inf:
+        raise ValueError("H2 of an exact zero pair")
+    re = sign_j * math.exp(log_j - scale)
+    im = -sign_y * math.exp(log_y - scale)
+    return scale + 0.5 * math.log(re * re + im * im), math.atan2(im, re)
+
+
+def hankel2_half(l, x):
+    """H^(2)_{l+1/2}(x) = J - iY as a :class:`ComplexLogValue`, assembled
+    from the J and Y tables (not from the package's Hankel recurrence)."""
+    from casphere import specfun
+    specfun._check_domain(l, x)
+    sj, lj, sy, ly = specfun.log_jy_arrays(l, x)
+    lm, ph = hankel2_from_jy(sj[l], lj[l], sy[l], ly[l])
+    return ComplexLogValue(lm, ph)
 
 
 def m_scalar(l, lp, m, xi, geom, spec):

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from casphere import cli
+from casphere import cli, wigner
 from casphere.freeenergy import EnergyResult
 
 
@@ -140,6 +140,18 @@ def test_table_convergence_failure_exit_2(tmp_path, monkeypatch):
     rc = run_cli(["--command", "table2", "--out", str(out)])
     assert rc == 2
     assert len(read_csv(out)) == 3  # partial results still written
+
+
+def test_store_budget_refusal_exits_1(monkeypatch, capsys):
+    # fresh, empty stores under a budget too small for any growth
+    monkeypatch.setattr(wigner, "_STORES", {})
+    monkeypatch.setattr(wigner, "_STORE_VIEWS", {})
+    monkeypatch.setattr(wigner, "_STORE_BUDGET", 10000)
+    rc = run_cli(["--command", "thermal-part", "--R", "1", "--d", "0.5", "--T", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: coupling stores at m = ")
+    assert "more than the budget of 10000" in err
 
 
 def test_console_entry_point():

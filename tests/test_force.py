@@ -78,6 +78,11 @@ def test_trace_derivative_raises_on_a_vanishing_pivot():
                              derivative=np.eye(2))
     with pytest.raises(SingularBlockError):
         trlog.trace_derivative(blk)
+    # in a stack, one singular block among regular ones
+    M = np.stack([np.diag([0.5, 0.5]), blk.entries, np.diag([0.2, 0.1])])
+    stack = trlog.MBlockMatrix(0, 0, 1, M, derivative=np.ones((3, 2, 2)))
+    with pytest.raises(SingularBlockError):
+        trlog.trace_derivative(stack)
 
 
 # (target, field, R, d, rel_tol of both sides).  The Matsubara energies are

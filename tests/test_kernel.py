@@ -8,6 +8,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from casphere import kernel, wigner
 from casphere.kernel import (Geometry, FieldSpec, m_em_block, m_static,
@@ -181,6 +182,23 @@ def test_rotated_conjugation():
     a = m_rotated(2, 2, 1, 1.3, geom, DD, branch=1)
     b = m_rotated(2, 2, 1, 1.3, geom, DD, branch=-1)
     assert b == pytest.approx(a.conjugate(), rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(xi=st.lists(st.floats(1e-3, 30.0), min_size=1, max_size=3),
+       R=st.floats(0.1, 5.0), d=st.floats(0.005, 3.0), l_max=st.integers(0, 12),
+       m=st.integers(0, 12), neumann=st.booleans())
+def test_rotated_branches_are_exact_conjugates(xi, R, d, l_max, m, neumann):
+    # M(-i xi) = conj M(+i xi), M and dM/dL, although the two branches run
+    # separate Hankel recurrences and assemblies
+    geom = Geometry(R, d)
+    spec = ND if neumann else DD
+    m = min(m, l_max)
+    plus = kernel.RotatedNodes(xi, geom, spec, l_max, 1, derivative=True).blocks(m)
+    minus = kernel.RotatedNodes(xi, geom, spec, l_max, -1, derivative=True).blocks(m)
+    for a, b in zip(plus, minus):
+        assert np.all(np.isfinite(a))
+        assert np.array_equal(b, a.conj())
 
 
 def test_rotated_small_xi_limit():

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from casphere import specfun
-from casphere.specfun import (LogValue, ComplexLogValue, PoleError,
-                              log_bessel_i_half, log_bessel_k_half,
-                              bessel_j_half, bessel_y_half, ratio_jy,
-                              hankel2_half, log_ik_arrays, log_jy_arrays)
+from casphere.specfun import log_hankel2_arrays, log_ik_arrays, log_jy_arrays
 
 import oracles
+from oracles import (LogValue, ComplexLogValue, PoleError,
+                     log_bessel_i_half, log_bessel_k_half,
+                     bessel_j_half, bessel_y_half, ratio_jy, hankel2_half)
 
 
 def test_logvalue_algebra():
@@ -144,19 +144,43 @@ def test_hankel2_consistency_with_jy():
     assert h == pytest.approx(want, rel=1e-12)
 
 
+def _wrapped(phi):
+    return (phi + math.pi) % (2.0 * math.pi) - math.pi
+
+
 @pytest.mark.parametrize("l_max", [20, 72, 200])
 def test_hankel_tables_match_the_per_entry_formula(l_max):
-    # the array assembly of log|H| and its phase against
-    # hankel2_from_jy entry by entry; H1 = J + iY is H2 with Y negated
+    # the recurrence tables of log|H| and its phase against mpmath's
+    # H = J -+ iY, at every order of a sample that keeps both ends
+    orders = sorted(set(range(0, l_max + 2, max(1, l_max // 10))) | {1, l_max, l_max + 1})
     for x in np.geomspace(1e-3, 300.0, 60):
-        sj, lj, sy, ly = log_jy_arrays(l_max, float(x))
+        x = float(x)
+        tables = [log_hankel2_arrays(l_max, x, conjugate) for conjugate in (False, True)]
+        for l in orders:
+            want_mag, want_ph = oracles.mp_log_hankel(l, x)
+            for (mag, ph), sign in zip(tables, (1.0, -1.0)):
+                assert len(mag) == l_max + 2
+                assert abs(mag[l] - want_mag) <= 1e-14 * max(1.0, abs(want_mag)), (l, x)
+                assert abs(_wrapped(ph[l] - sign * want_ph)) <= 1e-14, (l, x)
+
+
+def test_hankel1_tables_are_exact_conjugates():
+    # H1 runs its own recurrence from the conjugate seeds; IEEE arithmetic
+    # is symmetric under negating every imaginary part
+    for x in np.geomspace(1e-3, 300.0, 200):
+        mag2, ph2 = log_hankel2_arrays(40, float(x))
+        mag1, ph1 = log_hankel2_arrays(40, float(x), conjugate=True)
+        assert np.array_equal(mag1, mag2)
+        assert np.array_equal(ph1, -ph2)
+
+
+def test_hankel_tables_are_exact_prefixes():
+    for x in np.geomspace(1e-3, 300.0, 200):
         for conjugate in (False, True):
-            mag, ph = specfun.log_hankel2_arrays(l_max, float(x), conjugate)
-            s = -1.0 if conjugate else 1.0
-            want = np.array([specfun.hankel2_from_jy(sj[l], lj[l], s * sy[l], ly[l])
-                             for l in range(len(sj))])
-            assert mag == pytest.approx(want[:, 0], rel=1e-15, abs=1e-15)
-            assert ph == pytest.approx(want[:, 1], rel=1e-15, abs=1e-15)
+            short = log_hankel2_arrays(60, float(x), conjugate)
+            long = log_hankel2_arrays(150, float(x), conjugate)
+            for a, b in zip(short, long):
+                assert np.array_equal(a, b[: len(a)])
 
 
 @pytest.mark.parametrize("x", [0.1, 1.0, 10.0])
@@ -227,3 +251,7 @@ def test_domain_errors():
         log_bessel_i_half(specfun.L_CAP + 1, 1.0)
     with pytest.raises(ValueError):
         bessel_j_half(-1, 1.0)
+    for table in (log_ik_arrays, log_jy_arrays, log_hankel2_arrays):
+        for x in (-1.0, 0.0, math.nan):
+            with pytest.raises(ValueError):
+                table(4, x)
