@@ -10,14 +10,14 @@ from .freeenergy import (EnergyResult, matsubara_free_energy, vacuum_energy,
 from .pfa import (PlatePoint, parallel_plates_free_energy, g_function,
                   h_function, pfa_free_energy, pfa_force, pfa_thermal_force,
                   pfa_regime)
-from .asympt import ExpansionResult, low_t_thermal, high_t_f0, small_sep_medium_t
+from .asympt import ExpansionResult, low_t_thermal, high_t_f0
 
 __all__ = [
     "Geometry", "FieldSpec", "Truncation", "MBlockMatrix", "EnergyResult",
     "matsubara_free_energy", "vacuum_energy", "thermal_part", "force",
     "PlatePoint", "parallel_plates_free_energy", "g_function", "h_function",
     "pfa_free_energy", "pfa_force", "pfa_thermal_force", "pfa_regime",
-    "ExpansionResult", "low_t_thermal", "high_t_f0", "small_sep_medium_t",
+    "ExpansionResult", "low_t_thermal", "high_t_f0",
 ]
 
 __version__ = "0.1.0"

@@ -1,5 +1,6 @@
-r"""Closed-form limits: low-temperature expansions, the high-temperature
-zero mode, and the small-separation medium/high-temperature formula.
+r"""Closed-form limits: low-temperature expansions and the high-temperature
+zero mode.  (The small-separation medium/high-temperature formula is the
+PFA's ``pfa.pfa_energy_medium_high``.)
 
 The low-temperature behavior follows the low-momentum law of the sphere's
 scattering amplitudes: the Dirichlet s-wave starts linearly in frequency
@@ -17,7 +18,7 @@ electromagnetic field ``F_0 -> -zeta(3)/(4 eps)`` at small separation
 import math
 from dataclasses import dataclass
 
-from . import pfa, trlog
+from . import trlog
 from .kernel import DIRICHLET, ELECTROMAGNETIC
 from .trlog import Truncation
 
@@ -95,17 +96,3 @@ def high_t_f0(geom, spec, trunc=None):
             "the documented floor is eps >= 0.01")
     return 0.5 * tot.real
 
-
-def small_sep_medium_t(geom, T):
-    """Small-separation free energy at fixed dT (medium/high temperature),
-    electromagnetic normalization:
-
-    ``F = -(pi^3 R / 720 d^2) (1 + h(2 d T))``.
-
-    This is the exact small-separation resummation and coincides with the
-    medium/high PFA energy; via the large-argument line of h it reaches the
-    high-temperature law ``-zeta(3) R T/(4 d)``.
-    """
-    geom.require_gap()
-    return -(math.pi ** 3 * geom.R / (720.0 * geom.d ** 2)) \
-        * (1.0 + pfa.h_function(2.0 * geom.d * T))

@@ -6,8 +6,9 @@ either ``--d`` or ``--epsilon``.  A flat JSON config file may supply any
 flag value (command-line flags win).  Exit status: 0 on success, 1 on an
 invalid configuration or when a computation would pass the memory budget of
 the coupling stores (the ``MemoryError`` of :mod:`wigner`, printed as
-``error: ...``), 2 when a computation did not converge (partial results are
-still written).  ``--diagnostics PATH`` also writes, as JSON, a
+``error: ...``; the rows computed before it are still written), 2 when a
+computation did not converge (partial results are still written).
+``--diagnostics PATH`` also writes, as JSON, a
 list with one object per row that holds the row's inputs and the
 ``diagnostics`` of its ``EnergyResult`` (the work done: cut-offs, blocks,
 fallbacks, convergence); the closed-form commands ``pfa`` and
@@ -162,11 +163,10 @@ def _write_csv(rows, out_path):
             handle.close()
 
 
-def _table_rows(eps, r_values, cfg):
+def _table_rows(eps, r_values, cfg, rows, records):
     trunc = _truncation(cfg)
     spec = FIELD_CHOICES["scalar-d-d"]
     mode_count = cfg.get("mode_count", 1)
-    rows, records = [], []
     ok = True
     for R in r_values:
         geom = Geometry(R, eps * R)
@@ -188,10 +188,10 @@ def _table_rows(eps, r_values, cfg):
         })
         records.append({"epsilon": eps, "R": R, "T": 1.0, "diagnostics": res.diagnostics})
         ok = ok and res.converged
-    return rows, records, ok
+    return ok
 
 
-def _scan_rows(cfg):
+def _scan_rows(cfg, rows, records):
     axis = cfg.get("scan_axis")
     grid = cfg.get("scan_grid")
     if axis is None or grid is None:
@@ -207,7 +207,6 @@ def _scan_rows(cfg):
     quantity = cfg.get("scan_quantity", "thermal-part")
     trunc = _truncation(cfg)
     spec = _field(cfg)
-    rows, records = [], []
     ok = True
     for v in values:
         local = dict(cfg)
@@ -232,67 +231,74 @@ def _scan_rows(cfg):
         rows.append(_result_row(inputs, res))
         records.append(dict(inputs, diagnostics=res.diagnostics))
         ok = ok and res.converged
-    return rows, records, ok
+    return ok
 
 
 def run(cfg):
-    """Execute one parsed configuration; returns the process exit status."""
+    """Execute one parsed configuration; returns the process exit status.
+    The rows that completed are written even when a later row raises."""
     command = cfg.get("command")
     if command not in COMMANDS:
         raise ConfigError("--command is required")
-    out = cfg.get("out")
-    ok = True
-    records = []  # rows with no EnergyResult have no diagnostics
+    rows, records = [], []  # rows with no EnergyResult have no diagnostics
+    try:
+        ok = _rows(command, cfg, rows, records)
+    finally:
+        if rows:
+            _write_csv(rows, cfg.get("out"))
+            if cfg.get("diagnostics"):
+                with open(cfg["diagnostics"], "w") as fh:
+                    json.dump(records, fh, indent=1)
+    return 0 if ok else 2
 
+
+def _rows(command, cfg, rows, records):
+    """Append the command's rows, and their diagnostics, to ``rows`` and
+    ``records``; returns whether every row converged."""
     if command == "table1":
-        rows, records, ok = _table_rows(0.01, (0.5, 1.0, 3.0), cfg)
-    elif command == "table2":
-        rows, records, ok = _table_rows(0.1, (0.5, 1.0, 6.0), cfg)
-    elif command == "scan":
-        rows, records, ok = _scan_rows(cfg)
-    elif command == "pfa":
+        return _table_rows(0.01, (0.5, 1.0, 3.0), cfg, rows, records)
+    if command == "table2":
+        return _table_rows(0.1, (0.5, 1.0, 6.0), cfg, rows, records)
+    if command == "scan":
+        return _scan_rows(cfg, rows, records)
+    if command == "pfa":
         geom = _geometry(cfg)
         T = _temperature(cfg, 0.0)
         mc = cfg.get("mode_count", 2)
-        rows = [{
+        rows.append({
             "R": geom.R, "d": geom.d, "T": T, "mode_count": mc,
             "value": pfa.pfa_free_energy(geom, T, mc),
             "force": pfa.pfa_force(geom, T, mc),
             "error_estimate": 0.0, "l_max_used": "", "converged": True,
-        }]
-    elif command == "asymptotic":
+        })
+        return True
+    if command == "asymptotic":
         geom = _geometry(cfg)
         T = _temperature(cfg)
         spec = _field(cfg)
         exp = asympt.low_t_thermal(geom, spec, T)
-        rows = [{
+        rows.append({
             "R": geom.R, "d": geom.d, "T": T, "field": cfg.get("field", "scalar-d-d"),
             "value": exp.value, "leading_power": exp.leading_power,
             "validity_note": exp.validity_note,
-        }]
+        })
+        return True
+    geom = _geometry(cfg)
+    spec = _field(cfg)
+    trunc = _truncation(cfg)
+    if command == "free-energy":
+        res = freeenergy.matsubara_free_energy(geom, spec, _temperature(cfg), trunc)
+    elif command == "vacuum-energy":
+        res = freeenergy.vacuum_energy(geom, spec, trunc)
+    elif command == "thermal-part":
+        res = freeenergy.thermal_part(geom, spec, _temperature(cfg), trunc)
     else:
-        geom = _geometry(cfg)
-        spec = _field(cfg)
-        trunc = _truncation(cfg)
-        if command == "free-energy":
-            res = freeenergy.matsubara_free_energy(geom, spec, _temperature(cfg), trunc)
-        elif command == "vacuum-energy":
-            res = freeenergy.vacuum_energy(geom, spec, trunc)
-        elif command == "thermal-part":
-            res = freeenergy.thermal_part(geom, spec, _temperature(cfg), trunc)
-        else:
-            res = freeenergy.force(geom, spec, _temperature(cfg), trunc,
-                                   target=cfg.get("force_target", "total"))
-        inputs = {"command": command, "R": geom.R, "d": geom.d, "T": cfg.get("T", "")}
-        rows = [_result_row(inputs, res)]
-        records = [dict(inputs, diagnostics=res.diagnostics)]
-        ok = res.converged
-
-    _write_csv(rows, out)
-    if cfg.get("diagnostics"):
-        with open(cfg["diagnostics"], "w") as fh:
-            json.dump(records, fh, indent=1)
-    return 0 if ok else 2
+        res = freeenergy.force(geom, spec, _temperature(cfg), trunc,
+                               target=cfg.get("force_target", "total"))
+    inputs = {"command": command, "R": geom.R, "d": geom.d, "T": cfg.get("T", "")}
+    rows.append(_result_row(inputs, res))
+    records.append(dict(inputs, diagnostics=res.diagnostics))
+    return res.converged
 
 
 def main(argv=None):

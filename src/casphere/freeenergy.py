@@ -18,12 +18,11 @@ that scale; panels are refined adaptively, and a vanishing pivot of
 1 - M at a node splits the panel that holds it.  A panel is a nested
 Clenshaw-Curtis rule of ``Truncation.quad_points`` nodes (9 by default;
 3 or 1 mod 4, so that its every other node is the embedded rule of the
-error estimate), and its nodes are evaluated as one stack of blocks, with
-the nodes accepted in order up to the first whose cut-off moves (see
-:class:`_SweepState`).  The Matsubara sum
-evaluates its nodes n >= 2 in chunks of up to ``MATSUBARA_CHUNK``, each
-one stack with a growth test per node, and accepts a node only where its
-cut-off is the one it would get evaluated alone.
+error estimate).  The panels' nodes and the Matsubara nodes n >= 1, in
+chunks of up to ``MATSUBARA_CHUNK``, go through one acceptance engine
+(:class:`_SweepState`): each panel or chunk is one stack of blocks, and
+its nodes are accepted in order while each gets the cut-off and value it
+would get evaluated alone.
 
 The force is the negative derivative of the Matsubara sum or of the
 thermal part with respect to the surface separation, from one sweep of
@@ -32,7 +31,7 @@ same nodes, blocks and cut-off tests as the energy.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -199,57 +198,63 @@ def _panel_sweep(f, width, xi_max, npts, rel_tol):
 
 
 class _SweepState:
-    """Per-sweep bookkeeping for the frequency integrands.
+    """The acceptance engine of the frequency nodes, for the frequency
+    integrands and the Matsubara sum.
 
     The orbital cutoff required varies slowly along the frequency axis, so
-    the automatic growth is re-verified only on every sixth node; in
-    between, the nodes run at the last sufficient cutoff h plus one growth
-    step, h + 4, without a test of their own.  The running magnitude scale
-    feeds the growth test's absolute floor, which keeps oscillatory zero
-    crossings from triggering runaway growth.  With ``derivative`` every
-    node is the separation derivative of the trace (see
-    :func:`trlog.trace_over_m`).
+    the automatic growth is verified only on every ``every``-th node
+    (``VERIFY_EVERY`` on the sweeps); in between, the nodes run at the
+    last sufficient cutoff h plus one growth step, h + 4, without a test
+    of their own.  The running magnitude scale times ``floor`` is the
+    growth test's absolute floor, which keeps oscillatory zero crossings
+    from triggering runaway growth.  With ``derivative`` every node is the
+    separation derivative of the trace (see :func:`trlog.trace_over_m`).
 
-    The nodes handed to :meth:`evaluate` (a quadrature panel) go through
-    :func:`trlog.trace_over_m` as one stack at h + 4, in which each
-    verified node also carries its leading sub-blocks at h: the first step
-    of its growth test.  The nodes are then accepted in order, each with
-    the scale, hint and error bookkeeping that the nodes before it leave,
-    so every state advances node by node as if every node were evaluated
-    alone.  A verified node whose test passes keeps the hint and its
-    cut-off h + 4.  At the first verified node whose cut-off must pass
-    h + 4 the acceptance stops: that node is evaluated again alone, with
-    its own growth from h, and the nodes after it are stacked again from
-    the hint it leaves (``nodes_discarded`` counts the nodes thrown away).
-    So every node gets the cut-off, m cut and value it gets alone, and a
-    single node is a stack of one through the same code.  The first node
-    of a sweep, with no hint yet, grows alone; with a pinned
-    ``Truncation(l_max=...)`` the whole panel is one stack at that cut-off.
-    A stack that meets a vanishing pivot is evaluated again one node at a
-    time, so that the error and the state are those of the node that
-    raised it.
+    The nodes handed to :meth:`evaluate` (a quadrature panel, a chunk of
+    Matsubara nodes) go through :func:`trlog.trace_over_m` as one stack,
+    which grows each verified node's cut-off from h and evaluates each
+    assumed node once, at h + 4.  The nodes are then accepted in order,
+    each with the scale, hint and error bookkeeping that the nodes before
+    it leave, while each gets the result it gets alone: an assumed node
+    while the hint is still h, a verified node while its cut-off is at
+    least the current hint + 4 (a growth step gives the same totals
+    whatever cut-off the node started from, up to the rounding of the
+    stack).  A verified node that grew past h + 4 after the floor rose is
+    accepted only if the new floor is at most the smallest projected
+    |total| among its growth tests, so that every test has the same
+    outcome under either floor.  The first node that fails and the nodes
+    after it are stacked again from the new hint (``nodes_discarded``
+    counts the nodes thrown away), so a node's cut-off, m cut and value
+    never depend on the stack.  A pinned ``Truncation(l_max=...)`` takes
+    every node at that cut-off.  A stack that meets a vanishing pivot is
+    evaluated again one node at a time, so that the error and the state
+    are those of the node that raised it.
 
-    The diagnostics count the blocks assembled over the sweep, the rotated
-    ones among them whose log-determinant took eigenvalues
-    (``eig_blocks``) or the per-pivot determinant (``fallbacks``), the
-    discarded nodes' blocks included, the nodes run at the last verified
-    cut-off without a growth test of their own (``nodes_assumed``) and the
-    nodes evaluated in a stack and then thrown away (``nodes_discarded``).
+    The diagnostics count the blocks assembled, the rotated ones among
+    them whose log-determinant took eigenvalues (``eig_blocks``) or the
+    per-pivot determinant (``fallbacks``), the discarded nodes' blocks
+    included, the nodes run at the last verified cut-off without a growth
+    test of their own (``nodes_assumed``) and the nodes evaluated in a
+    stack and then thrown away (``nodes_discarded``).
     """
 
     VERIFY_EVERY = 6
 
-    def __init__(self, geom, spec, trunc, evaluation, part=None, derivative=False):
+    def __init__(self, geom, spec, trunc, evaluation, part=None, derivative=False,
+                 every=None, floor=1e-3):
         self.geom = geom
         self.spec = spec
         self.trunc = trunc
         self.evaluation = evaluation
         self.part = part
         self.derivative = derivative
-        self.l_used = None
+        self.every = every or self.VERIFY_EVERY
+        self.floor = floor
+        self.auto = trunc.l_max is None
+        self.l_used = 0
         self.m_used = 0
         self.converged = True
-        self.hint = None
+        self.hint = spec.l_min + 4  # where trace_over_m starts without a hint
         self.scale = 0.0
         self.count = 0
         self.rel_change = 0.0
@@ -259,78 +264,78 @@ class _SweepState:
         self.nodes_assumed = 0
         self.nodes_discarded = 0
 
-    def evaluate(self, xis):
+    def evaluate(self, xis, stop=None):
         """The trace (or its derivative) at each of the nodes ``xis``, in
-        order, and an estimate of each one's truncation error."""
+        order, and an estimate of each one's truncation error.  With
+        ``stop``, a predicate ``stop(value, error)`` asked after each
+        accepted node, the nodes end at the first for which it holds: the
+        nodes after it are neither accepted nor able to raise."""
         vals = np.empty(len(xis), dtype=complex)
         errs = np.empty(len(xis))
-        i, grow = 0, False
+        i = 0
         while i < len(xis):
-            done, grow = self._stack(xis[i:], vals[i:], errs[i:], grow)
+            done, halt = self._stack(xis[i:], vals[i:], errs[i:], stop)
             i += done
+            if halt:
+                return vals[:i], errs[:i]
         return vals, errs
 
-    def _stack(self, xis, vals, errs, grow):
+    def _stack(self, xis, vals, errs, stop):
         """Evaluate the nodes ``xis`` as one stack and accept them in order
         into ``vals`` and ``errs``.  Returns how many were accepted and
-        whether the next node must grow its cut-off alone: the head node
-        does when ``grow`` is set or there is no hint yet."""
-        auto = self.trunc.l_max is None
-        if auto and (grow or self.hint is None):
-            xis, verify = xis[:1], np.ones(1, dtype=bool)
-            trunc = self.trunc
-            extra = {"l_max_start": self.hint, "scale_floor": 1e-3 * self.scale}
-        elif auto:
-            every = self.VERIFY_EVERY  # every node when 1
-            verify = (self.count + 1 + np.arange(len(xis))) % every == 1 % every
-            trunc, extra = replace(self.trunc, l_max=self.hint + 4), {"lower": verify}
-        else:
-            verify, trunc, extra = np.zeros(len(xis), dtype=bool), self.trunc, {}
+        whether ``stop`` ended the nodes."""
+        start, floor0, every = self.hint, self.floor * self.scale, self.every
+        verify = ((self.count + 1 + np.arange(len(xis))) % every == 1 % every) & self.auto
         try:
             val, diag = trlog.trace_over_m(
-                self.evaluation, self.geom, self.spec, trunc,
-                xi=xis, part=self.part, derivative=self.derivative, **extra)
+                self.evaluation, self.geom, self.spec, self.trunc, xi=xis, part=self.part,
+                l_max_start=start, scale_floor=floor0, derivative=self.derivative,
+                verify=verify)
         except SingularBlockError:
             if len(xis) == 1:
                 self.count += 1
                 raise
-            done = 0
-            while done < len(xis):
-                n, grow = self._stack(xis[done: done + 1], vals[done:], errs[done:], grow)
-                done += n
-            return done, grow
+            for i in range(len(xis)):  # a stack of one accepts its node
+                if self._stack(xis[i: i + 1], vals[i:], errs[i:], stop)[1]:
+                    return i + 1, True
+            return len(xis), False
         self.blocks += diag["blocks"]
         self.eig_blocks += diag["eig_blocks"]
         self.fallbacks += diag["fallbacks"]
         nodes = diag["nodes"]
         for j, v in enumerate(val):
             proj = abs(self.part(v) if self.part else v)
-            if "change" in nodes:
-                err = nodes["change"][j]
-            elif verify[j]:
-                err, passed = trlog.growth_step(v, nodes["lower"][j], self.trunc.rel_tol,
-                                                1e-3 * self.scale, self.part)
-                if not passed:
-                    self.nodes_discarded += len(xis) - j
-                    return j, True
+            floor = self.floor * self.scale
+            l_used = int(nodes["l_max_used"][j])
+            if verify[j]:  # it stops here from the current hint and floor too
+                fits = l_used >= self.hint + 4 and (l_used <= start + 4 or floor <= floor0
+                                                    or floor <= nodes["least_total"][j])
             else:
-                err = self.rel_change * proj  # zero at a pinned cut-off
-                if auto:
-                    self.nodes_assumed += 1
+                fits = self.hint == start
+            if not fits:
+                self.nodes_discarded += len(xis) - j
+                return j, False
             if verify[j]:
                 # a verified node: its last growth step is its truncation
                 # error estimate, and the nodes run at its cut-off inherit
                 # it relatively.  The converged value was computed one
                 # growth step above the sufficient cutoff; seeding one step
                 # below stops the cutoff from ratcheting up at every node
-                self.hint = max(self.spec.l_min + 4, int(nodes["l_max_used"][j]) - 4)
-                self.rel_change = err / max(proj, 1e-3 * self.scale, 1e-300)
+                err = nodes["change"][j]
+                self.hint = max(self.spec.l_min + 4, l_used - 4)
+                self.rel_change = err / max(proj, floor, 1e-300)
+            else:
+                err = self.rel_change * proj  # zero at a pinned cut-off
+                self.nodes_assumed += self.auto
             self.scale = max(self.scale, proj)
             self.count += 1
-            self.l_used = max(self.l_used or 0, int(nodes["l_max_used"][j]))
+            self.l_used = max(self.l_used, l_used)
             self.m_used = max(self.m_used, int(nodes["m_max_used"][j]))
             self.converged = self.converged and bool(nodes["converged"][j])
             vals[j], errs[j] = v, err
+            if stop is not None and stop(v, err):
+                self.nodes_discarded += len(xis) - 1 - j
+                return j + 1, True
         return len(xis), False
 
     def sweep(self, integrand, width, xi_max):
@@ -363,21 +368,12 @@ def _matsubara_sum(geom, spec, T, trunc, derivative=False):
     """``(T/2) trace(0) + T sum_{n>=1} trace(2 pi T n)`` of Tr ln(1 - M), or
     of its separation derivative; see :func:`matsubara_free_energy`.
 
-    The nodes n >= 2 run in chunks of 2, 4, then ``MATSUBARA_CHUNK`` nodes,
-    each chunk one stack whose nodes all start their growth at the current
-    hint h, and no longer than the geometric decay of the last two terms
-    says the stop test needs.  The nodes are accepted in order, with the
-    stop test after each.  Each growth step (l, l + 4) of a node gives the
-    same totals whatever cut-off the node started from (up to the rounding
-    of the stack it shares), so a node that
-    grew to L from h stops at L from any hint between h and L - 4 as well:
-    node j + 1 is accepted while its cut-off is at least node j's, which
-    set its hint.  A node whose cut-off falls below that is discarded with
-    the rest of its chunk, which is evaluated again from the new hint, as
-    are the nodes past the stop.  So every accepted node gets the cut-off,
-    value and change it gets alone.  A chunk that meets a vanishing pivot
-    is evaluated again one node at a time, so that only a node the sum
-    reaches can raise.
+    The nodes n >= 1 go through :class:`_SweepState` with every node
+    verified and no growth-test floor, in chunks of 1, 2, 4, then
+    ``MATSUBARA_CHUNK`` nodes, each chunk no longer than the geometric
+    decay of the last two terms says the stop test needs.  The stop test
+    runs as each node is accepted, so the nodes past it are neither
+    accepted nor able to raise.
 
     The error estimate adds the last term, the stopping tolerance and, at
     every node, the change of its last l_max growth step.
@@ -391,16 +387,22 @@ def _matsubara_sum(geom, spec, T, trunc, derivative=False):
                                      derivative=derivative)
     F = 0.5 * T * tot0.real
     trunc_err = 0.5 * T * diag0.get("change", 0.0)
-    l_used = diag0["l_max_used"]
-    m_used = diag0["m_max_used"]
-    converged = diag0["converged"]
-    blocks = diag0["blocks"]
-    discarded = 0
+    state = _SweepState(geom, spec, trunc, trlog.IMAG_AXIS, derivative=derivative,
+                        every=1, floor=0.0)
     tol = trunc.rel_tol * 1e-2
-    n = 0  # the last node accepted
-    hint = None
     last = prev = math.inf  # the magnitudes of the last two terms
-    size = 1  # the n = 1 node starts afresh, alone
+    done = False
+
+    def stop(value, error):
+        nonlocal F, trunc_err, prev, last, done
+        F += T * value.real
+        trunc_err += T * error
+        prev, last = last, abs(T * value.real)
+        done = last < tol * max(abs(F), 1e-300)
+        return done
+
+    n = 0  # the last node accepted
+    size = 1
     while True:
         count = min(size, trunc.n_max - n)
         if last < prev < math.inf:
@@ -408,32 +410,8 @@ def _matsubara_sum(geom, spec, T, trunc, derivative=False):
             # to reach the stop
             need = math.log(tol * max(abs(F), 1e-300) / last) / math.log(last / prev)
             count = min(count, max(1, math.ceil(need)))
-        xi = 2.0 * math.pi * T * np.arange(n + 1, n + 1 + count)
-        try:
-            terms, diag = trlog.trace_over_m(trlog.IMAG_AXIS, geom, spec, trunc, xi=xi,
-                                             l_max_start=hint, derivative=derivative)
-        except SingularBlockError:
-            if count == 1:
-                raise
-            size = 1
-            continue
-        blocks += diag["blocks"]
-        node = diag["nodes"]
-        change = node.get("change", np.zeros(count))
-        for j in range(count):
-            n += 1
-            F += T * terms[j].real
-            trunc_err += T * change[j]
-            l_used = max(l_used, int(node["l_max_used"][j]))
-            m_used = max(m_used, int(node["m_max_used"][j]))
-            converged = converged and bool(node["converged"][j])
-            prev, last = last, abs(T * terms[j].real)
-            stop = last < tol * max(abs(F), 1e-300)
-            hint = int(node["l_max_used"][j]) - 4
-            if stop or (j + 1 < count and node["l_max_used"][j + 1] < hint + 4):
-                break
-        discarded += count - 1 - j
-        if stop:
+        n += len(state.evaluate(2.0 * math.pi * T * np.arange(n + 1, n + 1 + count), stop)[0])
+        if done:
             break
         if n >= trunc.n_max:
             raise ConvergenceError(
@@ -441,9 +419,11 @@ def _matsubara_sum(geom, spec, T, trunc, derivative=False):
                 "T*d is too small for this representation")
         size = min(2 * size, MATSUBARA_CHUNK)
     return EnergyResult(F, last + tol * abs(F) + trunc_err,
-                        {"l_max_used": l_used, "m_max_used": m_used,
-                         "n_max_used": n, "blocks": blocks,
-                         "nodes_discarded": discarded, "converged": converged})
+                        {"l_max_used": max(diag0["l_max_used"], state.l_used),
+                         "m_max_used": max(diag0["m_max_used"], state.m_used),
+                         "n_max_used": n, "blocks": diag0["blocks"] + state.blocks,
+                         "nodes_discarded": state.nodes_discarded,
+                         "converged": diag0["converged"] and state.converged})
 
 
 def matsubara_free_energy(geom, spec, T, trunc=None):
@@ -462,8 +442,8 @@ def matsubara_free_energy(geom, spec, T, trunc=None):
     at l_max 24 and the nodes need 44; at R = 0.5, d = 0.005 the zero
     mode runs unconverged to the l_max cap).
 
-    The nodes n >= 2 run in stacked chunks (see :func:`_matsubara_sum`)
-    with the same cut-offs, values and error estimates as node by node.
+    The nodes run in stacked chunks (see :func:`_matsubara_sum`) with the
+    same cut-offs, values and error estimates as node by node.
     The diagnostics give the cut-offs used (``l_max_used``,
     ``m_max_used``, ``n_max_used``), the blocks assembled (``blocks``) and
     the chunk nodes evaluated and then thrown away (``nodes_discarded``).

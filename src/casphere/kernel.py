@@ -193,7 +193,7 @@ def _sphere_factors_rotated(bc, x, l_max, branch=1):
     branch +1 uses H2 = J - iY (frequency +i xi), branch -1 uses H1.
     Cached per frequency; do not mutate the returned arrays.
     """
-    sj, lj, _, _ = specfun.log_jy_arrays(l_max, x)  # orders 0 .. l_max+1
+    sj, lj = specfun.log_jy_arrays(l_max, x)  # orders 0 .. l_max+1
     h2m, h2p = specfun.log_hankel2_arrays(l_max, x, conjugate=(branch < 0))
     if bc == DIRICHLET:
         return (sj[: l_max + 1].copy(), lj[: l_max + 1].copy(),

@@ -10,8 +10,8 @@ form: one array per family over the orders l = 0..l_max + 1.
 
 Algorithms
 ----------
-K, Y and H are computed by upward recurrence (the stable direction for
-each: K and Y are the dominant solutions, and H, dominated by Y past the
+K and H are computed by upward recurrence (the stable direction for
+each: K is the dominant solution, and H, dominated by Y past the
 turning point, grows in modulus with the order), I and J by Miller's
 downward recurrence started above the turning point :math:`\nu \approx x`
 and normalized against the closed forms of order 1/2 and 3/2.  H runs its
@@ -115,44 +115,21 @@ def log_ik_arrays(l_max, x):
 
 @lru_cache(maxsize=4096)
 def log_jy_arrays(l_max, x):
-    """Signed-log J_{l+1/2}(x) and Y_{l+1/2}(x) for l = 0..l_max (+1 spare).
+    """Signed-log J_{l+1/2}(x) for l = 0..l_max (+1 spare).
 
     Results are cached and must not be mutated by callers.
 
     Returns
     -------
-    (ndarray, ndarray, ndarray, ndarray)
-        ``(sign_j, log_j, sign_y, log_y)``; a zero value is encoded as
-        sign 0 with log magnitude ``-inf``.
+    (ndarray, ndarray)
+        ``(sign_j, log_j)``; a zero value is encoded as sign 0 with log
+        magnitude ``-inf``.
     """
     _check_domain(0, x)
     n = l_max + 2
     sj = [0.0] * n
     lj = [_NEG_INF] * n
-    sy = [0.0] * n
-    ly = [_NEG_INF] * n
     c = math.sqrt(2.0 / (math.pi * x))
-
-    # Y upward
-    y0 = -c * math.cos(x)
-    y1 = -c * (math.cos(x) / x + math.sin(x))
-    shift = 0.0
-    if y0 != 0.0:
-        sy[0], ly[0] = math.copysign(1.0, y0), math.log(abs(y0))
-    if y1 != 0.0:
-        sy[1], ly[1] = math.copysign(1.0, y1), math.log(abs(y1))
-    for l in range(1, n - 1):
-        nu = l + 0.5
-        y2 = (2.0 * nu / x) * y1 - y0
-        if abs(y2) > _BIG:
-            sc = abs(y2)
-            y1 /= sc
-            y2 /= sc
-            shift += math.log(sc)
-        if y2 != 0.0:
-            sy[l + 1] = math.copysign(1.0, y2)
-            ly[l + 1] = math.log(abs(y2)) + shift
-        y0, y1 = y1, y2
 
     # J downward (Miller)
     start = _miller_start(l_max + 1, x)
@@ -180,7 +157,7 @@ def log_jy_arrays(l_max, x):
         if v[l] != 0.0:
             sj[l] = math.copysign(1.0, v[l]) * c_sign
             lj[l] = math.log(abs(v[l])) + ex[l] + c_log
-    return _frozen(*(np.array(a) for a in (sj, lj, sy, ly)))
+    return _frozen(np.array(sj), np.array(lj))
 
 
 @lru_cache(maxsize=4096)
@@ -190,7 +167,7 @@ def log_hankel2_arrays(l_max, x, conjugate=False):
     One upward recurrence ``h_{l+1} = (2l+1)/x h_l - h_{l-1}`` on the
     complex values of ``H / sqrt(2/pi x)``, from the closed forms
     ``sin x + i cos x`` and ``(sin x/x - cos x) + i (cos x/x + sin x)`` at
-    orders 1/2 and 3/2, with the running exponent of the Y recurrence.
+    orders 1/2 and 3/2, with a running exponent.
     With ``conjugate=True`` returns H^(1) = J + iY instead, by its own
     recurrence from the conjugate seeds (used to build the opposite
     frequency branch independently); the phases lie in [-pi, pi].  Cached;

@@ -375,18 +375,8 @@ def _with_sub_blocks(X, hi, lo, cut, em):
     return out
 
 
-def growth_step(hi, lo, rel_tol, scale_floor=0.0, part=None):
-    """The change of a growth step whose totals are ``lo`` at l and ``hi``
-    at l + 4, projected by ``part``, and whether the step passes the growth
-    test: a change of at most rel_tol times the larger of the projected
-    ``|hi|`` and ``scale_floor``.  Scalars or arrays of nodes."""
-    meas = part or (lambda z: z)
-    delta = np.abs(meas(hi) - meas(lo))
-    return delta, delta <= rel_tol * np.maximum(np.abs(meas(hi)), max(scale_floor, 1e-300))
-
-
 def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
-                 l_max_start=None, scale_floor=0.0, derivative=False, lower=None):
+                 l_max_start=None, scale_floor=0.0, derivative=False, verify=None):
     """Tr ln(1 - M) folded over m: block(0) + 2 sum_{m>=1} block(m).
 
     The m sum stops once a block contributes less than
@@ -427,11 +417,10 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
         where an oscillatory projection crosses zero)
     derivative : bool
         fold the separation derivative of the trace instead of the trace
-    lower : boolean array or None
-        with a fixed l_max and an array of nodes, the nodes whose total at
-        l_max - 4 is wanted as well, from the leading sub-blocks of the
-        same blocks, as in a growth step; the caller then runs the step's
-        test itself (see :func:`growth_step`)
+    verify : boolean array or None
+        with automatic growth, the nodes that run the growth test (default
+        all); each other node is assumed: evaluated once, one step above
+        the start in the first step's stack, with no sub-block and no test
 
     Returns
     -------
@@ -443,9 +432,9 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
         truncation error from above.  For an array of nodes these are the
         largest cut-offs and change over the nodes and whether all
         converged, and 'nodes' holds the per-node arrays of 'l_max_used',
-        'm_max_used', 'converged', with automatic growth 'change', and
-        with ``lower`` 'lower', the totals at l_max - 4 (zero for the
-        nodes not asked for).
+        'm_max_used', 'converged', with automatic growth also 'change' and
+        'least_total', the smallest projected |total| among the node's
+        growth tests (0 and inf for an assumed node, which counts as converged).
         'blocks' counts the blocks of every node assembled over every
         growth step, 'eig_blocks' the evaluated blocks and sub-blocks
         whose rotated log-determinant took eigenvalues (see
@@ -523,30 +512,36 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
         return complex(tot[0]), {**agg, **counts}
 
     if trunc.l_max is not None:
-        l_lo = None if lower is None else trunc.l_max - 4
-        tot, low, m_cut = totals(np.arange(k), trunc.l_max, l_lo, lower)
-        nodes_diag = {"l_max_used": np.full(k, trunc.l_max), "m_max_used": m_cut,
-                      "converged": np.ones(k, dtype=bool)}
-        if lower is not None:
-            nodes_diag["lower"] = low
-        return result(tot, nodes_diag)
+        tot, _, m_cut = totals(np.arange(k), trunc.l_max)
+        return result(tot, {"l_max_used": np.full(k, trunc.l_max), "m_max_used": m_cut,
+                            "converged": np.ones(k, dtype=bool)})
 
     l_max = max(spec.l_min + 4, l_max_start or 0)
+    meas = part or (lambda z: z)
     value = np.zeros(k, dtype=complex)
     l_used = np.full(k, l_max)
     m_used = np.zeros(k, dtype=int)
     converged = np.zeros(k, dtype=bool)
     change = np.full(k, math.inf)
+    least = np.full(k, math.inf)
     pending = np.arange(k)  # the nodes whose growth test has not passed
+    sub = None if verify is None else np.asarray(verify, dtype=bool)
     if l_max >= L_CAP:
         value, _, m_used = totals(pending, l_max)
     while l_max < L_CAP and len(pending):
-        hi, lo, m_cut = totals(pending, l_max + 4, l_max)
+        hi, lo, m_cut = totals(pending, l_max + 4, l_max, sub)
         l_max += 4
-        delta, passed = growth_step(hi, lo, trunc.rel_tol, scale_floor, part)
+        proj = meas(hi)
+        size = np.abs(proj)
+        delta = np.abs(proj - meas(lo))
+        passed = delta <= trunc.rel_tol * np.maximum(size, max(scale_floor, 1e-300))
         value[pending], m_used[pending], l_used[pending], change[pending] = \
             hi, m_cut, l_max, delta
+        least[pending] = np.minimum(least[pending], size)
+        if sub is not None:  # the assumed nodes leave after the first step, untested
+            passed |= ~sub
+            change[~sub], least[~sub], sub = 0.0, math.inf, None
         converged[pending[passed]] = True
         pending = pending[~passed]
-    return result(value, {"l_max_used": l_used, "m_max_used": m_used,
-                          "converged": converged, "change": change})
+    return result(value, {"l_max_used": l_used, "m_max_used": m_used, "converged": converged,
+                          "change": change, "least_total": least})

@@ -12,7 +12,8 @@ exception: they read the package's own vectorized slices one entry at a
 time, so that the exact rational oracle can check them, and add the float
 Racah sum for the general m patterns.  Likewise the scalar Bessel values
 (:class:`LogValue` and its readers) read the package's tables one entry at
-a time, and :func:`hankel2_half` assembles H2 from the J and Y tables, a
+a time, :func:`log_y_arrays` gives the Y table, which the package does not
+use, and :func:`hankel2_half` assembles H2 from the J and Y tables, a
 different route from the package's Hankel recurrence.
 """
 
@@ -254,6 +255,40 @@ def log_bessel_k_half(l, x):
     return LogValue(1, float(logk[l]))
 
 
+@functools.lru_cache(maxsize=256)
+def log_y_arrays(l_max, x):
+    """Signed-log Y_{l+1/2}(x) for l = 0..l_max (+1 spare), by upward
+    recurrence from the closed forms at orders 1/2 and 3/2, with a running
+    exponent, next to the J of ``specfun.log_jy_arrays``.  Returns
+    ``(sign_y, log_y)``; cached, do not mutate."""
+    from casphere import specfun
+    specfun._check_domain(0, x)
+    n = l_max + 2
+    sy = [0.0] * n
+    ly = [-math.inf] * n
+    c = math.sqrt(2.0 / (math.pi * x))
+    y0 = -c * math.cos(x)
+    y1 = -c * (math.cos(x) / x + math.sin(x))
+    shift = 0.0
+    if y0 != 0.0:
+        sy[0], ly[0] = math.copysign(1.0, y0), math.log(abs(y0))
+    if y1 != 0.0:
+        sy[1], ly[1] = math.copysign(1.0, y1), math.log(abs(y1))
+    for l in range(1, n - 1):
+        nu = l + 0.5
+        y2 = (2.0 * nu / x) * y1 - y0
+        if abs(y2) > specfun._BIG:
+            sc = abs(y2)
+            y1 /= sc
+            y2 /= sc
+            shift += math.log(sc)
+        if y2 != 0.0:
+            sy[l + 1] = math.copysign(1.0, y2)
+            ly[l + 1] = math.log(abs(y2)) + shift
+        y0, y1 = y1, y2
+    return np.array(sy), np.array(ly)
+
+
 def bessel_j_half(l, x):
     """J_{l+1/2}(x) as a :class:`LogValue` (downward recurrence).
 
@@ -263,7 +298,7 @@ def bessel_j_half(l, x):
     """
     from casphere import specfun
     specfun._check_domain(l, x)
-    sj, lj, _, _ = specfun.log_jy_arrays(l, x)
+    sj, lj = specfun.log_jy_arrays(l, x)
     return LogValue(int(sj[l]), float(lj[l]))
 
 
@@ -271,7 +306,7 @@ def bessel_y_half(l, x):
     """Y_{l+1/2}(x) as a :class:`LogValue` (upward recurrence)."""
     from casphere import specfun
     specfun._check_domain(l, x)
-    _, _, sy, ly = specfun.log_jy_arrays(l, x)
+    sy, ly = log_y_arrays(l, x)
     return LogValue(int(sy[l]), float(ly[l]))
 
 
@@ -286,7 +321,8 @@ def ratio_jy(l, x):
     """
     from casphere import specfun
     specfun._check_domain(l, x)
-    sj, lj, sy, ly = specfun.log_jy_arrays(l + 1, x)
+    sj, lj = specfun.log_jy_arrays(l + 1, x)
+    sy, ly = log_y_arrays(l + 1, x)
     if sy[l] == 0:
         raise PoleError(f"Y_{l}+1/2 vanishes at x={x}")
     # Y' = (nu/x) Y - Y_{nu+1}; distance-to-zero estimate |Y/Y'|
@@ -316,7 +352,8 @@ def hankel2_half(l, x):
     from the J and Y tables (not from the package's Hankel recurrence)."""
     from casphere import specfun
     specfun._check_domain(l, x)
-    sj, lj, sy, ly = specfun.log_jy_arrays(l, x)
+    sj, lj = specfun.log_jy_arrays(l, x)
+    sy, ly = log_y_arrays(l, x)
     lm, ph = hankel2_from_jy(sj[l], lj[l], sy[l], ly[l])
     return ComplexLogValue(lm, ph)
 
@@ -575,7 +612,7 @@ def sphere_factors_rotated_loop(bc, x, l_max, branch=1):
     denominator ``(l/x) H_nu - H_{nu+1}`` (H), with H = H2 for branch +1
     and H1 for branch -1."""
     from casphere import specfun
-    sj, lj, _, _ = specfun.log_jy_arrays(l_max, x)
+    sj, lj = specfun.log_jy_arrays(l_max, x)
     h2m, h2p = specfun.log_hankel2_arrays(l_max, x, conjugate=(branch < 0))
     if bc == "dirichlet":
         return sj[: l_max + 1], lj[: l_max + 1], h2m[: l_max + 1], h2p[: l_max + 1]

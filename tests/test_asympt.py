@@ -9,9 +9,8 @@ import pytest
 from casphere.kernel import Geometry, FieldSpec
 from casphere.trlog import Truncation
 from casphere import asympt, pfa
-from casphere.asympt import (low_t_thermal, high_t_f0, small_sep_medium_t,
-                             em_contact_coefficient, em_far_coefficient,
-                             ZETA2, ZETA4)
+from casphere.asympt import (low_t_thermal, high_t_f0, em_contact_coefficient,
+                             em_far_coefficient, ZETA2, ZETA4)
 from casphere.freeenergy import thermal_part
 
 G12 = Geometry(1.0, 1.0)  # R = 1, L = 2
@@ -91,30 +90,22 @@ def test_low_t_matches_thermal_part():
     assert num.value == pytest.approx(want, rel=0.02)
 
 
-def test_small_sep_medium_t():
-    # h(0) = 0: the electromagnetic vacuum normalization -pi^3 R/(720 d^2),
-    # equal to the -2 zeta(4)/(16 pi) R/d^2 leading law
+def test_pfa_energy_medium_high():
+    # the small-separation free energy at fixed dT, electromagnetic
+    # normalization (mode_count 2).  h(0) = 0: the vacuum normalization
+    # -pi^3 R/(720 d^2), equal to the -2 zeta(4)/(16 pi) R/d^2 leading law
     geom = Geometry(1.0, 0.01)
-    v0 = small_sep_medium_t(geom, 0.0)
+    v0 = pfa.pfa_energy_medium_high(geom, 0.0)
     assert v0 == pytest.approx(-math.pi ** 3 * geom.R / (720.0 * geom.d ** 2), rel=1e-14)
     assert v0 == pytest.approx(-2.0 * ZETA4 / (16.0 * math.pi) * geom.R / geom.d ** 2,
                                rel=1e-14)
     # dT = 1/2 hits the fixed point h(1) = 5/2
-    v = small_sep_medium_t(geom, 0.5 / geom.d)
+    v = pfa.pfa_energy_medium_high(geom, 0.5 / geom.d)
     assert v == pytest.approx(v0 * (1.0 + 2.5), rel=1e-12)
     # dT >> 1 reaches the high-temperature law -zeta(3) R T/(4 d)
     T = 8.0 / geom.d
-    v = small_sep_medium_t(geom, T)
+    v = pfa.pfa_energy_medium_high(geom, T)
     assert v == pytest.approx(-pfa.ZETA3 * geom.R * T / (4.0 * geom.d), rel=1e-3)
-
-
-@pytest.mark.parametrize("dT", [0.2, 1.0, 5.0])
-def test_small_sep_bridge_to_pfa(dT):
-    geom = Geometry(1.0, 0.01)
-    T = dT / geom.d
-    a = small_sep_medium_t(geom, T)
-    b = pfa.pfa_regime(geom, T, "medium_high")["energy"]
-    assert a == pytest.approx(b, rel=1e-10)
 
 
 def test_high_t_f0_large_separation():

@@ -142,6 +142,21 @@ def test_table_convergence_failure_exit_2(tmp_path, monkeypatch):
     assert len(read_csv(out)) == 3  # partial results still written
 
 
+def test_table_keeps_the_rows_before_a_failing_row(tmp_path, monkeypatch, capsys):
+    def fake_force(geom, spec, T, trunc=None, target="total"):
+        if geom.R == 6.0:
+            raise MemoryError("coupling stores at m = 0 would pass the budget")
+        return EnergyResult(-0.5 / geom.R, 1e-4, {"l_max_used": 10, "converged": True})
+
+    monkeypatch.setattr(cli.freeenergy, "force", fake_force)
+    out, diag = tmp_path / "t2.csv", tmp_path / "t2.json"
+    rc = run_cli(["--command", "table2", "--out", str(out), "--diagnostics", str(diag)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: coupling stores")
+    assert [float(r["R"]) for r in read_csv(out)] == [0.5, 1.0]
+    assert [r["R"] for r in json.loads(diag.read_text())] == [0.5, 1.0]
+
+
 def test_store_budget_refusal_exits_1(monkeypatch, capsys):
     # fresh, empty stores under a budget too small for any growth
     monkeypatch.setattr(wigner, "_STORES", {})

@@ -165,16 +165,16 @@ def test_thermal_sweep_counts_its_work(monkeypatch):
     evaluate = fe._SweepState.evaluate
 
     # a rotated block is a stack of the blocks of a panel's nodes, and one
-    # trace_over_m call evaluates the whole panel at the hint + 4, with the
-    # growth test's lower totals for its verified nodes
+    # trace_over_m call evaluates the whole panel from the hint: the
+    # verified nodes grow their cut-offs, and the nodes its verify mask
+    # leaves out are assumed, at the hint + 4
     def counting_assemble(*args, **kwargs):
         blk = assemble(*args, **kwargs)
         seen["blocks"] += len(blk.entries)
         return blk
 
     def counting_trace(evaluation, geom, spec, trunc=None, **kwargs):
-        if trunc.l_max is not None:
-            seen["assumed"] += np.count_nonzero(~kwargs["lower"])
+        seen["assumed"] += np.count_nonzero(~kwargs["verify"])
         return trace(evaluation, geom, spec, trunc, **kwargs)
 
     def counting_eigvals(a):
@@ -214,8 +214,9 @@ def test_verify_every_one_verifies_every_node(monkeypatch):
 
 
 # (label, observable, field, T, quad_points): at (1, 0.3) and T = 0.7 a
-# verified node moves the hint inside some panel at both rules; the cold
-# sweeps at T = 0.1 and 0.05 have one such node and none
+# verified node grows past its stack's start + 4, and so moves the hint,
+# inside some panel at both rules; the cold sweeps at T = 0.1 and 0.05
+# have one such node and none
 SWEEP_POINTS = [
     ("FT DD", "FT", "DD", 0.7, 9),
     ("FT DN", "FT", "DN", 0.7, 9),
@@ -243,7 +244,8 @@ def test_stacked_runs_match_the_node_by_node_sweep(monkeypatch, target, name, fi
             "ND": FieldSpec(sphere_bc=NEUMANN)}[field]
     geom, trunc = Geometry(1.0, 0.3), Truncation(quad_points=quad_points)
     seen = {"blocks": 0, "eigvals": 0}
-    assemble, eigvals = trlog.assemble_block, np.linalg.eigvals
+    assemble, eigvals, trace = trlog.assemble_block, np.linalg.eigvals, trlog.trace_over_m
+    stacks = []  # (start, verify mask, cut-offs) of each stack of nodes
 
     def run():
         if name == "force":
@@ -261,8 +263,16 @@ def test_stacked_runs_match_the_node_by_node_sweep(monkeypatch, target, name, fi
         seen["eigvals"] += len(a) if a.ndim == 3 else 1
         return eigvals(a)
 
+    def recording_trace(*args, **kwargs):
+        val, diag = trace(*args, **kwargs)
+        if len(val) > 1:
+            stacks.append((kwargs["l_max_start"], kwargs["verify"],
+                           diag["nodes"]["l_max_used"]))
+        return val, diag
+
     monkeypatch.setattr(trlog, "assemble_block", counting_assemble)
     monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    monkeypatch.setattr(trlog, "trace_over_m", recording_trace)
     stacked = run()
     monkeypatch.undo()
     monkeypatch.setattr(fe, "_SweepState", oracles.node_by_node_sweep_state(fe))
@@ -277,13 +287,15 @@ def test_stacked_runs_match_the_node_by_node_sweep(monkeypatch, target, name, fi
     # node-by-node sweep's only where no node was discarded
     assert (stacked.diagnostics["blocks"], stacked.diagnostics["eig_blocks"]) == \
         (seen["blocks"], seen["eigvals"])
+    grew = any(np.any(verify & (l_used > start + 4)) for start, verify, l_used in stacks)
     if target == "FT DD colder":
+        assert not grew
         assert stacked.diagnostics["nodes_discarded"] == 0
         work = ("blocks", "eig_blocks", "fallbacks")
         assert {k: stacked.diagnostics[k] for k in work} == \
             {k: alone.diagnostics[k] for k in work}
     else:
-        assert stacked.diagnostics["nodes_discarded"] > 0
+        assert grew
 
 
 # (label, observable, field, R, d, T, what the chunks must show): at T = 1
@@ -376,6 +388,109 @@ def test_chunk_discards_the_nodes_after_a_falling_cutoff(monkeypatch):
     keys = ("l_max_used", "m_max_used", "n_max_used", "converged")
     assert {k: res.diagnostics[k] for k in keys} == {k: want.diagnostics[k] for k in keys}
     assert res.diagnostics["nodes_discarded"] > 0
+
+
+def _fake_growth_trace(model):
+    """A synthetic ``trlog.trace_over_m`` for an array of nodes: node x has
+    the total ``a - b r^k / (1 - r)`` at the cut-off 4 + 4k, with (a, b)
+    = ``model[x]`` and r = 0.1, so its growth step from 4 + 4k changes it
+    by b r^k.  Verified nodes grow from the start under the growth test
+    with the floor; the others are taken once, one step above the start."""
+    import numpy as np
+
+    def total(x, l):
+        a, b = model[float(x)]
+        return a - b * 0.1 ** ((l - 4) // 4) / 0.9
+
+    def fake(evaluation, geom, spec, trunc=None, xi=None, part=None, l_max_start=None,
+             scale_floor=0.0, derivative=False, verify=None):
+        start = max(spec.l_min + 4, l_max_start or 0)
+        nodes = {key: [] for key in ("l_max_used", "m_max_used", "converged", "change",
+                                     "least_total")}
+        vals, blocks = [], 0
+        for x, tested in zip(xi, verify):
+            l, least = start, np.inf
+            while True:
+                hi, lo = total(x, l + 4), total(x, l)
+                l += 4
+                blocks += 1
+                if not tested:
+                    change, passed = 0.0, True
+                    break
+                change, least = abs(hi - lo), min(least, abs(hi))
+                passed = change <= trunc.rel_tol * max(abs(hi), scale_floor, 1e-300)
+                if passed:
+                    break
+            vals.append(hi)
+            for key, v in zip(nodes, (l, l // 4, passed, change, least)):
+                nodes[key].append(v)
+        nodes = {key: np.array(v) for key, v in nodes.items()}
+        return (np.array(vals, dtype=complex),
+                {"l_max_used": int(nodes["l_max_used"].max()), "m_max_used": 0,
+                 "converged": True, "blocks": blocks, "eig_blocks": 0, "fallbacks": 0,
+                 "nodes": nodes})
+    return fake
+
+
+@pytest.mark.parametrize("a, b, discarded", [(0.1, 5e-4, 0), (1e-3, 5e-5, 1)],
+                         ids=["floor below its totals", "floor above its totals"])
+def test_a_floor_that_rises_inside_a_stack(monkeypatch, a, b, discarded):
+    # the first node, alone, leaves a small scale; in the stack after it the
+    # five assumed nodes raise the scale a thousandfold, and the sixth node,
+    # verified, grows past the start + 4 under the stack's low floor.  Where
+    # the raised floor is below every total of its growth tests, every test
+    # has the same outcome under it and the node is kept; where it is above,
+    # the node would stop sooner alone, and is evaluated again
+    import numpy as np
+    from casphere import trlog
+    model = {0.5: (1e-3, 1e-9), 1.0: (10.0, 0.0), 2.0: (10.0, 0.0), 3.0: (10.0, 0.0),
+             4.0: (10.0, 0.0), 5.0: (10.0, 0.0), 6.0: (a, b)}
+    monkeypatch.setattr(trlog, "trace_over_m", _fake_growth_trace(model))
+    runs = []
+    for cls in (fe._SweepState, oracles.node_by_node_sweep_state(fe)):
+        state = cls(G12, DD, Truncation(), trlog.IMAG_AXIS)
+        state.evaluate(np.array([0.5]))
+        vals, errs = state.evaluate(np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
+        runs.append((vals, errs, state.diagnostics()))
+    (vals, errs, diag), (want_vals, want_errs, want) = runs
+    assert np.array_equal(vals, want_vals) and np.array_equal(errs, want_errs)
+    keys = ("l_max_used", "m_max_used", "nodes_assumed", "converged")
+    assert {k: diag[k] for k in keys} == {k: want[k] for k in keys}
+    assert diag["nodes_assumed"] == 5
+    assert diag["l_max_used"] == 12  # the sixth node grew to the start + 8
+    assert diag["nodes_discarded"] == discarded
+
+
+def test_matsubara_nodes_past_the_stop_do_not_raise(monkeypatch):
+    # a synthetic trace whose terms fall off a cliff at n = 6, so the sum
+    # stops inside the chunk n = 4..7 that the decay of the terms before it
+    # asked for; a stack holding n = 7 meets a vanishing pivot, which must
+    # not reach the caller, since the sum stops before n = 7
+    import numpy as np
+    from casphere import trlog
+    T = 1.0
+
+    def fake(evaluation, geom, spec, trunc=None, xi=None, l_max_start=None,
+             derivative=False, **kwargs):
+        n = np.rint(np.atleast_1d(0.0 if xi is None else xi) / (2.0 * math.pi * T))
+        if 7 in n:
+            raise trlog.SingularBlockError("vanishing pivot in 1 - M")
+        l_used = np.full(len(n), max(4, l_max_start or 0) + 4)
+        nodes = {"l_max_used": l_used, "m_max_used": l_used // 4,
+                 "converged": np.ones(len(n), dtype=bool), "change": 1e-7 * l_used}
+        vals = np.where(n < 6, -np.exp(-0.5 * n), -1e-9).astype(complex)
+        diag = {k: v.max() for k, v in nodes.items()}
+        diag.update(blocks=len(n), eig_blocks=0, fallbacks=0)
+        if np.ndim(xi):
+            return vals, {**diag, "nodes": nodes}
+        return complex(vals[0]), {k: v.item() if isinstance(v, np.generic) else v
+                                  for k, v in diag.items()}
+
+    monkeypatch.setattr(trlog, "trace_over_m", fake)
+    res = fe.matsubara_free_energy(G12, DD, T)
+    want = oracles.node_by_node_matsubara(G12, DD, T)
+    assert res.value == want.value and res.error_estimate == want.error_estimate
+    assert res.diagnostics["n_max_used"] == want.diagnostics["n_max_used"] == 6
 
 
 @pytest.mark.slow
