@@ -24,6 +24,11 @@ chunks of up to ``MATSUBARA_CHUNK``, go through one acceptance engine
 its nodes are accepted in order while each gets the cut-off and value it
 would get evaluated alone.
 
+Along a sweep the cut-off hint of the acceptance engine only rises, while
+the cut-off the nodes need falls again towards xi -> 0.  The adaptive pass
+therefore refines each panel of the first pass from the hint that panel
+itself left, not from the one at the top of the axis.
+
 The force is the negative derivative of the Matsubara sum or of the
 thermal part with respect to the surface separation, from one sweep of
 the trace formula ``d/dd Tr ln(1 - M) = -Tr[(1 - M)^{-1} dM/dd]`` over the
@@ -153,7 +158,7 @@ def _adaptive_panels(f, a, b, npts, tol_abs, max_depth=28):
     return total, err, trunc
 
 
-def _panel_sweep(f, width, xi_max, npts, rel_tol):
+def _panel_sweep(f, width, xi_max, npts, rel_tol, checkpoint):
     """Integrate f over (0, xi_max) in fixed panels with adaptive refinement.
 
     The sweep stops early once three consecutive panels contribute less
@@ -161,6 +166,12 @@ def _panel_sweep(f, width, xi_max, npts, rel_tol):
     exponentially).  Returns the value and an error estimate: the
     quadrature estimate plus the integrated truncation errors of the
     nodes (see :func:`_integrate_panel`).
+
+    ``checkpoint()`` is called after each panel of the first pass and
+    returns a callable that puts back the state f then had; the adaptive
+    pass calls it before it refines that panel, so that a refinement
+    starts from what its own panel left, not from where the first pass
+    ended (see :meth:`_SweepState.checkpoint`).
     """
     panels = []
     a = 0.0
@@ -177,9 +188,9 @@ def _panel_sweep(f, width, xi_max, npts, rel_tol):
         try:
             v, e, t = _integrate_panel(f, lo, hi, npts)
         except SingularBlockError:
-            rough.append((lo, hi, 0.0, math.inf, 0.0))
+            rough.append((lo, hi, 0.0, math.inf, 0.0, checkpoint()))
             continue
-        rough.append((lo, hi, v, e, t))
+        rough.append((lo, hi, v, e, t, checkpoint()))
         scale += v
         if abs(v) < rel_tol * 1e-3 * max(abs(scale), 1e-300):
             small_run += 1
@@ -189,8 +200,9 @@ def _panel_sweep(f, width, xi_max, npts, rel_tol):
             small_run = 0
     tol_abs = rel_tol * 1e-2 * max(abs(scale), 1e-300)
     total, err = 0.0, 0.0
-    for lo, hi, v, e, t in rough:
+    for lo, hi, v, e, t, restore in rough:
         if e > tol_abs * (hi - lo) / max(xi_max, hi - lo):
+            restore()
             v, e, t = _adaptive_panels(f, lo, hi, npts, tol_abs)
         total += v
         err += e + t
@@ -230,12 +242,25 @@ class _SweepState:
     evaluated again one node at a time, so that the error and the state
     are those of the node that raised it.
 
+    The hint only rises along the nodes, but the cut-off a sweep needs
+    falls again at low frequency.  So :meth:`sweep` refines a panel of its
+    first pass from the hint and the inherited relative change that the
+    panel's own first-pass evaluation left (:meth:`checkpoint`), not from
+    those at the top of the axis; the running scale, the verify count and
+    the diagnostics run on.  Every refined node thus runs at or above the
+    cut-off its panel's first pass verified: an assumed node at that
+    panel's final hint + 4, which is at least every cut-off the panel used.
+
     The diagnostics count the blocks assembled, the rotated ones among
     them whose log-determinant took eigenvalues (``eig_blocks``) or the
     per-pivot determinant (``fallbacks``), the discarded nodes' blocks
     included, the nodes run at the last verified cut-off without a growth
     test of their own (``nodes_assumed``) and the nodes evaluated in a
-    stack and then thrown away (``nodes_discarded``).
+    stack and then thrown away (``nodes_discarded``).  Next to the largest
+    accepted cut-offs (``l_max_used``, ``m_max_used``) they give the
+    largest l_max and m of any block assembled (``l_max_evaluated``,
+    ``m_max_evaluated``), the discarded nodes and the lower cut-offs of
+    the growth steps included.
     """
 
     VERIFY_EVERY = 6
@@ -253,6 +278,8 @@ class _SweepState:
         self.auto = trunc.l_max is None
         self.l_used = 0
         self.m_used = 0
+        self.l_evaluated = 0
+        self.m_evaluated = 0
         self.converged = True
         self.hint = spec.l_min + 4  # where trace_over_m starts without a hint
         self.scale = 0.0
@@ -302,6 +329,8 @@ class _SweepState:
         self.blocks += diag["blocks"]
         self.eig_blocks += diag["eig_blocks"]
         self.fallbacks += diag["fallbacks"]
+        self.l_evaluated = max(self.l_evaluated, diag["l_max_evaluated"])
+        self.m_evaluated = max(self.m_evaluated, diag["m_max_evaluated"])
         nodes = diag["nodes"]
         for j, v in enumerate(val):
             proj = abs(self.part(v) if self.part else v)
@@ -339,7 +368,9 @@ class _SweepState:
         return len(xis), False
 
     def sweep(self, integrand, width, xi_max):
-        """:func:`_panel_sweep` of ``integrand`` over (0, xi_max).
+        """:func:`_panel_sweep` of ``integrand`` over (0, xi_max), each
+        refined panel from the state its first pass left (see
+        :meth:`checkpoint`).
 
         The first node is the midpoint of the first panel, not its xi -> 0
         endpoint: there the integrands vanish or sit at their static
@@ -348,10 +379,20 @@ class _SweepState:
         """
         integrand(np.array([0.5 * min(width, xi_max)]))
         return _panel_sweep(integrand, width, xi_max, self.trunc.quad_points,
-                            self.trunc.rel_tol)
+                            self.trunc.rel_tol, self.checkpoint)
+
+    def checkpoint(self):
+        """A callable that puts back the hint and the inherited relative
+        change as they are now; the rest of the state runs on."""
+        hint, rel_change = self.hint, self.rel_change
+
+        def restore():
+            self.hint, self.rel_change = hint, rel_change
+        return restore
 
     def diagnostics(self, **extra):
         return {"l_max_used": self.l_used, "m_max_used": self.m_used,
+                "l_max_evaluated": self.l_evaluated, "m_max_evaluated": self.m_evaluated,
                 "blocks": self.blocks, "eig_blocks": self.eig_blocks,
                 "fallbacks": self.fallbacks, "nodes_assumed": self.nodes_assumed,
                 "nodes_discarded": self.nodes_discarded,
@@ -421,6 +462,8 @@ def _matsubara_sum(geom, spec, T, trunc, derivative=False):
     return EnergyResult(F, last + tol * abs(F) + trunc_err,
                         {"l_max_used": max(diag0["l_max_used"], state.l_used),
                          "m_max_used": max(diag0["m_max_used"], state.m_used),
+                         "l_max_evaluated": max(diag0["l_max_evaluated"], state.l_evaluated),
+                         "m_max_evaluated": max(diag0["m_max_evaluated"], state.m_evaluated),
                          "n_max_used": n, "blocks": diag0["blocks"] + state.blocks,
                          "nodes_discarded": state.nodes_discarded,
                          "converged": diag0["converged"] and state.converged})
@@ -445,8 +488,10 @@ def matsubara_free_energy(geom, spec, T, trunc=None):
     The nodes run in stacked chunks (see :func:`_matsubara_sum`) with the
     same cut-offs, values and error estimates as node by node.
     The diagnostics give the cut-offs used (``l_max_used``,
-    ``m_max_used``, ``n_max_used``), the blocks assembled (``blocks``) and
-    the chunk nodes evaluated and then thrown away (``nodes_discarded``).
+    ``m_max_used``, ``n_max_used``), the largest cut-offs of any block
+    assembled (``l_max_evaluated``, ``m_max_evaluated``), the blocks
+    assembled (``blocks``) and the chunk nodes evaluated and then thrown
+    away (``nodes_discarded``).
     """
     return _matsubara_sum(geom, spec, T, trunc)
 

@@ -427,9 +427,10 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
     (complex, dict)
         folded trace (or its derivative; an array for an array of nodes)
         and diagnostics {'l_max_used', 'm_max_used', 'converged', 'blocks',
-        'eig_blocks', 'fallbacks'}, with automatic growth also 'change',
-        the projected change of the last growth step, which estimates the
-        truncation error from above.  For an array of nodes these are the
+        'eig_blocks', 'fallbacks', 'l_max_evaluated', 'm_max_evaluated'},
+        with automatic growth also 'change', the projected change of the
+        last growth step, which estimates the truncation error from
+        above.  For an array of nodes these are the
         largest cut-offs and change over the nodes and whether all
         converged, and 'nodes' holds the per-node arrays of 'l_max_used',
         'm_max_used', 'converged', with automatic growth also 'change' and
@@ -440,12 +441,15 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
         whose rotated log-determinant took eigenvalues (see
         :func:`trace_log_eig`) and 'fallbacks' those that took the
         per-pivot determinant (see :func:`block_trace_log`).
+        'l_max_evaluated' and 'm_max_evaluated' are the largest l_max and
+        m of any block assembled, over every node and growth step.
     """
     trunc = trunc or Truncation()
     if trunc.l_max is not None and trunc.l_max < spec.l_min:
         raise ValueError(f"l_max={trunc.l_max} is below this field's l_min={spec.l_min}")
     sign = spec.plane_sign
-    counts = {"blocks": 0, "eig_blocks": 0, "fallbacks": 0}
+    counts = {"blocks": 0, "eig_blocks": 0, "fallbacks": 0,
+              "l_max_evaluated": 0, "m_max_evaluated": 0}
     stack = {ROTATED: kernel.RotatedNodes, IMAG_AXIS: kernel.ImagNodes}.get(evaluation)
     nodes = np.atleast_1d(np.asarray(xi, dtype=float)) if stack else np.zeros(1)
     k = len(nodes)
@@ -456,6 +460,7 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
         from the leading sub-blocks their folded totals at l_lo (of the
         nodes ``sub`` marks, or of all)."""
         src = stack(nodes[idx], geom, spec, l_hi, derivative=derivative) if stack else None
+        counts["l_max_evaluated"] = max(counts["l_max_evaluated"], l_hi)
         tot = [[0j] * len(idx), [0j] * len(idx)]  # at l_hi, at l_lo
         going = [[True] * len(idx),
                  [l_lo is not None and (sub is None or bool(sub[i])) for i in range(len(idx))]]
@@ -479,6 +484,7 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
             else:
                 blk = assemble_block(m, evaluation, geom, spec, l_hi, xi=src)
             counts["blocks"] += len(active)
+            counts["m_max_evaluated"] = max(counts["m_max_evaluated"], m)
             # the stack evaluated: the full blocks of the nodes whose total
             # at l_hi goes on, then the sub-blocks of those whose total at
             # l_lo does

@@ -311,6 +311,7 @@ def h_slice(l, lp, m):
 _STORES = {}       # m -> anti-diagonal store at the largest l_max seen
 _STORE_VIEWS = {}  # (m, l_max) -> prefix view of it
 _LAMBDA = {}       # the weight table of lambda_tensor at the largest l_max seen
+_TOP = {}          # m -> log_h_top_matrix table from l = m at the largest l_max seen
 
 
 def _store_shape(m, l_max):
@@ -507,13 +508,30 @@ def lambda_tensor(l_max):
 
 
 def log_h_top_matrix(l_start, l_max, m):
-    """log H_{l l'}^{l+l'} (stretched top) as a dense (n, n) matrix.
+    """log H_{l l'}^{l+l'} (stretched top) as a dense (n, n) matrix for l,
+    l' = l_start..l_max, l_start >= m.
 
     The two stretched-top 3j signs cancel, so H_top > 0 and a pure log
     matrix suffices.  Used by the static (zero-frequency) kernel where only
-    l'' = l+l' survives.
+    l'' = l+l' survives.  One read-only table per m is kept, for l, l' from
+    m to the largest l_max asked for, and the matrix is its block from
+    l_start on: each entry is a closed form in (l, l', m), so the block
+    equals a direct build bit for bit.
     """
-    ls = np.arange(l_start, l_max + 1)
+    if l_start < m:
+        raise ValueError(f"the stretched top needs l_start >= m, got {l_start} < {m}")
+    table = _TOP.get(m)
+    if table is None or len(table) < l_max - m + 1:
+        table = _log_h_top(l_max, m)
+        table.flags.writeable = False
+        _TOP[m] = table
+    a = l_start - m
+    return table[a: l_max - m + 1, a: l_max - m + 1]
+
+
+def _log_h_top(l_max, m):
+    """The table of :func:`log_h_top_matrix` for l, l' = m..l_max, built."""
+    ls = np.arange(m, l_max + 1)
     l = ls[:, None]
     lp = ls[None, :]
     lg = log_gamma_halves(8 * l_max + 5)[::2]
@@ -531,4 +549,5 @@ def clear_caches():
     _STORES.clear()
     _STORE_VIEWS.clear()
     _LAMBDA.clear()
+    _TOP.clear()
     _LGAMMA.clear()

@@ -186,6 +186,9 @@ def test_thermal_row_diagnostics_count_the_discarded_nodes(tmp_path):
     # a verified node at (1, 0.3), T = 0.7 moves the hint inside a panel
     assert rec["diagnostics"]["nodes_discarded"] > 0
     assert rec["diagnostics"]["nodes_assumed"] > 0
+    # the work evaluated, next to the work accepted
+    assert rec["diagnostics"]["l_max_evaluated"] >= rec["diagnostics"]["l_max_used"]
+    assert rec["diagnostics"]["m_max_evaluated"] >= rec["diagnostics"]["m_max_used"]
 
 
 def test_diagnostics_json_next_to_the_csv(tmp_path, monkeypatch):

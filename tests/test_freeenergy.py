@@ -7,8 +7,9 @@ values live in the acceptance suite.
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from casphere.kernel import Geometry, FieldSpec
+from casphere.kernel import Geometry, FieldSpec, NEUMANN
 from casphere.trlog import Truncation
 from casphere import freeenergy as fe
 from casphere.asympt import ZETA2, ZETA4
@@ -201,6 +202,47 @@ def test_thermal_sweep_counts_its_work(monkeypatch):
     assert diag["nodes_assumed"] > 0
 
 
+@pytest.mark.parametrize("obs, geom", [("FT", Geometry(1.5, 0.45)),
+                                       ("force", Geometry(0.5, 0.05))], ids=["FT", "force"])
+def test_refined_panels_start_from_their_own_first_pass(monkeypatch, obs, geom):
+    # the hint reaches l_max 32 (FT) and 16 (force) at the top of the axis,
+    # while the first panel's nodes need 8; its refinements start from the
+    # hint its first pass left
+    import numpy as np
+    from casphere import trlog
+    trace, stacks = trlog.trace_over_m, []  # (largest node, start) per stack
+
+    def recording(*args, **kwargs):
+        stacks.append((np.max(kwargs["xi"]), kwargs["l_max_start"]))
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(trlog, "trace_over_m", recording)
+    if obs == "force":
+        res = fe.force(geom, DD, 1.0, target="thermal_part")
+    else:
+        res = fe.thermal_part(geom, DD, 1.0)
+    assert res.converged
+    width = min(math.pi / (2.0 * geom.L), 3.0)
+    first = [start for xi, start in stacks if xi <= width]
+    assert len(first) > 2  # the midpoint node, the first pass and refinements
+    assert max(first) <= 8
+    assert max(start for _, start in stacks) >= 16
+
+
+def test_diagnostics_report_the_work_evaluated():
+    # the largest cut-offs evaluated, discarded nodes included, bound the
+    # accepted ones
+    geom = Geometry(1.0, 0.3)
+    for res in (fe.thermal_part(geom, DD, 0.7), fe.vacuum_energy(geom, DD),
+                fe.force(geom, DD, 0.7, target="thermal_part"),
+                fe.matsubara_free_energy(geom, DD, 1.0),
+                fe.matsubara_free_energy(geom, DD, 1.0, Truncation(l_max=12))):
+        diag = res.diagnostics
+        assert diag["l_max_evaluated"] >= diag["l_max_used"]
+        assert diag["m_max_evaluated"] >= diag["m_max_used"]
+    assert diag["l_max_evaluated"] == 12
+
+
 def test_verify_every_one_verifies_every_node(monkeypatch):
     # at VERIFY_EVERY = 1 every node of a stack carries its growth test
     geom = Geometry(1.5, 0.45)
@@ -375,7 +417,8 @@ def test_chunk_discards_the_nodes_after_a_falling_cutoff(monkeypatch):
                  "converged": np.ones(len(n), dtype=bool), "change": 1e-7 * l_used}
         vals = (-np.exp(-0.5 * n) * (1.0 + 1e-3 * l_used)).astype(complex)
         diag = {k: v.max() for k, v in nodes.items()}
-        diag.update(blocks=len(n), eig_blocks=0, fallbacks=0)
+        diag.update(blocks=len(n), eig_blocks=0, fallbacks=0,
+                    l_max_evaluated=diag["l_max_used"], m_max_evaluated=diag["m_max_used"])
         if np.ndim(xi):
             return vals, {**diag, "nodes": nodes}
         return complex(vals[0]), {k: v.item() if isinstance(v, np.generic) else v
@@ -428,7 +471,8 @@ def _fake_growth_trace(model):
         return (np.array(vals, dtype=complex),
                 {"l_max_used": int(nodes["l_max_used"].max()), "m_max_used": 0,
                  "converged": True, "blocks": blocks, "eig_blocks": 0, "fallbacks": 0,
-                 "nodes": nodes})
+                 "l_max_evaluated": int(nodes["l_max_used"].max()),
+                 "m_max_evaluated": int(nodes["m_max_used"].max()), "nodes": nodes})
     return fake
 
 
@@ -480,7 +524,8 @@ def test_matsubara_nodes_past_the_stop_do_not_raise(monkeypatch):
                  "converged": np.ones(len(n), dtype=bool), "change": 1e-7 * l_used}
         vals = np.where(n < 6, -np.exp(-0.5 * n), -1e-9).astype(complex)
         diag = {k: v.max() for k, v in nodes.items()}
-        diag.update(blocks=len(n), eig_blocks=0, fallbacks=0)
+        diag.update(blocks=len(n), eig_blocks=0, fallbacks=0,
+                    l_max_evaluated=diag["l_max_used"], m_max_evaluated=diag["m_max_used"])
         if np.ndim(xi):
             return vals, {**diag, "nodes": nodes}
         return complex(vals[0]), {k: v.item() if isinstance(v, np.generic) else v
@@ -537,6 +582,26 @@ def test_free_energy_splits_into_vacuum_plus_thermal():
     e0 = fe.vacuum_energy(geom, DD)
     ft = fe.thermal_part(geom, DD, 1.0)
     assert f.value - e0.value == pytest.approx(ft.value, rel=0.01)
+
+
+SCALAR_FIELDS = {"DD": DD, "DN": FieldSpec(plane_bc=NEUMANN),
+                 "ND": FieldSpec(sphere_bc=NEUMANN),
+                 "NN": FieldSpec(sphere_bc=NEUMANN, plane_bc=NEUMANN)}
+
+
+@settings(max_examples=8, derandomize=True, database=None, deadline=None)
+@given(R=st.floats(0.3, 2.0), eps=st.floats(0.2, 1.0), T=st.floats(0.3, 2.0),
+       field=st.sampled_from(sorted(SCALAR_FIELDS)))
+def test_free_energy_is_vacuum_energy_plus_thermal_part(R, eps, T, field):
+    # the Matsubara sum against the two frequency sweeps, within the sum of
+    # their three error estimates
+    spec, geom = SCALAR_FIELDS[field], Geometry(R, eps * R)
+    f = fe.matsubara_free_energy(geom, spec, T)
+    e0 = fe.vacuum_energy(geom, spec)
+    ft = fe.thermal_part(geom, spec, T)
+    assert f.converged and e0.converged and ft.converged
+    assert abs(f.value - e0.value - ft.value) <= \
+        f.error_estimate + e0.error_estimate + ft.error_estimate
 
 
 def test_free_energy_tends_to_vacuum_energy():

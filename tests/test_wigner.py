@@ -142,6 +142,29 @@ def test_log_h_top_matrix():
             assert math.exp(logH[a, b]) == pytest.approx(want, rel=1e-12)
 
 
+def test_log_h_top_matrix_reads_one_table_per_m(monkeypatch):
+    # after the table of m grows, every block is bit-equal to a fresh
+    # build, and a repeated call builds nothing
+    fresh = {}
+    for m in (0, 1, 5, 12):
+        for l_start, l_max in ((m, m + 8), (max(m, 1), 40), (m + 3, 60)):
+            wigner.clear_caches()
+            fresh[m, l_start, l_max] = wigner.log_h_top_matrix(l_start, l_max, m).copy()
+    wigner.clear_caches()
+    for m in (0, 1, 5, 12):
+        wigner.log_h_top_matrix(m, m + 8, m)
+        wigner.log_h_top_matrix(m, 60, m)
+    builds = []
+    build = wigner._log_h_top
+    monkeypatch.setattr(wigner, "_log_h_top", lambda *a: builds.append(a) or build(*a))
+    for (m, l_start, l_max), want in fresh.items():
+        got = wigner.log_h_top_matrix(l_start, l_max, m)
+        assert np.array_equal(got, want) and not got.flags.writeable
+    assert builds == []
+    with pytest.raises(ValueError):
+        wigner.log_h_top_matrix(2, 10, 3)
+
+
 # -- vectorized l''-recurrence ------------------------------------------------
 
 @pytest.mark.parametrize("l,lp,m", [
