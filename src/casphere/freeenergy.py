@@ -24,6 +24,14 @@ chunks of up to ``MATSUBARA_CHUNK``, go through one acceptance engine
 its nodes are accepted in order while each gets the cut-off and value it
 would get evaluated alone.
 
+The engine's truncation floor is in units of the integrand, not of the
+trace: each node's l_max growth and m sum stop at rel_tol (the m sum at
+rel_tol * 1e-2) of the larger of its own projected trace and 1e-3 of the
+largest weighted |trace| so far divided by its weight, where the weight
+is n_1 on the real-frequency axis and 1 on the imaginary axis (the
+Matsubara sum has no floor).  So the nodes that the Boltzmann factor makes
+negligible converge only as far as the integral needs.
+
 Along a sweep the cut-off hint of the acceptance engine only rises, while
 the cut-off the nodes need falls again towards xi -> 0.  The adaptive pass
 therefore refines each panel of the first pass from the hint that panel
@@ -217,10 +225,17 @@ class _SweepState:
     the automatic growth is verified only on every ``every``-th node
     (``VERIFY_EVERY`` on the sweeps); in between, the nodes run at the
     last sufficient cutoff h plus one growth step, h + 4, without a test
-    of their own.  The running magnitude scale times ``floor`` is the
-    growth test's absolute floor, which keeps oscillatory zero crossings
-    from triggering runaway growth.  With ``derivative`` every node is the
-    separation derivative of the trace (see :func:`trlog.trace_over_m`).
+    of their own.  ``weight``, a callable of the nodes (default 1), is the
+    factor the integrand puts on the trace (n_1 on the thermal sweep), and
+    ``scale`` the largest weighted projected magnitude so far, in units of
+    the integrand.  Node j's floor is ``floor * scale / weight_j``, in units
+    of the trace: it floors the growth test, the m test and the relative
+    change a verified node passes on, so every node is converged to about
+    rel_tol times ``floor * scale`` in units of the integrand.  It keeps
+    oscillatory zero crossings from triggering runaway growth, and the
+    nodes the weight makes negligible from running to the cut-offs of the
+    integrand's peak.  With ``derivative`` every node is the separation
+    derivative of the trace (see :func:`trlog.trace_over_m`).
 
     The nodes handed to :meth:`evaluate` (a quadrature panel, a chunk of
     Matsubara nodes) go through :func:`trlog.trace_over_m` as one stack,
@@ -231,8 +246,10 @@ class _SweepState:
     while the hint is still h, a verified node while its cut-off is at
     least the current hint + 4 (a growth step gives the same totals
     whatever cut-off the node started from, up to the rounding of the
-    stack).  A verified node that grew past h + 4 after the floor rose is
-    accepted only if the new floor is at most the smallest projected
+    stack).  A node whose floor rose inside the stack is accepted only if
+    each of its m tests keeps its outcome under the new floor (it is at
+    most the node's ``m_floor_room``), and a verified node that grew past
+    h + 4 only if the new floor is also at most the smallest projected
     |total| among its growth tests, so that every test has the same
     outcome under either floor.  The first node that fails and the nodes
     after it are stacked again from the new hint (``nodes_discarded``
@@ -266,7 +283,7 @@ class _SweepState:
     VERIFY_EVERY = 6
 
     def __init__(self, geom, spec, trunc, evaluation, part=None, derivative=False,
-                 every=None, floor=1e-3):
+                 every=None, floor=1e-3, weight=None):
         self.geom = geom
         self.spec = spec
         self.trunc = trunc
@@ -275,6 +292,7 @@ class _SweepState:
         self.derivative = derivative
         self.every = every or self.VERIFY_EVERY
         self.floor = floor
+        self.weight = weight
         self.auto = trunc.l_max is None
         self.l_used = 0
         self.m_used = 0
@@ -311,7 +329,8 @@ class _SweepState:
         """Evaluate the nodes ``xis`` as one stack and accept them in order
         into ``vals`` and ``errs``.  Returns how many were accepted and
         whether ``stop`` ended the nodes."""
-        start, floor0, every = self.hint, self.floor * self.scale, self.every
+        weight = np.ones(len(xis)) if self.weight is None else self.weight(xis)
+        start, floor0, every = self.hint, self.floor * self.scale / weight, self.every
         verify = ((self.count + 1 + np.arange(len(xis))) % every == 1 % every) & self.auto
         try:
             val, diag = trlog.trace_over_m(
@@ -334,13 +353,17 @@ class _SweepState:
         nodes = diag["nodes"]
         for j, v in enumerate(val):
             proj = abs(self.part(v) if self.part else v)
-            floor = self.floor * self.scale
+            floor = self.floor * self.scale / weight[j]
             l_used = int(nodes["l_max_used"][j])
-            if verify[j]:  # it stops here from the current hint and floor too
-                fits = l_used >= self.hint + 4 and (l_used <= start + 4 or floor <= floor0
-                                                    or floor <= nodes["least_total"][j])
+            # it stops here from the current hint and floor too: every m
+            # and growth test keeps its outcome under the floor, which only
+            # rises along the nodes
+            same_tests = floor <= floor0[j] or floor <= nodes["m_floor_room"][j] and (
+                not verify[j] or l_used <= start + 4 or floor <= nodes["least_total"][j])
+            if verify[j]:
+                fits = l_used >= self.hint + 4 and same_tests
             else:
-                fits = self.hint == start
+                fits = self.hint == start and same_tests
             if not fits:
                 self.nodes_discarded += len(xis) - j
                 return j, False
@@ -356,7 +379,7 @@ class _SweepState:
             else:
                 err = self.rel_change * proj  # zero at a pinned cut-off
                 self.nodes_assumed += self.auto
-            self.scale = max(self.scale, proj)
+            self.scale = max(self.scale, weight[j] * proj)
             self.count += 1
             self.l_used = max(self.l_used, l_used)
             self.m_used = max(self.m_used, int(nodes["m_max_used"][j]))
@@ -527,13 +550,18 @@ def _thermal_sweep(geom, spec, T, trunc, derivative=False):
     if not 0.0 < T < math.inf:
         raise ValueError(f"thermal_part needs a finite T > 0, got T={T}")
     trunc = trunc or Truncation()
+
+    def boltzmann(xi):
+        # endpoints touch 0 where n_1 diverges but the product is finite
+        return 1.0 / np.expm1(np.maximum(xi, 1e-8))
+
+    # the engine's floor in units of the integrand: n_1 of each node weighs it
     state = _SweepState(geom, spec, trunc, trlog.ROTATED, part=np.imag,
-                        derivative=derivative)
+                        derivative=derivative, weight=lambda x: boltzmann(x / T))
 
     def integrand(xi):
-        # endpoints touch 0 where n_1 diverges but the product is finite
         xi = np.maximum(xi, 1e-8)
-        n1 = 1.0 / np.expm1(xi)
+        n1 = boltzmann(xi)
         tr, err = state.evaluate(xi * T)
         return np.stack([n1 * (-2.0) * tr.imag, 2.0 * n1 * err], axis=1)
 
@@ -554,6 +582,10 @@ def thermal_part(geom, spec, T, trunc=None):
     oscillation scale pi/(2 L T); the Boltzmann factor cuts the range at
     ``ln(1/rel_tol) + 20``.  The orbital sums converge at a rate set by
     the J/Y ratio, independent of the separation, so d = 0 is allowed.
+    Each node's l_max growth and m sum run against a floor in units of
+    the integrand, n_1 times the trace (see :class:`_SweepState`), so the
+    nodes far up the axis, where n_1 is negligible, stop at the cut-offs
+    the integral needs rather than those their own trace would.
     """
     return _thermal_sweep(geom, spec, T, trunc)
 

@@ -380,8 +380,10 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
     """Tr ln(1 - M) folded over m: block(0) + 2 sum_{m>=1} block(m).
 
     The m sum stops once a block contributes less than
-    ``rel_tol * 1e-2`` of the running total; with l_max = None the orbital
-    cutoff grows by 4 until the folded total changes by less than rel_tol.
+    ``rel_tol * 1e-2`` of the larger of the running total and the node's
+    ``scale_floor``; with l_max = None the orbital cutoff grows by 4 until
+    the folded total changes by less than rel_tol of the larger of its
+    projection and that floor.
     With ``derivative`` every block contributes its
     :func:`trace_derivative` instead, so the sum is d/dd Tr ln(1 - M), and
     the m and l tests run on that.
@@ -399,7 +401,12 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
     padded in M (the identity in 1 - M), which leaves the determinant, the
     four traces and the LU solve unchanged; each sub-block joins its full
     block in one stacked evaluation, and the m loop runs while either total
-    of a node still needs m.
+    of a node still needs m.  The lower total keeps its own m cut: its
+    sub-blocks decay more slowly in m than the full blocks (in the R = 6
+    force of ``casphere --command table2``, nodes whose full total stops at
+    m 18-19 still gain up to 1.5e-3 of their lower total per m at m 16-19,
+    where the full blocks add less than 5e-5), so ending it at the full
+    total's m cut would move the step's change by more than rel_tol.
 
     Parameters
     ----------
@@ -411,10 +418,13 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
     l_max_start : int or None
         seed for the automatic l_max growth (a ratchet hint from previous
         evaluations at nearby parameters)
-    scale_floor : float
-        external magnitude scale for the growth test; values whose change
-        falls below ``rel_tol * scale_floor`` count as converged (needed
-        where an oscillatory projection crosses zero)
+    scale_floor : float or array
+        external magnitude scale of the m and growth tests, one for all
+        nodes or one per node: a block below ``rel_tol * 1e-2 *
+        scale_floor`` ends the m sum, and a change below ``rel_tol *
+        scale_floor`` passes the growth test (needed where an oscillatory
+        projection crosses zero, and where a node counts little in the
+        integral it enters)
     derivative : bool
         fold the separation derivative of the trace instead of the trace
     verify : boolean array or None
@@ -433,9 +443,13 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
         above.  For an array of nodes these are the
         largest cut-offs and change over the nodes and whether all
         converged, and 'nodes' holds the per-node arrays of 'l_max_used',
-        'm_max_used', 'converged', with automatic growth also 'change' and
+        'm_max_used', 'converged' and 'm_floor_room', the largest
+        ``scale_floor`` under which each of the node's m tests keeps its
+        outcome (the least folded |block| / (rel_tol * 1e-2) among the m
+        tests it went on from), with automatic growth also 'change' and
         'least_total', the smallest projected |total| among the node's
-        growth tests (0 and inf for an assumed node, which counts as converged).
+        growth tests (0 and inf for an assumed node, which counts as
+        converged).
         'blocks' counts the blocks of every node assembled over every
         growth step, 'eig_blocks' the evaluated blocks and sub-blocks
         whose rotated log-determinant took eigenvalues (see
@@ -453,18 +467,22 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
     stack = {ROTATED: kernel.RotatedNodes, IMAG_AXIS: kernel.ImagNodes}.get(evaluation)
     nodes = np.atleast_1d(np.asarray(xi, dtype=float)) if stack else np.zeros(1)
     k = len(nodes)
+    floors = np.maximum(np.broadcast_to(np.asarray(scale_floor, dtype=float), (k,)), 1e-300)
+    m_tol = trunc.rel_tol * 1e-2
     em = spec.kind == kernel.ELECTROMAGNETIC
 
     def totals(idx, l_hi, l_lo=None, sub=None):
-        """Folded totals of the nodes ``idx`` at l_hi and their m cuts, and
-        from the leading sub-blocks their folded totals at l_lo (of the
-        nodes ``sub`` marks, or of all)."""
+        """Folded totals of the nodes ``idx`` at l_hi, their m cuts and floor
+        rooms, and from the leading sub-blocks their folded totals at l_lo
+        (of the nodes ``sub`` marks, or of all)."""
         src = stack(nodes[idx], geom, spec, l_hi, derivative=derivative) if stack else None
         counts["l_max_evaluated"] = max(counts["l_max_evaluated"], l_hi)
         tot = [[0j] * len(idx), [0j] * len(idx)]  # at l_hi, at l_lo
         going = [[True] * len(idx),
                  [l_lo is not None and (sub is None or bool(sub[i])) for i in range(len(idx))]]
         m_cut = [0] * len(idx)
+        floor = [float(floors[i]) for i in idx]
+        room = [math.inf] * len(idx)
         active = list(range(len(idx)))  # the nodes in the stack
         for m in range(l_hi + 1):
             l_start = max(spec.l_min, m)
@@ -499,13 +517,18 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
                 vals = block_trace_log(both, sign, evaluation, counts=counts)
             slots = [(0, active[pos]) for pos in hi] + [(1, active[pos]) for pos in lo]
             for (row, i), v in zip(slots, vals):
-                contrib = v if m == 0 else 2.0 * v
+                if m == 0:
+                    tot[row][i] += v
+                    continue
+                contrib = 2.0 * v
                 tot[row][i] += contrib
-                if m and abs(contrib) < trunc.rel_tol * 1e-2 * max(abs(tot[row][i]), 1e-300):
+                if abs(contrib) < m_tol * max(abs(tot[row][i]), floor[i]):
                     going[row][i] = False
+                else:
+                    room[i] = min(room[i], abs(contrib) / m_tol)
             for pos in hi:
                 m_cut[active[pos]] = m
-        return np.array(tot[0]), np.array(tot[1]), np.array(m_cut)
+        return np.array(tot[0]), np.array(tot[1]), np.array(m_cut), np.array(room)
 
     def result(tot, nodes_diag):
         agg = {"l_max_used": int(np.max(nodes_diag["l_max_used"])),
@@ -518,9 +541,9 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
         return complex(tot[0]), {**agg, **counts}
 
     if trunc.l_max is not None:
-        tot, _, m_cut = totals(np.arange(k), trunc.l_max)
+        tot, _, m_cut, room = totals(np.arange(k), trunc.l_max)
         return result(tot, {"l_max_used": np.full(k, trunc.l_max), "m_max_used": m_cut,
-                            "converged": np.ones(k, dtype=bool)})
+                            "converged": np.ones(k, dtype=bool), "m_floor_room": room})
 
     l_max = max(spec.l_min + 4, l_max_start or 0)
     meas = part or (lambda z: z)
@@ -530,24 +553,26 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
     converged = np.zeros(k, dtype=bool)
     change = np.full(k, math.inf)
     least = np.full(k, math.inf)
+    room = np.full(k, math.inf)
     pending = np.arange(k)  # the nodes whose growth test has not passed
     sub = None if verify is None else np.asarray(verify, dtype=bool)
     if l_max >= L_CAP:
-        value, _, m_used = totals(pending, l_max)
+        value, _, m_used, room = totals(pending, l_max)
     while l_max < L_CAP and len(pending):
-        hi, lo, m_cut = totals(pending, l_max + 4, l_max, sub)
+        hi, lo, m_cut, step_room = totals(pending, l_max + 4, l_max, sub)
         l_max += 4
         proj = meas(hi)
         size = np.abs(proj)
         delta = np.abs(proj - meas(lo))
-        passed = delta <= trunc.rel_tol * np.maximum(size, max(scale_floor, 1e-300))
+        passed = delta <= trunc.rel_tol * np.maximum(size, floors[pending])
         value[pending], m_used[pending], l_used[pending], change[pending] = \
             hi, m_cut, l_max, delta
         least[pending] = np.minimum(least[pending], size)
+        room[pending] = np.minimum(room[pending], step_room)
         if sub is not None:  # the assumed nodes leave after the first step, untested
             passed |= ~sub
             change[~sub], least[~sub], sub = 0.0, math.inf, None
         converged[pending[passed]] = True
         pending = pending[~passed]
     return result(value, {"l_max_used": l_used, "m_max_used": m_used, "converged": converged,
-                          "change": change, "least_total": least})
+                          "change": change, "least_total": least, "m_floor_room": room})

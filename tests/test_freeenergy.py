@@ -205,7 +205,7 @@ def test_thermal_sweep_counts_its_work(monkeypatch):
 @pytest.mark.parametrize("obs, geom", [("FT", Geometry(1.5, 0.45)),
                                        ("force", Geometry(0.5, 0.05))], ids=["FT", "force"])
 def test_refined_panels_start_from_their_own_first_pass(monkeypatch, obs, geom):
-    # the hint reaches l_max 32 (FT) and 16 (force) at the top of the axis,
+    # the hint reaches l_max 20 (FT) and 12 (force) at the top of the axis,
     # while the first panel's nodes need 8; its refinements start from the
     # hint its first pass left
     import numpy as np
@@ -226,7 +226,19 @@ def test_refined_panels_start_from_their_own_first_pass(monkeypatch, obs, geom):
     first = [start for xi, start in stacks if xi <= width]
     assert len(first) > 2  # the midpoint node, the first pass and refinements
     assert max(first) <= 8
-    assert max(start for _, start in stacks) >= 16
+    assert max(start for _, start in stacks) >= 12
+
+
+def test_nodes_the_boltzmann_factor_makes_negligible_stay_cheap():
+    # the growth and m tests' floor is in units of the integrand, n_1 times
+    # the trace, so the nodes past xi = 10, where n_1 <= 4.5e-5, no longer
+    # push the cut-off up the axis; with the floor in units of the trace
+    # these ran to l_max 36 and 20
+    ft = fe.thermal_part(Geometry(1.5, 0.45), DD, 1.0)
+    f = fe.force(Geometry(0.5, 0.05), DD, 1.0, target="thermal_part")
+    assert ft.converged and f.converged
+    assert ft.diagnostics["l_max_used"] <= 28
+    assert f.diagnostics["l_max_used"] <= 16
 
 
 def test_diagnostics_report_the_work_evaluated():
@@ -257,7 +269,7 @@ def test_verify_every_one_verifies_every_node(monkeypatch):
 
 # (label, observable, field, T, quad_points): at (1, 0.3) and T = 0.7 a
 # verified node grows past its stack's start + 4, and so moves the hint,
-# inside some panel at both rules; the cold sweeps at T = 0.1 and 0.05
+# inside some panel at both rules; the cold sweeps at T = 0.3 and 0.05
 # have one such node and none
 SWEEP_POINTS = [
     ("FT DD", "FT", "DD", 0.7, 9),
@@ -270,7 +282,7 @@ SWEEP_POINTS = [
     ("FT ND 17", "FT", "ND", 0.7, 17),
     ("force DD 17", "force", "DD", 0.7, 17),
     ("E0 DD 17", "E0", "DD", None, 17),
-    ("FT DD cold", "FT", "DD", 0.1, 9),
+    ("FT DD cold", "FT", "DD", 0.3, 9),
     ("FT DD colder", "FT", "DD", 0.05, 9),
 ]
 
@@ -338,6 +350,26 @@ def test_stacked_runs_match_the_node_by_node_sweep(monkeypatch, target, name, fi
             {k: alone.diagnostics[k] for k in work}
     else:
         assert grew
+
+
+@pytest.mark.parametrize("obs", ["FT", "E0"])
+def test_pinned_sweeps_match_the_node_by_node_sweep(monkeypatch, obs):
+    # at a pinned cut-off there is no growth test, but the floor still
+    # rises along the nodes of a stack and enters their m tests
+    geom, trunc = Geometry(1.0, 0.3), Truncation(l_max=16)
+
+    def run():
+        if obs == "FT":
+            return fe.thermal_part(geom, DD, 0.7, trunc)
+        return fe.vacuum_energy(geom, DD, trunc)
+
+    stacked = run()
+    monkeypatch.setattr(fe, "_SweepState", oracles.node_by_node_sweep_state(fe))
+    alone = run()
+    assert stacked.value == pytest.approx(alone.value, rel=1e-12)
+    assert stacked.error_estimate == pytest.approx(alone.error_estimate, rel=1e-9)
+    assert stacked.diagnostics["m_max_used"] == alone.diagnostics["m_max_used"]
+    assert stacked.diagnostics["l_max_used"] == 16
 
 
 # (label, observable, field, R, d, T, what the chunks must show): at T = 1
@@ -433,12 +465,15 @@ def test_chunk_discards_the_nodes_after_a_falling_cutoff(monkeypatch):
     assert res.diagnostics["nodes_discarded"] > 0
 
 
-def _fake_growth_trace(model):
+def _fake_growth_trace(model, rooms=None):
     """A synthetic ``trlog.trace_over_m`` for an array of nodes: node x has
     the total ``a - b r^k / (1 - r)`` at the cut-off 4 + 4k, with (a, b)
     = ``model[x]`` and r = 0.1, so its growth step from 4 + 4k changes it
     by b r^k.  Verified nodes grow from the start under the growth test
-    with the floor; the others are taken once, one step above the start."""
+    with their floor; the others are taken once, one step above the start.
+    Node x's m tests keep their outcome under any floor up to
+    ``rooms[x]`` (default inf); above it its m sum ends one block sooner,
+    which takes 1e-6 off both of its totals."""
     import numpy as np
 
     def total(x, l):
@@ -451,23 +486,27 @@ def _fake_growth_trace(model):
         nodes = {key: [] for key in ("l_max_used", "m_max_used", "converged", "change",
                                      "least_total")}
         vals, blocks = [], 0
-        for x, tested in zip(xi, verify):
+        floors = np.broadcast_to(scale_floor, np.shape(xi))
+        room = [(rooms or {}).get(float(x), np.inf) for x in xi]
+        for x, tested, floor, x_room in zip(xi, verify, floors, room):
             l, least = start, np.inf
+            short = 1e-6 if floor > x_room else 0.0
             while True:
-                hi, lo = total(x, l + 4), total(x, l)
+                hi, lo = total(x, l + 4) - short, total(x, l) - short
                 l += 4
                 blocks += 1
                 if not tested:
                     change, passed = 0.0, True
                     break
                 change, least = abs(hi - lo), min(least, abs(hi))
-                passed = change <= trunc.rel_tol * max(abs(hi), scale_floor, 1e-300)
+                passed = change <= trunc.rel_tol * max(abs(hi), floor, 1e-300)
                 if passed:
                     break
             vals.append(hi)
             for key, v in zip(nodes, (l, l // 4, passed, change, least)):
                 nodes[key].append(v)
         nodes = {key: np.array(v) for key, v in nodes.items()}
+        nodes["m_floor_room"] = np.array(room)
         return (np.array(vals, dtype=complex),
                 {"l_max_used": int(nodes["l_max_used"].max()), "m_max_used": 0,
                  "converged": True, "blocks": blocks, "eig_blocks": 0, "fallbacks": 0,
@@ -485,11 +524,30 @@ def test_a_floor_that_rises_inside_a_stack(monkeypatch, a, b, discarded):
     # the raised floor is below every total of its growth tests, every test
     # has the same outcome under it and the node is kept; where it is above,
     # the node would stop sooner alone, and is evaluated again
+    diag = _rising_floor_stack(monkeypatch, {6.0: (a, b)})
+    assert diag["l_max_used"] == 12  # the sixth node grew to the start + 8
+    assert diag["nodes_discarded"] == discarded
+
+
+def test_a_floor_that_rises_past_an_m_test(monkeypatch):
+    # the same stack, where the second assumed node, alone, ends its m sum
+    # one block sooner under the raised floor: it and the nodes after it
+    # are evaluated again
+    diag = _rising_floor_stack(monkeypatch, {6.0: (0.1, 5e-4)}, rooms={2.0: 1e-4})
+    assert diag["nodes_discarded"] == 5
+
+
+def _rising_floor_stack(monkeypatch, model, rooms=None):
+    """The first node alone leaves the scale 1e-3; in the stack of six after
+    it the five assumed nodes raise it to 10, and the sixth, verified,
+    follows ``model`` (with ``rooms``, see :func:`_fake_growth_trace`).
+    Requires the stacked nodes to match the node-by-node sweep and returns
+    the stacked diagnostics."""
     import numpy as np
     from casphere import trlog
     model = {0.5: (1e-3, 1e-9), 1.0: (10.0, 0.0), 2.0: (10.0, 0.0), 3.0: (10.0, 0.0),
-             4.0: (10.0, 0.0), 5.0: (10.0, 0.0), 6.0: (a, b)}
-    monkeypatch.setattr(trlog, "trace_over_m", _fake_growth_trace(model))
+             4.0: (10.0, 0.0), 5.0: (10.0, 0.0), **model}
+    monkeypatch.setattr(trlog, "trace_over_m", _fake_growth_trace(model, rooms))
     runs = []
     for cls in (fe._SweepState, oracles.node_by_node_sweep_state(fe)):
         state = cls(G12, DD, Truncation(), trlog.IMAG_AXIS)
@@ -501,8 +559,7 @@ def test_a_floor_that_rises_inside_a_stack(monkeypatch, a, b, discarded):
     keys = ("l_max_used", "m_max_used", "nodes_assumed", "converged")
     assert {k: diag[k] for k in keys} == {k: want[k] for k in keys}
     assert diag["nodes_assumed"] == 5
-    assert diag["l_max_used"] == 12  # the sixth node grew to the start + 8
-    assert diag["nodes_discarded"] == discarded
+    return diag
 
 
 def test_matsubara_nodes_past_the_stop_do_not_raise(monkeypatch):
@@ -640,6 +697,10 @@ AUDIT_POINTS = [
     ("force", "DD", 0.5, 0.05, 1.0),
     ("E0", "DD", 1.0, 0.5, None),
     ("E0", "EM", 1.0, 0.5, None),
+    ("FT", "DN", 1.0, 0.2, 1.0),
+    ("FT", "ND", 1.0, 0.5, 1.0),
+    ("FT", "DD", 1.0, 0.5, 0.1),
+    ("force", "DD", 1.0, 0.1, 0.3),
 ]
 
 
@@ -647,7 +708,8 @@ AUDIT_POINTS = [
 @pytest.mark.parametrize("obs, field, R, d, T", AUDIT_POINTS,
                          ids=[f"{p[0]} {p[1]} {p[2]:g}-{p[3]:g}-{p[4]}" for p in AUDIT_POINTS])
 def test_error_bar_audit(obs, field, R, d, T):
-    geom, spec = Geometry(R, d), {"DD": DD, "EM": FieldSpec.em()}[field]
+    geom = Geometry(R, d)
+    spec = FieldSpec.em() if field == "EM" else SCALAR_FIELDS[field]
 
     def run(trunc=None):
         if obs == "force":

@@ -392,6 +392,26 @@ def test_zero_padding_leaves_the_evaluators_unchanged(em):
         assert np.array_equal(got, _padded(B[np.ix_(keep, keep)], pad, em))
 
 
+def test_a_per_node_floor_ends_growth_and_m_sum_sooner():
+    # two copies of one rotated node, the second with a floor ten times its
+    # projected total, as a node that counts little in its integral gets:
+    # it stops at a lower or equal cut-off and a lower m cut, and the first
+    # is the node alone
+    geom, xi = Geometry(1.0, 0.2), 8.0
+    alone, diag = trace_over_m(trlog.ROTATED, geom, DD, Truncation(), xi=xi, part=np.imag)
+    big = 10.0 * abs(alone.imag)
+    vals, pair = trace_over_m(trlog.ROTATED, geom, DD, Truncation(), xi=np.array([xi, xi]),
+                              part=np.imag, scale_floor=np.array([0.0, big]))
+    nodes = pair["nodes"]
+    assert vals[0] == pytest.approx(alone, rel=1e-12)
+    assert (nodes["l_max_used"][0], nodes["m_max_used"][0]) == \
+        (diag["l_max_used"], diag["m_max_used"])
+    assert nodes["l_max_used"][1] <= nodes["l_max_used"][0]
+    assert nodes["m_max_used"][1] < nodes["m_max_used"][0]
+    # each m test the floored node went on from stays so under its floor
+    assert nodes["m_floor_room"][1] >= big
+
+
 @pytest.mark.parametrize("evaluation, field", [(trlog.IMAG_AXIS, "DD"),
                                                (trlog.IMAG_AXIS, "EM"),
                                                (trlog.ROTATED, "ND")])
