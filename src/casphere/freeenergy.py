@@ -24,13 +24,15 @@ chunks of up to ``MATSUBARA_CHUNK``, go through one acceptance engine
 its nodes are accepted in order while each gets the cut-off and value it
 would get evaluated alone.
 
-The engine's truncation floor is in units of the integrand, not of the
-trace: each node's l_max growth and m sum stop at rel_tol (the m sum at
-rel_tol * 1e-2) of the larger of its own projected trace and 1e-3 of the
-largest weighted |trace| so far divided by its weight, where the weight
-is n_1 on the real-frequency axis and 1 on the imaginary axis (the
-Matsubara sum has no floor).  So the nodes that the Boltzmann factor makes
-negligible converge only as far as the integral needs.
+The engine's truncation floor is in units of the integrand or sum, not of
+the trace: each node's l_max growth and m sum stop at rel_tol (the m sum
+at rel_tol * 1e-2) of the larger of its own projected trace and a share
+of the largest weighted |trace| so far divided by its weight.  On the
+frequency sweeps the share is 1e-3 and the weight is n_1 on the
+real-frequency axis and 1 on the imaginary axis; the Matsubara sum uses
+the share 1e-2 of its stop test, weight 1 and a scale that starts at the
+zero-mode term.  So the nodes that the Boltzmann factor or the Matsubara
+decay makes negligible converge only as far as the result needs.
 
 Along a sweep the cut-off hint of the acceptance engine only rises, while
 the cut-off the nodes need falls again towards xi -> 0.  The adaptive pass
@@ -234,8 +236,10 @@ class _SweepState:
     rel_tol times ``floor * scale`` in units of the integrand.  It keeps
     oscillatory zero crossings from triggering runaway growth, and the
     nodes the weight makes negligible from running to the cut-offs of the
-    integrand's peak.  With ``derivative`` every node is the separation
-    derivative of the trace (see :func:`trlog.trace_over_m`).
+    integrand's peak.  ``scale`` seeds the running scale (0 on the
+    sweeps; the Matsubara sum passes its zero-mode term, so that its
+    first nodes are floored too).  With ``derivative`` every node is the
+    separation derivative of the trace (see :func:`trlog.trace_over_m`).
 
     The nodes handed to :meth:`evaluate` (a quadrature panel, a chunk of
     Matsubara nodes) go through :func:`trlog.trace_over_m` as one stack,
@@ -283,7 +287,7 @@ class _SweepState:
     VERIFY_EVERY = 6
 
     def __init__(self, geom, spec, trunc, evaluation, part=None, derivative=False,
-                 every=None, floor=1e-3, weight=None):
+                 every=None, floor=1e-3, weight=None, scale=0.0):
         self.geom = geom
         self.spec = spec
         self.trunc = trunc
@@ -300,7 +304,7 @@ class _SweepState:
         self.m_evaluated = 0
         self.converged = True
         self.hint = spec.l_min + 4  # where trace_over_m starts without a hint
-        self.scale = 0.0
+        self.scale = scale
         self.count = 0
         self.rel_change = 0.0
         self.blocks = 0
@@ -427,20 +431,44 @@ class _SweepState:
 #: the most imaginary-axis nodes of the Matsubara sum evaluated as one stack
 MATSUBARA_CHUNK = 8
 
+#: the Matsubara sum's truncation floor, as a share of its running scale:
+#: the factor of the sum's stop test and of every m test
+MATSUBARA_FLOOR = 1e-2
+
+
+def _matsubara_tail(last, prev, T, d):
+    """Estimate of the omitted terms of a Matsubara sum whose last two
+    accepted terms have magnitudes ``prev`` and ``last``: the geometric
+    tail ``last r / (1 - r)`` with r the larger of their ratio and
+    exp(-4 pi T d), the terms' asymptotic decay, and never less than the
+    last term itself."""
+    r = max(last / prev, math.exp(-4.0 * math.pi * T * d))
+    if r >= 1.0:  # the terms did not fall: no geometric tail to sum
+        return math.inf
+    return max(last, last * r / (1.0 - r))
+
 
 def _matsubara_sum(geom, spec, T, trunc, derivative=False):
     """``(T/2) trace(0) + T sum_{n>=1} trace(2 pi T n)`` of Tr ln(1 - M), or
     of its separation derivative; see :func:`matsubara_free_energy`.
 
     The nodes n >= 1 go through :class:`_SweepState` with every node
-    verified and no growth-test floor, in chunks of 1, 2, 4, then
-    ``MATSUBARA_CHUNK`` nodes, each chunk no longer than the geometric
-    decay of the last two terms says the stop test needs.  The stop test
-    runs as each node is accepted, so the nodes past it are neither
-    accepted nor able to raise.
+    verified, in chunks of 1, 2, 4, then ``MATSUBARA_CHUNK`` nodes, each
+    chunk no longer than the geometric decay of the last two terms says
+    the stop test needs.  The stop test runs as each node is accepted, so
+    the nodes past it are neither accepted nor able to raise.
 
-    The error estimate adds the last term, the stopping tolerance and, at
-    every node, the change of its last l_max growth step.
+    The engine's floor is ``MATSUBARA_FLOOR`` of a running scale, in
+    units of the trace, that starts at the zero-mode term
+    ``|trace(0)| / 2`` and takes the largest |trace| accepted since: a
+    node is converged in l and m no finer than about rel_tol * 1e-2 of
+    that scale, T times which is the size of the smallest term the stop
+    test keeps.  So the nodes far down the sum, which need the largest
+    cut-offs, stop at those the sum needs.
+
+    The error estimate adds the omitted tail (:func:`_matsubara_tail`),
+    the stopping tolerance and, at every node, the change of its last
+    l_max growth step.
     """
     if not 0.0 < T < math.inf:
         raise ValueError(f"matsubara_free_energy needs a finite T > 0, got T={T}; "
@@ -451,8 +479,9 @@ def _matsubara_sum(geom, spec, T, trunc, derivative=False):
                                      derivative=derivative)
     F = 0.5 * T * tot0.real
     trunc_err = 0.5 * T * diag0.get("change", 0.0)
+    # the engine's floor in units of the sum: its scale starts at the zero mode
     state = _SweepState(geom, spec, trunc, trlog.IMAG_AXIS, derivative=derivative,
-                        every=1, floor=0.0)
+                        every=1, floor=MATSUBARA_FLOOR, scale=0.5 * abs(tot0.real))
     tol = trunc.rel_tol * 1e-2
     last = prev = math.inf  # the magnitudes of the last two terms
     done = False
@@ -482,7 +511,7 @@ def _matsubara_sum(geom, spec, T, trunc, derivative=False):
                 f"Matsubara sum needs more than n_max={trunc.n_max} terms; "
                 "T*d is too small for this representation")
         size = min(2 * size, MATSUBARA_CHUNK)
-    return EnergyResult(F, last + tol * abs(F) + trunc_err,
+    return EnergyResult(F, _matsubara_tail(last, prev, T, geom.d) + tol * abs(F) + trunc_err,
                         {"l_max_used": max(diag0["l_max_used"], state.l_used),
                          "m_max_used": max(diag0["m_max_used"], state.m_used),
                          "l_max_evaluated": max(diag0["l_max_evaluated"], state.l_evaluated),
@@ -498,14 +527,20 @@ def matsubara_free_energy(geom, spec, T, trunc=None):
     ``F = (T/2) * trace(0) + T * sum_{n>=1} trace(2 pi T n)`` with the
     zero mode from the static kernel; the sum stops when the last term
     drops below ``rel_tol * 1e-2`` of the running sum (the terms decay
-    like exp(-4 pi n T d)).
+    like exp(-4 pi n T d)).  Each node's l_max growth and m sum run
+    against a floor of 1e-2 of the largest term so far, the zero mode
+    included, so a node is resolved no finer than the smallest term the
+    stop test keeps.  The error estimate sums the omitted terms as a
+    geometric tail whose ratio is the larger of the last two terms' and
+    exp(-4 pi T d), and adds the stopping tolerance and each node's last
+    growth step.
 
     With automatic cut-offs, each node from n = 2 on starts its l_max
     growth one step below the l_max the previous node used (the ratchet
     of the frequency sweeps), instead of at l_min + 4.  The n = 1 node
     starts afresh: the cut-off of the static zero mode is no guide to it
     (for a Dirichlet sphere at R = 1, d = 0.2, T = 1 the zero mode stops
-    at l_max 24 and the nodes need 44; at R = 0.5, d = 0.005 the zero
+    at l_max 24 and the nodes need up to 32; at R = 0.5, d = 0.005 the zero
     mode runs unconverged to the l_max cap).
 
     The nodes run in stacked chunks (see :func:`_matsubara_sum`) with the

@@ -788,7 +788,11 @@ def node_by_node_matsubara(geom, spec, T, trunc=None, derivative=False):
     """The Matsubara sum of ``freeenergy.matsubara_free_energy`` (or, with
     ``derivative``, of its separation derivative) as a sequential loop:
     one ``trlog.trace_over_m`` call per node, each node n >= 2 starting
-    its l_max growth one step below the cut-off of the node before it.
+    its l_max growth one step below the cut-off of the node before it, and
+    each node's ``scale_floor`` 1e-2 of the largest |trace| before it, the
+    zero-mode term |trace(0)| / 2 included.  The error estimate sums the
+    omitted terms as a geometric tail with the ratio the larger of the
+    last two terms' and exp(-4 pi T d), at least the last term.
     Returns an ``EnergyResult`` with the package's error estimate and the
     diagnostics ``l_max_used``, ``m_max_used``, ``n_max_used`` and
     ``converged``."""
@@ -802,24 +806,28 @@ def node_by_node_matsubara(geom, spec, T, trunc=None, derivative=False):
     l_used, m_used = diag0["l_max_used"], diag0["m_max_used"]
     converged = diag0["converged"]
     tol = trunc.rel_tol * 1e-2
-    n, hint = 1, None
+    scale = 0.5 * abs(tot0.real)
+    n, hint, last = 1, None, math.inf
     while True:
         term, diag = trlog.trace_over_m(trlog.IMAG_AXIS, geom, spec, trunc,
                                         xi=2.0 * math.pi * T * n, l_max_start=hint,
-                                        derivative=derivative)
+                                        scale_floor=1e-2 * scale, derivative=derivative)
         hint = diag["l_max_used"] - 4
+        scale = max(scale, abs(term))
         F += T * term.real
         trunc_err += T * diag.get("change", 0.0)
         l_used = max(l_used, diag["l_max_used"])
         m_used = max(m_used, diag["m_max_used"])
         converged = converged and diag["converged"]
-        last = abs(T * term.real)
+        prev, last = last, abs(T * term.real)
         if last < tol * max(abs(F), 1e-300):
             break
         n += 1
         if n > trunc.n_max:
             raise ArithmeticError(f"more than n_max={trunc.n_max} terms")
-    return EnergyResult(F, last + tol * abs(F) + trunc_err,
+    ratio = max(last / prev, math.exp(-4.0 * math.pi * T * geom.d))
+    tail = max(last, last * ratio / (1.0 - ratio)) if ratio < 1.0 else math.inf
+    return EnergyResult(F, tail + tol * abs(F) + trunc_err,
                         {"l_max_used": l_used, "m_max_used": m_used,
                          "n_max_used": n, "converged": converged})
 

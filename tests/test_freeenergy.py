@@ -241,6 +241,18 @@ def test_nodes_the_boltzmann_factor_makes_negligible_stay_cheap():
     assert f.diagnostics["l_max_used"] <= 16
 
 
+def test_matsubara_terms_the_sum_makes_negligible_stay_cheap():
+    # the growth and m tests' floor is 1e-2 of the largest term so far, the
+    # zero mode included, so the nodes n = 4, 5 of DD (1, 0.2, 1), worth
+    # 5e-5 and 4e-6 of F, no longer set the cut-off; with no floor these ran
+    # to l_max 44, and EM (1, 0.5, 1) to 25
+    dd = fe.matsubara_free_energy(Geometry(1.0, 0.2), DD, 1.0)
+    em = fe.matsubara_free_energy(Geometry(1.0, 0.5), FieldSpec.em(), 1.0)
+    assert dd.converged and em.converged
+    assert dd.diagnostics["l_max_used"] <= 36
+    assert em.diagnostics["l_max_used"] <= 23
+
+
 def test_diagnostics_report_the_work_evaluated():
     # the largest cut-offs evaluated, discarded nodes included, bound the
     # accepted ones
@@ -372,11 +384,12 @@ def test_pinned_sweeps_match_the_node_by_node_sweep(monkeypatch, obs):
     assert stacked.diagnostics["l_max_used"] == 16
 
 
-# (label, observable, field, R, d, T, what the chunks must show): at T = 1
-# every node of (1, 0.2) needs a larger cut-off than the one before, and at
+# (label, observable, field, R, d, T, what the chunks must show): at
+# T = 0.5 the nodes of (1, 0.2) need larger cut-offs inside a chunk (at
+# T = 1, under the floor in units of the sum, they no longer do), and at
 # (1, 1) the sum stops at n = 2 inside the first chunk of two
 CHUNK_POINTS = [
-    ("F DD grows", "F", "DD", 1.0, 0.2, 1.0, "grows"),
+    ("F DD grows", "F", "DD", 1.0, 0.2, 0.5, "grows"),
     ("F DN long", "F", "DN", 1.0, 0.2, 0.1, "grows"),
     ("F EM stops", "F", "EM", 1.0, 1.0, 1.0, "stops"),
     ("force DD", "force", "DD", 1.0, 0.5, 1.0, None),
@@ -595,6 +608,23 @@ def test_matsubara_nodes_past_the_stop_do_not_raise(monkeypatch):
     assert res.diagnostics["n_max_used"] == want.diagnostics["n_max_used"] == 6
 
 
+def test_matsubara_error_estimate_covers_the_omitted_tail():
+    # at T = 0.05 the terms fall by only exp(-4 pi T d) = 0.88 per node, so
+    # the terms past the stop add up to 7.5 times the last one; with the
+    # cut-off pinned the estimate is the tail and the stop tolerance alone
+    # (counting only the last term, it was 0.28 of the omitted terms)
+    import numpy as np
+    from casphere import trlog
+    geom, T, trunc = Geometry(1.0, 0.2), 0.05, Truncation(l_max=40)
+    res = fe.matsubara_free_energy(geom, DD, T, trunc)
+    n = res.diagnostics["n_max_used"]
+    terms, _ = trlog.trace_over_m(trlog.IMAG_AXIS, geom, DD, trunc,
+                                  xi=2.0 * math.pi * T * np.arange(n + 1, n + 81))
+    tail = abs(T * np.sum(terms.real))
+    assert abs(T * terms[-1].real) < 1e-4 * tail  # the omitted terms, summed out
+    assert res.error_estimate >= tail
+
+
 @pytest.mark.slow
 def test_em_matsubara_near_contact():
     # with the sphere factor wholly on the columns, the blocks reached
@@ -685,9 +715,10 @@ def test_thermal_monotone_in_radius(eps):
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
-# (observable, field, R, d, T) of the error-bar audit of the default panel
-# rule; each default error estimate bounds the distance to the rel_tol 1e-6
-# value by a factor of 8 or more
+# (observable, field, R, d, T) of the error-bar audit of the default
+# cut-offs, panels and Matsubara tail ("F" the Matsubara free energy,
+# "total" its force); each default error estimate bounds the distance to
+# the rel_tol 1e-6 value
 AUDIT_POINTS = [
     ("FT", "DD", 1.5, 0.45, 1.0),
     ("FT", "DD", 0.5, 0.005, 1.0),
@@ -701,6 +732,11 @@ AUDIT_POINTS = [
     ("FT", "ND", 1.0, 0.5, 1.0),
     ("FT", "DD", 1.0, 0.5, 0.1),
     ("force", "DD", 1.0, 0.1, 0.3),
+    ("F", "DD", 1.0, 0.2, 1.0),
+    ("F", "DD", 1.0, 0.2, 0.1),
+    ("F", "DN", 1.0, 0.2, 1.0),
+    ("F", "EM", 1.0, 0.5, 1.0),
+    ("total", "DD", 1.0, 0.5, 1.0),
 ]
 
 
@@ -714,8 +750,12 @@ def test_error_bar_audit(obs, field, R, d, T):
     def run(trunc=None):
         if obs == "force":
             return fe.force(geom, spec, T, trunc, target="thermal_part")
+        if obs == "total":
+            return fe.force(geom, spec, T, trunc, target="total")
         if obs == "E0":
             return fe.vacuum_energy(geom, spec, trunc)
+        if obs == "F":
+            return fe.matsubara_free_energy(geom, spec, T, trunc)
         return fe.thermal_part(geom, spec, T, trunc)
 
     res, ref = run(), run(Truncation(rel_tol=1e-6))

@@ -201,6 +201,25 @@ def test_rotated_branches_are_exact_conjugates(xi, R, d, l_max, m, neumann):
         assert np.array_equal(b, a.conj())
 
 
+FIELDS = {"DD": DD, "DN": FieldSpec(plane_bc=kernel.NEUMANN), "ND": ND,
+          "NN": FieldSpec(sphere_bc=kernel.NEUMANN, plane_bc=kernel.NEUMANN),
+          "EM": FieldSpec.em()}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(xi=st.floats(1e-3, 30.0), R=st.floats(0.1, 5.0), d=st.floats(0.005, 3.0),
+       l_max=st.integers(1, 12), m=st.integers(0, 12), field=st.sampled_from(sorted(FIELDS)))
+def test_imaginary_axis_determinant_is_positive(xi, R, d, l_max, m, field):
+    # det(1 - M) > 0 on the imaginary axis, where M is a round trip
+    # between the bodies with spectral radius below 1, at every cut-off
+    spec = FIELDS[field]
+    m = min(m, l_max)
+    M, _ = kernel.ImagNodes([xi], Geometry(R, d), spec, l_max).blocks(m)
+    assert np.all(np.isfinite(M))
+    sign, _ = np.linalg.slogdet(np.eye(M.shape[-1]) - spec.plane_sign * M[0])
+    assert sign > 0
+
+
 def test_rotated_small_xi_limit():
     # M(i xi) -> R/2L with an O(xi) imaginary part
     v = m_rotated(0, 0, 0, 1e-4, G12, DD)
