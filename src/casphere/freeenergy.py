@@ -12,17 +12,18 @@ Three equivalent representations are implemented (units hbar = c = k_B = 1):
   ``F_T = (T/2pi) int_0^inf dxi n_1(xi) * (-2) Im Tr ln(1-M(i xi T))``
   with the Boltzmann factor ``n_1(xi) = 1/(e^xi - 1)``,
 
-connected by ``F = E_0 + F_T``.  Real-frequency integrands oscillate on the
-scale pi/(2 L T) in the Boltzmann variable, so panels never exceed half
-that scale; panels are refined adaptively, and a vanishing pivot of
-1 - M at a node splits the panel that holds it.  A panel is a nested
-Clenshaw-Curtis rule of ``Truncation.quad_points`` nodes (9 by default;
-3 or 1 mod 4, so that its every other node is the embedded rule of the
-error estimate).  The panels' nodes and the Matsubara nodes n >= 1, in
-chunks of up to ``MATSUBARA_CHUNK``, go through one acceptance engine
-(:class:`_SweepState`): each panel or chunk is one stack of blocks, and
-its nodes are accepted in order while each gets the cut-off and value it
-would get evaluated alone.
+connected by ``F = E_0 + F_T``.  Real-frequency integrands oscillate with
+period pi/(L T) in the Boltzmann variable.  The sweep's panels start at
+half that period and, once a panel is over-resolved, go on at one period,
+never wider (see :func:`_panel_sweep`); panels are refined adaptively,
+and a vanishing pivot of 1 - M at a node splits the panel that holds it.
+A panel is a nested Clenshaw-Curtis rule of ``Truncation.quad_points``
+nodes (9 by default; 3 or 1 mod 4, so that its every other node is the
+embedded rule of the error estimate).  The panels' nodes and the
+Matsubara nodes n >= 1, in chunks of up to ``MATSUBARA_CHUNK``, go
+through one acceptance engine (:class:`_SweepState`): each panel or
+chunk is one stack of blocks, and its nodes are accepted in order while
+each gets the cut-off and value it would get evaluated alone.
 
 The engine's truncation floor is in units of the integrand or sum, not of
 the trace: each node's l_max growth and m sum stop at rel_tol (the m sum
@@ -140,13 +141,15 @@ def _adaptive_panels(f, a, b, npts, tol_abs, max_depth=28):
     1 - M at a node) splits the panel as well, which moves every interior
     node off the resonance; after ``_SINGULAR_SPLITS`` such splits, or
     below width 1e-12, the error propagates.  Returns the three sums of
-    :func:`_integrate_panel` over the accepted panels.
+    :func:`_integrate_panel` over the accepted panels and the number of
+    panels evaluated.
     """
     stack = [(a, b, 0)]
     total, err, trunc = 0.0, 0.0, 0.0
-    splits = 0
+    splits = evaluated = 0
     while stack:
         lo, hi, depth = stack.pop()
+        evaluated += 1
         try:
             v, e, t = _integrate_panel(f, lo, hi, npts)
         except SingularBlockError:
@@ -165,17 +168,42 @@ def _adaptive_panels(f, a, b, npts, tol_abs, max_depth=28):
             total += v
             err += e
             trunc += t
-    return total, err, trunc
+    return total, err, trunc, evaluated
+
+
+def _subrule_degree(npts):
+    """Degree of exactness of the embedded subrule of an ``npts``-point
+    panel: a Clenshaw-Curtis rule of k points integrates degree k - 1, and
+    degree k when k is odd."""
+    k = npts // 2 + 1
+    return k if k % 2 else k - 1
 
 
 def _panel_sweep(f, width, xi_max, npts, rel_tol, checkpoint):
-    """Integrate f over (0, xi_max) in fixed panels with adaptive refinement.
+    """Integrate f over (0, xi_max) in panels of ``width`` or ``2 width``,
+    with adaptive refinement.
 
-    The sweep stops early once three consecutive panels contribute less
-    than rel_tol * 1e-3 of the running total (the integrands here decay
-    exponentially).  Returns the value and an error estimate: the
-    quadrature estimate plus the integrated truncation errors of the
-    nodes (see :func:`_integrate_panel`).
+    The first pass starts at ``width``.  A panel's share of the tolerance
+    is ``rel_tol * 1e-2 * |running total| * (hi - lo) / xi_max``; once a
+    panel's embedded estimate is below its share over 2^(p+1), p the
+    degree of exactness of the embedded subrule (5 for 9 points), the
+    panels are ``2 width`` wide for the rest of the pass: doubling a panel
+    multiplies a degree-p rule's error by about 2^(p+2) while its share
+    only doubles.  They never get wider (on the thermal sweep, 2 width is
+    one oscillation period).  A panel is small when its value per unit
+    width is below rel_tol * 1e-3 of the running total per ``width``, and
+    the pass stops once the small panels in a row span 3 width (the
+    integrands here decay exponentially), so wide panels carry it no
+    further up the axis than narrow ones.
+
+    The refinement pass then bisects every first-pass panel whose
+    embedded estimate exceeds its share of the final tolerance, so the
+    wider panels relax no accuracy test.  Returns the value, an error
+    estimate (the quadrature estimate plus the integrated truncation
+    errors of the nodes, see :func:`_integrate_panel`) and a dict of the
+    work: the upper end of the last first-pass panel (``xi_max_used``),
+    the panels evaluated by the first pass (``panels``) and by the
+    refinement (``panels_refined``).
 
     ``checkpoint()`` is called after each panel of the first pass and
     returns a callable that puts back the state f then had; the adaptive
@@ -183,18 +211,17 @@ def _panel_sweep(f, width, xi_max, npts, rel_tol, checkpoint):
     starts from what its own panel left, not from where the first pass
     ended (see :meth:`_SweepState.checkpoint`).
     """
-    panels = []
-    a = 0.0
-    while a < xi_max:
-        b = min(a + width, xi_max)
-        panels.append((a, b))
-        a = b
+    over_resolved = 2.0 ** -(_subrule_degree(npts) + 1)
     # first pass for the overall scale; a panel whose nodes hit a singular
     # block is left to the adaptive pass, which splits it
     scale = 0.0
     rough = []
-    small_run = 0
-    for lo, hi in panels:
+    step = 1  # the width of the next panel, in units of width
+    small_run = 0  # the width the trailing small panels span, in units of width
+    a = 0.0
+    while a < xi_max:
+        lo, hi, units = a, min(a + step * width, xi_max), step
+        a = hi
         try:
             v, e, t = _integrate_panel(f, lo, hi, npts)
         except SingularBlockError:
@@ -202,21 +229,26 @@ def _panel_sweep(f, width, xi_max, npts, rel_tol, checkpoint):
             continue
         rough.append((lo, hi, v, e, t, checkpoint()))
         scale += v
-        if abs(v) < rel_tol * 1e-3 * max(abs(scale), 1e-300):
-            small_run += 1
+        tol = rel_tol * max(abs(scale), 1e-300)
+        if e < over_resolved * tol * 1e-2 * (hi - lo) / xi_max:
+            step = 2
+        if abs(v) * width < tol * 1e-3 * (hi - lo):
+            small_run += units
             if small_run >= 3:
                 break
         else:
             small_run = 0
     tol_abs = rel_tol * 1e-2 * max(abs(scale), 1e-300)
-    total, err = 0.0, 0.0
+    total, err, refined = 0.0, 0.0, 0
     for lo, hi, v, e, t, restore in rough:
         if e > tol_abs * (hi - lo) / max(xi_max, hi - lo):
             restore()
-            v, e, t = _adaptive_panels(f, lo, hi, npts, tol_abs)
+            v, e, t, evaluated = _adaptive_panels(f, lo, hi, npts, tol_abs)
+            refined += evaluated
         total += v
         err += e + t
-    return total, err
+    return total, err, {"xi_max_used": rough[-1][1], "panels": len(rough),
+                        "panels_refined": refined}
 
 
 class _SweepState:
@@ -397,7 +429,8 @@ class _SweepState:
     def sweep(self, integrand, width, xi_max):
         """:func:`_panel_sweep` of ``integrand`` over (0, xi_max), each
         refined panel from the state its first pass left (see
-        :meth:`checkpoint`).
+        :meth:`checkpoint`): the value, its error estimate and the
+        sweep's work (``xi_max_used``, ``panels``, ``panels_refined``).
 
         The first node is the midpoint of the first panel, not its xi -> 0
         endpoint: there the integrands vanish or sit at their static
@@ -557,8 +590,13 @@ def matsubara_free_energy(geom, spec, T, trunc=None):
 def vacuum_energy(geom, spec, trunc=None):
     """Zero-temperature energy (1/2pi) int_0^inf dxi Tr ln(1 - M(xi)).
 
-    The integrand decays like exp(-2 d xi); panels are cut off where it
-    falls below ~1e-16 of its peak.
+    The integrand decays like exp(-2 d xi).  The panels start at
+    ``min(2/d, 2/R, xi_cut/8)`` with ``xi_cut = 19/d + 5/L`` and double
+    once over-resolved (see :func:`_panel_sweep`); the sweep stops where
+    its panels fall below rel_tol * 1e-3 of the running total, at the
+    latest at ``xi_cut``.  ``xi_max_used`` is the upper end of its last
+    first-pass panel, and ``panels`` and ``panels_refined`` count the
+    panels evaluated by the first pass and by the refinement.
     """
     geom.require_gap()
     trunc = trunc or Truncation()
@@ -571,9 +609,9 @@ def vacuum_energy(geom, spec, trunc=None):
 
     xi_cut = 19.0 / geom.d + 5.0 / geom.L
     width = min(2.0 / geom.d, 2.0 / geom.R, xi_cut / 8.0)
-    total, err = state.sweep(integrand, width, xi_cut)
+    total, err, work = state.sweep(integrand, width, xi_cut)
     return EnergyResult(total / (2.0 * math.pi), err / (2.0 * math.pi),
-                        state.diagnostics(xi_max_used=xi_cut))
+                        state.diagnostics(**work))
 
 
 def _thermal_sweep(geom, spec, T, trunc, derivative=False):
@@ -602,9 +640,9 @@ def _thermal_sweep(geom, spec, T, trunc, derivative=False):
 
     xi_max = math.log(1.0 / trunc.rel_tol) + 20.0
     width = min(math.pi / (2.0 * geom.L * T), 3.0)
-    total, err = state.sweep(integrand, width, xi_max)
+    total, err, work = state.sweep(integrand, width, xi_max)
     return EnergyResult(T / (2.0 * math.pi) * total, T / (2.0 * math.pi) * err,
-                        state.diagnostics(xi_max_used=xi_max))
+                        state.diagnostics(**work))
 
 
 def thermal_part(geom, spec, T, trunc=None):
@@ -613,10 +651,15 @@ def thermal_part(geom, spec, T, trunc=None):
 
     ``F_T = (T/2pi) int_0^inf dxi n_1(xi) (-2) Im Tr ln(1 - M(i xi T))``.
     Scalar fields only: the electromagnetic continuation of the rotated
-    kernel is not validated.  Panels are no wider than half the
-    oscillation scale pi/(2 L T); the Boltzmann factor cuts the range at
-    ``ln(1/rel_tol) + 20``.  The orbital sums converge at a rate set by
-    the J/Y ratio, independent of the separation, so d = 0 is allowed.
+    kernel is not validated.  Panels start at half the oscillation period
+    pi/(L T) (at most 3) and, once over-resolved, are one period wide,
+    never wider (see :func:`_panel_sweep`).  The sweep stops where the
+    Boltzmann factor makes its panels negligible, at the latest at
+    ``ln(1/rel_tol) + 20``; ``xi_max_used`` is the upper end of its last
+    first-pass panel, and ``panels`` and ``panels_refined`` count the
+    panels evaluated by the first pass and by the refinement.  The
+    orbital sums converge at a rate set by the J/Y ratio, independent of
+    the separation, so d = 0 is allowed.
     Each node's l_max growth and m sum run against a floor in units of
     the integrand, n_1 times the trace (see :class:`_SweepState`), so the
     nodes far up the axis, where n_1 is negligible, stop at the cut-offs

@@ -16,10 +16,10 @@ defined modulo 2 pi, and the thermal integrand needs the branch of the
 expanded logarithm, ``sum_i Log(1 - lambda_i)``.  An LU factorization gives
 the value modulo 2 pi; the first four terms of the expanded-logarithm
 series, ``-sum_{k<=4} Tr M^k / k``, with a bound on the remainder from the
-Frobenius norms of M^2 and, where that is not enough, M^4, fix the branch
-whenever that bound is below one radian.  Blocks the bound does not
-certify take the eigenvalues, and those with spectral radius >= 1 the
-per-pivot determinant.
+Frobenius norms of M^2 and, where that is not enough, M^4 and then M^8,
+fix the branch whenever that bound is below one radian.  Blocks the bound
+does not certify take the eigenvalues, and those with spectral radius
+>= 1 the per-pivot determinant.
 
 The force needs the separation derivative of the same trace,
 
@@ -240,14 +240,17 @@ def trace_log_eig(block, plane_sign=1, counts=None):
     ``-(Tr A + Tr A^2/2 + Tr A^3/3 + Tr A^4/4)``, differ from the sum by at
     most ``rho * q2 / (5 (1 - rho))``, where ``q2 = ||A^2||_F^2`` bounds
     ``sum |lambda|^4`` (Schur's inequality for A^2).  The bound is tried in
-    two stages: first with rho = ||A^2||_F^(1/2), which needs only A^2,
-    and, for the blocks that leaves open, with the sharper
-    rho = ||A^4||_F^(1/4), which needs A^4; a block the first stage
-    certifies the second certifies as well, so the two stages certify the
-    blocks the second alone would.  When the bound is below one radian,
-    ``slogdet(1 - A)`` gives the real part and the phase modulo 2 pi, and
-    the one phase within pi of the four-term estimate is the imaginary
-    part.  Otherwise the eigenvalues give the sum, which is the principal
+    three stages: first with rho = ||A^2||_F^(1/2), which needs only A^2,
+    then, for the blocks that leaves open, with the sharper
+    rho = ||A^4||_F^(1/4), which needs A^4, and, for those still open,
+    with rho = ||A^8||_F^(1/8) from A^8 = A^4 A^4 (it reaches the benign
+    non-normal blocks, whose ||A^4||_F^(1/4) still sits well above their
+    spectral radius).  Since ||A^2k||_F <= ||A^k||_F^2, a block an
+    earlier stage certifies every later one certifies as well, so the
+    three stages certify the blocks the last alone would.  When the bound
+    is below one radian, ``slogdet(1 - A)`` gives the real part and the
+    phase modulo 2 pi, and the one phase within pi of the four-term
+    estimate is the imaginary part.  Otherwise the eigenvalues give the sum, which is the principal
     branch of each Log(1 - lambda_i) and equals the series whenever the
     spectral radius is below one.  Each such block adds 1 to
     ``counts["eig_blocks"]`` when a ``counts`` dict is given.
@@ -266,10 +269,16 @@ def trace_log_eig(block, plane_sign=1, counts=None):
         A2 = A @ A
         q2 = _squared_norms(A2)
         certified = _certified(q2 ** 0.25, q2)
+        # the sharper bounds from A^4, then A^8, for the blocks still open
         open_ = np.flatnonzero(~certified)
-        if len(open_):
-            A4 = A2[open_] @ A2[open_]
-            certified[open_] = _certified(_squared_norms(A4) ** 0.125, q2[open_])
+        P = A2[open_]
+        for power in (4, 8):
+            if not len(open_):
+                break
+            P = P @ P
+            passed = _certified(_squared_norms(P) ** (0.5 / power), q2[open_])
+            certified[open_] = passed
+            open_, P = open_[~passed], P[~passed]
         refused = np.flatnonzero(~certified)
         if len(refused):
             A, A2 = A[certified], A2[certified]

@@ -834,14 +834,15 @@ def node_by_node_matsubara(geom, spec, T, trunc=None, derivative=False):
 
 def trace_log_eig_one_stage(stack, plane_sign=1):
     """``trlog.trace_log_eig`` of a stack of rotated blocks with the
-    certificate from rho = ||A^4||_F^(1/4) alone, and the eigenvalues of
+    certificate from rho = ||A^8||_F^(1/8) alone, and the eigenvalues of
     each refused block taken on their own.  Returns the values and whether
     each block was certified."""
     A = plane_sign * np.asarray(stack)
     A2 = A @ A
     A4 = A2 @ A2
+    A8 = A4 @ A4
     q2 = np.sum(np.abs(A2) ** 2, axis=(1, 2))
-    rho = np.sum(np.abs(A4) ** 2, axis=(1, 2)) ** 0.125
+    rho = np.sum(np.abs(A8) ** 2, axis=(1, 2)) ** (1.0 / 16.0)
     certified = (rho < 1.0) & (rho * q2 < 5.0 * (1.0 - rho))
     vals = np.zeros(len(A), dtype=complex)
     C = A[certified]

@@ -112,6 +112,87 @@ def test_panel_rules_integrate_low_powers_exactly(n):
         assert sub_weights @ sub ** 2 == pytest.approx(2.0 / 3.0, abs=1e-14)
 
 
+def test_subrule_degree_is_the_exactness_of_the_embedded_rule():
+    # the embedded rule integrates x^p exactly and x^(p+1) not
+    for n in (3, 5, 9, 13, 17):
+        nodes, _, sub_weights = fe._cc_rule(n)
+        p = fe._subrule_degree(n)
+        exact = [(1.0 - (-1.0) ** (k + 1)) / (k + 1) for k in (p, p + 1)]
+        assert sub_weights @ nodes[::2] ** p == pytest.approx(exact[0], abs=1e-14)
+        assert abs(sub_weights @ nodes[::2] ** (p + 1) - exact[1]) > 1e-6
+    assert [fe._subrule_degree(n) for n in (3, 5, 9, 17)] == [1, 3, 5, 9]
+
+
+def test_panel_sweep_widens_over_resolved_panels():
+    # xi e^{-xi} cos(xi/2) integrates to Re 1/(1 - i/2)^2 = 12/25 over
+    # (0, inf), with no truncation error at the nodes.  Once a panel is
+    # over-resolved the first pass goes on in panels of 2 width, no wider,
+    # and it stops once its small panels in a row span 3 width
+    import numpy as np
+    width, rel_tol, npts = 1.0, 1e-4, 9
+    calls, first = [], []
+
+    def f(x):
+        calls.append((x[0], x[-1]))
+        return np.stack([x * np.exp(-x) * np.cos(0.5 * x), np.zeros_like(x)], axis=1)
+
+    def checkpoint():
+        first.append(calls[-1])
+        return lambda: None
+
+    total, err, work = fe._panel_sweep(f, width, 60.0, npts, rel_tol, checkpoint)
+    assert abs(total - 12.0 / 25.0) <= err
+    widths = [(hi - lo) / width for lo, hi in first]
+    assert all(w == pytest.approx(1.0) or w == pytest.approx(2.0) for w in widths)
+    assert widths.count(pytest.approx(2.0)) > 0
+    assert work == {"xi_max_used": first[-1][1], "panels": len(first),
+                    "panels_refined": len(calls) - len(first)}
+    # the first pass's trailing run of small panels
+    scale, small = 0.0, []
+    for lo, hi in first:
+        v = fe._integrate_panel(f, lo, hi, npts)[0]
+        scale += v
+        small.append(abs(v) * width < rel_tol * 1e-3 * abs(scale) * (hi - lo))
+    run = len(small) - small[::-1].index(False)
+    assert first[-1][1] - first[run][0] >= 3.0 * width - 1e-9
+
+
+def test_sweeps_report_the_range_and_panels_they_used(monkeypatch):
+    # xi_max_used is the upper end of the last first-pass panel, not the
+    # nominal range (ln 1e3 + 20 on the thermal sweep, 19/d + 5/L on the
+    # imaginary axis), and the panels count every panel evaluated
+    ends = []
+    integrate, checkpoint = fe._integrate_panel, fe._SweepState.checkpoint
+
+    def recording(f, a, b, npts):
+        ends.append(b)
+        return integrate(f, a, b, npts)
+
+    def marking(self):
+        ends.append("first")
+        return checkpoint(self)
+
+    monkeypatch.setattr(fe, "_integrate_panel", recording)
+    monkeypatch.setattr(fe._SweepState, "checkpoint", marking)
+    diags = []
+    for run in (lambda: fe.thermal_part(Geometry(1.5, 0.45), DD, 1.0),
+                lambda: fe.vacuum_energy(Geometry(1.0, 0.5), DD)):
+        ends.clear()
+        diag = run().diagnostics
+        last = len(ends) - 1 - ends[::-1].index("first")  # the last first-pass panel
+        assert diag["xi_max_used"] == ends[last - 1]
+        assert diag["panels"] == ends.count("first")
+        assert diag["panels_refined"] == len(ends) - 2 * ends.count("first")
+        assert diag["panels_refined"] > 0
+        diags.append(diag)
+    # at the scan point the first-pass panels are over-resolved from the
+    # third on; in panels of half an oscillation period throughout the
+    # sweep ran to xi 15.2 and built 2225 blocks
+    assert diags[0]["converged"]
+    assert diags[0]["xi_max_used"] < 20.0
+    assert diags[0]["blocks"] <= 1800
+
+
 def test_high_t_factorization():
     # T = 20/d: every non-zero mode is exponentially dead, F -> T F_0
     geom = Geometry(1.0, 0.5)

@@ -143,30 +143,39 @@ def test_refused_block_takes_the_eigenvalue_path():
 
 
 @pytest.mark.parametrize("plane_sign", [1, -1])
-def test_two_stage_certificate_matches_the_fourth_power_alone(plane_sign):
-    # rotated blocks at (1.5, 0.45), l_max 24, over the thermal range of
-    # xi: the ||A^2|| stage certifies most, the ||A^4|| stage some of the
-    # rest, and the eigenvalues take the others, all in one stack per m
-    geom = Geometry(1.5, 0.45)
-    nodes = trlog.kernel.RotatedNodes(np.linspace(0.05, 27.0, 60), geom, DD, 24)
-    stages = {"A2": 0, "A4": 0, "eig": 0}
+def test_three_stage_certificate_matches_the_eighth_power_alone(plane_sign):
+    # rotated blocks at l_max 24 over the thermal range of xi: the ||A^2||
+    # stage certifies most, the ||A^4|| stage some of the rest and the
+    # ||A^8|| stage some of the rest again, all in one stack per m.  At
+    # (1.5, 0.45) that leaves no block to the eigenvalues; at (1.5, 0.2)
+    # the eigenvalues take the others
+    stages = {"A2": 0, "A4": 0, "A8": 0, "eig": 0}
     refused = []
-    for m in range(12):
-        stack = assemble_block(m, trlog.ROTATED, geom, DD, 24, xi=nodes).entries
-        counts = {"eig_blocks": 0}
-        vals, ok = trace_log_eig(stack, plane_sign, counts=counts)
-        want, certified = oracles.trace_log_eig_one_stage(stack, plane_sign)
-        assert np.array_equal(vals, want)
-        assert ok.all()
-        assert counts["eig_blocks"] == np.count_nonzero(~certified)
-        refused.extend(stack[~certified])
-        for M, c in zip(stack, certified):
-            q2 = np.sum(np.abs(M @ M) ** 2)
-            if q2 ** 0.25 < 1.0 and q2 ** 1.25 < 5.0 * (1.0 - q2 ** 0.25):
-                stages["A2"] += 1
-                assert c
-            else:
-                stages["A4" if c else "eig"] += 1
+    for geom in (Geometry(1.5, 0.45), Geometry(1.5, 0.2)):
+        nodes = trlog.kernel.RotatedNodes(np.linspace(0.05, 27.0, 60), geom, DD, 24)
+        for m in range(12):
+            stack = assemble_block(m, trlog.ROTATED, geom, DD, 24, xi=nodes).entries
+            counts = {"eig_blocks": 0}
+            vals, ok = trace_log_eig(stack, plane_sign, counts=counts)
+            want, certified = oracles.trace_log_eig_one_stage(stack, plane_sign)
+            assert np.array_equal(vals, want)
+            assert ok.all()
+            assert counts["eig_blocks"] == np.count_nonzero(~certified)
+            refused.extend(stack[~certified])
+            for M, c in zip(stack, certified):
+                A2 = M @ M
+                q2 = np.sum(np.abs(A2) ** 2)
+                rho4 = np.sum(np.abs(A2 @ A2) ** 2) ** 0.125
+                if q2 ** 0.25 < 1.0 and q2 ** 1.25 < 5.0 * (1.0 - q2 ** 0.25):
+                    stages["A2"] += 1
+                    assert c
+                elif rho4 < 1.0 and rho4 * q2 < 5.0 * (1.0 - rho4):
+                    stages["A4"] += 1
+                    assert c
+                else:
+                    stages["A8" if c else "eig"] += 1
+        if geom.d == 0.45:  # the A^8 stage leaves no block to the eigenvalues
+            assert stages["eig"] == 0 < stages["A8"]
     assert min(stages.values()) > 0
     # the refused blocks' eigenvalues come from one stacked call
     assert np.array_equal(np.linalg.eigvals(np.stack(refused)),
