@@ -4,8 +4,7 @@ profile quadrature.
 """
 
 from casphere import Geometry, PlatePoint, parallel_plates_free_energy
-from casphere.pfa import (pfa_free_energy, pfa_force, pfa_thermal_force,
-                          pfa_regime, pfa_energy_high_t, pfa_force_high_t)
+from casphere.pfa import pfa_free_energy, pfa_force, pfa_thermal_force, pfa_regime
 
 
 def main():
@@ -28,9 +27,10 @@ def main():
     print(f"  medium/high force  {out['force']:12.5f}  "
           f"full {pfa_force(geom, 5.0):12.5f}")
     T = 40.0  # dT = 8: high-temperature laws
-    print(f"  high-T energy law  {pfa_energy_high_t(geom, T):12.4f}  "
+    high = pfa_regime(geom, T, "high")
+    print(f"  high-T energy law  {high['energy']:12.4f}  "
           f"full {pfa_free_energy(geom, T):12.4f}")
-    print(f"  high-T force law   {pfa_force_high_t(geom, T):12.4f}  "
+    print(f"  high-T force law   {high['force']:12.4f}  "
           f"full {pfa_force(geom, T):12.4f}")
 
     print("\ntemperature part of the PFA force (one scalar mode):")

@@ -1,6 +1,6 @@
 r"""Closed-form limits: low-temperature expansions and the high-temperature
 zero mode.  (The small-separation medium/high-temperature formula is the
-PFA's ``pfa.pfa_energy_medium_high``.)
+PFA's ``pfa.pfa_regime(geom, T, "medium_high")``.)
 
 The low-temperature behavior follows the low-momentum law of the sphere's
 scattering amplitudes: the Dirichlet s-wave starts linearly in frequency
@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 from . import trlog
+from .freeenergy import ConvergenceError
 from .kernel import DIRICHLET, ELECTROMAGNETIC
 from .trlog import Truncation
 
@@ -67,18 +68,6 @@ def low_t_thermal(geom, spec, T):
     return ExpansionResult(sign * ZETA4 / math.pi * R ** 3 * T ** 4, 4, note)
 
 
-def em_contact_coefficient():
-    """T^4 coefficient of the electromagnetic thermal part at d = 0,
-    58 zeta(4) / (15 pi)."""
-    return 58.0 * ZETA4 / (15.0 * math.pi)
-
-
-def em_far_coefficient():
-    """T^4 coefficient of the electromagnetic thermal part at large
-    separation, 6 zeta(4) / pi."""
-    return 6.0 * ZETA4 / math.pi
-
-
 def high_t_f0(geom, spec, trunc=None):
     """Zero-mode function F_0(eps) = (1/2) Tr ln(1 - M(0)).
 
@@ -86,12 +75,17 @@ def high_t_f0(geom, spec, trunc=None):
     suppressed non-zero modes.  Convergence of the orbital sums slows like
     1/eps; separations below eps ~ 0.01 are not practical at the default
     momentum cap.
+
+    Raises
+    ------
+    freeenergy.ConvergenceError
+        when the static trace does not converge below the momentum cap
     """
     geom.require_gap()
     trunc = trunc or Truncation()
     tot, diag = trlog.trace_over_m(trlog.STATIC, geom, spec, trunc)
     if not diag["converged"]:
-        raise trlog.SingularBlockError(
+        raise ConvergenceError(
             f"static trace not converged at eps={geom.eps:.3g}; "
             "the documented floor is eps >= 0.01")
     return 0.5 * tot.real

@@ -15,14 +15,14 @@ one-index form).  This module provides
 
 * ``ImagNodes`` / ``scalar_matrix`` -- imaginary frequency axis, scalar
   field with Dirichlet or Neumann conditions on the sphere,
-* ``ImagNodes`` / ``em_matrix`` / ``m_em_block`` -- electromagnetic 2x2
-  polarization blocks,
+* ``ImagNodes`` / ``em_matrix`` -- electromagnetic blocks, TE and TM
+  polarization-major,
 * ``RotatedNodes`` / ``rotated_matrix`` -- analytic continuation to real
   frequencies via J (the sphere numerator) and the Hankel function
   H2 = J - iY, whose tables come from their own upward recurrence,
-* ``m_static`` / ``static_matrix``   -- closed-form zero-frequency limit
-  (the generic formula is 0/0 at xi = 0, so the Matsubara zero mode always
-  uses the closed form).
+* ``static_matrix`` -- closed-form zero-frequency limit (the generic
+  formula is 0/0 at xi = 0, so the Matsubara zero mode always uses the
+  closed form).
 
 Each block builder also gives dM/dd (``derivative=True``) for the force.
 At fixed R and xi, M depends on the separation only through L, in the
@@ -46,9 +46,9 @@ and the geometric factor, all formed in log space once per node and
 l_max); an :class:`ImagNodes` or :class:`RotatedNodes` assembles the
 prefactors and rows once and then makes the stacks of every m, with the
 l'' sums of all nodes in one product.  ``scalar_matrix``, ``em_matrix``
-and ``rotated_matrix`` build one block as a stack of one; the static
-builder makes one block per call, with its half-integer log-gamma factors
-read from the table of :func:`wigner.log_gamma_halves`.
+and ``rotated_matrix`` build one block as a stack of one; ``static_matrix``
+makes one block per call, with its half-integer log-gamma factors read
+from the table of :func:`wigner.log_gamma_halves`.
 
 Everything is pure and reentrant; the only shared state is the idempotent
 coupling-store and log-gamma caches of :mod:`wigner`.
@@ -529,70 +529,14 @@ def em_matrix(m, xi, geom, l_max, derivative=False):
     momentum and polarization in the numerator and the row momentum and
     polarization (with its sign) in the denominator.  This keeps the
     entries of the order of the eigenvalues; it is a diagonal similarity
-    of the per-column T-matrix form, so the determinant is the same.  The
-    entrywise two-index convention of :func:`m_em_block` differs off the
-    diagonal but shares every spectral quantity at m = 0 and in the static
-    limit.  ``derivative`` returns dM/dL as in :func:`scalar_matrix`; the
+    of the per-column T-matrix form, so the determinant is the same.
+    ``derivative`` returns dM/dL as in :func:`scalar_matrix`; the
     polarization mixing factor 2 |m| xi L / (lambda lambda') adds its own
     L dependence.  The block is built as a stack of one by
     :class:`ImagNodes`.
     """
     M, dM = ImagNodes([xi], geom, FieldSpec.em(), l_max, derivative).blocks(m)
     return (dM if derivative else M)[0]
-
-
-def _h_top_value(l, lp, m):
-    """H_{l l'}^{l+l'}; positive for |m| <= min(l, l')."""
-    log3j0 = wigner._log_three_j_top(l, lp, 0)
-    log3jm = wigner._log_three_j_top(l, lp, abs(m))
-    return math.sqrt((2.0 * l + 1.0) * (2.0 * lp + 1.0)) \
-        * (2.0 * (l + lp) + 1.0) * math.exp(log3j0 + log3jm)
-
-
-def m_static(l, lp, m, geom, pol):
-    """Zero-frequency matrix element, closed form.
-
-    Parameters
-    ----------
-    l, lp : int
-        row and column orbital momenta
-    m : int
-        azimuthal index, |m| <= min(l, l')
-    geom : Geometry
-    pol : str or FieldSpec
-        'dirichlet', 'neumann', 'te', 'tm', or a scalar FieldSpec whose
-        sphere_bc is used
-
-    Notes
-    -----
-    Dirichlet: ``(R/2L)^(l+l'+1) sqrt(pi) Gamma(l+l'+1/2) /
-    (2 Gamma(l+1/2) Gamma(l'+3/2)) H_top``; Neumann multiplies by
-    ``-l'/(l+1)``, TE by ``Lambda_top``, TM by ``(l'+1)/l * Lambda_top``
-    (TM requires l >= 1).
-    """
-    if isinstance(pol, FieldSpec):
-        if pol.kind != SCALAR:
-            raise ValueError("pass 'te' or 'tm' explicitly for the electromagnetic field")
-        pol = pol.sphere_bc
-    geom.require_gap()
-    if abs(m) > min(l, lp):
-        return 0.0
-    if pol == "tm" and l == 0:
-        raise ValueError("the TM static element is undefined at l = 0")
-    logd = ((l + lp + 1) * math.log(geom.R / (2.0 * geom.L))
-            + 0.5 * math.log(math.pi) - math.log(2.0)
-            + math.lgamma(l + lp + 0.5) - math.lgamma(l + 0.5) - math.lgamma(lp + 1.5))
-    base = math.exp(logd) * _h_top_value(l, lp, m)
-    if pol == DIRICHLET:
-        return base
-    if pol == NEUMANN:
-        return -lp / (l + 1.0) * base
-    lam_top = math.sqrt(l * lp / ((l + 1.0) * (lp + 1.0)))
-    if pol == "te":
-        return base * lam_top
-    if pol == "tm":
-        return (lp + 1.0) / l * base * lam_top
-    raise ValueError(f"unknown polarization {pol!r}")
 
 
 def static_matrix(m, geom, spec_or_pol, l_max, derivative=False):
@@ -639,42 +583,3 @@ def static_matrix(m, geom, spec_or_pol, l_max, derivative=False):
     if pol == "tm":
         return M * lam_top * (lp + 1.0) / l
     raise ValueError(f"unknown polarization {pol!r}")
-
-
-def m_em_block(l, lp, m, xi, geom):
-    """Electromagnetic 2x2 block in the entrywise (two-index) convention.
-
-    Layout ``[[TE-TE, TE-TM], [TM-TE, TM-TM]]``: the polarization mixing
-    matrix multiplies ``diag(d_TE, -d_TM)`` from the right, with the sphere
-    factors carrying the column momentum in the numerator and the row
-    momentum in the denominator.  The zero-frequency limit of every entry
-    reproduces :func:`m_static`; off the diagonal this convention differs
-    from the determinant-ready :func:`em_matrix` by a non-diagonal
-    similarity, so spectral quantities should be computed from the latter.
-    """
-    if min(l, lp) < max(1, abs(m)):
-        raise ValueError("electromagnetic blocks need l, l' >= max(1, |m|)")
-    geom.require_gap()
-    if not xi > 0.0:
-        raise ValueError("xi must be positive; use m_static for xi = 0")
-    x = xi * geom.R
-    y = 2.0 * xi * geom.L
-    l_hi = max(l, lp)
-    _, log_num_te, _, log_den_te = _sphere_factors_imag(DIRICHLET, x, l_hi)
-    _, log_num_tm, s_den_tm, log_den_tm = _sphere_factors_imag("tm", x, l_hi)
-    _, logk_y = specfun.log_ik_arrays(l + lp, y)
-    hs = wigner.h_slice(l, lp, m)
-    ks = np.arange(abs(l - lp), l + lp + 1)
-    kk = ks.astype(float)
-    lam = 0.5 * (kk * (kk + 1.0) - l * (l + 1.0) - lp * (lp + 1.0)) \
-        / math.sqrt(l * (l + 1.0) * lp * (lp + 1.0))
-    top = logk_y[l + lp]
-    w = np.exp(logk_y[ks] - top)
-    S = float(np.sum(w * hs))
-    S_lam = float(np.sum(w * hs * lam))
-    log_pref = 0.5 * math.log(math.pi / (4.0 * xi * geom.L)) + top
-    tilde = 2.0 * m * xi * geom.L / math.sqrt(l * (l + 1.0) * lp * (lp + 1.0))
-    d_te = math.exp(log_num_te[lp] - log_den_te[l] + log_pref)
-    d_tm = s_den_tm[l] * math.exp(log_num_tm[lp] - log_den_tm[l] + log_pref)
-    return np.array([[S_lam * d_te, -S * tilde * d_tm],
-                     [S * tilde * d_te, -S_lam * d_tm]])

@@ -26,9 +26,11 @@ only exponentially small errors.
 PFA itself integrates the plate result over the sphere profile,
 ``F_pfa = 2 pi R^2 int_0^1 dt (1-t) F_par(d + R t, T)``, and the force is
 the negative d derivative, written with one partial integration as
-``f_pfa = 2 pi R (F_par(d,T) - int_0^1 dt F_par(d + R t, T))``.  The
-functions that integrate import ``scipy.integrate`` in their own bodies, so
-``import casphere`` does not load it.
+``f_pfa = 2 pi R (F_par(d,T) - int_0^1 dt F_par(d + R t, T))``.  Its
+closed-form expansions at small eps, in the regimes of RT and dT, are the
+rows of one table that :func:`pfa_regime` reads.  The functions that
+integrate import ``scipy.integrate`` in their own bodies, so ``import
+casphere`` does not load it.
 """
 
 import math
@@ -38,9 +40,11 @@ from dataclasses import dataclass
 ZETA3 = 1.2020569031595942854
 PI3 = math.pi ** 3
 
-#: below this the exponentially-small-error power forms are used
-G_SMALL_X = 1e-2
-H_SMALL_X = 2e-2
+#: below this the power forms of g and h, whose errors are exponentially
+#: small, are used; above it the exponentially convergent sums.  Just above
+#: 1e-2 the sum of g cancels -1 + 45 zeta(3) x/pi^3 down to ~1e-6 and
+#: loses up to 1e-9 relative accuracy; at 0.15 both forms agree to 4e-15
+SMALL_X = 0.15
 
 
 @dataclass(frozen=True)
@@ -67,14 +71,14 @@ def g_function(x):
 
     ``g = -1 + 45 zeta(3) x / pi^3 + 45 x^4 * (exp-small corrections)``,
 
-    used for x >= 1e-2; below, the small-x asymptotics
+    used for x >= SMALL_X; below, the small-x asymptotics
     ``45 zeta(3) x^3/pi^3 - x^4`` (error ~exp(-2 pi^2/x)) take over.
     """
     if x < 0.0:
         raise ValueError("g is defined for x >= 0")
     if x == 0.0:
         return 0.0
-    if x < G_SMALL_X:
+    if x < SMALL_X:
         return 45.0 * ZETA3 * x ** 3 / PI3 - x ** 4
     s = 0.0
     m = 1
@@ -102,14 +106,14 @@ def h_function(x):
     Normalized so that the inversion symmetry ``h(1/x) = 5/x^2 - h(x)/x^4``
     holds exactly, giving h(1) = 5/2; equivalently
     ``h(x) = 2 int_1^inf dt g(t x)/t^3``.  Exponentially convergent
-    rearrangement for x >= 2e-2, power form ``5x^2 - 90 zeta(3) x^3/pi^3
+    rearrangement for x >= SMALL_X, power form ``5x^2 - 90 zeta(3) x^3/pi^3
     + x^4`` below.
     """
     if x < 0.0:
         raise ValueError("h is defined for x >= 0")
     if x == 0.0:
         return 0.0
-    if x < H_SMALL_X:
+    if x < SMALL_X:
         return 5.0 * x ** 2 - 90.0 * ZETA3 * x ** 3 / PI3 + x ** 4
     s = 0.0
     m = 1
@@ -196,106 +200,68 @@ def _g_profile_integral(rt, weight_one_minus_t):
     return v
 
 
-def pfa_energy_low_medium(geom, T, mode_count=2):
-    """Fixed-RT expansion of the PFA free energy (low/medium temperature)."""
-    R, d = geom.R, geom.d
-    eps = geom.eps
-    rt = R * T
-    bracket = 1.0 + 2.0 * eps ** 2 * _g_profile_integral(rt, True)
-    return (mode_count / 2.0) * (-PI3 * R / (720.0 * d * d)) * bracket
-
-
-def pfa_force_low_medium(geom, T, mode_count=2):
-    """Fixed-RT expansion of the PFA force (low/medium temperature)."""
-    R, d = geom.R, geom.d
-    eps = geom.eps
-    rt = R * T
-    bracket = 1.0 + eps ** 3 * (360.0 * ZETA3 / PI3) * rt ** 3 \
-        - eps ** 3 * _g_profile_integral(rt, False)
-    return (mode_count / 2.0) * (-PI3 * R / (360.0 * d ** 3)) * bracket
-
-
-def pfa_energy_medium_high(geom, T, mode_count=2):
-    """Fixed-dT expansion: -(pi^3 R/720 d^2) (1 + h(2dT)) per mode pair."""
-    R, d = geom.R, geom.d
-    return (mode_count / 2.0) * (-PI3 * R / (720.0 * d * d)) \
-        * (1.0 + h_function(2.0 * d * T))
-
-
-def pfa_force_medium_high(geom, T, mode_count=2):
-    """Fixed-dT expansion: -(pi^3 R/360 d^3) (1 + g(2dT)) per mode pair."""
-    R, d = geom.R, geom.d
-    return (mode_count / 2.0) * (-PI3 * R / (360.0 * d ** 3)) \
-        * (1.0 + g_function(2.0 * d * T))
-
-
-def pfa_energy_low_t(geom, T, mode_count=2):
-    """dT << RT << 1: bracket 1 + eps^2 (360 zeta3/pi^3)(RT)^3."""
-    R, d = geom.R, geom.d
-    eps = geom.eps
-    bracket = 1.0 + eps ** 2 * (360.0 * ZETA3 / PI3) * (R * T) ** 3
-    return (mode_count / 2.0) * (-PI3 * R / (720.0 * d * d)) * bracket
-
-
-def pfa_force_low_t(geom, T, mode_count=2):
-    """dT << RT << 1: bracket 1 + 8 eps^3 (RT)^4."""
-    R, d = geom.R, geom.d
-    eps = geom.eps
-    bracket = 1.0 + 8.0 * eps ** 3 * (R * T) ** 4
-    return (mode_count / 2.0) * (-PI3 * R / (360.0 * d ** 3)) * bracket
-
-
-def pfa_energy_medium_t(geom, T, mode_count=2):
-    """RT >> 1 at small dT: bracket 1 + 20 eps^2 (RT)^2 (uses the third
-    moment of g, int t^-3 g = 5/2)."""
-    R, d = geom.R, geom.d
-    eps = geom.eps
-    bracket = 1.0 + 20.0 * eps ** 2 * (R * T) ** 2
-    return (mode_count / 2.0) * (-PI3 * R / (720.0 * d * d)) * bracket
-
-
-def pfa_force_medium_t(geom, T, mode_count=2):
-    """RT >> 1 at small dT: bracket 1 + eps^3 (360 zeta3/pi^3)(RT)^3."""
-    R, d = geom.R, geom.d
-    eps = geom.eps
-    bracket = 1.0 + eps ** 3 * (360.0 * ZETA3 / PI3) * (R * T) ** 3
-    return (mode_count / 2.0) * (-PI3 * R / (360.0 * d ** 3)) * bracket
-
-
-def pfa_energy_high_t(geom, T, mode_count=2):
-    """dT >> 1: -zeta(3) R T/(4 d) per mode pair, exp-small corrections."""
-    return (mode_count / 2.0) * (-ZETA3 * geom.R * T / (4.0 * geom.d))
-
-
-def pfa_force_high_t(geom, T, mode_count=2):
-    """dT >> 1: -zeta(3) R T/(4 d^2) per mode pair."""
-    return (mode_count / 2.0) * (-ZETA3 * geom.R * T / (4.0 * geom.d ** 2))
+#: The closed-form regime expansions, per mode pair, as the brackets B of
+#: ``E = -(pi^3 R/720 d^2) B`` and ``f = -(pi^3 R/360 d^3) B`` in
+#: (eps, RT, dT), and the inequalities each regime assumes besides d << R,
+#: as (quantity, "<<" or ">>") against 1.
+_REGIMES = {
+    # fixed RT: the eps -> 0 profile integrals of g
+    "low_medium": (
+        lambda eps, rt, dt: 1.0 + 2.0 * eps ** 2 * _g_profile_integral(rt, True),
+        lambda eps, rt, dt: 1.0 + eps ** 3 * (360.0 * ZETA3 / PI3) * rt ** 3
+        - eps ** 3 * _g_profile_integral(rt, False),
+        (("dT", "<<"),)),
+    # fixed dT
+    "medium_high": (
+        lambda eps, rt, dt: 1.0 + h_function(2.0 * dt),
+        lambda eps, rt, dt: 1.0 + g_function(2.0 * dt),
+        (("RT", ">>"),)),
+    # dT << RT << 1
+    "low": (
+        lambda eps, rt, dt: 1.0 + eps ** 2 * (360.0 * ZETA3 / PI3) * rt ** 3,
+        lambda eps, rt, dt: 1.0 + 8.0 * eps ** 3 * rt ** 4,
+        (("RT", "<<"),)),
+    # RT >> 1 with dT << 1; the energy uses the third moment of g,
+    # int t^-3 g = 5/2
+    "medium": (
+        lambda eps, rt, dt: 1.0 + 20.0 * eps ** 2 * rt ** 2,
+        lambda eps, rt, dt: 1.0 + eps ** 3 * (360.0 * ZETA3 / PI3) * rt ** 3,
+        (("RT", ">>"), ("dT", "<<"))),
+    # dT >> 1: E = -zeta(3) R T/(4 d) and f = -zeta(3) R T/(4 d^2), up to
+    # exponentially small corrections
+    "high": (
+        lambda eps, rt, dt: 180.0 * ZETA3 / PI3 * dt,
+        lambda eps, rt, dt: 90.0 * ZETA3 / PI3 * dt,
+        (("dT", ">>"),)),
+}
 
 
 def pfa_regime(geom, T, regime, mode_count=2):
     """Closed-form regime expansions of the PFA energy and force.
 
     regime 'low_medium' evaluates the fixed-RT forms, 'medium_high' the
-    fixed-dT forms.  A warning is emitted when the inputs violate the
+    fixed-dT forms (brackets 1 + h(2dT) and 1 + g(2dT)), 'low' the laws
+    for dT << RT << 1, 'medium' those for RT >> 1 with dT << 1 and 'high'
+    those for dT >> 1.  A warning is emitted when the inputs violate the
     regime inequalities (d << R always; low/medium wants dT << 1,
-    medium/high wants RT >> 1).
+    medium/high RT >> 1, low RT << 1, medium RT >> 1 and dT << 1, high
+    dT >> 1).
     """
+    if regime not in _REGIMES:
+        raise ValueError(f"unknown regime {regime!r}")
     geom.require_gap()
-    dt = geom.d * T
-    rt = geom.R * T
-    if geom.eps > 0.3:
-        warnings.warn(f"PFA regime formulas assume d << R; eps = {geom.eps:.3g}",
+    R, d = geom.R, geom.d
+    eps = geom.eps
+    values = {"RT": R * T, "dT": d * T}
+    if eps > 0.3:
+        warnings.warn(f"PFA regime formulas assume d << R; eps = {eps:.3g}",
                       stacklevel=2)
-    if regime == "low_medium":
-        if dt > 1.0:
-            warnings.warn(f"low/medium regime assumes dT << 1; dT = {dt:.3g}",
+    energy, force, assumes = _REGIMES[regime]
+    for name, side in assumes:
+        v = values[name]
+        if (v > 1.0) if side == "<<" else (v < 1.0):
+            warnings.warn(f"{regime} regime assumes {name} {side} 1; {name} = {v:.3g}",
                           stacklevel=2)
-        return {"energy": pfa_energy_low_medium(geom, T, mode_count),
-                "force": pfa_force_low_medium(geom, T, mode_count)}
-    if regime == "medium_high":
-        if rt < 1.0:
-            warnings.warn(f"medium/high regime assumes RT >> 1; RT = {rt:.3g}",
-                          stacklevel=2)
-        return {"energy": pfa_energy_medium_high(geom, T, mode_count),
-                "force": pfa_force_medium_high(geom, T, mode_count)}
-    raise ValueError(f"unknown regime {regime!r}")
+    args = (eps, values["RT"], values["dT"])
+    return {"energy": (mode_count / 2.0) * (-PI3 * R / (720.0 * d * d)) * energy(*args),
+            "force": (mode_count / 2.0) * (-PI3 * R / (360.0 * d ** 3)) * force(*args)}

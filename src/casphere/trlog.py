@@ -32,10 +32,10 @@ eigenvalues and no branch of the logarithm to choose.
 
 On both frequency axes, several nodes at one l_max run as one stack:
 every block m of the stack comes from one assembly
-(:class:`kernel.ImagNodes`, :class:`kernel.RotatedNodes`), and the
-evaluators above take the whole stack at once, with batched matrix
-products, one stacked ``slogdet`` and, for the refused blocks, one
-stacked ``eigvals``.  The nodes step through m together, each leaves
+(:class:`kernel.ImagNodes`, :class:`kernel.RotatedNodes`) as a plain
+(nodes, n, n) array, and the evaluators above take the whole stack at
+once, with batched matrix products, one stacked ``slogdet`` and, for the
+refused blocks, one stacked ``eigvals``.  The nodes step through m together, each leaves
 the stack at its own m cut, and with automatic growth each runs its own
 l_max test and leaves the stack once it passes.
 
@@ -70,37 +70,6 @@ class SingularBlockError(ArithmeticError):
 
 
 @dataclass
-class MBlockMatrix:
-    """One azimuthal block of the round-trip operator, or a stack of the
-    blocks of several frequency nodes along a leading axis."""
-
-    m: int
-    l_start: int
-    l_max: int
-    entries: np.ndarray
-    polarization_blocks: bool = False
-    derivative: np.ndarray | None = None  # dM/dd, when the force asks for it
-
-    def __post_init__(self):
-        e = self.entries
-        if e.ndim not in (2, 3) or e.shape[-1] != e.shape[-2]:
-            raise ValueError("block must be square")
-        width = self.l_max - self.l_start + 1 if self.l_max >= self.l_start else 0
-        expect = width * (2 if self.polarization_blocks else 1)
-        if e.shape[-1] != expect:
-            raise ValueError(f"block dimension {e.shape[-1]} != expected {expect}")
-        if e.size and not np.isfinite(e).all():
-            raise ValueError("block contains non-finite entries")
-        dm = self.derivative
-        if dm is not None and (dm.shape != e.shape or not np.isfinite(dm).all()):
-            raise ValueError("derivative block must be finite and shaped like the block")
-
-    @property
-    def dimension(self):
-        return self.entries.shape[-1]
-
-
-@dataclass
 class Truncation:
     """Truncation and tolerance settings shared by the drivers.
 
@@ -130,46 +99,36 @@ class Truncation:
 
 
 def assemble_block(m, evaluation, geom, spec, l_max, xi=None, derivative=False):
-    """Fill one MBlockMatrix from the matching kernel operation.
+    """Block m of the round-trip operator and, with ``derivative``, dM/dd
+    (else None), from the matching kernel operation.
 
-    evaluation is one of 'imag' (imaginary axis, needs the frequency xi),
-    'rotated' (real frequency) or 'static'.  On the imaginary axis xi is a
-    frequency or a :class:`kernel.ImagNodes`, on the rotated axis a
-    :class:`kernel.RotatedNodes`; a node stack must be at this l_max, and
-    the block is then the stack of block m of each of its nodes.  With
-    ``derivative`` the block also carries dM/dd from the same kernel.  The
-    plane boundary sign is not applied here; it enters the logarithm
+    evaluation is one of 'imag' (imaginary axis), 'rotated' (real
+    frequency) or 'static'.  On the imaginary and rotated axes xi is the
+    :class:`kernel.ImagNodes` or :class:`kernel.RotatedNodes` stack at
+    this l_max, and the blocks are the stacks of block m of each of its
+    nodes, (nodes, n, n); the static blocks are (n, n).  The plane
+    boundary sign is not applied here; it enters the logarithm
     downstream.
+
+    Raises
+    ------
+    ValueError
+        when a block holds a non-finite entry
     """
-    l_start = max(spec.l_min, abs(m))
-    em = spec.kind == kernel.ELECTROMAGNETIC
-    stack = {ROTATED: kernel.RotatedNodes, IMAG_AXIS: kernel.ImagNodes}.get(evaluation)
-    if evaluation == ROTATED or (stack is not None and isinstance(xi, stack)):
-        if not (isinstance(xi, stack) and xi.l_max == l_max
-                and xi.derivative == derivative):
-            raise ValueError(f"{evaluation} block stacks need a node stack at their "
-                             "l_max, with the derivative when one is asked for")
-        M, dM = xi.blocks(m)
-        return MBlockMatrix(m, l_start, l_max, M, em, dM)
-    if l_start > l_max:
-        empty = np.zeros((0, 0))
-        return MBlockMatrix(m, l_start, l_max, empty, em,
-                            empty if derivative else None)
-    if evaluation == IMAG_AXIS:
-        if em:
-            build, args = kernel.em_matrix, (m, xi, geom, l_max)
-        else:
-            build, args = kernel.scalar_matrix, (m, xi, geom, spec, l_max)
-    elif evaluation == STATIC:
-        build, args = kernel.static_matrix, (m, geom, spec, l_max)
+    if evaluation == STATIC:
+        M = kernel.static_matrix(m, geom, spec, l_max)
+        dM = kernel.static_matrix(m, geom, spec, l_max, derivative=True) if derivative else None
     else:
-        raise ValueError(f"unknown evaluation {evaluation!r}")
-    return MBlockMatrix(m, l_start, l_max, build(*args), em,
-                        build(*args, derivative=True) if derivative else None)
-
-
-def _entries(block):
-    return block.entries if isinstance(block, MBlockMatrix) else np.asarray(block)
+        stack = {ROTATED: kernel.RotatedNodes, IMAG_AXIS: kernel.ImagNodes}.get(evaluation)
+        if stack is None:
+            raise ValueError(f"unknown evaluation {evaluation!r}")
+        if not (isinstance(xi, stack) and xi.l_max == l_max and xi.derivative == derivative):
+            raise ValueError(f"{evaluation} blocks need a node stack at their l_max, "
+                             "with the derivative when one is asked for")
+        M, dM = xi.blocks(m)
+    if not (np.isfinite(M).all() and (dM is None or np.isfinite(dM).all())):
+        raise ValueError("block contains non-finite entries")
+    return M, dM
 
 
 def log_det_one_minus(block, plane_sign=1):
@@ -182,7 +141,7 @@ def log_det_one_minus(block, plane_sign=1):
     Complex (rotated) blocks take the principal branch of each pivot's
     logarithm.
     """
-    M = _entries(block)
+    M = np.asarray(block)
     if M.size == 0:
         return np.zeros(len(M), dtype=complex) if M.ndim == 3 else 0.0 + 0.0j
     if not np.iscomplexobj(M):
@@ -259,7 +218,7 @@ def trace_log_eig(block, plane_sign=1, counts=None):
     ``slogdet`` as batched operations, and the refused blocks as one
     stacked ``eigvals``, and gives arrays of both results.
     """
-    M = _entries(block)
+    M = np.asarray(block)
     stack = M if M.ndim == 3 else M[None]
     k, n = stack.shape[0], stack.shape[-1]
     vals = np.zeros(k, dtype=complex)
@@ -313,7 +272,7 @@ def block_trace_log(block, plane_sign=1, evaluation=IMAG_AXIS, counts=None):
     """
     if evaluation != ROTATED:
         return log_det_one_minus(block, plane_sign)
-    M = _entries(block)
+    M = np.asarray(block)
     vals, ok = trace_log_eig(block, plane_sign, counts=counts)
     if np.all(ok):
         return vals
@@ -326,10 +285,9 @@ def block_trace_log(block, plane_sign=1, evaluation=IMAG_AXIS, counts=None):
     return vals if M.ndim == 3 else complex(vals[0])
 
 
-def trace_derivative(block, plane_sign=1):
-    """d/dd ln det(1 - s M) = -s Tr[(1 - s M)^{-1} dM/dd] for a block that
-    carries its derivative, by one LU factorization and solve; a stack of
-    blocks gives the array of their values.
+def _trace_derivatives(stack, dstack, plane_sign):
+    """d/dd ln det(1 - s M) = -s Tr[(1 - s M)^{-1} dM/dd] of each block of
+    the stack of M and dM/dd, by one LU factorization and solve per block.
 
     Raises
     ------
@@ -337,14 +295,6 @@ def trace_derivative(block, plane_sign=1):
         when a pivot of 1 - s M vanishes (below 1e-12 of the largest): a
         frequency node on a resonance, or an l_max too small
     """
-    M = _entries(block)
-    stack = M if M.ndim == 3 else M[None]
-    out = _trace_derivatives(stack, block.derivative.reshape(stack.shape), plane_sign)
-    return out if M.ndim == 3 else complex(out[0])
-
-
-def _trace_derivatives(stack, dstack, plane_sign):
-    """:func:`trace_derivative` of each block of the stack of M and dM/dd."""
     out = np.zeros(len(stack), dtype=complex)
     if stack.shape[-1]:
         getrf, getrs = _LU[stack.dtype.char]
@@ -393,13 +343,14 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
     ``scale_floor``; with l_max = None the orbital cutoff grows by 4 until
     the folded total changes by less than rel_tol of the larger of its
     projection and that floor.
-    With ``derivative`` every block contributes its
-    :func:`trace_derivative` instead, so the sum is d/dd Tr ln(1 - M), and
-    the m and l tests run on that.
+    With ``derivative`` every block contributes its separation derivative
+    ``-s Tr[(1 - sM)^{-1} dM/dd]`` instead, so the sum is d/dd Tr ln(1 - M),
+    and the m and l tests run on that.
 
     On the imaginary and rotated axes xi may be a 1-d array of nodes,
     evaluated as one stack (a single node is a stack of one): each l_max
     assembles one :class:`kernel.ImagNodes` or :class:`kernel.RotatedNodes`,
+    :func:`assemble_block` reads its blocks once per m as plain arrays, and
     the nodes step through m together and each stops at its own m cut.
     With automatic growth every node starts at the same cutoff, runs its
     own growth test and leaves the stack once it passes, so each node gets
@@ -506,10 +457,10 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
                 active = [active[pos] for pos in live]
                 src.keep(np.array(live))
             if derivative:
-                blk = assemble_block(m, evaluation, geom, spec, l_hi, xi=src,
-                                     derivative=True)
+                M, dM = assemble_block(m, evaluation, geom, spec, l_hi, xi=src,
+                                       derivative=True)
             else:
-                blk = assemble_block(m, evaluation, geom, spec, l_hi, xi=src)
+                M, dM = assemble_block(m, evaluation, geom, spec, l_hi, xi=src)
             counts["blocks"] += len(active)
             counts["m_max_evaluated"] = max(counts["m_max_evaluated"], m)
             # the stack evaluated: the full blocks of the nodes whose total
@@ -518,10 +469,10 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
             hi = [pos for pos, i in enumerate(active) if going[0][i]]
             lo = [pos for pos, i in enumerate(active) if going[1][i]]
             cut = l_lo - l_start + 1 if lo else 0
-            both = _with_sub_blocks(blk.entries, hi, lo, cut, em)
+            both = _with_sub_blocks(M, hi, lo, cut, em)
             if derivative:
                 vals = _trace_derivatives(
-                    both, _with_sub_blocks(blk.derivative, hi, lo, cut, em), sign)
+                    both, _with_sub_blocks(dM, hi, lo, cut, em), sign)
             else:
                 vals = block_trace_log(both, sign, evaluation, counts=counts)
             slots = [(0, active[pos]) for pos in hi] + [(1, active[pos]) for pos in lo]

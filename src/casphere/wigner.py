@@ -54,21 +54,6 @@ _BATCH_ENTRIES = 1 << 15
 #: at l_max 104 take 314 MiB, all m at l_max 200 take 4.2 GiB)
 _STORE_BUDGET = 2 << 30
 
-_lf = math.lgamma  # log factorial via lgamma(n+1)
-
-
-def _logfac(n):
-    return _lf(n + 1)
-
-
-def _log_three_j_top(j1, j2, m):
-    """log |3j(j1 j2 j1+j2; m -m 0)| at the stretched top; sign is (-1)^(j1-j2)."""
-    return 0.5 * (_logfac(2 * j1) + _logfac(2 * j2) + 2.0 * _logfac(j1 + j2)
-                  - _logfac(2 * j1 + 2 * j2 + 1)
-                  - _logfac(j1 - m) - _logfac(j1 + m)
-                  - _logfac(j2 - m) - _logfac(j2 + m))
-
-
 def _parity_sign(k):
     """(-1)^k for an integer array."""
     return 1.0 - 2.0 * (k % 2)
@@ -297,15 +282,6 @@ def _h_slices(l, lp, m):
         wm = _three_j_m_slices(l[rest], lp[rest], m[rest])
         out[: wm.shape[0], rest] *= wm
     return out
-
-
-def h_slice(l, lp, m):
-    """H_{l l'}^{l''} over l'' = |l-l'| .. l+l' as an array.
-
-    |m| <= min(l, l'); the values equal the entries of :func:`h_tensor`
-    exactly.
-    """
-    return _h_slices([l], [lp], abs(m))[: l + lp - abs(l - lp) + 1, 0]
 
 
 _STORES = {}       # m -> anti-diagonal store at the largest l_max seen

@@ -14,7 +14,12 @@ Racah sum for the general m patterns.  Likewise the scalar Bessel values
 (:class:`LogValue` and its readers) read the package's tables one entry at
 a time, :func:`log_y_arrays` gives the Y table, which the package does not
 use, and :func:`hankel2_half` assembles H2 from the J and Y tables, a
-different route from the package's Hankel recurrence.
+different route from the package's Hankel recurrence.  The entry-by-entry
+builders :func:`m_static` (the stretched-top closed form from
+``math.lgamma`` factorials) and :func:`m_em_block` (the two-index
+electromagnetic convention, from the package's sphere factors and
+:func:`h_slice`) check the package's block builders, which share neither
+their convention nor their loops.
 """
 
 import functools
@@ -378,6 +383,101 @@ def m_rotated(l, lp, m, xi, geom, spec, branch=1):
     return complex(M[l - abs(m), lp - abs(m)])
 
 
+def _log_three_j_top(j1, j2, m):
+    """log |3j(j1 j2 j1+j2; m -m 0)| at the stretched top; sign is (-1)^(j1-j2)."""
+    return 0.5 * (_logfac(2 * j1) + _logfac(2 * j2) + 2.0 * _logfac(j1 + j2)
+                  - _logfac(2 * j1 + 2 * j2 + 1)
+                  - _logfac(j1 - m) - _logfac(j1 + m)
+                  - _logfac(j2 - m) - _logfac(j2 + m))
+
+
+def _h_top_value(l, lp, m):
+    """H_{l l'}^{l+l'}; positive for |m| <= min(l, l')."""
+    log3j0 = _log_three_j_top(l, lp, 0)
+    log3jm = _log_three_j_top(l, lp, abs(m))
+    return math.sqrt((2.0 * l + 1.0) * (2.0 * lp + 1.0)) \
+        * (2.0 * (l + lp) + 1.0) * math.exp(log3j0 + log3jm)
+
+
+def m_static(l, lp, m, geom, pol):
+    """Zero-frequency matrix element, closed form, entry by entry.
+
+    pol is 'dirichlet', 'neumann', 'te' or 'tm'; |m| <= min(l, l').
+    Dirichlet: ``(R/2L)^(l+l'+1) sqrt(pi) Gamma(l+l'+1/2) /
+    (2 Gamma(l+1/2) Gamma(l'+3/2)) H_top``; Neumann multiplies by
+    ``-l'/(l+1)``, TE by ``Lambda_top``, TM by ``(l'+1)/l * Lambda_top``
+    (TM requires l >= 1).  The stretched-top 3j symbols come from
+    ``math.lgamma`` factorials, not from the package's log-gamma table.
+    """
+    geom.require_gap()
+    if abs(m) > min(l, lp):
+        return 0.0
+    if pol == "tm" and l == 0:
+        raise ValueError("the TM static element is undefined at l = 0")
+    logd = ((l + lp + 1) * math.log(geom.R / (2.0 * geom.L))
+            + 0.5 * math.log(math.pi) - math.log(2.0)
+            + math.lgamma(l + lp + 0.5) - math.lgamma(l + 0.5) - math.lgamma(lp + 1.5))
+    base = math.exp(logd) * _h_top_value(l, lp, m)
+    if pol == "dirichlet":
+        return base
+    if pol == "neumann":
+        return -lp / (l + 1.0) * base
+    lam_top = math.sqrt(l * lp / ((l + 1.0) * (lp + 1.0)))
+    if pol == "te":
+        return base * lam_top
+    if pol == "tm":
+        return (lp + 1.0) / l * base * lam_top
+    raise ValueError(f"unknown polarization {pol!r}")
+
+
+def h_slice(l, lp, m):
+    """H_{l l'}^{l''} over l'' = |l-l'| .. l+l', one pair read from the
+    package's batched slices (|m| <= min(l, l'))."""
+    from casphere import wigner
+    return wigner._h_slices([l], [lp], abs(m))[: l + lp - abs(l - lp) + 1, 0]
+
+
+def m_em_block(l, lp, m, xi, geom):
+    """Electromagnetic 2x2 block in the entrywise (two-index) convention.
+
+    Layout ``[[TE-TE, TE-TM], [TM-TE, TM-TM]]``: the polarization mixing
+    matrix multiplies ``diag(d_TE, -d_TM)`` from the right, with the sphere
+    factors carrying the column momentum in the numerator and the row
+    momentum in the denominator.  The zero-frequency limit of every entry
+    reproduces :func:`m_static`; off the diagonal this convention differs
+    from the package's ``kernel.em_matrix`` by a non-diagonal similarity,
+    and it shares every spectral quantity with it at m = 0 and in the
+    static limit.
+    """
+    from casphere import kernel, specfun
+    if min(l, lp) < max(1, abs(m)):
+        raise ValueError("electromagnetic blocks need l, l' >= max(1, |m|)")
+    geom.require_gap()
+    if not xi > 0.0:
+        raise ValueError("xi must be positive; use m_static for xi = 0")
+    x = xi * geom.R
+    y = 2.0 * xi * geom.L
+    l_hi = max(l, lp)
+    _, log_num_te, _, log_den_te = kernel._sphere_factors_imag("dirichlet", x, l_hi)
+    _, log_num_tm, s_den_tm, log_den_tm = kernel._sphere_factors_imag("tm", x, l_hi)
+    _, logk_y = specfun.log_ik_arrays(l + lp, y)
+    hs = h_slice(l, lp, m)
+    ks = np.arange(abs(l - lp), l + lp + 1)
+    kk = ks.astype(float)
+    lam = 0.5 * (kk * (kk + 1.0) - l * (l + 1.0) - lp * (lp + 1.0)) \
+        / math.sqrt(l * (l + 1.0) * lp * (lp + 1.0))
+    top = logk_y[l + lp]
+    w = np.exp(logk_y[ks] - top)
+    S = float(np.sum(w * hs))
+    S_lam = float(np.sum(w * hs * lam))
+    log_pref = 0.5 * math.log(math.pi / (4.0 * xi * geom.L)) + top
+    tilde = 2.0 * m * xi * geom.L / math.sqrt(l * (l + 1.0) * lp * (lp + 1.0))
+    d_te = math.exp(log_num_te[lp] - log_den_te[l] + log_pref)
+    d_tm = s_den_tm[l] * math.exp(log_num_tm[lp] - log_den_tm[l] + log_pref)
+    return np.array([[S_lam * d_te, -S * tilde * d_tm],
+                     [S * tilde * d_te, -S_lam * d_tm]])
+
+
 def m_scalar_direct(l, lp, m, xi, R, L, sphere_bc="dirichlet"):
     """Scalar matrix element straight from modified Bessel functions in
     mpmath, with the l'' sum over exact-rational couplings."""
@@ -642,17 +742,16 @@ def sphere_factors_rotated_loop(bc, x, l_max, branch=1):
 @functools.lru_cache(maxsize=16)
 def h_tensor_dense(m, l_start, l_max):
     """Dense ``H[a, b, k]`` with l = l_start + a, l' = l_start + b and
-    l'' = k in 0..2 l_max, built pair by pair from ``wigner.h_slice``
+    l'' = k in 0..2 l_max, built pair by pair from :func:`h_slice`
     instead of the package's anti-diagonal store; zero outside the
     triangle.  Cached; read-only."""
-    from casphere import wigner
     n = l_max - l_start + 1
     H = np.zeros((n, n, 2 * l_max + 1))
     for a in range(n):
         for b in range(a, n):
             l, lp = l_start + a, l_start + b
             ks = np.arange(abs(l - lp), l + lp + 1)
-            H[a, b, ks] = H[b, a, ks] = wigner.h_slice(l, lp, m)
+            H[a, b, ks] = H[b, a, ks] = h_slice(l, lp, m)
     H.flags.writeable = False
     return H
 

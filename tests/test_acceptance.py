@@ -260,8 +260,7 @@ def test_criterion_7_special_function_suite():
         worst = max(worst, abs(float(np.sum((2 * js + 1.0) * vals ** 2)) - 1.0))
     rep.check("3j sum rule (1e-10, l <= 60)", worst < 1e-10, f"worst {worst:.2e}")
 
-    from casphere.kernel import m_em_block
-    from oracles import m_scalar
+    from oracles import m_em_block, m_scalar
     ok = True
     for xi in (1e-2, 1e-3):
         tol = max(1e-3, 10 * xi)
@@ -300,12 +299,13 @@ def test_criterion_8_em_low_temperature_coefficients():
     want = 6.0 * ZETA4 / math.pi
     rep.check("L -> inf coefficient = 6 zeta(4)/pi",
               abs(far - want) < 1e-9 * want, f"got {far:.7f} (= {want:.7f})")
-    # static-kernel m-summed diagonal checks in the far zone
-    from casphere.kernel import m_static
+    # static-kernel m-summed diagonal checks in the far zone: the l = l' = 1
+    # entry is the last of each block at l_max 1
+    from casphere.kernel import static_matrix
     g = Geometry(1.0, 1.0)
     ok = True
     for pol, coef in [("neumann", -2.0), ("te", 2.0), ("tm", 4.0)]:
-        s = sum(m_static(1, 1, m, g, pol) for m in (-1, 0, 1))
+        s = sum(static_matrix(m, g, pol, 1)[-1, -1] for m in (-1, 0, 1))
         ok &= abs(s - coef * 0.25 ** 3) < 1e-12
     rep.check("m-summed l=1 static diagonals {-2, 2, 4} (R/2L)^3", bool(ok))
     f0em = asympt.high_t_f0(Geometry(1.0, 19.0), FieldSpec.em())

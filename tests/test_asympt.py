@@ -9,9 +9,8 @@ import pytest
 from casphere.kernel import Geometry, FieldSpec
 from casphere.trlog import Truncation
 from casphere import asympt, pfa
-from casphere.asympt import (low_t_thermal, high_t_f0, em_contact_coefficient,
-                             em_far_coefficient, ZETA2, ZETA4)
-from casphere.freeenergy import thermal_part
+from casphere.asympt import low_t_thermal, high_t_f0, ZETA2, ZETA4
+from casphere.freeenergy import ConvergenceError, thermal_part
 
 G12 = Geometry(1.0, 1.0)  # R = 1, L = 2
 
@@ -56,22 +55,26 @@ def test_low_t_neumann_sphere_coefficient_matches_thermal_part(plane_bc):
     assert a == pytest.approx(low_t_thermal(geom, spec, 1.0).value, rel=0.01)
 
 
+#: the T^4 coefficients of the electromagnetic thermal part at contact,
+#: 58 zeta(4)/(15 pi), and at large separation, 6 zeta(4)/pi = pi^3/15
+EM_CONTACT = 58.0 * ZETA4 / (15.0 * math.pi)
+EM_FAR = 6.0 * ZETA4 / math.pi
+
+
 def test_low_t_em_coefficients():
     # contact (d -> 0): 58 zeta(4)/(15 pi) = 1.332122; far: 6 zeta(4)/pi
     # = pi^3/15 = 2.067085
-    assert em_contact_coefficient() == pytest.approx(
-        58.0 * ZETA4 / (15.0 * math.pi), rel=1e-14)
-    assert em_contact_coefficient() == pytest.approx(1.3321215, abs=1e-6)
-    assert em_far_coefficient() == pytest.approx(math.pi ** 3 / 15.0, rel=1e-14)
-    assert em_far_coefficient() == pytest.approx(2.0670851, abs=1e-6)
+    assert EM_CONTACT == pytest.approx(1.3321215, abs=1e-6)
+    assert EM_FAR == pytest.approx(math.pi ** 3 / 15.0, rel=1e-14)
+    assert EM_FAR == pytest.approx(2.0670851, abs=1e-6)
     tiny = low_t_thermal(Geometry(1.0, 1e-12), FieldSpec.em(), 1.0)
-    assert tiny.value == pytest.approx(em_contact_coefficient(), rel=1e-9)
+    assert tiny.value == pytest.approx(EM_CONTACT, rel=1e-9)
     far = low_t_thermal(Geometry(1.0, 1e5), FieldSpec.em(), 1.0)
-    assert far.value == pytest.approx(em_far_coefficient(), rel=1e-9)
+    assert far.value == pytest.approx(EM_FAR, rel=1e-9)
     # large-separation correction factor (1 - R^3/4d^3)
     R, d = 1.0, 8.0
     out = low_t_thermal(Geometry(R, d), FieldSpec.em(), 1.0)
-    want = em_far_coefficient() * (1.0 - R ** 3 / (4.0 * d ** 3))
+    want = EM_FAR * (1.0 - R ** 3 / (4.0 * d ** 3))
     assert out.value == pytest.approx(want, rel=2e-3)
 
 
@@ -79,7 +82,7 @@ def test_low_t_em_no_divergence_at_contact():
     # denominators 16 L^3 - R^3 and 4 L^3 - R^3 stay away from zero at L = R
     out = low_t_thermal(Geometry(1.0, 0.0), FieldSpec.em(), 0.5)
     assert math.isfinite(out.value)
-    assert out.value == pytest.approx(em_contact_coefficient() * 0.5 ** 4, rel=1e-12)
+    assert out.value == pytest.approx(EM_CONTACT * 0.5 ** 4, rel=1e-12)
 
 
 def test_low_t_matches_thermal_part():
@@ -95,16 +98,21 @@ def test_pfa_energy_medium_high():
     # normalization (mode_count 2).  h(0) = 0: the vacuum normalization
     # -pi^3 R/(720 d^2), equal to the -2 zeta(4)/(16 pi) R/d^2 leading law
     geom = Geometry(1.0, 0.01)
-    v0 = pfa.pfa_energy_medium_high(geom, 0.0)
+
+    def energy(T):
+        return pfa.pfa_regime(geom, T, "medium_high")["energy"]
+
+    with pytest.warns(UserWarning, match="RT >> 1"):
+        v0 = energy(0.0)
     assert v0 == pytest.approx(-math.pi ** 3 * geom.R / (720.0 * geom.d ** 2), rel=1e-14)
     assert v0 == pytest.approx(-2.0 * ZETA4 / (16.0 * math.pi) * geom.R / geom.d ** 2,
                                rel=1e-14)
     # dT = 1/2 hits the fixed point h(1) = 5/2
-    v = pfa.pfa_energy_medium_high(geom, 0.5 / geom.d)
+    v = energy(0.5 / geom.d)
     assert v == pytest.approx(v0 * (1.0 + 2.5), rel=1e-12)
     # dT >> 1 reaches the high-temperature law -zeta(3) R T/(4 d)
     T = 8.0 / geom.d
-    v = pfa.pfa_energy_medium_high(geom, T)
+    v = energy(T)
     assert v == pytest.approx(-pfa.ZETA3 * geom.R * T / (4.0 * geom.d), rel=1e-3)
 
 
@@ -134,3 +142,11 @@ def test_high_t_f0_small_separation_trend():
     # a single scalar mode tends to half the electromagnetic value
     f0s = high_t_f0(Geometry(1.0, 0.02), FieldSpec(), trunc)
     assert f0s * (-8.0 * 0.02 / pfa.ZETA3) == pytest.approx(1.0, abs=0.06)
+
+
+def test_high_t_f0_reports_a_static_trace_that_did_not_converge():
+    # below the documented floor eps >= 0.01 the orbital growth reaches its
+    # cap without converging; no pivot vanished, so this is not a singular
+    # block
+    with pytest.raises(ConvergenceError, match="not converged"):
+        high_t_f0(Geometry(1.0, 0.003), FieldSpec())

@@ -252,7 +252,7 @@ def test_thermal_sweep_counts_its_work(monkeypatch):
     # leaves out are assumed, at the hint + 4
     def counting_assemble(*args, **kwargs):
         blk = assemble(*args, **kwargs)
-        seen["blocks"] += len(blk.entries)
+        seen["blocks"] += len(blk[0])
         return blk
 
     def counting_trace(evaluation, geom, spec, trunc=None, **kwargs):
@@ -403,7 +403,7 @@ def test_stacked_runs_match_the_node_by_node_sweep(monkeypatch, target, name, fi
 
     def counting_assemble(*args, **kwargs):
         blk = assemble(*args, **kwargs)
-        seen["blocks"] += len(blk.entries)
+        seen["blocks"] += len(blk[0])
         return blk
 
     def counting_eigvals(a):
@@ -497,7 +497,7 @@ def test_chunked_matsubara_sum_matches_the_node_by_node_loop(
 
     def counting_assemble(*args, **kwargs):
         blk = assemble(*args, **kwargs)
-        seen["blocks"] += len(blk.entries) if blk.entries.ndim == 3 else 1
+        seen["blocks"] += len(blk[0]) if blk[0].ndim == 3 else 1
         return blk
 
     monkeypatch.setattr(trlog, "trace_over_m", recording_trace)

@@ -11,11 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from casphere import kernel, wigner
-from casphere.kernel import (Geometry, FieldSpec, m_em_block, m_static,
-                             scalar_matrix, em_matrix)
+from casphere.kernel import Geometry, FieldSpec, scalar_matrix, em_matrix
 
 import oracles
-from oracles import m_rotated, m_scalar
+from oracles import m_em_block, m_rotated, m_scalar, m_static
 
 G12 = Geometry(1.0, 1.0)   # R = 1, L = 2
 DD = FieldSpec("scalar", "dirichlet", "dirichlet")

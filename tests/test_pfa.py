@@ -5,8 +5,10 @@ exponentially convergent rearrangements (tests/oracles.py).
 """
 
 import math
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from casphere.kernel import Geometry
 from casphere import pfa
@@ -26,18 +28,31 @@ def test_g_frozen_values():
 
 
 def test_g_against_mp_oracle():
-    for x in (0.05, 0.37, 1.7, 12.0):
-        assert g_function(x) == pytest.approx(float(oracles.mp_g(x)), rel=1e-12)
+    # 0.0104 lies just above where the exponentially convergent sum of g
+    # would cancel -1 + 45 zeta(3) x/pi^3 down to ~2e-6
+    for x in (0.0104, 0.05, 0.37, 1.7, 12.0):
+        assert g_function(x) == pytest.approx(float(oracles.mp_g(x)), rel=1e-12, abs=0.0)
 
 
 def test_g_small_x_switch_continuity():
     # just above the switch point the power form and the full sum agree to
-    # exponential accuracy, so the branch change is seamless
-    x = 1.01e-2
-    assert g_asymptotic(x) == pytest.approx(g_function(x), rel=1e-10)
-    x = 2.01e-2
+    # exponential accuracy, so the branch change is seamless (measured
+    # 3.4e-15 for g and 1.1e-15 for h)
+    x = 1.01 * pfa.SMALL_X
+    assert g_asymptotic(x) == pytest.approx(g_function(x), rel=1e-13, abs=0.0)
     assert h_function(x) == pytest.approx(
-        5 * x ** 2 - 90 * ZETA3 * x ** 3 / PI3 + x ** 4, rel=1e-10)
+        5 * x ** 2 - 90 * ZETA3 * x ** 3 / PI3 + x ** 4, rel=1e-13, abs=0.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(log_x=st.floats(math.log(1e-3), math.log(1e3)))
+def test_inversion_symmetries_hold_on_every_branch(log_x):
+    # g(x) = x^4 g(1/x) and h(1/x) = 5/x^2 - h(x)/x^4, across both forms of
+    # each function
+    x = math.exp(log_x)
+    assert g_function(x) == pytest.approx(x ** 4 * g_function(1.0 / x), rel=1e-12, abs=0.0)
+    assert h_function(1.0 / x) == pytest.approx(5.0 / x ** 2 - h_function(x) / x ** 4,
+                                                rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 2.0, 10.0])
@@ -127,11 +142,11 @@ def test_pfa_energy_matches_medium_high_at_small_eps():
     # dT = 1, eps -> 0: bracket tends to 1 + h(2); the residual is O(eps)
     # with a prefactor of about 7, so 0.1 percent needs eps ~ 3e-5
     geom = Geometry(3e4, 1.0)
-    want = pfa.pfa_energy_medium_high(geom, 1.0, 2)
+    want = pfa_regime(geom, 1.0, "medium_high", 2)["energy"]
     assert pfa_free_energy(geom, 1.0, 2) == pytest.approx(want, rel=1e-3)
     # at eps = 1e-3 the agreement is O(eps)
     geom = Geometry(1e3, 1.0)
-    want = pfa.pfa_energy_medium_high(geom, 1.0, 2)
+    want = pfa_regime(geom, 1.0, "medium_high", 2)["energy"]
     assert pfa_free_energy(geom, 1.0, 2) == pytest.approx(want, rel=1e-2)
 
 
@@ -182,8 +197,85 @@ def test_regime_formulas():
     assert out["energy"] == pytest.approx(want_e, rel=1e-13)
     # medium-temperature energy uses the third moment of g: bracket 20 (RT)^2 eps^2
     lm = pfa_regime(Geometry(100.0, 0.001), 1.0, "low_medium")
-    med = pfa.pfa_energy_medium_t(Geometry(100.0, 0.001), 1.0)
+    med = pfa_regime(Geometry(100.0, 0.001), 1.0, "medium")["energy"]
     assert lm["energy"] == pytest.approx(med, rel=1e-4)
+
+
+#: the closed-form brackets B of E = -(pi^3 R/720 d^2) B and
+#: f = -(pi^3 R/360 d^3) B, per regime, at a point inside its inequalities
+#: where the temperature terms are not small.  The low_medium point has
+#: 2 RT < 0.15, where g is its power form 45 zeta(3) x^3/pi^3 - x^4, so the
+#: profile integrals are polynomials in RT
+BRACKETS = {
+    "low": (Geometry(1.0, 0.25), 0.8,
+            lambda eps, rt, dt: 1.0 + eps ** 2 * 360.0 * ZETA3 / PI3 * rt ** 3,
+            lambda eps, rt, dt: 1.0 + 8.0 * eps ** 3 * rt ** 4),
+    "medium": (Geometry(4.0, 1.0), 1.0,
+               lambda eps, rt, dt: 1.0 + 20.0 * eps ** 2 * rt ** 2,
+               lambda eps, rt, dt: 1.0 + eps ** 3 * 360.0 * ZETA3 / PI3 * rt ** 3),
+    "low_medium": (Geometry(1.0, 0.25), 0.07,
+                   lambda eps, rt, dt: 1.0 + 2.0 * eps ** 2 * (
+                       180.0 * ZETA3 / PI3 * rt ** 3 - 8.0 * rt ** 4 / 3.0),
+                   lambda eps, rt, dt: 1.0 + 8.0 * eps ** 3 * rt ** 4),
+    "medium_high": (Geometry(10.0, 0.5), 1.3,
+                    lambda eps, rt, dt: 1.0 + float(oracles.mp_h(2.0 * dt)),
+                    lambda eps, rt, dt: 1.0 + float(oracles.mp_g(2.0 * dt))),
+    # -zeta(3) R T/(4 d) and -zeta(3) R T/(4 d^2)
+    "high": (Geometry(10.0, 1.0), 3.0,
+             lambda eps, rt, dt: 180.0 * ZETA3 / PI3 * dt,
+             lambda eps, rt, dt: 90.0 * ZETA3 / PI3 * dt),
+}
+
+
+@pytest.mark.parametrize("regime", list(BRACKETS))
+def test_regime_equals_its_closed_form_bracket(regime):
+    geom, T, energy, force = BRACKETS[regime]
+    args = (geom.eps, geom.R * T, geom.d * T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = pfa_regime(geom, T, regime, 1)
+    lead = -PI3 * geom.R / (720.0 * geom.d ** 2) / 2.0
+    assert out["energy"] == pytest.approx(lead * energy(*args), rel=1e-13)
+    assert out["force"] == pytest.approx(2.0 * lead / geom.d * force(*args), rel=1e-13)
+
+
+#: (geometry, T, whether the comparison is of the thermal parts, and the
+#: tolerances of energy and force), each point inside its regime's
+#: inequalities.  Where the thermal part is a small share of the value
+#: (low, medium, low_medium), the thermal parts are compared: the value
+#: less its T = 0 form (bracket 1) against the quadrature at T less the
+#: quadrature at T = 0.  Each tolerance is about 1.5 times the measured
+#: deviation:
+#:   low          E 4.1e-2 (the law's O(RT) error); f 0 to rounding (both
+#:                sides take g's power form, whose x^4 term is the law)
+#:   medium       E 2.3e-2, f 8.3e-3 (O(1/RT))
+#:   low_medium   E 7.0e-4, f 8.0e-5 (O(eps))
+#:   medium_high  E 9.2e-4, f 9.8e-5 (O(eps))
+#:   high         E 7.0e-3; f 1.0e-3 = eps (the quadrature is the law over
+#:                1 + eps)
+AGREEMENT = {
+    "low": (Geometry(0.5, 0.005), 0.2, True, 0.06, 1e-6),
+    "medium": (Geometry(100.0, 0.001), 1.0, True, 0.035, 0.0125),
+    "low_medium": (Geometry(10.0, 0.01), 0.05, True, 1e-3, 1.2e-4),
+    "medium_high": (Geometry(100.0, 0.01), 50.0, False, 1.4e-3, 1.5e-4),
+    "high": (Geometry(500.0, 0.5), 10.0, False, 0.01, 1.5e-3),
+}
+
+
+@pytest.mark.parametrize("regime", list(AGREEMENT))
+def test_regime_agrees_with_the_pfa_quadrature(regime):
+    geom, T, thermal, tol_e, tol_f = AGREEMENT[regime]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = pfa_regime(geom, T, regime)
+    energy, force = pfa_free_energy(geom, T), pfa_force(geom, T)
+    if thermal:
+        lead = -PI3 * geom.R / (720.0 * geom.d ** 2)
+        out = {"energy": out["energy"] - lead, "force": out["force"] - 2.0 * lead / geom.d}
+        energy -= pfa_free_energy(geom, 0.0)
+        force -= pfa_force(geom, 0.0)
+    assert out["energy"] == pytest.approx(energy, rel=tol_e)
+    assert out["force"] == pytest.approx(force, rel=tol_f)
 
 
 def test_regime_warnings():
@@ -191,6 +283,16 @@ def test_regime_warnings():
         pfa_regime(Geometry(1.0, 0.9), 1.0, "medium_high")
     with pytest.warns(UserWarning):
         pfa_regime(Geometry(100.0, 0.01), 200.0, "low_medium")  # dT = 2 > 1
+    # outside each inequality of the low, medium and high laws
+    for geom, T, regime, broken in [
+            (Geometry(10.0, 0.01), 1.0, "low", "RT << 1"),         # RT = 10
+            (Geometry(10.0, 0.01), 0.01, "medium", "RT >> 1"),     # RT = 0.1
+            (Geometry(100.0, 1.0), 2.0, "medium", "dT << 1"),      # dT = 2
+            (Geometry(100.0, 0.01), 1.0, "high", "dT >> 1")]:      # dT = 0.01
+        with pytest.warns(UserWarning, match=broken):
+            pfa_regime(geom, T, regime)
+    with pytest.raises(ValueError, match="unknown regime"):
+        pfa_regime(Geometry(100.0, 0.01), 1.0, "low_t")
 
 
 def test_thermal_force_reference_points():

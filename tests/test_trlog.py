@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from casphere import trlog
 from casphere.kernel import Geometry, FieldSpec
-from casphere.trlog import (MBlockMatrix, Truncation, assemble_block,
+from casphere.trlog import (Truncation, assemble_block,
                             block_trace_log, log_det_one_minus,
                             trace_log_eig, trace_over_m, SingularBlockError)
 
@@ -17,15 +17,9 @@ import oracles
 DD = FieldSpec()
 
 
-def _block(arr, m=0, polar=False):
-    n = arr.shape[0]
-    return MBlockMatrix(m, 0, n - 1 if not polar else n // 2 - 1,
-                        np.asarray(arr), polar)
-
-
 def test_logdet_trivial_cases():
-    assert log_det_one_minus(_block(np.zeros((3, 3)))) == 0.0
-    one = _block(np.array([[0.25]]))
+    assert log_det_one_minus(np.zeros((3, 3))) == 0.0
+    one = np.array([[0.25]])
     assert log_det_one_minus(one).real == pytest.approx(math.log(0.75), rel=1e-14)
     assert log_det_one_minus(one, plane_sign=-1).real == pytest.approx(
         math.log(1.25), rel=1e-14)
@@ -33,7 +27,7 @@ def test_logdet_trivial_cases():
 
 def test_logdet_singular():
     with pytest.raises(SingularBlockError):
-        log_det_one_minus(_block(np.array([[1.0]])))
+        log_det_one_minus(np.array([[1.0]]))
 
 
 def test_series_geometric():
@@ -52,10 +46,10 @@ def test_series_matches_determinant_random(seed):
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     M *= 0.55 / max(abs(np.linalg.eigvals(M)))
-    want = log_det_one_minus(_block(M))
+    want = log_det_one_minus(M)
     got, _ = oracles.trace_log_series(M, s_max=400)
     assert got == pytest.approx(want, abs=1e-10)
-    eigv, ok = trace_log_eig(_block(M))
+    eigv, ok = trace_log_eig(M)
     assert ok and eigv == pytest.approx(want, abs=1e-12)
 
 
@@ -86,11 +80,11 @@ def test_certified_branch_off_the_principal_phase(form):
     sign, _ = np.linalg.slogdet(np.eye(n) - M)
     assert abs(np.angle(sign) - want.imag) > math.pi
     counts = {"eig_blocks": 0}
-    got, ok = trace_log_eig(_block(M), counts=counts)
+    got, ok = trace_log_eig(M, counts=counts)
     assert ok and counts["eig_blocks"] == 0  # certified: no eigenvalues
     assert got == pytest.approx(want, abs=1e-12)
     # the Neumann plane: the same block with the opposite sign
-    got, ok = trace_log_eig(_block(-M), plane_sign=-1, counts=counts)
+    got, ok = trace_log_eig(-M, plane_sign=-1, counts=counts)
     assert ok and counts["eig_blocks"] == 0
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -109,7 +103,7 @@ def test_trace_log_eig_equals_eigenvalue_sum(seed, n, rho, skew, plane_sign):
     S = np.eye(n) + skew * (rng.standard_normal((n, n))
                             + 1j * rng.standard_normal((n, n))) / math.sqrt(n)
     M = S @ np.diag(lam) @ np.linalg.inv(S)
-    got, ok = trace_log_eig(_block(M), plane_sign)
+    got, ok = trace_log_eig(M, plane_sign)
     assert ok
     assert got == pytest.approx(oracles.trace_log_eigenvalues(M, plane_sign),
                                 abs=1e-12)
@@ -121,7 +115,7 @@ def test_refused_block_takes_the_eigenvalue_path():
     M *= 0.9 / max(abs(np.linalg.eigvals(M)))
     for sign in (1, -1):
         counts = {"eig_blocks": 0}
-        got, ok = trace_log_eig(_block(M), sign, counts=counts)
+        got, ok = trace_log_eig(M, sign, counts=counts)
         assert counts["eig_blocks"] == 1
         lam = np.linalg.eigvals(M) * sign
         assert ok and got == complex(np.sum(np.log(1.0 - lam.astype(complex))))
@@ -129,17 +123,17 @@ def test_refused_block_takes_the_eigenvalue_path():
     # so the phase nearest to it would be 2 pi wrong
     lam = 0.97 * np.exp(0.3j)
     counts = {"eig_blocks": 0}
-    got, ok = trace_log_eig(_block(np.diag(np.full(12, lam))), counts=counts)
+    got, ok = trace_log_eig(np.diag(np.full(12, lam)), counts=counts)
     assert ok and counts["eig_blocks"] == 1
     assert got == pytest.approx(12 * np.log(1.0 - lam), abs=1e-12)
     # spectral radius above one: not converged, and the dispatcher takes
     # the per-pivot determinant
     big = np.diag([1.5 + 0.1j, 0.2])
     counts = {"eig_blocks": 0}
-    _, ok = trace_log_eig(_block(big), counts=counts)
+    _, ok = trace_log_eig(big, counts=counts)
     assert not ok and counts["eig_blocks"] == 1
-    assert block_trace_log(_block(big), evaluation=trlog.ROTATED) == \
-        log_det_one_minus(_block(big))
+    assert block_trace_log(big, evaluation=trlog.ROTATED) == \
+        log_det_one_minus(big)
 
 
 @pytest.mark.parametrize("plane_sign", [1, -1])
@@ -154,7 +148,7 @@ def test_three_stage_certificate_matches_the_eighth_power_alone(plane_sign):
     for geom in (Geometry(1.5, 0.45), Geometry(1.5, 0.2)):
         nodes = trlog.kernel.RotatedNodes(np.linspace(0.05, 27.0, 60), geom, DD, 24)
         for m in range(12):
-            stack = assemble_block(m, trlog.ROTATED, geom, DD, 24, xi=nodes).entries
+            stack = assemble_block(m, trlog.ROTATED, geom, DD, 24, xi=nodes)[0]
             counts = {"eig_blocks": 0}
             vals, ok = trace_log_eig(stack, plane_sign, counts=counts)
             want, certified = oracles.trace_log_eig_one_stage(stack, plane_sign)
@@ -185,28 +179,45 @@ def test_three_stage_certificate_matches_the_eighth_power_alone(plane_sign):
 def test_plane_sign_equals_negated_matrix():
     rng = np.random.default_rng(7)
     M = 0.3 * rng.standard_normal((4, 4))
-    a = log_det_one_minus(_block(M), plane_sign=-1)
-    b = log_det_one_minus(_block(-M), plane_sign=1)
+    a = log_det_one_minus(M, plane_sign=-1)
+    b = log_det_one_minus(-M, plane_sign=1)
     assert a == pytest.approx(b, rel=1e-13)
 
 
 def test_assemble_block_shapes():
     geom = Geometry(1.0, 1.0)
-    blk = assemble_block(0, trlog.STATIC, geom, DD, 0)
-    assert blk.entries.shape == (1, 1)
-    assert blk.entries[0, 0] == pytest.approx(0.25, rel=1e-13)
-    empty = assemble_block(3, trlog.IMAG_AXIS, geom, DD, 2, xi=1.0)
-    assert empty.dimension == 0
+    M, dM = assemble_block(0, trlog.STATIC, geom, DD, 0)
+    assert M.shape == (1, 1) and dM is None
+    assert M[0, 0] == pytest.approx(0.25, rel=1e-13)
+    assert assemble_block(1, trlog.STATIC, geom, DD, 0)[0].shape == (0, 0)
+    nodes = trlog.kernel.ImagNodes([1.0], geom, DD, 2)
+    empty, _ = assemble_block(3, trlog.IMAG_AXIS, geom, DD, 2, xi=nodes)
+    assert empty.shape == (1, 0, 0)
     assert log_det_one_minus(empty) == 0.0
-    em = assemble_block(1, trlog.IMAG_AXIS, geom, FieldSpec.em(), 3, xi=0.5)
-    assert em.polarization_blocks and em.entries.shape == (6, 6)
+    em_nodes = trlog.kernel.ImagNodes([0.5], geom, FieldSpec.em(), 3)
+    em, _ = assemble_block(1, trlog.IMAG_AXIS, geom, FieldSpec.em(), 3, xi=em_nodes)
+    assert em.shape == (1, 6, 6)  # l = 1..3 in each polarization
 
 
 def test_block_validation():
-    with pytest.raises(ValueError):
-        MBlockMatrix(0, 0, 1, np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        MBlockMatrix(0, 0, 2, np.full((3, 3), np.nan))
+    # a non-finite entry in M or in dM/dd fails loudly
+    geom = Geometry(1.0, 1.0)
+    for poisoned in ("P", "V"):
+        nodes = trlog.kernel.ImagNodes([1.0], geom, DD, 2, derivative=True)
+        if poisoned == "P":  # both M and dM
+            nodes.P[0, 0, 0, 0] = np.nan
+        else:  # the rows of dM only
+            nodes.V[..., 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            assemble_block(0, trlog.IMAG_AXIS, geom, DD, 2, xi=nodes, derivative=True)
+    # a node stack must match the block's l_max and derivative
+    nodes = trlog.kernel.ImagNodes([1.0], geom, DD, 2)
+    for l_max, derivative in ((3, False), (2, True)):
+        with pytest.raises(ValueError, match="node stack"):
+            assemble_block(0, trlog.IMAG_AXIS, geom, DD, l_max, xi=nodes,
+                           derivative=derivative)
+    with pytest.raises(ValueError, match="unknown evaluation"):
+        assemble_block(0, "bogus", geom, DD, 2, xi=nodes)
 
 
 def test_monotone_truncation():
@@ -248,9 +259,10 @@ def test_m_fold_symmetry():
     trunc = Truncation(l_max=6)
     folded, _ = trace_over_m(trlog.IMAG_AXIS, geom, DD, trunc, xi=1.0)
     total = 0.0
+    nodes = trlog.kernel.ImagNodes([1.0], geom, DD, 6)
     for m in range(-6, 7):
-        blk = assemble_block(abs(m), trlog.IMAG_AXIS, geom, DD, 6, xi=1.0)
-        total += log_det_one_minus(blk).real
+        M, _ = assemble_block(abs(m), trlog.IMAG_AXIS, geom, DD, 6, xi=nodes)
+        total += log_det_one_minus(M)[0].real
     assert folded.real == pytest.approx(total, rel=1e-14)
 
 
@@ -283,18 +295,17 @@ def test_rotated_block_past_unit_radius_counts_a_fallback(monkeypatch):
     shift[0] = 3.0
 
     def inflated(m, evaluation, geom, spec, l_max, xi=None, derivative=False):
-        blk = assemble(m, evaluation, geom, spec, l_max, xi=xi, derivative=derivative)
+        M, dM = assemble(m, evaluation, geom, spec, l_max, xi=xi, derivative=derivative)
         if m == 0:
-            entries = blk.entries.copy()
-            entries[1] += np.diag(shift)
-            blk = MBlockMatrix(m, blk.l_start, l_max, entries)
-        return blk
+            M = M.copy()
+            M[1] += np.diag(shift)
+        return M, dM
 
     monkeypatch.setattr(trlog, "assemble_block", inflated)
     vals, diag = trace_over_m(trlog.ROTATED, geom, DD, trunc, xi=xs)
     assert diag["fallbacks"] == 1
     M0 = assemble(0, trlog.ROTATED, geom, DD, 6,
-                  xi=trlog.kernel.RotatedNodes(xs[1:2], geom, DD, 6)).entries[0]
+                  xi=trlog.kernel.RotatedNodes(xs[1:2], geom, DD, 6))[0][0]
     change = log_det_one_minus(M0 + np.diag(shift)) - trace_log_eig(M0)[0]
     assert vals[1] == pytest.approx(plain[1] + change, abs=1e-12)
     assert vals[[0, 2]] == pytest.approx(plain[[0, 2]], abs=1e-14)
@@ -383,11 +394,11 @@ def test_zero_padding_leaves_the_evaluators_unchanged(em):
             got, ok = trace_log_eig(_padded(M, pad, em), sign)
             assert ok and got == pytest.approx(trace_log_eig(M, sign)[0], abs=1e-12)
         for M in (real, contraction(0.6, complex)):
-            blk = MBlockMatrix(0, 0, n - 1, M, em, dM.astype(M.dtype))
-            big = MBlockMatrix(0, 0, n + pad - 1, _padded(M, pad, em), em,
-                               _padded(dM.astype(M.dtype), pad, em))
-            assert trlog.trace_derivative(big, sign) == pytest.approx(
-                trlog.trace_derivative(blk, sign), abs=1e-13)
+            D = dM.astype(M.dtype)
+            got = trlog._trace_derivatives(_padded(M, pad, em)[None],
+                                           _padded(D, pad, em)[None], sign)
+            assert got[0] == pytest.approx(
+                trlog._trace_derivatives(M[None], D[None], sign)[0], abs=1e-13)
     # the stacked form that trace_over_m evaluates: full blocks, then the
     # padded leading sub-blocks of the same blocks
     full = np.stack([contraction(0.6, float) for _ in range(3)])

@@ -10,10 +10,10 @@ from scipy.special import gammaln
 
 from casphere import kernel, wigner
 from casphere.specfun import L_CAP
-from casphere.wigner import h_slice, h_tensor, lambda_tensor
+from casphere.wigner import h_tensor, lambda_tensor
 
 import oracles
-from oracles import h_factor, three_j
+from oracles import h_factor, h_slice, three_j
 
 
 def test_trivial_values():
