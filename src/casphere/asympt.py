@@ -88,5 +88,5 @@ def high_t_f0(geom, spec, trunc=None):
         raise ConvergenceError(
             f"static trace not converged at eps={geom.eps:.3g}; "
             "the documented floor is eps >= 0.01")
-    return 0.5 * tot.real
+    return 0.5 * tot[0].real
 

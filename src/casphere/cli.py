@@ -149,6 +149,20 @@ def _result_row(inputs, res):
     return row
 
 
+def _observable(quantity, cfg, geom, spec, trunc, T_default=None):
+    """The EnergyResult of one of the four observables, named as the
+    ``--command`` and ``--scan-quantity`` choices name them, with the
+    temperature (where it takes one) from ``cfg`` or ``T_default``."""
+    if quantity == "vacuum-energy":
+        return freeenergy.vacuum_energy(geom, spec, trunc)
+    T = _temperature(cfg, T_default)
+    if quantity == "free-energy":
+        return freeenergy.matsubara_free_energy(geom, spec, T, trunc)
+    if quantity == "thermal-part":
+        return freeenergy.thermal_part(geom, spec, T, trunc)
+    return freeenergy.force(geom, spec, T, trunc, target=cfg.get("force_target", "total"))
+
+
 def _write_csv(rows, out_path):
     if not rows:
         raise ConfigError("nothing to write")
@@ -215,18 +229,11 @@ def _scan_rows(cfg, rows, records):
             local.pop("epsilon")
         geom = _geometry(local)
         T = _temperature(local, 0.0)
-        if quantity == "free-energy":
-            res = freeenergy.matsubara_free_energy(geom, spec, T, trunc)
-        elif quantity == "vacuum-energy":
-            res = freeenergy.vacuum_energy(geom, spec, trunc)
-        elif quantity == "thermal-part":
-            res = freeenergy.thermal_part(geom, spec, T, trunc)
-        elif quantity == "force":
-            res = freeenergy.force(geom, spec, T, trunc,
-                                   target=cfg.get("force_target", "total"))
-        else:
+        if quantity == "pfa":
             val = pfa.pfa_free_energy(geom, T, cfg.get("mode_count", 2))
             res = freeenergy.EnergyResult(val, 0.0, {"converged": True})
+        else:
+            res = _observable(quantity, local, geom, spec, trunc, 0.0)
         inputs = {"scan_axis": axis, axis: v, "R": geom.R, "d": geom.d, "T": T}
         rows.append(_result_row(inputs, res))
         records.append(dict(inputs, diagnostics=res.diagnostics))
@@ -284,17 +291,7 @@ def _rows(command, cfg, rows, records):
         })
         return True
     geom = _geometry(cfg)
-    spec = _field(cfg)
-    trunc = _truncation(cfg)
-    if command == "free-energy":
-        res = freeenergy.matsubara_free_energy(geom, spec, _temperature(cfg), trunc)
-    elif command == "vacuum-energy":
-        res = freeenergy.vacuum_energy(geom, spec, trunc)
-    elif command == "thermal-part":
-        res = freeenergy.thermal_part(geom, spec, _temperature(cfg), trunc)
-    else:
-        res = freeenergy.force(geom, spec, _temperature(cfg), trunc,
-                               target=cfg.get("force_target", "total"))
+    res = _observable(command, cfg, geom, _field(cfg), _truncation(cfg))
     inputs = {"command": command, "R": geom.R, "d": geom.d, "T": cfg.get("T", "")}
     rows.append(_result_row(inputs, res))
     records.append(dict(inputs, diagnostics=res.diagnostics))

@@ -304,16 +304,18 @@ class _SweepState:
     cut-off its panel's first pass verified: an assumed node at that
     panel's final hint + 4, which is at least every cut-off the panel used.
 
-    The diagnostics count the blocks assembled, the rotated ones among
+    The diagnostics are one work record (:data:`trlog.WORK`), ``work``.
+    Each stack merges into it the work of every node it evaluated, the
+    discarded nodes included: the blocks assembled, the rotated ones among
     them whose log-determinant took eigenvalues (``eig_blocks``) or the
-    per-pivot determinant (``fallbacks``), the discarded nodes' blocks
-    included, the nodes run at the last verified cut-off without a growth
-    test of their own (``nodes_assumed``) and the nodes evaluated in a
-    stack and then thrown away (``nodes_discarded``).  Next to the largest
-    accepted cut-offs (``l_max_used``, ``m_max_used``) they give the
-    largest l_max and m of any block assembled (``l_max_evaluated``,
-    ``m_max_evaluated``), the discarded nodes and the lower cut-offs of
-    the growth steps included.
+    per-pivot determinant (``fallbacks``), and the largest l_max and m of
+    any block assembled (``l_max_evaluated``, ``m_max_evaluated``), the
+    lower cut-offs of the growth steps included.  The largest cut-offs
+    (``l_max_used``, ``m_max_used``), ``converged`` and the nodes run at
+    the last verified cut-off without a growth test of their own
+    (``nodes_assumed``) come from the accepted nodes alone, and
+    ``nodes_discarded`` counts the nodes evaluated in a stack and then
+    thrown away.
     """
 
     VERIFY_EVERY = 6
@@ -330,20 +332,11 @@ class _SweepState:
         self.floor = floor
         self.weight = weight
         self.auto = trunc.l_max is None
-        self.l_used = 0
-        self.m_used = 0
-        self.l_evaluated = 0
-        self.m_evaluated = 0
-        self.converged = True
         self.hint = spec.l_min + 4  # where trace_over_m starts without a hint
         self.scale = scale
         self.count = 0
         self.rel_change = 0.0
-        self.blocks = 0
-        self.eig_blocks = 0
-        self.fallbacks = 0
-        self.nodes_assumed = 0
-        self.nodes_discarded = 0
+        self.work = trlog.new_work()
 
     def evaluate(self, xis, stop=None):
         """The trace (or its derivative) at each of the nodes ``xis``, in
@@ -381,12 +374,8 @@ class _SweepState:
                 if self._stack(xis[i: i + 1], vals[i:], errs[i:], stop)[1]:
                     return i + 1, True
             return len(xis), False
-        self.blocks += diag["blocks"]
-        self.eig_blocks += diag["eig_blocks"]
-        self.fallbacks += diag["fallbacks"]
-        self.l_evaluated = max(self.l_evaluated, diag["l_max_evaluated"])
-        self.m_evaluated = max(self.m_evaluated, diag["m_max_evaluated"])
         nodes = diag["nodes"]
+        accepted, halt = len(xis), False
         for j, v in enumerate(val):
             proj = abs(self.part(v) if self.part else v)
             floor = self.floor * self.scale / weight[j]
@@ -401,8 +390,8 @@ class _SweepState:
             else:
                 fits = self.hint == start and same_tests
             if not fits:
-                self.nodes_discarded += len(xis) - j
-                return j, False
+                accepted = j
+                break
             if verify[j]:
                 # a verified node: its last growth step is its truncation
                 # error estimate, and the nodes run at its cut-off inherit
@@ -414,17 +403,21 @@ class _SweepState:
                 self.rel_change = err / max(proj, floor, 1e-300)
             else:
                 err = self.rel_change * proj  # zero at a pinned cut-off
-                self.nodes_assumed += self.auto
             self.scale = max(self.scale, weight[j] * proj)
             self.count += 1
-            self.l_used = max(self.l_used, l_used)
-            self.m_used = max(self.m_used, int(nodes["m_max_used"][j]))
-            self.converged = self.converged and bool(nodes["converged"][j])
             vals[j], errs[j] = v, err
             if stop is not None and stop(v, err):
-                self.nodes_discarded += len(xis) - 1 - j
-                return j + 1, True
-        return len(xis), False
+                accepted, halt = j + 1, True
+                break
+        # the stack's work counts every node it evaluated; the cut-offs,
+        # convergence and assumed nodes count the accepted nodes alone
+        trlog.merge_work(self.work, {
+            **diag, "nodes_discarded": len(xis) - accepted,
+            "l_max_used": nodes["l_max_used"][:accepted],
+            "m_max_used": nodes["m_max_used"][:accepted],
+            "converged": nodes["converged"][:accepted],
+            "nodes_assumed": ~verify[:accepted] & self.auto})
+        return accepted, halt
 
     def sweep(self, integrand, width, xi_max):
         """:func:`_panel_sweep` of ``integrand`` over (0, xi_max), each
@@ -451,18 +444,16 @@ class _SweepState:
         return restore
 
     def diagnostics(self, **extra):
-        return {"l_max_used": self.l_used, "m_max_used": self.m_used,
-                "l_max_evaluated": self.l_evaluated, "m_max_evaluated": self.m_evaluated,
-                "blocks": self.blocks, "eig_blocks": self.eig_blocks,
-                "fallbacks": self.fallbacks, "nodes_assumed": self.nodes_assumed,
-                "nodes_discarded": self.nodes_discarded,
-                **extra, "converged": self.converged}
+        return {**self.work, **extra}
 
 
 # -- observables --------------------------------------------------------------
 
 #: the most imaginary-axis nodes of the Matsubara sum evaluated as one stack
 MATSUBARA_CHUNK = 8
+
+#: the most nodes n >= 1 of a Matsubara sum before it raises ConvergenceError
+N_MAX = 100000
 
 #: the Matsubara sum's truncation floor, as a share of its running scale:
 #: the factor of the sum's stop test and of every m test
@@ -510,11 +501,11 @@ def _matsubara_sum(geom, spec, T, trunc, derivative=False):
     trunc = trunc or Truncation()
     tot0, diag0 = trlog.trace_over_m(trlog.STATIC, geom, spec, trunc,
                                      derivative=derivative)
-    F = 0.5 * T * tot0.real
+    F = 0.5 * T * tot0[0].real
     trunc_err = 0.5 * T * diag0.get("change", 0.0)
     # the engine's floor in units of the sum: its scale starts at the zero mode
     state = _SweepState(geom, spec, trunc, trlog.IMAG_AXIS, derivative=derivative,
-                        every=1, floor=MATSUBARA_FLOOR, scale=0.5 * abs(tot0.real))
+                        every=1, floor=MATSUBARA_FLOOR, scale=0.5 * abs(tot0[0].real))
     tol = trunc.rel_tol * 1e-2
     last = prev = math.inf  # the magnitudes of the last two terms
     done = False
@@ -530,7 +521,7 @@ def _matsubara_sum(geom, spec, T, trunc, derivative=False):
     n = 0  # the last node accepted
     size = 1
     while True:
-        count = min(size, trunc.n_max - n)
+        count = min(size, N_MAX - n)
         if last < prev < math.inf:
             # no more nodes than the decay of the last two terms needs
             # to reach the stop
@@ -539,19 +530,14 @@ def _matsubara_sum(geom, spec, T, trunc, derivative=False):
         n += len(state.evaluate(2.0 * math.pi * T * np.arange(n + 1, n + 1 + count), stop)[0])
         if done:
             break
-        if n >= trunc.n_max:
+        if n >= N_MAX:
             raise ConvergenceError(
-                f"Matsubara sum needs more than n_max={trunc.n_max} terms; "
+                f"Matsubara sum needs more than N_MAX={N_MAX} terms; "
                 "T*d is too small for this representation")
         size = min(2 * size, MATSUBARA_CHUNK)
+    trlog.merge_work(state.work, diag0)  # the zero mode
     return EnergyResult(F, _matsubara_tail(last, prev, T, geom.d) + tol * abs(F) + trunc_err,
-                        {"l_max_used": max(diag0["l_max_used"], state.l_used),
-                         "m_max_used": max(diag0["m_max_used"], state.m_used),
-                         "l_max_evaluated": max(diag0["l_max_evaluated"], state.l_evaluated),
-                         "m_max_evaluated": max(diag0["m_max_evaluated"], state.m_evaluated),
-                         "n_max_used": n, "blocks": diag0["blocks"] + state.blocks,
-                         "nodes_discarded": state.nodes_discarded,
-                         "converged": diag0["converged"] and state.converged})
+                        state.diagnostics(n_max_used=n))
 
 
 def matsubara_free_energy(geom, spec, T, trunc=None):
@@ -578,11 +564,11 @@ def matsubara_free_energy(geom, spec, T, trunc=None):
 
     The nodes run in stacked chunks (see :func:`_matsubara_sum`) with the
     same cut-offs, values and error estimates as node by node.
-    The diagnostics give the cut-offs used (``l_max_used``,
-    ``m_max_used``, ``n_max_used``), the largest cut-offs of any block
-    assembled (``l_max_evaluated``, ``m_max_evaluated``), the blocks
-    assembled (``blocks``) and the chunk nodes evaluated and then thrown
-    away (``nodes_discarded``).
+    The diagnostics are the work record every observable reports
+    (:data:`trlog.WORK`, see :class:`_SweepState`), the zero mode
+    included, with the number of nodes n >= 1 accepted (``n_max_used``);
+    ``nodes_discarded`` counts the chunk nodes evaluated and then thrown
+    away.
     """
     return _matsubara_sum(geom, spec, T, trunc)
 

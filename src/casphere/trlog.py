@@ -30,14 +30,23 @@ The force needs the separation derivative of the same trace,
 which one LU factorization and solve gives for every block type, with no
 eigenvalues and no branch of the logarithm to choose.
 
-On both frequency axes, several nodes at one l_max run as one stack:
-every block m of the stack comes from one assembly
+Every block is a stack of nodes, and every evaluator takes a stack and
+returns one value per block.  On both frequency axes, several nodes at one
+l_max run as one stack: every block m of the stack comes from one assembly
 (:class:`kernel.ImagNodes`, :class:`kernel.RotatedNodes`) as a plain
-(nodes, n, n) array, and the evaluators above take the whole stack at
-once, with batched matrix products, one stacked ``slogdet`` and, for the
-refused blocks, one stacked ``eigvals``.  The nodes step through m together, each leaves
-the stack at its own m cut, and with automatic growth each runs its own
-l_max test and leaves the stack once it passes.
+(nodes, n, n) array; a static block is a stack of one.  The evaluators
+take the whole stack at once, with batched matrix products, one stacked
+``slogdet`` and, for the refused blocks, one stacked ``eigvals``; the
+choice among them is made in :func:`trace_over_m`.  The nodes step
+through m together, each leaves the stack at its own m cut, and with
+automatic growth each runs its own l_max test and leaves the stack once it
+passes.
+
+The work done is one record, a dict of the counters in :data:`WORK`, each
+of which combines by one rule (summed, largest, or all) in
+:func:`merge_work`: :func:`trace_over_m` fills one per stack, and the
+drivers of :mod:`freeenergy` merge those of the nodes they accept into the
+record each result reports.
 
 A growth step compares the totals at l_max and l_max + 4.  It assembles
 its blocks once, at l_max + 4; the leading sub-blocks of those blocks,
@@ -69,6 +78,37 @@ class SingularBlockError(ArithmeticError):
     node accidentally on a resonance."""
 
 
+#: the work counters of every result, each with the rule by which two
+#: counts of it combine: summed, the largest kept, or all required
+WORK = {"l_max_used": "largest", "m_max_used": "largest",
+        "l_max_evaluated": "largest", "m_max_evaluated": "largest",
+        "blocks": "sum", "eig_blocks": "sum", "fallbacks": "sum",
+        "nodes_assumed": "sum", "nodes_discarded": "sum", "converged": "all"}
+
+
+def new_work():
+    """A work record of no work yet: every counter of WORK."""
+    return {key: True if rule == "all" else 0 for key, rule in WORK.items()}
+
+
+def merge_work(record, counts):
+    """Combine ``counts`` into the work record ``record``, in place, each
+    counter by its rule in WORK.  ``counts`` maps counters to a count or
+    to an array of counts (one per node, say); its other keys are
+    ignored."""
+    for key, value in counts.items():
+        rule = WORK.get(key)
+        if rule is None:
+            continue
+        many = isinstance(value, np.ndarray)
+        if rule == "sum":
+            record[key] += int(value.sum()) if many else int(value)
+        elif rule == "largest":
+            record[key] = max(record[key], int(value.max(initial=0)) if many else int(value))
+        else:
+            record[key] = record[key] and bool(value.all() if many else value)
+
+
 @dataclass
 class Truncation:
     """Truncation and tolerance settings shared by the drivers.
@@ -80,7 +120,6 @@ class Truncation:
 
     l_max: int | None = None
     rel_tol: float = 1e-3
-    n_max: int = 100000
     # nodes per quadrature panel: a Clenshaw-Curtis rule whose every other
     # node carries the embedded rule of the error estimate, itself
     # Clenshaw-Curtis only for 3 or 1 mod 4 points (5, 9, 13, 17, ...).
@@ -94,8 +133,6 @@ class Truncation:
         if not (self.quad_points == 3 or (self.quad_points >= 5 and self.quad_points % 4 == 1)):
             raise ValueError("quad_points must be 3 or 1 mod 4 (5, 9, 13, ...) for the "
                              f"embedded rule to be Clenshaw-Curtis, got {self.quad_points}")
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be at least 1, got {self.n_max}")
 
 
 def assemble_block(m, evaluation, geom, spec, l_max, xi=None, derivative=False):
@@ -106,9 +143,9 @@ def assemble_block(m, evaluation, geom, spec, l_max, xi=None, derivative=False):
     frequency) or 'static'.  On the imaginary and rotated axes xi is the
     :class:`kernel.ImagNodes` or :class:`kernel.RotatedNodes` stack at
     this l_max, and the blocks are the stacks of block m of each of its
-    nodes, (nodes, n, n); the static blocks are (n, n).  The plane
-    boundary sign is not applied here; it enters the logarithm
-    downstream.
+    nodes, (nodes, n, n); the static blocks are a stack of one,
+    (1, n, n).  The plane boundary sign is not applied here; it enters
+    the logarithm downstream.
 
     Raises
     ------
@@ -116,8 +153,9 @@ def assemble_block(m, evaluation, geom, spec, l_max, xi=None, derivative=False):
         when a block holds a non-finite entry
     """
     if evaluation == STATIC:
-        M = kernel.static_matrix(m, geom, spec, l_max)
-        dM = kernel.static_matrix(m, geom, spec, l_max, derivative=True) if derivative else None
+        M = kernel.static_matrix(m, geom, spec, l_max)[None]
+        dM = kernel.static_matrix(m, geom, spec, l_max, derivative=True)[None] \
+            if derivative else None
     else:
         stack = {ROTATED: kernel.RotatedNodes, IMAG_AXIS: kernel.ImagNodes}.get(evaluation)
         if stack is None:
@@ -131,39 +169,38 @@ def assemble_block(m, evaluation, geom, spec, l_max, xi=None, derivative=False):
     return M, dM
 
 
-def log_det_one_minus(block, plane_sign=1):
-    """ln det(1 - plane_sign * M) by pivoted factorization.
+def log_det_one_minus(stack, plane_sign=1):
+    """ln det(1 - plane_sign * M) of each block M of the stack (k, n, n),
+    by pivoted factorization, as an array of k complex values.
 
-    Real blocks (imaginary axis, static) must give a real, negative-free
-    logarithm of a positive determinant; the result is returned as a complex
-    number with zero imaginary part, and a stack of real blocks (nodes, n,
-    n) runs as one stacked ``slogdet`` and gives the array of their values.
-    Complex (rotated) blocks take the principal branch of each pivot's
-    logarithm.
+    Real blocks (imaginary axis, static) must have a positive determinant;
+    they run as one stacked ``slogdet``, and their values have zero
+    imaginary part.  Complex (rotated) blocks take one LU factorization
+    each and the principal branch of each pivot's logarithm.
     """
-    M = np.asarray(block)
+    M = np.asarray(stack)
     if M.size == 0:
-        return np.zeros(len(M), dtype=complex) if M.ndim == 3 else 0.0 + 0.0j
+        return np.zeros(len(M), dtype=complex)
     if not np.iscomplexobj(M):
-        stack = M if M.ndim == 3 else M[None]
-        sign, logabs = np.linalg.slogdet(_one_minus(stack if plane_sign == 1 else -stack))
+        sign, logabs = np.linalg.slogdet(_one_minus(M if plane_sign == 1 else -M))
         if np.any(sign <= 0.0):
             raise SingularBlockError(
                 "det(1 - M) <= 0 on the real axis; increase l_max")
-        vals = logabs.astype(complex)
-        return vals if M.ndim == 3 else complex(vals[0])
-    A = np.eye(M.shape[0], dtype=M.dtype) - plane_sign * M
-    lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    diag = np.diag(lu)
-    if np.any(np.abs(diag) < 1e-300):
-        raise SingularBlockError("vanishing pivot in 1 - M")
-    # row swaps flip the determinant sign but leave |det| and the per-pivot
-    # principal branches as the defined value of this evaluator
-    nswap = np.count_nonzero(piv != np.arange(len(piv)))
-    val = np.sum(np.log(diag.astype(complex)))
-    if nswap % 2 == 1:
-        val += complex(0.0, math.pi)
-    return complex(val)
+        return logabs.astype(complex)
+    vals = np.empty(len(M), dtype=complex)
+    eye = np.eye(M.shape[-1], dtype=M.dtype)
+    for i, block in enumerate(M):
+        lu, piv = scipy.linalg.lu_factor(eye - plane_sign * block, check_finite=False)
+        diag = np.diag(lu)
+        if np.any(np.abs(diag) < 1e-300):
+            raise SingularBlockError("vanishing pivot in 1 - M")
+        # row swaps flip the determinant sign but leave |det| and the
+        # per-pivot principal branches as the defined value of this evaluator
+        nswap = np.count_nonzero(piv != np.arange(len(piv)))
+        vals[i] = np.sum(np.log(diag.astype(complex)))
+        if nswap % 2 == 1:
+            vals[i] += complex(0.0, math.pi)
+    return vals
 
 
 def _squared_norms(X):
@@ -190,9 +227,11 @@ def _certified(rho, q2):
     return (rho < 1.0) & (rho * q2 < 5.0 * (1.0 - rho))
 
 
-def trace_log_eig(block, plane_sign=1, counts=None):
-    """sum_i Log(1 - plane_sign*lambda_i) over the block eigenvalues, and
-    whether the spectral radius is below one.
+def trace_log_eig(stack, plane_sign=1):
+    """sum_i Log(1 - plane_sign*lambda_i) over the eigenvalues of each
+    block M of the stack (k, n, n) and whether its spectral radius is below
+    one, as two arrays of k entries, and how many blocks took the
+    eigenvalues.
 
     With A = plane_sign * M and rho a bound on the spectral radius, the
     first four terms of the expanded logarithm,
@@ -211,18 +250,16 @@ def trace_log_eig(block, plane_sign=1, counts=None):
     phase modulo 2 pi, and the one phase within pi of the four-term
     estimate is the imaginary part.  Otherwise the eigenvalues give the sum, which is the principal
     branch of each Log(1 - lambda_i) and equals the series whenever the
-    spectral radius is below one.  Each such block adds 1 to
-    ``counts["eig_blocks"]`` when a ``counts`` dict is given.
+    spectral radius is below one.
 
-    A stack of blocks (nodes, n, n) runs the bound, the traces and
-    ``slogdet`` as batched operations, and the refused blocks as one
-    stacked ``eigvals``, and gives arrays of both results.
+    The bound, the traces and ``slogdet`` run as batched operations over
+    the stack, and the refused blocks as one stacked ``eigvals``.
     """
-    M = np.asarray(block)
-    stack = M if M.ndim == 3 else M[None]
+    stack = np.asarray(stack)
     k, n = stack.shape[0], stack.shape[-1]
     vals = np.zeros(k, dtype=complex)
     ok = np.ones(k, dtype=bool)
+    refused = ()
     if n:
         A = stack if plane_sign == 1 else -stack
         A2 = A @ A
@@ -250,39 +287,10 @@ def trace_log_eig(block, plane_sign=1, counts=None):
             turns = np.rint((estimate.imag - phase) / (2.0 * math.pi))
             vals[certified] = logabs + 1j * (phase + 2.0 * math.pi * turns)
         if len(refused):
-            if counts is not None:
-                counts["eig_blocks"] += len(refused)
             lam = np.linalg.eigvals(stack[refused]) * plane_sign
             ok[refused] = np.max(np.abs(lam), axis=1) < 1.0
             vals[refused] = np.sum(np.log(1.0 - lam.astype(complex)), axis=1)
-    if M.ndim == 3:
-        return vals, ok
-    return complex(vals[0]), bool(ok[0])
-
-
-def block_trace_log(block, plane_sign=1, evaluation=IMAG_AXIS, counts=None):
-    """Dispatch to the evaluator appropriate for the block type.
-
-    Real blocks go through the determinant.  Rotated blocks, single or
-    stacked, go through :func:`trace_log_eig`: an LU log-determinant whose
-    branch four traces certify, or the eigenvalues where they do not; a
-    block whose spectral radius is not below one falls back to the
-    per-pivot determinant and adds 1 to ``counts["fallbacks"]``.
-    ``counts`` is passed on to :func:`trace_log_eig`.
-    """
-    if evaluation != ROTATED:
-        return log_det_one_minus(block, plane_sign)
-    M = np.asarray(block)
-    vals, ok = trace_log_eig(block, plane_sign, counts=counts)
-    if np.all(ok):
-        return vals
-    vals, ok = np.atleast_1d(vals), np.atleast_1d(ok)
-    stack = M.reshape(-1, *M.shape[-2:])
-    for i in np.flatnonzero(~ok):
-        if counts is not None:
-            counts["fallbacks"] += 1
-        vals[i] = log_det_one_minus(stack[i], plane_sign)
-    return vals if M.ndim == 3 else complex(vals[0])
+    return vals, ok, len(refused)
 
 
 def _trace_derivatives(stack, dstack, plane_sign):
@@ -322,7 +330,6 @@ def _with_sub_blocks(X, hi, lo, cut, em):
     sub-blocks (``hi`` and ``lo`` are lists of positions in the stack X):
     in each polarization half, the rows and columns from ``cut`` on are
     zero, so ``1 - M`` is the identity there."""
-    X = X.reshape(-1, *X.shape[-2:])
     if not lo:
         return X if len(hi) == len(X) else X[hi]
     out = X[hi + lo]
@@ -347,9 +354,10 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
     ``-s Tr[(1 - sM)^{-1} dM/dd]`` instead, so the sum is d/dd Tr ln(1 - M),
     and the m and l tests run on that.
 
-    On the imaginary and rotated axes xi may be a 1-d array of nodes,
-    evaluated as one stack (a single node is a stack of one): each l_max
-    assembles one :class:`kernel.ImagNodes` or :class:`kernel.RotatedNodes`,
+    On the imaginary and rotated axes xi is a 1-d array of nodes,
+    evaluated as one stack (a single node is a stack of one, and so is a
+    static trace, which takes no xi): each l_max assembles one
+    :class:`kernel.ImagNodes` or :class:`kernel.RotatedNodes`,
     :func:`assemble_block` reads its blocks once per m as plain arrays, and
     the nodes step through m together and each stops at its own m cut.
     With automatic growth every node starts at the same cutoff, runs its
@@ -394,15 +402,22 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
 
     Returns
     -------
-    (complex, dict)
-        folded trace (or its derivative; an array for an array of nodes)
-        and diagnostics {'l_max_used', 'm_max_used', 'converged', 'blocks',
-        'eig_blocks', 'fallbacks', 'l_max_evaluated', 'm_max_evaluated'},
-        with automatic growth also 'change', the projected change of the
-        last growth step, which estimates the truncation error from
-        above.  For an array of nodes these are the
-        largest cut-offs and change over the nodes and whether all
-        converged, and 'nodes' holds the per-node arrays of 'l_max_used',
+    (array, dict)
+        the folded trace (or its derivative) of each node, and the work
+        record (:data:`WORK`) of the stack with 'change' and 'nodes'.
+        'l_max_used' and 'm_max_used' are the largest cut-offs over the
+        nodes, 'converged' whether all converged and 'nodes_assumed' how
+        many the verify mask left out ('nodes_discarded' is 0).  'blocks'
+        counts the blocks of every node assembled over every growth step,
+        'eig_blocks' the evaluated blocks and sub-blocks whose rotated
+        log-determinant took eigenvalues (see :func:`trace_log_eig`) and
+        'fallbacks' those whose spectral radius is not below one, which
+        take the per-pivot determinant (:func:`log_det_one_minus`).
+        'l_max_evaluated' and 'm_max_evaluated' are the largest l_max and
+        m of any block assembled, over every node and growth step.  With
+        automatic growth 'change' is the largest projected change of a
+        node's last growth step, which estimates the truncation error
+        from above.  'nodes' holds the per-node arrays of 'l_max_used',
         'm_max_used', 'converged' and 'm_floor_room', the largest
         ``scale_floor`` under which each of the node's m tests keeps its
         outcome (the least folded |block| / (rel_tol * 1e-2) among the m
@@ -410,22 +425,14 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
         'least_total', the smallest projected |total| among the node's
         growth tests (0 and inf for an assumed node, which counts as
         converged).
-        'blocks' counts the blocks of every node assembled over every
-        growth step, 'eig_blocks' the evaluated blocks and sub-blocks
-        whose rotated log-determinant took eigenvalues (see
-        :func:`trace_log_eig`) and 'fallbacks' those that took the
-        per-pivot determinant (see :func:`block_trace_log`).
-        'l_max_evaluated' and 'm_max_evaluated' are the largest l_max and
-        m of any block assembled, over every node and growth step.
     """
     trunc = trunc or Truncation()
     if trunc.l_max is not None and trunc.l_max < spec.l_min:
         raise ValueError(f"l_max={trunc.l_max} is below this field's l_min={spec.l_min}")
     sign = spec.plane_sign
-    counts = {"blocks": 0, "eig_blocks": 0, "fallbacks": 0,
-              "l_max_evaluated": 0, "m_max_evaluated": 0}
+    work = new_work()
     stack = {ROTATED: kernel.RotatedNodes, IMAG_AXIS: kernel.ImagNodes}.get(evaluation)
-    nodes = np.atleast_1d(np.asarray(xi, dtype=float)) if stack else np.zeros(1)
+    nodes = np.asarray(xi, dtype=float) if stack else np.zeros(1)
     k = len(nodes)
     floors = np.maximum(np.broadcast_to(np.asarray(scale_floor, dtype=float), (k,)), 1e-300)
     m_tol = trunc.rel_tol * 1e-2
@@ -436,7 +443,7 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
         rooms, and from the leading sub-blocks their folded totals at l_lo
         (of the nodes ``sub`` marks, or of all)."""
         src = stack(nodes[idx], geom, spec, l_hi, derivative=derivative) if stack else None
-        counts["l_max_evaluated"] = max(counts["l_max_evaluated"], l_hi)
+        merge_work(work, {"l_max_evaluated": l_hi})
         tot = [[0j] * len(idx), [0j] * len(idx)]  # at l_hi, at l_lo
         going = [[True] * len(idx),
                  [l_lo is not None and (sub is None or bool(sub[i])) for i in range(len(idx))]]
@@ -456,13 +463,9 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
             if len(live) < len(active):
                 active = [active[pos] for pos in live]
                 src.keep(np.array(live))
-            if derivative:
-                M, dM = assemble_block(m, evaluation, geom, spec, l_hi, xi=src,
-                                       derivative=True)
-            else:
-                M, dM = assemble_block(m, evaluation, geom, spec, l_hi, xi=src)
-            counts["blocks"] += len(active)
-            counts["m_max_evaluated"] = max(counts["m_max_evaluated"], m)
+            M, dM = assemble_block(m, evaluation, geom, spec, l_hi, xi=src,
+                                   derivative=derivative)
+            step = {"blocks": len(active), "m_max_evaluated": m}
             # the stack evaluated: the full blocks of the nodes whose total
             # at l_hi goes on, then the sub-blocks of those whose total at
             # l_lo does
@@ -473,8 +476,16 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
             if derivative:
                 vals = _trace_derivatives(
                     both, _with_sub_blocks(dM, hi, lo, cut, em), sign)
+            elif evaluation != ROTATED:
+                vals = log_det_one_minus(both, sign)
             else:
-                vals = block_trace_log(both, sign, evaluation, counts=counts)
+                # a rotated block whose spectral radius is not below one
+                # falls back to the per-pivot determinant
+                vals, ok, step["eig_blocks"] = trace_log_eig(both, sign)
+                if not ok.all():
+                    vals[~ok] = log_det_one_minus(both[~ok], sign)
+                    step["fallbacks"] = ~ok
+            merge_work(work, step)
             slots = [(0, active[pos]) for pos in hi] + [(1, active[pos]) for pos in lo]
             for (row, i), v in zip(slots, vals):
                 if m == 0:
@@ -491,14 +502,10 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
         return np.array(tot[0]), np.array(tot[1]), np.array(m_cut), np.array(room)
 
     def result(tot, nodes_diag):
-        agg = {"l_max_used": int(np.max(nodes_diag["l_max_used"])),
-               "m_max_used": int(np.max(nodes_diag["m_max_used"])),
-               "converged": bool(np.all(nodes_diag["converged"]))}
+        merge_work(work, nodes_diag)  # the cut-offs and convergence of the nodes
         if "change" in nodes_diag:
-            agg["change"] = float(np.max(nodes_diag["change"]))
-        if np.ndim(xi):
-            return tot, {**agg, **counts, "nodes": nodes_diag}
-        return complex(tot[0]), {**agg, **counts}
+            work["change"] = float(np.max(nodes_diag["change"]))
+        return tot, {**work, "nodes": nodes_diag}
 
     if trunc.l_max is not None:
         tot, _, m_cut, room = totals(np.arange(k), trunc.l_max)
@@ -530,6 +537,7 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
         least[pending] = np.minimum(least[pending], size)
         room[pending] = np.minimum(room[pending], step_room)
         if sub is not None:  # the assumed nodes leave after the first step, untested
+            merge_work(work, {"nodes_assumed": ~sub})
             passed |= ~sub
             change[~sub], least[~sub], sub = 0.0, math.inf, None
         converged[pending[passed]] = True

@@ -896,10 +896,10 @@ def node_by_node_matsubara(geom, spec, T, trunc=None, derivative=False):
     diagnostics ``l_max_used``, ``m_max_used``, ``n_max_used`` and
     ``converged``."""
     from casphere import trlog
-    from casphere.freeenergy import EnergyResult
+    from casphere.freeenergy import EnergyResult, N_MAX
     trunc = trunc or trlog.Truncation()
-    tot0, diag0 = trlog.trace_over_m(trlog.STATIC, geom, spec, trunc,
-                                     derivative=derivative)
+    (tot0,), diag0 = trlog.trace_over_m(trlog.STATIC, geom, spec, trunc,
+                                        derivative=derivative)
     F = 0.5 * T * tot0.real
     trunc_err = 0.5 * T * diag0.get("change", 0.0)
     l_used, m_used = diag0["l_max_used"], diag0["m_max_used"]
@@ -908,9 +908,9 @@ def node_by_node_matsubara(geom, spec, T, trunc=None, derivative=False):
     scale = 0.5 * abs(tot0.real)
     n, hint, last = 1, None, math.inf
     while True:
-        term, diag = trlog.trace_over_m(trlog.IMAG_AXIS, geom, spec, trunc,
-                                        xi=2.0 * math.pi * T * n, l_max_start=hint,
-                                        scale_floor=1e-2 * scale, derivative=derivative)
+        (term,), diag = trlog.trace_over_m(trlog.IMAG_AXIS, geom, spec, trunc,
+                                           xi=[2.0 * math.pi * T * n], l_max_start=hint,
+                                           scale_floor=1e-2 * scale, derivative=derivative)
         hint = diag["l_max_used"] - 4
         scale = max(scale, abs(term))
         F += T * term.real
@@ -922,8 +922,8 @@ def node_by_node_matsubara(geom, spec, T, trunc=None, derivative=False):
         if last < tol * max(abs(F), 1e-300):
             break
         n += 1
-        if n > trunc.n_max:
-            raise ArithmeticError(f"more than n_max={trunc.n_max} terms")
+        if n > N_MAX:
+            raise ArithmeticError(f"more than N_MAX={N_MAX} terms")
     ratio = max(last / prev, math.exp(-4.0 * math.pi * T * geom.d))
     tail = max(last, last * ratio / (1.0 - ratio)) if ratio < 1.0 else math.inf
     return EnergyResult(F, tail + tol * abs(F) + trunc_err,

@@ -77,7 +77,6 @@ def test_matsubara_needs_positive_t():
     (lambda: Truncation(quad_points=7), "quad_points"),
     (lambda: Truncation(quad_points=11), "quad_points"),
     (lambda: Truncation(quad_points=15), "quad_points"),
-    (lambda: Truncation(n_max=0), "n_max"),
     (lambda: fe.matsubara_free_energy(Geometry(1.0, 0.5), DD, 1.0, Truncation(l_max=-3)),
      "l_max"),
     (lambda: fe.matsubara_free_energy(Geometry(1.0, 0.5), FieldSpec.em(), 1.0,
@@ -87,7 +86,7 @@ def test_matsubara_needs_positive_t():
     (lambda: fe.matsubara_free_energy(G12, DD, math.inf), "finite T"),
     (lambda: fe.force(G12, DD, math.nan, target="thermal_part"), "finite T"),
 ], ids=["d nan", "R inf", "rel_tol nan", "rel_tol inf", "quad_points even",
-        "quad_points 1", "quad_points 7", "quad_points 11", "quad_points 15", "n_max 0", "l_max negative", "EM l_max 0",
+        "quad_points 1", "quad_points 7", "quad_points 11", "quad_points 15", "l_max negative", "EM l_max 0",
         "thermal l_max negative", "thermal T inf", "matsubara T inf", "force T nan"])
 def test_bad_inputs_fail_loudly(call, match):
     with pytest.raises(ValueError, match=match):
@@ -215,13 +214,13 @@ def test_matsubara_nodes_start_from_the_previous_cutoff(monkeypatch):
     T = 1.0
 
     # an imaginary-axis block is the stack of block m of a chunk of nodes
-    def counting(m, evaluation, geom, spec, l_max, xi=None):
+    def counting(m, evaluation, geom, spec, l_max, xi=None, derivative=False):
         if xi is None:
             counts["all"] += 1
         else:
             counts["all"] += len(xi.xi)
             counts["hinted"] += np.count_nonzero(xi.xi > 3.0 * math.pi * T)
-        return assemble(m, evaluation, geom, spec, l_max, xi=xi)
+        return assemble(m, evaluation, geom, spec, l_max, xi=xi, derivative=derivative)
 
     monkeypatch.setattr(trlog, "assemble_block", counting)
     geom = Geometry(1.0, 0.2)
@@ -332,6 +331,23 @@ def test_matsubara_terms_the_sum_makes_negligible_stay_cheap():
     assert dd.converged and em.converged
     assert dd.diagnostics["l_max_used"] <= 36
     assert em.diagnostics["l_max_used"] <= 23
+
+
+def test_every_observable_reports_the_same_work_counters():
+    # one work record, declared in trlog, for every observable and both
+    # force targets, and README lists each of its counters
+    from pathlib import Path
+    from casphere import trlog
+    results = {"F": fe.matsubara_free_energy(G12, DD, 1.0),
+               "E0": fe.vacuum_energy(G12, DD),
+               "FT": fe.thermal_part(G12, DD, 1.0),
+               "force total": fe.force(G12, DD, 1.0, target="total"),
+               "force thermal_part": fe.force(G12, DD, 1.0, target="thermal_part")}
+    for name, res in results.items():
+        assert set(trlog.WORK) <= set(res.diagnostics), name
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    for key in trlog.WORK:
+        assert f"`{key}`" in readme, key
 
 
 def test_diagnostics_report_the_work_evaluated():
@@ -545,10 +561,7 @@ def test_chunk_discards_the_nodes_after_a_falling_cutoff(monkeypatch):
         diag = {k: v.max() for k, v in nodes.items()}
         diag.update(blocks=len(n), eig_blocks=0, fallbacks=0,
                     l_max_evaluated=diag["l_max_used"], m_max_evaluated=diag["m_max_used"])
-        if np.ndim(xi):
-            return vals, {**diag, "nodes": nodes}
-        return complex(vals[0]), {k: v.item() if isinstance(v, np.generic) else v
-                                  for k, v in diag.items()}
+        return vals, {**diag, "nodes": nodes}
 
     monkeypatch.setattr(trlog, "trace_over_m", fake)
     res = fe.matsubara_free_energy(G12, DD, T)
@@ -677,10 +690,7 @@ def test_matsubara_nodes_past_the_stop_do_not_raise(monkeypatch):
         diag = {k: v.max() for k, v in nodes.items()}
         diag.update(blocks=len(n), eig_blocks=0, fallbacks=0,
                     l_max_evaluated=diag["l_max_used"], m_max_evaluated=diag["m_max_used"])
-        if np.ndim(xi):
-            return vals, {**diag, "nodes": nodes}
-        return complex(vals[0]), {k: v.item() if isinstance(v, np.generic) else v
-                                  for k, v in diag.items()}
+        return vals, {**diag, "nodes": nodes}
 
     monkeypatch.setattr(trlog, "trace_over_m", fake)
     res = fe.matsubara_free_energy(G12, DD, T)

@@ -22,9 +22,9 @@ from oracles import g_from_momentum_integral, g_third_moment, h_from_g_integral
 
 def test_g_frozen_values():
     assert g_function(0.0) == 0.0
-    assert g_function(1.0) == pytest.approx(0.78420154533079122, rel=1e-13)
-    assert g_function(0.1) == pytest.approx(0.001644568082131256, rel=1e-12)
-    assert g_function(3.0) == pytest.approx(4.2337053720527064, rel=1e-13)
+    assert g_function(1.0) == pytest.approx(0.78420154533079122, rel=1e-13, abs=0)
+    assert g_function(0.1) == pytest.approx(0.001644568082131256, rel=1e-12, abs=0)
+    assert g_function(3.0) == pytest.approx(4.2337053720527064, rel=1e-13, abs=0)
 
 
 def test_g_against_mp_oracle():
@@ -57,7 +57,7 @@ def test_inversion_symmetries_hold_on_every_branch(log_x):
 
 @pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 2.0, 10.0])
 def test_g_inversion_symmetry(x):
-    assert g_function(x) == pytest.approx(x ** 4 * g_function(1.0 / x), rel=1e-10)
+    assert g_function(x) == pytest.approx(x ** 4 * g_function(1.0 / x), rel=1e-10, abs=0)
 
 
 @pytest.mark.parametrize("x", [0.3, 1.0, 3.0])
@@ -74,15 +74,15 @@ def test_g_asymptotic_quality():
 def test_h_frozen_values():
     assert h_function(0.0) == 0.0
     assert h_function(1.0) == pytest.approx(2.5, abs=1e-13)
-    assert h_function(2.0) == pytest.approx(5.9783128186550264, rel=1e-13)
-    assert h_function(0.1) == pytest.approx(0.046610863835737488, rel=1e-12)
-    assert h_function(10.0) == pytest.approx(33.891361642625119, rel=1e-13)
+    assert h_function(2.0) == pytest.approx(5.9783128186550264, rel=1e-13, abs=0)
+    assert h_function(0.1) == pytest.approx(0.046610863835737488, rel=1e-12, abs=0)
+    assert h_function(10.0) == pytest.approx(33.891361642625119, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 2.0, 10.0])
 def test_h_inversion_symmetry(x):
     want = 5.0 / x ** 2 - h_function(x) / x ** 4
-    assert h_function(1.0 / x) == pytest.approx(want, rel=1e-10)
+    assert h_function(1.0 / x) == pytest.approx(want, rel=1e-10, abs=0)
 
 
 @pytest.mark.parametrize("x", [0.05, 0.3, 1.0, 5.0, 20.0])

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from casphere import trlog
 from casphere.kernel import Geometry, FieldSpec
-from casphere.trlog import (Truncation, assemble_block,
-                            block_trace_log, log_det_one_minus,
+from casphere.trlog import (Truncation, assemble_block, log_det_one_minus,
                             trace_log_eig, trace_over_m, SingularBlockError)
 
 import oracles
@@ -17,17 +16,30 @@ import oracles
 DD = FieldSpec()
 
 
+def _log_det(M, plane_sign=1):
+    """log_det_one_minus of the single block M, as a stack of one."""
+    return log_det_one_minus(M[None], plane_sign)[0]
+
+
+def _eig(M, plane_sign=1):
+    """trace_log_eig of the single block M, as a stack of one: its value,
+    whether its spectral radius is below one and whether it took the
+    eigenvalues (1 or 0)."""
+    vals, ok, eig = trace_log_eig(M[None], plane_sign)
+    return vals[0], ok[0], eig
+
+
 def test_logdet_trivial_cases():
-    assert log_det_one_minus(np.zeros((3, 3))) == 0.0
+    assert _log_det(np.zeros((3, 3))) == 0.0
     one = np.array([[0.25]])
-    assert log_det_one_minus(one).real == pytest.approx(math.log(0.75), rel=1e-14)
-    assert log_det_one_minus(one, plane_sign=-1).real == pytest.approx(
+    assert _log_det(one).real == pytest.approx(math.log(0.75), rel=1e-14)
+    assert _log_det(one, plane_sign=-1).real == pytest.approx(
         math.log(1.25), rel=1e-14)
 
 
 def test_logdet_singular():
     with pytest.raises(SingularBlockError):
-        log_det_one_minus(np.array([[1.0]]))
+        _log_det(np.array([[1.0]]))
 
 
 def test_series_geometric():
@@ -46,10 +58,10 @@ def test_series_matches_determinant_random(seed):
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     M *= 0.55 / max(abs(np.linalg.eigvals(M)))
-    want = log_det_one_minus(M)
+    want = _log_det(M)
     got, _ = oracles.trace_log_series(M, s_max=400)
     assert got == pytest.approx(want, abs=1e-10)
-    eigv, ok = trace_log_eig(M)
+    eigv, ok, _ = _eig(M)
     assert ok and eigv == pytest.approx(want, abs=1e-12)
 
 
@@ -79,13 +91,12 @@ def test_certified_branch_off_the_principal_phase(form):
     want = n * np.log(1.0 - lam)
     sign, _ = np.linalg.slogdet(np.eye(n) - M)
     assert abs(np.angle(sign) - want.imag) > math.pi
-    counts = {"eig_blocks": 0}
-    got, ok = trace_log_eig(M, counts=counts)
-    assert ok and counts["eig_blocks"] == 0  # certified: no eigenvalues
+    got, ok, eig = _eig(M)
+    assert ok and not eig  # certified: no eigenvalues
     assert got == pytest.approx(want, abs=1e-12)
     # the Neumann plane: the same block with the opposite sign
-    got, ok = trace_log_eig(-M, plane_sign=-1, counts=counts)
-    assert ok and counts["eig_blocks"] == 0
+    got, ok, eig = _eig(-M, plane_sign=-1)
+    assert ok and not eig
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -103,7 +114,7 @@ def test_trace_log_eig_equals_eigenvalue_sum(seed, n, rho, skew, plane_sign):
     S = np.eye(n) + skew * (rng.standard_normal((n, n))
                             + 1j * rng.standard_normal((n, n))) / math.sqrt(n)
     M = S @ np.diag(lam) @ np.linalg.inv(S)
-    got, ok = trace_log_eig(M, plane_sign)
+    got, ok, _ = _eig(M, plane_sign)
     assert ok
     assert got == pytest.approx(oracles.trace_log_eigenvalues(M, plane_sign),
                                 abs=1e-12)
@@ -114,26 +125,21 @@ def test_refused_block_takes_the_eigenvalue_path():
     M = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
     M *= 0.9 / max(abs(np.linalg.eigvals(M)))
     for sign in (1, -1):
-        counts = {"eig_blocks": 0}
-        got, ok = trace_log_eig(M, sign, counts=counts)
-        assert counts["eig_blocks"] == 1
+        got, ok, eig = _eig(M, sign)
+        assert eig
         lam = np.linalg.eigvals(M) * sign
         assert ok and got == complex(np.sum(np.log(1.0 - lam.astype(complex))))
     # 12 times 0.97 e^{0.3i}: the four-term estimate is 3.9 rad off the sum,
     # so the phase nearest to it would be 2 pi wrong
     lam = 0.97 * np.exp(0.3j)
-    counts = {"eig_blocks": 0}
-    got, ok = trace_log_eig(np.diag(np.full(12, lam)), counts=counts)
-    assert ok and counts["eig_blocks"] == 1
+    got, ok, eig = _eig(np.diag(np.full(12, lam)))
+    assert ok and eig
     assert got == pytest.approx(12 * np.log(1.0 - lam), abs=1e-12)
-    # spectral radius above one: not converged, and the dispatcher takes
-    # the per-pivot determinant
+    # spectral radius above one: not converged (trace_over_m then takes the
+    # per-pivot determinant, see test_rotated_block_past_unit_radius_counts_a_fallback)
     big = np.diag([1.5 + 0.1j, 0.2])
-    counts = {"eig_blocks": 0}
-    _, ok = trace_log_eig(big, counts=counts)
-    assert not ok and counts["eig_blocks"] == 1
-    assert block_trace_log(big, evaluation=trlog.ROTATED) == \
-        log_det_one_minus(big)
+    _, ok, eig = _eig(big)
+    assert not ok and eig
 
 
 @pytest.mark.parametrize("plane_sign", [1, -1])
@@ -149,12 +155,11 @@ def test_three_stage_certificate_matches_the_eighth_power_alone(plane_sign):
         nodes = trlog.kernel.RotatedNodes(np.linspace(0.05, 27.0, 60), geom, DD, 24)
         for m in range(12):
             stack = assemble_block(m, trlog.ROTATED, geom, DD, 24, xi=nodes)[0]
-            counts = {"eig_blocks": 0}
-            vals, ok = trace_log_eig(stack, plane_sign, counts=counts)
+            vals, ok, eig = trace_log_eig(stack, plane_sign)
             want, certified = oracles.trace_log_eig_one_stage(stack, plane_sign)
             assert np.array_equal(vals, want)
             assert ok.all()
-            assert counts["eig_blocks"] == np.count_nonzero(~certified)
+            assert eig == np.count_nonzero(~certified)
             refused.extend(stack[~certified])
             for M, c in zip(stack, certified):
                 A2 = M @ M
@@ -179,21 +184,22 @@ def test_three_stage_certificate_matches_the_eighth_power_alone(plane_sign):
 def test_plane_sign_equals_negated_matrix():
     rng = np.random.default_rng(7)
     M = 0.3 * rng.standard_normal((4, 4))
-    a = log_det_one_minus(M, plane_sign=-1)
-    b = log_det_one_minus(-M, plane_sign=1)
+    a = _log_det(M, plane_sign=-1)
+    b = _log_det(-M, plane_sign=1)
     assert a == pytest.approx(b, rel=1e-13)
 
 
 def test_assemble_block_shapes():
     geom = Geometry(1.0, 1.0)
     M, dM = assemble_block(0, trlog.STATIC, geom, DD, 0)
-    assert M.shape == (1, 1) and dM is None
-    assert M[0, 0] == pytest.approx(0.25, rel=1e-13)
-    assert assemble_block(1, trlog.STATIC, geom, DD, 0)[0].shape == (0, 0)
+    assert M.shape == (1, 1, 1) and dM is None  # a stack of one
+    assert M[0, 0, 0] == pytest.approx(0.25, rel=1e-13)
+    assert assemble_block(1, trlog.STATIC, geom, DD, 0)[0].shape == (1, 0, 0)
     nodes = trlog.kernel.ImagNodes([1.0], geom, DD, 2)
     empty, _ = assemble_block(3, trlog.IMAG_AXIS, geom, DD, 2, xi=nodes)
     assert empty.shape == (1, 0, 0)
-    assert log_det_one_minus(empty) == 0.0
+    assert np.array_equal(log_det_one_minus(empty), [0.0])
+    assert np.array_equal(trace_log_eig(empty.astype(complex))[0], [0.0])
     em_nodes = trlog.kernel.ImagNodes([0.5], geom, FieldSpec.em(), 3)
     em, _ = assemble_block(1, trlog.IMAG_AXIS, geom, FieldSpec.em(), 3, xi=em_nodes)
     assert em.shape == (1, 6, 6)  # l = 1..3 in each polarization
@@ -225,19 +231,19 @@ def test_monotone_truncation():
     xi = 1.0
     vals = []
     for l_max in (8, 12, 16, 20):
-        v, _ = trace_over_m(trlog.IMAG_AXIS, geom, DD, Truncation(l_max=l_max), xi=xi)
-        vals.append(v.real)
+        v, _ = trace_over_m(trlog.IMAG_AXIS, geom, DD, Truncation(l_max=l_max), xi=[xi])
+        vals.append(v[0].real)
     d = np.abs(np.diff(vals))
     assert np.all(np.diff(d) < 0)
 
 
 def test_trace_over_m_auto_growth():
     geom = Geometry(1.0, 0.5)
-    v, diag = trace_over_m(trlog.IMAG_AXIS, geom, DD, Truncation(rel_tol=1e-4), xi=0.8)
+    v, diag = trace_over_m(trlog.IMAG_AXIS, geom, DD, Truncation(rel_tol=1e-4), xi=[0.8])
     assert diag["converged"]
     vfix, _ = trace_over_m(trlog.IMAG_AXIS, geom, DD,
-                           Truncation(l_max=diag["l_max_used"] + 8), xi=0.8)
-    assert v.real == pytest.approx(vfix.real, rel=1e-3)
+                           Truncation(l_max=diag["l_max_used"] + 8), xi=[0.8])
+    assert v[0].real == pytest.approx(vfix[0].real, rel=1e-3)
 
 
 def test_static_large_separation_leading_trace():
@@ -246,7 +252,8 @@ def test_static_large_separation_leading_trace():
     # of the expanded logarithm, M_00/2 relative, plus the l = 1 block)
     geom = Geometry(1.0, 9.0)
     v, _ = trace_over_m(trlog.STATIC, geom, DD, Truncation(l_max=40))
-    f0 = 0.5 * v.real
+    assert v.shape == (1,)  # a stack of one
+    f0 = 0.5 * v[0].real
     assert f0 == pytest.approx(-0.0259024947, rel=1e-6)
     assert f0 == pytest.approx(-1.0 / 40.0, rel=0.04)
 
@@ -257,13 +264,13 @@ def test_m_fold_symmetry():
     # wigner tests), so here we verify the fold against an explicit sum
     geom = Geometry(1.0, 0.5)
     trunc = Truncation(l_max=6)
-    folded, _ = trace_over_m(trlog.IMAG_AXIS, geom, DD, trunc, xi=1.0)
+    folded, _ = trace_over_m(trlog.IMAG_AXIS, geom, DD, trunc, xi=[1.0])
     total = 0.0
     nodes = trlog.kernel.ImagNodes([1.0], geom, DD, 6)
     for m in range(-6, 7):
         M, _ = assemble_block(abs(m), trlog.IMAG_AXIS, geom, DD, 6, xi=nodes)
         total += log_det_one_minus(M)[0].real
-    assert folded.real == pytest.approx(total, rel=1e-14)
+    assert folded[0].real == pytest.approx(total, rel=1e-14)
 
 
 def test_rotated_block_past_unit_radius_counts_a_fallback(monkeypatch):
@@ -273,16 +280,17 @@ def test_rotated_block_past_unit_radius_counts_a_fallback(monkeypatch):
         M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         return M * rho / max(abs(np.linalg.eigvals(M)))
 
+    # the evaluators on a stack with one block past unit radius: it alone
+    # takes the eigenvalues and is flagged, and its per-pivot determinant
+    # in the stack is that of the block on its own
     big = np.diag([1.5 + 0.1j, 0.2, 0.1j, -0.3])
     stack = np.stack([contraction(4, 0.5), big, contraction(4, 0.7)])
-    counts = {"eig_blocks": 0, "fallbacks": 0}
-    vals = block_trace_log(stack, evaluation=trlog.ROTATED, counts=counts)
-    assert counts == {"eig_blocks": 1, "fallbacks": 1}
-    # the value of the block on its own: the per-pivot determinant
-    assert vals[1] == log_det_one_minus(big)
-    assert block_trace_log(big, evaluation=trlog.ROTATED) == vals[1]
+    vals, ok, eig = trace_log_eig(stack)
+    assert (eig, np.count_nonzero(~ok)) == (1, 1)
+    assert not ok[1]
+    assert log_det_one_minus(stack)[1] == _log_det(big)
     for i in (0, 2):
-        assert vals[i] == pytest.approx(trace_log_eig(stack[i])[0], abs=1e-14)
+        assert vals[i] == pytest.approx(_eig(stack[i])[0], abs=1e-14)
 
     # the count reaches the diagnostics of the m sum
     geom = Geometry(1.0, 0.3)
@@ -303,10 +311,11 @@ def test_rotated_block_past_unit_radius_counts_a_fallback(monkeypatch):
 
     monkeypatch.setattr(trlog, "assemble_block", inflated)
     vals, diag = trace_over_m(trlog.ROTATED, geom, DD, trunc, xi=xs)
-    assert diag["fallbacks"] == 1
+    assert (diag["eig_blocks"], diag["fallbacks"]) == (plain_diag["eig_blocks"] + 1, 1)
     M0 = assemble(0, trlog.ROTATED, geom, DD, 6,
                   xi=trlog.kernel.RotatedNodes(xs[1:2], geom, DD, 6))[0][0]
-    change = log_det_one_minus(M0 + np.diag(shift)) - trace_log_eig(M0)[0]
+    # the inflated block takes the per-pivot determinant of the block alone
+    change = _log_det(M0 + np.diag(shift)) - _eig(M0)[0]
     assert vals[1] == pytest.approx(plain[1] + change, abs=1e-12)
     assert vals[[0, 2]] == pytest.approx(plain[[0, 2]], abs=1e-14)
 
@@ -315,12 +324,12 @@ def test_rotated_block_past_unit_radius_counts_a_fallback(monkeypatch):
 GROWTH_CASES = {
     "static DD": (trlog.STATIC, "DD", None, False),
     "static EM": (trlog.STATIC, "EM", None, False),
-    "imag DN": (trlog.IMAG_AXIS, "DN", 1.3, False),
-    "imag EM": (trlog.IMAG_AXIS, "EM", 1.3, False),
-    "imag ND force": (trlog.IMAG_AXIS, "ND", 1.3, True),
-    "imag EM force": (trlog.IMAG_AXIS, "EM", 1.3, True),
-    "rotated ND": (trlog.ROTATED, "ND", 8.0, False),
-    "rotated DD force": (trlog.ROTATED, "DD", 8.0, True),
+    "imag DN": (trlog.IMAG_AXIS, "DN", [1.3], False),
+    "imag EM": (trlog.IMAG_AXIS, "EM", [1.3], False),
+    "imag ND force": (trlog.IMAG_AXIS, "ND", [1.3], True),
+    "imag EM force": (trlog.IMAG_AXIS, "EM", [1.3], True),
+    "rotated ND": (trlog.ROTATED, "ND", [8.0], False),
+    "rotated DD force": (trlog.ROTATED, "DD", [8.0], True),
 }
 
 
@@ -354,8 +363,8 @@ def test_each_growth_step_assembles_its_blocks_once(monkeypatch, case):
                             Truncation(l_max=diag["l_max_used"] - 4), xi=xi,
                             derivative=derivative)
     meas = part or (lambda z: z)
-    assert diag["change"] == pytest.approx(abs(meas(val) - meas(lower)),
-                                           abs=1e-12 * abs(val))
+    assert diag["change"] == pytest.approx(abs(meas(val[0]) - meas(lower[0])),
+                                           abs=1e-12 * abs(val[0]))
 
 
 def _padded(M, pad, em):
@@ -386,13 +395,13 @@ def test_zero_padding_leaves_the_evaluators_unchanged(em):
 
     for sign in (1, -1):
         real, dM = contraction(0.6, float), rng.standard_normal((size, size))
-        want = log_det_one_minus(real, sign)
-        assert log_det_one_minus(_padded(real, pad, em), sign) == pytest.approx(want, abs=1e-13)
+        want = _log_det(real, sign)
+        assert _log_det(_padded(real, pad, em), sign) == pytest.approx(want, abs=1e-13)
         # a certified block and one the bound refuses
         for rho in (0.3, 0.95):
             M = contraction(rho, complex)
-            got, ok = trace_log_eig(_padded(M, pad, em), sign)
-            assert ok and got == pytest.approx(trace_log_eig(M, sign)[0], abs=1e-12)
+            got, ok, _ = _eig(_padded(M, pad, em), sign)
+            assert ok and got == pytest.approx(_eig(M, sign)[0], abs=1e-12)
         for M in (real, contraction(0.6, complex)):
             D = dM.astype(M.dtype)
             got = trlog._trace_derivatives(_padded(M, pad, em)[None],
@@ -418,12 +427,12 @@ def test_a_per_node_floor_ends_growth_and_m_sum_sooner():
     # it stops at a lower or equal cut-off and a lower m cut, and the first
     # is the node alone
     geom, xi = Geometry(1.0, 0.2), 8.0
-    alone, diag = trace_over_m(trlog.ROTATED, geom, DD, Truncation(), xi=xi, part=np.imag)
-    big = 10.0 * abs(alone.imag)
+    alone, diag = trace_over_m(trlog.ROTATED, geom, DD, Truncation(), xi=[xi], part=np.imag)
+    big = 10.0 * abs(alone[0].imag)
     vals, pair = trace_over_m(trlog.ROTATED, geom, DD, Truncation(), xi=np.array([xi, xi]),
                               part=np.imag, scale_floor=np.array([0.0, big]))
     nodes = pair["nodes"]
-    assert vals[0] == pytest.approx(alone, rel=1e-12)
+    assert vals[0] == pytest.approx(alone[0], rel=1e-12)
     assert (nodes["l_max_used"][0], nodes["m_max_used"][0]) == \
         (diag["l_max_used"], diag["m_max_used"])
     assert nodes["l_max_used"][1] <= nodes["l_max_used"][0]
@@ -444,14 +453,14 @@ def test_stack_with_growth_gives_each_node_its_own_cutoff(evaluation, field):
     xs = np.array([0.3, 2.0, 9.0]) if evaluation == trlog.ROTATED else np.array([1.0, 6.0, 14.0])
     vals, diag = trace_over_m(evaluation, geom, spec, Truncation(), xi=xs, part=part,
                               l_max_start=start)
-    alone = [trace_over_m(evaluation, geom, spec, Truncation(), xi=x, part=part,
+    alone = [trace_over_m(evaluation, geom, spec, Truncation(), xi=[x], part=part,
                           l_max_start=start) for x in xs]
     nodes = diag["nodes"]
     assert len(set(nodes["l_max_used"])) > 1
     for i, (v, d) in enumerate(alone):
-        assert vals[i] == pytest.approx(v, rel=1e-12)
+        assert vals[i] == pytest.approx(v[0], rel=1e-12)
         assert (nodes["l_max_used"][i], nodes["m_max_used"][i], nodes["converged"][i]) == \
             (d["l_max_used"], d["m_max_used"], d["converged"])
-        assert nodes["change"][i] == pytest.approx(d["change"], rel=1e-6, abs=1e-14 * abs(v))
+        assert nodes["change"][i] == pytest.approx(d["change"], rel=1e-6, abs=1e-14 * abs(v[0]))
     assert diag["l_max_used"] == max(nodes["l_max_used"])
     assert diag["blocks"] <= sum(d["blocks"] for _, d in alone)
