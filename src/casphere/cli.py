@@ -11,7 +11,7 @@ computation did not converge (partial results are still written).
 ``--diagnostics PATH`` also writes, as JSON, a
 list with one object per row that holds the row's inputs and the
 ``diagnostics`` of its ``EnergyResult`` (the work done: cut-offs, blocks,
-fallbacks, convergence); the closed-form commands ``pfa`` and
+eigenvalue blocks, convergence); the closed-form commands ``pfa`` and
 ``asymptotic`` write an empty list.
 
 The ``table1`` / ``table2`` commands reproduce the reference grids for the

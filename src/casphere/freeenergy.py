@@ -28,11 +28,11 @@ each gets the cut-off and value it would get evaluated alone.
 The engine's truncation floor is in units of the integrand or sum, not of
 the trace: each node's l_max growth and m sum stop at rel_tol (the m sum
 at rel_tol * 1e-2) of the larger of its own projected trace and a share
-of the largest weighted |trace| so far divided by its weight.  On the
-frequency sweeps the share is 1e-3 and the weight is n_1 on the
-real-frequency axis and 1 on the imaginary axis; the Matsubara sum uses
-the share 1e-2 of its stop test, weight 1 and a scale that starts at the
-zero-mode term.  So the nodes that the Boltzmann factor or the Matsubara
+of the largest weighted |trace| before its panel or chunk, divided by its
+weight.  On the frequency sweeps the share is 1e-3 and the weight is n_1
+on the real-frequency axis and 1 on the imaginary axis; the Matsubara sum
+uses the share 1e-2 of its stop test, weight 1 and a scale that starts at
+the zero-mode term.  So the nodes that the Boltzmann factor or the Matsubara
 decay makes negligible converge only as far as the result needs.
 
 Along a sweep the cut-off hint of the acceptance engine only rises, while
@@ -106,7 +106,7 @@ def _cc_rule(n):
         if n % 2 == 0:
             raise ValueError("panel rule needs an odd point count")
         nodes, weights = _cc_weights(n)
-        sub_nodes, sub_weights = _cc_weights(n // 2 + 1)
+        _, sub_weights = _cc_weights(n // 2 + 1)
         _CC_CACHE[n] = (nodes, weights, sub_weights)
     return _CC_CACHE[n]
 
@@ -262,13 +262,16 @@ class _SweepState:
     of their own.  ``weight``, a callable of the nodes (default 1), is the
     factor the integrand puts on the trace (n_1 on the thermal sweep), and
     ``scale`` the largest weighted projected magnitude so far, in units of
-    the integrand.  Node j's floor is ``floor * scale / weight_j``, in units
-    of the trace: it floors the growth test, the m test and the relative
-    change a verified node passes on, so every node is converged to about
-    rel_tol times ``floor * scale`` in units of the integrand.  It keeps
-    oscillatory zero crossings from triggering runaway growth, and the
-    nodes the weight makes negligible from running to the cut-offs of the
-    integrand's peak.  ``scale`` seeds the running scale (0 on the
+    the integrand.  Every node of one :meth:`evaluate` call has the floor
+    ``floor * scale / weight_j``, in units of the trace, from the scale as
+    it stood when the call began: it floors the growth test, the m test
+    and the relative change a verified node passes on, so every node is
+    converged to about rel_tol times ``floor * scale`` in units of the
+    integrand.  The scale still rises as the call's nodes are accepted,
+    for the calls after it.  A lower floor only makes a node's tests
+    stricter.  The floor keeps oscillatory zero crossings from triggering
+    runaway growth, and the nodes the weight makes negligible from running
+    to the cut-offs of the integrand's peak.  ``scale`` seeds the running scale (0 on the
     sweeps; the Matsubara sum passes its zero-mode term, so that its
     first nodes are floored too).  With ``derivative`` every node is the
     separation derivative of the trace (see :func:`trlog.trace_over_m`).
@@ -282,16 +285,12 @@ class _SweepState:
     while the hint is still h, a verified node while its cut-off is at
     least the current hint + 4 (a growth step gives the same totals
     whatever cut-off the node started from, up to the rounding of the
-    stack).  A node whose floor rose inside the stack is accepted only if
-    each of its m tests keeps its outcome under the new floor (it is at
-    most the node's ``m_floor_room``), and a verified node that grew past
-    h + 4 only if the new floor is also at most the smallest projected
-    |total| among its growth tests, so that every test has the same
-    outcome under either floor.  The first node that fails and the nodes
-    after it are stacked again from the new hint (``nodes_discarded``
+    stack).  The first node that fails and the nodes after it are stacked
+    again from the new hint, under the same floor (``nodes_discarded``
     counts the nodes thrown away), so a node's cut-off, m cut and value
     never depend on the stack.  A pinned ``Truncation(l_max=...)`` takes
-    every node at that cut-off.  A stack that meets a vanishing pivot is
+    every node at that cut-off.  A stack that meets a singular block (a
+    vanishing pivot, or a rotated block of spectral radius >= 1) is
     evaluated again one node at a time, so that the error and the state
     are those of the node that raised it.
 
@@ -307,10 +306,9 @@ class _SweepState:
     The diagnostics are one work record (:data:`trlog.WORK`), ``work``.
     Each stack merges into it the work of every node it evaluated, the
     discarded nodes included: the blocks assembled, the rotated ones among
-    them whose log-determinant took eigenvalues (``eig_blocks``) or the
-    per-pivot determinant (``fallbacks``), and the largest l_max and m of
-    any block assembled (``l_max_evaluated``, ``m_max_evaluated``), the
-    lower cut-offs of the growth steps included.  The largest cut-offs
+    them whose log-determinant took eigenvalues (``eig_blocks``), and the
+    largest l_max and m of any block assembled (``l_max_evaluated``,
+    ``m_max_evaluated``), the lower cut-offs of the growth steps included.  The largest cut-offs
     (``l_max_used``, ``m_max_used``), ``converged`` and the nodes run at
     the last verified cut-off without a growth test of their own
     (``nodes_assumed``) come from the accepted nodes alone, and
@@ -320,13 +318,12 @@ class _SweepState:
 
     VERIFY_EVERY = 6
 
-    def __init__(self, geom, spec, trunc, evaluation, part=None, derivative=False,
+    def __init__(self, geom, spec, trunc, evaluation, derivative=False,
                  every=None, floor=1e-3, weight=None, scale=0.0):
         self.geom = geom
         self.spec = spec
         self.trunc = trunc
         self.evaluation = evaluation
-        self.part = part
         self.derivative = derivative
         self.every = every or self.VERIFY_EVERY
         self.floor = floor
@@ -346,50 +343,42 @@ class _SweepState:
         nodes after it are neither accepted nor able to raise."""
         vals = np.empty(len(xis), dtype=complex)
         errs = np.empty(len(xis))
+        scale = self.scale  # every node of this call takes its floor from it
         i = 0
         while i < len(xis):
-            done, halt = self._stack(xis[i:], vals[i:], errs[i:], stop)
+            done, halt = self._stack(xis[i:], vals[i:], errs[i:], stop, scale)
             i += done
             if halt:
                 return vals[:i], errs[:i]
         return vals, errs
 
-    def _stack(self, xis, vals, errs, stop):
-        """Evaluate the nodes ``xis`` as one stack and accept them in order
-        into ``vals`` and ``errs``.  Returns how many were accepted and
-        whether ``stop`` ended the nodes."""
+    def _stack(self, xis, vals, errs, stop, scale):
+        """Evaluate the nodes ``xis`` as one stack, under the floor of the
+        running scale ``scale``, and accept them in order into ``vals`` and
+        ``errs``.  Returns how many were accepted and whether ``stop`` ended
+        the nodes."""
         weight = np.ones(len(xis)) if self.weight is None else self.weight(xis)
-        start, floor0, every = self.hint, self.floor * self.scale / weight, self.every
+        start, floor, every = self.hint, self.floor * scale / weight, self.every
         verify = ((self.count + 1 + np.arange(len(xis))) % every == 1 % every) & self.auto
         try:
             val, diag = trlog.trace_over_m(
-                self.evaluation, self.geom, self.spec, self.trunc, xi=xis, part=self.part,
-                l_max_start=start, scale_floor=floor0, derivative=self.derivative,
+                self.evaluation, self.geom, self.spec, self.trunc, xi=xis,
+                l_max_start=start, scale_floor=floor, derivative=self.derivative,
                 verify=verify)
         except SingularBlockError:
             if len(xis) == 1:
                 self.count += 1
                 raise
             for i in range(len(xis)):  # a stack of one accepts its node
-                if self._stack(xis[i: i + 1], vals[i:], errs[i:], stop)[1]:
+                if self._stack(xis[i: i + 1], vals[i:], errs[i:], stop, scale)[1]:
                     return i + 1, True
             return len(xis), False
         nodes = diag["nodes"]
         accepted, halt = len(xis), False
         for j, v in enumerate(val):
-            proj = abs(self.part(v) if self.part else v)
-            floor = self.floor * self.scale / weight[j]
+            proj = abs(trlog.project(self.evaluation, v))
             l_used = int(nodes["l_max_used"][j])
-            # it stops here from the current hint and floor too: every m
-            # and growth test keeps its outcome under the floor, which only
-            # rises along the nodes
-            same_tests = floor <= floor0[j] or floor <= nodes["m_floor_room"][j] and (
-                not verify[j] or l_used <= start + 4 or floor <= nodes["least_total"][j])
-            if verify[j]:
-                fits = l_used >= self.hint + 4 and same_tests
-            else:
-                fits = self.hint == start and same_tests
-            if not fits:
+            if not (l_used >= self.hint + 4 if verify[j] else self.hint == start):
                 accepted = j
                 break
             if verify[j]:
@@ -400,7 +389,7 @@ class _SweepState:
                 # below stops the cutoff from ratcheting up at every node
                 err = nodes["change"][j]
                 self.hint = max(self.spec.l_min + 4, l_used - 4)
-                self.rel_change = err / max(proj, floor, 1e-300)
+                self.rel_change = err / max(proj, floor[j], 1e-300)
             else:
                 err = self.rel_change * proj  # zero at a pinned cut-off
             self.scale = max(self.scale, weight[j] * proj)
@@ -484,10 +473,10 @@ def _matsubara_sum(geom, spec, T, trunc, derivative=False):
 
     The engine's floor is ``MATSUBARA_FLOOR`` of a running scale, in
     units of the trace, that starts at the zero-mode term
-    ``|trace(0)| / 2`` and takes the largest |trace| accepted since: a
-    node is converged in l and m no finer than about rel_tol * 1e-2 of
-    that scale, T times which is the size of the smallest term the stop
-    test keeps.  So the nodes far down the sum, which need the largest
+    ``|trace(0)| / 2`` and takes the largest |trace| accepted before the
+    node's chunk: a node is converged in l and m no finer than about
+    rel_tol * 1e-2 of that scale, T times which is the size of the
+    smallest term the stop test keeps.  So the nodes far down the sum, which need the largest
     cut-offs, stop at those the sum needs.
 
     The error estimate adds the omitted tail (:func:`_matsubara_tail`),
@@ -547,9 +536,9 @@ def matsubara_free_energy(geom, spec, T, trunc=None):
     zero mode from the static kernel; the sum stops when the last term
     drops below ``rel_tol * 1e-2`` of the running sum (the terms decay
     like exp(-4 pi n T d)).  Each node's l_max growth and m sum run
-    against a floor of 1e-2 of the largest term so far, the zero mode
-    included, so a node is resolved no finer than the smallest term the
-    stop test keeps.  The error estimate sums the omitted terms as a
+    against a floor of 1e-2 of the largest term before its chunk, the
+    zero mode included, so a node is resolved no finer than the smallest
+    term the stop test keeps.  The error estimate sums the omitted terms as a
     geometric tail whose ratio is the larger of the last two terms' and
     exp(-4 pi T d), and adds the stopping tolerance and each node's last
     growth step.
@@ -615,8 +604,8 @@ def _thermal_sweep(geom, spec, T, trunc, derivative=False):
         return 1.0 / np.expm1(np.maximum(xi, 1e-8))
 
     # the engine's floor in units of the integrand: n_1 of each node weighs it
-    state = _SweepState(geom, spec, trunc, trlog.ROTATED, part=np.imag,
-                        derivative=derivative, weight=lambda x: boltzmann(x / T))
+    state = _SweepState(geom, spec, trunc, trlog.ROTATED, derivative=derivative,
+                        weight=lambda x: boltzmann(x / T))
 
     def integrand(xi):
         xi = np.maximum(xi, 1e-8)

@@ -19,7 +19,8 @@ series, ``-sum_{k<=4} Tr M^k / k``, with a bound on the remainder from the
 Frobenius norms of M^2 and, where that is not enough, M^4 and then M^8,
 fix the branch whenever that bound is below one radian.  Blocks the bound
 does not certify take the eigenvalues, and those with spectral radius
->= 1 the per-pivot determinant.
+>= 1 raise :class:`SingularBlockError`: the expanded logarithm has no
+branch to fix there.
 
 The force needs the separation derivative of the same trace,
 
@@ -74,15 +75,16 @@ STATIC = "static"
 
 
 class SingularBlockError(ArithmeticError):
-    """A pivot of 1 - M (nearly) vanished: l_max too small or a quadrature
-    node accidentally on a resonance."""
+    """A pivot of 1 - M (nearly) vanished, or a rotated block's spectral
+    radius is not below one: l_max too small or a quadrature node
+    accidentally on a resonance."""
 
 
 #: the work counters of every result, each with the rule by which two
 #: counts of it combine: summed, the largest kept, or all required
 WORK = {"l_max_used": "largest", "m_max_used": "largest",
         "l_max_evaluated": "largest", "m_max_evaluated": "largest",
-        "blocks": "sum", "eig_blocks": "sum", "fallbacks": "sum",
+        "blocks": "sum", "eig_blocks": "sum",
         "nodes_assumed": "sum", "nodes_discarded": "sum", "converged": "all"}
 
 
@@ -135,6 +137,14 @@ class Truncation:
                              f"embedded rule to be Clenshaw-Curtis, got {self.quad_points}")
 
 
+def project(evaluation, total):
+    """The part of a folded total (or an array of them) that the
+    convergence tests measure: the imaginary part on the rotated axis,
+    which is what the thermal integrand takes, the total itself on the
+    others."""
+    return np.imag(total) if evaluation == ROTATED else total
+
+
 def assemble_block(m, evaluation, geom, spec, l_max, xi=None, derivative=False):
     """Block m of the round-trip operator and, with ``derivative``, dM/dd
     (else None), from the matching kernel operation.
@@ -170,37 +180,19 @@ def assemble_block(m, evaluation, geom, spec, l_max, xi=None, derivative=False):
 
 
 def log_det_one_minus(stack, plane_sign=1):
-    """ln det(1 - plane_sign * M) of each block M of the stack (k, n, n),
-    by pivoted factorization, as an array of k complex values.
-
-    Real blocks (imaginary axis, static) must have a positive determinant;
-    they run as one stacked ``slogdet``, and their values have zero
-    imaginary part.  Complex (rotated) blocks take one LU factorization
-    each and the principal branch of each pivot's logarithm.
+    """ln det(1 - plane_sign * M) of each block M of the real stack
+    (k, n, n) (imaginary axis, static), by one stacked ``slogdet``, as an
+    array of k complex values with zero imaginary part.  Every determinant
+    must be positive.
     """
     M = np.asarray(stack)
     if M.size == 0:
         return np.zeros(len(M), dtype=complex)
-    if not np.iscomplexobj(M):
-        sign, logabs = np.linalg.slogdet(_one_minus(M if plane_sign == 1 else -M))
-        if np.any(sign <= 0.0):
-            raise SingularBlockError(
-                "det(1 - M) <= 0 on the real axis; increase l_max")
-        return logabs.astype(complex)
-    vals = np.empty(len(M), dtype=complex)
-    eye = np.eye(M.shape[-1], dtype=M.dtype)
-    for i, block in enumerate(M):
-        lu, piv = scipy.linalg.lu_factor(eye - plane_sign * block, check_finite=False)
-        diag = np.diag(lu)
-        if np.any(np.abs(diag) < 1e-300):
-            raise SingularBlockError("vanishing pivot in 1 - M")
-        # row swaps flip the determinant sign but leave |det| and the
-        # per-pivot principal branches as the defined value of this evaluator
-        nswap = np.count_nonzero(piv != np.arange(len(piv)))
-        vals[i] = np.sum(np.log(diag.astype(complex)))
-        if nswap % 2 == 1:
-            vals[i] += complex(0.0, math.pi)
-    return vals
+    sign, logabs = np.linalg.slogdet(_one_minus(M if plane_sign == 1 else -M))
+    if np.any(sign <= 0.0):
+        raise SingularBlockError(
+            "det(1 - M) <= 0 on the real axis; increase l_max")
+    return logabs.astype(complex)
 
 
 def _squared_norms(X):
@@ -250,7 +242,8 @@ def trace_log_eig(stack, plane_sign=1):
     phase modulo 2 pi, and the one phase within pi of the four-term
     estimate is the imaginary part.  Otherwise the eigenvalues give the sum, which is the principal
     branch of each Log(1 - lambda_i) and equals the series whenever the
-    spectral radius is below one.
+    spectral radius is below one; a block whose spectral radius is not
+    below one is flagged, and :func:`trace_over_m` raises on it.
 
     The bound, the traces and ``slogdet`` run as batched operations over
     the stack, and the refused blocks as one stacked ``eigvals``.
@@ -320,7 +313,7 @@ def _trace_derivatives(stack, dstack, plane_sign):
 
 
 # the LAPACK LU routines themselves: the blocks are small, and the checks
-# of scipy.linalg.lu_factor / lu_solve cost as much as the factorization
+# of scipy's LU wrappers cost as much as the factorization
 _LU = {"d": (scipy.linalg.lapack.dgetrf, scipy.linalg.lapack.dgetrs),
        "D": (scipy.linalg.lapack.zgetrf, scipy.linalg.lapack.zgetrs)}
 
@@ -341,7 +334,7 @@ def _with_sub_blocks(X, hi, lo, cut, em):
     return out
 
 
-def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
+def trace_over_m(evaluation, geom, spec, trunc=None, xi=None,
                  l_max_start=None, scale_floor=0.0, derivative=False, verify=None):
     """Tr ln(1 - M) folded over m: block(0) + 2 sum_{m>=1} block(m).
 
@@ -349,7 +342,7 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
     ``rel_tol * 1e-2`` of the larger of the running total and the node's
     ``scale_floor``; with l_max = None the orbital cutoff grows by 4 until
     the folded total changes by less than rel_tol of the larger of its
-    projection and that floor.
+    projection (:func:`project`) and that floor.
     With ``derivative`` every block contributes its separation derivative
     ``-s Tr[(1 - sM)^{-1} dM/dd]`` instead, so the sum is d/dd Tr ln(1 - M),
     and the m and l tests run on that.
@@ -380,9 +373,6 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
     ----------
     evaluation : str
         'imag', 'rotated' or 'static'
-    part : callable or None
-        projection applied for the convergence test (e.g. ``np.imag`` for
-        the thermal integrand); the full complex value is returned
     l_max_start : int or None
         seed for the automatic l_max growth (a ratchet hint from previous
         evaluations at nearby parameters)
@@ -410,21 +400,20 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
         many the verify mask left out ('nodes_discarded' is 0).  'blocks'
         counts the blocks of every node assembled over every growth step,
         'eig_blocks' the evaluated blocks and sub-blocks whose rotated
-        log-determinant took eigenvalues (see :func:`trace_log_eig`) and
-        'fallbacks' those whose spectral radius is not below one, which
-        take the per-pivot determinant (:func:`log_det_one_minus`).
+        log-determinant took eigenvalues (see :func:`trace_log_eig`).
         'l_max_evaluated' and 'm_max_evaluated' are the largest l_max and
         m of any block assembled, over every node and growth step.  With
         automatic growth 'change' is the largest projected change of a
         node's last growth step, which estimates the truncation error
         from above.  'nodes' holds the per-node arrays of 'l_max_used',
-        'm_max_used', 'converged' and 'm_floor_room', the largest
-        ``scale_floor`` under which each of the node's m tests keeps its
-        outcome (the least folded |block| / (rel_tol * 1e-2) among the m
-        tests it went on from), with automatic growth also 'change' and
-        'least_total', the smallest projected |total| among the node's
-        growth tests (0 and inf for an assumed node, which counts as
-        converged).
+        'm_max_used', 'converged' and, with automatic growth, 'change'
+        (0 for an assumed node, which counts as converged).
+
+    Raises
+    ------
+    SingularBlockError
+        when a pivot of 1 - M vanishes, or a rotated block or sub-block
+        has spectral radius >= 1; the message names the node and m
     """
     trunc = trunc or Truncation()
     if trunc.l_max is not None and trunc.l_max < spec.l_min:
@@ -439,9 +428,9 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
     em = spec.kind == kernel.ELECTROMAGNETIC
 
     def totals(idx, l_hi, l_lo=None, sub=None):
-        """Folded totals of the nodes ``idx`` at l_hi, their m cuts and floor
-        rooms, and from the leading sub-blocks their folded totals at l_lo
-        (of the nodes ``sub`` marks, or of all)."""
+        """Folded totals of the nodes ``idx`` at l_hi and their m cuts, and
+        from the leading sub-blocks their folded totals at l_lo (of the
+        nodes ``sub`` marks, or of all)."""
         src = stack(nodes[idx], geom, spec, l_hi, derivative=derivative) if stack else None
         merge_work(work, {"l_max_evaluated": l_hi})
         tot = [[0j] * len(idx), [0j] * len(idx)]  # at l_hi, at l_lo
@@ -449,7 +438,6 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
                  [l_lo is not None and (sub is None or bool(sub[i])) for i in range(len(idx))]]
         m_cut = [0] * len(idx)
         floor = [float(floors[i]) for i in idx]
-        room = [math.inf] * len(idx)
         active = list(range(len(idx)))  # the nodes in the stack
         for m in range(l_hi + 1):
             l_start = max(spec.l_min, m)
@@ -479,12 +467,11 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
             elif evaluation != ROTATED:
                 vals = log_det_one_minus(both, sign)
             else:
-                # a rotated block whose spectral radius is not below one
-                # falls back to the per-pivot determinant
                 vals, ok, step["eig_blocks"] = trace_log_eig(both, sign)
                 if not ok.all():
-                    vals[~ok] = log_det_one_minus(both[~ok], sign)
-                    step["fallbacks"] = ~ok
+                    i = active[(hi + lo)[np.flatnonzero(~ok)[0]]]
+                    raise SingularBlockError(f"rotated block at xi={nodes[idx[i]]:g}, "
+                                             f"m={m} has spectral radius >= 1")
             merge_work(work, step)
             slots = [(0, active[pos]) for pos in hi] + [(1, active[pos]) for pos in lo]
             for (row, i), v in zip(slots, vals):
@@ -495,11 +482,9 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
                 tot[row][i] += contrib
                 if abs(contrib) < m_tol * max(abs(tot[row][i]), floor[i]):
                     going[row][i] = False
-                else:
-                    room[i] = min(room[i], abs(contrib) / m_tol)
             for pos in hi:
                 m_cut[active[pos]] = m
-        return np.array(tot[0]), np.array(tot[1]), np.array(m_cut), np.array(room)
+        return np.array(tot[0]), np.array(tot[1]), np.array(m_cut)
 
     def result(tot, nodes_diag):
         merge_work(work, nodes_diag)  # the cut-offs and convergence of the nodes
@@ -508,39 +493,34 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None, part=None,
         return tot, {**work, "nodes": nodes_diag}
 
     if trunc.l_max is not None:
-        tot, _, m_cut, room = totals(np.arange(k), trunc.l_max)
+        tot, _, m_cut = totals(np.arange(k), trunc.l_max)
         return result(tot, {"l_max_used": np.full(k, trunc.l_max), "m_max_used": m_cut,
-                            "converged": np.ones(k, dtype=bool), "m_floor_room": room})
+                            "converged": np.ones(k, dtype=bool)})
 
     l_max = max(spec.l_min + 4, l_max_start or 0)
-    meas = part or (lambda z: z)
     value = np.zeros(k, dtype=complex)
     l_used = np.full(k, l_max)
     m_used = np.zeros(k, dtype=int)
     converged = np.zeros(k, dtype=bool)
     change = np.full(k, math.inf)
-    least = np.full(k, math.inf)
-    room = np.full(k, math.inf)
     pending = np.arange(k)  # the nodes whose growth test has not passed
     sub = None if verify is None else np.asarray(verify, dtype=bool)
     if l_max >= L_CAP:
-        value, _, m_used, room = totals(pending, l_max)
+        value, _, m_used = totals(pending, l_max)
     while l_max < L_CAP and len(pending):
-        hi, lo, m_cut, step_room = totals(pending, l_max + 4, l_max, sub)
+        hi, lo, m_cut = totals(pending, l_max + 4, l_max, sub)
         l_max += 4
-        proj = meas(hi)
+        proj = project(evaluation, hi)
         size = np.abs(proj)
-        delta = np.abs(proj - meas(lo))
+        delta = np.abs(proj - project(evaluation, lo))
         passed = delta <= trunc.rel_tol * np.maximum(size, floors[pending])
         value[pending], m_used[pending], l_used[pending], change[pending] = \
             hi, m_cut, l_max, delta
-        least[pending] = np.minimum(least[pending], size)
-        room[pending] = np.minimum(room[pending], step_room)
         if sub is not None:  # the assumed nodes leave after the first step, untested
             merge_work(work, {"nodes_assumed": ~sub})
             passed |= ~sub
-            change[~sub], least[~sub], sub = 0.0, math.inf, None
+            change[~sub], sub = 0.0, None
         converged[pending[passed]] = True
         pending = pending[~passed]
     return result(value, {"l_max_used": l_used, "m_max_used": m_used, "converged": converged,
-                          "change": change, "least_total": least, "m_floor_room": room})
+                          "change": change})

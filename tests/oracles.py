@@ -3,8 +3,9 @@
 Everything here is deliberately built from different algorithms than the
 package: exact rational arithmetic for 3j symbols, ascending series and
 finite closed sums for Bessel functions, mpmath reference evaluations,
-finite differences of energies for the force, eigenvalue sums and the
-expanded-logarithm series for log-determinants, adaptive quadratures of
+finite differences of energies for the force, eigenvalue sums, the
+expanded-logarithm series and per-pivot LU logarithms for
+log-determinants, adaptive quadratures of
 the integral representations of g and h, per-element loops for
 vectorized assemblies, and frequency sweeps that evaluate one node at a
 time.  The float 3j symbol :func:`three_j` and :func:`h_factor` are the
@@ -29,6 +30,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+import scipy.linalg
 from scipy.integrate import quad
 
 mp.mp.dps = 30
@@ -698,6 +700,30 @@ def trace_log_series(M, plane_sign=1, s_max=80):
     return total, last
 
 
+def log_det_lu(stack, plane_sign=1):
+    """ln det(1 - plane_sign * M) of each complex block M of the stack
+    (k, n, n), as an array of k complex values: one LU factorization per
+    block, the principal branch of each pivot's logarithm, and i pi for an
+    odd number of row swaps.  The imaginary part is that of a
+    log-determinant modulo 2 pi."""
+    from casphere.trlog import SingularBlockError
+    M = np.asarray(stack)
+    vals = np.empty(len(M), dtype=complex)
+    eye = np.eye(M.shape[-1], dtype=M.dtype)
+    for i, block in enumerate(M):
+        lu, piv = scipy.linalg.lu_factor(eye - plane_sign * block, check_finite=False)
+        diag = np.diag(lu)
+        if np.any(np.abs(diag) < 1e-300):
+            raise SingularBlockError("vanishing pivot in 1 - M")
+        # row swaps flip the determinant sign but leave |det| and the
+        # per-pivot principal branches as the defined value of this evaluator
+        nswap = np.count_nonzero(piv != np.arange(len(piv)))
+        vals[i] = np.sum(np.log(diag.astype(complex)))
+        if nswap % 2 == 1:
+            vals[i] += complex(0.0, math.pi)
+    return vals
+
+
 def trace_log_eigenvalues(M, plane_sign=1):
     """sum_i Log(1 - plane_sign lambda_i) over the eigenvalues of M, each
     on the principal branch."""
@@ -871,12 +897,22 @@ def rotated_matrix_dense(m, xi, geom, spec, l_max, branch=1, derivative=False):
 def node_by_node_sweep_state(fe):
     """A subclass of ``fe._SweepState`` (``fe`` is
     ``casphere.freeenergy``) that evaluates one node per call of the
-    package's own node evaluation, so that no two nodes share a stack."""
+    package's own node evaluation, so that no two nodes share a stack.
+    Every node of one outer call runs from the running scale as it stood
+    when that call began, and the call leaves the largest scale its nodes
+    reached."""
 
     class NodeByNode(fe._SweepState):
         def evaluate(self, xis):
-            runs = [super(NodeByNode, self).evaluate(xis[i: i + 1])
-                    for i in range(len(xis))]
+            start = top = self.scale
+            runs = []
+            try:
+                for i in range(len(xis)):
+                    self.scale = start
+                    runs.append(super(NodeByNode, self).evaluate(xis[i: i + 1]))
+                    top = max(top, self.scale)
+            finally:
+                self.scale = top
             return (np.concatenate([v for v, _ in runs]),
                     np.concatenate([e for _, e in runs]))
 

@@ -454,7 +454,7 @@ def test_stacked_runs_match_the_node_by_node_sweep(monkeypatch, target, name, fi
     if target == "FT DD colder":
         assert not grew
         assert stacked.diagnostics["nodes_discarded"] == 0
-        work = ("blocks", "eig_blocks", "fallbacks")
+        work = ("blocks", "eig_blocks")
         assert {k: stacked.diagnostics[k] for k in work} == \
             {k: alone.diagnostics[k] for k in work}
     else:
@@ -559,7 +559,7 @@ def test_chunk_discards_the_nodes_after_a_falling_cutoff(monkeypatch):
                  "converged": np.ones(len(n), dtype=bool), "change": 1e-7 * l_used}
         vals = (-np.exp(-0.5 * n) * (1.0 + 1e-3 * l_used)).astype(complex)
         diag = {k: v.max() for k, v in nodes.items()}
-        diag.update(blocks=len(n), eig_blocks=0, fallbacks=0,
+        diag.update(blocks=len(n), eig_blocks=0,
                     l_max_evaluated=diag["l_max_used"], m_max_evaluated=diag["m_max_used"])
         return vals, {**diag, "nodes": nodes}
 
@@ -572,101 +572,114 @@ def test_chunk_discards_the_nodes_after_a_falling_cutoff(monkeypatch):
     assert res.diagnostics["nodes_discarded"] > 0
 
 
-def _fake_growth_trace(model, rooms=None):
+def _fake_growth_trace(model, floors):
     """A synthetic ``trlog.trace_over_m`` for an array of nodes: node x has
     the total ``a - b r^k / (1 - r)`` at the cut-off 4 + 4k, with (a, b)
     = ``model[x]`` and r = 0.1, so its growth step from 4 + 4k changes it
     by b r^k.  Verified nodes grow from the start under the growth test
     with their floor; the others are taken once, one step above the start.
-    Node x's m tests keep their outcome under any floor up to
-    ``rooms[x]`` (default inf); above it its m sum ends one block sooner,
-    which takes 1e-6 off both of its totals."""
+    Each call appends the floors of its nodes to the list ``floors``."""
     import numpy as np
 
     def total(x, l):
         a, b = model[float(x)]
         return a - b * 0.1 ** ((l - 4) // 4) / 0.9
 
-    def fake(evaluation, geom, spec, trunc=None, xi=None, part=None, l_max_start=None,
+    def fake(evaluation, geom, spec, trunc=None, xi=None, l_max_start=None,
              scale_floor=0.0, derivative=False, verify=None):
         start = max(spec.l_min + 4, l_max_start or 0)
-        nodes = {key: [] for key in ("l_max_used", "m_max_used", "converged", "change",
-                                     "least_total")}
+        nodes = {key: [] for key in ("l_max_used", "m_max_used", "converged", "change")}
         vals, blocks = [], 0
-        floors = np.broadcast_to(scale_floor, np.shape(xi))
-        room = [(rooms or {}).get(float(x), np.inf) for x in xi]
-        for x, tested, floor, x_room in zip(xi, verify, floors, room):
-            l, least = start, np.inf
-            short = 1e-6 if floor > x_room else 0.0
+        floors.append(np.broadcast_to(scale_floor, np.shape(xi)).copy())
+        for x, tested, floor in zip(xi, verify, floors[-1]):
+            l = start
             while True:
-                hi, lo = total(x, l + 4) - short, total(x, l) - short
+                hi, lo = total(x, l + 4), total(x, l)
                 l += 4
                 blocks += 1
                 if not tested:
                     change, passed = 0.0, True
                     break
-                change, least = abs(hi - lo), min(least, abs(hi))
+                change = abs(hi - lo)
                 passed = change <= trunc.rel_tol * max(abs(hi), floor, 1e-300)
                 if passed:
                     break
             vals.append(hi)
-            for key, v in zip(nodes, (l, l // 4, passed, change, least)):
+            for key, v in zip(nodes, (l, l // 4, passed, change)):
                 nodes[key].append(v)
         nodes = {key: np.array(v) for key, v in nodes.items()}
-        nodes["m_floor_room"] = np.array(room)
         return (np.array(vals, dtype=complex),
                 {"l_max_used": int(nodes["l_max_used"].max()), "m_max_used": 0,
-                 "converged": True, "blocks": blocks, "eig_blocks": 0, "fallbacks": 0,
+                 "converged": True, "blocks": blocks, "eig_blocks": 0,
                  "l_max_evaluated": int(nodes["l_max_used"].max()),
                  "m_max_evaluated": int(nodes["m_max_used"].max()), "nodes": nodes})
     return fake
 
 
-@pytest.mark.parametrize("a, b, discarded", [(0.1, 5e-4, 0), (1e-3, 5e-5, 1)],
+@pytest.mark.parametrize("a, b, l_max", [(0.1, 5e-4, 12), (1e-3, 5e-5, 16)],
                          ids=["floor below its totals", "floor above its totals"])
-def test_a_floor_that_rises_inside_a_stack(monkeypatch, a, b, discarded):
-    # the first node, alone, leaves a small scale; in the stack after it the
-    # five assumed nodes raise the scale a thousandfold, and the sixth node,
-    # verified, grows past the start + 4 under the stack's low floor.  Where
-    # the raised floor is below every total of its growth tests, every test
-    # has the same outcome under it and the node is kept; where it is above,
-    # the node would stop sooner alone, and is evaluated again
-    diag = _rising_floor_stack(monkeypatch, {6.0: (a, b)})
-    assert diag["l_max_used"] == 12  # the sixth node grew to the start + 8
-    assert diag["nodes_discarded"] == discarded
+def test_the_nodes_of_one_call_share_its_starting_floor(monkeypatch, a, b, l_max):
+    # the first node, alone, leaves the scale 1e-3; in the call after it the
+    # five assumed nodes raise the scale to 10, and the sixth node, verified,
+    # grows past the start + 4 under the call's starting floor 1e-6.  Where
+    # the raised floor 1e-2 is above its totals, it would stop at 12 under
+    # that floor, but it keeps the call's floor and goes on to 16; no node
+    # is discarded, and the next call takes the raised floor
+    import numpy as np
+    floors = []
+    state, diag, scale = _rising_floor_stack(
+        monkeypatch, {6.0: (a, b)}, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], floors)
+    assert diag["l_max_used"] == l_max
+    assert diag["nodes_discarded"] == 0
+    # every node after the first, stacked or one by one, has the call's floor
+    assert len(floors[1]) == 6
+    assert all(np.all(f == 1e-3 * scale) for f in floors[1:] if f.any())
+    assert state.scale == 10.0
+    state.evaluate(np.array([7.0]))
+    assert floors[-1] == 1e-3 * 10.0
 
 
-def test_a_floor_that_rises_past_an_m_test(monkeypatch):
-    # the same stack, where the second assumed node, alone, ends its m sum
-    # one block sooner under the raised floor: it and the nodes after it
-    # are evaluated again
-    diag = _rising_floor_stack(monkeypatch, {6.0: (0.1, 5e-4)}, rooms={2.0: 1e-4})
-    assert diag["nodes_discarded"] == 5
+def test_a_moved_hint_discards_and_restacks_under_the_same_floor(monkeypatch):
+    # the same call with three assumed nodes after the verified one: it
+    # grows past the start + 4 and moves the hint, so those three are
+    # discarded and stacked again from the new hint, under the call's
+    # starting floor still; the floor the assumed nodes raised discards none
+    import numpy as np
+    floors = []
+    state, diag, scale = _rising_floor_stack(
+        monkeypatch, {6.0: (0.1, 5e-4)}, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0],
+        floors)
+    assert diag["nodes_discarded"] == 3
+    stacked = floors[1:3]  # the stacked call, then its last three again
+    assert [len(f) for f in stacked] == [9, 3]
+    assert all(np.all(f == 1e-3 * scale) for f in floors[1:] if f.any())
 
 
-def _rising_floor_stack(monkeypatch, model, rooms=None):
-    """The first node alone leaves the scale 1e-3; in the stack of six after
-    it the five assumed nodes raise it to 10, and the sixth, verified,
-    follows ``model`` (with ``rooms``, see :func:`_fake_growth_trace`).
-    Requires the stacked nodes to match the node-by-node sweep and returns
-    the stacked diagnostics."""
+def _rising_floor_stack(monkeypatch, model, xis, floors):
+    """The first node alone leaves the scale 1e-3; in the call after it,
+    on ``xis``, the assumed nodes raise it to 10, and the sixth, verified,
+    follows ``model``.  Requires the stacked nodes to match the
+    node-by-node sweep and returns the stacked state, its diagnostics and
+    the scale the first node left; ``floors`` collects the floors of every
+    call of the synthetic trace (:func:`_fake_growth_trace`)."""
     import numpy as np
     from casphere import trlog
-    model = {0.5: (1e-3, 1e-9), 1.0: (10.0, 0.0), 2.0: (10.0, 0.0), 3.0: (10.0, 0.0),
-             4.0: (10.0, 0.0), 5.0: (10.0, 0.0), **model}
-    monkeypatch.setattr(trlog, "trace_over_m", _fake_growth_trace(model, rooms))
+    model = {0.5: (1e-3, 1e-9), **{x: (10.0, 0.0) for x in (1.0, 2.0, 3.0, 4.0, 5.0, 7.0,
+                                                        8.0, 9.0)}, **model}
+    monkeypatch.setattr(trlog, "trace_over_m", _fake_growth_trace(model, floors))
     runs = []
     for cls in (fe._SweepState, oracles.node_by_node_sweep_state(fe)):
         state = cls(G12, DD, Truncation(), trlog.IMAG_AXIS)
         state.evaluate(np.array([0.5]))
-        vals, errs = state.evaluate(np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
-        runs.append((vals, errs, state.diagnostics()))
-    (vals, errs, diag), (want_vals, want_errs, want) = runs
+        scale = state.scale
+        vals, errs = state.evaluate(np.array(xis))
+        runs.append((state, vals, errs, state.diagnostics()))
+    (state, vals, errs, diag), (_, want_vals, want_errs, want) = runs
     assert np.array_equal(vals, want_vals) and np.array_equal(errs, want_errs)
     keys = ("l_max_used", "m_max_used", "nodes_assumed", "converged")
     assert {k: diag[k] for k in keys} == {k: want[k] for k in keys}
-    assert diag["nodes_assumed"] == 5
-    return diag
+    assert diag["nodes_assumed"] == len(xis) - 1
+    return state, diag, scale
 
 
 def test_matsubara_nodes_past_the_stop_do_not_raise(monkeypatch):
@@ -688,7 +701,7 @@ def test_matsubara_nodes_past_the_stop_do_not_raise(monkeypatch):
                  "converged": np.ones(len(n), dtype=bool), "change": 1e-7 * l_used}
         vals = np.where(n < 6, -np.exp(-0.5 * n), -1e-9).astype(complex)
         diag = {k: v.max() for k, v in nodes.items()}
-        diag.update(blocks=len(n), eig_blocks=0, fallbacks=0,
+        diag.update(blocks=len(n), eig_blocks=0,
                     l_max_evaluated=diag["l_max_used"], m_max_evaluated=diag["m_max_used"])
         return vals, {**diag, "nodes": nodes}
 

@@ -58,7 +58,7 @@ def test_series_matches_determinant_random(seed):
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     M *= 0.55 / max(abs(np.linalg.eigvals(M)))
-    want = _log_det(M)
+    want = oracles.log_det_lu(M[None])[0]
     got, _ = oracles.trace_log_series(M, s_max=400)
     assert got == pytest.approx(want, abs=1e-10)
     eigv, ok, _ = _eig(M)
@@ -135,8 +135,8 @@ def test_refused_block_takes_the_eigenvalue_path():
     got, ok, eig = _eig(np.diag(np.full(12, lam)))
     assert ok and eig
     assert got == pytest.approx(12 * np.log(1.0 - lam), abs=1e-12)
-    # spectral radius above one: not converged (trace_over_m then takes the
-    # per-pivot determinant, see test_rotated_block_past_unit_radius_counts_a_fallback)
+    # spectral radius above one: not converged (trace_over_m then raises,
+    # see test_rotated_block_past_unit_radius_raises)
     big = np.diag([1.5 + 0.1j, 0.2])
     _, ok, eig = _eig(big)
     assert not ok and eig
@@ -273,31 +273,28 @@ def test_m_fold_symmetry():
     assert folded[0].real == pytest.approx(total, rel=1e-14)
 
 
-def test_rotated_block_past_unit_radius_counts_a_fallback(monkeypatch):
+def test_rotated_block_past_unit_radius_raises(monkeypatch):
     rng = np.random.default_rng(5)
 
     def contraction(n, rho):
         M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         return M * rho / max(abs(np.linalg.eigvals(M)))
 
-    # the evaluators on a stack with one block past unit radius: it alone
-    # takes the eigenvalues and is flagged, and its per-pivot determinant
-    # in the stack is that of the block on its own
+    # the evaluator on a stack with one block past unit radius: it alone
+    # takes the eigenvalues and is flagged
     big = np.diag([1.5 + 0.1j, 0.2, 0.1j, -0.3])
     stack = np.stack([contraction(4, 0.5), big, contraction(4, 0.7)])
     vals, ok, eig = trace_log_eig(stack)
     assert (eig, np.count_nonzero(~ok)) == (1, 1)
     assert not ok[1]
-    assert log_det_one_minus(stack)[1] == _log_det(big)
     for i in (0, 2):
         assert vals[i] == pytest.approx(_eig(stack[i])[0], abs=1e-14)
 
-    # the count reaches the diagnostics of the m sum
+    # in the m sum, the flagged block raises, naming its node and m
     geom = Geometry(1.0, 0.3)
     xs = np.array([0.4, 0.9, 1.6])
     trunc = Truncation(l_max=6)
-    plain, plain_diag = trace_over_m(trlog.ROTATED, geom, DD, trunc, xi=xs)
-    assert plain_diag["fallbacks"] == 0
+    trace_over_m(trlog.ROTATED, geom, DD, trunc, xi=xs)  # the blocks as assembled pass
     assemble = trlog.assemble_block
     shift = np.zeros(7)
     shift[0] = 3.0
@@ -310,14 +307,13 @@ def test_rotated_block_past_unit_radius_counts_a_fallback(monkeypatch):
         return M, dM
 
     monkeypatch.setattr(trlog, "assemble_block", inflated)
-    vals, diag = trace_over_m(trlog.ROTATED, geom, DD, trunc, xi=xs)
-    assert (diag["eig_blocks"], diag["fallbacks"]) == (plain_diag["eig_blocks"] + 1, 1)
+    with pytest.raises(SingularBlockError, match=r"xi=0\.9, m=0 has spectral radius >= 1"):
+        trace_over_m(trlog.ROTATED, geom, DD, trunc, xi=xs)
     M0 = assemble(0, trlog.ROTATED, geom, DD, 6,
                   xi=trlog.kernel.RotatedNodes(xs[1:2], geom, DD, 6))[0][0]
-    # the inflated block takes the per-pivot determinant of the block alone
-    change = _log_det(M0 + np.diag(shift)) - _eig(M0)[0]
-    assert vals[1] == pytest.approx(plain[1] + change, abs=1e-12)
-    assert vals[[0, 2]] == pytest.approx(plain[[0, 2]], abs=1e-14)
+    # trace_log_eig still flags the inflated block
+    _, ok, eig = _eig(M0 + np.diag(shift))
+    assert not ok and eig
 
 
 # (evaluation, field, xi, derivative): every block type on the growth path
@@ -348,7 +344,7 @@ def test_each_growth_step_assembles_its_blocks_once(monkeypatch, case):
         return assemble(m, evaluation, geom, spec, l_max, **kwargs)
 
     monkeypatch.setattr(trlog, "assemble_block", recording)
-    val, diag = trace_over_m(evaluation, geom, spec, Truncation(), xi=xi, part=part,
+    val, diag = trace_over_m(evaluation, geom, spec, Truncation(), xi=xi,
                              derivative=derivative)
     monkeypatch.undo()
     start = spec.l_min + 4
@@ -427,18 +423,16 @@ def test_a_per_node_floor_ends_growth_and_m_sum_sooner():
     # it stops at a lower or equal cut-off and a lower m cut, and the first
     # is the node alone
     geom, xi = Geometry(1.0, 0.2), 8.0
-    alone, diag = trace_over_m(trlog.ROTATED, geom, DD, Truncation(), xi=[xi], part=np.imag)
+    alone, diag = trace_over_m(trlog.ROTATED, geom, DD, Truncation(), xi=[xi])
     big = 10.0 * abs(alone[0].imag)
     vals, pair = trace_over_m(trlog.ROTATED, geom, DD, Truncation(), xi=np.array([xi, xi]),
-                              part=np.imag, scale_floor=np.array([0.0, big]))
+                              scale_floor=np.array([0.0, big]))
     nodes = pair["nodes"]
     assert vals[0] == pytest.approx(alone[0], rel=1e-12)
     assert (nodes["l_max_used"][0], nodes["m_max_used"][0]) == \
         (diag["l_max_used"], diag["m_max_used"])
     assert nodes["l_max_used"][1] <= nodes["l_max_used"][0]
     assert nodes["m_max_used"][1] < nodes["m_max_used"][0]
-    # each m test the floored node went on from stays so under its floor
-    assert nodes["m_floor_room"][1] >= big
 
 
 @pytest.mark.parametrize("evaluation, field", [(trlog.IMAG_AXIS, "DD"),
@@ -448,12 +442,11 @@ def test_stack_with_growth_gives_each_node_its_own_cutoff(evaluation, field):
     # nodes that need different cut-offs share one stack from one start;
     # each leaves it once its own growth test passes
     spec = {"DD": DD, "ND": FieldSpec(sphere_bc="neumann"), "EM": FieldSpec.em()}[field]
-    part = np.imag if evaluation == trlog.ROTATED else None
     geom, start = Geometry(1.0, 0.2), 12
     xs = np.array([0.3, 2.0, 9.0]) if evaluation == trlog.ROTATED else np.array([1.0, 6.0, 14.0])
-    vals, diag = trace_over_m(evaluation, geom, spec, Truncation(), xi=xs, part=part,
+    vals, diag = trace_over_m(evaluation, geom, spec, Truncation(), xi=xs,
                               l_max_start=start)
-    alone = [trace_over_m(evaluation, geom, spec, Truncation(), xi=[x], part=part,
+    alone = [trace_over_m(evaluation, geom, spec, Truncation(), xi=[x],
                           l_max_start=start) for x in xs]
     nodes = diag["nodes"]
     assert len(set(nodes["l_max_used"])) > 1
