@@ -9,19 +9,16 @@ The sphere-plane translation matrices need two 3j patterns only,
         \begin{pmatrix} l & l' & l''\\ 0&0&0\end{pmatrix}
         \begin{pmatrix} l & l' & l''\\ m&-m&0\end{pmatrix}.
 
-Two 3j routes remain, both vectorized over many (l, l') pairs.  The
-parity pattern ``(0 0 0)`` has a cancellation-free closed form, whose
+The parity pattern ``(0 0 0)`` has a cancellation-free closed form, whose
 log-factorials are read from one cached table of ``log Gamma(k/2)``
-(:func:`log_gamma_halves`), which also serves the stretched top and the
-static kernel.  The
-``(m -m 0)`` pattern comes, at every l, from the three-term recurrence in
-l'' (Schulten and Gordon, J. Math. Phys. 16, 1961 (1975); Luscombe and
-Luban, Phys. Rev. E 57, 7274 (1998)): two-sided, matched in the classical
-region, normalized by the sum rule and signed at the stretched top.  Each
-pair carries its own m; the only interpreted loop is over the l'' index.
-Each pair's slice is computed by elementwise operations only, so it does
-not depend on which other pairs share its batch.  The stretched top
-``l'' = l + l'`` of the static kernel has its own closed form
+(:func:`log_gamma_halves`), which also serves the stretched edge and top
+and the static kernel.  The ``(m -m 0)`` pattern comes from the
+three-term recurrence in m (Schulten and Gordon, J. Math. Phys. 16, 1961
+(1975)), run inward from the stretched edge m = l, its stable direction
+(Luscombe and Luban, Phys. Rev. E 57, 7274 (1998)): one elementwise
+descent of the (l, l', l'') triples of a growth pass passes every m that
+any store of the pass needs (:func:`_three_j_m_descent`).  The stretched
+top ``l'' = l + l'`` of the static kernel has its own closed form
 (:func:`log_h_top_matrix`).
 
 One coupling store per m serves every kernel, the imaginary-axis,
@@ -29,9 +26,10 @@ electromagnetic and rotated blocks alike: :func:`h_tensor` keeps H by
 anti-diagonal l + l' = const, with only the parity-allowed l'' and one of
 each (l, l') pair and its mirror (l', l).  A request past a store's
 cut-off grows that store and every other held store below the new cut-off
-in one batched pass of the recurrence; smaller cut-offs are read as
-prefix views.  The stores together may not pass ``_STORE_BUDGET`` bytes; a
-growth that would raises ``MemoryError`` before it allocates anything.
+in one pass, which may also create the stores of the next few m (the run
+rule of :func:`_grow_stores`); smaller cut-offs are read as prefix views.
+The stores together may not pass ``_STORE_BUDGET`` bytes; a growth that
+would raises ``MemoryError`` before it allocates anything.
 Every l'' sum of a block, ``sum_l'' H_{ll'}^{l''} B_{l''}``, depends on the
 frequency only through rows of weights indexed by l + l' and l'', so the
 sums of a whole block are one matrix product of the store with those rows
@@ -43,12 +41,12 @@ from functools import lru_cache
 
 import numpy as np
 
-#: the recurrences rescale a slice once a value passes this magnitude
+#: the m-descent rescales a triple once its value passes this magnitude
 _RESCALE = 1e250
 
-#: largest (l'' count) x (pair count) computed in one batch, which bounds
-#: the work arrays of a growth pass to a few hundred kB each
-_BATCH_ENTRIES = 1 << 15
+#: about the most (l, l', l'') triples descended together, which bounds the
+#: work arrays of a growth pass to a few hundred kB each
+_CHUNK = 1 << 15
 
 #: largest number of bytes the coupling stores may hold together (all m
 #: at l_max 104 take 314 MiB, all m at l_max 200 take 4.2 GiB)
@@ -117,177 +115,70 @@ def _three_j_000_slices(j1, j2):
     return np.where(keep, _parity_sign(g) * np.exp(log_delta + log_ratio), 0.0)
 
 
-def _three_j_m_slices(j1, j2, m):
-    """(j1 j2 j; m -m 0) for arrays of pairs, by the l''-recurrence.
+def _three_j_m_descent(l, lp, lpp, targets):
+    """Yield ``(m, n, f)`` for each m of ``targets`` (descending, from at
+    most l[0] to at least 0): f holds (l l' l''; m -m 0) of the n leading
+    triples, those with l >= m; the triples (l <= l', l + l' + l'' even)
+    come sorted by l descending, so the triples a step reaches lead.
 
-    ``j A(j+1) f(j+1) + B(j) f(j) + (j+1) A(j) f(j-1) = 0`` runs forward
-    from j_min while the minimal solution grows and backward from j_max
-    (where A(j_max+1) = 0); the two are matched in the classical region,
-    normalized with ``sum_j (2j+1) f(j)^2 = 1`` and signed at the
-    stretched top.  Every pair has its own m, start and stop points, held
-    in arrays and masks.  Requires ``1 <= |m| <= min(j1, j2)``, so each
-    slice has at least three entries.
-
-    Returns a (W, P) array laid out as in :func:`_three_j_000_slices`.
+    ``C(m+1) f(m+1) + D(m) f(m) + C(m) f(m-1) = 0``, with
+    ``C(m) = sqrt((l-m+1)(l+m)(l'-m+1)(l'+m))`` and
+    ``D(m) = l(l+1) + l'(l'+1) - l''(l''+1) - 2m^2``, runs down from
+    f(l+1) = 0 and the stretched edge ``f(l) = (-1)^(l'-l) sqrt((2l)!
+    (l'+l''-l)! (l+l')! / ((l+l'+l''+1)! (l-l'+l'')! (l+l'-l'')! (l'-l)!))``,
+    elementwise per triple.  It carries ``g(m) = (-1)^(l'-m) f(m) / s``
+    from g(l) = 1 and s = |f(l)|; a g past ``_RESCALE`` moves into s, held
+    as a logarithm.  As |f| <= 1, only a triple whose edge is below
+    ``2 / _RESCALE`` can pass it, so other chunks skip the test.
     """
-    jmin = np.abs(j1 - j2)
-    n = j1 + j2 - jmin + 1
-    W = int(np.max(n))
-    P = len(j1)
-    # coefficients on the rows i = 0..W-1, j = jmin + i; every work array
-    # is updated in place and dropped after its last use
-    j = jmin + np.arange(W + 1)[:, None]
-    jf = j.astype(float)
-    A = j * j
-    np.subtract(A, (j1 - j2) ** 2, out=A)
-    np.multiply(j, j, out=j)
-    np.subtract((j1 + j2 + 1) ** 2, j, out=j)
-    A *= j
-    del j
-    np.maximum(A, 0, out=A)
-    A = np.sqrt(A.astype(float))
-    A *= jf                        # A(j) = j sqrt(...)
-    jf = jf[:-1]
-    C = jf + 1.0
-    C *= A[:-1]                    # (j+1) A(j)
-    D = A[1:]
-    D *= jf                        # j A(j+1)
-    del A
-    B = 2.0 * jf
-    B += 1.0
-    np.negative(B, out=B)
-    B *= 2.0 * m
-    B *= jf
-    jf += 1.0
-    B *= jf                        # B(j) = -(2j+1) 2m j (j+1)
-    del jf
-    np.negative(B, out=B)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fa = B / D                 # f(j+1) = fa f(j) + fb f(j-1)
-        ga = np.divide(B, C, out=B)  # g(j-1) = ga g(j) + gb g(j+1)
-        fb = np.negative(C) / D
-        gb = np.negative(D, out=D)
-        gb /= C
-    del B, C, D
-
-    cols = np.arange(P)
-    f = np.zeros((W, P))
-    seeded = jmin == 0  # j1 == j2: the j = 0 relation is empty
-    s = _parity_sign(j1 - m)
-    f[0] = np.where(seeded, s / np.sqrt(2.0 * j1 + 1.0), 1.0)
-    f[1] = np.where(seeded, s * m / np.sqrt(j1 * (j1 + 1.0) * (2.0 * j1 + 1.0)), 0.0)
-    istart = seeded.astype(int)
-    ifwd = istart.copy()
-    falling = np.zeros(P, dtype=int)
-    running = istart <= n - 2
-    mag = np.abs(f[0])  # |f[i]| at the top of step i
-    with np.errstate(invalid="ignore", over="ignore"):
-        for i in range(W - 1):
-            # istart is 0 or 1: only the first step leaves seeded pairs out
-            act = running & ~seeded if i == 0 else running
-            if not act.any():
-                if i:
-                    break  # a pair that stops running never restarts
-                mag = np.abs(f[1])
-                continue
-            prev = f[i - 1] if i > 0 else 0.0
-            np.copyto(f[i + 1], fa[i] * f[i] + fb[i] * prev, where=act)
-            np.copyto(ifwd, i + 1, where=act)
-            nxt = np.abs(f[i + 1])
-            big = act & (nxt > _RESCALE)
-            if big.any():
-                f[:, big] /= nxt[big]
-                mag, nxt = np.abs(f[i]), np.abs(f[i + 1])
-            # three consecutive decreases mark the classical region (a
-            # single dip can be an accidental zero of the growing solution);
-            # the count of a pair that is not running is never read again
-            falling += 1
-            falling *= nxt < mag
-            stopped = falling >= 3
-            if i <= 1:
-                falling *= act
-                stopped &= i > istart
-            running &= (i + 1 <= n - 2) & ~stopped
-            mag = nxt
-        del fa, fb
-
-        g = np.zeros((W, P))
-        g[n - 1, cols] = 1.0
-        # the backward sweep overlaps the last four forward values, all
-        # past the forward peak, so that the match never rests on a single
-        # point next to a zero crossing
-        ibwd = np.maximum(np.minimum(ifwd, n - 2) - 3, 0)
-        rows = np.arange(W)[:, None]
-        sweep = (rows <= n - 1) & (rows > ibwd)
-        for i in range(W - 1, int(ibwd.min()), -1):
-            act = sweep[i]
-            if not act.any():
-                continue
-            nxt = g[i + 1] if i < W - 1 else 0.0
-            np.copyto(g[i - 1], ga[i] * g[i] + gb[i] * nxt, where=act)
-            mag = np.abs(g[i - 1])
-            big = act & (mag > _RESCALE)
-            if big.any():
-                g[:, big] /= mag[big]
-        del ga, gb, sweep
-
-    # match where both sweeps are farthest from an accidental zero
-    q = np.minimum(np.abs(f), np.abs(g))
-    q[(rows < ibwd) | (rows > ifwd)] = -1.0
-    k = np.argmax(q, axis=0)
-    ok = q[k, cols] > 0.0
-    del q
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(ok, g[k, cols] / f[k, cols], 0.0)
-    f *= ratio
-    out = g
-    np.copyto(out, f, where=ok & (rows < k))
-    del f
-    # row by row, so that zero padding past a pair's j_max changes nothing
-    sq = 2.0 * (jmin + rows) + 1.0
-    sq *= out
-    sq *= out
-    norm = np.zeros(P)
-    for i in range(W):
-        norm += sq[i]
-    del sq
-    out /= np.sqrt(norm)
-    out *= np.where(out[n - 1, cols] * _parity_sign(j1 - j2) < 0.0, -1.0, 1.0)
-    return out
-
-
-def _h_slices(l, lp, m):
-    """H_{l l'}^{l''} for arrays of pairs and their m (an array or one
-    value), as a (W, P) array whose row t holds l'' = |l-l'| + t (zero past
-    l + l')."""
-    l = np.asarray(l, dtype=np.int64)
-    lp = np.asarray(lp, dtype=np.int64)
-    m = np.broadcast_to(np.asarray(m, dtype=np.int64), l.shape)
-    # the (0 0 0) factors depend on the pair only: once per distinct pair
-    _, first, pair = np.unique(l * (np.max(lp, initial=0) + 1) + lp,
-                               return_index=True, return_inverse=True)
-    l0, lp0 = l[first], lp[first]
-    w0 = _three_j_000_slices(l0, lp0)
-    js = np.abs(l0 - lp0) + np.arange(w0.shape[0])[:, None]
-    pref = np.sqrt((2.0 * l0 + 1.0) * (2.0 * lp0 + 1.0))
-    out = (pref * (2.0 * js + 1.0) * w0)[:, pair]
-    del js
-    # the m = 0 slices take (0 0 0) twice; the others the recurrence, whose
-    # rows past the widest slice among them are zero in w0 already
-    zero = m == 0
-    out[:, zero] *= w0[:, pair[zero]]
-    del w0
-    rest = np.flatnonzero(~zero)
-    if len(rest):
-        wm = _three_j_m_slices(l[rest], lp[rest], m[rest])
-        out[: wm.shape[0], rest] *= wm
-    return out
+    lg = log_gamma_halves(2 * int(np.max(l + lp + lpp)) + 5)[::2]
+    log_scale = 0.5 * (lg[2 * l + 1] + lg[lp + lpp - l + 1] + lg[l + lp + 1]
+                       - lg[l + lp + lpp + 2] - lg[l - lp + lpp + 1]
+                       - lg[l + lp - lpp + 1] - lg[lp - l + 1])
+    sign = _parity_sign(lp)
+    scale = sign * np.exp(log_scale)
+    check = log_scale.min() < math.log(2.0 / _RESCALE)
+    L1, L2 = l * (l + 1.0), lp * (lp + 1.0)
+    K = L1 + L2 - lpp * (lpp + 1.0)
+    reached = np.searchsorted(-l, -np.arange(l[0] + 1), side="right")
+    g1, g0, c = np.zeros(len(l)), np.zeros(len(l)), np.zeros(len(l))
+    n0 = 0
+    for m in range(l[0], targets[-1] - 1, -1):
+        n = reached[m]
+        g0[n0:n] = 1.0  # the triples whose edge is m
+        n0 = n
+        if m in targets:
+            f = g0[:n] * scale[:n]
+            yield m, n, np.negative(f, out=f) if m % 2 else f
+        if m == targets[-1]:
+            break
+        # g(m-1) = (D(m) g(m) - C(m+1) g(m+1)) / C(m) into the buffer of
+        # g(m+1), and C(m) over C(m+1), which the next step reads
+        q = m * (m - 1.0)
+        gm, cm = g1[:n], c[:n]
+        d = K[:n] - 2.0 * m * m
+        d *= g0[:n]
+        np.multiply(cm, gm, out=gm)
+        np.subtract(d, gm, out=gm)
+        np.multiply(L1[:n] - q, L2[:n] - q, out=cm)
+        np.sqrt(cm, out=cm)
+        gm /= cm
+        if check:
+            big = np.flatnonzero(np.abs(gm) > _RESCALE)
+            if len(big):
+                s = np.abs(gm[big])
+                gm[big] /= s
+                g0[big] /= s
+                log_scale[big] += np.log(s)
+                scale[big] = sign[big] * np.exp(log_scale[big])
+        g0, g1 = g1, g0
 
 
 _STORES = {}       # m -> anti-diagonal store at the largest l_max seen
 _STORE_VIEWS = {}  # (m, l_max) -> prefix view of it
 _LAMBDA = {}       # the weight table of lambda_tensor at the largest l_max seen
 _TOP = {}          # m -> log_h_top_matrix table from l = m at the largest l_max seen
+_CREATED = {}      # l_max -> number of stores created at that cut-off
 
 
 def _store_shape(m, l_max):
@@ -301,83 +192,102 @@ def _store_l_max(m, H):
 
 def _grow_stores(m, l_max):
     """Grow the store of m, and every held store of m' <= l_max whose
-    cut-off is below l_max, to l_max in one batched pass; return the store
-    of m.
+    cut-off is below l_max, to l_max in one pass; return the store of m.
 
-    Each grown store keeps the entries of the old one; the new (l, l')
-    pairs of all of them, each with its own m, are computed in batches of
-    at most ``_BATCH_ENTRIES`` slice entries, narrowest slices first.
+    Grown stores keep their entries; only the new (l, l') pairs are
+    computed (:func:`_fill`).  The run rule: a request that creates a
+    store at l_max, after c stores were created at l_max, also creates the
+    stores of m + 1 .. min(m + c, l_max) not held, skipping each that would
+    pass the budget.  A descent to m passes every m above it, so asking for
+    m = 0, 1, 2, ... one at a time takes about log2 of the m count passes.
     """
     held = dict(_STORES)  # a racing growth may change the cache meanwhile
     if m in held and _store_l_max(m, held[m]) >= l_max:
         return held[m]
-    targets = sorted({m}.union(k for k, H in held.items()
-                               if k <= l_max and _store_l_max(k, H) < l_max))
-    shapes = {k: _store_shape(k, l_max) for k in targets}
-    total = sum(H.nbytes for k, H in held.items() if k not in shapes) \
-        + sum(8 * math.prod(shape) for shape in shapes.values())
+    # old cut-off of each target; a new store of k has none below l = k
+    old = {k: _store_l_max(k, H) for k, H in held.items()
+           if k <= l_max and _store_l_max(k, H) < l_max}
+    old.setdefault(m, m - 1)
+
+    def size(k):
+        return 8 * math.prod(_store_shape(k, l_max))
+
+    total = sum(H.nbytes for k, H in held.items() if k not in old) \
+        + sum(map(size, old))
     if total > _STORE_BUDGET:
         raise MemoryError(
             f"coupling stores at m = {m}, l_max = {l_max} would hold {total} "
             f"bytes, more than the budget of {_STORE_BUDGET}")
+    if m not in held:
+        created = _CREATED.get(l_max, 0)
+        for k in range(m + 1, min(m + created, l_max) + 1):
+            if k not in held and total + size(k) <= _STORE_BUDGET:
+                old[k] = k - 1
+                total += size(k)
+        _CREATED[l_max] = created + sum(k not in held for k in old)
     grown = {}
-    pair_m, pair_a, pair_b = [], [], []
-    for k in targets:
-        H = np.zeros(shapes[k])
-        old = held.pop(k, None)
+    for k, cut in old.items():
+        H = np.zeros(_store_shape(k, l_max))
+        prev = held.pop(k, None)
         _STORES.pop(k, None)
-        n_old = 0
-        if old is not None:
-            n_old = (old.shape[0] + 1) // 2
-            H[: old.shape[0], : old.shape[1], : old.shape[2]] = old
+        if prev is not None:
+            H[: prev.shape[0], : prev.shape[1], : prev.shape[2]] = prev
             # views of the replaced store would keep it alive
-            for lm in range(k, k + n_old):
+            for lm in range(k, cut + 1):
                 _STORE_VIEWS.pop((k, lm), None)
-            del old
+            del prev
         grown[k] = H
-        # the pairs a <= b < n with b >= n_old
-        b, a = np.nonzero(np.tri(l_max - k + 1, dtype=bool)[n_old:])
-        pair_m.append(np.full(len(a), k))
-        pair_a.append(a)
-        pair_b.append(b + n_old)
-    pm = np.concatenate(pair_m)
-    pa = np.concatenate(pair_a)
-    pb = np.concatenate(pair_b)
-    pl = pm + pa  # l <= l', and the slice is 2 l + 1 wide
-    order = np.argsort(pl, kind="stable")
-    span = 2 * pl[order] + 1
-    lo = 0
-    while lo < len(order):
-        # as many pairs as fit the cap at the width of the widest of them
-        fits = span[lo:] * np.arange(1, len(order) - lo + 1) <= _BATCH_ENTRIES
-        hi = lo + max(1, int(np.count_nonzero(fits)))
-        batch = order[lo:hi]
-        batch = batch[np.argsort(pm[batch], kind="stable")]
-        _fill(grown, l_max, pm[batch], pa[batch], pb[batch])
-        lo = hi
+    _fill(grown, old, l_max)
     for k, H in grown.items():
         H.flags.writeable = False
         _STORES[k] = H
     return grown[m]
 
 
-def _fill(stores, l_max, m, a, b):
-    """Compute the pairs (l, l') = (m + a, m + b), a <= b, sorted by m,
-    and write them into the stores ``stores[m]`` grown to l_max."""
-    l = m + a
-    vals = _h_slices(l, m + b, m)  # row r holds l'' = l' - l + r
-    # l'' = l + l' - 2t sits in row r = 2 (l - t), for t = 0..l, and at
-    # the flat place ((a + b) width + (b - a) // 2) (l_max + 1) + t of a
-    # store (a + b, width, l_max + 1), pair by pair
-    pair, t = np.nonzero(np.arange(np.max(l) + 1) <= l[:, None])
-    v = vals[2 * (l[pair] - t), pair]
-    width = (l_max - m) // 2 + 1
-    at = ((a + b) * width + (b - a) // 2) * (l_max + 1)
-    at = at[pair] + t
-    start = np.concatenate(([0], np.cumsum(l + 1)))  # first entry of each pair
-    for k in np.unique(m):
-        lo, hi = start[np.searchsorted(m, [k, k + 1])]
-        stores[k].reshape(-1)[at[lo:hi]] = v[lo:hi]
+def _fill(stores, old, l_max):
+    """Write into each store ``stores[k]``, grown to l_max, its pairs
+    (l, l') with l' above its old cut-off ``old[k]``: every pair a store
+    lacks, l descending, in chunks of about ``_CHUNK`` triples.  The m = 0
+    store takes the closed form ``(0 0 0)^2``, the others the descent."""
+    low = np.full(l_max + 1, l_max)  # the lowest old cut-off of the stores k <= l
+    for k, cut in old.items():
+        low[k] = min(low[k], cut)
+    low = np.minimum.accumulate(low)
+    l, lp = np.triu_indices(l_max + 1)
+    keep = lp > low[l]
+    l, lp = l[keep][::-1], lp[keep][::-1]
+    ends = np.cumsum(l + 1)
+    bounds = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], _CHUNK),
+                                       side="right"))
+    for lo, hi in zip(bounds, np.append(bounds[1:], len(l))):
+        _fill_chunk(stores, old, l_max, l[lo:hi], lp[lo:hi])
+
+
+def _fill_chunk(stores, old, l_max, l, lp):
+    """:func:`_fill` for the pairs (l <= l') sorted by l descending; the
+    pair's l'' = l + l' - 2t, t = 0..l, sits at the flat place
+    ((l + l' - 2k) width + (l' - l) // 2) (l_max + 1) + t of store k."""
+    w0 = _three_j_000_slices(l, lp)  # row r holds l'' = l' - l + r
+    count = l + 1
+    pair = np.repeat(np.arange(len(l)), count)
+    t = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
+    l, lp = l[pair], lp[pair]
+    w0 = w0[2 * (l - t), pair]
+    lpp = l + lp - 2 * t
+    h = np.sqrt((2.0 * l + 1.0) * (2.0 * lp + 1.0)) * (2.0 * lpp + 1.0) * w0
+    s, half = l + lp, (lp - l) // 2
+
+    def write(k, n, f):
+        new = lp[:n] > old[k]
+        at = ((s[:n] - 2 * k) * ((l_max - k) // 2 + 1) + half[:n]) * (l_max + 1) + t[:n]
+        stores[k].reshape(-1)[at[new]] = (h[:n] * f)[new]
+
+    if 0 in stores:
+        write(0, len(l), w0)
+    targets = sorted((k for k in stores if 0 < k <= l[0]), reverse=True)
+    if targets:
+        for k, n, f in _three_j_m_descent(l, lp, lpp, targets):
+            write(k, n, f)
 
 
 def h_tensor(m, l_max):
@@ -391,26 +301,32 @@ def h_tensor(m, l_max):
     not stored.  The blocks read the store through :func:`couple`.
 
     One store per m is kept, at the largest l_max requested so far.  A
-    larger l_max grows it, and in the same batched pass every other held
-    store of m' <= l_max whose cut-off is below l_max: the old entries are
-    copied and only the new (l, l') pairs are computed.  No store is made
-    for an m that was never requested.  A smaller l_max is served as the
-    prefix view ``H[:2n-1, :(n-1)//2+1, :l_max+1]`` with n = l_max - m + 1,
-    whose entries for the pairs of the smaller block are those of the full
-    store (it also holds rows of pairs past its cut-off, which no block of
-    it reads).  Each view is memoized, so a repeated request returns the
-    same read-only object.
+    larger l_max grows it, and in the same pass every other held store of
+    m' <= l_max whose cut-off is below l_max: the old entries are copied
+    and only the new (l, l') pairs are computed.  A request that creates a
+    store may create the stores of the next few m with it, by the run rule
+    of :func:`_grow_stores`, never past l_max or the budget.  A smaller
+    l_max is served as the prefix view ``H[:2n-1, :(n-1)//2+1, :l_max+1]``
+    with n = l_max - m + 1, whose entries for the pairs of the smaller
+    block are those of the full store (it also holds rows of pairs past
+    its cut-off, which no block of it reads).  Each view is memoized, so a
+    repeated request returns the same read-only object.
 
-    A growth that would leave the stores holding more than
+    Raises ``ValueError`` unless 0 <= m <= l_max, and makes no store or
+    view then.  A growth that would leave the stores holding more than
     ``_STORE_BUDGET`` bytes raises ``MemoryError`` and changes nothing.
-    Every entry depends on its pair and m only, and a store enters the
-    cache only once it is complete, so concurrent use is safe: racing
-    growths compute the same values, at worst twice.
+    Every entry depends on its pair and m only, whatever the requests
+    before, and a store enters the cache only once it is complete, so
+    concurrent use is safe: racing growths compute the same values, at
+    worst twice.
     """
     key = (m, l_max)
     out = _STORE_VIEWS.get(key)
     if out is not None:
         return out
+    if not 0 <= m <= l_max:
+        raise ValueError(f"a coupling store needs 0 <= m <= l_max, got m = {m}, "
+                         f"l_max = {l_max}")
     H = _STORES.get(m)
     n = l_max - m + 1
     if H is None or H.shape[0] < 2 * n - 1:
@@ -521,9 +437,11 @@ def _log_h_top(l_max, m):
 
 
 def clear_caches():
-    """Drop all cached tensors and slices (mainly for tests)."""
+    """Drop the coupling stores and their views, the run-rule counts, the
+    Lambda, stretched-top and log-gamma tables (mainly for tests)."""
     _STORES.clear()
     _STORE_VIEWS.clear()
     _LAMBDA.clear()
     _TOP.clear()
+    _CREATED.clear()
     _LGAMMA.clear()

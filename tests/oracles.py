@@ -1,17 +1,21 @@
 """Independent oracles shared by the test modules.
 
 Everything here is deliberately built from different algorithms than the
-package: exact rational arithmetic for 3j symbols, ascending series and
+package: exact rational arithmetic for 3j symbols, the vectorized
+l''-recurrence of the (m -m 0) slices (:func:`_three_j_m_slices`; the
+package runs its recurrence in m), ascending series and
 finite closed sums for Bessel functions, mpmath reference evaluations,
 finite differences of energies for the force, eigenvalue sums, the
 expanded-logarithm series and per-pivot LU logarithms for
 log-determinants, adaptive quadratures of
 the integral representations of g and h, per-element loops for
 vectorized assemblies, and frequency sweeps that evaluate one node at a
-time.  The float 3j symbol :func:`three_j` and :func:`h_factor` are the
-exception: they read the package's own vectorized slices one entry at a
+time.  The float 3j symbol :func:`three_j` and :func:`h_factor` read the
+package's (0 0 0) closed form and the l''-recurrence slices one entry at a
 time, so that the exact rational oracle can check them, and add the float
-Racah sum for the general m patterns.  Likewise the scalar Bessel values
+Racah sum for the general m patterns.  :func:`store_tensor_dense` reads the
+package's coupling store pair by pair, for the oracles whose subject is
+the block assembly.  Likewise the scalar Bessel values
 (:class:`LogValue` and its readers) read the package's tables one entry at
 a time, :func:`log_y_arrays` gives the Y table, which the package does not
 use, and :func:`hankel2_half` assembles H2 from the J and Y tables, a
@@ -32,6 +36,8 @@ import mpmath as mp
 import numpy as np
 import scipy.linalg
 from scipy.integrate import quad
+
+from casphere.wigner import _parity_sign, _three_j_000_slices
 
 mp.mp.dps = 30
 
@@ -96,17 +102,187 @@ def _three_j_racah(j1, j2, j3, m1, m2, m3):
     return (-1.0) ** (j1 - j2 - m3) * math.exp(log_pref) * s
 
 
+#: the l''-recurrence rescales a slice once a value passes this magnitude
+_RESCALE = 1e250
+
+
+def _three_j_m_slices(j1, j2, m):
+    """(j1 j2 j; m -m 0) for arrays of pairs, by the l''-recurrence.
+
+    ``j A(j+1) f(j+1) + B(j) f(j) + (j+1) A(j) f(j-1) = 0`` runs forward
+    from j_min while the minimal solution grows and backward from j_max
+    (where A(j_max+1) = 0); the two are matched in the classical region,
+    normalized with ``sum_j (2j+1) f(j)^2 = 1`` and signed at the
+    stretched top.  Every pair has its own m, start and stop points, held
+    in arrays and masks.  Requires ``1 <= |m| <= min(j1, j2)``, so each
+    slice has at least three entries.
+
+    Returns a (W, P) array laid out as in :func:`_three_j_000_slices`.
+    """
+    jmin = np.abs(j1 - j2)
+    n = j1 + j2 - jmin + 1
+    W = int(np.max(n))
+    P = len(j1)
+    # coefficients on the rows i = 0..W-1, j = jmin + i; every work array
+    # is updated in place and dropped after its last use
+    j = jmin + np.arange(W + 1)[:, None]
+    jf = j.astype(float)
+    A = j * j
+    np.subtract(A, (j1 - j2) ** 2, out=A)
+    np.multiply(j, j, out=j)
+    np.subtract((j1 + j2 + 1) ** 2, j, out=j)
+    A *= j
+    del j
+    np.maximum(A, 0, out=A)
+    A = np.sqrt(A.astype(float))
+    A *= jf                        # A(j) = j sqrt(...)
+    jf = jf[:-1]
+    C = jf + 1.0
+    C *= A[:-1]                    # (j+1) A(j)
+    D = A[1:]
+    D *= jf                        # j A(j+1)
+    del A
+    B = 2.0 * jf
+    B += 1.0
+    np.negative(B, out=B)
+    B *= 2.0 * m
+    B *= jf
+    jf += 1.0
+    B *= jf                        # B(j) = -(2j+1) 2m j (j+1)
+    del jf
+    np.negative(B, out=B)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fa = B / D                 # f(j+1) = fa f(j) + fb f(j-1)
+        ga = np.divide(B, C, out=B)  # g(j-1) = ga g(j) + gb g(j+1)
+        fb = np.negative(C) / D
+        gb = np.negative(D, out=D)
+        gb /= C
+    del B, C, D
+
+    cols = np.arange(P)
+    f = np.zeros((W, P))
+    seeded = jmin == 0  # j1 == j2: the j = 0 relation is empty
+    s = _parity_sign(j1 - m)
+    f[0] = np.where(seeded, s / np.sqrt(2.0 * j1 + 1.0), 1.0)
+    f[1] = np.where(seeded, s * m / np.sqrt(j1 * (j1 + 1.0) * (2.0 * j1 + 1.0)), 0.0)
+    istart = seeded.astype(int)
+    ifwd = istart.copy()
+    falling = np.zeros(P, dtype=int)
+    running = istart <= n - 2
+    mag = np.abs(f[0])  # |f[i]| at the top of step i
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i in range(W - 1):
+            # istart is 0 or 1: only the first step leaves seeded pairs out
+            act = running & ~seeded if i == 0 else running
+            if not act.any():
+                if i:
+                    break  # a pair that stops running never restarts
+                mag = np.abs(f[1])
+                continue
+            prev = f[i - 1] if i > 0 else 0.0
+            np.copyto(f[i + 1], fa[i] * f[i] + fb[i] * prev, where=act)
+            np.copyto(ifwd, i + 1, where=act)
+            nxt = np.abs(f[i + 1])
+            big = act & (nxt > _RESCALE)
+            if big.any():
+                f[:, big] /= nxt[big]
+                mag, nxt = np.abs(f[i]), np.abs(f[i + 1])
+            # three consecutive decreases mark the classical region (a
+            # single dip can be an accidental zero of the growing solution);
+            # the count of a pair that is not running is never read again
+            falling += 1
+            falling *= nxt < mag
+            stopped = falling >= 3
+            if i <= 1:
+                falling *= act
+                stopped &= i > istart
+            running &= (i + 1 <= n - 2) & ~stopped
+            mag = nxt
+        del fa, fb
+
+        g = np.zeros((W, P))
+        g[n - 1, cols] = 1.0
+        # the backward sweep overlaps the last four forward values, all
+        # past the forward peak, so that the match never rests on a single
+        # point next to a zero crossing
+        ibwd = np.maximum(np.minimum(ifwd, n - 2) - 3, 0)
+        rows = np.arange(W)[:, None]
+        sweep = (rows <= n - 1) & (rows > ibwd)
+        for i in range(W - 1, int(ibwd.min()), -1):
+            act = sweep[i]
+            if not act.any():
+                continue
+            nxt = g[i + 1] if i < W - 1 else 0.0
+            np.copyto(g[i - 1], ga[i] * g[i] + gb[i] * nxt, where=act)
+            mag = np.abs(g[i - 1])
+            big = act & (mag > _RESCALE)
+            if big.any():
+                g[:, big] /= mag[big]
+        del ga, gb, sweep
+
+    # match where both sweeps are farthest from an accidental zero
+    q = np.minimum(np.abs(f), np.abs(g))
+    q[(rows < ibwd) | (rows > ifwd)] = -1.0
+    k = np.argmax(q, axis=0)
+    ok = q[k, cols] > 0.0
+    del q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(ok, g[k, cols] / f[k, cols], 0.0)
+    f *= ratio
+    out = g
+    np.copyto(out, f, where=ok & (rows < k))
+    del f
+    # row by row, so that zero padding past a pair's j_max changes nothing
+    sq = 2.0 * (jmin + rows) + 1.0
+    sq *= out
+    sq *= out
+    norm = np.zeros(P)
+    for i in range(W):
+        norm += sq[i]
+    del sq
+    out /= np.sqrt(norm)
+    out *= np.where(out[n - 1, cols] * _parity_sign(j1 - j2) < 0.0, -1.0, 1.0)
+    return out
+
+
+def _h_slices(l, lp, m):
+    """H_{l l'}^{l''} for arrays of pairs and their m (an array or one
+    value), as a (W, P) array whose row t holds l'' = |l-l'| + t (zero past
+    l + l')."""
+    l = np.asarray(l, dtype=np.int64)
+    lp = np.asarray(lp, dtype=np.int64)
+    m = np.broadcast_to(np.asarray(m, dtype=np.int64), l.shape)
+    # the (0 0 0) factors depend on the pair only: once per distinct pair
+    _, first, pair = np.unique(l * (np.max(lp, initial=0) + 1) + lp,
+                               return_index=True, return_inverse=True)
+    l0, lp0 = l[first], lp[first]
+    w0 = _three_j_000_slices(l0, lp0)
+    js = np.abs(l0 - lp0) + np.arange(w0.shape[0])[:, None]
+    pref = np.sqrt((2.0 * l0 + 1.0) * (2.0 * lp0 + 1.0))
+    out = (pref * (2.0 * js + 1.0) * w0)[:, pair]
+    del js
+    # the m = 0 slices take (0 0 0) twice; the others the recurrence, whose
+    # rows past the widest slice among them are zero in w0 already
+    zero = m == 0
+    out[:, zero] *= w0[:, pair[zero]]
+    del w0
+    rest = np.flatnonzero(~zero)
+    if len(rest):
+        wm = _three_j_m_slices(l[rest], lp[rest], m[rest])
+        out[: wm.shape[0], rest] *= wm
+    return out
+
+
 @functools.lru_cache(maxsize=200000)
 def _slice_m(j1, j2, m):
-    """The l'' slice of 3j(j1 j2 .; m -m 0) from the package's vectorized
-    routes (closed form at m = 0, recurrence otherwise), as a read-only
-    array."""
-    from casphere import wigner
+    """The l'' slice of 3j(j1 j2 .; m -m 0) from the package's closed form
+    at m = 0 and the l''-recurrence :func:`_three_j_m_slices` otherwise,
+    as a read-only array."""
     j1s, j2s = np.array([j1]), np.array([j2])
     if m == 0:
-        vals = wigner._three_j_000_slices(j1s, j2s)
+        vals = _three_j_000_slices(j1s, j2s)
     else:
-        vals = wigner._three_j_m_slices(j1s, j2s, np.array([m]))
+        vals = _three_j_m_slices(j1s, j2s, np.array([m]))
     vals = vals[: j1 + j2 - abs(j1 - j2) + 1, 0]
     vals.flags.writeable = False
     return vals
@@ -434,9 +610,8 @@ def m_static(l, lp, m, geom, pol):
 
 def h_slice(l, lp, m):
     """H_{l l'}^{l''} over l'' = |l-l'| .. l+l', one pair read from the
-    package's batched slices (|m| <= min(l, l'))."""
-    from casphere import wigner
-    return wigner._h_slices([l], [lp], abs(m))[: l + lp - abs(l - lp) + 1, 0]
+    batched l''-recurrence slices of :func:`_h_slices` (|m| <= min(l, l'))."""
+    return _h_slices([l], [lp], abs(m))[: l + lp - abs(l - lp) + 1, 0]
 
 
 def m_em_block(l, lp, m, xi, geom):
@@ -782,6 +957,25 @@ def h_tensor_dense(m, l_start, l_max):
     return H
 
 
+@functools.lru_cache(maxsize=16)
+def store_tensor_dense(m, l_start, l_max):
+    """Dense ``H[a, b, k]`` laid out as :func:`h_tensor_dense`, read pair by
+    pair from the package's coupling store of m at l_max: the H values of
+    the blocks, for the oracles whose subject is the block assembly, not
+    the 3j symbols.  Cached; read-only."""
+    from casphere import wigner
+    G = wigner.h_tensor(m, l_max)
+    n = l_max - l_start + 1
+    H = np.zeros((n, n, 2 * l_max + 1))
+    for a in range(n):
+        for b in range(a, n):
+            l, lp = l_start + a, l_start + b
+            ks = np.arange(l + lp, lp - l - 1, -2)  # l'' = l + l' - 2t, t = 0..l
+            H[a, b, ks] = H[b, a, ks] = G[l + lp - 2 * m, (lp - l) // 2, : l + 1]
+    H.flags.writeable = False
+    return H
+
+
 def _k_shift_table_dense(y, l_max, derivative=False):
     """The full imaginary-axis shift table ``U[s, k] = K_{k+1/2}(y) /
     K_{s+1/2}(y)`` over s, k = 0..2 l_max (the l'' weights of dM/dy with
@@ -801,8 +995,8 @@ def _k_shift_table_dense(y, l_max, derivative=False):
 
 def scalar_matrix_dense(m, xi, geom, spec, l_max, derivative=False):
     """``kernel.scalar_matrix`` with every l'' sum an einsum of the dense
-    H tensor of :func:`h_tensor_dense` against the full shift table, in
-    place of the package's coupling store and matrix product."""
+    H tensor of :func:`store_tensor_dense` against the full shift table, in
+    place of the package's anti-diagonal layout and matrix product."""
     from casphere import kernel
     m = abs(m)
     ls = np.arange(m, l_max + 1)
@@ -810,7 +1004,7 @@ def scalar_matrix_dense(m, xi, geom, spec, l_max, derivative=False):
     s_num, log_num, s_den, log_den = kernel._sphere_factors_imag(
         spec.sphere_bc, xi * geom.R, l_max)
     U, logk = _k_shift_table_dense(2.0 * xi * geom.L, l_max, derivative)
-    S = np.einsum("abk,abk->ab", U[top], h_tensor_dense(m, m, l_max))
+    S = np.einsum("abk,abk->ab", U[top], store_tensor_dense(m, m, l_max))
     if derivative:
         S *= 2.0 * xi
     log_pref = 0.5 * math.log(math.pi / (4.0 * xi * geom.L))
@@ -820,10 +1014,10 @@ def scalar_matrix_dense(m, xi, geom, spec, l_max, derivative=False):
 
 def em_matrix_dense(m, xi, geom, l_max, derivative=False):
     """``kernel.em_matrix`` with the l'' sums S and S_Lambda as einsums of
-    the dense H tensor of :func:`h_tensor_dense` and a dense Lambda tensor
+    the dense H tensor of :func:`store_tensor_dense` and a dense Lambda tensor
     ``(l''(l''+1) - l(l+1) - l'(l'+1)) / (2 sqrt(l(l+1) l'(l'+1)))``
-    against the full shift table, in place of the package's coupling store
-    and weight rows."""
+    against the full shift table, in place of the package's anti-diagonal
+    layout and weight rows."""
     from casphere import kernel
     m = abs(m)
     ls = np.arange(max(1, m), l_max + 1)
@@ -831,7 +1025,7 @@ def em_matrix_dense(m, xi, geom, l_max, derivative=False):
     x, y = xi * geom.R, 2.0 * xi * geom.L
     _, log_num_te, _, log_den_te = kernel._sphere_factors_imag("dirichlet", x, l_max)
     _, log_num_tm, s_den_tm, log_den_tm = kernel._sphere_factors_imag("tm", x, l_max)
-    H = h_tensor_dense(m, ls[0], l_max)
+    H = store_tensor_dense(m, ls[0], l_max)
     lf = ls.astype(float)
     k = np.arange(2 * l_max + 1, dtype=float)
     norm = np.sqrt(np.outer(lf * (lf + 1.0), lf * (lf + 1.0)))
@@ -864,15 +1058,15 @@ def rotated_matrix_dense(m, xi, geom, spec, l_max, branch=1, derivative=False):
     """One rotated block from the dense alternating coupling tensor: the
     l'' sum of every entry as an einsum over the full shift table
     ``U[s, k] = H_{k+1/2}(y) / |H_{s+1/2}(y)|``, with H from
-    :func:`h_tensor_dense`, instead of the package's anti-diagonal store
-    and matrix products."""
+    :func:`store_tensor_dense`, instead of the package's anti-diagonal
+    layout and matrix products."""
     from casphere import specfun
     m = abs(m)
     ls = np.arange(m, l_max + 1)
     x, y = xi * geom.R, 2.0 * xi * geom.L
     s_num, log_num, den_mag, den_ph = sphere_factors_rotated_loop(
         spec.sphere_bc, x, l_max, branch)
-    H = h_tensor_dense(m, m, l_max)
+    H = store_tensor_dense(m, m, l_max)
     kk = np.arange(2 * l_max + 1)
     top = ls[:, None] + ls[None, :]
     H = H * (-1.0) ** ((top[:, :, None] - kk[None, None, :]) // 2)

@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaln
 
 from casphere import kernel, wigner
@@ -34,10 +34,13 @@ def test_general_pattern_rejected_at_large_l():
         three_j(60, 60, 60, 5, 7, -12)
 
 
-@pytest.mark.parametrize("l,lp,m", [
+_EXACT_CASES = [
     (2, 3, 1), (10, 10, 4), (25, 17, 9), (40, 40, 13),
     (45, 43, 7), (50, 50, 3), (60, 41, 20), (55, 55, 1), (60, 60, 60),
-])
+]
+
+
+@pytest.mark.parametrize("l,lp,m", _EXACT_CASES)
 def test_three_j_against_exact_oracle(l, lp, m):
     for lpp in range(abs(l - lp), l + lp + 1):
         want = oracles.three_j_exact(l, lp, lpp, m, -m, 0)
@@ -200,7 +203,7 @@ def test_sum_rule_and_orthogonality_over_a_block(m):
     # every pair (l, l') of the block m at l_max = 60, in one batch
     a, b = np.nonzero(np.triu(np.ones((61 - m, 61 - m), dtype=bool)))
     l, lp = a + m, b + m
-    wm = wigner._three_j_m_slices(l, lp, m)
+    wm = oracles._three_j_m_slices(l, lp, m)
     w0 = wigner._three_j_000_slices(l, lp)
     js = np.abs(l - lp) + np.arange(wm.shape[0])[:, None]
     assert np.all(np.isfinite(wm))
@@ -208,7 +211,7 @@ def test_sum_rule_and_orthogonality_over_a_block(m):
     # the m = 0 slices come from the closed form, not from the recurrence
     np.testing.assert_allclose(np.sum((2 * js + 1) * wm * w0, axis=0), 0.0, atol=1e-12)
     if m > 1:
-        w1 = wigner._three_j_m_slices(l, lp, 1)
+        w1 = oracles._three_j_m_slices(l, lp, 1)
         np.testing.assert_allclose(np.sum((2 * js + 1) * wm * w1, axis=0), 0.0, atol=1e-12)
 
 
@@ -307,6 +310,122 @@ def test_hot_path_avoids_racah(monkeypatch):
     wigner.clear_caches()
 
 
+# -- the m-descent that fills the stores --------------------------------------
+
+@pytest.mark.parametrize("l,lp,m", _EXACT_CASES)
+def test_store_entries_against_exact_oracle(l, lp, m):
+    wigner.clear_caches()
+    a, b = sorted((l - m, lp - m))
+    row = h_tensor(m, max(l, lp))[a + b, (b - a) // 2]
+    for t in range(min(l, lp) + 1):
+        want = oracles.h_factor_exact(l, lp, l + lp - 2 * t, m)
+        if abs(want) > 1e-30:
+            assert row[t] == pytest.approx(want, rel=1e-11), (l, lp, t, m)
+        else:
+            assert abs(row[t]) < 1e-14 * np.max(np.abs(row))
+    wigner.clear_caches()
+
+
+def _h_rows_by_l_recurrence(m, l_max):
+    """The store rows of :func:`_store_rows` at m, l_max from the oracle's
+    l''-recurrence slices, in batches of pairs with neighbouring l."""
+    a, b = np.triu_indices(l_max - m + 1)
+    l, lp = m + a, m + b
+    rows = np.zeros((len(a), l_max + 1))
+    t = np.arange(l_max + 1)
+    for lo in range(0, len(a), 1024):
+        sl = slice(lo, lo + 1024)
+        vals = oracles._h_slices(l[sl], lp[sl], m)  # row r holds l'' = l' - l + r
+        r = 2 * (l[sl, None] - t)
+        on = r >= 0
+        rows[sl] = np.where(on, vals[np.where(on, r, 0), np.arange(len(r))[:, None]], 0.0)
+    return rows
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m", [1, 40])
+def test_store_at_the_cap_matches_the_l_recurrence(m):
+    wigner.clear_caches()
+    got = _store_rows(h_tensor(m, L_CAP), m, L_CAP)
+    _assert_rows_match(got, _h_rows_by_l_recurrence(m, L_CAP), m, L_CAP)
+    wigner.clear_caches()
+
+
+@pytest.mark.slow
+def test_descent_to_m_zero_matches_the_closed_form_at_the_cap():
+    # every triple of the pairs l <= l' <= L_CAP, descended from its edge
+    # to m = 0, against (l l' l''; 0 0 0), entry by entry
+    worst = 0.0
+    for top in range(L_CAP, -1, -16):
+        ls = np.arange(top, max(top - 16, -1), -1)
+        pl = np.repeat(ls, L_CAP + 1 - ls)
+        plp = np.concatenate([np.arange(l, L_CAP + 1) for l in ls])
+        pair = np.repeat(np.arange(len(pl)), pl + 1)
+        t = np.arange(len(pair)) - np.repeat(np.cumsum(pl + 1) - pl - 1, pl + 1)
+        l, lp = pl[pair], plp[pair]
+        want = wigner._three_j_000_slices(pl, plp)[2 * (l - t), pair]
+        ((m, n, got),) = wigner._three_j_m_descent(l, lp, l + lp - 2 * t, [0])
+        assert m == 0 and n == len(l)
+        worst = max(worst, np.max(np.abs(got - want) / np.abs(want)))
+    assert worst <= 2e-12
+
+
+def test_rescaled_descent_matches_the_plain_one(monkeypatch):
+    # a threshold low enough that most triples of l_max 60 move part of
+    # their descent into the carried log scale
+    wigner.clear_caches()
+    plain = {m: h_tensor(m, 60).copy() for m in (1, 9, 30)}
+    wigner.clear_caches()
+    monkeypatch.setattr(wigner, "_RESCALE", 1e6)
+    for m, want in plain.items():
+        _assert_rows_match(_store_rows(h_tensor(m, 60), m, 60), _store_rows(want, m, 60), m, 60)
+    wigner.clear_caches()
+
+
+def test_run_rule_takes_few_passes_for_one_m_at_a_time(monkeypatch):
+    calls = []
+    grow = wigner._grow_stores
+    monkeypatch.setattr(wigner, "_grow_stores",
+                        lambda m, l_max: calls.append(m) or grow(m, l_max))
+    wigner.clear_caches()
+    for m in range(41):
+        h_tensor(m, 50)
+    # runs of 1, 2, 4, 8, 16, ... stores at one cut-off
+    assert calls == [0, 1, 3, 7, 15, 31]
+    assert sorted(wigner._STORES) == list(range(51))
+    wigner.clear_caches()
+
+
+def test_run_rule_skips_the_stores_past_the_budget(monkeypatch):
+    wigner.clear_caches()
+    h_tensor(0, 20)
+    h_tensor(1, 20)
+    assert sorted(wigner._STORES) == [0, 1, 2]
+
+    def size(k):
+        return 8 * math.prod(wigner._store_shape(k, 20))
+
+    held = sum(H.nbytes for H in wigner._STORES.values())
+    budget = held + size(3) + size(5) + 1
+    monkeypatch.setattr(wigner, "_STORE_BUDGET", budget)
+    # the run of m = 3 would add 4, 5 and 6: 4 and 6 do not fit
+    h_tensor(3, 20)
+    assert sorted(wigner._STORES) == [0, 1, 2, 3, 5]
+    assert sum(H.nbytes for H in wigner._STORES.values()) <= budget
+    assert np.array_equal(wigner._STORES[5], _grown_alone(5, 20))
+    wigner.clear_caches()
+
+
+@pytest.mark.parametrize("m,l_max", [(-1, 4), (5, 3)])
+def test_bad_m_fails_loudly(m, l_max):
+    wigner.clear_caches()
+    with pytest.raises(ValueError, match=rf"m = {m}, l_max = {l_max}"):
+        h_tensor(m, l_max)
+    with pytest.raises(ValueError, match=rf"m = {m}, l_max = {l_max}"):
+        wigner.couple(m, max(m, 0), l_max, np.ones((2 * l_max + 1, l_max + 1, 1)))
+    assert not wigner._STORES and not wigner._STORE_VIEWS
+
+
 # -- grown H-tensor cache -----------------------------------------------------
 
 def _store_rows(G, m, l_max):
@@ -316,6 +435,15 @@ def _store_rows(G, m, l_max):
     n = l_max - m + 1
     a, b = np.triu_indices(n)
     return G[a + b, (b - a) // 2, : l_max + 1]
+
+
+def _assert_rows_match(got, want, m, l_max):
+    """Store rows against reference rows: exact zeros past t = l, and each
+    pair within 1e-12 of its slice scale."""
+    a, _ = np.triu_indices(l_max - m + 1)
+    assert not np.any(got[np.arange(l_max + 1) > (m + a)[:, None]])
+    scale = np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 def _store_rows_from_dense(H, m, l_max):
@@ -344,12 +472,15 @@ def test_grown_cache_serves_exact_prefixes(order):
     for l_max in order:
         H = h_tensor(m, l_max)
         assert not H.flags.writeable
-        assert np.array_equal(_store_rows(H, m, l_max), reference(l_max))
+        rows = _store_rows(H, m, l_max)
+        _assert_rows_match(rows, reference(l_max), m, l_max)
+        assert np.array_equal(rows, _store_rows(_grown_alone(m, l_max), m, l_max))
         assert h_tensor(m, l_max) is H
         seen[l_max] = H
     # earlier views stay valid after later growth
     for l_max, H in seen.items():
-        assert np.array_equal(_store_rows(H, m, l_max), reference(l_max))
+        assert np.array_equal(_store_rows(H, m, l_max),
+                              _store_rows(_grown_alone(m, l_max), m, l_max))
     assert len(wigner._STORES) == 1
     wigner.clear_caches()
     assert not wigner._STORES and not wigner._STORE_VIEWS and not wigner._LAMBDA
@@ -366,17 +497,23 @@ def test_g_store_matches_the_dense_alternating_tensor(m):
     k = np.arange(2 * l_max + 1)
     alternating = dense * (-1.0) ** ((ls[:, None, None] + ls[None, :, None] - k) // 2)
     # every entry of every pair, mirrored pairs read the same row; with the
-    # (-1)^t of the rotated weight rows it is the dense alternating tensor
+    # (-1)^t of the rotated weight rows it is the dense alternating tensor,
+    # to 1e-12 of the pair's slice scale, and zero past the pair's l''
     n = l_max - m + 1
     for a in range(n):
         for b in range(n):
             l, lp = m + a, m + b
+            tol = 1e-12 * np.max(np.abs(dense[a, b]))
             for t in range(l_max + 1):
                 k = l + lp - 2 * t
-                on = t <= min(l, lp)
-                assert H[a + b, abs(a - b) // 2, t] == (dense[a, b, k] if on else 0.0)
-                assert (-1.0) ** t * H[a + b, abs(a - b) // 2, t] == (
-                    alternating[a, b, k] if on else 0.0)
+                got = H[a + b, abs(a - b) // 2, t]
+                if t > min(l, lp):
+                    assert got == 0.0
+                    continue
+                assert abs(got - dense[a, b, k]) <= tol
+                assert abs((-1.0) ** t * got - alternating[a, b, k]) <= tol
+                # the m = 0 store is the (0 0 0)^2 closed form, bit for bit
+                assert m or got == dense[a, b, k]
     # only the parity-allowed half of l'' and one of each mirrored pair
     assert H.nbytes <= dense.nbytes
     # a prefix view holds the rows of a store built at the smaller cut-off,
@@ -401,29 +538,43 @@ def _grown_alone(m, l_max):
     the caller is put back afterwards."""
     key = (m, l_max)
     if key not in _ALONE:
-        held = dict(wigner._STORES), dict(wigner._STORE_VIEWS)
-        wigner._STORES.clear()
-        wigner._STORE_VIEWS.clear()
+        caches = wigner._STORES, wigner._STORE_VIEWS, wigner._CREATED
+        held = [dict(cache) for cache in caches]
+        for cache in caches:
+            cache.clear()
         try:
             _ALONE[key] = h_tensor(m, l_max).copy()
         finally:
-            wigner._STORES.clear()
-            wigner._STORE_VIEWS.clear()
-            wigner._STORES.update(held[0])
-            wigner._STORE_VIEWS.update(held[1])
+            for cache, kept in zip(caches, held):
+                cache.clear()
+                cache.update(kept)
     return _ALONE[key]
+
+
+def _run_rule_stores(requests):
+    """The m whose stores the run rule makes for the requests (m, l_max),
+    in order, when the budget allows them all."""
+    held, created = set(), {}
+    for m, l_max in requests:
+        if m not in held:
+            c = created.get(l_max, 0)
+            new = {m} | {k for k in range(m + 1, min(m + c, l_max) + 1) if k not in held}
+            created[l_max] = c + len(new)
+            held |= new
+    return held
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 44)), min_size=1, max_size=8))
+@example([(0, 20), (1, 20), (3, 20), (2, 30), (9, 20), (5, 12)])
 def test_batched_growth_in_any_order_matches_stores_grown_alone(requests):
     wigner.clear_caches()
     requests = [(m, max(m, l_max)) for m, l_max in requests]
     views = {}
     for m, l_max in requests:
         views[m, l_max] = h_tensor(m, l_max)
-    # growth makes no store for an m that was never requested
-    assert set(wigner._STORES) == {m for m, _ in requests}
+    # growth makes a store only for a requested m and its run
+    assert set(wigner._STORES) == _run_rule_stores(requests)
     for (m, l_max), H in views.items():
         assert np.array_equal(_store_rows(H, m, l_max),
                               _store_rows(_grown_alone(m, l_max), m, l_max))
