@@ -4,10 +4,12 @@ thermal-force reference tables, all emitted as CSV.
 The command is selected with ``--command``; geometry takes ``--R`` plus
 either ``--d`` or ``--epsilon``.  A flat JSON config file may supply any
 flag value (command-line flags win).  Exit status: 0 on success, 1 on an
-invalid configuration or when a computation would pass the memory budget of
-the coupling stores (the ``MemoryError`` of :mod:`wigner`, printed as
-``error: ...``; the rows computed before it are still written), 2 when a
-computation did not converge (partial results are still written).
+invalid configuration, when a computation would pass the memory budget of
+the coupling stores (the ``MemoryError`` of :mod:`wigner`) or when a
+frequency-axis computation is pinned to an ``--lmax`` past
+``specfun.L_CAP``, each printed as ``error: ...`` (the rows computed
+before it are still written), 2 when a computation did not converge
+(partial results are still written).
 ``--diagnostics PATH`` also writes, as JSON, a
 list with one object per row that holds the row's inputs and the
 ``diagnostics`` of its ``EnergyResult`` (the work done: cut-offs, blocks,
@@ -304,10 +306,7 @@ def main(argv=None):
     try:
         cfg = _merge_config(args)
         return run(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError, MemoryError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

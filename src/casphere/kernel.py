@@ -186,15 +186,14 @@ def _sphere_factors_imag(bc, x, l_max):
 
 
 @lru_cache(maxsize=4096)
-def _sphere_factors_rotated(bc, x, l_max, branch=1):
-    """Rotated sphere factors: signed-log J-combination (numerator) and
-    complex-log H-combination (denominator), over l = 0..l_max.
-
-    branch +1 uses H2 = J - iY (frequency +i xi), branch -1 uses H1.
-    Cached per frequency; do not mutate the returned arrays.
+def _sphere_factors_rotated(bc, x, l_max):
+    """Rotated sphere factors at the frequency +i xi: signed-log
+    J-combination (numerator) and complex-log H2-combination (denominator),
+    over l = 0..l_max.  Cached per frequency; do not mutate the returned
+    arrays.
     """
     sj, lj = specfun.log_jy_arrays(l_max, x)  # orders 0 .. l_max+1
-    h2m, h2p = specfun.log_hankel2_arrays(l_max, x, conjugate=(branch < 0))
+    h2m, h2p = specfun.log_hankel2_arrays(l_max, x)
     if bc == DIRICHLET:
         return (sj[: l_max + 1].copy(), lj[: l_max + 1].copy(),
                 h2m[: l_max + 1].copy(), h2p[: l_max + 1].copy())
@@ -444,11 +443,10 @@ class RotatedNodes:
     With ``derivative`` the shift-table rows of dM/dL (the l'' weights of
     ``y^{-1/2} H_{l''+1/2}(y)`` differentiated, see :func:`scalar_matrix`)
     ride in the same product, so M and dM/dL come from one assembly.
-    branch +1 evaluates M(+i xi), branch -1 M(-i xi) from H1 = J + iY.
-    Scalar fields only.
+    M(-i xi) is the complex conjugate of these blocks.  Scalar fields only.
     """
 
-    def __init__(self, xi, geom, spec, l_max, branch=1, derivative=False):
+    def __init__(self, xi, geom, spec, l_max, derivative=False):
         if spec.kind != SCALAR:
             raise NotImplementedError(
                 "the rotated (real-frequency) kernel is implemented for scalar fields only")
@@ -466,10 +464,9 @@ class RotatedNodes:
                           dtype=complex)
         for i, x in enumerate(xi):
             s_num, log_num, den_mag, den_ph = _sphere_factors_rotated(
-                spec.sphere_bc, x * geom.R, l_max, branch)
+                spec.sphere_bc, x * geom.R, l_max)
             y = 2.0 * x * geom.L
-            hy_mag, hy_ph = specfun.log_hankel2_arrays(2 * l_max, y,
-                                                       conjugate=(branch < 0))
+            hy_mag, hy_ph = specfun.log_hankel2_arrays(2 * l_max, y)
             top = hy_mag[: 2 * l_max + 1]
             log_pref = 0.5 * math.log(math.pi / (4.0 * x * geom.L))
             mag = np.exp(log_num[None, :] - den_mag[:, None] + log_pref + top[ktop])
@@ -506,17 +503,16 @@ class RotatedNodes:
         return M, P * (self.two_xi[:, None, None] * S[k:])
 
 
-def rotated_matrix(m, xi, geom, spec, l_max, branch=1, derivative=False):
-    """Dense complex M_{l,l'}(i xi) for one m (rotated to real frequency).
+def rotated_matrix(m, xi, geom, spec, l_max, derivative=False):
+    """Dense complex M_{l,l'}(+i xi) for one m (rotated to real frequency);
+    M(-i xi) is its complex conjugate.
 
-    branch +1 evaluates M(+i xi), branch -1 evaluates M(-i xi) through an
-    independent assembly from H1 = J + iY; the two must be complex
-    conjugates.  Scalar fields only (the electromagnetic continuation is
-    not validated).  ``derivative`` returns dM/dL as in
-    :func:`scalar_matrix`, with the l'' weights of ``y^{-1/2} H_{l''+1/2}(y)``.
-    The block is built as a stack of one by :class:`RotatedNodes`.
+    Scalar fields only (the electromagnetic continuation is not
+    validated).  ``derivative`` returns dM/dL as in :func:`scalar_matrix`,
+    with the l'' weights of ``y^{-1/2} H_{l''+1/2}(y)``.  The block is
+    built as a stack of one by :class:`RotatedNodes`.
     """
-    M, dM = RotatedNodes([xi], geom, spec, l_max, branch, derivative).blocks(m)
+    M, dM = RotatedNodes([xi], geom, spec, l_max, derivative).blocks(m)
     return (dM if derivative else M)[0]
 
 

@@ -64,6 +64,21 @@ class PlatePoint:
             raise ValueError("mode_count must be 1 (scalar) or 2 (electromagnetic)")
 
 
+def _mode_sum(x, term):
+    """``sum_{m>=1} term(y, exp(-2y))`` with y = m pi x, until a term falls
+    below 1e-18 of the sum or y passes 45 (the exponentially small tails
+    of g and h)."""
+    s = 0.0
+    m = 1
+    while True:
+        y = m * math.pi * x
+        t = term(y, math.exp(-2.0 * y))
+        s += t
+        if t < 1e-18 * (s + 1e-300) or y > 45.0:
+            return s
+        m += 1
+
+
 def g_function(x):
     """Temperature function g(x) of the parallel plates.
 
@@ -80,16 +95,8 @@ def g_function(x):
         return 0.0
     if x < SMALL_X:
         return 45.0 * ZETA3 * x ** 3 / PI3 - x ** 4
-    s = 0.0
-    m = 1
-    while True:
-        y = m * math.pi * x
-        e = math.exp(-2.0 * y)
-        t = 2.0 * e / (y ** 3 * (1.0 - e)) + 4.0 * e / (y * (1.0 - e)) ** 2
-        s += t
-        if t < 1e-18 * (s + 1e-300) or y > 45.0:
-            break
-        m += 1
+    s = _mode_sum(x, lambda y, e: 2.0 * e / (y ** 3 * (1.0 - e))
+                  + 4.0 * e / (y * (1.0 - e)) ** 2)
     return -1.0 + 45.0 * ZETA3 * x / PI3 + 45.0 * x ** 4 * s
 
 
@@ -115,16 +122,7 @@ def h_function(x):
         return 0.0
     if x < SMALL_X:
         return 5.0 * x ** 2 - 90.0 * ZETA3 * x ** 3 / PI3 + x ** 4
-    s = 0.0
-    m = 1
-    while True:
-        y = m * math.pi * x
-        e = math.exp(-2.0 * y)
-        t = 2.0 * e / (y ** 3 * (1.0 - e))
-        s += t
-        if t < 1e-18 * (s + 1e-300) or y > 45.0:
-            break
-        m += 1
+    s = _mode_sum(x, lambda y, e: 2.0 * e / (y ** 3 * (1.0 - e)))
     return 90.0 * ZETA3 * x / PI3 - 1.0 + 90.0 * x ** 4 * s
 
 

@@ -16,9 +16,11 @@ turning point, grows in modulus with the order), I and J by Miller's
 downward recurrence started above the turning point :math:`\nu \approx x`
 and normalized against the closed forms of order 1/2 and 3/2.  H runs its
 own complex recurrence from the closed forms at orders 1/2 and 3/2, so the
-rotated kernels need J only for the sphere numerator, at xi R.  All
-recurrences carry a running exponent so no intermediate value can overflow
-or underflow; they run on Python floats and lists, converted to arrays once.
+rotated kernels need J only for the sphere numerator, at xi R; only H2 is
+built, as M(-i xi) is the conjugate of M(+i xi).  All recurrences carry a
+running exponent so no intermediate value can overflow or underflow; they
+run on Python floats and lists, converted to arrays once.  The I/K and H2
+tables are cached; J is not, as its one caller is cached on the same key.
 """
 
 import math
@@ -113,11 +115,10 @@ def log_ik_arrays(l_max, x):
     return _frozen(logi, np.array(logk))
 
 
-@lru_cache(maxsize=4096)
 def log_jy_arrays(l_max, x):
     """Signed-log J_{l+1/2}(x) for l = 0..l_max (+1 spare).
 
-    Results are cached and must not be mutated by callers.
+    The arrays are read-only.
 
     Returns
     -------
@@ -161,24 +162,20 @@ def log_jy_arrays(l_max, x):
 
 
 @lru_cache(maxsize=4096)
-def log_hankel2_arrays(l_max, x, conjugate=False):
+def log_hankel2_arrays(l_max, x):
     """Log magnitude and phase of H^(2)_{l+1/2}(x) for l = 0..l_max (+1 spare).
 
     One upward recurrence ``h_{l+1} = (2l+1)/x h_l - h_{l-1}`` on the
     complex values of ``H / sqrt(2/pi x)``, from the closed forms
     ``sin x + i cos x`` and ``(sin x/x - cos x) + i (cos x/x + sin x)`` at
-    orders 1/2 and 3/2, with a running exponent.
-    With ``conjugate=True`` returns H^(1) = J + iY instead, by its own
-    recurrence from the conjugate seeds (used to build the opposite
-    frequency branch independently); the phases lie in [-pi, pi].  Cached;
-    do not mutate.
+    orders 1/2 and 3/2, with a running exponent; the phases lie in
+    [-pi, pi].  Cached; do not mutate.
     """
     _check_domain(0, x)
     n = l_max + 2
     sin, cos = math.sin(x), math.cos(x)
-    im = -1.0 if conjugate else 1.0
-    h0 = complex(sin, im * cos)
-    h1 = complex(sin / x - cos, im * (cos / x + sin))
+    h0 = complex(sin, cos)
+    h1 = complex(sin / x - cos, cos / x + sin)
     h, shifts, shift = [h0, h1], [0.0, 0.0], 0.0
     for l in range(1, n - 1):
         h2 = ((2.0 * l + 1.0) / x) * h1 - h0

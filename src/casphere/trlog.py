@@ -342,7 +342,10 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None,
     ``rel_tol * 1e-2`` of the larger of the running total and the node's
     ``scale_floor``; with l_max = None the orbital cutoff grows by 4 until
     the folded total changes by less than rel_tol of the larger of its
-    projection (:func:`project`) and that floor.
+    projection (:func:`project`) and that floor.  Growth never passes
+    ``L_CAP``: it stops at the largest start + 4k <= ``L_CAP`` (200 from
+    l_min + 4 = 4, 197 from 5), and a node whose test has not passed
+    there is reported unconverged.
     With ``derivative`` every block contributes its separation derivative
     ``-s Tr[(1 - sM)^{-1} dM/dd]`` instead, so the sum is d/dd Tr ln(1 - M),
     and the m and l tests run on that.
@@ -505,9 +508,9 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None,
     change = np.full(k, math.inf)
     pending = np.arange(k)  # the nodes whose growth test has not passed
     sub = None if verify is None else np.asarray(verify, dtype=bool)
-    if l_max >= L_CAP:
+    if l_max + 4 > L_CAP:
         value, _, m_used = totals(pending, l_max)
-    while l_max < L_CAP and len(pending):
+    while l_max + 4 <= L_CAP and len(pending):
         hi, lo, m_cut = totals(pending, l_max + 4, l_max, sub)
         l_max += 4
         proj = project(evaluation, hi)

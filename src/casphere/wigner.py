@@ -27,9 +27,10 @@ anti-diagonal l + l' = const, with only the parity-allowed l'' and one of
 each (l, l') pair and its mirror (l', l).  A request past a store's
 cut-off grows that store and every other held store below the new cut-off
 in one pass, which may also create the stores of the next few m (the run
-rule of :func:`_grow_stores`); smaller cut-offs are read as prefix views.
-The stores together may not pass ``_STORE_BUDGET`` bytes; a growth that
-would raises ``MemoryError`` before it allocates anything.
+rule of :func:`_grow_stores`); smaller cut-offs are read as prefix slices.
+Stores go up to l_max = ``L_CAP``, and together may not pass
+``_STORE_BUDGET`` bytes; a growth that would raises ``MemoryError``
+before it allocates anything.
 Every l'' sum of a block, ``sum_l'' H_{ll'}^{l''} B_{l''}``, depends on the
 frequency only through rows of weights indexed by l + l' and l'', so the
 sums of a whole block are one matrix product of the store with those rows
@@ -41,8 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-#: the m-descent rescales a triple once its value passes this magnitude
-_RESCALE = 1e250
+from .specfun import L_CAP
 
 #: about the most (l, l', l'') triples descended together, which bounds the
 #: work arrays of a growth pass to a few hundred kB each
@@ -127,17 +127,15 @@ def _three_j_m_descent(l, lp, lpp, targets):
     f(l+1) = 0 and the stretched edge ``f(l) = (-1)^(l'-l) sqrt((2l)!
     (l'+l''-l)! (l+l')! / ((l+l'+l''+1)! (l-l'+l'')! (l+l'-l'')! (l'-l)!))``,
     elementwise per triple.  It carries ``g(m) = (-1)^(l'-m) f(m) / s``
-    from g(l) = 1 and s = |f(l)|; a g past ``_RESCALE`` moves into s, held
-    as a logarithm.  As |f| <= 1, only a triple whose edge is below
-    ``2 / _RESCALE`` can pass it, so other chunks skip the test.
+    from g(l) = 1 and s = |f(l)|.  As |f| <= 1, |g| <= 1 / s, and every
+    edge with l <= l' <= ``L_CAP`` is above 1e-122 (:func:`h_tensor`
+    refuses larger l), so g needs no rescaling.
     """
     lg = log_gamma_halves(2 * int(np.max(l + lp + lpp)) + 5)[::2]
     log_scale = 0.5 * (lg[2 * l + 1] + lg[lp + lpp - l + 1] + lg[l + lp + 1]
                        - lg[l + lp + lpp + 2] - lg[l - lp + lpp + 1]
                        - lg[l + lp - lpp + 1] - lg[lp - l + 1])
-    sign = _parity_sign(lp)
-    scale = sign * np.exp(log_scale)
-    check = log_scale.min() < math.log(2.0 / _RESCALE)
+    scale = _parity_sign(lp) * np.exp(log_scale)
     L1, L2 = l * (l + 1.0), lp * (lp + 1.0)
     K = L1 + L2 - lpp * (lpp + 1.0)
     reached = np.searchsorted(-l, -np.arange(l[0] + 1), side="right")
@@ -163,22 +161,13 @@ def _three_j_m_descent(l, lp, lpp, targets):
         np.multiply(L1[:n] - q, L2[:n] - q, out=cm)
         np.sqrt(cm, out=cm)
         gm /= cm
-        if check:
-            big = np.flatnonzero(np.abs(gm) > _RESCALE)
-            if len(big):
-                s = np.abs(gm[big])
-                gm[big] /= s
-                g0[big] /= s
-                log_scale[big] += np.log(s)
-                scale[big] = sign[big] * np.exp(log_scale[big])
         g0, g1 = g1, g0
 
 
-_STORES = {}       # m -> anti-diagonal store at the largest l_max seen
-_STORE_VIEWS = {}  # (m, l_max) -> prefix view of it
-_LAMBDA = {}       # the weight table of lambda_tensor at the largest l_max seen
-_TOP = {}          # m -> log_h_top_matrix table from l = m at the largest l_max seen
-_CREATED = {}      # l_max -> number of stores created at that cut-off
+_STORES = {}   # m -> anti-diagonal store at the largest l_max seen
+_LAMBDA = {}   # the weight table of lambda_tensor at the largest l_max seen
+_TOP = {}      # m -> log_h_top_matrix table from l = m at the largest l_max seen
+_CREATED = {}  # l_max -> number of stores created at that cut-off
 
 
 def _store_shape(m, l_max):
@@ -200,6 +189,8 @@ def _grow_stores(m, l_max):
     stores of m + 1 .. min(m + c, l_max) not held, skipping each that would
     pass the budget.  A descent to m passes every m above it, so asking for
     m = 0, 1, 2, ... one at a time takes about log2 of the m count passes.
+    A grown store replaces the old one in the cache, which keeps no slice
+    of it, so the old store lives on only in the slices its callers hold.
     """
     held = dict(_STORES)  # a racing growth may change the cache meanwhile
     if m in held and _store_l_max(m, held[m]) >= l_max:
@@ -226,15 +217,12 @@ def _grow_stores(m, l_max):
                 total += size(k)
         _CREATED[l_max] = created + sum(k not in held for k in old)
     grown = {}
-    for k, cut in old.items():
+    for k in old:
         H = np.zeros(_store_shape(k, l_max))
         prev = held.pop(k, None)
         _STORES.pop(k, None)
         if prev is not None:
             H[: prev.shape[0], : prev.shape[1], : prev.shape[2]] = prev
-            # views of the replaced store would keep it alive
-            for lm in range(k, cut + 1):
-                _STORE_VIEWS.pop((k, lm), None)
             del prev
         grown[k] = H
     _fill(grown, old, l_max)
@@ -306,34 +294,27 @@ def h_tensor(m, l_max):
     and only the new (l, l') pairs are computed.  A request that creates a
     store may create the stores of the next few m with it, by the run rule
     of :func:`_grow_stores`, never past l_max or the budget.  A smaller
-    l_max is served as the prefix view ``H[:2n-1, :(n-1)//2+1, :l_max+1]``
-    with n = l_max - m + 1, whose entries for the pairs of the smaller
-    block are those of the full store (it also holds rows of pairs past
-    its cut-off, which no block of it reads).  Each view is memoized, so a
-    repeated request returns the same read-only object.
+    l_max is served as the prefix slice ``H[:2n-1, :(n-1)//2+1, :l_max+1]``
+    with n = l_max - m + 1, a read-only view whose entries for the pairs
+    of the smaller block are those of the full store (it also holds rows
+    of pairs past its cut-off, which no block of it reads).
 
-    Raises ``ValueError`` unless 0 <= m <= l_max, and makes no store or
-    view then.  A growth that would leave the stores holding more than
+    Raises ``ValueError`` unless 0 <= m <= l_max <= ``L_CAP``, and makes
+    no store then.  A growth that would leave the stores holding more than
     ``_STORE_BUDGET`` bytes raises ``MemoryError`` and changes nothing.
     Every entry depends on its pair and m only, whatever the requests
     before, and a store enters the cache only once it is complete, so
     concurrent use is safe: racing growths compute the same values, at
     worst twice.
     """
-    key = (m, l_max)
-    out = _STORE_VIEWS.get(key)
-    if out is not None:
-        return out
-    if not 0 <= m <= l_max:
-        raise ValueError(f"a coupling store needs 0 <= m <= l_max, got m = {m}, "
-                         f"l_max = {l_max}")
+    if not 0 <= m <= l_max <= L_CAP:
+        raise ValueError(f"a coupling store needs 0 <= m <= l_max <= L_CAP = {L_CAP}, "
+                         f"got m = {m}, l_max = {l_max}")
     H = _STORES.get(m)
     n = l_max - m + 1
     if H is None or H.shape[0] < 2 * n - 1:
         H = _grow_stores(m, l_max)
-    out = H[: 2 * n - 1, : (n - 1) // 2 + 1, : l_max + 1]
-    _STORE_VIEWS[key] = out
-    return out
+    return H[: 2 * n - 1, : (n - 1) // 2 + 1, : l_max + 1]
 
 
 @lru_cache(maxsize=64)
@@ -437,10 +418,9 @@ def _log_h_top(l_max, m):
 
 
 def clear_caches():
-    """Drop the coupling stores and their views, the run-rule counts, the
-    Lambda, stretched-top and log-gamma tables (mainly for tests)."""
+    """Drop the coupling stores, the run-rule counts, the Lambda,
+    stretched-top and log-gamma tables (mainly for tests)."""
     _STORES.clear()
-    _STORE_VIEWS.clear()
     _LAMBDA.clear()
     _TOP.clear()
     _CREATED.clear()

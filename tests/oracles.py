@@ -551,13 +551,13 @@ def m_scalar(l, lp, m, xi, geom, spec):
     return float(M[l - abs(m), lp - abs(m)])
 
 
-def m_rotated(l, lp, m, xi, geom, spec, branch=1):
+def m_rotated(l, lp, m, xi, geom, spec):
     """Single rotated matrix element M_{l,l'}(i xi) (scalar field), read
     from the package's block ``kernel.rotated_matrix``."""
     from casphere import kernel
     if l < abs(m) or lp < abs(m):
         raise ValueError("l, l' must be >= |m|")
-    M = kernel.rotated_matrix(m, xi, geom, spec, max(l, lp), branch)
+    M = kernel.rotated_matrix(m, xi, geom, spec, max(l, lp))
     return complex(M[l - abs(m), lp - abs(m)])
 
 
@@ -906,15 +906,14 @@ def trace_log_eigenvalues(M, plane_sign=1):
     return complex(np.sum(np.log(1.0 - lam)))
 
 
-def sphere_factors_rotated_loop(bc, x, l_max, branch=1):
+def sphere_factors_rotated_loop(bc, x, l_max):
     """The rotated sphere factors of ``kernel._sphere_factors_rotated``,
     one l at a time in scalar arithmetic: signed-log numerator
     ``(l/x) J_nu - J_{nu+1}`` (J for a Dirichlet sphere) and complex-log
-    denominator ``(l/x) H_nu - H_{nu+1}`` (H), with H = H2 for branch +1
-    and H1 for branch -1."""
+    denominator ``(l/x) H_nu - H_{nu+1}`` (H), with H = H2."""
     from casphere import specfun
     sj, lj = specfun.log_jy_arrays(l_max, x)
-    h2m, h2p = specfun.log_hankel2_arrays(l_max, x, conjugate=(branch < 0))
+    h2m, h2p = specfun.log_hankel2_arrays(l_max, x)
     if bc == "dirichlet":
         return sj[: l_max + 1], lj[: l_max + 1], h2m[: l_max + 1], h2p[: l_max + 1]
     sign_num = np.empty(l_max + 1)
@@ -1054,7 +1053,7 @@ def em_matrix_dense(m, xi, geom, l_max, derivative=False):
          -part(S_lam, log_num_tm, log_den_tm, s_den_tm)]])
 
 
-def rotated_matrix_dense(m, xi, geom, spec, l_max, branch=1, derivative=False):
+def rotated_matrix_dense(m, xi, geom, spec, l_max, derivative=False):
     """One rotated block from the dense alternating coupling tensor: the
     l'' sum of every entry as an einsum over the full shift table
     ``U[s, k] = H_{k+1/2}(y) / |H_{s+1/2}(y)|``, with H from
@@ -1065,12 +1064,12 @@ def rotated_matrix_dense(m, xi, geom, spec, l_max, branch=1, derivative=False):
     ls = np.arange(m, l_max + 1)
     x, y = xi * geom.R, 2.0 * xi * geom.L
     s_num, log_num, den_mag, den_ph = sphere_factors_rotated_loop(
-        spec.sphere_bc, x, l_max, branch)
+        spec.sphere_bc, x, l_max)
     H = store_tensor_dense(m, m, l_max)
     kk = np.arange(2 * l_max + 1)
     top = ls[:, None] + ls[None, :]
     H = H * (-1.0) ** ((top[:, :, None] - kk[None, None, :]) // 2)
-    hy_mag, hy_ph = specfun.log_hankel2_arrays(2 * l_max, y, conjugate=(branch < 0))
+    hy_mag, hy_ph = specfun.log_hankel2_arrays(2 * l_max, y)
     mag = hy_mag[: 2 * l_max + 1]
 
     def shift(lo):

@@ -11,6 +11,7 @@ import pytest
 
 from casphere import cli, wigner
 from casphere.freeenergy import EnergyResult
+from casphere.specfun import L_CAP
 
 
 def run_cli(args):
@@ -160,13 +161,21 @@ def test_table_keeps_the_rows_before_a_failing_row(tmp_path, monkeypatch, capsys
 def test_store_budget_refusal_exits_1(monkeypatch, capsys):
     # fresh, empty stores under a budget too small for any growth
     monkeypatch.setattr(wigner, "_STORES", {})
-    monkeypatch.setattr(wigner, "_STORE_VIEWS", {})
     monkeypatch.setattr(wigner, "_STORE_BUDGET", 10000)
     rc = run_cli(["--command", "thermal-part", "--R", "1", "--d", "0.5", "--T", "1"])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: coupling stores at m = ")
     assert "more than the budget of 10000" in err
+
+
+def test_frequency_path_past_the_cap_exits_1(capsys):
+    # the Matsubara nodes n >= 1 need coupling stores, which stop at L_CAP
+    rc = run_cli(["--command", "free-energy", "--R", "1", "--d", "0.5", "--T", "1",
+                  "--lmax", str(L_CAP + 1)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"L_CAP = {L_CAP}" in err
 
 
 def test_console_entry_point():

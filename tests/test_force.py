@@ -182,9 +182,9 @@ def test_force_assembles_each_prefactor_once(monkeypatch):
     Nodes, trace, assemble = kernel.RotatedNodes, trlog.trace_over_m, trlog.assemble_block
 
     class CountingNodes(Nodes):
-        def __init__(self, xi, geom, spec, l_max, branch=1, derivative=False):
+        def __init__(self, xi, geom, spec, l_max, derivative=False):
             built.append((tuple(xi), l_max, derivative))
-            super().__init__(xi, geom, spec, l_max, branch, derivative)
+            super().__init__(xi, geom, spec, l_max, derivative)
 
     def counting_trace(*args, **kwargs):
         per_call.append(set())

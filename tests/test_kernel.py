@@ -176,30 +176,6 @@ def test_rotated_against_direct_continuation():
         assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_rotated_conjugation():
-    geom = Geometry(1.0, 2.0)  # L = 3
-    a = m_rotated(2, 2, 1, 1.3, geom, DD, branch=1)
-    b = m_rotated(2, 2, 1, 1.3, geom, DD, branch=-1)
-    assert b == pytest.approx(a.conjugate(), rel=1e-12)
-
-
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(xi=st.lists(st.floats(1e-3, 30.0), min_size=1, max_size=3),
-       R=st.floats(0.1, 5.0), d=st.floats(0.005, 3.0), l_max=st.integers(0, 12),
-       m=st.integers(0, 12), neumann=st.booleans())
-def test_rotated_branches_are_exact_conjugates(xi, R, d, l_max, m, neumann):
-    # M(-i xi) = conj M(+i xi), M and dM/dL, although the two branches run
-    # separate Hankel recurrences and assemblies
-    geom = Geometry(R, d)
-    spec = ND if neumann else DD
-    m = min(m, l_max)
-    plus = kernel.RotatedNodes(xi, geom, spec, l_max, 1, derivative=True).blocks(m)
-    minus = kernel.RotatedNodes(xi, geom, spec, l_max, -1, derivative=True).blocks(m)
-    for a, b in zip(plus, minus):
-        assert np.all(np.isfinite(a))
-        assert np.array_equal(b, a.conj())
-
-
 FIELDS = {"DD": DD, "DN": FieldSpec(plane_bc=kernel.NEUMANN), "ND": ND,
           "NN": FieldSpec(sphere_bc=kernel.NEUMANN, plane_bc=kernel.NEUMANN),
           "EM": FieldSpec.em()}
@@ -229,10 +205,11 @@ def test_rotated_small_xi_limit():
 
 
 def test_rotated_jump():
-    # i [ln(1-M(i xi)) - ln(1-M(-i xi))] -> -2 R xi at small xi
+    # i [ln(1-M(i xi)) - ln(1-M(-i xi))] -> -2 R xi at small xi, with
+    # M(-i xi) the complex conjugate of M(i xi)
     xi = 1e-3
-    a = cmath.log(1 - m_rotated(0, 0, 0, xi, G12, DD, branch=1))
-    b = cmath.log(1 - m_rotated(0, 0, 0, xi, G12, DD, branch=-1))
+    a = cmath.log(1 - m_rotated(0, 0, 0, xi, G12, DD))
+    b = cmath.log(1 - m_rotated(0, 0, 0, xi, G12, DD).conjugate())
     jump = (1j * (a - b)).real
     assert jump == pytest.approx(-2.0 * xi, rel=0.05)
 
@@ -271,39 +248,35 @@ def test_geometry_validation():
     assert FieldSpec("scalar", "dirichlet", "neumann").plane_sign == -1
 
 
-@pytest.mark.parametrize("branch", [1, -1])
 @pytest.mark.parametrize("x", [1e-3, 0.37, 2.5, 11.0, 40.0])
-def test_rotated_neumann_factors_match_the_loop(x, branch):
+def test_rotated_neumann_factors_match_the_loop(x):
     kernel._sphere_factors_rotated.cache_clear()
-    got = kernel._sphere_factors_rotated("neumann", x, 30, branch)
-    want = oracles.sphere_factors_rotated_loop("neumann", x, 30, branch)
+    got = kernel._sphere_factors_rotated("neumann", x, 30)
+    want = oracles.sphere_factors_rotated_loop("neumann", x, 30)
     for g, w in zip(got, want):
         assert g.shape == w.shape
         np.testing.assert_allclose(g, w, rtol=1e-14, atol=1e-14)
 
 
-@pytest.mark.parametrize("branch", [1, -1])
 @pytest.mark.parametrize("spec", [DD, ND], ids=["D sphere", "N sphere"])
-def test_stacked_rotated_blocks_match_single_blocks(spec, branch):
+def test_stacked_rotated_blocks_match_single_blocks(spec):
     geom = Geometry(1.0, 0.3)
     xs = np.array([0.05, 0.7, 2.3, 6.5])
     l_max = 14
-    nodes = kernel.RotatedNodes(xs, geom, spec, l_max, branch, derivative=True)
-    scale = [np.max(np.abs(kernel.rotated_matrix(0, x, geom, spec, l_max, branch)))
+    nodes = kernel.RotatedNodes(xs, geom, spec, l_max, derivative=True)
+    scale = [np.max(np.abs(kernel.rotated_matrix(0, x, geom, spec, l_max)))
              for x in xs]
     for m in (0, 1, 5, l_max):
         M, dM = nodes.blocks(m)
         assert M.shape == dM.shape == (len(xs), l_max - m + 1, l_max - m + 1)
         for i, x in enumerate(xs):
-            single = kernel.rotated_matrix(m, x, geom, spec, l_max, branch)
-            d_single = kernel.rotated_matrix(m, x, geom, spec, l_max, branch,
-                                             derivative=True)
+            single = kernel.rotated_matrix(m, x, geom, spec, l_max)
+            d_single = kernel.rotated_matrix(m, x, geom, spec, l_max, derivative=True)
             assert np.max(np.abs(M[i] - single)) <= 1e-13 * scale[i]
             assert np.max(np.abs(dM[i] - d_single)) <= 1e-13 * np.max(np.abs(d_single))
             # the dense alternating tensor and full shift table of old
-            dense = oracles.rotated_matrix_dense(m, x, geom, spec, l_max, branch)
-            d_dense = oracles.rotated_matrix_dense(m, x, geom, spec, l_max, branch,
-                                                   derivative=True)
+            dense = oracles.rotated_matrix_dense(m, x, geom, spec, l_max)
+            d_dense = oracles.rotated_matrix_dense(m, x, geom, spec, l_max, derivative=True)
             assert np.max(np.abs(M[i] - dense)) <= 1e-13 * scale[i]
             assert np.max(np.abs(dM[i] - d_dense)) <= 1e-13 * np.max(np.abs(d_dense))
     # nodes that leave the stack leave the others' blocks as they were
@@ -376,9 +349,16 @@ def test_imaginary_axis_blocks_match_the_dense_oracles(kind, l_max):
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_one_store_serves_every_kernel():
+def test_one_store_serves_every_kernel(monkeypatch):
     geom = Geometry(1.0, 0.3)
     wigner.clear_caches()
+    keys, h_tensor = set(), wigner.h_tensor
+
+    def recording(m, l_max):
+        keys.add((m, l_max))
+        return h_tensor(m, l_max)
+
+    monkeypatch.setattr(wigner, "h_tensor", recording)
     # the electromagnetic block at m = 0 starts at l = 1 and reads the
     # m = 0 store at an offset
     em_matrix(0, 0.9, geom, 10)
@@ -389,5 +369,5 @@ def test_one_store_serves_every_kernel():
         kernel.rotated_matrix(m, 0.9, geom, ND, 10, derivative=True)
     # m = 1 brings 2 and m = 3 brings 4, 5 and 6 by the run rule of the stores
     assert sorted(wigner._STORES) == list(range(7))
-    assert set(wigner._STORE_VIEWS) == {(m, 10) for m in range(5)}
+    assert keys == {(m, 10) for m in range(5)}
     wigner.clear_caches()

@@ -246,6 +246,17 @@ def test_trace_over_m_auto_growth():
     assert v[0].real == pytest.approx(vfix[0].real, rel=1e-3)
 
 
+@pytest.mark.parametrize("spec, start, last", [(DD, 192, 200), (FieldSpec.em(), 189, 197)],
+                         ids=["DD", "EM"])
+def test_growth_stops_at_the_last_step_below_the_cap(spec, start, last):
+    # a tiny separation and a tight rel_tol never converge: the ladder
+    # l_min + 4 + 4k stops at its last step <= L_CAP (EM: 197, not 201)
+    _, diag = trace_over_m(trlog.STATIC, Geometry(1.0, 0.003), spec,
+                           Truncation(rel_tol=1e-12), l_max_start=start)
+    assert not diag["converged"]
+    assert diag["l_max_used"] == diag["l_max_evaluated"] == last <= trlog.L_CAP
+
+
 def test_static_large_separation_leading_trace():
     # F0 = (1/2) trace ~ -(1/2)(R/2L); the exact value carries ~3.6 percent
     # of higher-order corrections at L/R = 10 (dominated by the s = 1 term

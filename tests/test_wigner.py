@@ -110,8 +110,9 @@ def test_h_tensor_layout_and_phase():
                 if not odd and t <= 4:
                     assert H[a + b, abs(a - b) // 2, t] == pytest.approx(
                         want, rel=1e-13, abs=1e-14)
-    # cache is idempotent
-    assert h_tensor(1, 4) is H
+    # cache is idempotent: a repeated request reads the held store
+    assert np.shares_memory(h_tensor(1, 4), wigner._STORES[1])
+    assert np.shares_memory(H, wigner._STORES[1])
     # the rotated representation's (-1)^t = (-1)^((l+l'-l'')/2) rides on the
     # complex weight rows, not on the store
     log_mag = np.linspace(-3.0, 5.0, 10)
@@ -370,16 +371,22 @@ def test_descent_to_m_zero_matches_the_closed_form_at_the_cap():
     assert worst <= 2e-12
 
 
-def test_rescaled_descent_matches_the_plain_one(monkeypatch):
-    # a threshold low enough that most triples of l_max 60 move part of
-    # their descent into the carried log scale
-    wigner.clear_caches()
-    plain = {m: h_tensor(m, 60).copy() for m in (1, 9, 30)}
-    wigner.clear_caches()
-    monkeypatch.setattr(wigner, "_RESCALE", 1e6)
-    for m, want in plain.items():
-        _assert_rows_match(_store_rows(h_tensor(m, 60), m, 60), _store_rows(want, m, 60), m, 60)
-    wigner.clear_caches()
+def test_stretched_edges_up_to_the_cap_need_no_rescaling():
+    # the m-descent carries g = f / |f(l)|, |g| <= 1 / |f(l)|, with no
+    # rescaling: every edge (l l' l''; l -l 0), l <= l' <= L_CAP, is above
+    # 1e-122 (the smallest, 8.1e-122, is at l = l' = L_CAP, l'' = 2 L_CAP)
+    l, lp = np.triu_indices(L_CAP + 1)
+    count = l + 1
+    pair = np.repeat(np.arange(len(l)), count)
+    t = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
+    l, lp = l[pair], lp[pair]
+    lpp = l + lp - 2 * t
+    lg = wigner.log_gamma_halves(2 * int(np.max(l + lp + lpp)) + 5)[::2]
+    log_edge = 0.5 * (lg[2 * l + 1] + lg[lp + lpp - l + 1] + lg[l + lp + 1]
+                      - lg[l + lp + lpp + 2] - lg[l - lp + lpp + 1]
+                      - lg[l + lp - lpp + 1] - lg[lp - l + 1])
+    assert log_edge.min() > math.log(1e-122)
+    assert np.all(log_edge <= 1e-12)
 
 
 def test_run_rule_takes_few_passes_for_one_m_at_a_time(monkeypatch):
@@ -416,14 +423,20 @@ def test_run_rule_skips_the_stores_past_the_budget(monkeypatch):
     wigner.clear_caches()
 
 
-@pytest.mark.parametrize("m,l_max", [(-1, 4), (5, 3)])
+@pytest.mark.parametrize("m,l_max", [(-1, 4), (5, 3), (0, L_CAP + 1)])
 def test_bad_m_fails_loudly(m, l_max):
     wigner.clear_caches()
-    with pytest.raises(ValueError, match=rf"m = {m}, l_max = {l_max}"):
+    h_tensor(0, 8)
+    stores = dict(wigner._STORES)
+    message = rf"L_CAP = {L_CAP}, got m = {m}, l_max = {l_max}"
+    with pytest.raises(ValueError, match=message):
         h_tensor(m, l_max)
-    with pytest.raises(ValueError, match=rf"m = {m}, l_max = {l_max}"):
+    with pytest.raises(ValueError, match=message):
         wigner.couple(m, max(m, 0), l_max, np.ones((2 * l_max + 1, l_max + 1, 1)))
-    assert not wigner._STORES and not wigner._STORE_VIEWS
+    # no store is made or grown
+    assert wigner._STORES.keys() == stores.keys()
+    assert all(wigner._STORES[k] is H for k, H in stores.items())
+    wigner.clear_caches()
 
 
 # -- grown H-tensor cache -----------------------------------------------------
@@ -475,7 +488,8 @@ def test_grown_cache_serves_exact_prefixes(order):
         rows = _store_rows(H, m, l_max)
         _assert_rows_match(rows, reference(l_max), m, l_max)
         assert np.array_equal(rows, _store_rows(_grown_alone(m, l_max), m, l_max))
-        assert h_tensor(m, l_max) is H
+        # a repeated request grows nothing
+        assert np.shares_memory(h_tensor(m, l_max), H)
         seen[l_max] = H
     # earlier views stay valid after later growth
     for l_max, H in seen.items():
@@ -483,7 +497,7 @@ def test_grown_cache_serves_exact_prefixes(order):
                               _store_rows(_grown_alone(m, l_max), m, l_max))
     assert len(wigner._STORES) == 1
     wigner.clear_caches()
-    assert not wigner._STORES and not wigner._STORE_VIEWS and not wigner._LAMBDA
+    assert not wigner._STORES and not wigner._LAMBDA
     assert not wigner._LGAMMA
 
 
@@ -538,7 +552,7 @@ def _grown_alone(m, l_max):
     the caller is put back afterwards."""
     key = (m, l_max)
     if key not in _ALONE:
-        caches = wigner._STORES, wigner._STORE_VIEWS, wigner._CREATED
+        caches = wigner._STORES, wigner._CREATED
         held = [dict(cache) for cache in caches]
         for cache in caches:
             cache.clear()
@@ -684,7 +698,7 @@ def test_one_growth_pass_per_cut_off(monkeypatch):
 
 def test_store_budget_refuses_growth_without_changing_the_cache(monkeypatch):
     wigner.clear_caches()
-    views = {(m, 10): h_tensor(m, 10) for m in range(4)}
+    views = {m: h_tensor(m, 10) for m in range(4)}
     stores = dict(wigner._STORES)
     held = sum(H.nbytes for H in stores.values())
     monkeypatch.setattr(wigner, "_STORE_BUDGET", held + 1000)
@@ -692,8 +706,7 @@ def test_store_budget_refuses_growth_without_changing_the_cache(monkeypatch):
         h_tensor(2, 20)
     assert wigner._STORES.keys() == stores.keys()
     assert all(wigner._STORES[m] is H for m, H in stores.items())
-    assert wigner._STORE_VIEWS == views
-    assert all(wigner._STORE_VIEWS[key] is H for key, H in views.items())
+    assert all(np.shares_memory(h_tensor(m, 10), H) for m, H in views.items())
     # a request inside the held cut-offs needs no growth and is served
     assert np.array_equal(h_tensor(1, 7), _grown_alone(1, 10)[: 13, : 4, : 8])
     wigner.clear_caches()
