@@ -5,11 +5,12 @@ The command is selected with ``--command``; geometry takes ``--R`` plus
 either ``--d`` or ``--epsilon``.  A flat JSON config file may supply any
 flag value (command-line flags win).  Exit status: 0 on success, 1 on an
 invalid configuration, when a computation would pass the memory budget of
-the coupling stores (the ``MemoryError`` of :mod:`wigner`) or when a
+the coupling stores (the ``MemoryError`` of :mod:`wigner`), when a
 frequency-axis computation is pinned to an ``--lmax`` past
-``specfun.L_CAP``, each printed as ``error: ...`` (the rows computed
-before it are still written), 2 when a computation did not converge
-(partial results are still written).
+``specfun.L_CAP`` or when ``--out`` or ``--diagnostics`` cannot be
+written (an ``OSError``), each printed as ``error: ...`` (the rows
+computed before it are still written where they can be), 2 when a
+computation did not converge (partial results are still written).
 ``--diagnostics PATH`` also writes, as JSON, a
 list with one object per row that holds the row's inputs and the
 ``diagnostics`` of its ``EnergyResult`` (the work done: cut-offs, blocks,
@@ -306,7 +307,7 @@ def main(argv=None):
     try:
         cfg = _merge_config(args)
         return run(cfg)
-    except (ValueError, ArithmeticError, MemoryError) as exc:  # ConfigError is a ValueError
+    except (ValueError, ArithmeticError, MemoryError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

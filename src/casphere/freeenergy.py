@@ -17,13 +17,13 @@ period pi/(L T) in the Boltzmann variable.  The sweep's panels start at
 half that period and, once a panel is over-resolved, go on at one period,
 never wider (see :func:`_panel_sweep`); panels are refined adaptively,
 and a vanishing pivot of 1 - M at a node splits the panel that holds it.
-A panel is a nested Clenshaw-Curtis rule of ``Truncation.quad_points``
-nodes (9 by default; 3 or 1 mod 4, so that its every other node is the
-embedded rule of the error estimate).  The panels' nodes and the
-Matsubara nodes n >= 1, in chunks of up to ``MATSUBARA_CHUNK``, go
-through one acceptance engine (:class:`_SweepState`): each panel or
-chunk is one stack of blocks, and its nodes are accepted in order while
-each gets the cut-off and value it would get evaluated alone.
+A panel is one fixed nested Clenshaw-Curtis rule of ``_PANEL_POINTS`` = 9
+nodes, whose every other node is the 5-point rule of the error estimate.
+The panels' nodes and the Matsubara nodes n >= 1, in chunks of up to
+``MATSUBARA_CHUNK``, go through one acceptance engine
+(:class:`_SweepState`): each panel or chunk is one stack of blocks, and
+its nodes are accepted in order while each gets the cut-off and value it
+would get evaluated alone.
 
 The engine's truncation floor is in units of the integrand or sum, not of
 the trace: each node's l_max growth and m sum stop at rel_tol (the m sum
@@ -98,20 +98,35 @@ def _cc_weights(n):
     return nodes[::-1].copy(), weights[::-1].copy()
 
 
-_CC_CACHE = {}
+def _subrule_degree(npts):
+    """Degree of exactness of the embedded subrule of an ``npts``-point
+    panel: a Clenshaw-Curtis rule of k points integrates degree k - 1, and
+    degree k when k is odd."""
+    k = npts // 2 + 1
+    return k if k % 2 else k - 1
 
 
-def _cc_rule(n):
-    if n not in _CC_CACHE:
-        if n % 2 == 0:
-            raise ValueError("panel rule needs an odd point count")
-        nodes, weights = _cc_weights(n)
-        _, sub_weights = _cc_weights(n // 2 + 1)
-        _CC_CACHE[n] = (nodes, weights, sub_weights)
-    return _CC_CACHE[n]
+#: nodes per quadrature panel; each panel is one stack of nodes
+_PANEL_POINTS = 9
+_PANEL_NODES, _PANEL_WEIGHTS = _cc_weights(_PANEL_POINTS)
+#: the weights of the embedded rule on every other node
+_SUB_WEIGHTS = _cc_weights(_PANEL_POINTS // 2 + 1)[1]
+#: a first-pass panel whose embedded estimate is below this share of its
+#: tolerance is over-resolved: doubling it multiplies a degree-p rule's
+#: error by about 2^(p+2) while its share only doubles
+_OVER_RESOLVED = 2.0 ** -(_subrule_degree(_PANEL_POINTS) + 1)
+
+#: splits a vanishing pivot may cause in one adaptive pass before it
+#: propagates; a singularity that persists at every node would otherwise
+#: double the panels at every level
+_SINGULAR_SPLITS = 8
+
+#: bisection levels of an adaptive pass; a panel at this depth is accepted
+#: with its embedded estimate whatever that is
+_MAX_DEPTH = 28
 
 
-def _integrate_panel(f, a, b, npts):
+def _integrate_panel(f, a, b):
     """One panel with the nested rule.
 
     f takes the array of the panel's nodes and returns, per node, a pair:
@@ -119,30 +134,24 @@ def _integrate_panel(f, a, b, npts):
     panel's value, its embedded quadrature error estimate and the integral
     of the truncation errors.
     """
-    nodes, weights, sub_weights = _cc_rule(npts)
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    vals = np.asarray(f(mid + half * nodes))
-    full, trunc = (half * float(v) for v in weights @ vals)
-    coarse = half * float(np.dot(sub_weights, vals[::2, 0]))
+    vals = np.asarray(f(mid + half * _PANEL_NODES))
+    full, trunc = (half * float(v) for v in _PANEL_WEIGHTS @ vals)
+    coarse = half * float(np.dot(_SUB_WEIGHTS, vals[::2, 0]))
     return full, abs(full - coarse), abs(trunc)
 
 
-#: splits a vanishing pivot may cause in one adaptive pass before it
-#: propagates; a singularity that persists at every node would otherwise
-#: double the panels at every level
-_SINGULAR_SPLITS = 8
-
-
-def _adaptive_panels(f, a, b, npts, tol_abs, max_depth=28):
+def _adaptive_panels(f, a, b, tol_abs):
     """Bisect [a, b] until the embedded estimate is below tol_abs.
 
     A SingularBlockError raised by the integrand (a vanishing pivot of
     1 - M at a node) splits the panel as well, which moves every interior
     node off the resonance; after ``_SINGULAR_SPLITS`` such splits, or
-    below width 1e-12, the error propagates.  Returns the three sums of
-    :func:`_integrate_panel` over the accepted panels and the number of
-    panels evaluated.
+    below width 1e-12, the error propagates.  A panel ``_MAX_DEPTH``
+    levels down is accepted unconverged, its embedded estimate counted in
+    the error.  Returns the three sums of :func:`_integrate_panel` over
+    the accepted panels and the number of panels evaluated.
     """
     stack = [(a, b, 0)]
     total, err, trunc = 0.0, 0.0, 0.0
@@ -151,7 +160,7 @@ def _adaptive_panels(f, a, b, npts, tol_abs, max_depth=28):
         lo, hi, depth = stack.pop()
         evaluated += 1
         try:
-            v, e, t = _integrate_panel(f, lo, hi, npts)
+            v, e, t = _integrate_panel(f, lo, hi)
         except SingularBlockError:
             splits += 1
             if splits > _SINGULAR_SPLITS or hi - lo < 1e-12:
@@ -160,7 +169,7 @@ def _adaptive_panels(f, a, b, npts, tol_abs, max_depth=28):
             stack.append((mid, hi, depth + 1))
             stack.append((lo, mid, depth + 1))
             continue
-        if e > tol_abs * (hi - lo) / (b - a) and depth < max_depth:
+        if e > tol_abs * (hi - lo) / (b - a) and depth < _MAX_DEPTH:
             mid = 0.5 * (lo + hi)
             stack.append((mid, hi, depth + 1))
             stack.append((lo, mid, depth + 1))
@@ -171,26 +180,16 @@ def _adaptive_panels(f, a, b, npts, tol_abs, max_depth=28):
     return total, err, trunc, evaluated
 
 
-def _subrule_degree(npts):
-    """Degree of exactness of the embedded subrule of an ``npts``-point
-    panel: a Clenshaw-Curtis rule of k points integrates degree k - 1, and
-    degree k when k is odd."""
-    k = npts // 2 + 1
-    return k if k % 2 else k - 1
-
-
-def _panel_sweep(f, width, xi_max, npts, rel_tol, checkpoint):
+def _panel_sweep(f, width, xi_max, rel_tol, checkpoint):
     """Integrate f over (0, xi_max) in panels of ``width`` or ``2 width``,
     with adaptive refinement.
 
     The first pass starts at ``width``.  A panel's share of the tolerance
     is ``rel_tol * 1e-2 * |running total| * (hi - lo) / xi_max``; once a
-    panel's embedded estimate is below its share over 2^(p+1), p the
-    degree of exactness of the embedded subrule (5 for 9 points), the
-    panels are ``2 width`` wide for the rest of the pass: doubling a panel
-    multiplies a degree-p rule's error by about 2^(p+2) while its share
-    only doubles.  They never get wider (on the thermal sweep, 2 width is
-    one oscillation period).  A panel is small when its value per unit
+    panel's embedded estimate is below its share over 2^(p+1), p = 5 the
+    degree of exactness of the embedded subrule (``_OVER_RESOLVED``), the
+    panels are ``2 width`` wide for the rest of the pass.  They never get
+    wider (on the thermal sweep, 2 width is one oscillation period).  A panel is small when its value per unit
     width is below rel_tol * 1e-3 of the running total per ``width``, and
     the pass stops once the small panels in a row span 3 width (the
     integrands here decay exponentially), so wide panels carry it no
@@ -211,7 +210,6 @@ def _panel_sweep(f, width, xi_max, npts, rel_tol, checkpoint):
     starts from what its own panel left, not from where the first pass
     ended (see :meth:`_SweepState.checkpoint`).
     """
-    over_resolved = 2.0 ** -(_subrule_degree(npts) + 1)
     # first pass for the overall scale; a panel whose nodes hit a singular
     # block is left to the adaptive pass, which splits it
     scale = 0.0
@@ -223,14 +221,14 @@ def _panel_sweep(f, width, xi_max, npts, rel_tol, checkpoint):
         lo, hi, units = a, min(a + step * width, xi_max), step
         a = hi
         try:
-            v, e, t = _integrate_panel(f, lo, hi, npts)
+            v, e, t = _integrate_panel(f, lo, hi)
         except SingularBlockError:
             rough.append((lo, hi, 0.0, math.inf, 0.0, checkpoint()))
             continue
         rough.append((lo, hi, v, e, t, checkpoint()))
         scale += v
         tol = rel_tol * max(abs(scale), 1e-300)
-        if e < over_resolved * tol * 1e-2 * (hi - lo) / xi_max:
+        if e < _OVER_RESOLVED * tol * 1e-2 * (hi - lo) / xi_max:
             step = 2
         if abs(v) * width < tol * 1e-3 * (hi - lo):
             small_run += units
@@ -243,7 +241,7 @@ def _panel_sweep(f, width, xi_max, npts, rel_tol, checkpoint):
     for lo, hi, v, e, t, restore in rough:
         if e > tol_abs * (hi - lo) / max(xi_max, hi - lo):
             restore()
-            v, e, t, evaluated = _adaptive_panels(f, lo, hi, npts, tol_abs)
+            v, e, t, evaluated = _adaptive_panels(f, lo, hi, tol_abs)
             refined += evaluated
         total += v
         err += e + t
@@ -420,8 +418,8 @@ class _SweepState:
         cut-off (and, through the never-falling hint, every later one).
         """
         integrand(np.array([0.5 * min(width, xi_max)]))
-        return _panel_sweep(integrand, width, xi_max, self.trunc.quad_points,
-                            self.trunc.rel_tol, self.checkpoint)
+        return _panel_sweep(integrand, width, xi_max, self.trunc.rel_tol,
+                            self.checkpoint)
 
     def checkpoint(self):
         """A callable that puts back the hint and the inherited relative

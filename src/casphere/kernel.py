@@ -271,7 +271,7 @@ def _k_rows(y, l_max, derivative=False, weighted=False):
     :func:`wigner.lambda_tensor`) and log K_{s+1/2}(y) over s = 0..2 l_max,
     the units of row s.  Cached per frequency; do not mutate.
     """
-    _, logk = specfun.log_ik_arrays(2 * l_max, y)  # orders 0 .. 2 l_max + 1
+    logk = specfun.log_k_array(2 * l_max, y)  # orders 0 .. 2 l_max + 1
     V, dV = _shift_rows(y, l_max, logk, derivative=derivative)
     if derivative:
         V = dV

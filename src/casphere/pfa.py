@@ -137,8 +137,9 @@ def _fpar(d, T, mode_count):
     return parallel_plates_free_energy(PlatePoint(d, T, mode_count))
 
 
-def pfa_free_energy(geom, T, mode_count=2):
-    """PFA free energy 2 pi R^2 int_0^1 dt (1-t) F_par(d + R t, T).
+def _profile_integral(geom, T, mode_count, weight):
+    """``int_0^1 dt weight(t) F_par(d + R t, T)``, the plate energy over
+    the sphere profile.
 
     The 1/(d+Rt)^3 spike at t = 0 is resolved by substituting
     u = ln(d + R t).
@@ -150,28 +151,23 @@ def pfa_free_energy(geom, T, mode_count=2):
 
     def integrand(u):
         sep = math.exp(u)
-        t = (sep - d) / R
-        return (1.0 - t) * _fpar(sep, T, mode_count) * sep / R
+        return weight((sep - d) / R) * _fpar(sep, T, mode_count) * sep / R
 
     v, _ = quad(integrand, math.log(d), math.log(d + R),
                 limit=400, epsabs=1e-14, epsrel=1e-12)
-    return 2.0 * math.pi * R * R * v
+    return v
+
+
+def pfa_free_energy(geom, T, mode_count=2):
+    """PFA free energy 2 pi R^2 int_0^1 dt (1-t) F_par(d + R t, T)."""
+    v = _profile_integral(geom, T, mode_count, lambda t: 1.0 - t)
+    return 2.0 * math.pi * geom.R * geom.R * v
 
 
 def pfa_force(geom, T, mode_count=2):
     """PFA force 2 pi R (F_par(d,T) - int_0^1 dt F_par(d + R t, T))."""
-    from scipy.integrate import quad
-
-    geom.require_gap()
-    R, d = geom.R, geom.d
-
-    def integrand(u):
-        sep = math.exp(u)
-        return _fpar(sep, T, mode_count) * sep / R
-
-    v, _ = quad(integrand, math.log(d), math.log(d + R),
-                limit=400, epsabs=1e-14, epsrel=1e-12)
-    return 2.0 * math.pi * R * (_fpar(d, T, mode_count) - v)
+    v = _profile_integral(geom, T, mode_count, lambda t: 1.0)
+    return 2.0 * math.pi * geom.R * (_fpar(geom.d, T, mode_count) - v)
 
 
 def pfa_thermal_force(geom, T, mode_count=2):

@@ -14,13 +14,16 @@ K and H are computed by upward recurrence (the stable direction for
 each: K is the dominant solution, and H, dominated by Y past the
 turning point, grows in modulus with the order), I and J by Miller's
 downward recurrence started above the turning point :math:`\nu \approx x`
-and normalized against the closed forms of order 1/2 and 3/2.  H runs its
-own complex recurrence from the closed forms at orders 1/2 and 3/2, so the
-rotated kernels need J only for the sphere numerator, at xi R; only H2 is
-built, as M(-i xi) is the conjugate of M(+i xi).  All recurrences carry a
-running exponent so no intermediate value can overflow or underflow; they
-run on Python floats and lists, converted to arrays once.  The I/K and H2
-tables are cached; J is not, as its one caller is cached on the same key.
+(one loop, :func:`_miller`, for both; they differ in the sign of one
+term) and normalized against the closed forms of order 1/2 and 3/2.  H
+runs its own complex recurrence from the closed forms at orders 1/2 and
+3/2, so the rotated kernels need J only for the sphere numerator, at
+xi R; only H2 is built, as M(-i xi) is the conjugate of M(+i xi).  All
+recurrences carry a running exponent so no intermediate value can
+overflow or underflow; they run on Python floats and lists, converted to
+arrays once.  The K table (:func:`log_k_array`, read alone by the
+imaginary-axis weight rows), the I/K pair and the H2 table are cached; J
+is not, as its one caller is cached on the same key.
 """
 
 import math
@@ -35,19 +38,39 @@ _BIG = 1e250
 _NEG_INF = float("-inf")
 
 
-def _check_domain(l, x, l_cap=L_CAP):
+def _check_domain(l, x):
     if not x > 0.0:
         raise ValueError(f"argument must be positive, got x={x}")
     if l < 0:
         raise ValueError(f"order index must be non-negative, got l={l}")
-    if l > l_cap:
-        raise ValueError(f"order index l={l} exceeds cap {l_cap}")
+    if l > L_CAP:
+        raise ValueError(f"order index l={l} exceeds cap {L_CAP}")
 
 
 def _miller_start(l_max, x):
     # downward recurrences must begin in the regime nu > x where the
     # minimal solution decays; the sqrt pad covers the Airy transition zone
     return max(l_max, int(x) + 1) + 16 + int(2.0 * math.sqrt(max(x, l_max + 1.0)))
+
+
+def _miller(l_max, x, sign):
+    """Miller's downward recurrence ``v[l-1] = (2 nu/x) v[l] + sign v[l+1]``
+    (nu = l + 1/2; sign +1 for I, -1 for J), started above the turning
+    point, unnormalized: the value of order l is ``v[l] * exp(ex[l])``
+    for l = 0..l_max + 1.  Returns the lists ``(v, ex)``."""
+    start = _miller_start(l_max + 1, x)
+    v = [0.0] * (start + 2)
+    ex = [-600.0] * (start + 2)
+    v[start] = 1.0
+    for l in range(start, 0, -1):
+        nu = l + 0.5
+        w = (2.0 * nu / x) * v[l] + sign * (v[l + 1] * math.exp(ex[l + 1] - ex[l]))
+        ex[l - 1] = ex[l]
+        if abs(w) > _BIG:
+            ex[l - 1] += math.log(abs(w))
+            w = math.copysign(1.0, w)
+        v[l - 1] = w
+    return v, ex
 
 
 def _frozen(*arrays):
@@ -57,8 +80,29 @@ def _frozen(*arrays):
 
 
 @lru_cache(maxsize=4096)
+def log_k_array(l_max, x):
+    """log K_{l+1/2}(x) for l = 0..l_max (+1 spare), by upward recurrence
+    from the exact half-integer seeds.  Cached; do not mutate."""
+    _check_domain(0, x)
+    base = 0.5 * math.log(math.pi / (2.0 * x)) - x  # log K_{1/2}
+    k0, k1, shift = 1.0, 1.0 + 1.0 / x, 0.0
+    logk = [base, base + math.log(k1)]
+    for l in range(1, l_max + 1):
+        nu = l + 0.5
+        k2 = k0 + (2.0 * nu / x) * k1
+        if k2 > _BIG:
+            k0 /= k2
+            k1 /= k2
+            shift += math.log(k2)
+            k2 = 1.0
+        logk.append(base + shift + math.log(k2))
+        k0, k1 = k1, k2
+    return _frozen(np.array(logk))[0]
+
+
+@lru_cache(maxsize=4096)
 def log_ik_arrays(l_max, x):
-    """log I_{l+1/2}(x) and log K_{l+1/2}(x) for l = 0..l_max.
+    """log I_{l+1/2}(x) and log K_{l+1/2}(x) for l = 0..l_max (+1 spare).
 
     Both families are positive for x > 0, so plain log arrays suffice.
     Results are cached (the block assembly revisits each frequency once
@@ -74,45 +118,18 @@ def log_ik_arrays(l_max, x):
     Returns
     -------
     (ndarray, ndarray)
-        ``logi[l]``, ``logk[l]``
+        ``logi[l]``, ``logk[l]``; ``logk`` is :func:`log_k_array`'s
     """
     _check_domain(0, x)
     n = l_max + 2  # one spare order for derivative recurrences
-
-    # K upward from the exact half-integer seeds
-    base = 0.5 * math.log(math.pi / (2.0 * x)) - x  # log K_{1/2}
-    k0, k1, shift = 1.0, 1.0 + 1.0 / x, 0.0
-    logk = [base, base + math.log(k1)]
-    for l in range(1, n - 1):
-        nu = l + 0.5
-        k2 = k0 + (2.0 * nu / x) * k1
-        if k2 > _BIG:
-            k0 /= k2
-            k1 /= k2
-            shift += math.log(k2)
-            k2 = 1.0
-        logk.append(base + shift + math.log(k2))
-        k0, k1 = k1, k2
-
     # I downward (Miller), normalized to I_{1/2} = sqrt(2/pi x) sinh x
-    start = _miller_start(l_max + 1, x)
-    v = [0.0] * (start + 2)
-    ex = [-600.0] * (start + 2)
-    v[start] = 1.0
-    for l in range(start, 0, -1):
-        nu = l + 0.5
-        w = v[l + 1] * math.exp(ex[l + 1] - ex[l]) + (2.0 * nu / x) * v[l]
-        ex[l - 1] = ex[l]
-        if w > _BIG:
-            ex[l - 1] += math.log(w)
-            w = 1.0
-        v[l - 1] = w
+    v, ex = _miller(l_max, x, 1.0)
     logi = np.log(v[:n]) + np.array(ex[:n])
     # log sinh x = x + log1p(-exp(-2x)) - log 2, stable for every x > 0
     log_i_half = x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0) \
         + 0.5 * math.log(2.0 / (math.pi * x))
     logi += log_i_half - logi[0]
-    return _frozen(logi, np.array(logk))
+    return _frozen(logi, log_k_array(l_max, x))
 
 
 def log_jy_arrays(l_max, x):
@@ -132,19 +149,7 @@ def log_jy_arrays(l_max, x):
     lj = [_NEG_INF] * n
     c = math.sqrt(2.0 / (math.pi * x))
 
-    # J downward (Miller)
-    start = _miller_start(l_max + 1, x)
-    v = [0.0] * (start + 2)
-    ex = [-600.0] * (start + 2)
-    v[start] = 1.0
-    for l in range(start, 0, -1):
-        nu = l + 0.5
-        w = (2.0 * nu / x) * v[l] - v[l + 1] * math.exp(ex[l + 1] - ex[l])
-        ex[l - 1] = ex[l]
-        if abs(w) > _BIG:
-            ex[l - 1] += math.log(abs(w))
-            w = math.copysign(1.0, w)
-        v[l - 1] = w
+    v, ex = _miller(l_max, x, -1.0)
     # normalize against whichever closed form is farther from a zero
     j0 = c * math.sin(x)
     j1 = c * (math.sin(x) / x - math.cos(x))

@@ -113,28 +113,22 @@ def merge_work(record, counts):
 
 @dataclass
 class Truncation:
-    """Truncation and tolerance settings shared by the drivers.
+    """Truncation and tolerance settings shared by the drivers: the
+    orbital cutoff and the relative tolerance.
 
     l_max = None lets each evaluation grow the orbital cutoff (start at
     l_start + 4, grow by 4) until the relative change of the result drops
-    below rel_tol.
+    below rel_tol.  rel_tol also sets the stop tests of the quadrature and
+    of the Matsubara sum; the quadrature panels are one fixed 9-point
+    rule (see :mod:`casphere.freeenergy`).
     """
 
     l_max: int | None = None
     rel_tol: float = 1e-3
-    # nodes per quadrature panel: a Clenshaw-Curtis rule whose every other
-    # node carries the embedded rule of the error estimate, itself
-    # Clenshaw-Curtis only for 3 or 1 mod 4 points (5, 9, 13, 17, ...).
-    # Each panel is one stack of nodes; panels whose embedded estimate is
-    # too large are refined
-    quad_points: int = 9
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol < math.inf:
             raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol}")
-        if not (self.quad_points == 3 or (self.quad_points >= 5 and self.quad_points % 4 == 1)):
-            raise ValueError("quad_points must be 3 or 1 mod 4 (5, 9, 13, ...) for the "
-                             f"embedded rule to be Clenshaw-Curtis, got {self.quad_points}")
 
 
 def project(evaluation, total):

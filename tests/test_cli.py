@@ -178,6 +178,32 @@ def test_frequency_path_past_the_cap_exits_1(capsys):
     assert err.startswith("error: ") and f"L_CAP = {L_CAP}" in err
 
 
+@pytest.mark.parametrize("target", ["out", "diagnostics"])
+def test_unwritable_output_path_exits_1(tmp_path, capsys, target):
+    paths = {"out": tmp_path / "x.csv", "diagnostics": tmp_path / "x.json"}
+    paths[target] = tmp_path / "missing" / paths[target].name
+    rc = run_cli(["--command", "free-energy", "--R", "1", "--d", "1", "--T", "1",
+                  "--out", str(paths["out"]), "--diagnostics", str(paths["diagnostics"])])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing" in err
+    if target == "diagnostics":  # the CSV is written before the diagnostics
+        assert read_csv(paths["out"])[0]["converged"] == "True"
+
+
+def test_readme_lists_every_flag():
+    import re
+    from pathlib import Path
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    flags = readme[readme.index("\nFlags: "):]
+    flags = flags[: flags.index("\n\n")]
+    options = [opt for action in cli.build_parser()._actions if action.dest != "help"
+               for opt in action.option_strings if opt.startswith("--")]
+    assert len(options) > 10
+    missing = [opt for opt in options if not re.search("`" + re.escape(opt) + "[` ]", flags)]
+    assert missing == []
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "casphere.cli", "--help"],
                           capture_output=True, text=True)

@@ -206,7 +206,7 @@ def test_force_assembles_each_prefactor_once(monkeypatch):
     assert len(built) == sum(len(l_maxes) for l_maxes in per_call)
     assert all(derivative for _, _, derivative in built)
     # the largest stack is a whole quadrature panel
-    assert max(len(xi) for xi, _, _ in built) == Truncation().quad_points
+    assert max(len(xi) for xi, _, _ in built) == fe._PANEL_POINTS
 
 
 def test_singular_node_splits_the_panel(monkeypatch):
@@ -215,7 +215,7 @@ def test_singular_node_splits_the_panel(monkeypatch):
     # which moves every node off the resonance
     geom, T = Geometry(1.0, 1.0), 1.0
     ref = fe.force(geom, DD, T, target="thermal_part")
-    nodes, _, _ = fe._cc_rule(Truncation().quad_points)
+    nodes = fe._PANEL_NODES
     width = min(math.pi / (2.0 * geom.L * T), 3.0)
     resonance = 0.5 * width + 0.5 * width * nodes[3]
     hits = []
@@ -245,7 +245,7 @@ def test_singular_run_leaves_the_node_by_node_state(monkeypatch):
     # node, the verification schedule, the hint and every count go on as
     # if the nodes had been evaluated alone
     geom, T = Geometry(1.0, 1.0), 1.0
-    nodes, _, _ = fe._cc_rule(Truncation().quad_points)
+    nodes = fe._PANEL_NODES
     width = min(math.pi / (2.0 * geom.L * T), 3.0)
     resonance = 0.5 * width + 0.5 * width * nodes[3]
     trace, assemble = trlog.trace_over_m, trlog.assemble_block
@@ -287,7 +287,7 @@ def test_persistent_singularity_propagates():
         raise SingularBlockError("vanishing pivot in 1 - M")
 
     with pytest.raises(SingularBlockError):
-        fe._adaptive_panels(always_singular, 0.0, 1.0, 17, 1e-6)
+        fe._adaptive_panels(always_singular, 0.0, 1.0, 1e-6)
     assert len(calls) <= fe._SINGULAR_SPLITS + 1  # one node per try
 
 

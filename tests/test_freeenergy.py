@@ -72,11 +72,6 @@ def test_matsubara_needs_positive_t():
     (lambda: Geometry(math.inf, 0.1), "finite"),
     (lambda: Truncation(rel_tol=math.nan), "rel_tol"),
     (lambda: Truncation(rel_tol=math.inf), "rel_tol"),
-    (lambda: Truncation(quad_points=4), "quad_points"),
-    (lambda: Truncation(quad_points=1), "quad_points"),
-    (lambda: Truncation(quad_points=7), "quad_points"),
-    (lambda: Truncation(quad_points=11), "quad_points"),
-    (lambda: Truncation(quad_points=15), "quad_points"),
     (lambda: fe.matsubara_free_energy(Geometry(1.0, 0.5), DD, 1.0, Truncation(l_max=-3)),
      "l_max"),
     (lambda: fe.matsubara_free_energy(Geometry(1.0, 0.5), FieldSpec.em(), 1.0,
@@ -85,8 +80,7 @@ def test_matsubara_needs_positive_t():
     (lambda: fe.thermal_part(G12, DD, math.inf), "finite T"),
     (lambda: fe.matsubara_free_energy(G12, DD, math.inf), "finite T"),
     (lambda: fe.force(G12, DD, math.nan, target="thermal_part"), "finite T"),
-], ids=["d nan", "R inf", "rel_tol nan", "rel_tol inf", "quad_points even",
-        "quad_points 1", "quad_points 7", "quad_points 11", "quad_points 15", "l_max negative", "EM l_max 0",
+], ids=["d nan", "R inf", "rel_tol nan", "rel_tol inf", "l_max negative", "EM l_max 0",
         "thermal l_max negative", "thermal T inf", "matsubara T inf", "force T nan"])
 def test_bad_inputs_fail_loudly(call, match):
     with pytest.raises(ValueError, match=match):
@@ -98,8 +92,8 @@ def test_panel_rules_integrate_low_powers_exactly(n):
     # the full rule on [-1, 1] and the embedded rule on its every other
     # node integrate 1 and x^2; the embedded rule of 3 points is the
     # 2-point trapezoid, exact for 1 and x only
-    Truncation(quad_points=n)
-    nodes, weights, sub_weights = fe._cc_rule(n)
+    nodes, weights = fe._cc_weights(n)
+    _, sub_weights = fe._cc_weights(n // 2 + 1)
     sub = nodes[::2]
     assert len(sub_weights) == len(sub) == (n + 1) // 2
     assert weights.sum() == pytest.approx(2.0, abs=1e-14)
@@ -114,12 +108,41 @@ def test_panel_rules_integrate_low_powers_exactly(n):
 def test_subrule_degree_is_the_exactness_of_the_embedded_rule():
     # the embedded rule integrates x^p exactly and x^(p+1) not
     for n in (3, 5, 9, 13, 17):
-        nodes, _, sub_weights = fe._cc_rule(n)
+        nodes, _ = fe._cc_weights(n)
+        _, sub_weights = fe._cc_weights(n // 2 + 1)
         p = fe._subrule_degree(n)
         exact = [(1.0 - (-1.0) ** (k + 1)) / (k + 1) for k in (p, p + 1)]
         assert sub_weights @ nodes[::2] ** p == pytest.approx(exact[0], abs=1e-14)
         assert abs(sub_weights @ nodes[::2] ** (p + 1) - exact[1]) > 1e-6
     assert [fe._subrule_degree(n) for n in (3, 5, 9, 17)] == [1, 3, 5, 9]
+
+
+def test_truncation_holds_only_the_cutoff_and_tolerance():
+    # the panel rule is fixed, not a setting
+    import dataclasses
+    assert [f.name for f in dataclasses.fields(Truncation)] == ["l_max", "rel_tol"]
+    with pytest.raises(TypeError):
+        Truncation(quad_points=9)
+
+
+def test_panel_at_the_depth_cap_still_counts_its_estimate(monkeypatch):
+    # a step at 1/3 never converges; the panels that hold it are accepted
+    # at the depth cap, and their embedded estimates stay in the error
+    import numpy as np
+    monkeypatch.setattr(fe, "_MAX_DEPTH", 3)
+    panels = []
+
+    def step(x):
+        panels.append((x[0], x[-1]))
+        return np.stack([np.where(x < 1.0 / 3.0, 1.0, 0.0), np.zeros_like(x)], axis=1)
+
+    total, err, trunc, evaluated = fe._adaptive_panels(step, 0.0, 1.0, 1e-12)
+    assert evaluated == len(panels) <= 2 ** (3 + 1) - 1
+    at_cap = [(lo, hi) for lo, hi in panels if hi - lo == pytest.approx(2.0 ** -3)]
+    capped = sum(fe._integrate_panel(step, lo, hi)[1] for lo, hi in at_cap)
+    assert at_cap and capped > 1e-3
+    assert err >= capped
+    assert trunc == 0.0
 
 
 def test_panel_sweep_widens_over_resolved_panels():
@@ -128,7 +151,7 @@ def test_panel_sweep_widens_over_resolved_panels():
     # over-resolved the first pass goes on in panels of 2 width, no wider,
     # and it stops once its small panels in a row span 3 width
     import numpy as np
-    width, rel_tol, npts = 1.0, 1e-4, 9
+    width, rel_tol = 1.0, 1e-4
     calls, first = [], []
 
     def f(x):
@@ -139,7 +162,7 @@ def test_panel_sweep_widens_over_resolved_panels():
         first.append(calls[-1])
         return lambda: None
 
-    total, err, work = fe._panel_sweep(f, width, 60.0, npts, rel_tol, checkpoint)
+    total, err, work = fe._panel_sweep(f, width, 60.0, rel_tol, checkpoint)
     assert abs(total - 12.0 / 25.0) <= err
     widths = [(hi - lo) / width for lo, hi in first]
     assert all(w == pytest.approx(1.0) or w == pytest.approx(2.0) for w in widths)
@@ -149,7 +172,7 @@ def test_panel_sweep_widens_over_resolved_panels():
     # the first pass's trailing run of small panels
     scale, small = 0.0, []
     for lo, hi in first:
-        v = fe._integrate_panel(f, lo, hi, npts)[0]
+        v = fe._integrate_panel(f, lo, hi)[0]
         scale += v
         small.append(abs(v) * width < rel_tol * 1e-3 * abs(scale) * (hi - lo))
     run = len(small) - small[::-1].index(False)
@@ -163,9 +186,9 @@ def test_sweeps_report_the_range_and_panels_they_used(monkeypatch):
     ends = []
     integrate, checkpoint = fe._integrate_panel, fe._SweepState.checkpoint
 
-    def recording(f, a, b, npts):
+    def recording(f, a, b):
         ends.append(b)
-        return integrate(f, a, b, npts)
+        return integrate(f, a, b)
 
     def marking(self):
         ends.append("first")
@@ -376,36 +399,29 @@ def test_verify_every_one_verifies_every_node(monkeypatch):
     assert every.value == pytest.approx(sixth.value, rel=1e-3)
 
 
-# (label, observable, field, T, quad_points): at (1, 0.3) and T = 0.7 a
-# verified node grows past its stack's start + 4, and so moves the hint,
-# inside some panel at both rules; the cold sweeps at T = 0.3 and 0.05
-# have one such node and none
+# (label, observable, field, T): at (1, 0.3) and T = 0.7 a verified node
+# grows past its stack's start + 4, and so moves the hint, inside some
+# panel; the cold sweeps at T = 0.3 and 0.05 have one such node and none
 SWEEP_POINTS = [
-    ("FT DD", "FT", "DD", 0.7, 9),
-    ("FT DN", "FT", "DN", 0.7, 9),
-    ("FT ND", "FT", "ND", 0.7, 9),
-    ("force DD", "force", "DD", 0.7, 9),
-    ("E0 DD", "E0", "DD", None, 9),
-    ("FT DD 17", "FT", "DD", 0.7, 17),
-    ("FT DN 17", "FT", "DN", 0.7, 17),
-    ("FT ND 17", "FT", "ND", 0.7, 17),
-    ("force DD 17", "force", "DD", 0.7, 17),
-    ("E0 DD 17", "E0", "DD", None, 17),
-    ("FT DD cold", "FT", "DD", 0.3, 9),
-    ("FT DD colder", "FT", "DD", 0.05, 9),
+    ("FT DD", "FT", "DD", 0.7),
+    ("FT DN", "FT", "DN", 0.7),
+    ("FT ND", "FT", "ND", 0.7),
+    ("force DD", "force", "DD", 0.7),
+    ("E0 DD", "E0", "DD", None),
+    ("FT DD cold", "FT", "DD", 0.3),
+    ("FT DD colder", "FT", "DD", 0.05),
 ]
 
 
-@pytest.mark.parametrize("target, name, field, T, quad_points", SWEEP_POINTS,
+@pytest.mark.parametrize("target, name, field, T", SWEEP_POINTS,
                          ids=[p[0] for p in SWEEP_POINTS])
-def test_stacked_runs_match_the_node_by_node_sweep(monkeypatch, target, name, field,
-                                                   T, quad_points):
+def test_stacked_runs_match_the_node_by_node_sweep(monkeypatch, target, name, field, T):
     import numpy as np
     from casphere import trlog
     from casphere.kernel import NEUMANN
     spec = {"DD": DD, "DN": FieldSpec(plane_bc=NEUMANN),
             "ND": FieldSpec(sphere_bc=NEUMANN)}[field]
-    geom, trunc = Geometry(1.0, 0.3), Truncation(quad_points=quad_points)
+    geom, trunc = Geometry(1.0, 0.3), Truncation()
     seen = {"blocks": 0, "eigvals": 0}
     assemble, eigvals, trace = trlog.assemble_block, np.linalg.eigvals, trlog.trace_over_m
     stacks = []  # (start, verify mask, cut-offs) of each stack of nodes

@@ -241,7 +241,7 @@ def test_domain_errors():
         log_bessel_i_half(specfun.L_CAP + 1, 1.0)
     with pytest.raises(ValueError):
         bessel_j_half(-1, 1.0)
-    for table in (log_ik_arrays, log_jy_arrays, log_hankel2_arrays):
+    for table in (log_ik_arrays, specfun.log_k_array, log_jy_arrays, log_hankel2_arrays):
         for x in (-1.0, 0.0, math.nan):
             with pytest.raises(ValueError):
                 table(4, x)
