@@ -8,9 +8,10 @@ invalid configuration, when a computation would pass the memory budget of
 the coupling stores (the ``MemoryError`` of :mod:`wigner`), when a
 frequency-axis computation is pinned to an ``--lmax`` past
 ``specfun.L_CAP`` or when ``--out`` or ``--diagnostics`` cannot be
-written (an ``OSError``), each printed as ``error: ...`` (the rows
-computed before it are still written where they can be), 2 when a
-computation did not converge (partial results are still written).
+written (an ``OSError``, raised before the first row is computed), each
+printed as ``error: ...`` (the rows computed before it are still written
+where they can be), 2 when a computation did not converge (partial
+results are still written).
 ``--diagnostics PATH`` also writes, as JSON, a
 list with one object per row that holds the row's inputs and the
 ``diagnostics`` of its ``EnergyResult`` (the work done: cut-offs, blocks,
@@ -246,10 +247,15 @@ def _scan_rows(cfg, rows, records):
 
 def run(cfg):
     """Execute one parsed configuration; returns the process exit status.
-    The rows that completed are written even when a later row raises."""
+    An output path that cannot be opened for writing raises before the
+    first row is computed; the rows that completed are written even when a
+    later row raises."""
     command = cfg.get("command")
     if command not in COMMANDS:
         raise ConfigError("--command is required")
+    for key in ("out", "diagnostics"):
+        if cfg.get(key):
+            open(cfg[key], "a").close()  # appends nothing: the rows come later
     rows, records = [], []  # rows with no EnergyResult have no diagnostics
     try:
         ok = _rows(command, cfg, rows, records)

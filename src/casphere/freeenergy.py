@@ -14,16 +14,16 @@ Three equivalent representations are implemented (units hbar = c = k_B = 1):
 
 connected by ``F = E_0 + F_T``.  Real-frequency integrands oscillate with
 period pi/(L T) in the Boltzmann variable.  The sweep's panels start at
-half that period and, once a panel is over-resolved, go on at one period,
-never wider (see :func:`_panel_sweep`); panels are refined adaptively,
-and a vanishing pivot of 1 - M at a node splits the panel that holds it.
+half that period and double after each over-resolved panel (see
+:func:`_panel_sweep`); panels are refined adaptively, and a vanishing
+pivot of 1 - M at a node splits the panel that holds it.
 A panel is one fixed nested Clenshaw-Curtis rule of ``_PANEL_POINTS`` = 9
 nodes, whose every other node is the 5-point rule of the error estimate.
 The panels' nodes and the Matsubara nodes n >= 1, in chunks of up to
 ``MATSUBARA_CHUNK``, go through one acceptance engine
-(:class:`_SweepState`): each panel or chunk is one stack of blocks, and
-its nodes are accepted in order while each gets the cut-off and value it
-would get evaluated alone.
+(:class:`_SweepState`): each panel or chunk is one stack of blocks, every
+node runs its own l_max growth test, and the nodes are accepted in order
+while each gets the cut-off and value it would get evaluated alone.
 
 The engine's truncation floor is in units of the integrand or sum, not of
 the trace: each node's l_max growth and m sum stop at rel_tol (the m sum
@@ -143,17 +143,21 @@ def _integrate_panel(f, a, b):
 
 
 def _adaptive_panels(f, a, b, tol_abs):
-    """Bisect [a, b] until the embedded estimate is below tol_abs.
+    """Integrate f over [a, b] from its two halves, bisecting each panel
+    [lo, hi] until its embedded estimate is at most its share of tol_abs,
+    ``tol_abs * (hi - lo) / (b - a)``.
 
     A SingularBlockError raised by the integrand (a vanishing pivot of
     1 - M at a node) splits the panel as well, which moves every interior
     node off the resonance; after ``_SINGULAR_SPLITS`` such splits, or
     below width 1e-12, the error propagates.  A panel ``_MAX_DEPTH``
-    levels down is accepted unconverged, its embedded estimate counted in
-    the error.  Returns the three sums of :func:`_integrate_panel` over
-    the accepted panels and the number of panels evaluated.
+    levels below [a, b] is accepted unconverged, its embedded estimate
+    counted in the error.  Returns the three sums of
+    :func:`_integrate_panel` over the accepted panels and the number of
+    panels evaluated.
     """
-    stack = [(a, b, 0)]
+    mid = 0.5 * (a + b)
+    stack = [(mid, b, 1), (a, mid, 1)]
     total, err, trunc = 0.0, 0.0, 0.0
     splits = evaluated = 0
     while stack:
@@ -181,28 +185,29 @@ def _adaptive_panels(f, a, b, tol_abs):
 
 
 def _panel_sweep(f, width, xi_max, rel_tol, checkpoint):
-    """Integrate f over (0, xi_max) in panels of ``width`` or ``2 width``,
-    with adaptive refinement.
+    """Integrate f over (0, xi_max) in panels of ``width`` times a power of
+    two, with adaptive refinement.
 
-    The first pass starts at ``width``.  A panel's share of the tolerance
-    is ``rel_tol * 1e-2 * |running total| * (hi - lo) / xi_max``; once a
-    panel's embedded estimate is below its share over 2^(p+1), p = 5 the
-    degree of exactness of the embedded subrule (``_OVER_RESOLVED``), the
-    panels are ``2 width`` wide for the rest of the pass.  They never get
-    wider (on the thermal sweep, 2 width is one oscillation period).  A panel is small when its value per unit
-    width is below rel_tol * 1e-3 of the running total per ``width``, and
-    the pass stops once the small panels in a row span 3 width (the
-    integrands here decay exponentially), so wide panels carry it no
-    further up the axis than narrow ones.
+    The first pass starts at ``width``.  Once a panel's embedded estimate
+    is below ``rel_tol * 1e-2 * |running total| * (hi - lo) / xi_max``, its
+    share of the tolerance, over 2^(p+1), p = 5 the degree of exactness of
+    the embedded subrule (``_OVER_RESOLVED``), the next panel is twice as
+    wide: the panels keep doubling while they stay over-resolved, and
+    never narrow again.  A panel is small when its value per unit width is
+    below rel_tol * 1e-3 of the running total per ``width``, and the pass
+    stops once the small panels in a row span 3 width (the integrands here
+    decay exponentially).
 
     The refinement pass then bisects every first-pass panel whose
-    embedded estimate exceeds its share of the final tolerance, so the
-    wider panels relax no accuracy test.  Returns the value, an error
-    estimate (the quadrature estimate plus the integrated truncation
-    errors of the nodes, see :func:`_integrate_panel`) and a dict of the
-    work: the upper end of the last first-pass panel (``xi_max_used``),
-    the panels evaluated by the first pass (``panels``) and by the
-    refinement (``panels_refined``).
+    embedded estimate exceeds ``tol_abs = rel_tol * 1e-2 * |total|``, the
+    tolerance of the final first-pass total, down to panels within their
+    share of tol_abs (:func:`_adaptive_panels`); every other first-pass
+    panel is taken as its first pass evaluated it, so no panel is
+    evaluated twice.  Returns the value, an error estimate (the quadrature
+    estimate plus the integrated truncation errors of the nodes, see
+    :func:`_integrate_panel`) and a dict of the work: the upper end of the
+    last first-pass panel (``xi_max_used``), the panels evaluated by the
+    first pass (``panels``) and by the refinement (``panels_refined``).
 
     ``checkpoint()`` is called after each panel of the first pass and
     returns a callable that puts back the state f then had; the adaptive
@@ -229,7 +234,7 @@ def _panel_sweep(f, width, xi_max, rel_tol, checkpoint):
         scale += v
         tol = rel_tol * max(abs(scale), 1e-300)
         if e < _OVER_RESOLVED * tol * 1e-2 * (hi - lo) / xi_max:
-            step = 2
+            step *= 2
         if abs(v) * width < tol * 1e-3 * (hi - lo):
             small_run += units
             if small_run >= 3:
@@ -239,7 +244,7 @@ def _panel_sweep(f, width, xi_max, rel_tol, checkpoint):
     tol_abs = rel_tol * 1e-2 * max(abs(scale), 1e-300)
     total, err, refined = 0.0, 0.0, 0
     for lo, hi, v, e, t, restore in rough:
-        if e > tol_abs * (hi - lo) / max(xi_max, hi - lo):
+        if e > tol_abs:
             restore()
             v, e, t, evaluated = _adaptive_panels(f, lo, hi, tol_abs)
             refined += evaluated
@@ -253,84 +258,74 @@ class _SweepState:
     """The acceptance engine of the frequency nodes, for the frequency
     integrands and the Matsubara sum.
 
-    The orbital cutoff required varies slowly along the frequency axis, so
-    the automatic growth is verified only on every ``every``-th node
-    (``VERIFY_EVERY`` on the sweeps); in between, the nodes run at the
-    last sufficient cutoff h plus one growth step, h + 4, without a test
-    of their own.  ``weight``, a callable of the nodes (default 1), is the
-    factor the integrand puts on the trace (n_1 on the thermal sweep), and
-    ``scale`` the largest weighted projected magnitude so far, in units of
-    the integrand.  Every node of one :meth:`evaluate` call has the floor
+    Every node runs its own l_max growth test, from the hint h, the
+    cut-off one growth step below that of the node accepted before it (the
+    cut-off a sweep needs varies slowly along the frequency axis), and its
+    truncation error estimate is the change of its own last growth step.
+    ``weight``, a callable of the nodes (default 1), is the factor the
+    integrand puts on the trace (n_1 on the thermal sweep), and ``scale``
+    the largest weighted projected magnitude so far, in units of the
+    integrand.  Every node of one :meth:`evaluate` call has the floor
     ``floor * scale / weight_j``, in units of the trace, from the scale as
-    it stood when the call began: it floors the growth test, the m test
-    and the relative change a verified node passes on, so every node is
-    converged to about rel_tol times ``floor * scale`` in units of the
-    integrand.  The scale still rises as the call's nodes are accepted,
-    for the calls after it.  A lower floor only makes a node's tests
-    stricter.  The floor keeps oscillatory zero crossings from triggering
-    runaway growth, and the nodes the weight makes negligible from running
-    to the cut-offs of the integrand's peak.  ``scale`` seeds the running scale (0 on the
-    sweeps; the Matsubara sum passes its zero-mode term, so that its
-    first nodes are floored too).  With ``derivative`` every node is the
-    separation derivative of the trace (see :func:`trlog.trace_over_m`).
+    it stood when the call began: it floors the growth test and the m
+    test, so every node is converged to about rel_tol times ``floor *
+    scale`` in units of the integrand.  The scale still rises as the
+    call's nodes are accepted, for the calls after it.  A lower floor only
+    makes a node's tests stricter.  The floor keeps oscillatory zero
+    crossings from triggering runaway growth, and the nodes the weight
+    makes negligible from running to the cut-offs of the integrand's
+    peak.  ``scale`` seeds the running scale (0 on the sweeps; the
+    Matsubara sum passes its zero-mode term, so that its first nodes are
+    floored too).  With ``derivative`` every node is the separation
+    derivative of the trace (see :func:`trlog.trace_over_m`).
 
     The nodes handed to :meth:`evaluate` (a quadrature panel, a chunk of
     Matsubara nodes) go through :func:`trlog.trace_over_m` as one stack,
-    which grows each verified node's cut-off from h and evaluates each
-    assumed node once, at h + 4.  The nodes are then accepted in order,
-    each with the scale, hint and error bookkeeping that the nodes before
-    it leave, while each gets the result it gets alone: an assumed node
-    while the hint is still h, a verified node while its cut-off is at
-    least the current hint + 4 (a growth step gives the same totals
-    whatever cut-off the node started from, up to the rounding of the
-    stack).  The first node that fails and the nodes after it are stacked
-    again from the new hint, under the same floor (``nodes_discarded``
-    counts the nodes thrown away), so a node's cut-off, m cut and value
-    never depend on the stack.  A pinned ``Truncation(l_max=...)`` takes
-    every node at that cut-off.  A stack that meets a singular block (a
+    which grows each node's cut-off from h.  The nodes are then accepted in
+    order, each with the scale, hint and error bookkeeping that the nodes
+    before it leave, while each gets the result it gets alone: a node
+    while its cut-off is at least the current hint + 4 (a growth step
+    gives the same totals whatever cut-off the node started from, up to
+    the rounding of the stack).  The first node that fails and the nodes
+    after it are stacked again from the new hint, under the same floor
+    (``nodes_discarded`` counts the nodes thrown away), so a node's
+    cut-off, m cut and value never depend on the stack.  A pinned
+    ``Truncation(l_max=...)`` takes every node at that cut-off, with no
+    truncation error estimate.  A stack that meets a singular block (a
     vanishing pivot, or a rotated block of spectral radius >= 1) is
     evaluated again one node at a time, so that the error and the state
     are those of the node that raised it.
 
     The hint only rises along the nodes, but the cut-off a sweep needs
     falls again at low frequency.  So :meth:`sweep` refines a panel of its
-    first pass from the hint and the inherited relative change that the
-    panel's own first-pass evaluation left (:meth:`checkpoint`), not from
-    those at the top of the axis; the running scale, the verify count and
-    the diagnostics run on.  Every refined node thus runs at or above the
-    cut-off its panel's first pass verified: an assumed node at that
-    panel's final hint + 4, which is at least every cut-off the panel used.
+    first pass from the hint that the panel's own first-pass evaluation
+    left (:meth:`checkpoint`), not from the one at the top of the axis;
+    the running scale and the diagnostics run on.
 
     The diagnostics are one work record (:data:`trlog.WORK`), ``work``.
     Each stack merges into it the work of every node it evaluated, the
     discarded nodes included: the blocks assembled, the rotated ones among
     them whose log-determinant took eigenvalues (``eig_blocks``), and the
     largest l_max and m of any block assembled (``l_max_evaluated``,
-    ``m_max_evaluated``), the lower cut-offs of the growth steps included.  The largest cut-offs
-    (``l_max_used``, ``m_max_used``), ``converged`` and the nodes run at
-    the last verified cut-off without a growth test of their own
-    (``nodes_assumed``) come from the accepted nodes alone, and
+    ``m_max_evaluated``), the lower cut-offs of the growth steps included.
+    The largest cut-offs (``l_max_used``, ``m_max_used``) and
+    ``converged`` come from the accepted nodes alone, and
     ``nodes_discarded`` counts the nodes evaluated in a stack and then
     thrown away.
     """
 
-    VERIFY_EVERY = 6
-
     def __init__(self, geom, spec, trunc, evaluation, derivative=False,
-                 every=None, floor=1e-3, weight=None, scale=0.0):
+                 floor=1e-3, weight=None, scale=0.0):
         self.geom = geom
         self.spec = spec
         self.trunc = trunc
         self.evaluation = evaluation
         self.derivative = derivative
-        self.every = every or self.VERIFY_EVERY
         self.floor = floor
         self.weight = weight
         self.auto = trunc.l_max is None
         self.hint = spec.l_min + 4  # where trace_over_m starts without a hint
         self.scale = scale
-        self.count = 0
-        self.rel_change = 0.0
         self.work = trlog.new_work()
 
     def evaluate(self, xis, stop=None):
@@ -356,16 +351,13 @@ class _SweepState:
         ``errs``.  Returns how many were accepted and whether ``stop`` ended
         the nodes."""
         weight = np.ones(len(xis)) if self.weight is None else self.weight(xis)
-        start, floor, every = self.hint, self.floor * scale / weight, self.every
-        verify = ((self.count + 1 + np.arange(len(xis))) % every == 1 % every) & self.auto
+        floor = self.floor * scale / weight
         try:
             val, diag = trlog.trace_over_m(
                 self.evaluation, self.geom, self.spec, self.trunc, xi=xis,
-                l_max_start=start, scale_floor=floor, derivative=self.derivative,
-                verify=verify)
+                l_max_start=self.hint, scale_floor=floor, derivative=self.derivative)
         except SingularBlockError:
             if len(xis) == 1:
-                self.count += 1
                 raise
             for i in range(len(xis)):  # a stack of one accepts its node
                 if self._stack(xis[i: i + 1], vals[i:], errs[i:], stop, scale)[1]:
@@ -374,36 +366,30 @@ class _SweepState:
         nodes = diag["nodes"]
         accepted, halt = len(xis), False
         for j, v in enumerate(val):
-            proj = abs(trlog.project(self.evaluation, v))
-            l_used = int(nodes["l_max_used"][j])
-            if not (l_used >= self.hint + 4 if verify[j] else self.hint == start):
-                accepted = j
-                break
-            if verify[j]:
-                # a verified node: its last growth step is its truncation
-                # error estimate, and the nodes run at its cut-off inherit
-                # it relatively.  The converged value was computed one
-                # growth step above the sufficient cutoff; seeding one step
-                # below stops the cutoff from ratcheting up at every node
+            err = 0.0  # at a pinned cut-off
+            if self.auto:
+                l_used = int(nodes["l_max_used"][j])
+                if l_used < self.hint + 4:
+                    accepted = j
+                    break
+                # the node's last growth step is its truncation error
+                # estimate.  Its value was computed one growth step above
+                # the sufficient cut-off; seeding the next node one step
+                # below stops the cut-off from ratcheting up at every node
                 err = nodes["change"][j]
                 self.hint = max(self.spec.l_min + 4, l_used - 4)
-                self.rel_change = err / max(proj, floor[j], 1e-300)
-            else:
-                err = self.rel_change * proj  # zero at a pinned cut-off
-            self.scale = max(self.scale, weight[j] * proj)
-            self.count += 1
+            self.scale = max(self.scale, weight[j] * abs(trlog.project(self.evaluation, v)))
             vals[j], errs[j] = v, err
             if stop is not None and stop(v, err):
                 accepted, halt = j + 1, True
                 break
-        # the stack's work counts every node it evaluated; the cut-offs,
-        # convergence and assumed nodes count the accepted nodes alone
+        # the stack's work counts every node it evaluated; the cut-offs and
+        # convergence count the accepted nodes alone
         trlog.merge_work(self.work, {
             **diag, "nodes_discarded": len(xis) - accepted,
             "l_max_used": nodes["l_max_used"][:accepted],
             "m_max_used": nodes["m_max_used"][:accepted],
-            "converged": nodes["converged"][:accepted],
-            "nodes_assumed": ~verify[:accepted] & self.auto})
+            "converged": nodes["converged"][:accepted]})
         return accepted, halt
 
     def sweep(self, integrand, width, xi_max):
@@ -422,12 +408,12 @@ class _SweepState:
                             self.checkpoint)
 
     def checkpoint(self):
-        """A callable that puts back the hint and the inherited relative
-        change as they are now; the rest of the state runs on."""
-        hint, rel_change = self.hint, self.rel_change
+        """A callable that puts back the hint as it is now; the rest of the
+        state runs on."""
+        hint = self.hint
 
         def restore():
-            self.hint, self.rel_change = hint, rel_change
+            self.hint = hint
         return restore
 
     def diagnostics(self, **extra):
@@ -463,11 +449,11 @@ def _matsubara_sum(geom, spec, T, trunc, derivative=False):
     """``(T/2) trace(0) + T sum_{n>=1} trace(2 pi T n)`` of Tr ln(1 - M), or
     of its separation derivative; see :func:`matsubara_free_energy`.
 
-    The nodes n >= 1 go through :class:`_SweepState` with every node
-    verified, in chunks of 1, 2, 4, then ``MATSUBARA_CHUNK`` nodes, each
-    chunk no longer than the geometric decay of the last two terms says
-    the stop test needs.  The stop test runs as each node is accepted, so
-    the nodes past it are neither accepted nor able to raise.
+    The nodes n >= 1 go through :class:`_SweepState`, in chunks of 1, 2,
+    4, then ``MATSUBARA_CHUNK`` nodes, each chunk no longer than the
+    geometric decay of the last two terms says the stop test needs.  The
+    stop test runs as each node is accepted, so the nodes past it are
+    neither accepted nor able to raise.
 
     The engine's floor is ``MATSUBARA_FLOOR`` of a running scale, in
     units of the trace, that starts at the zero-mode term
@@ -492,7 +478,7 @@ def _matsubara_sum(geom, spec, T, trunc, derivative=False):
     trunc_err = 0.5 * T * diag0.get("change", 0.0)
     # the engine's floor in units of the sum: its scale starts at the zero mode
     state = _SweepState(geom, spec, trunc, trlog.IMAG_AXIS, derivative=derivative,
-                        every=1, floor=MATSUBARA_FLOOR, scale=0.5 * abs(tot0[0].real))
+                        floor=MATSUBARA_FLOOR, scale=0.5 * abs(tot0[0].real))
     tol = trunc.rel_tol * 1e-2
     last = prev = math.inf  # the magnitudes of the last two terms
     done = False
@@ -565,10 +551,10 @@ def vacuum_energy(geom, spec, trunc=None):
 
     The integrand decays like exp(-2 d xi).  The panels start at
     ``min(2/d, 2/R, xi_cut/8)`` with ``xi_cut = 19/d + 5/L`` and double
-    once over-resolved (see :func:`_panel_sweep`); the sweep stops where
-    its panels fall below rel_tol * 1e-3 of the running total, at the
-    latest at ``xi_cut``.  ``xi_max_used`` is the upper end of its last
-    first-pass panel, and ``panels`` and ``panels_refined`` count the
+    after each over-resolved panel (see :func:`_panel_sweep`); the sweep
+    stops where its panels fall below rel_tol * 1e-3 of the running total,
+    at the latest at ``xi_cut``.  ``xi_max_used`` is the upper end of its
+    last first-pass panel, and ``panels`` and ``panels_refined`` count the
     panels evaluated by the first pass and by the refinement.
     """
     geom.require_gap()
@@ -625,8 +611,8 @@ def thermal_part(geom, spec, T, trunc=None):
     ``F_T = (T/2pi) int_0^inf dxi n_1(xi) (-2) Im Tr ln(1 - M(i xi T))``.
     Scalar fields only: the electromagnetic continuation of the rotated
     kernel is not validated.  Panels start at half the oscillation period
-    pi/(L T) (at most 3) and, once over-resolved, are one period wide,
-    never wider (see :func:`_panel_sweep`).  The sweep stops where the
+    pi/(L T) (at most 3) and double after each over-resolved panel (see
+    :func:`_panel_sweep`).  The sweep stops where the
     Boltzmann factor makes its panels negligible, at the latest at
     ``ln(1/rel_tol) + 20``; ``xi_max_used`` is the upper end of its last
     first-pass panel, and ``panels`` and ``panels_refined`` count the

@@ -85,7 +85,7 @@ class SingularBlockError(ArithmeticError):
 WORK = {"l_max_used": "largest", "m_max_used": "largest",
         "l_max_evaluated": "largest", "m_max_evaluated": "largest",
         "blocks": "sum", "eig_blocks": "sum",
-        "nodes_assumed": "sum", "nodes_discarded": "sum", "converged": "all"}
+        "nodes_discarded": "sum", "converged": "all"}
 
 
 def new_work():
@@ -282,7 +282,8 @@ def trace_log_eig(stack, plane_sign=1):
 
 def _trace_derivatives(stack, dstack, plane_sign):
     """d/dd ln det(1 - s M) = -s Tr[(1 - s M)^{-1} dM/dd] of each block of
-    the stack of M and dM/dd, by one LU factorization and solve per block.
+    the stack of M and dM/dd, by one LAPACK ``?gesv`` (LU factorization and
+    solve) per block.
 
     Raises
     ------
@@ -292,24 +293,24 @@ def _trace_derivatives(stack, dstack, plane_sign):
     """
     out = np.zeros(len(stack), dtype=complex)
     if stack.shape[-1]:
-        getrf, getrs = _LU[stack.dtype.char]
+        gesv = _LU[stack.dtype.char]
         A = _one_minus(stack if plane_sign == 1 else -stack)
         pivots = np.empty(A.shape[:2], dtype=A.dtype)
+        X = np.empty(dstack.shape, dtype=A.dtype)
         for i in range(len(stack)):
-            lu, piv, _ = getrf(A[i])
+            # an exactly zero pivot leaves X[i] unsolved; the test below raises
+            lu, _, X[i], _ = gesv(A[i], dstack[i])
             pivots[i] = lu.diagonal()
-            X, _ = getrs(lu, piv, dstack[i])
-            out[i] = -plane_sign * X.trace()
+        out[:] = -plane_sign * _traces(X)
         pivots = np.abs(pivots)
         if not np.all(pivots.min(axis=1) > 1e-12 * pivots.max(axis=1)):
             raise SingularBlockError("vanishing pivot in 1 - M")
     return out
 
 
-# the LAPACK LU routines themselves: the blocks are small, and the checks
-# of scipy's LU wrappers cost as much as the factorization
-_LU = {"d": (scipy.linalg.lapack.dgetrf, scipy.linalg.lapack.dgetrs),
-       "D": (scipy.linalg.lapack.zgetrf, scipy.linalg.lapack.zgetrs)}
+# the LAPACK solvers themselves: the blocks are small, and the checks of
+# scipy's wrappers cost as much as the solve
+_LU = {"d": scipy.linalg.lapack.dgesv, "D": scipy.linalg.lapack.zgesv}
 
 
 def _with_sub_blocks(X, hi, lo, cut, em):
@@ -329,7 +330,7 @@ def _with_sub_blocks(X, hi, lo, cut, em):
 
 
 def trace_over_m(evaluation, geom, spec, trunc=None, xi=None,
-                 l_max_start=None, scale_floor=0.0, derivative=False, verify=None):
+                 l_max_start=None, scale_floor=0.0, derivative=False):
     """Tr ln(1 - M) folded over m: block(0) + 2 sum_{m>=1} block(m).
 
     The m sum stops once a block contributes less than
@@ -382,10 +383,6 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None,
         integral it enters)
     derivative : bool
         fold the separation derivative of the trace instead of the trace
-    verify : boolean array or None
-        with automatic growth, the nodes that run the growth test (default
-        all); each other node is assumed: evaluated once, one step above
-        the start in the first step's stack, with no sub-block and no test
 
     Returns
     -------
@@ -393,18 +390,17 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None,
         the folded trace (or its derivative) of each node, and the work
         record (:data:`WORK`) of the stack with 'change' and 'nodes'.
         'l_max_used' and 'm_max_used' are the largest cut-offs over the
-        nodes, 'converged' whether all converged and 'nodes_assumed' how
-        many the verify mask left out ('nodes_discarded' is 0).  'blocks'
-        counts the blocks of every node assembled over every growth step,
-        'eig_blocks' the evaluated blocks and sub-blocks whose rotated
-        log-determinant took eigenvalues (see :func:`trace_log_eig`).
+        nodes and 'converged' whether all converged ('nodes_discarded' is
+        0).  'blocks' counts the blocks of every node assembled over every
+        growth step, 'eig_blocks' the evaluated blocks and sub-blocks whose
+        rotated log-determinant took eigenvalues (see
+        :func:`trace_log_eig`).
         'l_max_evaluated' and 'm_max_evaluated' are the largest l_max and
         m of any block assembled, over every node and growth step.  With
         automatic growth 'change' is the largest projected change of a
         node's last growth step, which estimates the truncation error
         from above.  'nodes' holds the per-node arrays of 'l_max_used',
-        'm_max_used', 'converged' and, with automatic growth, 'change'
-        (0 for an assumed node, which counts as converged).
+        'm_max_used', 'converged' and, with automatic growth, 'change'.
 
     Raises
     ------
@@ -424,15 +420,13 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None,
     m_tol = trunc.rel_tol * 1e-2
     em = spec.kind == kernel.ELECTROMAGNETIC
 
-    def totals(idx, l_hi, l_lo=None, sub=None):
+    def totals(idx, l_hi, l_lo=None):
         """Folded totals of the nodes ``idx`` at l_hi and their m cuts, and
-        from the leading sub-blocks their folded totals at l_lo (of the
-        nodes ``sub`` marks, or of all)."""
+        from the leading sub-blocks their folded totals at l_lo."""
         src = stack(nodes[idx], geom, spec, l_hi, derivative=derivative) if stack else None
         merge_work(work, {"l_max_evaluated": l_hi})
         tot = [[0j] * len(idx), [0j] * len(idx)]  # at l_hi, at l_lo
-        going = [[True] * len(idx),
-                 [l_lo is not None and (sub is None or bool(sub[i])) for i in range(len(idx))]]
+        going = [[True] * len(idx), [l_lo is not None] * len(idx)]
         m_cut = [0] * len(idx)
         floor = [float(floors[i]) for i in idx]
         active = list(range(len(idx)))  # the nodes in the stack
@@ -501,11 +495,10 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None,
     converged = np.zeros(k, dtype=bool)
     change = np.full(k, math.inf)
     pending = np.arange(k)  # the nodes whose growth test has not passed
-    sub = None if verify is None else np.asarray(verify, dtype=bool)
     if l_max + 4 > L_CAP:
         value, _, m_used = totals(pending, l_max)
     while l_max + 4 <= L_CAP and len(pending):
-        hi, lo, m_cut = totals(pending, l_max + 4, l_max, sub)
+        hi, lo, m_cut = totals(pending, l_max + 4, l_max)
         l_max += 4
         proj = project(evaluation, hi)
         size = np.abs(proj)
@@ -513,10 +506,6 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None,
         passed = delta <= trunc.rel_tol * np.maximum(size, floors[pending])
         value[pending], m_used[pending], l_used[pending], change[pending] = \
             hi, m_cut, l_max, delta
-        if sub is not None:  # the assumed nodes leave after the first step, untested
-            merge_work(work, {"nodes_assumed": ~sub})
-            passed |= ~sub
-            change[~sub], sub = 0.0, None
         converged[pending[passed]] = True
         pending = pending[~passed]
     return result(value, {"l_max_used": l_used, "m_max_used": m_used, "converged": converged,

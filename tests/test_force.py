@@ -88,6 +88,35 @@ def test_trace_derivative_raises_on_a_vanishing_pivot():
         trlog._trace_derivatives(M, np.ones((3, 2, 2)), 1)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_trace_derivative_raises_on_a_complex_vanishing_pivot(sign):
+    # a rotated (complex) block whose 1 - s M has a pivot of 1e-14 + 1e-14 i
+    rng = np.random.default_rng(5)
+    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    lam = np.array([1.0 - 1e-14 - 1e-14j, 0.3 + 0.2j, -0.4j])
+    M = sign * (Q @ np.diag(lam) @ np.linalg.inv(Q))
+    dM = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    with pytest.raises(SingularBlockError):
+        trlog._trace_derivatives(M[None], dM[None], sign)
+    # the same block one part in 1e3 off the resonance is solved
+    fine = M * (1.0 - 1e-3)
+    got = trlog._trace_derivatives(fine[None], dM[None], sign)[0]
+    want = -sign * np.trace(np.linalg.solve(np.eye(3) - sign * fine, dM))
+    assert got == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_trace_derivative_raises_on_an_exactly_singular_block(dtype):
+    # 1 - M has an exactly zero pivot: the solve is refused (LAPACK's
+    # info > 0) and leaves no solution, and the pivot test still raises
+    M = np.diag([1.0, 0.5]).astype(dtype)
+    with pytest.raises(SingularBlockError):
+        trlog._trace_derivatives(M[None], np.ones((1, 2, 2), dtype=dtype), 1)
+    stack = np.stack([np.diag([0.5, 0.25]), M, np.diag([0.2, 0.1])]).astype(dtype)
+    with pytest.raises(SingularBlockError):
+        trlog._trace_derivatives(stack, np.ones((3, 2, 2), dtype=dtype), 1)
+
+
 # (target, field, R, d, rel_tol of both sides).  The Matsubara energies are
 # cheap, and at the default rel_tol their difference quotient is dominated
 # by cut-off noise over the step (2e-4 of the value), so both sides of the
@@ -211,8 +240,8 @@ def test_force_assembles_each_prefactor_once(monkeypatch):
 
 def test_singular_node_splits_the_panel(monkeypatch):
     # a vanishing pivot at one interior node of the first panel: the
-    # panel is tried whole twice (first pass, adaptive pass), then split,
-    # which moves every node off the resonance
+    # panel is tried whole once, by the first pass, and the adaptive pass
+    # starts from its halves, which moves every node off the resonance
     geom, T = Geometry(1.0, 1.0), 1.0
     ref = fe.force(geom, DD, T, target="thermal_part")
     nodes = fe._PANEL_NODES
@@ -234,7 +263,7 @@ def test_singular_node_splits_the_panel(monkeypatch):
 
     monkeypatch.setattr(trlog, "trace_over_m", singular_at_resonance)
     res = fe.force(geom, DD, T, target="thermal_part")
-    assert len(hits) == 2
+    assert len(hits) == 1
     assert res.converged
     assert res.value == pytest.approx(ref.value, abs=ref.error_estimate + res.error_estimate)
 
@@ -242,8 +271,8 @@ def test_singular_node_splits_the_panel(monkeypatch):
 def test_singular_run_leaves_the_node_by_node_state(monkeypatch):
     # the same resonance as above, met by a stack of nodes and by the
     # sweep that evaluates one node per call: after the re-run node by
-    # node, the verification schedule, the hint and every count go on as
-    # if the nodes had been evaluated alone
+    # node, the hint and every count go on as if the nodes had been
+    # evaluated alone
     geom, T = Geometry(1.0, 1.0), 1.0
     nodes = fe._PANEL_NODES
     width = min(math.pi / (2.0 * geom.L * T), 3.0)
@@ -270,8 +299,8 @@ def test_singular_run_leaves_the_node_by_node_state(monkeypatch):
     alone = fe.force(geom, DD, T, target="thermal_part")
     assert stacked.value == pytest.approx(alone.value, rel=1e-12)
     # the work counts include the nodes a panel stack discards, and a
-    # panel discards all its nodes after a verified node that moves the
-    # hint, so only they differ, and so may the largest cut-offs evaluated
+    # panel discards all its nodes after a node that moves the hint, so
+    # only they differ, and so may the largest cut-offs evaluated
     work = ("blocks", "eig_blocks", "nodes_discarded", "l_max_evaluated", "m_max_evaluated")
     assert {k: v for k, v in stacked.diagnostics.items() if k not in work} == \
         {k: v for k, v in alone.diagnostics.items() if k not in work}

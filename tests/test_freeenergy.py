@@ -147,9 +147,9 @@ def test_panel_at_the_depth_cap_still_counts_its_estimate(monkeypatch):
 
 def test_panel_sweep_widens_over_resolved_panels():
     # xi e^{-xi} cos(xi/2) integrates to Re 1/(1 - i/2)^2 = 12/25 over
-    # (0, inf), with no truncation error at the nodes.  Once a panel is
-    # over-resolved the first pass goes on in panels of 2 width, no wider,
-    # and it stops once its small panels in a row span 3 width
+    # (0, inf), with no truncation error at the nodes.  Each over-resolved
+    # panel doubles the panels after it, which never narrow again, and the
+    # first pass stops once its small panels in a row span 3 width
     import numpy as np
     width, rel_tol = 1.0, 1e-4
     calls, first = [], []
@@ -164,9 +164,10 @@ def test_panel_sweep_widens_over_resolved_panels():
 
     total, err, work = fe._panel_sweep(f, width, 60.0, rel_tol, checkpoint)
     assert abs(total - 12.0 / 25.0) <= err
-    widths = [(hi - lo) / width for lo, hi in first]
-    assert all(w == pytest.approx(1.0) or w == pytest.approx(2.0) for w in widths)
-    assert widths.count(pytest.approx(2.0)) > 0
+    widths = [(hi - lo) / width for lo, hi in first[:-1]]  # the last may be cut
+    assert all(w in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0) for w in widths)
+    assert widths == sorted(widths)
+    assert widths[-1] > 2.0
     assert work == {"xi_max_used": first[-1][1], "panels": len(first),
                     "panels_refined": len(calls) - len(first)}
     # the first pass's trailing run of small panels
@@ -215,6 +216,26 @@ def test_sweeps_report_the_range_and_panels_they_used(monkeypatch):
     assert diags[0]["blocks"] <= 1800
 
 
+def test_no_panel_is_evaluated_twice(monkeypatch):
+    # the refinement starts from the halves of the first-pass panels it
+    # refines and takes every other first-pass panel as it stands, so no
+    # (lo, hi) reaches the panel rule twice
+    integrate, panels = fe._integrate_panel, []
+
+    def recording(f, a, b):
+        panels.append((a, b))
+        return integrate(f, a, b)
+
+    monkeypatch.setattr(fe, "_integrate_panel", recording)
+    for run in (lambda: fe.thermal_part(Geometry(1.5, 0.45), DD, 1.0),
+                lambda: fe.vacuum_energy(Geometry(1.0, 0.5), DD)):
+        panels.clear()
+        diag = run().diagnostics
+        assert diag["panels_refined"] > 0
+        assert len(panels) == diag["panels"] + diag["panels_refined"]
+        assert len(set(panels)) == len(panels)
+
+
 def test_high_t_factorization():
     # T = 20/d: every non-zero mode is exponentially dead, F -> T F_0
     geom = Geometry(1.0, 0.5)
@@ -261,24 +282,23 @@ def test_thermal_sweep_counts_its_work(monkeypatch):
     # the diagnostics count what the sweep did: every assembled block, the
     # rotated ones whose log-determinant took eigenvalues (the rest are
     # certified LU log-determinants), the discarded nodes' blocks included,
-    # and the nodes run at the last verified cut-off without a growth test
+    # and the nodes evaluated and then discarded
     import numpy as np
     from casphere import trlog
-    seen = {"blocks": 0, "eigvals": 0, "assumed": 0, "nodes": 0}
+    seen = {"blocks": 0, "eigvals": 0, "traced": 0, "nodes": 0}
     assemble, trace, eigvals = trlog.assemble_block, trlog.trace_over_m, np.linalg.eigvals
     evaluate = fe._SweepState.evaluate
 
     # a rotated block is a stack of the blocks of a panel's nodes, and one
-    # trace_over_m call evaluates the whole panel from the hint: the
-    # verified nodes grow their cut-offs, and the nodes its verify mask
-    # leaves out are assumed, at the hint + 4
+    # trace_over_m call evaluates the whole panel from the hint, each node
+    # growing its own cut-off
     def counting_assemble(*args, **kwargs):
         blk = assemble(*args, **kwargs)
         seen["blocks"] += len(blk[0])
         return blk
 
     def counting_trace(evaluation, geom, spec, trunc=None, **kwargs):
-        seen["assumed"] += np.count_nonzero(~kwargs["verify"])
+        seen["traced"] += len(kwargs["xi"])
         return trace(evaluation, geom, spec, trunc, **kwargs)
 
     def counting_eigvals(a):
@@ -297,12 +317,9 @@ def test_thermal_sweep_counts_its_work(monkeypatch):
     diag = res.diagnostics
     assert (diag["blocks"], diag["eig_blocks"]) == (seen["blocks"], seen["eigvals"])
     assert diag["eig_blocks"] <= 0.05 * diag["blocks"]
-    # every node but each sixth one is assumed; a discarded assumed node is
-    # evaluated again at the cut-off of the new hint
-    n, every = seen["nodes"], fe._SweepState.VERIFY_EVERY
-    assert diag["nodes_assumed"] == n - (n + every - 1) // every
-    assert 0 <= seen["assumed"] - diag["nodes_assumed"] <= diag["nodes_discarded"]
-    assert diag["nodes_assumed"] > 0
+    # every node is traced until it is accepted: a discarded node is
+    # evaluated again from the new hint
+    assert seen["traced"] == seen["nodes"] + diag["nodes_discarded"]
 
 
 @pytest.mark.parametrize("obs, geom", [("FT", Geometry(1.5, 0.45)),
@@ -387,19 +404,7 @@ def test_diagnostics_report_the_work_evaluated():
     assert diag["l_max_evaluated"] == 12
 
 
-def test_verify_every_one_verifies_every_node(monkeypatch):
-    # at VERIFY_EVERY = 1 every node of a stack carries its growth test
-    geom = Geometry(1.5, 0.45)
-    sixth = fe.thermal_part(geom, DD, 1.0)
-    monkeypatch.setattr(fe._SweepState, "VERIFY_EVERY", 1)
-    every = fe.thermal_part(geom, DD, 1.0)
-    assert sixth.diagnostics["nodes_assumed"] > 0
-    assert every.diagnostics["nodes_assumed"] == 0
-    assert every.converged
-    assert every.value == pytest.approx(sixth.value, rel=1e-3)
-
-
-# (label, observable, field, T): at (1, 0.3) and T = 0.7 a verified node
+# (label, observable, field, T): at (1, 0.3) and T = 0.7 a node
 # grows past its stack's start + 4, and so moves the hint, inside some
 # panel; the cold sweeps at T = 0.3 and 0.05 have one such node and none
 SWEEP_POINTS = [
@@ -424,7 +429,7 @@ def test_stacked_runs_match_the_node_by_node_sweep(monkeypatch, target, name, fi
     geom, trunc = Geometry(1.0, 0.3), Truncation()
     seen = {"blocks": 0, "eigvals": 0}
     assemble, eigvals, trace = trlog.assemble_block, np.linalg.eigvals, trlog.trace_over_m
-    stacks = []  # (start, verify mask, cut-offs) of each stack of nodes
+    stacks = []  # (start, cut-offs) of each stack of nodes
 
     def run():
         if name == "force":
@@ -445,8 +450,7 @@ def test_stacked_runs_match_the_node_by_node_sweep(monkeypatch, target, name, fi
     def recording_trace(*args, **kwargs):
         val, diag = trace(*args, **kwargs)
         if len(val) > 1:
-            stacks.append((kwargs["l_max_start"], kwargs["verify"],
-                           diag["nodes"]["l_max_used"]))
+            stacks.append((kwargs["l_max_start"], diag["nodes"]["l_max_used"]))
         return val, diag
 
     monkeypatch.setattr(trlog, "assemble_block", counting_assemble)
@@ -458,15 +462,14 @@ def test_stacked_runs_match_the_node_by_node_sweep(monkeypatch, target, name, fi
     alone = run()
     assert stacked.value == pytest.approx(alone.value, rel=1e-12)
     assert stacked.error_estimate == pytest.approx(alone.error_estimate, rel=1e-9)
-    keys = ("l_max_used", "m_max_used", "nodes_assumed", "converged")
+    keys = ("l_max_used", "m_max_used", "converged")
     assert {k: stacked.diagnostics[k] for k in keys} == \
         {k: alone.diagnostics[k] for k in keys}
-    assert stacked.diagnostics["nodes_assumed"] > 0
     # the discarded nodes' work is counted too, so the work equals the
     # node-by-node sweep's only where no node was discarded
     assert (stacked.diagnostics["blocks"], stacked.diagnostics["eig_blocks"]) == \
         (seen["blocks"], seen["eigvals"])
-    grew = any(np.any(verify & (l_used > start + 4)) for start, verify, l_used in stacks)
+    grew = any(np.any(l_used > start + 4) for start, l_used in stacks)
     if target == "FT DD colder":
         assert not grew
         assert stacked.diagnostics["nodes_discarded"] == 0
@@ -592,9 +595,9 @@ def _fake_growth_trace(model, floors):
     """A synthetic ``trlog.trace_over_m`` for an array of nodes: node x has
     the total ``a - b r^k / (1 - r)`` at the cut-off 4 + 4k, with (a, b)
     = ``model[x]`` and r = 0.1, so its growth step from 4 + 4k changes it
-    by b r^k.  Verified nodes grow from the start under the growth test
-    with their floor; the others are taken once, one step above the start.
-    Each call appends the floors of its nodes to the list ``floors``."""
+    by b r^k.  Every node grows from the start under the growth test with
+    its floor.  Each call appends the floors of its nodes to the list
+    ``floors``."""
     import numpy as np
 
     def total(x, l):
@@ -602,20 +605,17 @@ def _fake_growth_trace(model, floors):
         return a - b * 0.1 ** ((l - 4) // 4) / 0.9
 
     def fake(evaluation, geom, spec, trunc=None, xi=None, l_max_start=None,
-             scale_floor=0.0, derivative=False, verify=None):
+             scale_floor=0.0, derivative=False):
         start = max(spec.l_min + 4, l_max_start or 0)
         nodes = {key: [] for key in ("l_max_used", "m_max_used", "converged", "change")}
         vals, blocks = [], 0
         floors.append(np.broadcast_to(scale_floor, np.shape(xi)).copy())
-        for x, tested, floor in zip(xi, verify, floors[-1]):
+        for x, floor in zip(xi, floors[-1]):
             l = start
             while True:
                 hi, lo = total(x, l + 4), total(x, l)
                 l += 4
                 blocks += 1
-                if not tested:
-                    change, passed = 0.0, True
-                    break
                 change = abs(hi - lo)
                 passed = change <= trunc.rel_tol * max(abs(hi), floor, 1e-300)
                 if passed:
@@ -636,8 +636,9 @@ def _fake_growth_trace(model, floors):
                          ids=["floor below its totals", "floor above its totals"])
 def test_the_nodes_of_one_call_share_its_starting_floor(monkeypatch, a, b, l_max):
     # the first node, alone, leaves the scale 1e-3; in the call after it the
-    # five assumed nodes raise the scale to 10, and the sixth node, verified,
-    # grows past the start + 4 under the call's starting floor 1e-6.  Where
+    # five nodes whose totals do not change raise the scale to 10, and the
+    # sixth node grows past the start + 4 under the call's starting floor
+    # 1e-6.  Where
     # the raised floor 1e-2 is above its totals, it would stop at 12 under
     # that floor, but it keeps the call's floor and goes on to 16; no node
     # is discarded, and the next call takes the raised floor
@@ -656,10 +657,10 @@ def test_the_nodes_of_one_call_share_its_starting_floor(monkeypatch, a, b, l_max
 
 
 def test_a_moved_hint_discards_and_restacks_under_the_same_floor(monkeypatch):
-    # the same call with three assumed nodes after the verified one: it
-    # grows past the start + 4 and moves the hint, so those three are
-    # discarded and stacked again from the new hint, under the call's
-    # starting floor still; the floor the assumed nodes raised discards none
+    # the same call with three more nodes after the sixth: it grows past
+    # the start + 4 and moves the hint, so those three are discarded and
+    # stacked again from the new hint, under the call's starting floor
+    # still; the floor the first five nodes raised discards none
     import numpy as np
     floors = []
     state, diag, scale = _rising_floor_stack(
@@ -673,8 +674,8 @@ def test_a_moved_hint_discards_and_restacks_under_the_same_floor(monkeypatch):
 
 def _rising_floor_stack(monkeypatch, model, xis, floors):
     """The first node alone leaves the scale 1e-3; in the call after it,
-    on ``xis``, the assumed nodes raise it to 10, and the sixth, verified,
-    follows ``model``.  Requires the stacked nodes to match the
+    on ``xis``, the nodes whose totals do not change raise it to 10, and
+    the sixth follows ``model``.  Requires the stacked nodes to match the
     node-by-node sweep and returns the stacked state, its diagnostics and
     the scale the first node left; ``floors`` collects the floors of every
     call of the synthetic trace (:func:`_fake_growth_trace`)."""
@@ -692,9 +693,8 @@ def _rising_floor_stack(monkeypatch, model, xis, floors):
         runs.append((state, vals, errs, state.diagnostics()))
     (state, vals, errs, diag), (_, want_vals, want_errs, want) = runs
     assert np.array_equal(vals, want_vals) and np.array_equal(errs, want_errs)
-    keys = ("l_max_used", "m_max_used", "nodes_assumed", "converged")
+    keys = ("l_max_used", "m_max_used", "converged")
     assert {k: diag[k] for k in keys} == {k: want[k] for k in keys}
-    assert diag["nodes_assumed"] == len(xis) - 1
     return state, diag, scale
 
 
