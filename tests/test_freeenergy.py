@@ -162,7 +162,7 @@ def test_panel_sweep_widens_over_resolved_panels():
         first.append(calls[-1])
         return lambda: None
 
-    total, err, work = fe._panel_sweep(f, width, 60.0, rel_tol, checkpoint)
+    total, err, work = fe._panel_sweep(f, width, 60.0, rel_tol, checkpoint, 1e-2)
     assert abs(total - 12.0 / 25.0) <= err
     widths = [(hi - lo) / width for lo, hi in first[:-1]]  # the last may be cut
     assert all(w in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0) for w in widths)
@@ -182,8 +182,10 @@ def test_panel_sweep_widens_over_resolved_panels():
 
 def test_sweeps_report_the_range_and_panels_they_used(monkeypatch):
     # xi_max_used is the upper end of the last first-pass panel, not the
-    # nominal range (ln 1e3 + 20 on the thermal sweep, 19/d + 5/L on the
-    # imaginary axis), and the panels count every panel evaluated
+    # nominal range (ln(1/rel_tol) + 20 on the thermal sweep, 19/d + 5/L on
+    # the imaginary axis), and the panels count every panel evaluated.  At
+    # the default tolerance the thermal sweep's share of 1/2 refines no
+    # panel at the scan point; at rel_tol 1e-4 it refines 2
     ends = []
     integrate, checkpoint = fe._integrate_panel, fe._SweepState.checkpoint
 
@@ -198,28 +200,32 @@ def test_sweeps_report_the_range_and_panels_they_used(monkeypatch):
     monkeypatch.setattr(fe, "_integrate_panel", recording)
     monkeypatch.setattr(fe._SweepState, "checkpoint", marking)
     diags = []
-    for run in (lambda: fe.thermal_part(Geometry(1.5, 0.45), DD, 1.0),
-                lambda: fe.vacuum_energy(Geometry(1.0, 0.5), DD)):
+    for run in (lambda: fe.thermal_part(Geometry(1.5, 0.45), DD, 1.0,
+                                        Truncation(rel_tol=1e-4)),
+                lambda: fe.vacuum_energy(Geometry(1.0, 0.5), DD),
+                lambda: fe.thermal_part(Geometry(1.5, 0.45), DD, 1.0)):
         ends.clear()
         diag = run().diagnostics
         last = len(ends) - 1 - ends[::-1].index("first")  # the last first-pass panel
         assert diag["xi_max_used"] == ends[last - 1]
         assert diag["panels"] == ends.count("first")
         assert diag["panels_refined"] == len(ends) - 2 * ends.count("first")
-        assert diag["panels_refined"] > 0
         diags.append(diag)
+    assert diags[0]["panels_refined"] > 0 and diags[1]["panels_refined"] > 0
     # at the scan point the first-pass panels are over-resolved from the
     # third on; in panels of half an oscillation period throughout the
-    # sweep ran to xi 15.2 and built 2225 blocks
-    assert diags[0]["converged"]
-    assert diags[0]["xi_max_used"] < 20.0
-    assert diags[0]["blocks"] <= 1800
+    # sweep ran to xi 15.2 and built 2225 blocks, and refining to 1e-2 of
+    # the tolerance it built 1315
+    assert diags[2]["converged"]
+    assert diags[2]["xi_max_used"] < 20.0
+    assert diags[2]["blocks"] <= 1100
 
 
 def test_no_panel_is_evaluated_twice(monkeypatch):
     # the refinement starts from the halves of the first-pass panels it
     # refines and takes every other first-pass panel as it stands, so no
-    # (lo, hi) reaches the panel rule twice
+    # (lo, hi) reaches the panel rule twice; the thermal sweep refines at
+    # rel_tol 1e-4, not at the default
     integrate, panels = fe._integrate_panel, []
 
     def recording(f, a, b):
@@ -227,7 +233,8 @@ def test_no_panel_is_evaluated_twice(monkeypatch):
         return integrate(f, a, b)
 
     monkeypatch.setattr(fe, "_integrate_panel", recording)
-    for run in (lambda: fe.thermal_part(Geometry(1.5, 0.45), DD, 1.0),
+    for run in (lambda: fe.thermal_part(Geometry(1.5, 0.45), DD, 1.0,
+                                        Truncation(rel_tol=1e-4)),
                 lambda: fe.vacuum_energy(Geometry(1.0, 0.5), DD)):
         panels.clear()
         diag = run().diagnostics
@@ -322,12 +329,14 @@ def test_thermal_sweep_counts_its_work(monkeypatch):
     assert seen["traced"] == seen["nodes"] + diag["nodes_discarded"]
 
 
-@pytest.mark.parametrize("obs, geom", [("FT", Geometry(1.5, 0.45)),
-                                       ("force", Geometry(0.5, 0.05))], ids=["FT", "force"])
-def test_refined_panels_start_from_their_own_first_pass(monkeypatch, obs, geom):
+@pytest.mark.parametrize("obs, geom, trunc",
+                         [("FT", Geometry(1.5, 0.45), Truncation(rel_tol=1e-4)),
+                          ("force", Geometry(0.5, 0.05), None)], ids=["FT", "force"])
+def test_refined_panels_start_from_their_own_first_pass(monkeypatch, obs, geom, trunc):
     # the hint reaches l_max 20 (FT) and 12 (force) at the top of the axis,
     # while the first panel's nodes need 8; its refinements start from the
-    # hint its first pass left
+    # hint its first pass left.  FT refines its first panel at rel_tol 1e-4,
+    # not at the default
     import numpy as np
     from casphere import trlog
     trace, stacks = trlog.trace_over_m, []  # (largest node, start) per stack
@@ -338,9 +347,9 @@ def test_refined_panels_start_from_their_own_first_pass(monkeypatch, obs, geom):
 
     monkeypatch.setattr(trlog, "trace_over_m", recording)
     if obs == "force":
-        res = fe.force(geom, DD, 1.0, target="thermal_part")
+        res = fe.force(geom, DD, 1.0, trunc, target="thermal_part")
     else:
-        res = fe.thermal_part(geom, DD, 1.0)
+        res = fe.thermal_part(geom, DD, 1.0, trunc)
     assert res.converged
     width = min(math.pi / (2.0 * geom.L), 3.0)
     first = [start for xi, start in stacks if xi <= width]
@@ -881,6 +890,9 @@ def test_error_bar_audit(obs, field, R, d, T):
     res, ref = run(), run(Truncation(rel_tol=1e-6))
     assert res.converged and ref.converged
     assert res.error_estimate >= abs(res.value - ref.value)
+    if obs in ("FT", "force"):
+        # the estimate stays within the tolerance it was refined to
+        assert res.error_estimate <= Truncation().rel_tol * abs(res.value)
 
 
 def test_total_force_attractive():
