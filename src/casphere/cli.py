@@ -3,8 +3,11 @@ thermal-force reference tables, all emitted as CSV.
 
 The command is selected with ``--command``; geometry takes ``--R`` plus
 either ``--d`` or ``--epsilon``.  A flat JSON config file may supply any
-flag value (command-line flags win).  Exit status: 0 on success, 1 on an
-invalid configuration, when a computation would pass the memory budget of
+flag value (command-line flags win); each value is checked as the flag's
+argument would be, and a key that names no flag is refused.  Exit status:
+0 on success, 1 on an invalid configuration, on an electromagnetic field
+on the real-frequency path (the thermal part and its force), when a
+computation would pass the memory budget of
 the coupling stores (the ``MemoryError`` of :mod:`wigner`), when a
 frequency-axis computation is pinned to an ``--lmax`` past
 ``specfun.L_CAP`` or when ``--out`` or ``--diagnostics`` cannot be
@@ -87,7 +90,10 @@ class ConfigError(ValueError):
     pass
 
 
-def _merge_config(args):
+def _merge_config(args, parser):
+    """The flags over the config file.  A config value is parsed as its
+    flag's argument would be (the flag's type and choices); a key that
+    names no flag is refused."""
     cfg = {}
     if args.config:
         try:
@@ -97,8 +103,19 @@ def _merge_config(args):
             raise ConfigError(f"cannot read config file: {exc}")
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a flat JSON object")
+        actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
         for key, val in loaded.items():
-            cfg[key.replace("-", "_")] = val
+            action = actions.get(key.replace("-", "_"))
+            if action is None:
+                raise ConfigError(f"config key {key!r} names no flag")
+            try:
+                val = action.type(str(val)) if action.type else str(val)
+            except ValueError:
+                raise ConfigError(f"config key {key!r}: invalid value {val!r}")
+            if action.choices is not None and val not in action.choices:
+                raise ConfigError(f"config key {key!r}: {val!r} is not one of "
+                                  f"{', '.join(map(str, action.choices))}")
+            cfg[action.dest] = val
     for key, val in vars(args).items():
         if key == "config":
             continue
@@ -311,9 +328,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args)
+        cfg = _merge_config(args, parser)
         return run(cfg)
-    except (ValueError, ArithmeticError, MemoryError, OSError) as exc:  # ConfigError is a ValueError
+    # ConfigError is a ValueError; NotImplementedError is an input the
+    # library does not cover (an electromagnetic field on the real axis)
+    except (ValueError, ArithmeticError, MemoryError, OSError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -43,9 +43,13 @@ block are one matrix product of the coupling store with the rows
 (:func:`wigner.couple`).  The frequency blocks of a stack of nodes at one
 l_max also share a node prefactor (the sphere factor, the top Bessel term
 and the geometric factor, all formed in log space once per node and
-l_max); an :class:`ImagNodes` or :class:`RotatedNodes` assembles the
-prefactors and rows once and then makes the stacks of every m, with the
-l'' sums of all nodes in one product.  ``scalar_matrix``, ``em_matrix``
+l_max).  A node stack assembles the prefactors and rows once and then
+makes the stacks of every m, with the l'' sums of all nodes in one
+product.  Both axes share one node-stack interface, ``blocks(m)`` and
+``keep(idx)``; they differ only in its constructors, :class:`ImagNodes`
+(K tables, real blocks) and :class:`RotatedNodes` (H2 tables, complex
+blocks), which make the Bessel tables, sphere factors, prefactors and
+rows of their axis.  ``scalar_matrix``, ``em_matrix``
 and ``rotated_matrix`` build one block as a stack of one; ``static_matrix``
 makes one block per call, with its half-integer log-gamma factors read
 from the table of :func:`wigner.log_gamma_halves`.
@@ -265,9 +269,9 @@ def _k_rows(y, l_max, derivative=False, weighted=False):
     """The imaginary-axis weight rows at y = 2 xi L, shared by every block
     m of one frequency and l_max.
 
-    Returns the (2 l_max + 1, l_max + 1, columns) rows for
-    :func:`wigner.couple` (columns: V, or with ``derivative`` the rows of
-    dM/dy, and with ``weighted`` also those rows times the weights of
+    Returns the (2 l_max + 1, l_max + 1) tables of rows for
+    :func:`wigner.couple` (V, or with ``derivative`` the rows of dM/dy, and
+    with ``weighted`` also those rows times the weights of
     :func:`wigner.lambda_tensor`) and log K_{s+1/2}(y) over s = 0..2 l_max,
     the units of row s.  Cached per frequency; do not mutate.
     """
@@ -275,114 +279,91 @@ def _k_rows(y, l_max, derivative=False, weighted=False):
     V, dV = _shift_rows(y, l_max, logk, derivative=derivative)
     if derivative:
         V = dV
-    rows = np.stack([V, V * wigner.lambda_tensor(l_max)] if weighted else [V], axis=-1)
-    rows.flags.writeable = False
-    return rows, logk[: 2 * l_max + 1]
+    tables = (V, V * wigner.lambda_tensor(l_max)) if weighted else (V,)
+    for table in tables:
+        table.flags.writeable = False
+    return tables, logk[: 2 * l_max + 1]
 
 
-class ImagNodes:
-    """The imaginary-axis blocks M_m(xi) of a stack of nodes at one l_max.
+class _NodeStack:
+    """The blocks M_m of a stack of frequency nodes at one l_max, on either
+    axis; :class:`ImagNodes` and :class:`RotatedNodes` make its tables.
 
-    Entry (l, l') of block m factors as ``P[l, l'] * S_m[l, l']``, as in
-    :class:`RotatedNodes`.  The prefactor P depends on the node and l_max,
-    not on m: the sphere factor (numerator of l', denominator of l),
-    ``sqrt(pi/4 xi L)`` and the top term ``K_{l+l'+1/2}(y)`` that the
-    weight rows of :func:`_k_rows` are measured in; block m reads its
-    trailing square.  For block m, one :func:`wigner.couple` of every
-    node's rows gives the l'' sums of every node at once.  P is M without
-    its l'' sum and stays of the order of its entries, so each entry of P
-    is one exponential of a sum of logs, and no block of any m needs an
-    assembly in log space.
+    Entry (l, l') of block m factors as ``P[l, l'] * S_m[l, l']``.  The
+    prefactor P depends on the node and l_max, not on m: the sphere factor
+    (numerator of l', denominator of l), ``sqrt(pi/4 xi L)`` and the top
+    term ``|B_{l+l'+1/2}(y)|`` that the weight rows of :func:`_shift_rows`
+    are measured in; block m reads its trailing square.  P is M without its
+    l'' sum and stays of the order of its entries, so each entry of P is
+    one exponential of a sum of logs, and no block of any m needs an
+    assembly in log space.  For block m, one :func:`wigner.couple` of every
+    node's rows gives the l'' sums S_m of every node at once.
 
-    Electromagnetic blocks have the polarization-major layout of
-    :func:`em_matrix`: four prefactors per node (the TE and TM sphere
-    factors of column and row, with the signs of the off-diagonal and TM
-    quadrants) and, next to the rows, the rows times the weights of
-    :func:`wigner.lambda_tensor`.  With ``derivative`` the rows of dM/dL
-    ride in the same product, so M and dM/dL come from one assembly.
+    ``P`` is (nodes, q, n, n) over l = l_min..l_max, with q = 1, or 4 for
+    the electromagnetic field (the quadrants of :func:`em_matrix`).  ``V``
+    holds the rows of every node's tables, (2 l_max + 1, l_max + 1,
+    tables * nodes), table-major: column ``c * nodes + i`` is table c of
+    node i.  The tables are the rows of M, for the electromagnetic field
+    also those rows times the weights of :func:`wigner.lambda_tensor`, and
+    with ``derivative`` the same again for dM/dy, so M and dM/dL come from
+    one assembly.
     """
 
-    def __init__(self, xi, geom, spec, l_max, derivative=False):
-        geom.require_gap()
+    em = False
+
+    def __init__(self, xi, l_min, l_max, derivative, P, rows):
+        self.xi, self.l_min, self.l_max = xi, l_min, l_max
+        self.derivative, self.P = derivative, P
+        columns = [table for of_every_node in zip(*rows) for table in of_every_node]
+        self.V = np.array(columns).transpose(1, 2, 0).copy()
+
+    @staticmethod
+    def _nodes(xi):
         xi = np.asarray(xi, dtype=float)
         if xi.ndim != 1 or not np.all(xi > 0.0):
-            raise ValueError("xi must be positive; use static_matrix for xi = 0")
-        self.xi = xi
-        self.L = geom.L
-        self.l_max = l_max
-        self.derivative = derivative
-        self.em = spec.kind == ELECTROMAGNETIC
-        self.l0 = spec.l_min
-        ls = np.arange(self.l0, l_max + 1)
-        ktop = ls[:, None] + ls[None, :]
-        if self.em:
-            lf = ls.astype(float)
-            lam_norm = np.sqrt(lf * (lf + 1.0))
-            self.norm = lam_norm[:, None] * lam_norm[None, :]
-            self.llp = lf[:, None] * lf[None, :]
-        self.P = np.empty((len(xi), 4 if self.em else 1, len(ls), len(ls)))
-        rows = []
-        for i, x in enumerate(xi):
-            y = 2.0 * x * geom.L
-            V, logk_y = _k_rows(y, l_max, False, self.em)
-            rows.append(V)
-            if derivative:
-                rows.append(_k_rows(y, l_max, True, self.em)[0])
-            base = 0.5 * math.log(math.pi / (4.0 * x * geom.L)) + logk_y[ktop]
-            if not self.em:
-                s_num, log_num, s_den, log_den = _sphere_factors_imag(
-                    spec.sphere_bc, x * geom.R, l_max)
-                self.P[i, 0] = (s_num[ls][None, :] * s_den[ls][:, None]) * np.exp(
-                    log_num[ls][None, :] - log_den[ls][:, None] + base)
-                continue
-            _, num_te, _, den_te = _sphere_factors_imag(DIRICHLET, x * geom.R, l_max)
-            _, num_tm, s_den_tm, den_tm = _sphere_factors_imag("tm", x * geom.R, l_max)
-            num_te, den_te, num_tm, den_tm = (a[ls] for a in (num_te, den_te, num_tm, den_tm))
-            s_tm = s_den_tm[ls][:, None]
-            self.P[i, 0] = np.exp(num_te[None, :] - den_te[:, None] + base)
-            self.P[i, 1] = -np.exp(num_tm[None, :] - den_te[:, None] + base)
-            self.P[i, 2] = s_tm * np.exp(num_te[None, :] - den_tm[:, None] + base)
-            self.P[i, 3] = -s_tm * np.exp(num_tm[None, :] - den_tm[:, None] + base)
-        self.columns = (2 if self.em else 1) * (2 if derivative else 1)
-        self.V = np.concatenate(rows, axis=2)
+            raise ValueError("xi must be a 1-d array of positive frequencies; "
+                             "use static_matrix for xi = 0")
+        return xi
 
     def keep(self, idx):
         """Keep only the nodes ``idx`` (indices into the current stack)."""
-        c = self.columns
+        k = len(self.P)
+        tables = self.V.shape[2] // k
         self.xi = self.xi[idx]
         self.P = self.P[idx]
-        self.V = np.take(self.V, (idx[:, None] * c + np.arange(c)).ravel(), axis=2)
+        self.V = np.take(self.V, (np.arange(tables)[:, None] * k + idx).ravel(), axis=2)
 
     def blocks(self, m):
         """The stacks of block m: M and, with ``derivative``, dM/dL (else
         None), each (nodes, n, n) with n the orbital momenta from
         max(l_min, m) to l_max, twice that for the electromagnetic field."""
         m = abs(m)
-        k = len(self.xi)
-        l_start = max(self.l0, m)
+        k = len(self.P)
+        l_start = max(self.l_min, m)
         n = self.l_max - l_start + 1
         if n <= 0:
-            empty = np.zeros((k, 0, 0))
+            empty = np.zeros((k, 0, 0), dtype=self.P.dtype)
             return empty, (empty if self.derivative else None)
-        a = l_start - self.l0
-        S = wigner.couple(m, l_start, self.l_max, self.V)
-        S = np.ascontiguousarray(S.transpose(2, 0, 1)).reshape(k, self.columns, n, n)
-        P = self.P[:, :, a:, a:]
-        two_xi = 2.0 * self.xi[:, None, None]
+        a = l_start - self.l_min
+        # a complex table enters as the (re, im) column pairs of its float view
+        S = wigner.couple(m, l_start, self.l_max, self.V.view(np.float64)).view(self.V.dtype)
+        S = S.transpose(2, 0, 1).reshape(-1, k, n, n)  # (tables, nodes, n, n)
         if not self.em:
-            M = P[:, 0] * S[:, 0]
-            return M, (P[:, 0] * (two_xi * S[:, 1]) if self.derivative else None)
+            P = self.P[:, 0, a:, a:]
+            return P * S[0], (P * (2.0 * self.xi[:, None, None] * S[1])
+                              if self.derivative else None)
+        P = self.P[:, :, a:, a:]
         # the Lambda-weighted sum is (l l' S - S_w) / norm, see
         # wigner.lambda_tensor; the polarization mixing factor is
         # 2 |m| xi L / norm
         llp, norm = self.llp[a:, a:], self.norm[a:, a:]
         tilde = (2.0 * m * self.L) * self.xi[:, None, None] / norm
-        M = self._em_block(P, tilde * S[:, 0], (llp * S[:, 0] - S[:, 1]) / norm)
+        M = self._em_block(P, tilde * S[0], (llp * S[0] - S[1]) / norm)
         if not self.derivative:
             return M, None
-        dS, dS_w = S[:, 2], S[:, 3]
+        two_xi, dS, dS_w = 2.0 * self.xi[:, None, None], S[2], S[3]
         # d/dL of tilde * S, with tilde proportional to L
-        return M, self._em_block(P, tilde * (two_xi * dS + S[:, 0] / self.L),
+        return M, self._em_block(P, tilde * (two_xi * dS + S[0] / self.L),
                                  two_xi * (llp * dS - dS_w) / norm)
 
     @staticmethod
@@ -394,6 +375,85 @@ class ImagNodes:
         out[:, n:, :n] = P[:, 2] * mixed
         out[:, n:, n:] = P[:, 3] * diagonal
         return out
+
+
+class ImagNodes(_NodeStack):
+    """The imaginary-axis node stack: real blocks M_m(xi), with the K
+    tables of :func:`_k_rows` and the sphere factors of
+    :func:`_sphere_factors_imag`.
+
+    Electromagnetic blocks have the polarization-major layout of
+    :func:`em_matrix`: four prefactors per node (the TE and TM sphere
+    factors of column and row, with the signs of the off-diagonal and TM
+    quadrants) and, next to the rows, the rows times the weights of
+    :func:`wigner.lambda_tensor`.
+    """
+
+    def __init__(self, xi, geom, spec, l_max, derivative=False):
+        geom.require_gap()
+        xi = self._nodes(xi)
+        self.L = geom.L
+        self.em = spec.kind == ELECTROMAGNETIC
+        ls = np.arange(spec.l_min, l_max + 1)
+        ktop = ls[:, None] + ls[None, :]
+        if self.em:
+            lf = ls.astype(float)
+            lam_norm = np.sqrt(lf * (lf + 1.0))
+            self.norm = lam_norm[:, None] * lam_norm[None, :]
+            self.llp = lf[:, None] * lf[None, :]
+        P = np.empty((len(xi), 4 if self.em else 1, len(ls), len(ls)))
+        rows = []
+        for i, x in enumerate(xi):
+            y = 2.0 * x * geom.L
+            tables, logk_y = _k_rows(y, l_max, False, self.em)
+            rows.append((tables + _k_rows(y, l_max, True, self.em)[0]) if derivative else tables)
+            base = 0.5 * math.log(math.pi / (4.0 * x * geom.L)) + logk_y[ktop]
+            if not self.em:
+                s_num, log_num, s_den, log_den = _sphere_factors_imag(
+                    spec.sphere_bc, x * geom.R, l_max)
+                P[i, 0] = (s_num[ls][None, :] * s_den[ls][:, None]) * np.exp(
+                    log_num[ls][None, :] - log_den[ls][:, None] + base)
+                continue
+            _, num_te, _, den_te = _sphere_factors_imag(DIRICHLET, x * geom.R, l_max)
+            _, num_tm, s_den_tm, den_tm = _sphere_factors_imag("tm", x * geom.R, l_max)
+            num_te, den_te, num_tm, den_tm = (a[ls] for a in (num_te, den_te, num_tm, den_tm))
+            s_tm = s_den_tm[ls][:, None]
+            P[i, 0] = np.exp(num_te[None, :] - den_te[:, None] + base)
+            P[i, 1] = -np.exp(num_tm[None, :] - den_te[:, None] + base)
+            P[i, 2] = s_tm * np.exp(num_te[None, :] - den_tm[:, None] + base)
+            P[i, 3] = -s_tm * np.exp(num_tm[None, :] - den_tm[:, None] + base)
+        super().__init__(xi, spec.l_min, l_max, derivative, P, rows)
+
+
+class RotatedNodes(_NodeStack):
+    """The rotated node stack: complex blocks M_m(i xi) at real frequency,
+    with the H2 rows of :func:`_shift_rows` and the sphere factors of
+    :func:`_sphere_factors_rotated`, whose denominator carries its phase
+    into P.  M(-i xi) is the complex conjugate of these blocks.  Scalar
+    fields only.
+    """
+
+    def __init__(self, xi, geom, spec, l_max, derivative=False):
+        if spec.kind != SCALAR:
+            raise NotImplementedError(
+                "the rotated (real-frequency) kernel is implemented for scalar fields only")
+        xi = self._nodes(xi)
+        ls = np.arange(l_max + 1)
+        ktop = ls[:, None] + ls[None, :]
+        P = np.empty((len(xi), 1, l_max + 1, l_max + 1), dtype=complex)
+        rows = []
+        for i, x in enumerate(xi):
+            s_num, log_num, den_mag, den_ph = _sphere_factors_rotated(
+                spec.sphere_bc, x * geom.R, l_max)
+            y = 2.0 * x * geom.L
+            hy_mag, hy_ph = specfun.log_hankel2_arrays(2 * l_max, y)
+            top = hy_mag[: 2 * l_max + 1]
+            log_pref = 0.5 * math.log(math.pi / (4.0 * x * geom.L))
+            mag = np.exp(log_num[None, :] - den_mag[:, None] + log_pref + top[ktop])
+            P[i, 0] = (s_num[None, :] * mag) * np.exp(-1j * den_ph[:, None])
+            V, dV = _shift_rows(y, l_max, hy_mag, hy_ph, derivative)
+            rows.append((V, dV) if derivative else (V,))
+        super().__init__(xi, 0, l_max, derivative, P, rows)
 
 
 def scalar_matrix(m, xi, geom, spec, l_max, derivative=False):
@@ -426,81 +486,6 @@ def scalar_matrix(m, xi, geom, spec, l_max, derivative=False):
         raise ValueError("scalar_matrix needs a scalar FieldSpec")
     M, dM = ImagNodes([xi], geom, spec, l_max, derivative).blocks(m)
     return (dM if derivative else M)[0]
-
-
-class RotatedNodes:
-    """The rotated blocks M_m(i xi) of a stack of nodes at one l_max.
-
-    Entry (l, l') of block m factors as ``P[l, l'] * S_m[l, l']``.  The
-    prefactor P depends on the node and l_max, not on m: the sphere factor
-    (numerator of l', denominator of l and its phase), ``sqrt(pi/4 xi L)``
-    and the |H2| top term ``|H2_{l+l'+1/2}(y)|`` that the l'' sum is
-    measured in; block m reads ``P[m:, m:]``.  The l'' sum S_m reads the
-    weight rows of :func:`_shift_rows` from H2, built once per node; for
-    block m, one :func:`wigner.couple` of every node's rows gives the l''
-    sums of every node at once.
-
-    With ``derivative`` the shift-table rows of dM/dL (the l'' weights of
-    ``y^{-1/2} H_{l''+1/2}(y)`` differentiated, see :func:`scalar_matrix`)
-    ride in the same product, so M and dM/dL come from one assembly.
-    M(-i xi) is the complex conjugate of these blocks.  Scalar fields only.
-    """
-
-    def __init__(self, xi, geom, spec, l_max, derivative=False):
-        if spec.kind != SCALAR:
-            raise NotImplementedError(
-                "the rotated (real-frequency) kernel is implemented for scalar fields only")
-        xi = np.asarray(xi, dtype=float)
-        if xi.ndim != 1 or not np.all(xi > 0.0):
-            raise ValueError("xi must be a 1-d array of positive frequencies")
-        self.l_max = l_max
-        self.derivative = derivative
-        self.two_xi = 2.0 * xi
-        k = len(xi)
-        ls = np.arange(l_max + 1)
-        ktop = ls[:, None] + ls[None, :]
-        self.P = np.empty((k, l_max + 1, l_max + 1), dtype=complex)
-        self.V = np.zeros((2 * l_max + 1, l_max + 1, 2 * k if derivative else k),
-                          dtype=complex)
-        for i, x in enumerate(xi):
-            s_num, log_num, den_mag, den_ph = _sphere_factors_rotated(
-                spec.sphere_bc, x * geom.R, l_max)
-            y = 2.0 * x * geom.L
-            hy_mag, hy_ph = specfun.log_hankel2_arrays(2 * l_max, y)
-            top = hy_mag[: 2 * l_max + 1]
-            log_pref = 0.5 * math.log(math.pi / (4.0 * x * geom.L))
-            mag = np.exp(log_num[None, :] - den_mag[:, None] + log_pref + top[ktop])
-            self.P[i] = (s_num[None, :] * mag) * np.exp(-1j * den_ph[:, None])
-            V, dV = _shift_rows(y, l_max, hy_mag, hy_ph, derivative)
-            self.V[:, :, i] = V
-            if derivative:
-                self.V[:, :, k + i] = dV
-
-    def keep(self, idx):
-        """Keep only the nodes ``idx`` (indices into the current stack)."""
-        k = len(self.P)
-        self.P = self.P[idx]
-        self.two_xi = self.two_xi[idx]
-        cols = np.concatenate([idx, k + idx]) if self.derivative else idx
-        self.V = np.take(self.V, cols, axis=2)
-
-    def blocks(self, m):
-        """The stacks of block m: M and, with ``derivative``, dM/dL (else
-        None), each (nodes, n, n) with n = l_max - m + 1."""
-        m = abs(m)
-        k = len(self.P)
-        n = self.l_max - m + 1
-        if n <= 0:
-            empty = np.zeros((k, 0, 0), dtype=complex)
-            return empty, (empty if self.derivative else None)
-        # real store times the (re, im) pairs of the complex rows
-        S = wigner.couple(m, m, self.l_max, self.V.view(np.float64)).view(complex)
-        S = S.transpose(2, 0, 1)
-        P = self.P[:, m:, m:]
-        M = P * S[:k]
-        if not self.derivative:
-            return M, None
-        return M, P * (self.two_xi[:, None, None] * S[k:])
 
 
 def rotated_matrix(m, xi, geom, spec, l_max, derivative=False):

@@ -33,12 +33,12 @@ eigenvalues and no branch of the logarithm to choose.
 
 Every block is a stack of nodes, and every evaluator takes a stack and
 returns one value per block.  On both frequency axes, several nodes at one
-l_max run as one stack: every block m of the stack comes from one assembly
-(:class:`kernel.ImagNodes`, :class:`kernel.RotatedNodes`) as a plain
-(nodes, n, n) array; a static block is a stack of one.  The evaluators
-take the whole stack at once, with batched matrix products, one stacked
-``slogdet`` and, for the refused blocks, one stacked ``eigvals``; the
-choice among them is made in :func:`trace_over_m`.  The nodes step
+l_max run as one stack: every block m comes from the one ``blocks(m)`` of
+the node stacks (:class:`kernel.ImagNodes`, :class:`kernel.RotatedNodes`)
+as a plain (nodes, n, n) array; a static block is a stack of one.  The
+evaluators take the whole stack at once, with batched matrix products, one
+stacked ``slogdet`` and, for the refused blocks, one stacked ``eigvals``;
+the choice among them is made in :func:`trace_over_m`.  The nodes step
 through m together, each leaves the stack at its own m cut, and with
 automatic growth each runs its own l_max test and leaves the stack once it
 passes.
@@ -72,6 +72,7 @@ from .specfun import L_CAP
 IMAG_AXIS = "imag"
 ROTATED = "rotated"
 STATIC = "static"
+_NODE_STACKS = {IMAG_AXIS: kernel.ImagNodes, ROTATED: kernel.RotatedNodes}
 
 
 class SingularBlockError(ArithmeticError):
@@ -145,11 +146,11 @@ def assemble_block(m, evaluation, geom, spec, l_max, xi=None, derivative=False):
 
     evaluation is one of 'imag' (imaginary axis), 'rotated' (real
     frequency) or 'static'.  On the imaginary and rotated axes xi is the
-    :class:`kernel.ImagNodes` or :class:`kernel.RotatedNodes` stack at
-    this l_max, and the blocks are the stacks of block m of each of its
-    nodes, (nodes, n, n); the static blocks are a stack of one,
-    (1, n, n).  The plane boundary sign is not applied here; it enters
-    the logarithm downstream.
+    node stack of that axis at this l_max (:class:`kernel.ImagNodes` or
+    :class:`kernel.RotatedNodes`), and the blocks are its ``blocks(m)``,
+    block m of each of its nodes, (nodes, n, n); the static blocks are a
+    stack of one, (1, n, n).  The plane boundary sign is not applied here;
+    it enters the logarithm downstream.
 
     Raises
     ------
@@ -161,7 +162,7 @@ def assemble_block(m, evaluation, geom, spec, l_max, xi=None, derivative=False):
         dM = kernel.static_matrix(m, geom, spec, l_max, derivative=True)[None] \
             if derivative else None
     else:
-        stack = {ROTATED: kernel.RotatedNodes, IMAG_AXIS: kernel.ImagNodes}.get(evaluation)
+        stack = _NODE_STACKS.get(evaluation)
         if stack is None:
             raise ValueError(f"unknown evaluation {evaluation!r}")
         if not (isinstance(xi, stack) and xi.l_max == l_max and xi.derivative == derivative):
@@ -347,10 +348,10 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None,
 
     On the imaginary and rotated axes xi is a 1-d array of nodes,
     evaluated as one stack (a single node is a stack of one, and so is a
-    static trace, which takes no xi): each l_max assembles one
-    :class:`kernel.ImagNodes` or :class:`kernel.RotatedNodes`,
+    static trace, which takes no xi): each l_max assembles the axis's node
+    stack (:class:`kernel.ImagNodes` or :class:`kernel.RotatedNodes`),
     :func:`assemble_block` reads its blocks once per m as plain arrays, and
-    the nodes step through m together and each stops at its own m cut.
+    the nodes step through m together and each leaves at its own m cut.
     With automatic growth every node starts at the same cutoff, runs its
     own growth test and leaves the stack once it passes, so each node gets
     the cutoff, value and change it would get alone.
@@ -413,7 +414,7 @@ def trace_over_m(evaluation, geom, spec, trunc=None, xi=None,
         raise ValueError(f"l_max={trunc.l_max} is below this field's l_min={spec.l_min}")
     sign = spec.plane_sign
     work = new_work()
-    stack = {ROTATED: kernel.RotatedNodes, IMAG_AXIS: kernel.ImagNodes}.get(evaluation)
+    stack = _NODE_STACKS.get(evaluation)
     nodes = np.asarray(xi, dtype=float) if stack else np.zeros(1)
     k = len(nodes)
     floors = np.maximum(np.broadcast_to(np.asarray(scale_floor, dtype=float), (k,)), 1e-300)

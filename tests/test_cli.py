@@ -73,6 +73,42 @@ def test_config_file_merge(tmp_path):
     assert float(read_csv(out2)[0]["value"]) < float(read_csv(out)[0]["value"])
 
 
+@pytest.mark.parametrize("entry, rc", [
+    ({"R": "abc"}, 1),
+    ({"T": "1"}, 0),  # read as `--T 1` is
+    ({"field": "xyz"}, 1),
+    ({"lmax": 7.5}, 1),
+    ({"Rr": 10.0}, 1),
+], ids=["R not a number", "T as a string", "field not a choice", "lmax not an int",
+        "unknown key"])
+def test_config_values_are_checked_as_flags(tmp_path, capsys, entry, rc):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"command": "pfa", "R": 10.0, "d": 1.0, "T": 0.0} | entry))
+    out = tmp_path / "out.csv"
+    assert run_cli(["--config", str(cfg), "--out", str(out)]) == rc
+    if rc:
+        err = capsys.readouterr().err
+        (key,) = entry
+        assert err.startswith("error: config key ") and repr(key) in err
+        return
+    flags = tmp_path / "flags.csv"
+    assert run_cli(["--command", "pfa", "--R", "10", "--d", "1", "--T", "1",
+                    "--out", str(flags)]) == 0
+    assert out.read_bytes() == flags.read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["--command", "thermal-part"],
+    ["--command", "force", "--force-target", "thermal_part"],
+    ["--command", "scan", "--scan-axis", "T", "--scan-grid", "0.5:1:2"],
+], ids=["thermal-part", "thermal force", "scan"])
+def test_em_field_on_the_real_frequency_path_exits_1(capsys, args):
+    rc = run_cli(args + ["--R", "1", "--d", "0.5", "--T", "1", "--field", "em"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "scalar fields only" in err
+
+
 def test_scan_monotone_and_deterministic(tmp_path):
     for axis, fixed, deeper in [
         ("R", ["--epsilon", "0.0"], True),                # deeper with larger R

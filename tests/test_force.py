@@ -226,7 +226,7 @@ def test_force_assembles_each_prefactor_once(monkeypatch):
     def single_block(*args, **kwargs):
         raise AssertionError("the sweep built a block by itself")
 
-    monkeypatch.setattr(kernel, "RotatedNodes", CountingNodes)
+    monkeypatch.setitem(trlog._NODE_STACKS, trlog.ROTATED, CountingNodes)
     monkeypatch.setattr(kernel, "rotated_matrix", single_block)
     monkeypatch.setattr(trlog, "trace_over_m", counting_trace)
     monkeypatch.setattr(trlog, "assemble_block", counting_assemble)

@@ -258,64 +258,66 @@ def test_rotated_neumann_factors_match_the_loop(x):
         np.testing.assert_allclose(g, w, rtol=1e-14, atol=1e-14)
 
 
-@pytest.mark.parametrize("spec", [DD, ND], ids=["D sphere", "N sphere"])
-def test_stacked_rotated_blocks_match_single_blocks(spec):
-    geom = Geometry(1.0, 0.3)
-    xs = np.array([0.05, 0.7, 2.3, 6.5])
-    l_max = 14
-    nodes = kernel.RotatedNodes(xs, geom, spec, l_max, derivative=True)
-    scale = [np.max(np.abs(kernel.rotated_matrix(0, x, geom, spec, l_max)))
-             for x in xs]
-    for m in (0, 1, 5, l_max):
-        M, dM = nodes.blocks(m)
-        assert M.shape == dM.shape == (len(xs), l_max - m + 1, l_max - m + 1)
-        for i, x in enumerate(xs):
-            single = kernel.rotated_matrix(m, x, geom, spec, l_max)
-            d_single = kernel.rotated_matrix(m, x, geom, spec, l_max, derivative=True)
-            assert np.max(np.abs(M[i] - single)) <= 1e-13 * scale[i]
-            assert np.max(np.abs(dM[i] - d_single)) <= 1e-13 * np.max(np.abs(d_single))
-            # the dense alternating tensor and full shift table of old
-            dense = oracles.rotated_matrix_dense(m, x, geom, spec, l_max)
-            d_dense = oracles.rotated_matrix_dense(m, x, geom, spec, l_max, derivative=True)
-            assert np.max(np.abs(M[i] - dense)) <= 1e-13 * scale[i]
-            assert np.max(np.abs(dM[i] - d_dense)) <= 1e-13 * np.max(np.abs(d_dense))
-    # nodes that leave the stack leave the others' blocks as they were
-    M, dM = nodes.blocks(3)
-    nodes.keep(np.array([1, 3]))
-    M2, dM2 = nodes.blocks(3)
-    assert np.max(np.abs(M2 - M[[1, 3]])) <= 1e-13 * max(scale)
-    assert np.max(np.abs(dM2 - dM[[1, 3]])) <= 1e-13 * np.max(np.abs(dM))
-
-
-@pytest.mark.parametrize("kind", ["D sphere", "N sphere", "EM"])
-def test_stacked_imaginary_axis_blocks_match_single_blocks(kind):
-    # one ImagNodes for four nodes against the dense oracles node by node,
-    # M and dM from one assembly, and nodes leaving the stack
+@pytest.mark.parametrize("axis, kind", [("rotated", "D sphere"), ("rotated", "N sphere"),
+                                        ("imaginary", "D sphere"), ("imaginary", "N sphere"),
+                                        ("imaginary", "EM")])
+def test_stacked_blocks_match_single_blocks(axis, kind):
+    # one node stack for four nodes against the single blocks and the
+    # dense oracles node by node, M and dM from one assembly, and nodes
+    # leaving the stack at successive m, as trace_over_m drops them
     geom = Geometry(1.0, 0.3)
     xs = np.array([0.05, 0.7, 2.3, 6.5])
     l_max = 14
     spec = {"D sphere": DD, "N sphere": ND, "EM": FieldSpec.em()}[kind]
+    rotated = axis == "rotated"
+    Nodes = kernel.RotatedNodes if rotated else kernel.ImagNodes
+
+    def single(m, x, derivative):
+        if rotated:
+            return kernel.rotated_matrix(m, x, geom, spec, l_max, derivative)
+        if kind == "EM":
+            return em_matrix(m, x, geom, l_max, derivative)
+        return scalar_matrix(m, x, geom, spec, l_max, derivative)
 
     def dense(m, x, derivative):
+        if rotated:
+            return oracles.rotated_matrix_dense(m, x, geom, spec, l_max, derivative)
         if kind == "EM":
             return oracles.em_matrix_dense(m, x, geom, l_max, derivative)
         return oracles.scalar_matrix_dense(m, x, geom, spec, l_max, derivative)
 
-    nodes = kernel.ImagNodes(xs, geom, spec, l_max, derivative=True)
+    # the rotated blocks are measured against the m = 0 block of their node
+    scale = [np.max(np.abs(single(0, x, False))) for x in xs]
+    nodes = Nodes(xs, geom, spec, l_max, derivative=True)
     for m in (0, 1, 5, l_max):
         M, dM = nodes.blocks(m)
         n = l_max - max(spec.l_min, m) + 1
         assert M.shape == dM.shape == (len(xs),) + (2 * n if kind == "EM" else n,) * 2
         for i, x in enumerate(xs):
             want, d_want = dense(m, x, False), dense(m, x, True)
-            assert np.max(np.abs(M[i] - want)) <= 1e-13 * np.max(np.abs(want))
+            tol = 1e-13 * (scale[i] if rotated else np.max(np.abs(want)))
+            assert np.max(np.abs(M[i] - want)) <= tol
             assert np.max(np.abs(dM[i] - d_want)) <= 1e-13 * np.max(np.abs(d_want))
+            d_single = single(m, x, True)
+            assert np.max(np.abs(M[i] - single(m, x, False))) <= tol
+            assert np.max(np.abs(dM[i] - d_single)) <= 1e-13 * np.max(np.abs(d_single))
+    # nodes that leave the stack leave the others' blocks as they were:
+    # node 0 at m = 3, then node 2 at m = 4
     M, dM = nodes.blocks(3)
-    nodes.keep(np.array([1, 3]))
+    M_tol = 1e-13 * (max(scale) if rotated else np.max(np.abs(M)))
+    nodes.keep(np.array([1, 2, 3]))
     M2, dM2 = nodes.blocks(3)
-    assert np.max(np.abs(M2 - M[[1, 3]])) <= 1e-13 * np.max(np.abs(M))
-    assert np.max(np.abs(dM2 - dM[[1, 3]])) <= 1e-13 * np.max(np.abs(dM))
-    assert kernel.ImagNodes(xs, geom, spec, l_max).blocks(2)[1] is None
+    assert np.max(np.abs(M2 - M[[1, 2, 3]])) <= M_tol
+    assert np.max(np.abs(dM2 - dM[[1, 2, 3]])) <= 1e-13 * np.max(np.abs(dM))
+    M, dM = nodes.blocks(4)
+    nodes.keep(np.array([0, 2]))
+    M2, dM2 = nodes.blocks(4)
+    assert np.max(np.abs(M2 - M[[0, 2]])) <= M_tol
+    assert np.max(np.abs(dM2 - dM[[0, 2]])) <= 1e-13 * np.max(np.abs(dM))
+    # what is left is the stack of those two nodes alone
+    for got, want in zip(nodes.blocks(5), Nodes(xs[[1, 3]], geom, spec, l_max, True).blocks(5)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert Nodes(xs, geom, spec, l_max).blocks(2)[1] is None
 
 
 def test_rotated_blocks_from_a_grown_store_are_bit_equal():
