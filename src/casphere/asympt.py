@@ -48,6 +48,8 @@ def low_t_thermal(geom, spec, T):
     Neumann plane carries the factor (2L - R)/(2L + R), also leading order
     in R/L.
     """
+    if not 0.0 <= T < math.inf:
+        raise ValueError(f"temperature must be finite and non-negative, got T={T}")
     R, L = geom.R, geom.L
     note = f"assumes T*R << 1 and T*L << 1 (here T*R={T * R:.3g}, T*L={T * L:.3g})"
     if spec.kind == ELECTROMAGNETIC:

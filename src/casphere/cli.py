@@ -156,8 +156,8 @@ def _temperature(cfg, default=None):
     T = cfg.get("T", default)
     if T is None:
         raise ConfigError("--T is required")
-    if T < 0:
-        raise ConfigError("--T must be non-negative")
+    if not 0.0 <= T < math.inf:
+        raise ConfigError(f"--T must be finite and non-negative, got {T}")
     return T
 
 
@@ -185,8 +185,6 @@ def _observable(quantity, cfg, geom, spec, trunc, T_default=None):
 
 
 def _write_csv(rows, out_path):
-    if not rows:
-        raise ConfigError("nothing to write")
     fields = list(rows[0].keys())
     handle = open(out_path, "w", newline="") if out_path else sys.stdout
     try:

@@ -34,25 +34,24 @@ reuse the Bessel tables and coupling store of M.
 Every l'' sum reads one table of Bessel weights only at the orders
 l'' = l + l' - 2t, so each frequency node has weight rows V[l + l', t]
 (K on the imaginary axis, H2 with the sign (-1)^t on the rotated axis,
-from one builder) that every block m shares, measured in units of the
-l'' = l + l' term, which dominates each sum.  A rotated row is a real
-ratio of moduli times the phase factor of its order, read from one table of
-``exp(i phase)`` over the node's 2 l_max + 2 orders, so a node costs
-2 l_max + 2 complex exponentials, not one per entry.  The l'' sums of a
-block are one matrix product of the coupling store with the rows
-(:func:`wigner.couple`).  The frequency blocks of a stack of nodes at one
-l_max also share a node prefactor (the sphere factor, the top Bessel term
-and the geometric factor, all formed in log space once per node and
-l_max).  A node stack assembles the prefactors and rows once and then
-makes the stacks of every m, with the l'' sums of all nodes in one
-product.  Both axes share one node-stack interface, ``blocks(m)`` and
-``keep(idx)``; they differ only in its constructors, :class:`ImagNodes`
-(K tables, real blocks) and :class:`RotatedNodes` (H2 tables, complex
-blocks), which make the Bessel tables, sphere factors, prefactors and
-rows of their axis.  ``scalar_matrix``, ``em_matrix``
-and ``rotated_matrix`` build one block as a stack of one; ``static_matrix``
-makes one block per call, with its half-integer log-gamma factors read
-from the table of :func:`wigner.log_gamma_halves`.
+from one builder, :func:`_shift_rows`) that every block m shares, measured
+in units of the dominant l'' = l + l' term; the l'' sums of a block are
+one matrix product of the coupling store with the rows
+(:func:`wigner.couple`).  The rest of an entry is a node prefactor P: the
+sphere factor, ``sqrt(pi/4 xi L)`` and that top Bessel term.  The sphere
+factors of both axes have one signed-log form, ``(sign_num, log_num,
+sign_den, log_den)`` over l, a sign being +-1 or, for the rotated
+denominator, the phase factor of its H2 combination; every combination
+``(c/x) a - b`` of two orders is formed by :func:`_combine`.  One builder,
+``_NodeStack._prefactor``, turns the factors of one polarization (scalar,
+rotated) or of TE and TM (electromagnetic) into P.  A node stack,
+:class:`ImagNodes` (real blocks) or :class:`RotatedNodes` (complex
+blocks), makes the prefactors and rows of its nodes once and then the
+stacks of every m through one ``blocks(m)``, with the l'' sums of all
+nodes in one product; ``keep(idx)`` drops nodes.  ``scalar_matrix``,
+``em_matrix`` and ``rotated_matrix`` build one block as a stack of one;
+``static_matrix`` makes one block per call, with its half-integer
+log-gamma factors read from the table of :func:`wigner.log_gamma_halves`.
 
 Everything is pure and reentrant; the only shared state is the idempotent
 coupling-store and log-gamma caches of :mod:`wigner`.
@@ -144,83 +143,69 @@ class FieldSpec:
         return cls(kind=ELECTROMAGNETIC)
 
 
-def _signed_diff(coef_log_a, log_a, log_b):
-    """sign/log of  exp(coef_log_a + log_a) - exp(log_b)  (both terms > 0)."""
-    a = coef_log_a + log_a
-    scale = np.maximum(a, log_b)
-    val = np.exp(a - scale) - np.exp(log_b - scale)
-    sign = np.sign(val)
+def _combine(c, sign_a, log_a, sign_b, log_b):
+    """Sign and log modulus of ``c a - b``, elementwise, for c >= 0 and
+    a, b in signed-log form ``sign * exp(log)``, a sign being +-1, 0 (with
+    log -inf) or a unit complex phase factor.  Both terms are measured in
+    units of the larger, so neither over- nor underflows; a zero result is
+    sign 0 and log -inf, and a complex one has its phase factor
+    ``exp(1j * angle)`` as its sign."""
     with np.errstate(divide="ignore"):
-        logmag = np.where(val != 0.0, np.log(np.abs(np.where(val != 0.0, val, 1.0))) + scale,
-                          _NEG_INF)
-    return sign, logmag
+        log_c = np.log(c)  # -inf at c = 0, where only -b is left
+    scale = np.maximum(log_a + log_c, log_b)
+    scale = np.where(scale > _NEG_INF, scale, 0.0)  # both terms zero
+    val = c * np.exp(log_a - scale) * sign_a - np.exp(log_b - scale) * sign_b
+    nonzero = val != 0.0
+    with np.errstate(divide="ignore"):
+        log_val = np.where(nonzero, np.log(np.abs(val)) + scale, _NEG_INF)
+    if np.iscomplexobj(val):
+        return np.where(nonzero, np.exp(1j * np.angle(val)), 0.0), log_val
+    return np.sign(val), log_val
 
 
 @lru_cache(maxsize=4096)
 def _sphere_factors_imag(bc, x, l_max):
-    """Numerator/denominator of the sphere scattering factor on the
-    imaginary axis, as signed logs over l = 0..l_max.
-
-    bc is 'dirichlet' (also the TE mode), 'neumann', or 'tm'.  The sqrt(x)
-    factors of the Neumann and TM derivative combinations cancel between
-    numerator and denominator and are dropped.  Cached per frequency; the
-    returned arrays are shared and must not be mutated.
+    """The sphere scattering factor on the imaginary axis as ``(sign_num,
+    log_num, sign_den, log_den)`` over l = 0..l_max: I over K for bc
+    'dirichlet' (also the TE mode), else ``(c/x) I_nu + I_{nu+1}`` over
+    ``(c/x) K_nu - K_{nu+1}`` (negative) with c = l ('neumann') or l + 1
+    ('tm'), whose common sqrt(x) factors are dropped.  Cached per
+    frequency; the returned arrays are shared and must not be mutated.
     """
     logi, logk = specfun.log_ik_arrays(l_max, x)  # orders 0 .. l_max+1
-    ls = np.arange(l_max + 1, dtype=float)
+    n = l_max + 1
     if bc == DIRICHLET:
-        return (np.ones(l_max + 1), logi[: l_max + 1].copy(),
-                np.ones(l_max + 1), logk[: l_max + 1].copy())
+        return np.ones(n), logi[:n], np.ones(n), logk[:n]
     if bc == NEUMANN:
-        coef = ls
+        c = np.arange(n) / x
     elif bc == "tm":
-        coef = ls + 1.0
+        c = np.arange(1, n + 1) / x
     else:
         raise ValueError(f"unknown sphere factor {bc!r}")
-    with np.errstate(divide="ignore"):
-        logcoef = np.where(coef > 0.0,
-                           np.log(np.where(coef > 0, coef, 1.0)) - math.log(x),
-                           _NEG_INF)
-    # numerator (c/x) I_nu + I_{nu+1}: both positive
-    log_num = np.logaddexp(logcoef + logi[: l_max + 1], logi[1: l_max + 2])
-    sign_num = np.ones(l_max + 1)
-    # denominator (c/x) K_nu - K_{nu+1}: negative for every l on these branches
-    sign_den, log_den = _signed_diff(logcoef, logk[: l_max + 1], logk[1: l_max + 2])
-    return sign_num, log_num, sign_den, log_den
+    return (*_combine(c, 1.0, logi[:n], -1.0, logi[1:]),
+            *_combine(c, 1.0, logk[:n], 1.0, logk[1:]))
 
 
 @lru_cache(maxsize=4096)
 def _sphere_factors_rotated(bc, x, l_max):
-    """Rotated sphere factors at the frequency +i xi: signed-log
-    J-combination (numerator) and complex-log H2-combination (denominator),
-    over l = 0..l_max.  Cached per frequency; do not mutate the returned
+    """The sphere factor at the frequency +i xi as ``(sign_num, log_num,
+    sign_den, log_den)`` over l = 0..l_max: J over H2 for a Dirichlet
+    sphere, ``(l/x) J_nu - J_{nu+1}`` over the same combination of H2 for
+    a Neumann one, the denominator's sign being its phase factor
+    ``exp(i phase)``.  Cached per frequency; do not mutate the returned
     arrays.
     """
     sj, lj = specfun.log_jy_arrays(l_max, x)  # orders 0 .. l_max+1
     h2m, h2p = specfun.log_hankel2_arrays(l_max, x)
-    if bc == DIRICHLET:
-        return (sj[: l_max + 1].copy(), lj[: l_max + 1].copy(),
-                h2m[: l_max + 1].copy(), h2p[: l_max + 1].copy())
+    turn = np.exp(1j * h2p)
+    n = l_max + 1
+    if bc == DIRICHLET:  # copied, or the cache would also hold the J and phase tables
+        return sj[:n].copy(), lj[:n].copy(), turn[:n].copy(), h2m[:n]
     if bc != NEUMANN:
         raise ValueError("rotated kernels support Dirichlet and Neumann spheres only")
-    c = np.arange(l_max + 1) / x
-    with np.errstate(divide="ignore"):
-        log_c = np.log(c)  # -inf at l = 0, where only the second term is left
-    # numerator (l/x) J_nu - J_{nu+1}
-    lo, hi = lj[: l_max + 1], lj[1: l_max + 2]
-    scale = np.maximum(lo + log_c, hi)
-    finite = scale > _NEG_INF
-    scale = np.where(finite, scale, 0.0)
-    val = c * sj[: l_max + 1] * np.exp(lo - scale) - sj[1: l_max + 2] * np.exp(hi - scale)
-    sign_num = np.where(finite, np.sign(val), 0.0)
-    with np.errstate(divide="ignore"):
-        log_num = np.where(finite & (val != 0.0), np.log(np.abs(val)) + scale, _NEG_INF)
-    # denominator (l/x) H_nu - H_{nu+1}, complex
-    lo, hi = h2m[: l_max + 1], h2m[1: l_max + 2]
-    scale = np.maximum(lo + log_c, hi)
-    z = (c * np.exp(lo - scale) * np.exp(1j * h2p[: l_max + 1])
-         - np.exp(hi - scale) * np.exp(1j * h2p[1: l_max + 2]))
-    return sign_num, log_num, np.log(np.abs(z)) + scale, np.angle(z)
+    c = np.arange(n) / x
+    return (*_combine(c, sj[:n], lj[:n], sj[1:], lj[1:]),
+            *_combine(c, turn[:n], h2m[:n], turn[1:], h2m[1:]))
 
 
 def _grid(m, l_min, l_max):
@@ -244,9 +229,9 @@ def _shift_rows(y, l_max, log_mag, phase=None, derivative=False):
     order, read from one table ``exp(1j * phase)`` of the 2 l_max + 2
     orders, so a node needs no complex exponential per entry.
 
-    Returns V and, with ``derivative`` (else None), the rows of
-    ``y^{1/2} d/dy [y^{-1/2} B_{k+1/2}(y)] = (k/y) B_{k+1/2} - B_{k+3/2}``,
-    the l'' weights of dM/dy, in the same units.
+    Returns the tables ``(V,)``, or with ``derivative`` ``(V, dV)``, dV the
+    rows of ``y^{1/2} d/dy [y^{-1/2} B_{k+1/2}(y)] = (k/y) B_{k+1/2} -
+    B_{k+3/2}``, the l'' weights of dM/dy, in the same units.
     """
     k, weight = wigner.shift_index(l_max)
     top = log_mag[: 2 * l_max + 1, None]
@@ -261,7 +246,7 @@ def _shift_rows(y, l_max, log_mag, phase=None, derivative=False):
         return e * weight
 
     V = shift(0)
-    return V, ((k / y) * V - shift(1) if derivative else None)
+    return (V, (k / y) * V - shift(1)) if derivative else (V,)
 
 
 @lru_cache(maxsize=64)
@@ -276,9 +261,7 @@ def _k_rows(y, l_max, derivative=False, weighted=False):
     the units of row s.  Cached per frequency; do not mutate.
     """
     logk = specfun.log_k_array(2 * l_max, y)  # orders 0 .. 2 l_max + 1
-    V, dV = _shift_rows(y, l_max, logk, derivative=derivative)
-    if derivative:
-        V = dV
+    V = _shift_rows(y, l_max, logk, derivative=derivative)[-1]
     tables = (V, V * wigner.lambda_tensor(l_max)) if weighted else (V,)
     for table in tables:
         table.flags.writeable = False
@@ -290,12 +273,9 @@ class _NodeStack:
     axis; :class:`ImagNodes` and :class:`RotatedNodes` make its tables.
 
     Entry (l, l') of block m factors as ``P[l, l'] * S_m[l, l']``.  The
-    prefactor P depends on the node and l_max, not on m: the sphere factor
-    (numerator of l', denominator of l), ``sqrt(pi/4 xi L)`` and the top
-    term ``|B_{l+l'+1/2}(y)|`` that the weight rows of :func:`_shift_rows`
-    are measured in; block m reads its trailing square.  P is M without its
-    l'' sum and stays of the order of its entries, so each entry of P is
-    one exponential of a sum of logs, and no block of any m needs an
+    prefactor P (:meth:`_prefactor`) depends on the node and l_max, not on
+    m; block m reads its trailing square.  P is M without its l'' sum and
+    stays of the order of its entries, so no block of any m needs an
     assembly in log space.  For block m, one :func:`wigner.couple` of every
     node's rows gives the l'' sums S_m of every node at once.
 
@@ -311,11 +291,30 @@ class _NodeStack:
 
     em = False
 
-    def __init__(self, xi, l_min, l_max, derivative, P, rows):
-        self.xi, self.l_min, self.l_max = xi, l_min, l_max
-        self.derivative, self.P = derivative, P
-        columns = [table for of_every_node in zip(*rows) for table in of_every_node]
+    def __init__(self, xi, geom, l_min, l_max, derivative, nodes):
+        # per node of xi: the sphere factors of each polarization, log |B| at y, the rows
+        self.xi, self.L, self.l_min, self.l_max = xi, geom.L, l_min, l_max
+        self.derivative = derivative
+        ls = np.arange(l_min, l_max + 1)
+        top = ls[:, None] + ls[None, :]
+        self.P = np.array([self._prefactor(x, factors, log_b[top])
+                           for x, (factors, log_b, _) in zip(xi, nodes)])
+        columns = [table for of_every_node in zip(*(tables for _, _, tables in nodes))
+                   for table in of_every_node]
         self.V = np.array(columns).transpose(1, 2, 0).copy()
+
+    def _prefactor(self, x, factors, log_top):
+        """The q blocks of P at the node xi = x: block ``r * len(factors) +
+        c``, row polarization r and column polarization c, is ``num_c[l'] /
+        den_r[l] * sqrt(pi/4 xi L) * |B_{l+l'+1/2}(y)|``, ``log_top`` being
+        the log of that top term, which the rows are measured in.  One
+        exponential per entry, with the signs outside it; a unit complex
+        sign divides as its conjugate."""
+        log_pref = 0.5 * math.log(math.pi / (4.0 * x * self.L))
+        cut = slice(self.l_min, None)
+        return [(s_num[None, cut] * np.conj(s_den[cut, None]))
+                * np.exp(log_num[None, cut] - log_den[cut, None] + log_pref + log_top)
+                for _, _, s_den, log_den in factors for s_num, log_num, _, _ in factors]
 
     @staticmethod
     def _nodes(xi):
@@ -383,54 +382,44 @@ class ImagNodes(_NodeStack):
     :func:`_sphere_factors_imag`.
 
     Electromagnetic blocks have the polarization-major layout of
-    :func:`em_matrix`: four prefactors per node (the TE and TM sphere
-    factors of column and row, with the signs of the off-diagonal and TM
-    quadrants) and, next to the rows, the rows times the weights of
+    :func:`em_matrix`: the prefactors pair the TE and TM sphere factors of
+    row and column, the TM column with the sign -1, and the tables hold,
+    next to the rows, the rows times the weights of
     :func:`wigner.lambda_tensor`.
     """
 
     def __init__(self, xi, geom, spec, l_max, derivative=False):
         geom.require_gap()
         xi = self._nodes(xi)
-        self.L = geom.L
         self.em = spec.kind == ELECTROMAGNETIC
-        ls = np.arange(spec.l_min, l_max + 1)
-        ktop = ls[:, None] + ls[None, :]
         if self.em:
-            lf = ls.astype(float)
+            lf = np.arange(1.0, l_max + 1)
             lam_norm = np.sqrt(lf * (lf + 1.0))
             self.norm = lam_norm[:, None] * lam_norm[None, :]
             self.llp = lf[:, None] * lf[None, :]
-        P = np.empty((len(xi), 4 if self.em else 1, len(ls), len(ls)))
-        rows = []
-        for i, x in enumerate(xi):
+        # the sphere factor and column sign of each polarization
+        polarizations = (((DIRICHLET, 1.0), ("tm", -1.0)) if self.em
+                         else ((spec.sphere_bc, 1.0),))
+        nodes = []
+        for x in xi:
             y = 2.0 * x * geom.L
             tables, logk_y = _k_rows(y, l_max, False, self.em)
-            rows.append((tables + _k_rows(y, l_max, True, self.em)[0]) if derivative else tables)
-            base = 0.5 * math.log(math.pi / (4.0 * x * geom.L)) + logk_y[ktop]
-            if not self.em:
-                s_num, log_num, s_den, log_den = _sphere_factors_imag(
-                    spec.sphere_bc, x * geom.R, l_max)
-                P[i, 0] = (s_num[ls][None, :] * s_den[ls][:, None]) * np.exp(
-                    log_num[ls][None, :] - log_den[ls][:, None] + base)
-                continue
-            _, num_te, _, den_te = _sphere_factors_imag(DIRICHLET, x * geom.R, l_max)
-            _, num_tm, s_den_tm, den_tm = _sphere_factors_imag("tm", x * geom.R, l_max)
-            num_te, den_te, num_tm, den_tm = (a[ls] for a in (num_te, den_te, num_tm, den_tm))
-            s_tm = s_den_tm[ls][:, None]
-            P[i, 0] = np.exp(num_te[None, :] - den_te[:, None] + base)
-            P[i, 1] = -np.exp(num_tm[None, :] - den_te[:, None] + base)
-            P[i, 2] = s_tm * np.exp(num_te[None, :] - den_tm[:, None] + base)
-            P[i, 3] = -s_tm * np.exp(num_tm[None, :] - den_tm[:, None] + base)
-        super().__init__(xi, spec.l_min, l_max, derivative, P, rows)
+            if derivative:
+                tables = tables + _k_rows(y, l_max, True, self.em)[0]
+            factors = []
+            for bc, column_sign in polarizations:
+                s_num, log_num, s_den, log_den = _sphere_factors_imag(bc, x * geom.R, l_max)
+                factors.append((column_sign * s_num, log_num, s_den, log_den))
+            nodes.append((factors, logk_y, tables))
+        super().__init__(xi, geom, spec.l_min, l_max, derivative, nodes)
 
 
 class RotatedNodes(_NodeStack):
     """The rotated node stack: complex blocks M_m(i xi) at real frequency,
     with the H2 rows of :func:`_shift_rows` and the sphere factors of
     :func:`_sphere_factors_rotated`, whose denominator carries its phase
-    into P.  M(-i xi) is the complex conjugate of these blocks.  Scalar
-    fields only.
+    factor into P.  M(-i xi) is the complex conjugate of these blocks.
+    Scalar fields only.
     """
 
     def __init__(self, xi, geom, spec, l_max, derivative=False):
@@ -438,22 +427,13 @@ class RotatedNodes(_NodeStack):
             raise NotImplementedError(
                 "the rotated (real-frequency) kernel is implemented for scalar fields only")
         xi = self._nodes(xi)
-        ls = np.arange(l_max + 1)
-        ktop = ls[:, None] + ls[None, :]
-        P = np.empty((len(xi), 1, l_max + 1, l_max + 1), dtype=complex)
-        rows = []
-        for i, x in enumerate(xi):
-            s_num, log_num, den_mag, den_ph = _sphere_factors_rotated(
-                spec.sphere_bc, x * geom.R, l_max)
+        nodes = []
+        for x in xi:
             y = 2.0 * x * geom.L
             hy_mag, hy_ph = specfun.log_hankel2_arrays(2 * l_max, y)
-            top = hy_mag[: 2 * l_max + 1]
-            log_pref = 0.5 * math.log(math.pi / (4.0 * x * geom.L))
-            mag = np.exp(log_num[None, :] - den_mag[:, None] + log_pref + top[ktop])
-            P[i, 0] = (s_num[None, :] * mag) * np.exp(-1j * den_ph[:, None])
-            V, dV = _shift_rows(y, l_max, hy_mag, hy_ph, derivative)
-            rows.append((V, dV) if derivative else (V,))
-        super().__init__(xi, 0, l_max, derivative, P, rows)
+            nodes.append(([_sphere_factors_rotated(spec.sphere_bc, x * geom.R, l_max)],
+                          hy_mag, _shift_rows(y, l_max, hy_mag, hy_ph, derivative)))
+        super().__init__(xi, geom, 0, l_max, derivative, nodes)
 
 
 def scalar_matrix(m, xi, geom, spec, l_max, derivative=False):

@@ -58,8 +58,8 @@ class PlatePoint:
     def __post_init__(self):
         if not self.d > 0.0:
             raise ValueError("plate separation must be positive")
-        if self.T < 0.0:
-            raise ValueError("temperature must be non-negative")
+        if not 0.0 <= self.T < math.inf:
+            raise ValueError(f"temperature must be finite and non-negative, got T={self.T}")
         if self.mode_count not in (1, 2):
             raise ValueError("mode_count must be 1 (scalar) or 2 (electromagnetic)")
 
@@ -89,8 +89,8 @@ def g_function(x):
     used for x >= SMALL_X; below, the small-x asymptotics
     ``45 zeta(3) x^3/pi^3 - x^4`` (error ~exp(-2 pi^2/x)) take over.
     """
-    if x < 0.0:
-        raise ValueError("g is defined for x >= 0")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"g is defined for finite x >= 0, got x={x}")
     if x == 0.0:
         return 0.0
     if x < SMALL_X:
@@ -116,8 +116,8 @@ def h_function(x):
     rearrangement for x >= SMALL_X, power form ``5x^2 - 90 zeta(3) x^3/pi^3
     + x^4`` below.
     """
-    if x < 0.0:
-        raise ValueError("h is defined for x >= 0")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"h is defined for finite x >= 0, got x={x}")
     if x == 0.0:
         return 0.0
     if x < SMALL_X:
@@ -243,6 +243,8 @@ def pfa_regime(geom, T, regime, mode_count=2):
     """
     if regime not in _REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
+    if not 0.0 <= T < math.inf:
+        raise ValueError(f"temperature must be finite and non-negative, got T={T}")
     geom.require_gap()
     R, d = geom.R, geom.d
     eps = geom.eps

@@ -21,9 +21,9 @@ runs its own complex recurrence from the closed forms at orders 1/2 and
 xi R; only H2 is built, as M(-i xi) is the conjugate of M(+i xi).  All
 recurrences carry a running exponent so no intermediate value can
 overflow or underflow; they run on Python floats and lists, converted to
-arrays once.  The K table (:func:`log_k_array`, read alone by the
-imaginary-axis weight rows), the I/K pair and the H2 table are cached; J
-is not, as its one caller is cached on the same key.
+arrays once.  The I/K pair and the H2 table are cached; K alone
+(:func:`log_k_array`, read by the imaginary-axis weight rows) and J are
+not, as each of their callers is cached on the same key.
 """
 
 import math
@@ -38,13 +38,9 @@ _BIG = 1e250
 _NEG_INF = float("-inf")
 
 
-def _check_domain(l, x):
+def _check_domain(x):
     if not x > 0.0:
         raise ValueError(f"argument must be positive, got x={x}")
-    if l < 0:
-        raise ValueError(f"order index must be non-negative, got l={l}")
-    if l > L_CAP:
-        raise ValueError(f"order index l={l} exceeds cap {L_CAP}")
 
 
 def _miller_start(l_max, x):
@@ -79,11 +75,11 @@ def _frozen(*arrays):
     return arrays
 
 
-@lru_cache(maxsize=4096)
 def log_k_array(l_max, x):
     """log K_{l+1/2}(x) for l = 0..l_max (+1 spare), by upward recurrence
-    from the exact half-integer seeds.  Cached; do not mutate."""
-    _check_domain(0, x)
+    from the exact half-integer seeds.  Read-only, as
+    :func:`log_ik_arrays` caches and shares it."""
+    _check_domain(x)
     base = 0.5 * math.log(math.pi / (2.0 * x)) - x  # log K_{1/2}
     k0, k1, shift = 1.0, 1.0 + 1.0 / x, 0.0
     logk = [base, base + math.log(k1)]
@@ -120,7 +116,7 @@ def log_ik_arrays(l_max, x):
     (ndarray, ndarray)
         ``logi[l]``, ``logk[l]``; ``logk`` is :func:`log_k_array`'s
     """
-    _check_domain(0, x)
+    _check_domain(x)
     n = l_max + 2  # one spare order for derivative recurrences
     # I downward (Miller), normalized to I_{1/2} = sqrt(2/pi x) sinh x
     v, ex = _miller(l_max, x, 1.0)
@@ -143,7 +139,7 @@ def log_jy_arrays(l_max, x):
         ``(sign_j, log_j)``; a zero value is encoded as sign 0 with log
         magnitude ``-inf``.
     """
-    _check_domain(0, x)
+    _check_domain(x)
     n = l_max + 2
     sj = [0.0] * n
     lj = [_NEG_INF] * n
@@ -176,7 +172,7 @@ def log_hankel2_arrays(l_max, x):
     orders 1/2 and 3/2, with a running exponent; the phases lie in
     [-pi, pi].  Cached; do not mutate.
     """
-    _check_domain(0, x)
+    _check_domain(x)
     n = l_max + 2
     sin, cos = math.sin(x), math.cos(x)
     h0 = complex(sin, cos)

@@ -422,10 +422,21 @@ class ComplexLogValue:
 # Single values read from the package's tables, checked for the order cap
 # of ``specfun.L_CAP`` one entry at a time.
 
+def _check_domain(l, x):
+    """The argument check of ``specfun`` plus the order index range
+    0 <= l <= ``specfun.L_CAP`` of a single value."""
+    from casphere import specfun
+    specfun._check_domain(x)
+    if l < 0:
+        raise ValueError(f"order index must be non-negative, got l={l}")
+    if l > specfun.L_CAP:
+        raise ValueError(f"order index l={l} exceeds cap {specfun.L_CAP}")
+
+
 def log_bessel_i_half(l, x):
     """I_{l+1/2}(x) as a :class:`LogValue` (relative accuracy ~1e-13)."""
     from casphere import specfun
-    specfun._check_domain(l, x)
+    _check_domain(l, x)
     logi, _ = specfun.log_ik_arrays(l, x)
     return LogValue(1, float(logi[l]))
 
@@ -433,7 +444,7 @@ def log_bessel_i_half(l, x):
 def log_bessel_k_half(l, x):
     """K_{l+1/2}(x) as a :class:`LogValue`; the sign is always +1."""
     from casphere import specfun
-    specfun._check_domain(l, x)
+    _check_domain(l, x)
     _, logk = specfun.log_ik_arrays(l, x)
     return LogValue(1, float(logk[l]))
 
@@ -445,7 +456,7 @@ def log_y_arrays(l_max, x):
     exponent, next to the J of ``specfun.log_jy_arrays``.  Returns
     ``(sign_y, log_y)``; cached, do not mutate."""
     from casphere import specfun
-    specfun._check_domain(0, x)
+    specfun._check_domain(x)
     n = l_max + 2
     sy = [0.0] * n
     ly = [-math.inf] * n
@@ -480,7 +491,7 @@ def bessel_j_half(l, x):
     meaningful.
     """
     from casphere import specfun
-    specfun._check_domain(l, x)
+    _check_domain(l, x)
     sj, lj = specfun.log_jy_arrays(l, x)
     return LogValue(int(sj[l]), float(lj[l]))
 
@@ -488,7 +499,7 @@ def bessel_j_half(l, x):
 def bessel_y_half(l, x):
     """Y_{l+1/2}(x) as a :class:`LogValue` (upward recurrence)."""
     from casphere import specfun
-    specfun._check_domain(l, x)
+    _check_domain(l, x)
     sy, ly = log_y_arrays(l, x)
     return LogValue(int(sy[l]), float(ly[l]))
 
@@ -503,7 +514,7 @@ def ratio_jy(l, x):
         the Newton step ``|Y/Y'|``).
     """
     from casphere import specfun
-    specfun._check_domain(l, x)
+    _check_domain(l, x)
     sj, lj = specfun.log_jy_arrays(l + 1, x)
     sy, ly = log_y_arrays(l + 1, x)
     if sy[l] == 0:
@@ -534,7 +545,7 @@ def hankel2_half(l, x):
     """H^(2)_{l+1/2}(x) = J - iY as a :class:`ComplexLogValue`, assembled
     from the J and Y tables (not from the package's Hankel recurrence)."""
     from casphere import specfun
-    specfun._check_domain(l, x)
+    _check_domain(l, x)
     sj, lj = specfun.log_jy_arrays(l, x)
     sy, ly = log_y_arrays(l, x)
     lm, ph = hankel2_from_jy(sj[l], lj[l], sy[l], ly[l])

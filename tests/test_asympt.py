@@ -85,6 +85,12 @@ def test_low_t_em_no_divergence_at_contact():
     assert out.value == pytest.approx(EM_CONTACT * 0.5 ** 4, rel=1e-12)
 
 
+@pytest.mark.parametrize("T", [-1.0, math.inf, math.nan])
+def test_low_t_needs_a_finite_non_negative_temperature(T):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        low_t_thermal(Geometry(1.0, 0.5), FieldSpec(), T)
+
+
 def test_low_t_matches_thermal_part():
     # the closed form doubles as the oracle for the numeric thermal part
     T = 1e-2

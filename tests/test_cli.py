@@ -243,6 +243,17 @@ def test_readme_lists_every_flag():
     assert missing == []
 
 
+@pytest.mark.parametrize("command", ["pfa", "asymptotic"])
+@pytest.mark.parametrize("T", ["nan", "inf", "-1"])
+def test_bad_temperature_exits_1(command, T):
+    # a subprocess with a timeout: a NaN temperature once never returned
+    proc = subprocess.run([sys.executable, "-m", "casphere.cli", "--command", command,
+                           "--R", "10", "--d", "1", f"--T={T}"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "finite and non-negative" in proc.stderr
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "casphere.cli", "--help"],
                           capture_output=True, text=True)

@@ -248,10 +248,41 @@ def test_geometry_validation():
     assert FieldSpec("scalar", "dirichlet", "neumann").plane_sign == -1
 
 
+@pytest.mark.parametrize("phases", [False, True], ids=["real signs", "complex signs"])
+def test_combine_matches_mpmath(phases):
+    # c a - b with a = sign_a exp(log_a), b = sign_b exp(log_b): c = 0 (the
+    # l = 0 term), log moduli past where a plain exp over- or underflows,
+    # an exact cancellation, a zero a (sign 0, log -inf) and both zero
+    c = np.array([0.0, 0.5, 3.0, 2.0, 1.0, 1.0, 0.0])
+    log_a = np.array([1.0, 720.0, -760.0, 0.3, 2.0, -np.inf, -np.inf])
+    log_b = np.array([0.5, 719.0, -758.5, 0.9, 2.0, 0.25, -np.inf])
+    if phases:
+        sign_a = np.exp(1j * np.array([0.3, -2.0, 1.1, 3.0, 0.7, 0.0, 0.0]))
+        sign_b = np.exp(1j * np.array([2.0, 0.4, -1.2, 3.0, 0.7, -0.5, 0.0]))
+    else:
+        sign_a = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 0.0, 0.0])
+        sign_b = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 0.0])
+    sign, log_mod = kernel._combine(c, sign_a, log_a, sign_b, log_b)
+    mp.mp.dps = 40
+    for i in range(len(c)):
+        want = (mp.mpf(c[i]) * mp.mpc(sign_a[i]) * mp.exp(log_a[i])
+                - mp.mpc(sign_b[i]) * mp.exp(log_b[i]))
+        if want == 0:
+            assert sign[i] == 0 and log_mod[i] == -np.inf
+            continue
+        assert log_mod[i] == pytest.approx(float(mp.log(abs(want))), rel=1e-15, abs=1e-14)
+        assert abs(sign[i] - complex(want / abs(want))) <= 1e-15
+        if not phases:
+            assert sign[i] in (-1.0, 1.0)
+
+
 @pytest.mark.parametrize("x", [1e-3, 0.37, 2.5, 11.0, 40.0])
 def test_rotated_neumann_factors_match_the_loop(x):
     kernel._sphere_factors_rotated.cache_clear()
-    got = kernel._sphere_factors_rotated("neumann", x, 30)
+    # the denominator's sign is its phase factor: compare its log modulus
+    # and angle with the loop's modulus and phase
+    s_num, log_num, s_den, log_den = kernel._sphere_factors_rotated("neumann", x, 30)
+    got = s_num, log_num, log_den, np.angle(s_den)
     want = oracles.sphere_factors_rotated_loop("neumann", x, 30)
     for g, w in zip(got, want):
         assert g.shape == w.shape

@@ -131,6 +131,22 @@ def test_platepoint_validation():
         PlatePoint(1.0, 0.0, 3)
 
 
+@pytest.mark.parametrize("T", [-1.0, math.inf, math.nan])
+def test_temperature_must_be_finite_and_non_negative(T):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        PlatePoint(1.0, T)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        pfa_regime(Geometry(10.0, 0.01), T, "low")
+
+
+def test_g_and_h_need_a_finite_argument():
+    # x = -1 first: the NaN case never ends the mode sum without the check
+    for x in (-1.0, math.inf, math.nan):
+        for f in (g_function, h_function):
+            with pytest.raises(ValueError, match="finite x"):
+                f(x)
+
+
 def test_pfa_vacuum_energy_closed_form():
     # T = 0: F_pfa = -(pi^3 R/720 d^2) / (1 + eps) exactly
     geom = Geometry(10.0, 0.05)

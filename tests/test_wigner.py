@@ -116,8 +116,8 @@ def test_h_tensor_layout_and_phase():
     # the rotated representation's (-1)^t = (-1)^((l+l'-l'')/2) rides on the
     # complex weight rows, not on the store
     log_mag = np.linspace(-3.0, 5.0, 10)
-    real, _ = kernel._shift_rows(1.0, 4, log_mag)
-    rotated, _ = kernel._shift_rows(1.0, 4, log_mag, np.zeros(10))
+    (real,) = kernel._shift_rows(1.0, 4, log_mag)
+    (rotated,) = kernel._shift_rows(1.0, 4, log_mag, np.zeros(10))
     assert np.array_equal(rotated, real * (-1.0) ** np.arange(5))
 
 
